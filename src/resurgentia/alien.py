@@ -37,12 +37,13 @@ variable that shifts by a lower-order series.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable, Optional
 
-from .scalars import ExactScalar
+from .scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
 from .series import PowerSeries
 from . import families
 
@@ -53,14 +54,73 @@ NVARS = len(VARS)
 IDX = {name: k for k, name in enumerate(VARS)}
 _LAURENT = {IDX["z"], IDX["u"], IDX["w"]}
 _ZERO_MONO = (0,) * NVARS
+_F0 = Fraction(0)
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+# The product kernel packs each monomial into one int, 32 bits per slot: the
+# biased key of m is sum_k (m_k + 2^31) 2^(32k), the plain key drops the bias,
+# and biased(a) + plain(b) = biased(a + b) while every slot stays in 32 bits.
+_PACKER = struct.Struct(f"<{NVARS}i")
+_KEY_BIAS = sum(1 << (32 * k + 31) for k in range(NVARS))
+_EXP_LIMIT = 1 << 30
+
+
+def _kernel_operand(terms: dict[tuple, ExactScalar], biased: bool) -> tuple[int, list]:
+    """Packed monomials and Gaussian-integer coefficients over one denominator.
+
+    Returns (den, [(key, re_num, im_num, gaussian), ...]) in term order, where
+    the coefficient is (re_num + im_num i) / den and gaussian is its mode tag.
+    """
+    if terms and not (-_EXP_LIMIT <= min(map(min, terms))
+                      and max(map(max, terms)) < _EXP_LIMIT):
+        raise OverflowError("monomial exponent too large for the product kernel")
+    shift = 0 if biased else _KEY_BIAS
+    pack = _PACKER.pack
+    den = lcm(*(c.re.denominator for c in terms.values()),
+              *(c.im.denominator for c in terms.values()))
+    return den, [
+        ((int.from_bytes(pack(*mono), "little") ^ _KEY_BIAS) - shift,
+         c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator),
+         c.mode == MODE_GAUSSIAN)
+        for mono, c in terms.items()
+    ]
+
+
+def _unpack_mono(key: int) -> tuple:
+    return _PACKER.unpack((key ^ _KEY_BIAS).to_bytes(_PACKER.size, "little"))
+
+
+def _scalar(re: Fraction, im: Fraction, gaussian: bool) -> ExactScalar:
+    """An ExactScalar from reduced Fractions, without re-converting them."""
+    out = ExactScalar.__new__(ExactScalar)
+    out.re = re
+    out.im = im
+    out.mode = MODE_GAUSSIAN if gaussian else MODE_RATIONAL
+    return out
+
+
+def _poly(terms: dict[tuple, ExactScalar]) -> "Poly":
+    """Wrap terms that are already valid (12-tuple keys, nonzero scalars)."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    return out
 
 
 class Poly:
-    """Sparse multivariate polynomial over ExactScalar."""
+    """Sparse multivariate polynomial over ExactScalar.
+
+    The product kernel converts each operand's coefficients once to Gaussian
+    integers over a shared denominator, (re_num + im_num i) / den, and its
+    monomials to packed int keys (exponents in [-2^30, 2^30); others raise
+    OverflowError). It sums the monomial products with plain int
+    arithmetic and builds one ExactScalar per surviving output term, whose
+    Fractions are reduced once. The mode tag of an output term follows scalar
+    addition: it is gaussian iff some product summed into the term since it
+    last cancelled to zero had a gaussian operand. Terms are visited in the
+    same order as the term-by-term ExactScalar loop, so values, tags and term
+    order all match that loop.
+    """
 
     __slots__ = ("terms",)
 
@@ -110,36 +170,61 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, ExactScalar.zero()) + c
+            cur = out.get(mono)
+            if cur is None:
+                out[mono] = c
+                continue
+            s = cur + c
             if s.is_zero():
-                out.pop(mono, None)
+                del out[mono]
             else:
                 out[mono] = s
-        return Poly(out)
+        return _poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[tuple, ExactScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, ExactScalar.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(mono, None)
+        den_a, a = _kernel_operand(self.terms, biased=True)
+        den_b, b = _kernel_operand(other.terms, biased=False)
+        acc: dict[int, list] = {}  # packed mono -> [re_num, im_num, gaussian]
+        get = acc.get
+        for k1, x, y, g1 in a:
+            for k2, u, v, g2 in b:
+                key = k1 + k2
+                if y or v:
+                    re = x * u - y * v
+                    im = x * v + y * u
                 else:
-                    out[mono] = s
-        return Poly(out)
+                    re = x * u
+                    im = 0
+                e = get(key)
+                if e is None:
+                    acc[key] = [re, im, g1 or g2]
+                    continue
+                re += e[0]
+                im += e[1]
+                if re or im:
+                    e[0] = re
+                    e[1] = im
+                    if g1 or g2:
+                        e[2] = True
+                else:
+                    del acc[key]
+        den = den_a * den_b
+        return _poly({
+            _unpack_mono(key): _scalar(Fraction(re, den), Fraction(im, den) if im else _F0, g)
+            for key, (re, im, g) in acc.items()
+        })
 
     def scale(self, c) -> "Poly":
         c = ExactScalar.coerce(c)
         if c.is_zero():
             return Poly()
-        return Poly({m: c * v for m, v in self.terms.items()})
+        return _poly({m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -197,12 +282,12 @@ class Poly:
 
     def drop_high_degree(self, name: str, cap: int) -> "Poly":
         k = IDX[name]
-        return Poly({m: c for m, c in self.terms.items() if m[k] <= cap})
+        return _poly({m: c for m, c in self.terms.items() if m[k] <= cap})
 
     def drop_low_z(self, zcap: int) -> "Poly":
         """Drop z-exponents below -zcap (series truncation in z^{-1})."""
         k = IDX["z"]
-        return Poly({m: c for m, c in self.terms.items() if m[k] >= -zcap})
+        return _poly({m: c for m, c in self.terms.items() if m[k] >= -zcap})
 
     def max_degree(self, name: str) -> int:
         k = IDX[name]
@@ -674,9 +759,13 @@ def formal_integral(
 
     Grade n carries ((-1)^{n-1}/n) sigma_2^n e^{-2nz} E^n; in a composed
     context each grade is additionally multiplied by the expansion of
-    e^{-2n phi_u}. Built along two routes, the explicit sum and the exponential
+    e^{-2n phi_u}, and each power of that factor is truncated at z^{-zcap}
+    (context.zcap, which must equal caps.zorder) as it is formed. Built along
+    two routes, the explicit sum and the exponential
     exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g, which must agree.
     """
+    if context is not None and context.zcap != caps.zorder:
+        raise ValueError("cap inconsistency: context and caps disagree on the z order")
     gc = grade_cap if grade_cap is not None else min(caps.sigma, caps.grade)
     gc = min(gc, caps.grade)
     s2 = Poly.var("s2", 1, -1 if negate_sigma2 else 1)
@@ -691,7 +780,9 @@ def formal_integral(
     for n in range(1, gc + 1):
         s2_pow = s2_pow * s2
         if context is not None:
-            fac_pow = fac_pow * context.factor(2)
+            # the factor carries no positive z power, so the truncated
+            # power still yields every term above the z floor
+            fac_pow = (fac_pow * context.factor(2)).drop_low_z(context.zcap)
         coeff = s2_pow.scale(Fraction((-1) ** (n - 1), n)) * fac_pow
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
@@ -739,8 +830,10 @@ def stokes_action_check(caps: Caps = Caps()) -> dict:
     sigma_1 by log(1 - i sigma_2) and maps sigma_2 to sigma_2/(1 - i sigma_2),
     expanded to the sigma_2 cap.
     """
-    # rightward: grades only ever rise, one extra grade of margin suffices
-    wide = caps.widen(extra_grade=1)
+    # rightward: grades only ever rise, one extra grade of margin suffices;
+    # grade m carries sigma_2^m, and the shift brings its low powers back into
+    # the window, so the sigma_2 cap must reach every grade in the window
+    wide = Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
     G = formal_integral(wide, grade_cap=wide.grade)
     lhs = apply_stokes(G, "geq0")
     rhs = G.subst("s2", Poly.var("s2") - Poly.const(ExactScalar(0, 1)))

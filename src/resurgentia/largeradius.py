@@ -546,7 +546,9 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
     context = make_context(caps.zorder)
     if direction == "geq0":
-        wide = caps.widen(extra_grade=1)
+        # the sigma_2 cap must reach every grade in the window (see
+        # stokes_action_check)
+        wide = Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
         H = lr_transseries(wide, context)
         lhs = apply_stokes(H, "geq0")
         rhs = H.subst("s2", Poly.var("s2") + Poly.const(ExactScalar(0, 1)))

@@ -25,7 +25,7 @@ from resurgentia.alien import (
     stokes_action_check,
     te_apply,
 )
-from resurgentia.scalars import ExactScalar
+from resurgentia.scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
 
 F = Fraction
 I = ExactScalar(0, 1)
@@ -43,6 +43,27 @@ def test_bridge_identities():
 
 def test_stokes_actions():
     assert stokes_action_check(Caps(5, 5))["ok"]
+
+
+@pytest.mark.parametrize("sigma", range(3, 7))
+@pytest.mark.parametrize("grade", range(3, 7))
+def test_stokes_actions_every_cap_pair(sigma, grade):
+    # grade > sigma included: the rightward shift brings the low sigma_2
+    # powers of grades above the sigma cap back into the window
+    res = stokes_action_check(Caps(sigma, grade))
+    assert res["residual_right"].is_zero()
+    assert res["residual_left"].is_zero()
+    assert res["ok"]
+
+
+@pytest.mark.parametrize("sigma, grade", [(3, 3), (3, 5), (5, 4)])
+def test_rightward_stokes_wrong_shift_is_caught(sigma, grade):
+    # the element the check builds, shifted by +i instead of -i
+    caps = Caps(sigma, grade)
+    G = formal_integral(Caps(max(sigma, grade), grade + 1), grade_cap=grade + 1)
+    lhs = apply_stokes(G, "geq0")
+    wrong = G.subst("s2", Poly.var("s2") + Poly.const(I))
+    assert not (lhs - wrong).truncated(caps).is_zero()
 
 
 def test_companion_mirror():
@@ -215,3 +236,83 @@ def test_rightward_stokes_invertible_fuzz(terms):
     forward = apply_stokes(x, "geq0")
     back = apply_stokes(forward, "geq0", -1)
     assert back.truncated(Caps(6, 6)) == x.truncated(Caps(6, 6))
+
+
+# -- the Poly product kernel against the term-by-term scalar loop ---------------
+
+
+def _reference_mul(a: Poly, b: Poly) -> Poly:
+    """The ExactScalar loop the product kernel replaces."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(mono, ExactScalar.zero()) + c1 * c2
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return Poly(out)
+
+
+def _mono(s2, p, z, u, w):
+    return (0, s2, 0, 0, 0, 0, p, 0, z, u, 0, w)
+
+
+def _kernel_coeff(re, im, gaussian):
+    if gaussian:
+        return ExactScalar(re, im, MODE_GAUSSIAN)
+    return ExactScalar(re, 0, MODE_RATIONAL)
+
+
+# few slots and small values, so products collide and cancel often; gaussian
+# mode includes coefficients whose imaginary part is 0
+kernel_coeffs = st.builds(
+    _kernel_coeff,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
+    st.booleans(),
+)
+kernel_monos = st.builds(
+    _mono,
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(-2, 1),
+    st.integers(-2, 1),
+    st.integers(-1, 1),
+)
+kernel_polys = st.dictionaries(kernel_monos, kernel_coeffs, max_size=6).map(Poly)
+
+
+def _assert_same_product(a: Poly, b: Poly):
+    got = a * b
+    want = _reference_mul(a, b)
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+    assert [c.mode for c in got.terms.values()] == [c.mode for c in want.terms.values()]
+    assert got.to_str() == want.to_str()
+
+
+@given(kernel_polys, kernel_polys, kernel_polys)
+def test_poly_mul_matches_scalar_loop(p, q, r):
+    _assert_same_product(p, q)
+    # (p + q)(p - q): the cross products cancel to zero, after which later
+    # products restart the term and its mode tag
+    _assert_same_product(p + q, p - q)
+    _assert_same_product(p + q + r, (q - r) * p)
+
+
+def test_poly_mul_mode_tag_resets_after_cancellation():
+    # the z term of (1 + z + z^2)(z - 1 + z^-1), with the constant 1 tagged
+    # gaussian, receives +1 (gaussian), -1 (cancels to zero), then +1
+    # (rational): only the product after the cancellation sets the tag
+    x = Poly.const(ExactScalar(1, 0, MODE_GAUSSIAN)) + Poly.var("z") + Poly.var("z", 2)
+    y = Poly.var("z") - Poly.const(1) + Poly.var("z", -1)
+    _assert_same_product(x, y)
+    z_term = (x * y).terms[_mono(0, 0, 1, 0, 0)]
+    assert z_term.mode == MODE_RATIONAL and z_term == 1
+
+
+def test_poly_mul_rejects_exponents_beyond_the_kernel():
+    with pytest.raises(OverflowError):
+        Poly.var("z", -(1 << 31)) * Poly.var("z")

@@ -295,11 +295,21 @@ def test_lr_stokes_actions():
         lr_stokes_check("sideways", Caps(4, 4, 8))
 
 
+@pytest.mark.parametrize("caps", [Caps(3, 4, 4), Caps(3, 6, 4), Caps(5, 6, 4)])
+def test_lr_rightward_stokes_above_the_sigma_cap(caps):
+    assert lr_stokes_check("geq0", caps)["residual"].is_zero()
+
+
 def test_lr_caps_consistency():
     with pytest.raises(ValueError, match="cap inconsistency"):
         lr_transseries(Caps(3, 3))
     with pytest.raises(ValueError, match="cap inconsistency"):
         lr_transseries(Caps(3, 3, 8), make_context(6))
+    # formal_integral takes its z floor from the context, so the two must agree
+    with pytest.raises(ValueError, match="cap inconsistency"):
+        formal_integral(Caps(3, 3, 8), context=make_context(6))
+    with pytest.raises(ValueError, match="cap inconsistency"):
+        formal_integral(Caps(3, 3), context=make_context(6))
 
 
 # -- numeric sums -------------------------------------------------------------
