@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import families
 
@@ -178,17 +177,90 @@ def eval_Ahat(zeta: complex, branch: str = "A", arg_zeta: Optional[float] = None
     return pref * w ** (-1.0 / 6.0) / _GAMMA56
 
 
-@lru_cache(maxsize=None)
-def _gj_nodes(n: int) -> tuple:
-    # weight (1-x)^{-1/6}(1+x)^{-5/6}; with t = (x+1)/2 this absorbs the
-    # endpoint factors t^{-5/6}(1-t)^{-1/6} exactly (the 2-powers cancel)
-    x, w = roots_jacobi(n, -1.0 / 6.0, -5.0 / 6.0)
-    return x, w
+# -- quadrature rules ------------------------------------------------------------
+#
+# All rules come from the eigen-decomposition of a Jacobi matrix (Golub-Welsch):
+# nodes are its eigenvalues, weights mu_0 times the squared first components of
+# its eigenvectors. These weights stay accurate to rounding at every size used
+# here; weights recomputed from the nodes, as scipy's roots_jacobi does, are
+# off by up to 8e-11 at 384-768 nodes, above the kernel tolerance floor.
+
+
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple:
+    # dense eigh: at 768 nodes about 0.1 s and 15 MB, once per process
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, vec = np.linalg.eigh(jac)
+    return x, mu0 * vec[0] ** 2
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple:
-    return roots_legendre(n)
+def _gj_rule(n: int) -> tuple:
+    """n-point Gauss rule for the weight (1-x)^{-1/6}(1+x)^{-5/6} on [-1, 1].
+
+    With t = (x+1)/2 the weight absorbs the endpoint factors t^{-5/6}(1-t)^{-1/6}
+    of the Bhat integral exactly (the 2-powers cancel), and its mass is 2 pi.
+    Returned as (1 - t, weight / 2 pi), the two arrays the kernel sum uses.
+    """
+    # recurrence of the monic Jacobi polynomials at alpha = -1/6, beta = -5/6
+    # (alpha + beta = -1 simplifies the textbook formulas; b_1 is their limit)
+    alpha, beta = -1.0 / 6.0, -5.0 / 6.0
+    k = np.arange(1, n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = beta - alpha
+    diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))
+    off = np.sqrt((k + alpha) * (k + beta)) / (2.0 * k - 1.0)
+    off[0] *= math.sqrt(2.0)
+    x, w = _golub_welsch(diag, off, TWO_PI)
+    return (1.0 - x) / 2.0, w / TWO_PI
+
+
+@lru_cache(maxsize=None)
+def _gk_rule(n: int) -> tuple:
+    """Gauss-Kronrod pair on [-1, 1]: the 2n+1 Kronrod nodes and weights, and the
+    n-point Gauss weights placed on the Gauss nodes among them (0 elsewhere).
+
+    The Kronrod-Jacobi matrix comes from Laurie's algorithm (Math. Comp. 66
+    (1997) 1133, as in Gautschi's r_kronrod), started from the Legendre
+    recurrence a_k = 0, b_0 = 2, b_k = k^2/(4k^2 - 1). The Gauss nodes are the
+    odd-indexed Kronrod nodes.
+    """
+    k = np.arange(2 * n + 1, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    m = (3 * n + 1) // 2 + 1  # b_0 .. b_{ceil(3n/2)} are the Legendre ones
+    b[0] = 2.0
+    b[1:m] = k[1:m] ** 2 / (4.0 * k[1:m] ** 2 - 1.0)
+    s = np.zeros(n // 2 + 3)  # s[j + 1] holds Laurie's s_j, so s[0] is s_{-1} = 0
+    t = np.zeros(n // 2 + 3)
+    t[1] = b[n + 1]
+    for mm in range(n - 1):
+        kk = np.arange((mm + 1) // 2, -1, -1)
+        ll = mm - kk
+        s[kk + 1] = np.cumsum(
+            (a[kk + n + 1] - a[ll]) * t[kk + 1] + b[kk + n + 1] * s[kk] - b[ll] * s[kk + 1]
+        )
+        s, t = t, s
+    s[1 : n // 2 + 3] = s[0 : n // 2 + 2].copy()
+    for mm in range(n - 1, 2 * n - 2):
+        kk = np.arange(mm + 1 - n, (mm - 1) // 2 + 1)
+        ll = mm - kk
+        j = n - 1 - ll
+        s[j + 1] = np.cumsum(
+            -(a[kk + n + 1] - a[ll]) * t[j + 1] - b[kk + n + 1] * s[j + 1] + b[ll] * s[j + 2]
+        )
+        j = j[-1]
+        kk = (mm + 1) // 2
+        if mm % 2 == 0:
+            a[kk + n + 1] = a[kk] + (s[j + 1] - b[kk + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[kk + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, wk = _golub_welsch(a, np.sqrt(b[1:]), b[0])
+    gauss = np.polynomial.legendre.leggauss(n)[1]
+    wg = np.zeros(2 * n + 1)
+    wg[1::2] = gauss
+    return x, wk, wg
 
 
 @lru_cache(maxsize=None)
@@ -208,28 +280,81 @@ def _bhat_maclaurin_coeffs(n: int) -> np.ndarray:
     return out
 
 
-_NODE_LADDER = (48, 96, 192, 384, 768)
-# node noise of the high-order Jacobi rules caps certifiable agreement; the
-# values themselves stay accurate to ~1e-10 well past the Maclaurin radius
+# Jacobi rule sizes eval_Bhat may pick; a point whose error bound needs more than
+# the last one raises QuadratureError
+_BHAT_RULES = np.array([16, 28, 44, 64, 96, 144, 256, 768])
+# the smallest kernel tolerance; lower requests are raised to it
 _BHAT_TOL_FLOOR = 5e-11
+# ellipses tried for the bound: rho' = rho^s for these s
+_ELLIPSE_EXPONENTS = np.array([0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999])
+_RHO_CAP = 1e4  # a smaller ellipse than the true one keeps the bound valid
+_BHAT_BLOCK = 8192  # point-node products per block of the kernel sum
 _MACLAURIN_RADIUS = 1.5
 _MACLAURIN_TERMS = 120
 
 
-def _bhat_quad(zarr: np.ndarray, sign: float, n: int) -> np.ndarray:
-    x, w = _gj_nodes(n)
-    t = (x + 1.0) / 2.0
-    base = 1.0 - sign * np.multiply.outer(zarr, 1.0 - t) / 2.0
-    return (base ** (-1.0 / 6.0)) @ w / TWO_PI
+def _bhat_log_bound(w: np.ndarray) -> tuple:
+    """Error bound of the n-point rule for Bhat at the points w = +-zeta, as
+    the pair (log_c, log_r) of shape (points, ellipses): for every ellipse the
+    bound is exp(log_c - 2 n log_r), and any ellipse may be used.
+
+    The integrand (w/4 (x - x*))^{-1/6}, x* = 1 - 4/w, is analytic inside every
+    Bernstein ellipse E_r (foci +-1) with r < rho = |x* + sqrt(x*^2 - 1)|: its
+    cut runs from x* away from x = 1, and E_r is convex and contains 1. On E_r
+    the distance to x* is at least a(rho) - a(r), a(r) = (r + 1/r)/2 (the
+    Joukowski map stretches radial paths by at least (1 - 1/r^2)/2), so
+    |f| <= M(r) = (|w|/4 (a(rho) - a(r)))^{-1/6}. The degree-N Chebyshev
+    truncation error is at most 2 M r^{-N}/(r - 1) (Trefethen, ATAP, Thm 8.2);
+    an n-point Gauss rule is exact to degree N = 2n - 1 and its weights are
+    positive with mass 2 pi, so the rule's error in Bhat = integral / 2 pi is at
+    most twice that: 4 M(r) r^{1-2n}/(r - 1).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xs = 1.0 - 4.0 / w
+        u = np.abs(xs + np.sqrt(xs - 1.0) * np.sqrt(xs + 1.0))
+        rho = np.minimum(np.maximum(u, 1.0 / u), _RHO_CAP)
+        log_r = np.log(rho)[:, None] * _ELLIPSE_EXPONENTS
+        r = np.exp(log_r)
+        gap = np.fmax((rho + 1.0 / rho)[:, None] / 2.0 - (r + 1.0 / r) / 2.0, 0.0)
+        log_m = -(np.log(np.abs(w) / 4.0)[:, None] + np.log(gap)) / 6.0
+        log_c = math.log(4.0) + log_m + log_r - np.log(r - 1.0)
+    return log_c, log_r
+
+
+def _bhat_nodes_needed(w: np.ndarray, tol: float) -> np.ndarray:
+    """Per point, the least node count whose bound is at most tol (inf if none)."""
+    log_c, log_r = _bhat_log_bound(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = (log_c - math.log(tol)) / (2.0 * log_r)
+    need = np.nan_to_num(n, nan=np.inf, posinf=np.inf).min(axis=1)
+    need[w == 0] = 0.0  # constant integrand
+    return need
+
+
+def _bhat_quad(w: np.ndarray, n: int) -> np.ndarray:
+    """Bhat at the points w = +-zeta with the n-point rule, in blocks of points."""
+    omt, wts = _gj_rule(n)
+    out = np.empty(len(w), dtype=complex)
+    step = max(1, _BHAT_BLOCK // n)
+    for i in range(0, len(w), step):
+        base = 1.0 - np.multiply.outer(w[i : i + step], omt) / 2.0
+        # principal base^{-1/6} in polar form, several times faster than **
+        mod = np.abs(base) ** (-1.0 / 6.0)
+        arg = np.angle(base) / -6.0
+        out[i : i + step] = (mod * np.cos(arg)) @ wts + 1j * ((mod * np.sin(arg)) @ wts)
+    return out
 
 
 def eval_Bhat(zeta, branch: str = "B", tol: float = DEFAULT_QUAD_TOL):
     """The Borel transform of z^{-1} psi (branch "B") or its mirror ("B_plus").
 
-    Gauss-Jacobi quadrature of the convolution integral, escalating the node
-    count until two refinements agree within tol; values with |zeta| <= 1.5 are
-    additionally cross-checked against the exact-coefficient Maclaurin series.
-    Accepts scalars or arrays.
+    Gauss-Jacobi quadrature of the convolution integral. Each point gets the
+    smallest rule in _BHAT_RULES whose a-priori Bernstein-ellipse bound (see
+    _bhat_log_bound) is at most half of max(tol, _BHAT_TOL_FLOOR), and each
+    rule is evaluated once on the points that chose it; a point that would
+    need more than the largest rule raises QuadratureError. Values with
+    |zeta| <= 1.5 are additionally cross-checked against the exact-coefficient
+    Maclaurin series. Accepts scalars or arrays.
     """
     if branch not in ("B", "B_plus"):
         raise ValueError("branch must be 'B' or 'B_plus'")
@@ -240,24 +365,27 @@ def eval_Bhat(zeta, branch: str = "B", tol: float = DEFAULT_QUAD_TOL):
     on_cut = (np.abs(zarr.imag) < 1e-13) & (sign * zarr.real >= 2.0 - 1e-13)
     if np.any(on_cut):
         raise BranchCutError("branch cut")
-    prev = None
-    diff = math.inf
-    cur = None
-    for n in _NODE_LADDER:
-        cur = _bhat_quad(zarr, sign, n)
-        if prev is not None:
-            diff = float(np.max(np.abs(cur - prev)))
-            if diff < tol:
-                break
-        prev = cur
-    else:
+    w = sign * zarr
+    # the bound takes half the tolerance, rounding (under 1e-13) the other half
+    rule = np.searchsorted(_BHAT_RULES, _bhat_nodes_needed(w, tol / 2.0))
+    top = len(_BHAT_RULES) - 1
+    clamped = np.minimum(rule, top)
+    cur = np.empty(len(w), dtype=complex)
+    for k in set(clamped.tolist()):
+        sel = clamped == k
+        cur[sel] = _bhat_quad(w[sel], int(_BHAT_RULES[k]))
+    if rule.max() > top:
+        log_c, log_r = _bhat_log_bound(w[rule > top])
+        bound = float(np.exp(np.max(np.min(log_c - 2.0 * _BHAT_RULES[top] * log_r, axis=1))))
         raise QuadratureError(
-            "quadrature failure", value=cur[0] if scalar else cur, err=diff
+            f"quadrature failure: a point needs more than {_BHAT_RULES[top]} nodes",
+            value=cur[0] if scalar else cur,
+            err=bound,
         )
     near = np.abs(zarr) <= _MACLAURIN_RADIUS
     if np.any(near):
         coeffs = _bhat_maclaurin_coeffs(_MACLAURIN_TERMS)
-        series = np.polynomial.polynomial.polyval(sign * zarr[near], coeffs)
+        series = np.vander(w[near], len(coeffs), increasing=True) @ coeffs
         mismatch = float(np.max(np.abs(series - cur[near])))
         if mismatch > max(1e-8, 100.0 * tol):
             raise QuadratureError(
@@ -305,9 +433,12 @@ def laplace_ray(
 ) -> SumValue:
     """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
 
-    Composite adaptive Gauss-Legendre on [0, T] with T set by the decay rate;
-    each panel is accepted when 24- and 48-node values agree to the panel's
-    share of tol, and the analytic tail bound is folded into the error field.
+    Composite adaptive Gauss-Kronrod on [0, T] with T set by the decay rate:
+    each panel makes one kernel call on the 49 nodes of the nested G24/K49
+    pair and is accepted when the two values agree to the panel's share of
+    tol; the K49 value enters the sum. The error field is the sum of the
+    accepted panels' |G24 - K49| plus the analytic tail bound, and meta
+    reports the two parts ("quad_err", "tail") and the decay rate ("rate").
     """
     theta = theta.theta if isinstance(theta, Direction) else float(theta)
     z = complex(z)
@@ -316,14 +447,7 @@ def laplace_ray(
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
     T = (math.log(1.0 / tol) + growth_margin) / rate
     phase = cmath.exp(1j * theta)
-    x24, w24 = _gl_nodes(24)
-    x48, w48 = _gl_nodes(48)
-
-    def panel(a: float, b: float, x: np.ndarray, w: np.ndarray) -> complex:
-        s = (a + b) / 2.0 + (b - a) / 2.0 * x
-        zs = phase * s
-        vals = np.asarray(fhat(zs), dtype=complex) * np.exp(-z * zs)
-        return complex((b - a) / 2.0 * (w @ vals) * phase)
+    x, wk, wg = _gk_rule(24)
 
     stack = [(0.0, T)]
     total = 0.0 + 0.0j
@@ -331,11 +455,13 @@ def laplace_ray(
     npanels = 0
     while stack:
         a, b = stack.pop()
-        v1 = panel(a, b, x24, w24)
-        v2 = panel(a, b, x48, w48)
-        d = abs(v1 - v2)
+        zs = phase * ((a + b) / 2.0 + (b - a) / 2.0 * x)
+        vals = np.asarray(fhat(zs), dtype=complex) * np.exp(-z * zs)
+        scale = (b - a) / 2.0 * phase
+        kron = complex(scale * (wk @ vals))
+        d = abs(complex(scale * (wg @ vals)) - kron)
         if d < tol * (b - a) / T or (b - a) < 1e-9 * T:
-            total += v2
+            total += kron
             err += d
             npanels += 1
             if npanels > max_panels:
@@ -347,11 +473,29 @@ def laplace_ray(
             if len(stack) + npanels > max_panels:
                 raise QuadratureError("quadrature failure", value=total, err=err)
     tail = abs(complex(np.asarray(fhat(np.array([phase * T])))[0])) * math.exp(-rate * T) / rate
-    err += tail
-    return SumValue(total, err, {"theta": theta, "T": T, "panels": npanels})
+    meta = {"theta": theta, "T": T, "panels": npanels, "rate": rate, "quad_err": err, "tail": tail}
+    return SumValue(total, err + tail, meta)
 
 
 # -- family sums ------------------------------------------------------------------
+
+
+def _error_budget(z: complex, rays: Sequence[SumValue], kernel_tol: float, scale: float = 1.0,
+                  route: float = 0.0) -> dict:
+    """The error of z times Laplace integrals of eval_Bhat kernels, over scale, by source.
+
+    quadrature and tail are the rays' own parts; each kernel value is within
+    max(kernel_tol, floor) of Bhat, which moves a ray's integral by at most
+    that over its decay rate; route is a cross-check difference added as is.
+    """
+    kappa = max(kernel_tol, _BHAT_TOL_FLOOR)
+    f = abs(z) / scale
+    return {
+        "quadrature": f * sum(r.meta["quad_err"] for r in rays),
+        "kernel": f * sum(kappa / r.meta["rate"] for r in rays),
+        "tail": f * sum(r.meta["tail"] for r in rays),
+        "route": route,
+    }
 
 
 def _psi_kernel(tol):
@@ -386,14 +530,14 @@ def sum_family(
     kern = _psi_kernel(tol) if name in ("psi", "g") else _phi_kernel(tol)
     lap = laplace_ray(kern, z, theta, tol)
     val = z * lap.value
-    err = abs(z) * lap.err
-    meta = dict(lap.meta, family=name)
+    scale = 1.0
     if name in ("g", "f"):
         if val.real <= 0.0 and abs(val.imag) < 1e-13:
             raise BranchCutError("branch cut: log of a negative real sum")
-        err = err / max(abs(val), 1e-30)
+        scale = max(abs(val), 1e-30)
         val = cmath.log(val)
-    return SumValue(val, err, meta)
+    parts = _error_budget(z, (lap,), tol, scale)
+    return SumValue(val, sum(parts.values()), dict(lap.meta, family=name, err_parts=parts))
 
 
 def G_pm(
@@ -410,7 +554,9 @@ def G_pm(
     sign selects the window: "+" sums over I_+ = (-pi, 0), "-" over I_- = (0, pi).
     Both Laplace sums use one common direction. The closed-form log route and
     the partial-sum route of the defining series are compared and their
-    difference is folded into the error (and must stay below tol).
+    difference must stay below tol. The error is the sum of meta["err_parts"]:
+    the quadrature, kernel and tail parts of both sums (over |S psi|) and the
+    route difference.
     """
     sgn = {"+": "+", "plus": "+", 1: "+", "-": "-", "minus": "-", -1: "-"}.get(sign)
     if sgn is None:
@@ -448,14 +594,14 @@ def G_pm(
             break
     series = sigma1 + cmath.log(psi_val) + series_tail
     route_diff = abs(closed - series)
-    err = abs(z) * (spsi.err + sphi.err) / max(abs(psi_val), 1e-30) + route_diff
     if route_diff > tol:
         raise QuadratureError(
             "quadrature failure: series and closed-form routes disagree",
             value=closed,
             err=route_diff,
         )
-    return SumValue(closed, err, {"theta": theta, "sign": sgn})
+    parts = _error_budget(z, (spsi, sphi), quad_tol, max(abs(psi_val), 1e-30), route_diff)
+    return SumValue(closed, sum(parts.values()), {"theta": theta, "sign": sgn, "err_parts": parts})
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -485,8 +631,9 @@ def connection_check(
     sigma1: complex = 0.0,
     sigma2: complex = 0.0,
     tol: float = DEFAULT_END_TOL,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> dict:
-    """Connection-formula residual.
+    """Connection-formula residual; quad_tol is passed to every G_pm.
 
     right: G_+(z, s1, s2) - G_-(z, s1, s2 - i), for z near the positive axis.
     left:  G_+(e^{2pi i} z, s1, s2) - G_-(z, s1 + log(1 + i s2), s2/(1 + i s2)),
@@ -497,14 +644,14 @@ def connection_check(
     sigma1 = complex(sigma1)
     sigma2 = complex(sigma2)
     if which == "right":
-        lhs = G_pm("+", z, sigma1, sigma2, tol)
-        rhs = G_pm("-", z, sigma1, sigma2 - 1j, tol)
+        lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
+        rhs = G_pm("-", z, sigma1, sigma2 - 1j, tol, quad_tol=quad_tol)
     elif which == "left":
         w = 1.0 + 1j * sigma2
         if abs(w) < 1e-9:
             raise DomainError("domain empty: 1 + i sigma_2 vanishes")
-        lhs = G_pm("+", z, sigma1, sigma2, tol)
-        rhs = G_pm("-", z, sigma1 + cmath.log(w), sigma2 / w, tol)
+        lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
+        rhs = G_pm("-", z, sigma1 + cmath.log(w), sigma2 / w, tol, quad_tol=quad_tol)
     else:
         raise ValueError("which must be 'right' or 'left'")
     res = abs(lhs.value - rhs.value)

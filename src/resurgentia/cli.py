@@ -184,7 +184,9 @@ def _cmd_connect(args, cfg: RunConfig):
     threshold = args.threshold
     if threshold is None:
         threshold = 1e-6 if args.which == "right" else 1e-4
-    res = borel.connection_check(args.which, args.z, args.sigma1, args.sigma2, tol=threshold)
+    res = borel.connection_check(
+        args.which, args.z, args.sigma1, args.sigma2, tol=threshold, quad_tol=cfg.quad_tol
+    )
     out = {"which": args.which, "residual": res["residual"], "ok": res["ok"], "threshold": threshold}
     out.update(_cval("z", args.z))
     out.update(_cval("lhs", res["lhs"]))

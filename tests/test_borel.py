@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from resurgentia import families
+from resurgentia import borel, families
 from resurgentia.borel import (
     BranchCutError,
     Direction,
@@ -305,3 +305,92 @@ def test_gevrey_needs_large_z():
 def test_quadrature_error_carries_payload():
     err = QuadratureError("quadrature failure", value=1.5, err=2e-3)
     assert err.value == 1.5 and err.err == 2e-3
+
+
+# -- a-priori kernel rules --------------------------------------------------------
+
+
+def _bhat_oracle_grid():
+    ring = lambda r, k: [r * cmath.exp(2j * math.pi * (j + 0.5) / k) for j in range(k)]
+    inner = ring(0.4, 6) + ring(1.0, 8) + ring(1.5, 8) + [0.0]
+    far = ring(12.0, 12)
+    # within 1e-3 of the cut [2, oo), above and below, near and far from the branch point
+    cut = [x + s * d for x in (2.05, 3.0, 6.0, 12.0) for s in (1j, -1j) for d in (1e-3, 3e-4)]
+    return inner + far, cut
+
+
+def test_bhat_matches_mpmath_oracle_on_both_branches():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 25
+    sixth = mpmath.mpf(1) / 6
+    clear, cut = _bhat_oracle_grid()
+    raised = 0
+    for tol in (1e-10, 1e-11):
+        limit = max(tol, 5e-11)
+        for zeta in clear + cut:
+            for branch, sign in (("B", 1), ("B_plus", -1)):
+                want = complex(mpmath.hyp2f1(sixth, 5 * sixth, 1, sign * mpmath.mpc(zeta) / 2))
+                try:
+                    got = eval_Bhat(zeta, branch, tol)
+                except QuadratureError as exc:
+                    # only a point next to its own cut may need more than 768 nodes,
+                    # and then its bound at 768 nodes misses the tolerance
+                    assert zeta in cut and branch == "B", (zeta, branch)
+                    assert exc.err > limit / 2
+                    raised += 1
+                    continue
+                assert abs(got - want) <= limit, (zeta, branch, tol, abs(got - want))
+    assert raised > 0
+
+
+def test_bhat_raises_where_the_bound_needs_more_than_768_nodes():
+    # 1e-6 above the cut the integrand's singular point sits next to [-1, 1]
+    with pytest.raises(QuadratureError, match="768"):
+        eval_Bhat(np.array([0.5, 6.0 + 1e-6j]))
+    # the same points a little further out take a rule and pass
+    assert abs(eval_Bhat(6.0 + 0.5j) - complex(sp.hyp2f1(1 / 6, 5 / 6, 1, 3.0 + 0.25j))) < 1e-10
+
+
+def test_gauss_jacobi_rules_are_accurate_at_every_size():
+    for n in borel._BHAT_RULES.tolist():
+        omt, w = borel._gj_rule(n)
+        assert len(omt) == n and np.all(w > 0)
+        assert abs(w.sum() - 1.0) < 1e-13
+        for zeta in (0.5, 1j, -1.2 - 0.4j):
+            base = 1.0 - zeta * omt / 2.0
+            want = complex(sp.hyp2f1(1 / 6, 5 / 6, 1, zeta / 2))
+            assert abs(base ** (-1 / 6) @ w - want) < 1e-13, (n, zeta)
+
+
+def test_kronrod_rule_extends_gauss_24():
+    x, wk, wg = borel._gk_rule(24)
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    assert len(x) == 49 and np.all(np.diff(x) > 0)
+    assert np.all(wk > 0)
+    assert np.max(np.abs(x[1::2] - gx)) < 1e-14
+    assert np.array_equal(wg[1::2], gw) and not np.any(wg[0::2])
+    # exact for every polynomial up to degree 3 * 24 + 1 = 73, in the Legendre basis
+    for d in range(74):
+        p = np.polynomial.legendre.Legendre.basis(d)(x)
+        assert abs(wk @ p - (2.0 if d == 0 else 0.0)) < 1e-13, d
+    # and not beyond: degree 74 is where a 49-point rule with 24 fixed nodes stops
+    p74 = np.polynomial.legendre.Legendre.basis(74)(x)
+    assert abs(wk @ p74) > 1e-6
+
+
+def test_error_budget_parts_add_up_and_bound_the_airy_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for z in (2.0, 0.8 - 0.3j, 0.6 + 0.2j):
+        sv = sum_family("phi", z, "Ipi")
+        parts = sv.meta["err_parts"]
+        assert set(parts) == {"quadrature", "kernel", "tail", "route"}
+        assert sv.err == pytest.approx(sum(parts.values()), rel=1e-12)
+        assert parts["kernel"] == pytest.approx(abs(z) * 1e-10 / sv.meta["rate"], rel=1e-12)
+        w = (mpmath.mpf(3) * mpmath.mpc(z) / 2) ** (mpmath.mpf(2) / 3)
+        ref = 2 * mpmath.sqrt(mpmath.pi) * w ** (mpmath.mpf(1) / 4) * mpmath.exp(mpmath.mpc(z)) * mpmath.airyai(w)
+        assert abs(sv.value - complex(ref)) <= sv.err, z
+    g = G_pm("-", 4.0, 0.25, 0.5 - 0.25j)
+    parts = g.meta["err_parts"]
+    assert g.err == pytest.approx(sum(parts.values()), rel=1e-12)
+    assert parts["kernel"] > 0 and parts["route"] >= 0

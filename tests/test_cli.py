@@ -1,9 +1,14 @@
 """CLI and configuration: exit codes, payload shapes, precedence, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from resurgentia import borel
 from resurgentia.cli import main
 from resurgentia.config import ENV_VAR, RunConfig, load_config_file, resolve_config
 
@@ -131,6 +136,23 @@ def test_connect_right(capsys):
     assert payload["ok"] and payload["residual"] < 1e-9
 
 
+def test_connect_honours_tol(capsys, monkeypatch):
+    seen = []
+    real = borel.G_pm
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["quad_tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(borel, "G_pm", spy)
+    code, default = run(capsys, "connect", "right", "--z", "3", "--sigma2", "1")
+    assert code == 0 and seen == [borel.DEFAULT_QUAD_TOL] * 2
+    seen.clear()
+    code, loose = run(capsys, "connect", "right", "--z", "3", "--sigma2", "1", "--tol", "1e-6")
+    assert code == 0 and seen == [1e-6] * 2
+    assert json.loads(loose)["lhs_re"] != json.loads(default)["lhs_re"]
+
+
 def test_median_payload(capsys):
     code, out = run(capsys, "median", "--x", "3", "--a", "1", "--b", "0.3")
     assert code == 0
@@ -242,3 +264,24 @@ def test_csv_format_nested_dict(capsys):
     keys = [line.split(",")[0] for line in lines[1:]]
     assert keys == sorted(keys)
     assert "value_re" in keys and "abs_im" in keys
+
+
+# -- imports -------------------------------------------------------------------
+
+
+def _imported(*args: str) -> set:
+    """Every module a fresh interpreter imports while running args."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True, check=True
+    )
+    lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+    return {ln.rsplit("|", 1)[1].strip() for ln in lines}
+
+
+def test_exact_commands_do_not_import_scipy():
+    for args in (("-c", "import resurgentia"), ("-m", "resurgentia", "coeffs", "--ag")):
+        modules = _imported(*args)
+        assert "resurgentia.borel" in modules, args
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules), args
