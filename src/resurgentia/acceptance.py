@@ -113,6 +113,18 @@ def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
     return True
 
 
+def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
+    """Delta+_{2m} g = (i^m) (-1/m) E^m for m = 1, 2, 3, at caps widened by 3."""
+    wide = Caps(sigma + 3, grade + 3)
+    gelem = TransElement.generator("g", wide)
+    I = ExactScalar(0, 1)
+    return all(
+        apply_delta_plus(gelem, 2 * m)
+        == TransElement({(0, m, 0): Poly.const((I ** m) * ExactScalar(Fraction(-1, m)))}, wide)
+        for m in (1, 2, 3)
+    )
+
+
 def criterion_3() -> AcceptanceResult:
     def body():
         caps = Caps(5, 5)
@@ -120,15 +132,7 @@ def criterion_3() -> AcceptanceResult:
         st = stokes_action_check(caps)
         ok = br["ok"] and st["ok"]
         ok = ok and _deltaplus_closed_forms_ok(5, 5)
-        wide = Caps(8, 8)
-        gelem = TransElement.generator("g", wide)
-        I = ExactScalar(0, 1)
-        for m in (1, 2, 3):
-            got = apply_delta_plus(gelem, 2 * m)
-            want = TransElement(
-                {(0, m, 0): Poly.const((I ** m) * ExactScalar(Fraction(-1, m)))}, wide
-            )
-            ok = ok and got == want
+        ok = ok and _gtower_closed_forms_ok(5, 5)
         lr_caps = Caps(5, 5, 8)
         ok = ok and largeradius.lr_bridge_check(lr_caps)["ok"]
         ok = ok and largeradius.lr_stokes_check("geq0", lr_caps)["ok"]

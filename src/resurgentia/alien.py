@@ -41,7 +41,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
 from .series import PowerSeries
@@ -712,40 +712,6 @@ def apply_delta_plus(x: TransElement, omega: int) -> TransElement:
     return out
 
 
-OP_LABELS = (
-    "delta(2)",
-    "delta(-2)",
-    "delta_plus(2m)",
-    "dot(geq0)",
-    "dot(leq0)",
-    "stokes(geq0)",
-    "stokes(leq0)",
-    "ddz",
-)
-
-
-def te_apply(label: str, x: TransElement, power=1) -> TransElement:
-    """Dispatch an operator label.
-
-    Labels: "delta(w)" and "delta_plus(w)" with an even integer w,
-    "dot(geq0)"/"dot(leq0)" for the graded derivations, "stokes(geq0)" /
-    "stokes(leq0)" for the automorphisms (the optional power is the exponent
-    of the one-parameter group), and "ddz".
-    """
-    label = label.strip()
-    if label == "ddz":
-        return apply_ddz(x)
-    if label.startswith("delta_plus(") and label.endswith(")"):
-        return apply_delta_plus(x, int(label[11:-1]))
-    if label.startswith("delta(") and label.endswith(")"):
-        return apply_delta(x, int(label[6:-1]))
-    if label.startswith("dot(") and label.endswith(")"):
-        return apply_dotted(x, label[4:-1])
-    if label.startswith("stokes(") and label.endswith(")"):
-        return apply_stokes(x, label[7:-1], power)
-    raise ValueError(f"unknown operator label {label!r}")
-
-
 # -- the formal integral and its identities -------------------------------------
 
 
@@ -797,25 +763,71 @@ def formal_integral(
     return explicit
 
 
+def _bridge_residuals(
+    x: TransElement, caps: Caps, unit: ExactScalar, ray: int = 2, names=("s1", "s2")
+) -> tuple[TransElement, TransElement]:
+    """Residuals of the bridge pair on the window caps, with (a, b) = names:
+
+        r_ray  = Delta_ray  x + unit e^{+ray z} dx/db
+        r_-ray = Delta_-ray x + unit e^{-ray z} (b dx/da - b^2 dx/db)
+
+    unit is +i in the double-scaling frame and -i in the large-radius frame,
+    whose sigma_2 is the double-scaling one with its sign flipped. x must be
+    generated with one extra grade and sigma_2 degree so the window is exact.
+    """
+    a, b = names
+    bv = Poly.var(b)
+    r_fwd = apply_delta(x, ray) + x.partial(b).shift_grade(-ray // 2).scale(unit)
+    r_back = apply_delta(x, -ray) + (
+        x.partial(a).scale_poly(bv) - x.partial(b).scale_poly(bv * bv)
+    ).shift_grade(ray // 2).scale(unit)
+    return r_fwd.truncated(caps), r_back.truncated(caps)
+
+
+def _stokes_window(caps: Caps, direction: str) -> Caps:
+    """The caps an element needs for its Stokes residual on the window caps."""
+    if direction == "geq0":
+        # grades only ever rise, one extra grade of margin suffices; grade m
+        # carries sigma_2^m, and the shift brings its low powers back into
+        # the window, so the sigma_2 cap must reach every grade in the window
+        return Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
+    # grade d feeds sigma_2-degree d, so generate up to the sigma cap
+    return Caps(caps.sigma, max(caps.grade, caps.sigma), caps.zorder)
+
+
+def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactScalar) -> TransElement:
+    """Residual of one lateral Stokes action on x, built at _stokes_window(caps, direction).
+
+    geq0 shifts sigma_2 by -unit. leq0 shifts sigma_1 by log(1 - unit sigma_2)
+    and maps sigma_2 to sigma_2/(1 - unit sigma_2), expanded to the sigma_2
+    cap. unit is +i (double scaling) or -i (large radius).
+    """
+    lhs = apply_stokes(x, direction)
+    if direction == "geq0":
+        rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
+    else:
+        u_s2 = Poly.var("s2", 1, unit)
+        log_shift = Poly.zero()
+        geom = Poly.zero()
+        pw = ONE_POLY
+        for k in range(1, caps.sigma + 1):
+            pw = pw * u_s2
+            log_shift = log_shift - pw.scale(Fraction(1, k))
+            geom = geom + pw.drop_high_degree("s2", caps.sigma - 1)
+        mapped = (Poly.var("s2") * (ONE_POLY + geom)).drop_high_degree("s2", caps.sigma)
+        rhs = x.subst("s2", mapped) + TransElement.from_poly(log_shift, x.caps, x.context)
+    return (lhs - rhs).truncated(caps)
+
+
 def bridge_check(caps: Caps = Caps()) -> dict:
     """Exact residuals of the two bridge identities for the formal integral.
 
     r_plus  = Delta_2  G + i e^{+2z} dG/dsigma_2
     r_minus = Delta_-2 G + i e^{-2z} (sigma_2 dG/dsigma_1 - sigma_2^2 dG/dsigma_2)
-
-    Both must vanish identically on the cap window; the element is generated
-    with one extra grade so the window comparison is exact.
     """
     wide = caps.widen(extra_sigma=1, extra_grade=1)
     G = formal_integral(wide, grade_cap=wide.grade)
-    i_pos = ExactScalar(0, 1)
-    r_plus = apply_delta(G, 2) + G.partial("s2").shift_grade(-1).scale(i_pos)
-    s2 = Poly.var("s2")
-    r_minus = apply_delta(G, -2) + (
-        G.partial("s1").scale_poly(s2) - G.partial("s2").scale_poly(s2 * s2)
-    ).shift_grade(1).scale(i_pos)
-    r_plus = r_plus.truncated(caps)
-    r_minus = r_minus.truncated(caps)
+    r_plus, r_minus = _bridge_residuals(G, caps, ExactScalar(0, 1))
     return {
         "residual_plus": r_plus,
         "residual_minus": r_minus,
@@ -827,38 +839,17 @@ def stokes_action_check(caps: Caps = Caps()) -> dict:
     """The two lateral automorphism actions on the formal integral.
 
     Rightward: the automorphism shifts sigma_2 by -i. Leftward: it shifts
-    sigma_1 by log(1 - i sigma_2) and maps sigma_2 to sigma_2/(1 - i sigma_2),
-    expanded to the sigma_2 cap.
+    sigma_1 by log(1 - i sigma_2) and maps sigma_2 to sigma_2/(1 - i sigma_2).
     """
-    # rightward: grades only ever rise, one extra grade of margin suffices;
-    # grade m carries sigma_2^m, and the shift brings its low powers back into
-    # the window, so the sigma_2 cap must reach every grade in the window
-    wide = Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
-    G = formal_integral(wide, grade_cap=wide.grade)
-    lhs = apply_stokes(G, "geq0")
-    rhs = G.subst("s2", Poly.var("s2") - Poly.const(ExactScalar(0, 1)))
-    r_right = (lhs - rhs).truncated(caps)
-
-    # leftward: grade d feeds sigma_2-degree d, so generate up to the sigma cap
-    deep = Caps(caps.sigma, max(caps.grade, caps.sigma), caps.zorder)
-    G2 = formal_integral(deep, grade_cap=deep.grade)
-    lhs2 = apply_stokes(G2, "leq0")
-    i_s2 = Poly.var("s2", 1, ExactScalar(0, 1))
-    # log(1 - i sigma_2) and sigma_2/(1 - i sigma_2) truncated at the cap
-    log_shift = Poly.zero()
-    geom = Poly.zero()
-    pw = ONE_POLY
-    for k in range(1, caps.sigma + 1):
-        pw = pw * i_s2
-        log_shift = log_shift - pw.scale(Fraction(1, k))
-        geom = geom + pw.drop_high_degree("s2", caps.sigma - 1)
-    mapped_s2 = (Poly.var("s2") * (ONE_POLY + geom)).drop_high_degree("s2", caps.sigma)
-    rhs2 = G2.subst("s2", mapped_s2) + TransElement.from_poly(log_shift, deep)
-    r_left = (lhs2 - rhs2).truncated(caps)
+    res = {}
+    for direction in ("geq0", "leq0"):
+        window = _stokes_window(caps, direction)
+        G = formal_integral(window, grade_cap=window.grade)
+        res[direction] = _stokes_residual(G, direction, caps, ExactScalar(0, 1))
     return {
-        "residual_right": r_right,
-        "residual_left": r_left,
-        "ok": r_right.is_zero() and r_left.is_zero(),
+        "residual_right": res["geq0"],
+        "residual_left": res["leq0"],
+        "ok": res["geq0"].is_zero() and res["leq0"].is_zero(),
     }
 
 
@@ -908,12 +899,8 @@ def companion_F(caps: Caps = Caps()) -> TransElement:
         F = F + TransElement(
             {(0, -n, -n): d2_pow.scale(Fraction((-1) ** (n - 1), n))}, wide
         )
-    i_pos = ExactScalar(0, 1)
-    r1 = apply_delta(F, -2) + F.partial("d2").shift_grade(1).scale(i_pos)
-    r2 = apply_delta(F, 2) + (
-        F.partial("d1").scale_poly(d2) - F.partial("d2").scale_poly(d2 * d2)
-    ).shift_grade(-1).scale(i_pos)
-    if not (r1.truncated(caps).is_zero() and r2.truncated(caps).is_zero()):
+    r1, r2 = _bridge_residuals(F, caps, ExactScalar(0, 1), ray=-2, names=("d1", "d2"))
+    if not (r1.is_zero() and r2.is_zero()):
         raise ArithmeticError("companion element fails its mirrored bridge identities")
     return F.truncated(caps)
 

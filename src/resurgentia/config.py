@@ -22,10 +22,8 @@ class RunConfig:
     cap_sigma: int = 5       # alien cap K_sigma
     cap_grade: int = 5       # alien cap K_e
     quad_tol: float = 1e-10  # quadrature tolerance
-    delta_ray: float = 0.05  # angular margin kept from singular rays
     fmt: str = "json"        # output format
     output: Optional[str] = None  # output path (stdout when None)
-    seed: int = 0            # RNG seed for fuzz suites
 
     def validate(self) -> "RunConfig":
         if self.order <= 0:
@@ -34,18 +32,14 @@ class RunConfig:
             raise ValueError("alien caps must be positive")
         if not self.quad_tol > 0.0:
             raise ValueError("quadrature tolerance must be positive")
-        if not self.delta_ray > 0.0:
-            raise ValueError("ray margin must be positive")
         if self.fmt not in _FORMATS:
             raise ValueError("format must be one of " + "|".join(_FORMATS))
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = ("order", "cap_sigma", "cap_grade", "seed")
-_FLOAT_KEYS = ("quad_tol", "delta_ray")
+_INT_KEYS = ("order", "cap_sigma", "cap_grade")
+_FLOAT_KEYS = ("quad_tol",)
 
 
 def _coerce(key: str, raw: str):

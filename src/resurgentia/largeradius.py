@@ -28,8 +28,9 @@ from .alien import (
     CompositionContext,
     Poly,
     TransElement,
-    apply_delta,
-    apply_stokes,
+    _bridge_residuals,
+    _stokes_residual,
+    _stokes_window,
     formal_integral,
 )
 from .borel import DomainError, BranchCutError, G_pm, SumValue
@@ -183,15 +184,7 @@ class UCoeffSeries:
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
         n = min(self.order, other.order)
-        out = [_ZERO_UL] * (n + 1)
-        for i in range(min(self.order, n) + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(min(other.order, n - i) + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+        out = _zs_mul(self.coeffs, other.coeffs, n)
         return UCoeffSeries(self.grading, n, tuple(out), Fraction(0), self.exp_tag + other.exp_tag)
 
     def scale(self, c) -> "UCoeffSeries":
@@ -515,19 +508,8 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    if caps.zorder is None:
-        raise ValueError("cap inconsistency: large-radius caps need a z order")
-    wide = caps.widen(extra_sigma=1, extra_grade=1)
-    context = make_context(caps.zorder)
-    H = lr_transseries(wide, context)
-    i_pos = ExactScalar(0, 1)
-    r_plus = apply_delta(H, 2) - H.partial("s2").shift_grade(-1).scale(i_pos)
-    s2 = Poly.var("s2")
-    r_minus = apply_delta(H, -2) - (
-        H.partial("s1").scale_poly(s2) - H.partial("s2").scale_poly(s2 * s2)
-    ).shift_grade(1).scale(i_pos)
-    r_plus = r_plus.truncated(caps)
-    r_minus = r_minus.truncated(caps)
+    H = lr_transseries(caps.widen(extra_sigma=1, extra_grade=1))
+    r_plus, r_minus = _bridge_residuals(H, caps, ExactScalar(0, -1))
     return {
         "residual_plus": r_plus,
         "residual_minus": r_minus,
@@ -542,34 +524,10 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
     leq0: H(sigma_1, sigma_2) -> H(sigma_1 + log(1 + i sigma_2),
                                     sigma_2/(1 + i sigma_2)).
     """
-    if caps.zorder is None:
-        raise ValueError("cap inconsistency: large-radius caps need a z order")
-    context = make_context(caps.zorder)
-    if direction == "geq0":
-        # the sigma_2 cap must reach every grade in the window (see
-        # stokes_action_check)
-        wide = Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
-        H = lr_transseries(wide, context)
-        lhs = apply_stokes(H, "geq0")
-        rhs = H.subst("s2", Poly.var("s2") + Poly.const(ExactScalar(0, 1)))
-        residual = (lhs - rhs).truncated(caps)
-    elif direction == "leq0":
-        deep = Caps(caps.sigma, max(caps.grade, caps.sigma), caps.zorder)
-        H = lr_transseries(deep, context)
-        lhs = apply_stokes(H, "leq0")
-        minus_i_s2 = Poly.var("s2", 1, ExactScalar(0, -1))
-        log_shift = Poly.zero()
-        geom = Poly.zero()
-        pw = ONE_POLY
-        for k in range(1, caps.sigma + 1):
-            pw = pw * minus_i_s2
-            log_shift = log_shift - pw.scale(Fraction(1, k))
-            geom = geom + pw.drop_high_degree("s2", caps.sigma - 1)
-        mapped = (Poly.var("s2") * (ONE_POLY + geom)).drop_high_degree("s2", caps.sigma)
-        rhs = H.subst("s2", mapped) + TransElement.from_poly(log_shift, deep, context)
-        residual = (lhs - rhs).truncated(caps)
-    else:
+    if direction not in ("geq0", "leq0"):
         raise ValueError("direction must be 'geq0' or 'leq0'")
+    H = lr_transseries(_stokes_window(caps, direction))
+    residual = _stokes_residual(H, direction, caps, ExactScalar(0, -1))
     return {"residual": residual, "ok": residual.is_zero()}
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .scalars import ExactScalar, RationalLike
+from .scalars import ExactScalar
 
 CoeffLike = Union[int, Fraction, ExactScalar]
 
@@ -269,38 +269,3 @@ class PowerSeries:
 
 DEFAULT_ORDER = 64
 
-
-# -- keyword-dispatch operation wrappers -------------------------------------
-
-
-def ps_arith(a: PowerSeries, b: PowerSeries | None, kind: str) -> PowerSeries:
-    """Ring operations: kind in {"add", "sub", "mul", "inv_of_unit"}."""
-    if kind == "add":
-        assert b is not None
-        return a + b
-    if kind == "sub":
-        assert b is not None
-        return a - b
-    if kind == "mul":
-        assert b is not None
-        return a * b
-    if kind == "inv_of_unit":
-        return a.inverse()
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def ps_log_exp(a: PowerSeries, kind: str) -> PowerSeries:
-    """kind "log" needs constant term one; kind "exp" needs constant term zero."""
-    if kind == "log":
-        return a.log()
-    if kind == "exp":
-        return a.exp()
-    raise ValueError(f"unknown log/exp kind {kind!r}")
-
-
-def ps_diff(a: PowerSeries) -> PowerSeries:
-    return a.diff()
-
-
-def ps_compose(a: PowerSeries, phi: PowerSeries, allow_constant: bool = False) -> PowerSeries:
-    return a.compose_shift(phi, allow_constant=allow_constant)

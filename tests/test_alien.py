@@ -12,6 +12,9 @@ from resurgentia.alien import (
     Caps,
     Poly,
     TransElement,
+    _bridge_residuals,
+    _stokes_residual,
+    _stokes_window,
     apply_ddz,
     apply_delta,
     apply_delta_plus,
@@ -23,8 +26,8 @@ from resurgentia.alien import (
     expand_to_series,
     formal_integral,
     stokes_action_check,
-    te_apply,
 )
+from resurgentia.largeradius import lr_transseries
 from resurgentia.scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
 
 F = Fraction
@@ -56,14 +59,50 @@ def test_stokes_actions_every_cap_pair(sigma, grade):
     assert res["ok"]
 
 
-@pytest.mark.parametrize("sigma, grade", [(3, 3), (3, 5), (5, 4)])
-def test_rightward_stokes_wrong_shift_is_caught(sigma, grade):
-    # the element the check builds, shifted by +i instead of -i
-    caps = Caps(sigma, grade)
-    G = formal_integral(Caps(max(sigma, grade), grade + 1), grade_cap=grade + 1)
-    lhs = apply_stokes(G, "geq0")
-    wrong = G.subst("s2", Poly.var("s2") + Poly.const(I))
-    assert not (lhs - wrong).truncated(caps).is_zero()
+def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
+    """The shared routines' residuals for one frame and law at an orientation unit.
+
+    case is "companion" or "<frame>-<law>" with frame ds (double scaling) or lr
+    (large radius) and law bridge, right (geq0 Stokes) or left (leq0 Stokes).
+    """
+    if case == "companion":
+        F = companion_F(caps.widen(extra_sigma=1, extra_grade=1))
+        return list(_bridge_residuals(F, caps, unit, ray=-2, names=("d1", "d2")))
+    frame, law = case.split("-")
+    direction = {"right": "geq0", "left": "leq0"}.get(law)
+    if direction is None:
+        window = caps.widen(extra_sigma=1, extra_grade=1)
+    else:
+        window = _stokes_window(caps, direction)
+    x = lr_transseries(window) if frame == "lr" else formal_integral(window, grade_cap=window.grade)
+    if direction is None:
+        return list(_bridge_residuals(x, caps, unit))
+    return [_stokes_residual(x, direction, caps, unit)]
+
+
+ORIENTATION_CASES = [
+    ("ds-right", Caps(3, 3)),
+    ("ds-right", Caps(3, 5)),
+    ("ds-right", Caps(5, 4)),
+    ("ds-left", Caps(3, 3)),
+    ("ds-bridge", Caps(3, 3)),
+    ("lr-bridge", Caps(3, 3, 4)),
+    ("lr-right", Caps(3, 3, 4)),
+    ("lr-left", Caps(3, 3, 4)),
+    ("companion", Caps(3, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, caps", ORIENTATION_CASES, ids=[f"{c}-{k.sigma}-{k.grade}" for c, k in ORIENTATION_CASES]
+)
+def test_wrong_orientation_is_caught(case, caps):
+    # the large-radius frame carries -i where the double-scaling frame and the
+    # companion carry +i; the opposite unit must leave a nonzero residual (for
+    # ds-right that is the shift sigma_2 -> sigma_2 + i instead of - i)
+    unit = ExactScalar(0, -1) if case.startswith("lr-") else I
+    assert all(r.is_zero() for r in _oriented_residuals(case, caps, unit))
+    assert not all(r.is_zero() for r in _oriented_residuals(case, caps, -unit))
 
 
 def test_companion_mirror():
@@ -167,16 +206,6 @@ def test_ddz_expands_to_log_derivative():
     psi, _ = families.gen_psi_phi(22)
     want = psi.series.log()._deriv_in_window(1).truncate(20)
     assert exp[((0, 0, 0, 0, 0, 0), 0)] == want
-
-
-def test_label_dispatch():
-    g = TransElement.generator("g", WIDE)
-    G = formal_integral(Caps(4, 4))
-    assert te_apply("delta(2)", g) == apply_delta(g, 2)
-    assert te_apply("delta_plus(-4)", g) == apply_delta_plus(g, -4)
-    assert te_apply("stokes(geq0)", G) == apply_stokes(G, "geq0")
-    with pytest.raises(ValueError):
-        te_apply("nonsense(1)", g)
 
 
 def test_leftward_admissibility_rejection():

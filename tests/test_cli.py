@@ -43,6 +43,10 @@ def test_config_file_errors(tmp_path):
     unknown.write_text("wibble = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config_file(str(unknown))
+    for line in ("seed = 1\n", "delta_ray = 0.1\n"):
+        unknown.write_text(line)
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config_file(str(unknown))
 
 
 def test_config_precedence(tmp_path, monkeypatch):
@@ -232,6 +236,11 @@ def test_usage_errors_exit_two(capsys):
         main(["sum", "--family", "psi", "--z", "not-a-number"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for flag in (["--seed", "1"], ["--delta-ray", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--ag", *flag])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 # -- emission ----------------------------------------------------------------
