@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Optional
 
-from .scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
+from .scalars import MODE_GAUSSIAN, ExactScalar, scalar_from_reduced
 from .series import PowerSeries
 from . import families
 
@@ -89,15 +89,6 @@ def _kernel_operand(terms: dict[tuple, ExactScalar], biased: bool) -> tuple[int,
 
 def _unpack_mono(key: int) -> tuple:
     return _PACKER.unpack((key ^ _KEY_BIAS).to_bytes(_PACKER.size, "little"))
-
-
-def _scalar(re: Fraction, im: Fraction, gaussian: bool) -> ExactScalar:
-    """An ExactScalar from reduced Fractions, without re-converting them."""
-    out = ExactScalar.__new__(ExactScalar)
-    out.re = re
-    out.im = im
-    out.mode = MODE_GAUSSIAN if gaussian else MODE_RATIONAL
-    return out
 
 
 def _poly(terms: dict[tuple, ExactScalar]) -> "Poly":
@@ -216,7 +207,8 @@ class Poly:
                     del acc[key]
         den = den_a * den_b
         return _poly({
-            _unpack_mono(key): _scalar(Fraction(re, den), Fraction(im, den) if im else _F0, g)
+            _unpack_mono(key): scalar_from_reduced(
+                Fraction(re, den), Fraction(im, den) if im else _F0, g)
             for key, (re, im, g) in acc.items()
         })
 

@@ -32,14 +32,18 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _common_parser(order: bool = True, tol: bool = True) -> argparse.ArgumentParser:
+    """Shared configuration flags; a subcommand that would ignore --order or
+    --tol is built without it, so argparse rejects the flag there."""
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("configuration")
     g.add_argument("--config", metavar="PATH", help=f"config file (or ${ENV_VAR})")
-    g.add_argument("--order", type=int, help="truncation order N")
+    if order:
+        g.add_argument("--order", type=int, help="truncation order N")
     g.add_argument("--cap-sigma", type=int, dest="cap_sigma", help="alien sigma_2 cap")
     g.add_argument("--cap-grade", type=int, dest="cap_grade", help="alien exponential-grade cap")
-    g.add_argument("--tol", type=float, dest="quad_tol", help="quadrature tolerance")
+    if tol:
+        g.add_argument("--tol", type=float, dest="quad_tol", help="quadrature tolerance")
     g.add_argument("--format", dest="fmt", choices=("json", "csv"), help="output format")
     g.add_argument("--output", help="output path (default stdout)")
     return p
@@ -47,10 +51,13 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
+    no_order = _common_parser(order=False)
+    no_tol = _common_parser(tol=False)
+    neither = _common_parser(order=False, tol=False)
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", parents=[common], help="exact coefficient families")
+    p = sub.add_parser("coeffs", parents=[no_order], help="exact coefficient families")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--ag", action="store_true", help="genus coefficients a_2, a_3, ...")
     grp.add_argument("--cn", action="store_true", help="Borel kernel coefficients c_0, c_1, ...")
@@ -64,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alien", parents=[common], help="symbolic resurgence identities")
     p.add_argument("--what", choices=("bridge", "stokes", "table", "gtower", "all"), default="all")
 
-    p = sub.add_parser("sum", parents=[common], help="lateral Borel-Laplace sum of a family")
+    p = sub.add_parser("sum", parents=[no_order], help="lateral Borel-Laplace sum of a family")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--interval", default="Ipi")
@@ -77,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=_complex, default=0j)
     p.add_argument("--threshold", type=float, default=None, help="residual bound (default 1e-6 right, 1e-4 left)")
 
-    p = sub.add_parser("median", parents=[common], help="median summation reality check")
+    p = sub.add_parser("median", parents=[no_tol], help="median summation reality check")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
     p.add_argument("--theta", type=float, default=0.0)
 
-    p = sub.add_parser("singularity", parents=[common], help="locate the nearest Borel singularity")
+    p = sub.add_parser("singularity", parents=[neither], help="locate the nearest Borel singularity")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), default="g")
     p.add_argument("--count", type=int, default=80, help="number of exact coefficients")
     p.add_argument("--method", choices=("ratio", "pade"), default="ratio")

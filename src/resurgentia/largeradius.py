@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import families
 from .alien import (
@@ -289,17 +289,58 @@ def lambda_s_squared(N: int) -> UCoeffSeries:
     return UCoeffSeries("gs2", N, tuple(coeffs))
 
 
+def _ulaurent(terms: dict[int, Fraction]) -> ULaurent:
+    """Wrap terms that are already valid (int exponents, nonzero Fractions)."""
+    out = ULaurent.__new__(ULaurent)
+    out.terms = terms
+    return out
+
+
+def _flat_window(window: Sequence[ULaurent]) -> tuple[int, list]:
+    """(den, rows): each nonzero coefficient k as (k, [(e, num), ...]).
+
+    Every term is num/den times u^e, with den the lcm of the window's
+    denominators.
+    """
+    den = math.lcm(*(c.denominator for x in window for c in x.terms.values()))
+    return den, [
+        (k, [(e, c.numerator * (den // c.denominator)) for e, c in x.terms.items()])
+        for k, x in enumerate(window)
+        if x.terms
+    ]
+
+
 def _zs_mul(a: list, b: list, N: int) -> list:
-    out = [_ZERO_UL] * (N + 1)
-    for i, x in enumerate(a):
-        if i > N or x.is_zero():
-            continue
-        for j, y in enumerate(b):
+    """The product of two ULaurent windows, truncated at index N.
+
+    Both windows become integer numerators over a shared denominator, the
+    products are summed with plain ints, and each surviving (k, e) term becomes
+    one Fraction. Pairs are visited in the order of the term-by-term ULaurent
+    loop, and a term that cancels is dropped at the same point, so the terms of
+    each output also keep that loop's order.
+    """
+    den_a, rows_a = _flat_window(a[: N + 1])
+    den_b, rows_b = _flat_window(b[: N + 1])
+    acc: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    for i, xs in rows_a:
+        for j, ys in rows_b:
             if i + j > N:
                 break
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
+            prod: dict[int, int] = {}
+            for e1, c1 in xs:
+                for e2, c2 in ys:
+                    e = e1 + e2
+                    prod[e] = prod.get(e, 0) + c1 * c2
+            out = acc[i + j]
+            for e, c in prod.items():
+                if c:
+                    c += out.get(e, 0)
+                    if c:
+                        out[e] = c
+                    else:
+                        del out[e]
+    den = den_a * den_b
+    return [_ulaurent({e: Fraction(c, den) for e, c in t.items()}) for t in acc]
 
 
 def _h0_z2_route(N: int) -> UCoeffSeries:
@@ -426,6 +467,13 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     for _ in range(gmax):
         cm_pow.append(_t_mul(cm_pow[-1], cm, gmax))
         cp_pow.append(_t_mul(cp_pow[-1], cp1, gmax))
+    # t-coefficients of c_-^ell (1 + t c_+)^k, each product formed once
+    c_lk = {
+        (ell, k): _t_mul(cm_pow[ell], cp_pow[k], gmax)
+        for k in range(gmax + 1)
+        if gcoef[k] != 0
+        for ell in range(gmax + 1 - k)
+    }
     sign_n = Fraction((-1) ** n)
     coeffs = []
     pols = []
@@ -436,7 +484,7 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
                 continue
             for ell in range(g - k + 1):
                 r = g - k - ell
-                c_lkr = _t_mul(cm_pow[ell], cp_pow[k], gmax)[r]
+                c_lkr = c_lk[ell, k][r]
                 if c_lkr == 0:
                     continue
                 w = Fraction((-2 * n) ** ell, math.factorial(ell)) * sign_n * gcoef[k] * c_lkr

@@ -198,6 +198,19 @@ class ExactScalar:
         return ExactScalar(re_part, im_part, mode)
 
 
+def scalar_from_reduced(re: Fraction, im: Fraction, gaussian: bool) -> ExactScalar:
+    """An ExactScalar from reduced Fractions, without re-converting them.
+
+    The caller guarantees im == 0 when gaussian is false; the exact kernels in
+    alien and series build their outputs through this constructor.
+    """
+    out = ExactScalar.__new__(ExactScalar)
+    out.re = re
+    out.im = im
+    out.mode = MODE_GAUSSIAN if gaussian else MODE_RATIONAL
+    return out
+
+
 ZERO = ExactScalar.zero()
 ONE = ExactScalar.one()
 I = ExactScalar.i()

@@ -4,6 +4,19 @@ A series of order N stores the window of coefficients c_0 .. c_N of
 sum_k c_k z^{-k}. Arithmetic results carry the minimum of the input orders, so
 a coefficient is stored only when it is exact. No floating point enters this
 module.
+
+Products, inverse, log and exp share one kernel scheme. Each input window is
+converted once to Gaussian-integer numerators (re, im) over the lcm of its
+denominators. A product convolves those numerators with plain ints, skipping
+zero rows and, for real windows, the imaginary parts, and builds one reduced
+Fraction per output coefficient. The recurrences for inverse, log and exp keep
+their outputs so far as numerators over one denominator that grows, with a
+rescale of the stored numerators, whenever a new output brings a new factor;
+each step then costs integer products and one Fraction reduction. Mode tags
+follow the ExactScalar loops these kernels replace: a product coefficient k is
+gaussian iff some pair i + j = k of nonzero factors has a gaussian-tagged
+factor; inverse coefficient k iff some c_j, j <= k, is gaussian-tagged; log
+and exp coefficient k iff some c_j, 1 <= j <= k, is.
 """
 
 from __future__ import annotations
@@ -11,15 +24,87 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .scalars import ExactScalar
+from .scalars import MODE_GAUSSIAN, ExactScalar, scalar_from_reduced
 
 CoeffLike = Union[int, Fraction, ExactScalar]
+
+_F0 = Fraction(0)
 
 
 def _coerce_tuple(coeffs: Iterable[CoeffLike]) -> tuple[ExactScalar, ...]:
     return tuple(ExactScalar.coerce(c) for c in coeffs)
+
+
+def _numerators(coeffs: Sequence[ExactScalar]) -> tuple[int, list[int], list[int]]:
+    """(den, re, im) with coefficient k equal to (re[k] + im[k] i) / den.
+
+    den is the lcm of every denominator in the window.
+    """
+    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    return (
+        den,
+        [c.re.numerator * (den // c.re.denominator) for c in coeffs],
+        [c.im.numerator * (den // c.im.denominator) for c in coeffs],
+    )
+
+
+def _running_tags(coeffs: Sequence[ExactScalar], start: int) -> list[bool]:
+    """Tag k is gaussian iff some c_j with start <= j <= k is gaussian-tagged."""
+    out, seen = [], False
+    for k, c in enumerate(coeffs):
+        seen = seen or (k >= start and c.mode == MODE_GAUSSIAN)
+        out.append(seen)
+    return out
+
+
+class _SharedDenominator:
+    """The outputs of a recurrence so far, kept two ways.
+
+    values holds each output as reduced Fractions (re, im). re and im hold
+    integer numerators over the one denominator den, for the sums that build
+    the next output. A pushed output whose denominators bring a new factor
+    grows den by that factor and rescales every stored numerator.
+    """
+
+    __slots__ = ("imag", "den", "re", "im", "values")
+
+    def __init__(self, imag: bool):
+        self.imag = imag
+        self.den = 1
+        self.re: list[int] = []
+        self.im: list[int] = []
+        self.values: list[tuple[Fraction, Fraction]] = []
+
+    def push(self, re: Fraction, im: Fraction, weight: int = 1) -> None:
+        """Append re + im i; the stored numerator is weight times the output."""
+        self.values.append((re, im))
+        den = lcm(self.den, re.denominator, im.denominator)
+        if den != self.den:
+            f = den // self.den
+            self.re = [x * f for x in self.re]
+            if self.imag:
+                self.im = [x * f for x in self.im]
+            self.den = den
+        self.re.append(weight * re.numerator * (den // re.denominator))
+        if self.imag:
+            self.im.append(weight * im.numerator * (den // im.denominator))
+
+    def dot(self, cr: list[int], ci: list[int]) -> tuple[int, int]:
+        """sum_t (cr[t] + ci[t] i) * stored[-1 - t], over t < len(cr)."""
+        sr = sum(map(mul, cr, reversed(self.re)))
+        if not self.imag:
+            return sr, 0
+        return (sr - sum(map(mul, ci, reversed(self.im))),
+                sum(map(mul, cr, reversed(self.im))) + sum(map(mul, ci, reversed(self.re))))
+
+    def series(self, order: int, tags: list[bool]) -> "PowerSeries":
+        return PowerSeries(order, tuple(
+            scalar_from_reduced(re, im, g) for (re, im), g in zip(self.values, tags)
+        ))
 
 
 @dataclass(frozen=True)
@@ -109,30 +194,64 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        out = [ExactScalar.zero()] * (n + 1)
-        for i in range(n + 1):
-            ai = self.coeffs[i]
-            if ai.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                bj = other.coeffs[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return PowerSeries(n, tuple(out))
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        den_a, ar, ai = _numerators(a)
+        den_b, br, bi = _numerators(b)
+        rows_a = [i for i in range(n + 1) if ar[i] or ai[i]]
+        rows_b = [j for j in range(n + 1) if br[j] or bi[j]]
+        re = [0] * (n + 1)
+        im = [0] * (n + 1)
+        if any(ai) or any(bi):
+            for i in rows_a:
+                x, y = ar[i], ai[i]
+                for j in rows_b:
+                    if i + j > n:
+                        break
+                    u, v = br[j], bi[j]
+                    re[i + j] += x * u - y * v
+                    im[i + j] += x * v + y * u
+        else:
+            for i in rows_a:
+                x = ar[i]
+                for j in rows_b:
+                    if i + j > n:
+                        break
+                    re[i + j] += x * br[j]
+        # out[k] is gaussian iff a pair i + j = k of nonzero factors has a
+        # gaussian-tagged factor: nonzero rows of one operand, shifted by each
+        # gaussian row of the other
+        tags = 0
+        for rows, other_rows, window in ((rows_a, rows_b, a), (rows_b, rows_a, b)):
+            mask = sum(1 << j for j in other_rows)
+            for i in rows:
+                if window[i].mode == MODE_GAUSSIAN:
+                    tags |= mask << i
+        den = den_a * den_b
+        return PowerSeries(n, tuple(
+            scalar_from_reduced(Fraction(re[k], den), Fraction(im[k], den) if im[k] else _F0,
+                                bool(tags >> k & 1))
+            for k in range(n + 1)
+        ))
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; the constant term must be invertible."""
         if self.coeffs[0].is_zero():
             raise ValueError("not a unit")
         n = self.order
-        inv0 = ExactScalar.one() / self.coeffs[0]
-        out = [inv0] + [ExactScalar.zero()] * n
+        d, cr, ci = _numerators(self.coeffs)
+        # with c_j = C_j / d, out_m = O_m / E (E = store.den) and
+        # S = sum_{j=1}^k C_j O_{k-j}:
+        # out_k = -(1/c_0) sum_{j=1}^k c_j out_{k-j} = -S conj(C_0) / (E |C_0|^2)
+        a, b = cr[0], ci[0]
+        norm = a * a + b * b
+        store = _SharedDenominator(any(ci))
+        store.push(Fraction(d * a, norm), Fraction(-d * b, norm) if b else _F0)
         for k in range(1, n + 1):
-            acc = ExactScalar.zero()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return PowerSeries(n, tuple(out))
+            sr, si = store.dot(cr[1 : k + 1], ci[1 : k + 1])
+            den = store.den * norm
+            store.push(Fraction(-(sr * a + si * b), den),
+                       Fraction(sr * b - si * a, den) if store.imag else _F0)
+        return store.series(n, _running_tags(self.coeffs, 0))
 
     def __pow__(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -142,8 +261,9 @@ class PowerSeries:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- log and exp ---------------------------------------------------------
@@ -153,28 +273,37 @@ class PowerSeries:
         if self.coeffs[0] != ExactScalar.one():
             raise ValueError("wrong constant term")
         n = self.order
-        out = [ExactScalar.zero()] * (n + 1)
-        # l_k = c_k - (1/k) sum_{j=1}^{k-1} j l_j c_{k-j}
+        d, cr, ci = _numerators(self.coeffs)
+        # l_k = c_k - (1/k) sum_{j=1}^{k-1} j l_j c_{k-j}; the store holds j l_j,
+        # so with c_j = C_j / d and S = sum_{j=1}^{k-1} (j L_j) C_{k-j} over
+        # numerators, l_k = (k E C_k - S) / (k E d)
+        store = _SharedDenominator(any(ci))
+        store.push(_F0, _F0)
         for k in range(1, n + 1):
-            acc = ExactScalar.zero()
-            for j in range(1, k):
-                acc = acc + out[j] * self.coeffs[k - j] * j
-            out[k] = self.coeffs[k] - acc / k
-        return PowerSeries(n, tuple(out))
+            sr, si = store.dot(cr[1:k], ci[1:k])
+            scale = k * store.den
+            den = scale * d
+            store.push(Fraction(scale * cr[k] - sr, den),
+                       Fraction(scale * ci[k] - si, den) if store.imag else _F0, weight=k)
+        return store.series(n, _running_tags(self.coeffs, 1))
 
     def exp(self) -> "PowerSeries":
         """exp of a series with constant term zero."""
         if not self.coeffs[0].is_zero():
             raise ValueError("wrong constant term")
         n = self.order
-        out = [ExactScalar.one()] + [ExactScalar.zero()] * n
-        # g_k = (1/k) sum_{j=1}^{k} j c_j g_{k-j}
+        d, cr, ci = _numerators(self.coeffs)
+        jcr = [j * c for j, c in enumerate(cr)]
+        jci = [j * c for j, c in enumerate(ci)]
+        # g_k = (1/k) sum_{j=1}^{k} j c_j g_{k-j} = S / (k d E) with
+        # S = sum_{j=1}^k (j C_j) G_{k-j} over numerators
+        store = _SharedDenominator(any(ci))
+        store.push(Fraction(1), _F0)
         for k in range(1, n + 1):
-            acc = ExactScalar.zero()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j] * j
-            out[k] = acc / k
-        return PowerSeries(n, tuple(out))
+            sr, si = store.dot(jcr[1 : k + 1], jci[1 : k + 1])
+            den = k * d * store.den
+            store.push(Fraction(sr, den), Fraction(si, den) if store.imag else _F0)
+        return store.series(n, _running_tags(self.coeffs, 1))
 
     # -- differentiation ------------------------------------------------------
 

@@ -243,6 +243,25 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--ag", "--order", "8"],
+        ["sum", "--family", "psi", "--z", "3", "--order", "8"],
+        ["singularity", "--order", "8"],
+        ["singularity", "--tol", "1e-8"],
+        ["median", "--x", "3", "--tol", "1e-8"],
+    ],
+    ids=["coeffs-order", "sum-order", "singularity-order", "singularity-tol", "median-tol"],
+)
+def test_ignored_flags_are_rejected(capsys, argv):
+    """A subcommand that would ignore --order or --tol rejects it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
 # -- emission ----------------------------------------------------------------
 
 

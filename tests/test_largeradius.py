@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resurgentia import families
@@ -76,6 +76,43 @@ def test_ulaurent_ring_laws(a, b, c):
 @given(ulaurents, ulaurents)
 def test_ulaurent_diff_is_a_derivation(a, b):
     assert (a * b).diff() == a.diff() * b + a * b.diff()
+
+
+def _reference_zs_mul(a: list, b: list, N: int) -> list:
+    """The ULaurent loop the integer-numerator kernel replaces."""
+    out = [ULaurent()] * (N + 1)
+    for i, x in enumerate(a):
+        if i > N or x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if i + j > N:
+                break
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+# few exponents and small values, so products collide and cancel; windows hold
+# zero rows and may be shorter or longer than N + 1
+small_ulaurents = st.dictionaries(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=3,
+).map(ULaurent)
+ul_windows = st.lists(small_ulaurents, min_size=1, max_size=7)
+
+
+@given(ul_windows, ul_windows, st.integers(min_value=0, max_value=8))
+@example(
+    # the second pair's product first cancels the u^0 term of the first pair,
+    # then restores it: the term keeps its place, as in the ULaurent loop
+    [UL({0: 1}), UL({1: 1, -1: 1})], [UL({-1: -1, 1: 2}), UL({0: 1, 5: 1})], 1
+)
+def test_zs_mul_matches_ulaurent_loop(a, b, N):
+    got, want = _zs_mul(a, b, N), _reference_zs_mul(a, b, N)
+    assert [x.to_map() for x in got] == [x.to_map() for x in want]
+    assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
+    assert all(type(c) is Fraction for x in got for c in x.terms.values())
 
 
 # -- graded series container ---------------------------------------------------

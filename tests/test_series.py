@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resurgentia.scalars import ExactScalar
+from resurgentia.scalars import MODE_GAUSSIAN, ExactScalar
 from resurgentia.series import DEFAULT_ORDER, PowerSeries
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -135,3 +135,167 @@ def test_compose_against_sympy():
 @given(series_strategy(5, no_constant=True), series_strategy(5, no_constant=True))
 def test_exp_homomorphism(a, b):
     assert (a + b).exp() == a.exp() * b.exp()
+
+
+# -- the integer-numerator kernels against the term-by-term scalar loops --------
+
+
+def _reference_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """The ExactScalar loop the product kernel replaces."""
+    n = min(a.order, b.order)
+    out = [ExactScalar.zero()] * (n + 1)
+    for i in range(n + 1):
+        ai = a.coeffs[i]
+        if ai.is_zero():
+            continue
+        for j in range(n + 1 - i):
+            bj = b.coeffs[j]
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return PowerSeries(n, tuple(out))
+
+
+def _reference_inverse(s: PowerSeries) -> PowerSeries:
+    n = s.order
+    inv0 = ExactScalar.one() / s.coeffs[0]
+    out = [inv0] + [ExactScalar.zero()] * n
+    for k in range(1, n + 1):
+        acc = ExactScalar.zero()
+        for j in range(1, k + 1):
+            acc = acc + s.coeffs[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return PowerSeries(n, tuple(out))
+
+
+def _reference_log(s: PowerSeries) -> PowerSeries:
+    n = s.order
+    out = [ExactScalar.zero()] * (n + 1)
+    for k in range(1, n + 1):
+        acc = ExactScalar.zero()
+        for j in range(1, k):
+            acc = acc + out[j] * s.coeffs[k - j] * j
+        out[k] = s.coeffs[k] - acc / k
+    return PowerSeries(n, tuple(out))
+
+
+def _reference_exp(s: PowerSeries) -> PowerSeries:
+    n = s.order
+    out = [ExactScalar.one()] + [ExactScalar.zero()] * n
+    for k in range(1, n + 1):
+        acc = ExactScalar.zero()
+        for j in range(1, k + 1):
+            acc = acc + s.coeffs[j] * out[k - j] * j
+        out[k] = acc / k
+    return PowerSeries(n, tuple(out))
+
+
+# gaussian scalars include tagged reals and the tagged zero, which print as
+# "p/q+0*i" and "0+0*i"
+rational_scalars = coeff.map(ExactScalar)
+gaussian_scalars = st.builds(
+    lambda re, im: ExactScalar(re, im, MODE_GAUSSIAN),
+    coeff,
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7)]) | coeff,
+)
+window_scalars = {
+    "rational": rational_scalars,
+    "gaussian": gaussian_scalars,
+    "mixed": rational_scalars | gaussian_scalars,
+}
+
+
+@st.composite
+def windows(draw, c0=None, max_order=9):
+    """Rational, gaussian or mixed windows; half of them sparse (zero rows,
+    monomials, the zero window)."""
+    n = draw(st.integers(0, max_order))
+    scalars = window_scalars[draw(st.sampled_from(sorted(window_scalars)))]
+    if draw(st.booleans()):
+        cs = [ExactScalar.zero()] * (n + 1)
+        for k in draw(st.sets(st.integers(0, n), max_size=2)):
+            cs[k] = draw(scalars)
+    else:
+        cs = draw(st.lists(scalars, min_size=n + 1, max_size=n + 1))
+    if c0 is not None:
+        cs[0] = draw(c0)
+    return PowerSeries(n, tuple(cs))
+
+
+def _assert_same_window(got: PowerSeries, want: PowerSeries):
+    assert got.to_json() == want.to_json()
+    assert [c.mode for c in got.coeffs] == [c.mode for c in want.coeffs]
+
+
+units = (rational_scalars | gaussian_scalars).filter(lambda c: not c.is_zero())
+ones = st.sampled_from([ExactScalar(1), ExactScalar(1, 0, MODE_GAUSSIAN)])
+zeros = st.sampled_from([ExactScalar(0), ExactScalar(0, 0, MODE_GAUSSIAN)])
+
+
+@given(windows(), windows())
+def test_mul_matches_scalar_loop(a, b):
+    # operands of unequal order are truncated to the shorter window
+    _assert_same_window(a * b, _reference_mul(a, b))
+    _assert_same_window(b * a, _reference_mul(b, a))
+
+
+@given(windows(c0=units))
+def test_inverse_matches_scalar_loop(s):
+    _assert_same_window(s.inverse(), _reference_inverse(s))
+
+
+@given(windows(c0=ones))
+def test_log_matches_scalar_loop(s):
+    _assert_same_window(s.log(), _reference_log(s))
+
+
+@given(windows(c0=zeros))
+def test_exp_matches_scalar_loop(s):
+    _assert_same_window(s.exp(), _reference_exp(s))
+
+
+def test_kernel_mode_tags():
+    g1 = ExactScalar(1, 0, MODE_GAUSSIAN)
+    # a gaussian-tagged factor tags only the products it takes part in
+    a = PowerSeries.from_coeffs([1, 0, 2], 3)
+    b = PowerSeries.from_coeffs([0, g1], 3)
+    assert [c.to_str() for c in (a * b).coeffs] == ["0", "1+0*i", "0", "2+0*i"]
+    assert [c.to_str() for c in (b * a).coeffs] == ["0", "1+0*i", "0", "2+0*i"]
+    # log and exp ignore the tag of c_0; inverse does not
+    assert [c.to_str() for c in PowerSeries.from_coeffs([g1, 1], 2).log().coeffs] == ["0", "1", "-1/2"]
+    zero_g = ExactScalar(0, 0, MODE_GAUSSIAN)
+    assert [c.to_str() for c in PowerSeries.from_coeffs([zero_g, 1], 2).exp().coeffs] == ["1", "1", "1/2"]
+    assert [c.to_str() for c in PowerSeries.from_coeffs([g1, 1], 2).inverse().coeffs] == [
+        "1+0*i", "-1+0*i", "1+0*i"]
+
+
+def test_recurrences_rescale_the_shared_denominator():
+    # each new output brings a new prime into the denominator of the store
+    s = PowerSeries.from_coeffs([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])
+    _assert_same_window(s.inverse(), _reference_inverse(s))
+    _assert_same_window(s.log(), _reference_log(s))
+    t = s - PowerSeries.one(s.order)
+    _assert_same_window(t.exp(), _reference_exp(t))
+    assert s * s.inverse() == PowerSeries.one(s.order)
+
+
+def test_pow_forms_no_wasted_square(monkeypatch):
+    """k-th power: popcount(k) products into the result and bit_length(k) - 1
+    squarings, none after the last bit."""
+    s = PowerSeries.from_coeffs([1, Fraction(1, 2), Fraction(-1, 3)], 4)
+    calls = []
+    mul = PowerSeries.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    for k in (1, 2, 5, 8):
+        want = PowerSeries.one(s.order)
+        for _ in range(k):
+            want = _reference_mul(want, s)
+        monkeypatch.setattr(PowerSeries, "__mul__", counted)
+        calls.clear()
+        got = s**k
+        monkeypatch.undo()
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
+        _assert_same_window(got, want)
