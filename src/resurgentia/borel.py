@@ -11,6 +11,12 @@ produces the lateral sums, and every higher-level object here (the sectorial
 family G, connection residuals, median-real values) is a finite composition of
 those two quadratures with exact series data from the companion modules.
 
+A kernel ray is sampled only up to |zeta| = R (4, or more for small |z|).
+Past R the kernels equal their DLMF 15.8.2 connection series in 2/zeta, whose
+Laplace integral is a series of generalized exponential integrals E_p (DLMF
+8.19), summed in closed form under a rigorous truncation bound (laplace_ray,
+_far_laplace). Kernels without such a series are sampled along the whole ray.
+
 Direction windows are arcs of rays: theta and theta + 2pi label the same ray
 and the same integral, so a shifted window such as 2pi + I_+ needs no special
 bookkeeping. A negative-real z admits admissible rays in I_+ only through the
@@ -396,6 +402,128 @@ def eval_Bhat(zeta, branch: str = "B", tol: float = DEFAULT_QUAD_TOL):
     return complex(cur[0]) if scalar else cur
 
 
+class _BhatKernel:
+    """eval_Bhat on one branch at one tolerance; laplace_ray recognises it and
+    takes the far part of its ray in closed form (see _far_laplace)."""
+
+    __slots__ = ("branch", "tol")
+
+    def __init__(self, branch: str, tol: float):
+        self.branch = branch
+        self.tol = tol
+
+    def __call__(self, zs):
+        return eval_Bhat(zs, self.branch, self.tol)
+
+
+# -- closed-form far ray ------------------------------------------------------------
+#
+# With x = +-zeta/2, Bhat = 2F1(1/6, 5/6; 1; x), and b - a = 2/3 is not an
+# integer, so DLMF 15.8.2 gives, for |x| > 1 off the cut,
+#
+#     Bhat = sum_j A_j (-x)^{-s_j} sum_k c_{j,k} x^{-k},   s = (1/6, 5/6),
+#
+# A_1 = Gamma(2/3)/Gamma(5/6)^2, A_2 = Gamma(-2/3)/Gamma(1/6)^2,
+# c_{1,k} = (1/6)_k^2/((1/3)_k k!), c_{2,k} = (5/6)_k^2/((5/3)_k k!). On the ray
+# zeta = t e^{i theta}, t >= R, every term is a power of t/R, so
+#
+#     int_R^oo Bhat e^{-z zeta} dzeta
+#         = R e^{i theta} sum_j A_j (-x0)^{-s_j} sum_k c_{j,k} x0^{-k} E_{s_j+k}(X)
+#
+# with x0 = +-R e^{i theta}/2 and X = z R e^{i theta} (DLMF 8.19.1).
+
+_FAR_R = 4.0  # numeric segment [0, R]; 2/R is the ratio of the 1/x series
+_FAR_X_FLOOR = 1.2  # R is raised so that |X| = R |z| stays above this
+_FAR_S = (1.0 / 6.0, 5.0 / 6.0)
+_FAR_A = (
+    math.gamma(2.0 / 3.0) / math.gamma(5.0 / 6.0) ** 2,
+    math.gamma(-2.0 / 3.0) / math.gamma(1.0 / 6.0) ** 2,
+)
+_FAR_TERMS = 160  # most terms of the 1/x series one ray may take
+_CF_BUDGET = 500  # most continued-fraction steps per E_p value
+
+
+def _connection_coeffs(a: float, c: float) -> list:
+    # (a)_k^2 / ((c)_k k!); each ratio (a+k)^2/((c+k)(k+1)) is at most 1
+    out = [1.0]
+    for k in range(_FAR_TERMS):
+        out.append(out[-1] * (a + k) ** 2 / ((c + k) * (k + 1)))
+    return out
+
+
+_FAR_C = (_connection_coeffs(1.0 / 6.0, 1.0 / 3.0), _connection_coeffs(5.0 / 6.0, 5.0 / 3.0))
+
+
+def _expint_cf(p: float, X: complex) -> complex:
+    """E_p(X) from the continued fraction DLMF 8.19.17 (even part, modified Lentz)."""
+    b = X + p
+    c = 1e300
+    d = 1.0 / b
+    h = d
+    for i in range(1, _CF_BUDGET):
+        an = -i * (p - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 4e-16:
+            return h * cmath.exp(-X)
+    raise QuadratureError("quadrature failure: E_p continued fraction did not converge")
+
+
+def _expint_run(s: float, X: complex, n: int) -> list:
+    """E_{s+k}(X) for k = 0 .. n-1, Re X > 0.
+
+    One continued fraction at k0 ~ |X| - s; p E_{p+1} = e^{-X} - X E_p runs
+    forward above k0 and backward below it, the direction in which each is
+    stable (the recessive solution (-X)^p/Gamma(p) turns at p = |X|).
+    """
+    k0 = min(n - 1, max(0, round(abs(X) - s)))
+    ex = cmath.exp(-X)
+    e = [0j] * n
+    e[k0] = _expint_cf(s + k0, X)
+    for k in range(k0, n - 1):
+        e[k + 1] = (ex - X * e[k]) / (s + k)
+    for k in range(k0 - 1, -1, -1):
+        e[k] = (ex - (s + k) * e[k + 1]) / X
+    return e
+
+
+def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) -> tuple:
+    """int_R^oo Bhat(+-t e^{i theta}) e^{-z t e^{i theta}} e^{i theta} dt and a bound on
+    its truncation error, which is at most tol when _FAR_TERMS suffice.
+
+    The series stops at the first n where R e^{-Re X}/Re X sum_j |A_j| c_{j,n}
+    (2/R)^n/(1 - 2/R) <= tol: |E_p(X)| <= e^{-Re X}/Re X for p >= 0,
+    |(-x0)^{-s}| <= 1, and the c-ratios are at most 1.
+    """
+    phase = cmath.exp(1j * theta)
+    X = z * R * phase
+    x0 = (R / 2.0 if branch == "B" else -R / 2.0) * phase
+    q = 2.0 / R
+    pref = R * math.exp(-X.real) / X.real / (1.0 - q)
+    n = 0
+    qn = 1.0
+    while True:
+        bound = pref * qn * (abs(_FAR_A[0]) * _FAR_C[0][n] + abs(_FAR_A[1]) * _FAR_C[1][n])
+        if bound <= tol or n == _FAR_TERMS:
+            break
+        n += 1
+        qn *= q
+    total = 0j
+    if n:
+        inv = 1.0 / x0
+        for a, s, cs in zip(_FAR_A, _FAR_S, _FAR_C):
+            acc = 0j
+            w = 1.0 + 0j
+            for ck, ek in zip(cs, _expint_run(s, X, n)):
+                acc += ck * w * ek
+                w *= inv
+            total += a * (-x0) ** (-s) * acc
+    return R * phase * total, bound
+
+
 def maclaurin_borel_eval(coeffs: Sequence, radius: float = _MACLAURIN_RADIUS) -> Callable:
     """Borel-kernel evaluator sum a_n zeta^n/n! from exact series coefficients.
 
@@ -433,12 +561,18 @@ def laplace_ray(
 ) -> SumValue:
     """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
 
-    Composite adaptive Gauss-Kronrod on [0, T] with T set by the decay rate:
-    each panel makes one kernel call on the 49 nodes of the nested G24/K49
-    pair and is accepted when the two values agree to the panel's share of
-    tol; the K49 value enters the sum. The error field is the sum of the
-    accepted panels' |G24 - K49| plus the analytic tail bound, and meta
-    reports the two parts ("quad_err", "tail") and the decay rate ("rate").
+    Composite adaptive Gauss-Kronrod on [0, T]: each panel makes one kernel
+    call on the 49 nodes of the nested G24/K49 pair and is accepted when the
+    two values agree to the panel's share of tol; the K49 value enters the
+    sum. For the psi/phi kernels (_psi_kernel, _phi_kernel) T is R = 4, or
+    R = 1.2/|z| when that is larger, and the ray past R is the closed-form
+    series of _far_laplace, whose truncation bound is the "tail". Any other
+    kernel, or a psi/phi ray whose decay ends it before R, is integrated up to
+    T = (log(1/tol) + growth_margin)/rate, and the tail is the estimate
+    |fhat(T)| e^{-rate T}/rate. The error field is the sum of the accepted
+    panels' |G24 - K49| plus the tail, and meta reports the two parts
+    ("quad_err", "tail"), the end of the numeric segment ("T") and the decay
+    rate ("rate").
     """
     theta = theta.theta if isinstance(theta, Direction) else float(theta)
     z = complex(z)
@@ -446,6 +580,10 @@ def laplace_ray(
     if rate <= 1e-3:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
     T = (math.log(1.0 / tol) + growth_margin) / rate
+    R = max(_FAR_R, _FAR_X_FLOOR / abs(z))
+    far = isinstance(fhat, _BhatKernel) and T > R
+    if far:
+        T = R
     phase = cmath.exp(1j * theta)
     x, wk, wg = _gk_rule(24)
 
@@ -472,7 +610,12 @@ def laplace_ray(
             stack.append((m, b))
             if len(stack) + npanels > max_panels:
                 raise QuadratureError("quadrature failure", value=total, err=err)
-    tail = abs(complex(np.asarray(fhat(np.array([phase * T])))[0])) * math.exp(-rate * T) / rate
+    if far:
+        # the truncation bound takes a negligible share of tol
+        rest, tail = _far_laplace(fhat.branch, z, theta, T, 1e-3 * tol)
+        total += rest
+    else:
+        tail = abs(complex(np.asarray(fhat(np.array([phase * T])))[0])) * math.exp(-rate * T) / rate
     meta = {"theta": theta, "T": T, "panels": npanels, "rate": rate, "quad_err": err, "tail": tail}
     return SumValue(total, err + tail, meta)
 
@@ -480,30 +623,32 @@ def laplace_ray(
 # -- family sums ------------------------------------------------------------------
 
 
-def _error_budget(z: complex, rays: Sequence[SumValue], kernel_tol: float, scale: float = 1.0,
-                  route: float = 0.0) -> dict:
-    """The error of z times Laplace integrals of eval_Bhat kernels, over scale, by source.
+def _error_budget(z: complex, rays: Sequence[SumValue], kernel_tol: float,
+                  weights: Sequence[float], route: float = 0.0) -> dict:
+    """The error of a function of z times Laplace integrals of eval_Bhat kernels, by source.
 
-    quadrature and tail are the rays' own parts; each kernel value is within
-    max(kernel_tol, floor) of Bhat, which moves a ray's integral by at most
-    that over its decay rate; route is a cross-check difference added as is.
+    Each ray's error enters with its weight, the modulus of the function's
+    derivative with respect to that sum. quadrature and tail are the rays' own
+    parts; each kernel value is within max(kernel_tol, floor) of Bhat, which
+    moves a ray's integral by at most that over its decay rate; route is a
+    cross-check difference added as is.
     """
     kappa = max(kernel_tol, _BHAT_TOL_FLOOR)
-    f = abs(z) / scale
+    f = [abs(z) * w for w in weights]
     return {
-        "quadrature": f * sum(r.meta["quad_err"] for r in rays),
-        "kernel": f * sum(kappa / r.meta["rate"] for r in rays),
-        "tail": f * sum(r.meta["tail"] for r in rays),
+        "quadrature": sum(fr * r.meta["quad_err"] for fr, r in zip(f, rays)),
+        "kernel": sum(fr * kappa / r.meta["rate"] for fr, r in zip(f, rays)),
+        "tail": sum(fr * r.meta["tail"] for fr, r in zip(f, rays)),
         "route": route,
     }
 
 
 def _psi_kernel(tol):
-    return lambda zs: eval_Bhat(zs, "B", tol)
+    return _BhatKernel("B", tol)
 
 
 def _phi_kernel(tol):
-    return lambda zs: eval_Bhat(zs, "B_plus", tol)
+    return _BhatKernel("B_plus", tol)
 
 
 def sum_family(
@@ -536,7 +681,7 @@ def sum_family(
             raise BranchCutError("branch cut: log of a negative real sum")
         scale = max(abs(val), 1e-30)
         val = cmath.log(val)
-    parts = _error_budget(z, (lap,), tol, scale)
+    parts = _error_budget(z, (lap,), tol, (1.0 / scale,))
     return SumValue(val, sum(parts.values()), dict(lap.meta, family=name, err_parts=parts))
 
 
@@ -555,8 +700,9 @@ def G_pm(
     Both Laplace sums use one common direction. The closed-form log route and
     the partial-sum route of the defining series are compared and their
     difference must stay below tol. The error is the sum of meta["err_parts"]:
-    the quadrature, kernel and tail parts of both sums (over |S psi|) and the
-    route difference.
+    the quadrature, kernel and tail parts of both sums, weighted by |dG/dS psi|
+    = 1/|S psi (1 + ratio)| and |dG/dS phi| = |sigma_2 e^{-2z}|/|S psi (1 + ratio)|,
+    and the route difference.
     """
     sgn = {"+": "+", "plus": "+", 1: "+", "-": "-", "minus": "-", -1: "-"}.get(sign)
     if sgn is None:
@@ -600,7 +746,11 @@ def G_pm(
             value=closed,
             err=route_diff,
         )
-    parts = _error_budget(z, (spsi, sphi), quad_tol, max(abs(psi_val), 1e-30), route_diff)
+    # G = sigma_1 + log(S psi + sigma_2 e^{-2z} S phi): an error in S psi moves G
+    # by it over |S psi (1 + ratio)|, an error in S phi by |sigma_2 e^{-2z}| times that
+    w = 1.0 / max(abs(psi_val) * abs(1.0 + ratio), 1e-30)
+    parts = _error_budget(z, (spsi, sphi), quad_tol, (w, abs(sigma2 * cmath.exp(-2.0 * z)) * w),
+                          route_diff)
     return SumValue(closed, sum(parts.values()), {"theta": theta, "sign": sgn, "err_parts": parts})
 
 
@@ -843,21 +993,40 @@ def _as_fraction(c) -> Fraction:
 
 
 def _solve_exact(A: list, rhs: list):
-    """Gaussian elimination over the rationals; None on a singular system."""
+    """Exact solution of A q = rhs over the rationals; None on a singular system.
+
+    Each augmented row is scaled to integers by the lcm of its denominators, then
+    fraction-free (Bareiss) elimination makes it upper triangular: every entry
+    stays an integer minor, and each division by the previous pivot is exact
+    (Bareiss, Math. Comp. 22 (1968) 565). With D the last pivot, +-det A, back
+    substitution yields the integers D q_i, again by exact divisions.
+    """
     n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+    M = []
+    for row, b in zip(A, rhs):
+        aug = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = math.lcm(*(x.denominator for x in aug))
+        M.append([x.numerator * (scale // x.denominator) for x in aug])
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
             return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+        M[k], M[piv] = M[piv], M[k]
+        pk = M[k]
+        p = pk[k]
+        for r in range(k + 1, n):
+            row = M[r]
+            f = row[k]
+            M[r] = [0] * (k + 1) + [(p * row[j] - f * pk[j]) // prev for j in range(k + 1, n + 1)]
+        prev = p
+    D = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = M[i]
+        acc = D * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return [Fraction(v, D) for v in y]
 
 
 def airy_oracle(w: complex) -> complex:

@@ -13,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resurgentia import borel, families
 from resurgentia.borel import (
@@ -268,6 +270,51 @@ def test_singularity_pade_route():
     loc = singularity_locate([g.series.coeff(n) for n in range(61)], "pade")
     assert abs(loc - 2.0054649436712038) < 1e-9
     assert abs(loc - 2.0) < 0.1
+
+
+def gauss_jordan_reference(A: list, rhs: list):
+    """Gauss-Jordan elimination over Fraction, the Pade solver before Bareiss."""
+    n = len(rhs)
+    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(_fractions, min_size=n, max_size=n))))
+def test_bareiss_solve_matches_gauss_jordan(system):
+    A, rhs = system
+    assert borel._solve_exact(A, rhs) == gauss_jordan_reference(A, rhs)
+
+
+def test_bareiss_solve_on_singular_and_pade_systems(monkeypatch):
+    assert borel._solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+                              [Fraction(1), Fraction(3)]) is None
+    assert borel._solve_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+                              [Fraction(2), Fraction(3)]) == [3, 2]
+    g, f, _ = families.gen_g_f(82)
+    for series in (g.series, f.series):
+        for count in (40, 61, 81):
+            coeffs = [series.coeff(n) for n in range(count)]
+            got = singularity_locate(coeffs, "pade")
+            monkeypatch.setattr(borel, "_solve_exact", gauss_jordan_reference)
+            want = singularity_locate(coeffs, "pade")
+            monkeypatch.undo()
+            assert got == want, (count, got, want)
 
 
 def test_singularity_flags_entire_input():
