@@ -10,134 +10,60 @@ lateral connection formulas, median-summation reality checks, and the
 large-radius tower obtained by a change of variable to the string coupling.
 """
 
-from .scalars import ExactScalar
-from .series import DEFAULT_ORDER, PowerSeries
-from .families import (
-    FamilySeries,
-    gen_Gn,
-    gen_c_coeffs,
-    gen_g_f,
-    gen_psi_phi,
-    ode_residual,
-)
-from .alien import (
-    Caps,
-    CompositionContext,
-    Poly,
-    TransElement,
-    apply_ddz,
-    apply_delta,
-    apply_delta_plus,
-    apply_stokes,
-    bridge_check,
-    companion_F,
-    deltaplus_table,
-    expand_to_series,
-    formal_integral,
-    stokes_action_check,
-)
-from .borel import (
-    BranchCutError,
-    Direction,
-    DomainError,
-    G_pm,
-    QuadratureError,
-    SumValue,
-    airy_oracle,
-    check_derivation,
-    check_homomorphism,
-    check_reflection,
-    choose_theta,
-    connection_check,
-    eval_Ahat,
-    eval_Bhat,
-    first_identity_check,
-    gevrey_check,
-    laplace_ray,
-    median_real_check,
-    singularity_locate,
-    sum_family,
-)
-from .largeradius import (
-    UCoeffSeries,
-    ULaurent,
-    gen_H0,
-    gen_Hn,
-    gen_phi_u,
-    gen_R,
-    lambda_s_squared,
-    lr_bridge_check,
-    lr_connection_check,
-    lr_stokes_check,
-    lr_sum,
-    lr_transseries,
-    make_context,
-    u_equation_residual,
-)
-from .config import ENV_VAR, RunConfig, load_config_file, resolve_config
+import importlib
+
+# public name -> the submodule that defines it; a submodule loads on first use
+_EXPORTS = {
+    "scalars": ("ExactScalar",),
+    "series": ("DEFAULT_ORDER", "PowerSeries"),
+    "families": ("FamilySeries", "gen_Gn", "gen_c_coeffs", "gen_g_f", "gen_psi_phi", "ode_residual"),
+    "alien": (
+        "Caps", "CompositionContext", "Poly", "TransElement", "apply_ddz", "apply_delta",
+        "apply_delta_plus", "apply_stokes", "bridge_check", "companion_F", "deltaplus_table",
+        "expand_to_series", "formal_integral", "stokes_action_check",
+    ),
+    "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
+    "borel": (
+        "Direction", "G_pm", "airy_oracle", "check_derivation", "check_homomorphism",
+        "check_reflection", "choose_theta", "connection_check", "eval_Ahat", "eval_Bhat",
+        "first_identity_check", "gevrey_check", "laplace_ray", "median_real_check",
+        "singularity_locate", "sum_family",
+    ),
+    "largeradius": (
+        "UCoeffSeries", "ULaurent", "gen_H0", "gen_Hn", "gen_phi_u", "gen_R", "lambda_s_squared",
+        "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
+        "make_context", "u_equation_residual",
+    ),
+    "config": ("ENV_VAR", "RunConfig", "load_config_file", "resolve_config"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCutError",
-    "Caps",
-    "CompositionContext",
-    "DEFAULT_ORDER",
-    "Direction",
-    "DomainError",
-    "ENV_VAR",
-    "ExactScalar",
-    "FamilySeries",
-    "G_pm",
-    "Poly",
-    "PowerSeries",
-    "QuadratureError",
-    "RunConfig",
-    "SumValue",
-    "TransElement",
-    "UCoeffSeries",
-    "ULaurent",
-    "airy_oracle",
-    "apply_ddz",
-    "apply_delta",
-    "apply_delta_plus",
-    "apply_stokes",
-    "bridge_check",
-    "check_derivation",
-    "check_homomorphism",
-    "check_reflection",
-    "choose_theta",
-    "companion_F",
-    "connection_check",
-    "deltaplus_table",
-    "eval_Ahat",
-    "eval_Bhat",
-    "expand_to_series",
-    "first_identity_check",
-    "formal_integral",
-    "gen_Gn",
-    "gen_H0",
-    "gen_Hn",
-    "gen_c_coeffs",
-    "gen_g_f",
-    "gen_phi_u",
-    "gen_psi_phi",
-    "gen_R",
-    "gevrey_check",
-    "lambda_s_squared",
-    "laplace_ray",
-    "load_config_file",
-    "lr_bridge_check",
-    "lr_connection_check",
-    "lr_stokes_check",
-    "lr_sum",
-    "lr_transseries",
-    "make_context",
-    "median_real_check",
-    "ode_residual",
-    "resolve_config",
-    "singularity_locate",
-    "sum_family",
-    "u_equation_residual",
-    "__version__",
+    "BranchCutError", "Caps", "CompositionContext", "DEFAULT_ORDER", "Direction", "DomainError",
+    "ENV_VAR", "ExactScalar", "FamilySeries", "G_pm", "Poly", "PowerSeries", "QuadratureError",
+    "RunConfig", "SumValue", "TransElement", "UCoeffSeries", "ULaurent", "airy_oracle", "apply_ddz",
+    "apply_delta", "apply_delta_plus", "apply_stokes", "bridge_check", "check_derivation",
+    "check_homomorphism", "check_reflection", "choose_theta", "companion_F", "connection_check",
+    "deltaplus_table", "eval_Ahat", "eval_Bhat", "expand_to_series", "first_identity_check",
+    "formal_integral", "gen_Gn", "gen_H0", "gen_Hn", "gen_c_coeffs", "gen_g_f", "gen_phi_u",
+    "gen_psi_phi", "gen_R", "gevrey_check", "lambda_s_squared", "laplace_ray", "load_config_file",
+    "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
+    "make_context", "median_real_check", "ode_residual", "resolve_config", "singularity_locate",
+    "sum_family", "u_equation_residual", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a public name or submodule on first access (PEP 562)."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

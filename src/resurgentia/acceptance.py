@@ -13,20 +13,16 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
 from . import borel, families, largeradius
 from .alien import (
     Caps,
-    Poly,
-    TransElement,
-    apply_delta_plus,
+    _deltaplus_closed_forms_ok,
+    _gtower_closed_forms_ok,
     bridge_check,
-    deltaplus_table,
     stokes_action_check,
 )
-from .scalars import ExactScalar
 
 
 @dataclass(frozen=True)
@@ -86,43 +82,6 @@ def criterion_2() -> AcceptanceResult:
         return ok, f"psi/g ODE residuals zero to order {N - 2}, u-equation zero to order {N - 1}, {dt:.2f}s"
 
     return _run(2, "formal-solution certificates", body)
-
-
-def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
-    tab = deltaplus_table(nmax, kmax)
-    I = ExactScalar(0, 1)
-    minus_i = ExactScalar(0, -1)
-    for (om, k), elem in tab.items():
-        n = abs(om) // 2
-        if om > 0:
-            j = k + n
-            expected = {
-                (0, j, 0): Poly.const((minus_i ** n) * ExactScalar(Fraction(comb(j, n) * (-1) ** (j - 1), j)))
-            }
-        elif n > k:
-            expected = {}
-        elif n == k:
-            expected = {(0, 0, 0): Poly.const((I ** k) * ExactScalar(Fraction(-1, k)))}
-        else:
-            j = k - n
-            expected = {
-                (0, j, 0): Poly.const((I ** n) * ExactScalar(Fraction(comb(k - 1, n) * (-1) ** (j - 1), j)))
-            }
-        if elem.terms != {kk: v for kk, v in expected.items() if not v.is_zero()}:
-            return False
-    return True
-
-
-def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
-    """Delta+_{2m} g = (i^m) (-1/m) E^m for m = 1, 2, 3, at caps widened by 3."""
-    wide = Caps(sigma + 3, grade + 3)
-    gelem = TransElement.generator("g", wide)
-    I = ExactScalar(0, 1)
-    return all(
-        apply_delta_plus(gelem, 2 * m)
-        == TransElement({(0, m, 0): Poly.const((I ** m) * ExactScalar(Fraction(-1, m)))}, wide)
-        for m in (1, 2, 3)
-    )
 
 
 def criterion_3() -> AcceptanceResult:

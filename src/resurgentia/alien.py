@@ -40,7 +40,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Optional
 
 from .scalars import MODE_GAUSSIAN, ExactScalar, scalar_from_reduced
@@ -866,6 +866,44 @@ def deltaplus_table(nmax: int, kmax: int, caps: Caps | None = None) -> dict:
             out[(2 * n, k)] = apply_delta_plus(Gk, 2 * n)
             out[(-2 * n, k)] = apply_delta_plus(Gk, -2 * n)
     return out
+
+
+def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
+    """deltaplus_table(nmax, kmax) equals the closed forms in its docstring."""
+    tab = deltaplus_table(nmax, kmax)
+    I = ExactScalar(0, 1)
+    minus_i = ExactScalar(0, -1)
+    for (om, k), elem in tab.items():
+        n = abs(om) // 2
+        if om > 0:
+            j = k + n
+            expected = {
+                (0, j, 0): Poly.const((minus_i ** n) * ExactScalar(Fraction(comb(j, n) * (-1) ** (j - 1), j)))
+            }
+        elif n > k:
+            expected = {}
+        elif n == k:
+            expected = {(0, 0, 0): Poly.const((I ** k) * ExactScalar(Fraction(-1, k)))}
+        else:
+            j = k - n
+            expected = {
+                (0, j, 0): Poly.const((I ** n) * ExactScalar(Fraction(comb(k - 1, n) * (-1) ** (j - 1), j)))
+            }
+        if elem.terms != {kk: v for kk, v in expected.items() if not v.is_zero()}:
+            return False
+    return True
+
+
+def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
+    """Delta+_{2m} g = (i^m) (-1/m) E^m for m = 1, 2, 3, at caps widened by 3."""
+    wide = Caps(sigma + 3, grade + 3)
+    gelem = TransElement.generator("g", wide)
+    I = ExactScalar(0, 1)
+    return all(
+        apply_delta_plus(gelem, 2 * m)
+        == TransElement({(0, m, 0): Poly.const((I ** m) * ExactScalar(Fraction(-1, m)))}, wide)
+        for m in (1, 2, 3)
+    )
 
 
 def companion_F(caps: Caps = Caps()) -> TransElement:

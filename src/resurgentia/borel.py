@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import families
+from .errors import BranchCutError, DomainError, QuadratureError, SumValue  # re-exported
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,23 +60,6 @@ THETA_MARGIN = 0.45  # preferred standoff from cuts; accuracy, not validity
 _GAMMA56 = math.gamma(5.0 / 6.0)
 
 
-class DomainError(ValueError):
-    """Request outside the summation or solution domain."""
-
-
-class BranchCutError(ValueError):
-    """Evaluation on a branch cut."""
-
-
-class QuadratureError(ArithmeticError):
-    """Tolerance not reached; carries the best value and its error estimate."""
-
-    def __init__(self, message: str, value=None, err: float = math.inf):
-        super().__init__(message)
-        self.value = value
-        self.err = err
-
-
 @dataclass(frozen=True)
 class Direction:
     """A Laplace direction: an angle strictly inside its window."""
@@ -87,13 +71,6 @@ class Direction:
         a, b = self.interval
         if not (a < self.theta < b):
             raise DomainError("direction angle must lie strictly inside its window")
-
-
-@dataclass(frozen=True)
-class SumValue:
-    value: complex
-    err: float
-    meta: dict = field(default_factory=dict)
 
 
 def normalize_interval(interval) -> tuple[float, float]:

@@ -15,9 +15,11 @@ import json
 import sys
 from typing import Optional
 
-from . import acceptance, borel, families, largeradius
-from .alien import Caps, bridge_check, stokes_action_check
 from .config import ENV_VAR, RunConfig, resolve_config
+from .errors import BranchCutError, DomainError, QuadratureError
+
+# Each handler imports the modules it runs: an exact subcommand never loads
+# borel (and with it numpy), and only verify-all loads the acceptance suite.
 
 
 def _complex(text: str) -> complex:
@@ -32,32 +34,47 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
 
 
-def _common_parser(order: bool = True, tol: bool = True) -> argparse.ArgumentParser:
-    """Shared configuration flags; a subcommand that would ignore --order or
-    --tol is built without it, so argparse rejects the flag there."""
+# config key -> its flag; each subcommand takes --config, --format and --output,
+# plus the flags of the keys its handler reads (_READS), and rejects the rest
+_CONFIG_FLAGS = {
+    "order": ("--order", int, "truncation order N"),
+    "cap_sigma": ("--cap-sigma", int, "alien sigma_2 cap"),
+    "cap_grade": ("--cap-grade", int, "alien exponential-grade cap"),
+    "quad_tol": ("--tol", float, "quadrature tolerance"),
+}
+_READS = {
+    "coeffs": (),
+    "ode-check": ("order",),
+    "alien": ("cap_sigma", "cap_grade"),
+    "sum": ("quad_tol",),
+    "connect": ("quad_tol",),
+    "median": (),
+    "singularity": (),
+    "large-radius": ("order", "quad_tol"),
+    "verify-all": (),
+}
+
+
+def _common_parser(keys: tuple) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("configuration")
     g.add_argument("--config", metavar="PATH", help=f"config file (or ${ENV_VAR})")
-    if order:
-        g.add_argument("--order", type=int, help="truncation order N")
-    g.add_argument("--cap-sigma", type=int, dest="cap_sigma", help="alien sigma_2 cap")
-    g.add_argument("--cap-grade", type=int, dest="cap_grade", help="alien exponential-grade cap")
-    if tol:
-        g.add_argument("--tol", type=float, dest="quad_tol", help="quadrature tolerance")
+    for key in keys:
+        flag, kind, text = _CONFIG_FLAGS[key]
+        g.add_argument(flag, type=kind, dest=key, help=text)
     g.add_argument("--format", dest="fmt", choices=("json", "csv"), help="output format")
     g.add_argument("--output", help="output path (default stdout)")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
-    no_order = _common_parser(order=False)
-    no_tol = _common_parser(tol=False)
-    neither = _common_parser(order=False, tol=False)
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", parents=[no_order], help="exact coefficient families")
+    def add(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[_common_parser(_READS[name])], help=text)
+
+    p = add("coeffs", "exact coefficient families")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--ag", action="store_true", help="genus coefficients a_2, a_3, ...")
     grp.add_argument("--cn", action="store_true", help="Borel kernel coefficients c_0, c_1, ...")
@@ -65,38 +82,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-g", type=int, default=4, dest="max_g")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
 
-    p = sub.add_parser("ode-check", parents=[common], help="formal-solution certificates")
+    p = add("ode-check", "formal-solution certificates")
     p.add_argument("--which", choices=("psi", "g", "u", "all"), default="all")
 
-    p = sub.add_parser("alien", parents=[common], help="symbolic resurgence identities")
+    p = add("alien", "symbolic resurgence identities")
     p.add_argument("--what", choices=("bridge", "stokes", "table", "gtower", "all"), default="all")
 
-    p = sub.add_parser("sum", parents=[no_order], help="lateral Borel-Laplace sum of a family")
+    p = add("sum", "lateral Borel-Laplace sum of a family")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--interval", default="Ipi")
     p.add_argument("--theta", type=float, default=None)
 
-    p = sub.add_parser("connect", parents=[common], help="numeric connection formulas")
+    p = add("connect", "numeric connection formulas")
     p.add_argument("which", choices=("right", "left"))
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--sigma1", type=_complex, default=0j)
     p.add_argument("--sigma2", type=_complex, default=0j)
     p.add_argument("--threshold", type=float, default=None, help="residual bound (default 1e-6 right, 1e-4 left)")
 
-    p = sub.add_parser("median", parents=[no_tol], help="median summation reality check")
+    p = add("median", "median summation reality check")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
     p.add_argument("--theta", type=float, default=0.0)
 
-    p = sub.add_parser("singularity", parents=[neither], help="locate the nearest Borel singularity")
+    p = add("singularity", "locate the nearest Borel singularity")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), default="g")
     p.add_argument("--count", type=int, default=80, help="number of exact coefficients")
     p.add_argument("--method", choices=("ratio", "pade"), default="ratio")
 
-    p = sub.add_parser("large-radius", parents=[common], help="large-radius pipeline")
+    p = add("large-radius", "large-radius pipeline")
     p.add_argument("action", choices=("pols", "h0", "uresidual", "lrsum"))
     p.add_argument("--n", type=int, default=1, help="transseries component index")
     p.add_argument("--gmax", type=int, default=2)
@@ -106,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=_complex, default=0j)
     p.add_argument("--sign", choices=("+", "-"), default="-")
 
-    sub.add_parser("verify-all", parents=[common], help="run the acceptance suite")
+    add("verify-all", "run the acceptance suite")
     return root
 
 
@@ -114,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args, cfg: RunConfig):
+    from . import families
+
     if args.ag:
         if args.max_g < 2:
             raise ValueError("--max-g must be at least 2")
@@ -131,6 +150,8 @@ def _cmd_coeffs(args, cfg: RunConfig):
 
 
 def _cmd_ode_check(args, cfg: RunConfig):
+    from . import families
+
     N = cfg.order
     out = {"order": N}
     if args.which in ("psi", "all"):
@@ -140,13 +161,19 @@ def _cmd_ode_check(args, cfg: RunConfig):
         g, _, _ = families.gen_g_f(N)
         out["g_zero"] = families.ode_residual(g.series, "hae_nonlinear").is_zero()
     if args.which in ("u", "all"):
-        res = largeradius.u_equation_residual(largeradius.gen_H0(N))
+        from .largeradius import gen_H0, u_equation_residual
+
+        res = u_equation_residual(gen_H0(N))
         out["u_zero"] = all(res.coeff(k).is_zero() for k in range(N))
     out["ok"] = all(v for k, v in out.items() if k.endswith("_zero"))
     return out
 
 
 def _cmd_alien(args, cfg: RunConfig):
+    from .alien import (
+        Caps, _deltaplus_closed_forms_ok, _gtower_closed_forms_ok, bridge_check, stokes_action_check,
+    )
+
     caps = Caps(cfg.cap_sigma, cfg.cap_grade)
     out: dict = {"cap_sigma": caps.sigma, "cap_grade": caps.grade}
     if args.what in ("bridge", "all"):
@@ -154,9 +181,9 @@ def _cmd_alien(args, cfg: RunConfig):
     if args.what in ("stokes", "all"):
         out["stokes_ok"] = stokes_action_check(caps)["ok"]
     if args.what in ("table", "all"):
-        out["table_ok"] = acceptance._deltaplus_closed_forms_ok(caps.sigma, caps.grade)
+        out["table_ok"] = _deltaplus_closed_forms_ok(caps.sigma, caps.grade)
     if args.what in ("gtower", "all"):
-        out["gtower_ok"] = acceptance._gtower_closed_forms_ok(caps.sigma, caps.grade)
+        out["gtower_ok"] = _gtower_closed_forms_ok(caps.sigma, caps.grade)
     out["ok"] = all(v for k, v in out.items() if k.endswith("_ok"))
     return out
 
@@ -166,7 +193,9 @@ def _cval(prefix: str, z: complex) -> dict:
 
 
 def _cmd_sum(args, cfg: RunConfig):
-    sv = borel.sum_family(args.family, args.z, args.interval, tol=cfg.quad_tol, theta=args.theta)
+    from .borel import sum_family
+
+    sv = sum_family(args.family, args.z, args.interval, tol=cfg.quad_tol, theta=args.theta)
     out = {"family": args.family, "interval": str(args.interval), "err": sv.err}
     out.update(_cval("z", args.z))
     out.update(_cval("value", sv.value))
@@ -178,7 +207,9 @@ def _cmd_connect(args, cfg: RunConfig):
     threshold = args.threshold
     if threshold is None:
         threshold = 1e-6 if args.which == "right" else 1e-4
-    res = borel.connection_check(
+    from .borel import connection_check
+
+    res = connection_check(
         args.which, args.z, args.sigma1, args.sigma2, tol=threshold, quad_tol=cfg.quad_tol
     )
     out = {"which": args.which, "residual": res["residual"], "ok": res["ok"], "threshold": threshold}
@@ -189,13 +220,18 @@ def _cmd_connect(args, cfg: RunConfig):
 
 
 def _cmd_median(args, cfg: RunConfig):
-    value, im = borel.median_real_check(args.x, args.a, args.b, ray=args.ray, theta=args.theta)
+    from .borel import median_real_check
+
+    value, im = median_real_check(args.x, args.a, args.b, ray=args.ray, theta=args.theta)
     out = {"x": args.x, "a": args.a, "b": args.b, "ray": args.ray, "abs_im": im}
     out.update(_cval("value", value))
     return out
 
 
 def _cmd_singularity(args, cfg: RunConfig):
+    from . import families
+    from .borel import singularity_locate
+
     if args.count < 40:
         raise ValueError("--count must be at least 40")
     if args.family in ("psi", "phi"):
@@ -205,13 +241,15 @@ def _cmd_singularity(args, cfg: RunConfig):
         g, f, _ = families.gen_g_f(args.count)
         series = g.series if args.family == "g" else f.series
     coeffs = [series.coeff(n) for n in range(args.count + 1)]
-    loc = borel.singularity_locate(coeffs, method=args.method)
+    loc = singularity_locate(coeffs, method=args.method)
     out = {"family": args.family, "method": args.method, "count": args.count}
     out.update(_cval("location", loc))
     return out
 
 
 def _cmd_large_radius(args, cfg: RunConfig):
+    from . import largeradius
+
     if args.action == "pols":
         pref, _, pols = largeradius.gen_Hn(args.n, args.gmax)
         return {
@@ -220,7 +258,7 @@ def _cmd_large_radius(args, cfg: RunConfig):
             "pols": {str(2 * g): pols[g - 1].to_map() for g in range(1, args.gmax + 1)},
         }
     if args.action == "h0":
-        return largeradius.gen_H0(cfg.order if args.order is None else args.order).to_json_dict()
+        return largeradius.gen_H0(cfg.order).to_json_dict()
     if args.action == "uresidual":
         N = cfg.order
         res = largeradius.u_equation_residual(largeradius.gen_H0(N))
@@ -304,7 +342,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         cfg = resolve_config(overrides, getattr(args, "config", None))
         if args.command == "verify-all":
-            results = acceptance.run_all()
+            from .acceptance import run_all
+
+            results = run_all()
             for r in results:
                 sys.stdout.write(r.line() + "\n")
             if cfg.output or cfg.fmt == "csv":
@@ -318,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit(payload, cfg)
         ok = payload.get("ok", True) if isinstance(payload, dict) else True
         return 0 if ok else 1
-    except (borel.DomainError, borel.BranchCutError, borel.QuadratureError, ValueError, ArithmeticError, OSError) as exc:
+    except (DomainError, BranchCutError, QuadratureError, ValueError, ArithmeticError, OSError) as exc:
         _emit_error(exc, cfg)
         return 1
 

@@ -33,7 +33,7 @@ from .alien import (
     _stokes_window,
     formal_integral,
 )
-from .borel import DomainError, BranchCutError, G_pm, SumValue
+from .errors import BranchCutError, DomainError, SumValue
 from .scalars import ExactScalar
 
 
@@ -45,8 +45,19 @@ def binom_half(num: Fraction, k: int) -> Fraction:
     return out
 
 
+def _ulaurent(terms: dict[int, Fraction]) -> "ULaurent":
+    """Wrap terms that are already valid (int exponents, nonzero Fractions)."""
+    out = ULaurent.__new__(ULaurent)
+    out.terms = terms
+    return out
+
+
 class ULaurent:
-    """Laurent polynomial in u with rational coefficients."""
+    """Laurent polynomial in u with rational coefficients.
+
+    The constructor validates its input; the arithmetic below builds results
+    through _ulaurent, dropping the zeros a sum or a scale can produce.
+    """
 
     __slots__ = ("terms",)
 
@@ -60,11 +71,12 @@ class ULaurent:
 
     @staticmethod
     def const(c) -> "ULaurent":
-        return ULaurent({0: Fraction(c)})
+        return ULaurent.mono(0, c)
 
     @staticmethod
     def mono(e: int, c) -> "ULaurent":
-        return ULaurent({e: Fraction(c)})
+        c = Fraction(c)
+        return _ulaurent({int(e): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -72,11 +84,11 @@ class ULaurent:
     def __add__(self, other: "ULaurent") -> "ULaurent":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ULaurent(out)
+            out[e] = out[e] + c if e in out else c
+        return _ulaurent({e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "ULaurent":
-        return ULaurent({e: -c for e, c in self.terms.items()})
+        return _ulaurent({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "ULaurent") -> "ULaurent":
         return self + (-other)
@@ -87,18 +99,18 @@ class ULaurent:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ULaurent(out)
+        return _ulaurent({e: c for e, c in out.items() if c})
 
     def scale(self, c) -> "ULaurent":
         c = Fraction(c)
-        return ULaurent({e: v * c for e, v in self.terms.items()})
+        return _ulaurent({e: v * c for e, v in self.terms.items()} if c else {})
 
     def shift(self, k: int) -> "ULaurent":
         """Multiply by u^k."""
-        return ULaurent({e + k: c for e, c in self.terms.items()})
+        return _ulaurent({e + k: c for e, c in self.terms.items()})
 
     def diff(self) -> "ULaurent":
-        return ULaurent({e - 1: e * c for e, c in self.terms.items() if e != 0})
+        return _ulaurent({e - 1: e * c for e, c in self.terms.items() if e != 0})
 
     def eval(self, u: complex) -> complex:
         return sum(complex(c) * u ** e for e, c in self.terms.items())
@@ -287,13 +299,6 @@ def lambda_s_squared(N: int) -> UCoeffSeries:
         c = Fraction(math.factorial(2 * ell - 1), 2 ** (ell - 1) * math.factorial(ell - 1) ** 2)
         coeffs.append(ULaurent.mono(2 * ell + 1, c))
     return UCoeffSeries("gs2", N, tuple(coeffs))
-
-
-def _ulaurent(terms: dict[int, Fraction]) -> ULaurent:
-    """Wrap terms that are already valid (int exponents, nonzero Fractions)."""
-    out = ULaurent.__new__(ULaurent)
-    out.terms = terms
-    return out
 
 
 def _flat_window(window: Sequence[ULaurent]) -> tuple[int, list]:
@@ -595,6 +600,8 @@ def lr_sum(
     z1 = (1-2t)^{3/2}/(3 g_s^2 u^3) with t = g_s^2 u^2, principal powers; the
     exponential-term domain condition is enforced by the sectorial solver.
     """
+    from .borel import G_pm  # the float engine loads only for numeric work
+
     gs = complex(gs)
     u = complex(u)
     if gs == 0 or u == 0:

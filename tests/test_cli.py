@@ -1,5 +1,6 @@
 """CLI and configuration: exit codes, payload shapes, precedence, reproducibility."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from resurgentia import borel
-from resurgentia.cli import main
+from resurgentia.cli import build_parser, main
 from resurgentia.config import ENV_VAR, RunConfig, load_config_file, resolve_config
 
 
@@ -243,19 +244,42 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+# the config flags each subcommand's handler reads; every other one is rejected
+_BASE_ARGV = {
+    "coeffs": ["--ag"],
+    "ode-check": [],
+    "alien": [],
+    "sum": ["--family", "psi", "--z", "3"],
+    "connect": ["right", "--z", "3"],
+    "median": ["--x", "3"],
+    "singularity": [],
+    "large-radius": ["pols"],
+    "verify-all": [],
+}
+_READS = {
+    "ode-check": ("order",),
+    "alien": ("cap-sigma", "cap-grade"),
+    "sum": ("tol",),
+    "connect": ("tol",),
+    "large-radius": ("order", "tol"),
+}
+_FLAG_VALUES = {"order": "8", "cap-sigma": "3", "cap-grade": "3", "tol": "1e-8"}
+_DEST = {"order": "order", "cap-sigma": "cap_sigma", "cap-grade": "cap_grade", "tol": "quad_tol"}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeffs", "--ag", "--order", "8"],
-        ["sum", "--family", "psi", "--z", "3", "--order", "8"],
-        ["singularity", "--order", "8"],
-        ["singularity", "--tol", "1e-8"],
-        ["median", "--x", "3", "--tol", "1e-8"],
-    ],
-    ids=["coeffs-order", "sum-order", "singularity-order", "singularity-tol", "median-tol"],
+    "command,flag",
+    [(c, f) for c in _BASE_ARGV for f in _FLAG_VALUES],
+    ids=[f"{c}-{f}" for c in _BASE_ARGV for f in _FLAG_VALUES],
 )
-def test_ignored_flags_are_rejected(capsys, argv):
-    """A subcommand that would ignore --order or --tol rejects it."""
+def test_ignored_flags_are_rejected(capsys, command, flag):
+    """A subcommand rejects each config flag its handler would ignore (exit 2)
+    and accepts each one it reads."""
+    argv = [command, *_BASE_ARGV[command], "--" + flag, _FLAG_VALUES[flag]]
+    if flag in _READS.get(command, ()):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, _DEST[flag]) == float(_FLAG_VALUES[flag])
+        return
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -298,18 +322,77 @@ def test_csv_format_nested_dict(capsys):
 
 
 def _imported(*args: str) -> set:
-    """Every module a fresh interpreter imports while running args."""
+    """Every module a fresh interpreter has loaded when it exits after args.
+
+    Read from sys.modules rather than from -X importtime, which does not list
+    a submodule loaded through `from . import name`.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True, check=True
-    )
-    lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
-    return {ln.rsplit("|", 1)[1].strip() for ln in lines}
+    dump = "import atexit, sys; atexit.register(lambda: print(*sys.modules, sep='\\n', file=sys.stderr))"
+    if args[0] == "-m":  # run the module as `python -m` would, with its argv
+        code = dump + f"; import runpy; runpy.run_module({args[1]!r}, run_name='__main__', alter_sys=True)"
+        argv = args[2:]
+    else:
+        code, argv = dump + "; " + args[1], ()
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def _loads(modules: set, package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
 
 
 def test_exact_commands_do_not_import_scipy():
     for args in (("-c", "import resurgentia"), ("-m", "resurgentia", "coeffs", "--ag")):
-        modules = _imported(*args)
-        assert "resurgentia.borel" in modules, args
-        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules), args
+        assert not _loads(_imported(*args), "scipy"), args
+    # positive control: a numeric command loads the float engine, still without scipy
+    modules = _imported("-m", "resurgentia", "sum", "--family", "psi", "--z", "3")
+    assert "resurgentia.borel" in modules and "numpy" in modules
+    assert not _loads(modules, "scipy")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import resurgentia"),
+        ("-c", "import resurgentia; resurgentia.DomainError, resurgentia.SumValue"),
+        ("-m", "resurgentia", "coeffs", "--ag"),
+        ("-m", "resurgentia", "coeffs", "--cn"),
+        ("-m", "resurgentia", "ode-check", "--which", "all", "--order", "8"),
+        ("-m", "resurgentia", "alien", "--what", "all", "--cap-sigma", "3", "--cap-grade", "3"),
+        ("-m", "resurgentia", "large-radius", "pols"),
+        ("-m", "resurgentia", "large-radius", "h0", "--order", "6"),
+        ("-m", "resurgentia", "large-radius", "uresidual", "--order", "6"),
+    ],
+    ids=["import", "import-errors", "coeffs-ag", "coeffs-cn", "ode-check", "alien", "lr-pols", "lr-h0",
+         "lr-uresidual"],
+)
+def test_exact_commands_do_not_import_numpy(args):
+    modules = _imported(*args)
+    assert not _loads(modules, "numpy"), args
+    assert "resurgentia.acceptance" not in modules and "resurgentia.borel" not in modules
+    if args[0] == "-c":
+        assert not any(m.startswith("resurgentia.") for m in modules if m != "resurgentia.errors")
+
+
+def test_public_names_resolve_lazily_to_their_definitions():
+    import resurgentia
+
+    assert len(resurgentia.__all__) == 61 and resurgentia.__all__[-1] == "__version__"
+    for name in resurgentia.__all__[:-1]:
+        module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
+        assert getattr(resurgentia, name) is getattr(module, name), name
+        assert name in vars(resurgentia) and name in dir(resurgentia)
+    for name in ("DomainError", "BranchCutError", "QuadratureError", "SumValue"):
+        assert getattr(borel, name) is getattr(resurgentia, name)
+    assert resurgentia.stokes_action_check is importlib.import_module("resurgentia.alien").stokes_action_check
+    with pytest.raises(AttributeError):
+        resurgentia.no_such_name
+    # a submodule is an attribute of the package after a bare import, as before
+    modules = _imported("-c", "import resurgentia; resurgentia.largeradius.gen_H0(2)")
+    assert "resurgentia.largeradius" in modules and not _loads(modules, "numpy")
+    namespace: dict = {}
+    exec("from resurgentia import *", namespace)
+    assert set(resurgentia.__all__) <= set(namespace)

@@ -115,6 +115,61 @@ def test_zs_mul_matches_ulaurent_loop(a, b, N):
     assert all(type(c) is Fraction for x in got for c in x.terms.values())
 
 
+def _validated_arithmetic() -> dict:
+    """The ULaurent methods that rebuild every result through the validating
+    constructor (Fraction(c) and a zero check per coefficient)."""
+
+    def add(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return ULaurent(out)
+
+    def mul(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        return ULaurent(out)
+
+    return {
+        "__add__": add,
+        "__mul__": mul,
+        "__neg__": lambda self: ULaurent({e: -c for e, c in self.terms.items()}),
+        "scale": lambda self, c: ULaurent({e: v * Fraction(c) for e, v in self.terms.items()}),
+        "shift": lambda self, k: ULaurent({e + k: c for e, c in self.terms.items()}),
+        "diff": lambda self: ULaurent({e - 1: e * c for e, c in self.terms.items() if e != 0}),
+        "mono": staticmethod(lambda e, c: ULaurent({e: Fraction(c)})),
+        "const": staticmethod(lambda c: ULaurent({0: Fraction(c)})),
+    }
+
+
+def test_trusted_constructor_matches_validating_one(monkeypatch):
+    """gen_H0(24), the parts of its u-residual, and H^(2) with its Pol_2 give equal
+    terms, in equal order, whether the arithmetic trusts its inputs or
+    re-validates every coefficient."""
+
+    def build():
+        H = gen_H0(24)
+        d1 = H.diff_u()
+        d2u = d1.diff_u().shift_u(1)
+        inner = d1 + d2u.scale(F(1, 3)) + (d1 * d1).shift_u(1).scale(F(1, 3))
+        _, Hn, pols = gen_Hn(2, 4)
+        series = (H, H.scale(F(-2, 3)), d2u, inner, Hn, u_equation_residual(gen_H0(12)))
+        uls = [c for x in series for c in x.coeffs] + pols + [-p for p in pols] + [-c for c in H.coeffs]
+        return [list(x.terms.items()) for x in uls]
+
+    got = build()
+    with monkeypatch.context() as m:
+        for name, fn in _validated_arithmetic().items():
+            m.setattr(ULaurent, name, fn)
+        want = build()
+    assert got == want
+    assert all(type(c) is Fraction and c for terms in got for _, c in terms)
+    assert ULaurent.mono(3, 0).is_zero() and UL({1: 2}).scale(0).is_zero()
+    assert (UL({1: 2, 0: 1}) + UL({1: -2})).terms == {0: F(1)}
+
+
 # -- graded series container ---------------------------------------------------
 
 
