@@ -51,7 +51,7 @@ __all__ = [
     "gen_psi_phi", "gen_R", "gevrey_check", "lambda_s_squared", "laplace_ray", "load_config_file",
     "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
     "make_context", "median_real_check", "ode_residual", "resolve_config", "singularity_locate",
-    "sum_family", "u_equation_residual", "__version__",
+    "stokes_action_check", "sum_family", "u_equation_residual", "__version__",
 ]
 
 

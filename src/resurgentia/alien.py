@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Optional
 
-from .scalars import MODE_GAUSSIAN, ExactScalar, scalar_from_reduced
+from .scalars import ExactScalar, scalar_from_reduced
 from .series import PowerSeries
 from . import families
 
@@ -57,77 +58,133 @@ _ZERO_MONO = (0,) * NVARS
 _F0 = Fraction(0)
 
 
-# The product kernel packs each monomial into one int, 32 bits per slot: the
-# biased key of m is sum_k (m_k + 2^31) 2^(32k), the plain key drops the bias,
-# and biased(a) + plain(b) = biased(a + b) while every slot stays in 32 bits.
+# A monomial is packed into one int, 32 bits per slot and each exponent biased
+# by 2^31: key(m) = sum_k (m_k + 2^31) 2^(32k). Adding the unbiased key of b to
+# the key of a gives the key of a + b, as long as every slot stays in 32 bits.
 _PACKER = struct.Struct(f"<{NVARS}i")
-_KEY_BIAS = sum(1 << (32 * k + 31) for k in range(NVARS))
-_EXP_LIMIT = 1 << 30
+_SLOT = 32
+_SLOT_MASK = (1 << _SLOT) - 1
+_HALF = 1 << (_SLOT - 1)
+_KEY_BIAS = sum(_HALF << (_SLOT * k) for k in range(NVARS))
 
 
-def _kernel_operand(terms: dict[tuple, ExactScalar], biased: bool) -> tuple[int, list]:
-    """Packed monomials and Gaussian-integer coefficients over one denominator.
-
-    Returns (den, [(key, re_num, im_num, gaussian), ...]) in term order, where
-    the coefficient is (re_num + im_num i) / den and gaussian is its mode tag.
-    """
-    if terms and not (-_EXP_LIMIT <= min(map(min, terms))
-                      and max(map(max, terms)) < _EXP_LIMIT):
-        raise OverflowError("monomial exponent too large for the product kernel")
-    shift = 0 if biased else _KEY_BIAS
-    pack = _PACKER.pack
-    den = lcm(*(c.re.denominator for c in terms.values()),
-              *(c.im.denominator for c in terms.values()))
-    return den, [
-        ((int.from_bytes(pack(*mono), "little") ^ _KEY_BIAS) - shift,
-         c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator),
-         c.mode == MODE_GAUSSIAN)
-        for mono, c in terms.items()
-    ]
+def _pack(mono: tuple) -> int:
+    return int.from_bytes(_PACKER.pack(*mono), "little") ^ _KEY_BIAS
 
 
-def _unpack_mono(key: int) -> tuple:
+def _unpack(key: int) -> tuple:
     return _PACKER.unpack((key ^ _KEY_BIAS).to_bytes(_PACKER.size, "little"))
 
 
-def _poly(terms: dict[tuple, ExactScalar]) -> "Poly":
-    """Wrap terms that are already valid (12-tuple keys, nonzero scalars)."""
+def _slot(name: str) -> tuple[int, int]:
+    """(shift, mask) of a variable's slot in a packed key."""
+    shift = _SLOT * IDX[name]
+    return shift, _SLOT_MASK << shift
+
+
+_S2_SLOT = _slot("s2")
+_Z_SLOT = _slot("z")
+
+
+def _scalar(re: int, im: int, den: int) -> ExactScalar:
+    return scalar_from_reduced(Fraction(re, den), Fraction(im, den) if im else _F0)
+
+
+def _raw(den: int, nums: dict) -> "Poly":
+    """Wrap numerators already in canonical form over den."""
     out = Poly.__new__(Poly)
-    out.terms = terms
+    out.den = den
+    out.nums = nums
     return out
 
 
-class Poly:
-    """Sparse multivariate polynomial over ExactScalar.
+def _poly(den: int, nums: dict) -> "Poly":
+    """A Poly from nonzero numerators over den > 0, brought to canonical form."""
+    g = den
+    for re, im in nums.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    if g != 1:
+        den //= g
+        nums = {k: (re // g, im // g) for k, (re, im) in nums.items()}
+    return _raw(den, nums)
 
-    The product kernel converts each operand's coefficients once to Gaussian
-    integers over a shared denominator, (re_num + im_num i) / den, and its
-    monomials to packed int keys (exponents in [-2^30, 2^30); others raise
-    OverflowError). It sums the monomial products with plain int
-    arithmetic and builds one ExactScalar per surviving output term, whose
-    Fractions are reduced once. The mode tag of an output term follows scalar
-    addition: it is gaussian iff some product summed into the term since it
-    last cancelled to zero had a gaussian operand. Terms are visited in the
-    same order as the term-by-term ExactScalar loop, so values, tags and term
-    order all match that loop.
+
+def _check_kernel_range(nums: dict) -> None:
+    # e lies in [-2^30, 2^30) iff bits 31 and 30 of its biased slot differ, so
+    # the sum of two such exponents still fits its slot
+    if not all((k ^ k << 1) & _KEY_BIAS == _KEY_BIAS for k in nums):
+        raise OverflowError("monomial exponent too large for the product kernel")
+
+
+class _Terms(Mapping):
+    """Read-only view {12-tuple monomial: ExactScalar} of a Poly, in term order."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Poly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly.nums)
+
+    def __iter__(self):
+        return map(_unpack, self._poly.nums)
+
+    def __getitem__(self, mono) -> ExactScalar:
+        p = self._poly
+        try:
+            re, im = p.nums[_pack(mono)]
+        except (struct.error, TypeError):
+            raise KeyError(mono) from None
+        return _scalar(re, im, p.den)
+
+
+class Poly:
+    """Sparse multivariate polynomial over Gaussian rationals.
+
+    A Poly is stored the way its product kernel computes: nums maps each
+    packed monomial key (see _pack; exponents in [-2^31, 2^31)) to
+    Gaussian-integer numerators (re, im), nonzero, over one denominator den >
+    0. The form is canonical, gcd(den, every numerator) == 1, so equal
+    polynomials have equal (den, nums) and ==, hash and is_zero are plain dict
+    operations. Every operation works on ints and key slots: multiplying by
+    +-i swaps and negates numerators, and truncation compares slots. The
+    product sums monomial products with plain int arithmetic and takes
+    operands whose exponents lie in [-2^30, 2^30) (others raise
+    OverflowError). terms is a read-only view with ExactScalar values; terms
+    are visited in the order of the term-by-term ExactScalar loops these
+    operations replace.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict[tuple, ExactScalar] | None = None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = ExactScalar.coerce(c)
-                if c.is_zero():
-                    continue
-                if len(mono) != NVARS:
-                    raise ValueError("monomial arity mismatch")
-                for k, e in enumerate(mono):
-                    if e < 0 and k not in _LAURENT:
-                        raise ValueError(f"negative exponent for {VARS[k]}")
-                self.terms[tuple(mono)] = c
+        items = []
+        for mono, c in (terms or {}).items():
+            c = ExactScalar.coerce(c)
+            if c.is_zero():
+                continue
+            if len(mono) != NVARS:
+                raise ValueError("monomial arity mismatch")
+            for k, e in enumerate(mono):
+                if e < 0 and k not in _LAURENT:
+                    raise ValueError(f"negative exponent for {VARS[k]}")
+                if not -_HALF <= e < _HALF:
+                    raise OverflowError("monomial exponent outside its 32-bit slot")
+            items.append((_pack(mono), c))
+        # the lcm of reduced denominators leaves numerators without a common factor
+        den = lcm(1, *(c.re.denominator for _, c in items), *(c.im.denominator for _, c in items))
+        self.den = den
+        self.nums = {
+            key: (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+            for key, c in items
+        }
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -148,165 +205,162 @@ class Poly:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = c
-                continue
-            s = cur + c
-            if s.is_zero():
-                del out[mono]
-            else:
-                out[mono] = s
-        return _poly(out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = dict(self.nums) if fa == 1 else {k: (x * fa, y * fa) for k, (x, y) in self.nums.items()}
+        get = out.get
+        for key, (x, y) in other.nums.items():
+            if fb != 1:
+                x *= fb
+                y *= fb
+            cur = get(key)
+            if cur is not None:
+                x += cur[0]
+                y += cur[1]
+                if not (x or y):
+                    del out[key]
+                    continue
+            out[key] = (x, y)
+        return _poly(den, out)
 
     def __neg__(self) -> "Poly":
-        return _poly({m: -c for m, c in self.terms.items()})
+        return _raw(self.den, {k: (-x, -y) for k, (x, y) in self.nums.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        den_a, a = _kernel_operand(self.terms, biased=True)
-        den_b, b = _kernel_operand(other.terms, biased=False)
-        acc: dict[int, list] = {}  # packed mono -> [re_num, im_num, gaussian]
+        _check_kernel_range(self.nums)
+        _check_kernel_range(other.nums)
+        b = [(k - _KEY_BIAS, u, v) for k, (u, v) in other.nums.items()]
+        acc: dict[int, list] = {}  # packed mono -> [re, im]
         get = acc.get
-        for k1, x, y, g1 in a:
-            for k2, u, v, g2 in b:
+        for k1, (x, y) in self.nums.items():
+            for k2, u, v in b:
                 key = k1 + k2
-                if y or v:
+                if y:
                     re = x * u - y * v
                     im = x * v + y * u
                 else:
                     re = x * u
-                    im = 0
+                    im = x * v
                 e = get(key)
                 if e is None:
-                    acc[key] = [re, im, g1 or g2]
+                    acc[key] = [re, im]
                     continue
                 re += e[0]
                 im += e[1]
                 if re or im:
                     e[0] = re
                     e[1] = im
-                    if g1 or g2:
-                        e[2] = True
                 else:
                     del acc[key]
-        den = den_a * den_b
-        return _poly({
-            _unpack_mono(key): scalar_from_reduced(
-                Fraction(re, den), Fraction(im, den) if im else _F0, g)
-            for key, (re, im, g) in acc.items()
-        })
+        return _poly(self.den * other.den, {k: (re, im) for k, (re, im) in acc.items()})
 
     def scale(self, c) -> "Poly":
-        c = ExactScalar.coerce(c)
-        if c.is_zero():
-            return Poly()
-        return _poly({m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # c = (a + b i) / q
+        if isinstance(c, int):
+            a, b, q = c, 0, 1
+        else:
+            c = ExactScalar.coerce(c)
+            q = lcm(c.re.denominator, c.im.denominator)
+            a = c.re.numerator * (q // c.re.denominator)
+            b = c.im.numerator * (q // c.im.denominator)
+        if not b:
+            if not a:
+                return Poly()
+            return _poly(self.den * q, {k: (x * a, y * a) for k, (x, y) in self.nums.items()})
+        if not a and q == 1 and b in (1, -1):
+            # times +-i: a swap and a negation keep the form canonical
+            return _raw(self.den, {k: (-b * y, b * x) for k, (x, y) in self.nums.items()})
+        return _poly(self.den * q, {
+            k: (x * a - y * b, x * b + y * a) for k, (x, y) in self.nums.items()
+        })
 
     # -- calculus -------------------------------------------------------------
 
     def deriv(self, name: str) -> "Poly":
         """Partial derivative; valid for Laurent variables too."""
-        k = IDX[name]
-        out: dict[tuple, ExactScalar] = {}
-        for mono, c in self.terms.items():
-            e = mono[k]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[k] = e - 1
-            m = tuple(m)
-            s = out.get(m, ExactScalar.zero()) + c * e
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(out)
+        shift, mask = _slot(name)
+        unit = 1 << shift
+        out = {}
+        for key, (x, y) in self.nums.items():
+            e = ((key & mask) >> shift) - _HALF
+            if e:
+                if e == -_HALF:
+                    raise OverflowError("monomial exponent outside its 32-bit slot")
+                out[key - unit] = (x * e, y * e)
+        return _poly(self.den, out)
 
     def subst(self, name: str, replacement: "Poly") -> "Poly":
         """Substitute a polynomial for a variable (nonnegative powers only)."""
-        k = IDX[name]
-        powers: dict[int, Poly] = {0: Poly.const(1)}
-
-        def power(e: int) -> Poly:
-            if e not in powers:
-                powers[e] = power(e - 1) * replacement
-            return powers[e]
-
+        shift, mask = _slot(name)
+        powers = [ONE_POLY]
         out = Poly()
-        for mono, c in self.terms.items():
-            e = mono[k]
+        for key, num in self.nums.items():
+            e = ((key & mask) >> shift) - _HALF
             if e < 0:
                 raise ValueError("cannot substitute into a negative power")
-            m = list(mono)
-            m[k] = 0
-            out = out + (Poly({tuple(m): c}) * power(e))
+            while len(powers) <= e:
+                powers.append(powers[-1] * replacement)
+            out = out + _poly(self.den, {key - (e << shift): num}) * powers[e]
         return out
 
     # -- truncation ------------------------------------------------------------
 
+    def _kept(self, nums: dict) -> "Poly":
+        # a dropped term can take the last factor coprime to den with it
+        return self if len(nums) == len(self.nums) else _poly(self.den, nums)
+
     def drop_high_degree(self, name: str, cap: int) -> "Poly":
-        k = IDX[name]
-        return _poly({m: c for m, c in self.terms.items() if m[k] <= cap})
+        shift, mask = _slot(name)
+        top = (cap + _HALF) << shift
+        return self._kept({k: c for k, c in self.nums.items() if k & mask <= top})
 
     def drop_low_z(self, zcap: int) -> "Poly":
         """Drop z-exponents below -zcap (series truncation in z^{-1})."""
-        k = IDX["z"]
-        return _poly({m: c for m, c in self.terms.items() if m[k] >= -zcap})
+        shift, mask = _Z_SLOT
+        floor = (_HALF - zcap) << shift
+        return self._kept({k: c for k, c in self.nums.items() if k & mask >= floor})
 
-    def max_degree(self, name: str) -> int:
-        k = IDX[name]
-        return max((m[k] for m in self.terms), default=0)
+    def capped(self, sigma: int, zorder: Optional[int]) -> "Poly":
+        """drop_high_degree("s2", sigma), then drop_low_z(zorder) unless it is None, in one pass."""
+        s_shift, s_mask = _S2_SLOT
+        z_shift, z_mask = _Z_SLOT
+        top = (sigma + _HALF) << s_shift
+        floor = 0 if zorder is None else (_HALF - zorder) << z_shift
+        return self._kept({
+            k: c for k, c in self.nums.items() if k & s_mask <= top and k & z_mask >= floor
+        })
 
     def min_degree(self, name: str) -> Optional[int]:
-        k = IDX[name]
-        return min((m[k] for m in self.terms), default=None)
-
-    def uses(self, name: str) -> bool:
-        k = IDX[name]
-        return any(m[k] != 0 for m in self.terms)
+        shift, mask = _slot(name)
+        return min((((k & mask) >> shift) - _HALF for k in self.nums), default=None)
 
     # -- display ----------------------------------------------------------------
 
     def to_str(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono, (re, im) in sorted((_unpack(k), num) for k, num in self.nums.items()):
             factors = []
             for k, e in enumerate(mono):
                 if e == 0:
                     continue
                 factors.append(VARS[k] if e == 1 else f"{VARS[k]}^{e}")
-            head = f"({c.to_str()})"
+            head = f"({_scalar(re, im, self.den).to_str()})"
             parts.append("*".join([head] + factors) if factors else head)
         return " + ".join(parts)
 
@@ -314,7 +368,6 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-ZERO_POLY = Poly()
 ONE_POLY = Poly.const(1)
 
 
@@ -377,10 +430,10 @@ class TransElement:
     # -- bookkeeping -----------------------------------------------------------
 
     def _accumulate(self, key: tuple[int, int, int], poly: Poly) -> None:
-        poly = self._truncate_poly(poly)
-        if poly.is_zero():
-            return
         if abs(key[2]) > self.caps.grade:
+            return
+        poly = poly.capped(self.caps.sigma, self.caps.zorder)
+        if poly.is_zero():
             return
         cur = self.terms.get(key)
         s = poly if cur is None else cur + poly
@@ -388,12 +441,6 @@ class TransElement:
             self.terms.pop(key, None)
         else:
             self.terms[key] = s
-
-    def _truncate_poly(self, poly: Poly) -> Poly:
-        poly = poly.drop_high_degree("s2", self.caps.sigma)
-        if self.caps.zorder is not None:
-            poly = poly.drop_low_z(self.caps.zorder)
-        return poly
 
     def _like(self, terms: dict | None = None) -> "TransElement":
         return TransElement(terms, caps=self.caps, context=self.context)
@@ -405,16 +452,8 @@ class TransElement:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def zero(caps: Caps = Caps(), context: CompositionContext | None = None) -> "TransElement":
-        return TransElement({}, caps, context)
-
-    @staticmethod
     def from_poly(poly: Poly, caps: Caps = Caps(), context=None) -> "TransElement":
         return TransElement({(0, 0, 0): poly}, caps, context)
-
-    @staticmethod
-    def scalar(c, caps: Caps = Caps(), context=None) -> "TransElement":
-        return TransElement.from_poly(Poly.const(c), caps, context)
 
     @staticmethod
     def generator(which: str, caps: Caps = Caps(), context=None) -> "TransElement":
@@ -436,7 +475,8 @@ class TransElement:
 
     def __add__(self, other: "TransElement") -> "TransElement":
         self._check_compatible(other)
-        out = self._like(dict(self.terms))
+        out = self._like()
+        out.terms = dict(self.terms)  # already within the shared caps
         for key, poly in other.terms.items():
             out._accumulate(key, poly)
         return out
@@ -466,7 +506,10 @@ class TransElement:
         return out
 
     def scale(self, c) -> "TransElement":
-        return self.scale_poly(Poly.const(c))
+        out = self._like()
+        for key, p in self.terms.items():
+            out._accumulate(key, p.scale(c))
+        return out
 
     def shift_grade(self, dn: int) -> "TransElement":
         """Multiply by e^{-2 dn z} (pure exponential, grade shift only)."""
@@ -535,12 +578,8 @@ _RIC_Q = (
     Poly.var("q", 2, -1) + Poly.var("q", 1, 2) + Poly.var("z", -2, Fraction(-5, 36))
 )
 _QP_MINUS_2 = Poly.var("q") - Poly.var("p") - Poly.const(2)
-
-
-def _ray_factor(x: TransElement, omega: int) -> Poly:
-    if x.context is None:
-        return ONE_POLY
-    return x.context.factor(omega)
+_PLUS_I = ExactScalar(0, 1)
+_MINUS_I = ExactScalar(0, -1)
 
 
 def apply_delta(x: TransElement, omega: int) -> TransElement:
@@ -554,33 +593,25 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
     out = x._like()
     if abs(omega) != 2:
         return out
-    minus_i = ExactScalar(0, -1)
-    plus_i = ExactScalar(0, 1)
-    fac = _ray_factor(x, omega)
+    # D_{+-2} raises or lowers m by one and hits the generator g or f and the
+    # derivative p or q: D2 E^m = i m E^{m+1}, D2 p = -i E (q - p - 2), and the
+    # mirror images with -i m and +i on the ray -2
+    step, lin_hit, dvar, e_unit, d_unit = (
+        (1, 1, "p", _PLUS_I, _MINUS_I) if omega == 2 else (-1, 2, "q", _MINUS_I, _PLUS_I))
+    # in a composed context every image carries the ray's composition factor
+    fac = None if x.context is None else x.context.factor(omega)
+
+    def put(key, image: Poly) -> None:
+        out._accumulate(key, image if fac is None else image * fac)
+
     for (lin, m, n), p in x.terms.items():
-        if omega == 2:
-            # linear generator image
-            if lin == 1:
-                out._accumulate((0, m + 1, n), p.scale(minus_i) * fac)
-            # E^m image
-            if m != 0:
-                out._accumulate((lin, m + 1, n), p.scale(plus_i * m) * fac)
-            # p image inside the coefficient
-            dp = p.deriv("p")
-            if not dp.is_zero():
-                out._accumulate(
-                    (lin, m + 1, n), dp.scale(minus_i) * _QP_MINUS_2 * fac
-                )
-        else:
-            if lin == 2:
-                out._accumulate((0, m - 1, n), p.scale(minus_i) * fac)
-            if m != 0:
-                out._accumulate((lin, m - 1, n), p.scale(minus_i * m) * fac)
-            dq = p.deriv("q")
-            if not dq.is_zero():
-                out._accumulate(
-                    (lin, m - 1, n), dq.scale(plus_i) * _QP_MINUS_2 * fac
-                )
+        if lin == lin_hit:
+            put((0, m + step, n), p.scale(_MINUS_I))
+        if m != 0:
+            put((lin, m + step, n), p.scale(m).scale(e_unit))
+        d = p.deriv(dvar)
+        if not d.is_zero():
+            put((lin, m + step, n), d.scale(d_unit) * _QP_MINUS_2)
     return out
 
 
@@ -741,7 +772,9 @@ def formal_integral(
             # the factor carries no positive z power, so the truncated
             # power still yields every term above the z floor
             fac_pow = (fac_pow * context.factor(2)).drop_low_z(context.zcap)
-        coeff = s2_pow.scale(Fraction((-1) ** (n - 1), n)) * fac_pow
+        coeff = s2_pow.scale(Fraction((-1) ** (n - 1), n))
+        if context is not None:
+            coeff = coeff * fac_pow
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
     seed = TransElement(

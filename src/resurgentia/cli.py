@@ -34,8 +34,9 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
 
 
-# config key -> its flag; each subcommand takes --config, --format and --output,
-# plus the flags of the keys its handler reads (_READS), and rejects the rest
+# config key -> its flag; each subcommand (and each large-radius action) takes
+# --config, --format and --output, plus the flags of the keys its handler reads
+# (_READS), and rejects the rest
 _CONFIG_FLAGS = {
     "order": ("--order", int, "truncation order N"),
     "cap_sigma": ("--cap-sigma", int, "alien sigma_2 cap"),
@@ -50,7 +51,10 @@ _READS = {
     "connect": ("quad_tol",),
     "median": (),
     "singularity": (),
-    "large-radius": ("order", "quad_tol"),
+    "large-radius pols": (),
+    "large-radius h0": ("order",),
+    "large-radius uresidual": ("order",),
+    "large-radius lrsum": ("quad_tol",),
     "verify-all": (),
 }
 
@@ -71,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[_common_parser(_READS[name])], help=text)
+    def add(name: str, text: str, sub=sub) -> argparse.ArgumentParser:
+        return sub.add_parser(name.split()[-1], parents=[_common_parser(_READS[name])], help=text)
 
     p = add("coeffs", "exact coefficient families")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -113,10 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=80, help="number of exact coefficients")
     p.add_argument("--method", choices=("ratio", "pade"), default="ratio")
 
-    p = add("large-radius", "large-radius pipeline")
-    p.add_argument("action", choices=("pols", "h0", "uresidual", "lrsum"))
+    # one sub-parser per action, so each action rejects the flags it does not read
+    actions = sub.add_parser("large-radius", help="large-radius pipeline").add_subparsers(
+        dest="action", required=True)
+    p = add("large-radius pols", "the polynomials Pol_n(u, 2g)", actions)
     p.add_argument("--n", type=int, default=1, help="transseries component index")
     p.add_argument("--gmax", type=int, default=2)
+    add("large-radius h0", "the perturbative series H^0", actions)
+    add("large-radius uresidual", "the u-equation residual of H^0", actions)
+    p = add("large-radius lrsum", "numeric large-radius sum", actions)
     p.add_argument("--gs", type=_complex, default=None)
     p.add_argument("--u", type=_complex, default=1 + 0j)
     p.add_argument("--sigma1", type=_complex, default=0j)

@@ -1,9 +1,9 @@
 """Exact scalars: rationals and Gaussian rationals.
 
 Every exact computation in the package runs over these scalars. A scalar is a
-pair of reduced fractions (re, im) together with a mode tag; mode "rational"
-guarantees im == 0, mode "gaussian" admits a nonzero imaginary part. Arithmetic
-never leaves the field and never touches floating point.
+pair of reduced fractions (re, im); it is rational when im == 0 and prints as
+"p/q" then, and as "p/q+r/s*i" otherwise. Arithmetic never leaves the field
+and never touches floating point.
 """
 
 from __future__ import annotations
@@ -14,31 +14,21 @@ from typing import Union
 
 RationalLike = Union[int, Fraction, "ExactScalar"]
 
-MODE_RATIONAL = "rational"
-MODE_GAUSSIAN = "gaussian"
-
 _TERM_RE = _re.compile(r"^[+-]?(?:\d+(?:/\d+)?)?\*?i?$")
 
 
 class ExactScalar:
     """A reduced rational or Gaussian rational with exact field arithmetic."""
 
-    __slots__ = ("re", "im", "mode")
+    __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0, mode: str | None = None):
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         if isinstance(re, ExactScalar):
             if isinstance(im, ExactScalar) or im != 0:
                 raise ValueError("cannot combine a scalar with a separate imaginary part")
             re, im = re.re, re.im
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-        if mode is None:
-            mode = MODE_RATIONAL if self.im == 0 else MODE_GAUSSIAN
-        if mode not in (MODE_RATIONAL, MODE_GAUSSIAN):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        if mode == MODE_RATIONAL and self.im != 0:
-            raise ValueError("rational mode requires a zero imaginary part")
-        self.mode = mode
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- constructors ------------------------------------------------------
 
@@ -68,20 +58,14 @@ class ExactScalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _join_mode(self, other: "ExactScalar", re: Fraction, im: Fraction) -> "ExactScalar":
-        # the result is gaussian as soon as either operand is
-        if self.mode == MODE_GAUSSIAN or other.mode == MODE_GAUSSIAN:
-            return ExactScalar(re, im, MODE_GAUSSIAN)
-        return ExactScalar(re, im, MODE_RATIONAL)
-
     def __add__(self, other: RationalLike) -> "ExactScalar":
         o = ExactScalar.coerce(other)
-        return self._join_mode(o, self.re + o.re, self.im + o.im)
+        return scalar_from_reduced(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.re, -self.im, self.mode)
+        return scalar_from_reduced(-self.re, -self.im)
 
     def __sub__(self, other: RationalLike) -> "ExactScalar":
         return self + (-ExactScalar.coerce(other))
@@ -91,8 +75,8 @@ class ExactScalar:
 
     def __mul__(self, other: RationalLike) -> "ExactScalar":
         o = ExactScalar.coerce(other)
-        return self._join_mode(
-            o, self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        return scalar_from_reduced(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
     __rmul__ = __mul__
@@ -102,8 +86,8 @@ class ExactScalar:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self._join_mode(
-            o, (self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d
+        return scalar_from_reduced(
+            (self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d
         )
 
     def __rtruediv__(self, other: RationalLike) -> "ExactScalar":
@@ -114,7 +98,7 @@ class ExactScalar:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return ExactScalar.one() / self ** (-k)
-        out = ExactScalar(1, 0, self.mode)
+        out = ExactScalar.one()
         base = self
         while k:
             if k & 1:
@@ -124,7 +108,7 @@ class ExactScalar:
         return out
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im, self.mode)
+        return scalar_from_reduced(self.re, -self.im)
 
     # -- comparison and hashing -------------------------------------------
 
@@ -152,8 +136,8 @@ class ExactScalar:
         return float(self.re)
 
     def to_str(self) -> str:
-        """Serialize as "p/q" (rational) or "p/q+r/s*i" (gaussian)."""
-        if self.mode == MODE_RATIONAL:
+        """Serialize as "p/q" (im == 0) or "p/q+r/s*i"."""
+        if not self.im:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
@@ -179,12 +163,10 @@ class ExactScalar:
         terms.append(buf)
         re_part = Fraction(0)
         im_part = Fraction(0)
-        saw_i = False
         for term in terms:
             if not _TERM_RE.match(term):
                 raise ValueError(f"malformed scalar term {term!r}")
             if term.endswith("i"):
-                saw_i = True
                 core = term[:-1].rstrip("*")
                 if core in ("", "+"):
                     im_part += 1
@@ -194,20 +176,14 @@ class ExactScalar:
                     im_part += Fraction(core)
             else:
                 re_part += Fraction(term)
-        mode = MODE_GAUSSIAN if saw_i else MODE_RATIONAL
-        return ExactScalar(re_part, im_part, mode)
+        return ExactScalar(re_part, im_part)
 
 
-def scalar_from_reduced(re: Fraction, im: Fraction, gaussian: bool) -> ExactScalar:
-    """An ExactScalar from reduced Fractions, without re-converting them.
-
-    The caller guarantees im == 0 when gaussian is false; the exact kernels in
-    alien and series build their outputs through this constructor.
-    """
+def scalar_from_reduced(re: Fraction, im: Fraction) -> ExactScalar:
+    """An ExactScalar from two Fractions, without re-converting them."""
     out = ExactScalar.__new__(ExactScalar)
     out.re = re
     out.im = im
-    out.mode = MODE_GAUSSIAN if gaussian else MODE_RATIONAL
     return out
 
 

@@ -12,11 +12,8 @@ zero rows and, for real windows, the imaginary parts, and builds one reduced
 Fraction per output coefficient. The recurrences for inverse, log and exp keep
 their outputs so far as numerators over one denominator that grows, with a
 rescale of the stored numerators, whenever a new output brings a new factor;
-each step then costs integer products and one Fraction reduction. Mode tags
-follow the ExactScalar loops these kernels replace: a product coefficient k is
-gaussian iff some pair i + j = k of nonzero factors has a gaussian-tagged
-factor; inverse coefficient k iff some c_j, j <= k, is gaussian-tagged; log
-and exp coefficient k iff some c_j, 1 <= j <= k, is.
+each step then costs integer products and one Fraction reduction. Every
+output equals the one the term-by-term ExactScalar loop would give.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .scalars import MODE_GAUSSIAN, ExactScalar, scalar_from_reduced
+from .scalars import ExactScalar, scalar_from_reduced
 
 CoeffLike = Union[int, Fraction, ExactScalar]
 
@@ -50,15 +47,6 @@ def _numerators(coeffs: Sequence[ExactScalar]) -> tuple[int, list[int], list[int
         [c.re.numerator * (den // c.re.denominator) for c in coeffs],
         [c.im.numerator * (den // c.im.denominator) for c in coeffs],
     )
-
-
-def _running_tags(coeffs: Sequence[ExactScalar], start: int) -> list[bool]:
-    """Tag k is gaussian iff some c_j with start <= j <= k is gaussian-tagged."""
-    out, seen = [], False
-    for k, c in enumerate(coeffs):
-        seen = seen or (k >= start and c.mode == MODE_GAUSSIAN)
-        out.append(seen)
-    return out
 
 
 class _SharedDenominator:
@@ -101,10 +89,8 @@ class _SharedDenominator:
         return (sr - sum(map(mul, ci, reversed(self.im))),
                 sum(map(mul, cr, reversed(self.im))) + sum(map(mul, ci, reversed(self.re))))
 
-    def series(self, order: int, tags: list[bool]) -> "PowerSeries":
-        return PowerSeries(order, tuple(
-            scalar_from_reduced(re, im, g) for (re, im), g in zip(self.values, tags)
-        ))
+    def series(self, order: int) -> "PowerSeries":
+        return PowerSeries(order, tuple(scalar_from_reduced(re, im) for re, im in self.values))
 
 
 @dataclass(frozen=True)
@@ -217,19 +203,9 @@ class PowerSeries:
                     if i + j > n:
                         break
                     re[i + j] += x * br[j]
-        # out[k] is gaussian iff a pair i + j = k of nonzero factors has a
-        # gaussian-tagged factor: nonzero rows of one operand, shifted by each
-        # gaussian row of the other
-        tags = 0
-        for rows, other_rows, window in ((rows_a, rows_b, a), (rows_b, rows_a, b)):
-            mask = sum(1 << j for j in other_rows)
-            for i in rows:
-                if window[i].mode == MODE_GAUSSIAN:
-                    tags |= mask << i
         den = den_a * den_b
         return PowerSeries(n, tuple(
-            scalar_from_reduced(Fraction(re[k], den), Fraction(im[k], den) if im[k] else _F0,
-                                bool(tags >> k & 1))
+            scalar_from_reduced(Fraction(re[k], den), Fraction(im[k], den) if im[k] else _F0)
             for k in range(n + 1)
         ))
 
@@ -251,7 +227,7 @@ class PowerSeries:
             den = store.den * norm
             store.push(Fraction(-(sr * a + si * b), den),
                        Fraction(sr * b - si * a, den) if store.imag else _F0)
-        return store.series(n, _running_tags(self.coeffs, 0))
+        return store.series(n)
 
     def __pow__(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -285,7 +261,7 @@ class PowerSeries:
             den = scale * d
             store.push(Fraction(scale * cr[k] - sr, den),
                        Fraction(scale * ci[k] - si, den) if store.imag else _F0, weight=k)
-        return store.series(n, _running_tags(self.coeffs, 1))
+        return store.series(n)
 
     def exp(self) -> "PowerSeries":
         """exp of a series with constant term zero."""
@@ -303,7 +279,7 @@ class PowerSeries:
             sr, si = store.dot(jcr[1 : k + 1], jci[1 : k + 1])
             den = k * d * store.den
             store.push(Fraction(sr, den), Fraction(si, den) if store.imag else _F0)
-        return store.series(n, _running_tags(self.coeffs, 1))
+        return store.series(n)
 
     # -- differentiation ------------------------------------------------------
 

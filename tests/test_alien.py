@@ -28,7 +28,7 @@ from resurgentia.alien import (
     stokes_action_check,
 )
 from resurgentia.largeradius import lr_transseries
-from resurgentia.scalars import MODE_GAUSSIAN, MODE_RATIONAL, ExactScalar
+from resurgentia.scalars import ExactScalar
 
 F = Fraction
 I = ExactScalar(0, 1)
@@ -288,16 +288,10 @@ def _mono(s2, p, z, u, w):
     return (0, s2, 0, 0, 0, 0, p, 0, z, u, 0, w)
 
 
-def _kernel_coeff(re, im, gaussian):
-    if gaussian:
-        return ExactScalar(re, im, MODE_GAUSSIAN)
-    return ExactScalar(re, 0, MODE_RATIONAL)
-
-
-# few slots and small values, so products collide and cancel often; gaussian
-# mode includes coefficients whose imaginary part is 0
+# few slots and small values, so products collide and cancel often; half the
+# coefficients are real
 kernel_coeffs = st.builds(
-    _kernel_coeff,
+    lambda re, im, gaussian: ExactScalar(re, im if gaussian else 0),
     st.fractions(min_value=-2, max_value=2, max_denominator=3),
     st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
     st.booleans(),
@@ -318,7 +312,6 @@ def _assert_same_product(a: Poly, b: Poly):
     want = _reference_mul(a, b)
     assert got.terms == want.terms
     assert list(got.terms) == list(want.terms)
-    assert [c.mode for c in got.terms.values()] == [c.mode for c in want.terms.values()]
     assert got.to_str() == want.to_str()
 
 
@@ -326,22 +319,100 @@ def _assert_same_product(a: Poly, b: Poly):
 def test_poly_mul_matches_scalar_loop(p, q, r):
     _assert_same_product(p, q)
     # (p + q)(p - q): the cross products cancel to zero, after which later
-    # products restart the term and its mode tag
+    # products restart the term at the end of the term order
     _assert_same_product(p + q, p - q)
     _assert_same_product(p + q + r, (q - r) * p)
 
 
-def test_poly_mul_mode_tag_resets_after_cancellation():
-    # the z term of (1 + z + z^2)(z - 1 + z^-1), with the constant 1 tagged
-    # gaussian, receives +1 (gaussian), -1 (cancels to zero), then +1
-    # (rational): only the product after the cancellation sets the tag
-    x = Poly.const(ExactScalar(1, 0, MODE_GAUSSIAN)) + Poly.var("z") + Poly.var("z", 2)
+def test_poly_mul_restarts_a_term_after_cancellation():
+    # the z term of (1 + z + z^2)(z - 1 + z^-1) receives +1, -1 (cancels to
+    # zero), then +1
+    x = Poly.const(1) + Poly.var("z") + Poly.var("z", 2)
     y = Poly.var("z") - Poly.const(1) + Poly.var("z", -1)
     _assert_same_product(x, y)
     z_term = (x * y).terms[_mono(0, 0, 1, 0, 0)]
-    assert z_term.mode == MODE_RATIONAL and z_term == 1
+    assert z_term == 1
 
 
 def test_poly_mul_rejects_exponents_beyond_the_kernel():
     with pytest.raises(OverflowError):
         Poly.var("z", -(1 << 31)) * Poly.var("z")
+
+
+# -- the native Poly against the ExactScalar loops it replaces ------------------
+
+
+def _assert_same_poly(got: Poly, want: Poly):
+    """Same value, same term order, and the same canonical (den, nums)."""
+    assert got == want and hash(got) == hash(want)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.den == want.den and got.nums == want.nums
+
+
+def _reference_add(a: Poly, b: Poly) -> Poly:
+    out = dict(a.terms)
+    for mono, c in b.terms.items():
+        s = out.get(mono, ExactScalar.zero()) + c
+        if s.is_zero():
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return Poly(out)
+
+
+def _reference_deriv(a: Poly, k: int) -> Poly:
+    out = {}
+    for mono, c in a.terms.items():
+        if mono[k]:
+            out[mono[:k] + (mono[k] - 1,) + mono[k + 1:]] = c * mono[k]
+    return Poly(out)
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+scale_factors = st.one_of(
+    st.sampled_from([I, -I]),
+    fractions.map(ExactScalar),
+    st.builds(ExactScalar, fractions, fractions),
+)
+
+
+@given(kernel_polys, scale_factors)
+def test_poly_scale_matches_scalar_loop(p, c):
+    _assert_same_poly(p.scale(c), Poly({m: c * v for m, v in p.terms.items()}))
+
+
+@given(kernel_polys, kernel_polys)
+def test_poly_add_matches_scalar_loop(p, q):
+    _assert_same_poly(p + q, _reference_add(p, q))
+    # q - p cancels against p wherever q has no term
+    _assert_same_poly(p + (q - p), _reference_add(p, _reference_add(q, -p)))
+    _assert_same_poly(p + (-p), Poly())
+
+
+@given(kernel_polys, st.sampled_from(["s2", "p", "z", "u", "w"]))
+def test_poly_deriv_matches_scalar_loop(p, name):
+    from resurgentia.alien import IDX
+
+    _assert_same_poly(p.deriv(name), _reference_deriv(p, IDX[name]))
+
+
+@given(kernel_polys, st.integers(0, 2), st.sampled_from([None, 0, 1, 2]))
+def test_accumulate_truncates_in_one_pass(p, sigma, zorder):
+    want = p.drop_high_degree("s2", sigma)
+    if zorder is not None:
+        want = want.drop_low_z(zorder)
+    kept = {m: c for m, c in p.terms.items()
+            if m[1] <= sigma and (zorder is None or m[8] >= -zorder)}
+    _assert_same_poly(want, Poly(kept))
+    _assert_same_poly(p.capped(sigma, zorder), want)
+    x = TransElement({(0, 0, 0): p}, Caps(sigma, 3, zorder))
+    _assert_same_poly(x.terms.get((0, 0, 0), Poly()), want)
+
+
+@given(kernel_polys, kernel_polys, kernel_polys)
+def test_poly_products_are_canonical(a, b, c):
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    # the canonical form is the one built from the reduced ExactScalar terms
+    _assert_same_poly(left, Poly(dict(left.terms)))
+    _assert_same_poly(a * b, _reference_mul(a, b))

@@ -244,7 +244,9 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
-# the config flags each subcommand's handler reads; every other one is rejected
+# the flags each subcommand's handler reads; every other one is rejected. A
+# case is a subcommand, or a large-radius action with its own flags; the
+# large-radius case is its pols action
 _BASE_ARGV = {
     "coeffs": ["--ag"],
     "ode-check": [],
@@ -255,30 +257,45 @@ _BASE_ARGV = {
     "singularity": [],
     "large-radius": ["pols"],
     "verify-all": [],
+    "large-radius-h0": ["h0"],
+    "large-radius-uresidual": ["uresidual"],
+    "large-radius-lrsum": ["lrsum"],
 }
 _READS = {
     "ode-check": ("order",),
     "alien": ("cap-sigma", "cap-grade"),
     "sum": ("tol",),
     "connect": ("tol",),
-    "large-radius": ("order", "tol"),
+    "large-radius": ("n", "gmax"),
+    "large-radius-h0": ("order",),
+    "large-radius-uresidual": ("order",),
+    "large-radius-lrsum": ("tol", "gs", "u", "sigma1", "sigma2", "sign"),
 }
 _FLAG_VALUES = {"order": "8", "cap-sigma": "3", "cap-grade": "3", "tol": "1e-8"}
-_DEST = {"order": "order", "cap-sigma": "cap_sigma", "cap-grade": "cap_grade", "tol": "quad_tol"}
+_ACTION_FLAG_VALUES = {"n": "2", "gmax": "3", "gs": "0.1", "u": "2", "sigma1": "0.5", "sigma2": "0.25", "sign": "+"}
+# flag -> (argparse dest, parsed value), all away from the defaults
+_PARSED = {
+    "order": ("order", 8), "cap-sigma": ("cap_sigma", 3), "cap-grade": ("cap_grade", 3),
+    "tol": ("quad_tol", 1e-8), "n": ("n", 2), "gmax": ("gmax", 3), "gs": ("gs", 0.1 + 0j),
+    "u": ("u", 2 + 0j), "sigma1": ("sigma1", 0.5 + 0j), "sigma2": ("sigma2", 0.25 + 0j), "sign": ("sign", "+"),
+}
+_FLAG_CASES = [
+    (c, f)
+    for c in _BASE_ARGV
+    for f in [*_FLAG_VALUES, *(_ACTION_FLAG_VALUES if c.startswith("large-radius") else ())]
+]
 
 
-@pytest.mark.parametrize(
-    "command,flag",
-    [(c, f) for c in _BASE_ARGV for f in _FLAG_VALUES],
-    ids=[f"{c}-{f}" for c in _BASE_ARGV for f in _FLAG_VALUES],
-)
-def test_ignored_flags_are_rejected(capsys, command, flag):
-    """A subcommand rejects each config flag its handler would ignore (exit 2)
-    and accepts each one it reads."""
-    argv = [command, *_BASE_ARGV[command], "--" + flag, _FLAG_VALUES[flag]]
-    if flag in _READS.get(command, ()):
-        args = build_parser().parse_args(argv)
-        assert getattr(args, _DEST[flag]) == float(_FLAG_VALUES[flag])
+@pytest.mark.parametrize("case,flag", _FLAG_CASES, ids=[f"{c}-{f}" for c, f in _FLAG_CASES])
+def test_ignored_flags_are_rejected(capsys, case, flag):
+    """A subcommand, and each large-radius action, rejects each flag its
+    handler would ignore (exit 2) and accepts each one it reads."""
+    command = "large-radius" if case.startswith("large-radius") else case
+    value = {**_FLAG_VALUES, **_ACTION_FLAG_VALUES}[flag]
+    argv = [command, *_BASE_ARGV[case], "--" + flag, value]
+    if flag in _READS.get(case, ()):
+        dest, parsed = _PARSED[flag]
+        assert getattr(build_parser().parse_args(argv), dest) == parsed
         return
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -380,7 +397,7 @@ def test_exact_commands_do_not_import_numpy(args):
 def test_public_names_resolve_lazily_to_their_definitions():
     import resurgentia
 
-    assert len(resurgentia.__all__) == 61 and resurgentia.__all__[-1] == "__version__"
+    assert len(resurgentia.__all__) == 62 and resurgentia.__all__[-1] == "__version__"
     for name in resurgentia.__all__[:-1]:
         module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
         assert getattr(resurgentia, name) is getattr(module, name), name
@@ -396,3 +413,4 @@ def test_public_names_resolve_lazily_to_their_definitions():
     namespace: dict = {}
     exec("from resurgentia import *", namespace)
     assert set(resurgentia.__all__) <= set(namespace)
+    assert namespace["stokes_action_check"] is resurgentia.stokes_action_check

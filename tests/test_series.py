@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resurgentia.scalars import MODE_GAUSSIAN, ExactScalar
+from resurgentia.scalars import ExactScalar
 from resurgentia.series import DEFAULT_ORDER, PowerSeries
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -189,11 +189,10 @@ def _reference_exp(s: PowerSeries) -> PowerSeries:
     return PowerSeries(n, tuple(out))
 
 
-# gaussian scalars include tagged reals and the tagged zero, which print as
-# "p/q+0*i" and "0+0*i"
+# gaussian scalars include ones whose imaginary part is 0
 rational_scalars = coeff.map(ExactScalar)
 gaussian_scalars = st.builds(
-    lambda re, im: ExactScalar(re, im, MODE_GAUSSIAN),
+    ExactScalar,
     coeff,
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7)]) | coeff,
 )
@@ -223,12 +222,11 @@ def windows(draw, c0=None, max_order=9):
 
 def _assert_same_window(got: PowerSeries, want: PowerSeries):
     assert got.to_json() == want.to_json()
-    assert [c.mode for c in got.coeffs] == [c.mode for c in want.coeffs]
 
 
 units = (rational_scalars | gaussian_scalars).filter(lambda c: not c.is_zero())
-ones = st.sampled_from([ExactScalar(1), ExactScalar(1, 0, MODE_GAUSSIAN)])
-zeros = st.sampled_from([ExactScalar(0), ExactScalar(0, 0, MODE_GAUSSIAN)])
+ones = st.just(ExactScalar(1))
+zeros = st.just(ExactScalar(0))
 
 
 @given(windows(), windows())
@@ -251,21 +249,6 @@ def test_log_matches_scalar_loop(s):
 @given(windows(c0=zeros))
 def test_exp_matches_scalar_loop(s):
     _assert_same_window(s.exp(), _reference_exp(s))
-
-
-def test_kernel_mode_tags():
-    g1 = ExactScalar(1, 0, MODE_GAUSSIAN)
-    # a gaussian-tagged factor tags only the products it takes part in
-    a = PowerSeries.from_coeffs([1, 0, 2], 3)
-    b = PowerSeries.from_coeffs([0, g1], 3)
-    assert [c.to_str() for c in (a * b).coeffs] == ["0", "1+0*i", "0", "2+0*i"]
-    assert [c.to_str() for c in (b * a).coeffs] == ["0", "1+0*i", "0", "2+0*i"]
-    # log and exp ignore the tag of c_0; inverse does not
-    assert [c.to_str() for c in PowerSeries.from_coeffs([g1, 1], 2).log().coeffs] == ["0", "1", "-1/2"]
-    zero_g = ExactScalar(0, 0, MODE_GAUSSIAN)
-    assert [c.to_str() for c in PowerSeries.from_coeffs([zero_g, 1], 2).exp().coeffs] == ["1", "1", "1/2"]
-    assert [c.to_str() for c in PowerSeries.from_coeffs([g1, 1], 2).inverse().coeffs] == [
-        "1+0*i", "-1+0*i", "1+0*i"]
 
 
 def test_recurrences_rescale_the_shared_denominator():
