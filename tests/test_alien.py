@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from resurgentia import families
 from resurgentia.alien import (
+    IDX,
     Caps,
     Poly,
     TransElement,
@@ -391,8 +392,6 @@ def test_poly_add_matches_scalar_loop(p, q):
 
 @given(kernel_polys, st.sampled_from(["s2", "p", "z", "u", "w"]))
 def test_poly_deriv_matches_scalar_loop(p, name):
-    from resurgentia.alien import IDX
-
     _assert_same_poly(p.deriv(name), _reference_deriv(p, IDX[name]))
 
 
