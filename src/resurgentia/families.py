@@ -122,7 +122,7 @@ def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
     g, f, _ = gen_g_f(order)
     ratio = phi.series * psi.series.inverse()
     via_exp = (f.series - g.series).exp()
-    if ratio.coeffs != via_exp.coeffs:
+    if ratio != via_exp:
         raise ArithmeticError("ODE/closed-form disagreement")
     out = []
     power = PowerSeries.one(order)

@@ -8,6 +8,8 @@ maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2), carrying the double-scaling
 free energies to the large-radius frame. Everything exact here lives in one of
 two gradings, powers of g_s^2 with Laurent-in-u coefficients or powers of
 z2^{-1}, and the perturbative series H^(0) is built along both and compared.
+A UCoeffSeries stores its window as integer numerators over one denominator
+and computes on ints; ULaurent is its coefficient view and the type of Pol_n.
 The symbolic layer extends the alien engine with composition factors
 e^{-+2 phi_u} so the bridge and Stokes identities can be checked verbatim, and
 the numeric layer delegates to the sectorial solver at z1.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +36,8 @@ from .alien import (
     formal_integral,
 )
 from .errors import BranchCutError, DomainError, SumValue
-from .scalars import ExactScalar
+from .scalars import ExactScalar, exact_fraction
+from .series import PowerSeries
 
 
 def binom_half(num: Fraction, k: int) -> Fraction:
@@ -65,7 +68,7 @@ class ULaurent:
         self.terms: dict[int, Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = exact_fraction(c)
                 if c != 0:
                     self.terms[int(e)] = c
 
@@ -75,7 +78,7 @@ class ULaurent:
 
     @staticmethod
     def mono(e: int, c) -> "ULaurent":
-        c = Fraction(c)
+        c = exact_fraction(c)
         return _ulaurent({int(e): c} if c else {})
 
     def is_zero(self) -> bool:
@@ -102,7 +105,7 @@ class ULaurent:
         return _ulaurent({e: c for e, c in out.items() if c})
 
     def scale(self, c) -> "ULaurent":
-        c = Fraction(c)
+        c = exact_fraction(c)
         return _ulaurent({e: v * c for e, v in self.terms.items()} if c else {})
 
     def shift(self, k: int) -> "ULaurent":
@@ -149,88 +152,145 @@ class ULaurent:
 
 
 _ZERO_UL = ULaurent()
+_F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
+def _ucs(grading: str, order: int, den: int, rows: tuple,
+         log_u: Fraction = _F0, exp_tag: int = 0) -> "UCoeffSeries":
+    """A UCoeffSeries from nonzero row numerators over den > 0, in canonical form."""
+    g = math.gcd(den, *chain.from_iterable(map(dict.values, rows)))
+    if g != 1:
+        den //= g
+        rows = tuple({e: c // g for e, c in row.items()} for row in rows)
+    out = UCoeffSeries.__new__(UCoeffSeries)
+    out.grading, out.order, out.den, out.rows = grading, order, den, rows
+    out.log_u, out.exp_tag = log_u, exp_tag
+    return out
+
+
+def _add_into(out: dict, y: dict, fy: int = 1) -> dict:
+    """out += fy y in place, skipping zeros in y: a term keeps its place in out,
+    a new one goes last, and one that cancels leaves, as in the ULaurent sum."""
+    for e, c in y.items():
+        if c:
+            c = c * fy + out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
 class UCoeffSeries:
     """Truncated series with ULaurent coefficients in one of two gradings.
 
-    grading "gs2": coeffs[k] multiplies g_s^{2k}. grading "z2": coeffs[k]
-    multiplies z2^{-k}. log_u is the one scalar multiplying log u (nonzero
-    only for R and H^(0)); exp_tag n records a prefactor e^{2n/u}.
+    grading "gs2": coefficient k multiplies g_s^{2k}. grading "z2":
+    coefficient k multiplies z2^{-k}. log_u is the one scalar multiplying
+    log u (nonzero only for R and H^(0)); exp_tag n records a prefactor
+    e^{2n/u}. The window is stored as rows[k] = {u-exponent: numerator},
+    nonzero ints over one denominator den > 0, in canonical form (gcd(den,
+    every numerator) == 1); coeffs and coeff(k) are read-only ULaurent views.
+    Every operation works on ints and keeps the terms of each row in the
+    order of the term-by-term ULaurent loop it replaces.
     """
 
-    grading: str
-    order: int
-    coeffs: tuple
-    log_u: Fraction = Fraction(0)
-    exp_tag: int = 0
+    __slots__ = ("grading", "order", "den", "rows", "log_u", "exp_tag")
 
-    def __post_init__(self):
-        if self.grading not in ("gs2", "z2"):
+    def __init__(self, grading: str, order: int, coeffs: Sequence[ULaurent],
+                 log_u: Fraction = _F0, exp_tag: int = 0):
+        if grading not in ("gs2", "z2"):
             raise ValueError("grading must be 'gs2' or 'z2'")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the order")
+        # the lcm of reduced denominators leaves numerators without a common factor
+        den = math.lcm(*(c.denominator for x in coeffs for c in x.terms.values()))
+        rows = tuple({e: c.numerator * (den // c.denominator) for e, c in x.terms.items()} for x in coeffs)
+        self.grading, self.order, self.den, self.rows = grading, order, den, rows
+        self.log_u, self.exp_tag = exact_fraction(log_u), exp_tag
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.coeff(k) for k in range(self.order + 1))
 
     def coeff(self, k: int) -> ULaurent:
-        return self.coeffs[k] if 0 <= k <= self.order else _ZERO_UL
+        row = self.rows[k] if 0 <= k <= self.order else {}
+        return _ulaurent({e: Fraction(c, self.den) for e, c in row.items()})
 
-    def __add__(self, other: "UCoeffSeries") -> "UCoeffSeries":
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UCoeffSeries) and (
+            self.grading, self.order, self.den, self.rows, self.log_u, self.exp_tag) == (
+            other.grading, other.order, other.den, other.rows, other.log_u, other.exp_tag)
+
+    def __hash__(self) -> int:
+        rows = tuple(frozenset(row.items()) for row in self.rows)
+        return hash((self.grading, self.order, self.den, rows, self.log_u, self.exp_tag))
+
+    def _plus(self, other: "UCoeffSeries", sign: int) -> "UCoeffSeries":
         self._match(other)
         if self.exp_tag != other.exp_tag:
             raise ValueError("exponential prefactor mismatch")
-        n = min(self.order, other.order)
-        return UCoeffSeries(
-            self.grading,
-            n,
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)),
-            self.log_u + other.log_u,
-            self.exp_tag,
-        )
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        rows = tuple(_add_into({e: c * fa for e, c in x.items()}, y, fb)
+                     for x, y in zip(self.rows, other.rows))
+        return _ucs(self.grading, len(rows) - 1, den, rows, self.log_u + sign * other.log_u, self.exp_tag)
+
+    def __add__(self, other: "UCoeffSeries") -> "UCoeffSeries":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "UCoeffSeries") -> "UCoeffSeries":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "UCoeffSeries") -> "UCoeffSeries":
+        """The truncated product. Row pairs and terms are visited in the order of the ULaurent
+        loop, and a term that cancels is dropped at the same point, so each row keeps its order."""
         self._match(other)
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
         n = min(self.order, other.order)
-        out = _zs_mul(self.coeffs, other.coeffs, n)
-        return UCoeffSeries(self.grading, n, tuple(out), Fraction(0), self.exp_tag + other.exp_tag)
+        rows_b = [(j, list(y.items())) for j, y in enumerate(other.rows[: n + 1]) if y]
+        acc: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        for i, x in enumerate(self.rows[: n + 1]):
+            xs = list(x.items())
+            for j, ys in rows_b:
+                if i + j > n:
+                    break
+                prod: dict[int, int] = {}
+                for e1, c1 in xs:
+                    for e2, c2 in ys:
+                        e = e1 + e2
+                        prod[e] = prod.get(e, 0) + c1 * c2
+                _add_into(acc[i + j], prod)
+        return _ucs(self.grading, n, self.den * other.den, tuple(acc), _F0, self.exp_tag + other.exp_tag)
 
     def scale(self, c) -> "UCoeffSeries":
-        c = Fraction(c)
-        return UCoeffSeries(
-            self.grading, self.order, tuple(x.scale(c) for x in self.coeffs), self.log_u * c, self.exp_tag
-        )
+        c = exact_fraction(c)
+        p = c.numerator
+        rows = tuple({e: v * p for e, v in row.items()} if p else {} for row in self.rows)
+        return _ucs(self.grading, self.order, self.den * c.denominator, rows, self.log_u * c, self.exp_tag)
 
     def shift_u(self, k: int) -> "UCoeffSeries":
         if self.log_u != 0:
             raise ValueError("cannot shift a series carrying a log u term")
-        return UCoeffSeries(self.grading, self.order, tuple(x.shift(k) for x in self.coeffs), Fraction(0), self.exp_tag)
+        rows = tuple({e + k: c for e, c in row.items()} for row in self.rows)
+        return _ucs(self.grading, self.order, self.den, rows, _F0, self.exp_tag)
 
     def mul_gs2(self) -> "UCoeffSeries":
         """Multiply by g_s^2 (an index shift in the gs2 grading)."""
         if self.grading != "gs2":
             raise ValueError("g_s^2 shift requires the gs2 grading")
-        return UCoeffSeries(self.grading, self.order, (_ZERO_UL,) + self.coeffs[: self.order], self.log_u, self.exp_tag)
+        return _index_shift(self)
 
     def diff_u(self) -> "UCoeffSeries":
         if self.exp_tag != 0:
             raise ValueError("u-derivative not supported under an exponential prefactor")
-        out = [x.diff() for x in self.coeffs]
-        if self.log_u != 0:
-            out[0] = out[0] + ULaurent.mono(-1, self.log_u)
-        return UCoeffSeries(self.grading, self.order, tuple(out), Fraction(0), 0)
-
-    def truncate(self, order: int) -> "UCoeffSeries":
-        if order >= self.order:
-            return self
-        return UCoeffSeries(self.grading, order, self.coeffs[: order + 1], self.log_u, self.exp_tag)
+        rows = tuple({e - 1: e * c for e, c in row.items() if e} for row in self.rows)
+        out = _ucs(self.grading, self.order, self.den, rows)
+        # d/du (log_u log u) = log_u u^{-1}
+        return out + _head(self.grading, self.order, ULaurent.mono(-1, self.log_u)) if self.log_u else out
 
     def is_zero(self) -> bool:
-        return self.log_u == 0 and all(x.is_zero() for x in self.coeffs)
+        return self.log_u == 0 and not any(self.rows)
 
     def eval_partial(self, gs: complex, u: complex, nterms: Optional[int] = None) -> complex:
         """Numeric partial sum through g_s^{2(nterms-1)} (principal log u)."""
@@ -240,7 +300,7 @@ class UCoeffSeries:
         x = complex(gs) ** 2
         total = 0.0 + 0.0j
         for k in range(n - 1, -1, -1):
-            total = total * x + self.coeffs[k].eval(u)
+            total = total * x + self.coeff(k).eval(u)
         if self.log_u != 0:
             total += complex(self.log_u) * cmath.log(u)
         if self.exp_tag:
@@ -248,17 +308,22 @@ class UCoeffSeries:
         return total
 
     def to_json_dict(self) -> dict:
-        return {
-            "grading": self.grading,
-            "order": self.order,
-            "log_u": str(self.log_u),
-            "exp_tag": self.exp_tag,
-            "coeffs": [x.to_map() for x in self.coeffs],
-        }
+        return {"grading": self.grading, "order": self.order, "log_u": str(self.log_u),
+                "exp_tag": self.exp_tag, "coeffs": [x.to_map() for x in self.coeffs]}
 
     def _match(self, other: "UCoeffSeries"):
         if self.grading != other.grading:
             raise ValueError("grading mismatch")
+
+
+def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
+    """Coefficient k moves to k + 1 (times g_s^2 or z2^{-1}); the top one leaves."""
+    return _ucs(s.grading, s.order, s.den, ({},) + s.rows[: s.order], s.log_u, s.exp_tag)
+
+
+def _head(grading: str, order: int, c0: ULaurent) -> UCoeffSeries:
+    """The window c0, 0, ..., 0."""
+    return UCoeffSeries(grading, order, (c0,) + (_ZERO_UL,) * order)
 
 
 # -- exact generators ------------------------------------------------------------
@@ -301,84 +366,30 @@ def lambda_s_squared(N: int) -> UCoeffSeries:
     return UCoeffSeries("gs2", N, tuple(coeffs))
 
 
-def _flat_window(window: Sequence[ULaurent]) -> tuple[int, list]:
-    """(den, rows): each nonzero coefficient k as (k, [(e, num), ...]).
-
-    Every term is num/den times u^e, with den the lcm of the window's
-    denominators.
-    """
-    den = math.lcm(*(c.denominator for x in window for c in x.terms.values()))
-    return den, [
-        (k, [(e, c.numerator * (den // c.denominator)) for e, c in x.terms.items()])
-        for k, x in enumerate(window)
-        if x.terms
-    ]
-
-
-def _zs_mul(a: list, b: list, N: int) -> list:
-    """The product of two ULaurent windows, truncated at index N.
-
-    Both windows become integer numerators over a shared denominator, the
-    products are summed with plain ints, and each surviving (k, e) term becomes
-    one Fraction. Pairs are visited in the order of the term-by-term ULaurent
-    loop, and a term that cancels is dropped at the same point, so the terms of
-    each output also keep that loop's order.
-    """
-    den_a, rows_a = _flat_window(a[: N + 1])
-    den_b, rows_b = _flat_window(b[: N + 1])
-    acc: list[dict[int, int]] = [{} for _ in range(N + 1)]
-    for i, xs in rows_a:
-        for j, ys in rows_b:
-            if i + j > N:
-                break
-            prod: dict[int, int] = {}
-            for e1, c1 in xs:
-                for e2, c2 in ys:
-                    e = e1 + e2
-                    prod[e] = prod.get(e, 0) + c1 * c2
-            out = acc[i + j]
-            for e, c in prod.items():
-                if c:
-                    c += out.get(e, 0)
-                    if c:
-                        out[e] = c
-                    else:
-                        del out[e]
-    den = den_a * den_b
-    return [_ulaurent({e: Fraction(c, den) for e, c in t.items()}) for t in acc]
-
-
-def _h0_z2_route(N: int) -> UCoeffSeries:
+def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     """g(z2 + phi_u) + phi_u + (1/4) sum_k (2/(3u))^k z2^{-k}/k + (1/2)log u,
-    built in the z2 grading and regraded via z2^{-1} = 3 g_s^2 u^3."""
-    phi = gen_phi_u(N + 1).coeffs  # z2^0 .. z2^{-N}
+    built in the z2 grading and regraded via z2^{-1} = 3 g_s^2 u^3; g = log psi."""
+    phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
     # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} sum_j (-x)^j
-    x = [_ZERO_UL] + list(phi[:N])
-    geo = [ULaurent.const(1)] + [_ZERO_UL] * N
-    term = geo[:]
-    negx = [-c for c in x]
+    negx = _index_shift(phi).scale(-1)
+    geo = term = _head("z2", N, ULaurent.const(1))
     for _ in range(N):
-        term = _zs_mul(term, negx, N)
-        if all(c.is_zero() for c in term):
+        term = term * negx
+        if term.is_zero():
             break
-        geo = [g + t for g, t in zip(geo, term)]
-    w = [_ZERO_UL] + geo[:N]  # valuation 1
-    bs = families.gen_g_f(N + 2)[0].series.coeffs
-    total = [_ZERO_UL] * (N + 1)
-    wn = [ULaurent.const(1)] + [_ZERO_UL] * N
+        geo = geo + term
+    w = _index_shift(geo)  # valuation 1
+    total = phi + UCoeffSeries("z2", N, (_ZERO_UL,) + tuple(
+        ULaurent.mono(-k, Fraction(2 ** k, 3 ** k * 4 * k)) for k in range(1, N + 1)))
+    wn = _head("z2", N, ULaurent.const(1))
     for n in range(1, N + 1):
-        wn = _zs_mul(wn, w, N)
-        bn = Fraction(bs[n].re) if n < len(bs) else Fraction(0)
+        wn = wn * w
+        bn = g.coeff(n).re
         if bn:
-            total = [t + c.scale(bn) for t, c in zip(total, wn)]
-    for k in range(min(N, len(phi) - 1) + 1):
-        total[k] = total[k] + phi[k]
-    for k in range(1, N + 1):
-        total[k] = total[k] + ULaurent.mono(-k, Fraction(2 ** k, 3 ** k * 4 * k))
-    regraded = tuple(
-        total[k] * ULaurent.mono(3 * k, Fraction(3) ** k) for k in range(N + 1)
-    )
-    return UCoeffSeries("gs2", N, regraded, log_u=Fraction(1, 2))
+            total = total + wn.scale(bn)
+    # z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}
+    rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(total.rows))
+    return _ucs("gs2", N, total.den, rows, Fraction(1, 2))
 
 
 def gen_H0(N: int) -> UCoeffSeries:
@@ -391,14 +402,13 @@ def gen_H0(N: int) -> UCoeffSeries:
     if N < 1:
         raise ValueError("order must be at least 1")
     lam = lambda_s_squared(N)
-    a_list = families.gen_g_f(N + 2)[2]  # a_list[g-2] = a_g
+    log_psi, _, a_list = families.gen_g_f(N + 2)  # a_list[g-2] = a_g
     route_a = gen_R(N)
-    power = UCoeffSeries("gs2", N, (ULaurent.const(1),) + (_ZERO_UL,) * N)
+    power = _head("gs2", N, ULaurent.const(1))
     for g in range(2, N + 2):
         power = power * lam  # lambda_s^{2(g-1)}
         route_a = route_a + power.scale(a_list[g - 2])
-    route_b = _h0_z2_route(N)
-    if route_a.coeffs != route_b.coeffs or route_a.log_u != route_b.log_u:
+    if route_a != _h0_z2_route(N, log_psi.series):
         raise ArithmeticError("free-energy route disagreement")
     return route_a
 
@@ -417,9 +427,7 @@ def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:
     inner = d1 + d2.shift_u(1).scale(Fraction(1, 3)) + (d1 * d1).shift_u(1).scale(Fraction(1, 3))
     lhs = d1 - inner.shift_u(3).scale(Fraction(3, 2)).mul_gs2()
     rhs0 = ULaurent.mono(-1, Fraction(1, 2)) + ULaurent.mono(-2, 1)
-    out = list(lhs.coeffs)
-    out[0] = out[0] - rhs0
-    return UCoeffSeries("gs2", lhs.order, tuple(out))
+    return lhs - _head("gs2", lhs.order, rhs0)
 
 
 def _c_minus(order: int) -> list:
@@ -438,17 +446,6 @@ def _c_plus(order: int) -> list:
     ]
 
 
-def _t_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
 def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     """Transseries component n: prefactor e^{2n/u}, series, and Pol_n(u,2g).
 
@@ -461,20 +458,17 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     if gmax < 0:
         raise ValueError("gmax must be nonnegative")
     Gn = families.gen_Gn(max(gmax + 1, 4), n)[n - 1].series
-    gcoef = []
-    for k in range(gmax + 1):
-        c = Gn.coeff(k)
-        gcoef.append(Fraction(3) ** k * Fraction(c.re))
-    cm = _c_minus(gmax)
-    cp1 = [Fraction(1)] + _c_plus(gmax - 1) if gmax >= 1 else [Fraction(1)]  # 1 + t c_+
-    cm_pow = [[Fraction(1)] + [Fraction(0)] * gmax]
-    cp_pow = [[Fraction(1)] + [Fraction(0)] * gmax]
+    gcoef = [3 ** k * Gn.coeff(k).re for k in range(gmax + 1)]
+    cm = PowerSeries.from_coeffs(_c_minus(gmax))
+    cp1 = PowerSeries.from_coeffs([1] + _c_plus(gmax - 1))  # 1 + t c_+
+    cm_pow = [PowerSeries.one(gmax)]
+    cp_pow = [PowerSeries.one(gmax)]
     for _ in range(gmax):
-        cm_pow.append(_t_mul(cm_pow[-1], cm, gmax))
-        cp_pow.append(_t_mul(cp_pow[-1], cp1, gmax))
+        cm_pow.append(cm_pow[-1] * cm)
+        cp_pow.append(cp_pow[-1] * cp1)
     # t-coefficients of c_-^ell (1 + t c_+)^k, each product formed once
     c_lk = {
-        (ell, k): _t_mul(cm_pow[ell], cp_pow[k], gmax)
+        (ell, k): [c.re for c in (cm_pow[ell] * cp_pow[k]).coeffs]
         for k in range(gmax + 1)
         if gcoef[k] != 0
         for ell in range(gmax + 1 - k)

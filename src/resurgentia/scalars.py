@@ -3,7 +3,7 @@
 Every exact computation in the package runs over these scalars. A scalar is a
 pair of reduced fractions (re, im); it is rational when im == 0 and prints as
 "p/q" then, and as "p/q+r/s*i" otherwise. Arithmetic never leaves the field
-and never touches floating point.
+and never touches floating point: a float or complex input raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class ExactScalar:
             if isinstance(im, ExactScalar) or im != 0:
                 raise ValueError("cannot combine a scalar with a separate imaginary part")
             re, im = re.re, re.im
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = exact_fraction(re)
+        self.im = exact_fraction(im)
 
     # -- constructors ------------------------------------------------------
 
@@ -177,6 +177,13 @@ class ExactScalar:
             else:
                 re_part += Fraction(term)
         return ExactScalar(re_part, im_part)
+
+
+def exact_fraction(x: Union[int, Fraction, str]) -> Fraction:
+    """x as a Fraction; a float or complex input is refused, never rounded."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"exact arithmetic refuses the {type(x).__name__} {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def scalar_from_reduced(re: Fraction, im: Fraction) -> ExactScalar:

@@ -1,29 +1,29 @@
 """Truncated formal power series in z^{-1} with exact coefficients.
 
-A series of order N stores the window of coefficients c_0 .. c_N of
-sum_k c_k z^{-k}. Arithmetic results carry the minimum of the input orders, so
-a coefficient is stored only when it is exact. No floating point enters this
-module.
+A series of order N stores the window c_0 .. c_N of sum_k c_k z^{-k} the way
+its kernels compute, as alien.Poly stores a polynomial: Gaussian-integer
+numerators re[k] + im[k] i over one denominator den > 0, in canonical form
+(gcd(den, every numerator) == 1), so equal windows have equal (order, den,
+re, im). coeffs and coeff(k) are read-only ExactScalar views. Arithmetic
+results carry the minimum of the input orders, so a coefficient is stored only
+when it is exact. No floating point enters this module.
 
-Products, inverse, log and exp share one kernel scheme. Each input window is
-converted once to Gaussian-integer numerators (re, im) over the lcm of its
-denominators. A product convolves those numerators with plain ints, skipping
-zero rows and, for real windows, the imaginary parts, and builds one reduced
-Fraction per output coefficient. The recurrences for inverse, log and exp keep
-their outputs so far as numerators over one denominator that grows, with a
-rescale of the stored numerators, whenever a new output brings a new factor;
-each step then costs integer products and one Fraction reduction. Every
-output equals the one the term-by-term ExactScalar loop would give.
+Every operation works on ints. Sums rescale to the lcm of the denominators; a
+product convolves the numerators, skipping zero rows and, for real windows,
+the imaginary parts. The recurrences for inverse, log and exp keep their
+outputs so far over one denominator that grows, with a rescale of the stored
+numerators, whenever a new output brings a new factor; each step then costs
+integer products and one gcd. Every output equals the one the term-by-term
+ExactScalar loop would give.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, perm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .scalars import ExactScalar, scalar_from_reduced
 
@@ -32,56 +32,44 @@ CoeffLike = Union[int, Fraction, ExactScalar]
 _F0 = Fraction(0)
 
 
-def _coerce_tuple(coeffs: Iterable[CoeffLike]) -> tuple[ExactScalar, ...]:
-    return tuple(ExactScalar.coerce(c) for c in coeffs)
-
-
-def _numerators(coeffs: Sequence[ExactScalar]) -> tuple[int, list[int], list[int]]:
-    """(den, re, im) with coefficient k equal to (re[k] + im[k] i) / den.
-
-    den is the lcm of every denominator in the window.
-    """
-    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    return (
-        den,
-        [c.re.numerator * (den // c.re.denominator) for c in coeffs],
-        [c.im.numerator * (den // c.im.denominator) for c in coeffs],
-    )
+def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
+    """A PowerSeries from numerators over den > 0, brought to canonical form."""
+    g = gcd(den, *re, *im)
+    if g != 1:
+        den //= g
+        re = tuple(x // g for x in re)
+        im = tuple(y // g for y in im)
+    out = PowerSeries.__new__(PowerSeries)
+    out.order, out.den, out.re, out.im = order, den, re, im
+    return out
 
 
 class _SharedDenominator:
-    """The outputs of a recurrence so far, kept two ways.
+    """The outputs of a recurrence so far, as numerators re, im over den.
 
-    values holds each output as reduced Fractions (re, im). re and im hold
-    integer numerators over the one denominator den, for the sums that build
-    the next output. A pushed output whose denominators bring a new factor
-    grows den by that factor and rescales every stored numerator.
+    A pushed output whose reduced denominator brings a new factor grows den by
+    that factor and rescales every stored numerator.
     """
 
-    __slots__ = ("imag", "den", "re", "im", "values")
+    __slots__ = ("imag", "den", "re", "im")
 
     def __init__(self, imag: bool):
-        self.imag = imag
-        self.den = 1
-        self.re: list[int] = []
-        self.im: list[int] = []
-        self.values: list[tuple[Fraction, Fraction]] = []
+        self.imag, self.den, self.re, self.im = imag, 1, [], []
 
-    def push(self, re: Fraction, im: Fraction, weight: int = 1) -> None:
-        """Append re + im i; the stored numerator is weight times the output."""
-        self.values.append((re, im))
-        den = lcm(self.den, re.denominator, im.denominator)
-        if den != self.den:
-            f = den // self.den
+    def push(self, re: int, im: int, den: int) -> None:
+        """Append (re + im i) / den."""
+        g = gcd(re, im, den)
+        d = den // g
+        new = lcm(self.den, d)
+        if new != self.den:
+            f = new // self.den
             self.re = [x * f for x in self.re]
-            if self.imag:
-                self.im = [x * f for x in self.im]
-            self.den = den
-        self.re.append(weight * re.numerator * (den // re.denominator))
-        if self.imag:
-            self.im.append(weight * im.numerator * (den // im.denominator))
+            self.im = [y * f for y in self.im]
+            self.den = new
+        self.re.append(re // g * (new // d))
+        self.im.append(im // g * (new // d))
 
-    def dot(self, cr: list[int], ci: list[int]) -> tuple[int, int]:
+    def dot(self, cr: Sequence[int], ci: Sequence[int]) -> tuple[int, int]:
         """sum_t (cr[t] + ci[t] i) * stored[-1 - t], over t < len(cr)."""
         sr = sum(map(mul, cr, reversed(self.re)))
         if not self.imag:
@@ -89,23 +77,27 @@ class _SharedDenominator:
         return (sr - sum(map(mul, ci, reversed(self.im))),
                 sum(map(mul, cr, reversed(self.im))) + sum(map(mul, ci, reversed(self.re))))
 
-    def series(self, order: int) -> "PowerSeries":
-        return PowerSeries(order, tuple(scalar_from_reduced(re, im) for re, im in self.values))
 
-
-@dataclass(frozen=True)
 class PowerSeries:
-    """Window c_0 .. c_order of a formal series in z^{-1}."""
+    """Window c_0 .. c_order of a formal series in z^{-1}.
 
-    order: int
-    coeffs: tuple[ExactScalar, ...]
+    Stored as numerators (re[k] + im[k] i) / den in canonical form; coeffs is
+    a read-only ExactScalar view.
+    """
 
-    def __post_init__(self):
-        if self.order < 0:
+    __slots__ = ("order", "den", "re", "im")
+
+    def __init__(self, order: int, coeffs: Sequence[CoeffLike]):
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient window must hold order + 1 entries")
-        object.__setattr__(self, "coeffs", _coerce_tuple(self.coeffs))
+        cs = [ExactScalar.coerce(c) for c in coeffs]
+        # the lcm of reduced denominators leaves numerators without a common factor
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        self.order, self.den = order, den
+        self.re = tuple(c.re.numerator * (den // c.re.denominator) for c in cs)
+        self.im = tuple(c.im.numerator * (den // c.im.denominator) for c in cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -139,54 +131,76 @@ class PowerSeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[ExactScalar, ...]:
+        return tuple(map(self.coeff, range(self.order + 1)))
+
     def coeff(self, k: int) -> ExactScalar:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} outside order-{self.order} window")
-        return self.coeffs[k]
+        y = self.im[k]
+        return scalar_from_reduced(Fraction(self.re[k], self.den), Fraction(y, self.den) if y else _F0)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not (any(self.re) or any(self.im))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PowerSeries) and (self.order, self.den, self.re, self.im) == (
+            other.order, other.den, other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.den, self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(order={self.order}, coeffs={self.coeffs!r})"
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("cannot extend a window by truncation")
-        return PowerSeries(order, self.coeffs[: order + 1])
-
-    def valuation(self) -> int | None:
-        """Smallest k with c_k != 0, or None for the zero window."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        # a dropped coefficient can take the last factor coprime to den with it
+        return _series(order, self.den, self.re[: order + 1], self.im[: order + 1])
 
     # -- linear structure ---------------------------------------------------
 
+    def _plus(self, other: "PowerSeries", sign: int) -> "PowerSeries":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _series(min(self.order, other.order), den,
+                       tuple(fa * x + fb * y for x, y in zip(self.re, other.re)),
+                       tuple(fa * x + fb * y for x, y in zip(self.im, other.im)))
+
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(n, tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(n, tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.order, tuple(-c for c in self.coeffs))
+        return _series(self.order, self.den, tuple(-x for x in self.re), tuple(-y for y in self.im))
 
     def scale(self, c: CoeffLike) -> "PowerSeries":
-        s = ExactScalar.coerce(c)
-        return PowerSeries(self.order, tuple(s * ck for ck in self.coeffs))
+        # c = (a + b i) / q
+        c = ExactScalar.coerce(c)
+        q = lcm(c.re.denominator, c.im.denominator)
+        a = c.re.numerator * (q // c.re.denominator)
+        b = c.im.numerator * (q // c.im.denominator)
+        if not b:
+            return _series(self.order, self.den * q, tuple(a * x for x in self.re),
+                           tuple(a * y for y in self.im))
+        pairs = tuple(zip(self.re, self.im))
+        return _series(self.order, self.den * q, tuple(a * x - b * y for x, y in pairs),
+                       tuple(b * x + a * y for x, y in pairs))
 
     # -- multiplicative structure -------------------------------------------
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        den_a, ar, ai = _numerators(a)
-        den_b, br, bi = _numerators(b)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
         rows_a = [i for i in range(n + 1) if ar[i] or ai[i]]
         rows_b = [j for j in range(n + 1) if br[j] or bi[j]]
-        re = [0] * (n + 1)
-        im = [0] * (n + 1)
+        re, im = [0] * (n + 1), [0] * (n + 1)
         if any(ai) or any(bi):
             for i in rows_a:
                 x, y = ar[i], ai[i]
@@ -203,31 +217,24 @@ class PowerSeries:
                     if i + j > n:
                         break
                     re[i + j] += x * br[j]
-        den = den_a * den_b
-        return PowerSeries(n, tuple(
-            scalar_from_reduced(Fraction(re[k], den), Fraction(im[k], den) if im[k] else _F0)
-            for k in range(n + 1)
-        ))
+        return _series(n, self.den * other.den, tuple(re), tuple(im))
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; the constant term must be invertible."""
-        if self.coeffs[0].is_zero():
+        cr, ci, d = self.re, self.im, self.den
+        if not (cr[0] or ci[0]):
             raise ValueError("not a unit")
-        n = self.order
-        d, cr, ci = _numerators(self.coeffs)
         # with c_j = C_j / d, out_m = O_m / E (E = store.den) and
         # S = sum_{j=1}^k C_j O_{k-j}:
         # out_k = -(1/c_0) sum_{j=1}^k c_j out_{k-j} = -S conj(C_0) / (E |C_0|^2)
         a, b = cr[0], ci[0]
         norm = a * a + b * b
         store = _SharedDenominator(any(ci))
-        store.push(Fraction(d * a, norm), Fraction(-d * b, norm) if b else _F0)
-        for k in range(1, n + 1):
+        store.push(d * a, -d * b, norm)
+        for k in range(1, self.order + 1):
             sr, si = store.dot(cr[1 : k + 1], ci[1 : k + 1])
-            den = store.den * norm
-            store.push(Fraction(-(sr * a + si * b), den),
-                       Fraction(sr * b - si * a, den) if store.imag else _F0)
-        return store.series(n)
+            store.push(-(sr * a + si * b), sr * b - si * a, store.den * norm)
+        return _series(self.order, store.den, tuple(store.re), tuple(store.im))
 
     def __pow__(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -246,40 +253,39 @@ class PowerSeries:
 
     def log(self) -> "PowerSeries":
         """log of a series with constant term one."""
-        if self.coeffs[0] != ExactScalar.one():
+        cr, ci, d = self.re, self.im, self.den
+        if cr[0] != d or ci[0]:
             raise ValueError("wrong constant term")
         n = self.order
-        d, cr, ci = _numerators(self.coeffs)
-        # l_k = c_k - (1/k) sum_{j=1}^{k-1} j l_j c_{k-j}; the store holds j l_j,
-        # so with c_j = C_j / d and S = sum_{j=1}^{k-1} (j L_j) C_{k-j} over
-        # numerators, l_k = (k E C_k - S) / (k E d)
+        # k l_k = k c_k - sum_{j=1}^{k-1} (j l_j) c_{k-j}; the store holds
+        # j l_j = V_j / E, so with c_j = C_j / d and S = sum_j V_j C_{k-j},
+        # k l_k = (k E C_k - S) / (E d)
         store = _SharedDenominator(any(ci))
-        store.push(_F0, _F0)
+        store.push(0, 0, 1)
         for k in range(1, n + 1):
             sr, si = store.dot(cr[1:k], ci[1:k])
             scale = k * store.den
-            den = scale * d
-            store.push(Fraction(scale * cr[k] - sr, den),
-                       Fraction(scale * ci[k] - si, den) if store.imag else _F0, weight=k)
-        return store.series(n)
+            store.push(scale * cr[k] - sr, scale * ci[k] - si, store.den * d)
+        # l_k = V_k / (k E) over the one denominator E lcm(1..n)
+        m = lcm(*range(1, n + 1))
+        return _series(n, store.den * m, (0,) + tuple(x * (m // k) for k, x in enumerate(store.re[1:], 1)),
+                       (0,) + tuple(y * (m // k) for k, y in enumerate(store.im[1:], 1)))
 
     def exp(self) -> "PowerSeries":
         """exp of a series with constant term zero."""
-        if not self.coeffs[0].is_zero():
+        cr, ci, d = self.re, self.im, self.den
+        if cr[0] or ci[0]:
             raise ValueError("wrong constant term")
-        n = self.order
-        d, cr, ci = _numerators(self.coeffs)
         jcr = [j * c for j, c in enumerate(cr)]
         jci = [j * c for j, c in enumerate(ci)]
         # g_k = (1/k) sum_{j=1}^{k} j c_j g_{k-j} = S / (k d E) with
         # S = sum_{j=1}^k (j C_j) G_{k-j} over numerators
         store = _SharedDenominator(any(ci))
-        store.push(Fraction(1), _F0)
-        for k in range(1, n + 1):
+        store.push(1, 0, 1)
+        for k in range(1, self.order + 1):
             sr, si = store.dot(jcr[1 : k + 1], jci[1 : k + 1])
-            den = k * d * store.den
-            store.push(Fraction(sr, den), Fraction(si, den) if store.imag else _F0)
-        return store.series(n)
+            store.push(sr, si, k * d * store.den)
+        return _series(self.order, store.den, tuple(store.re), tuple(store.im))
 
     # -- differentiation ------------------------------------------------------
 
@@ -292,28 +298,22 @@ class PowerSeries:
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 window")
         n = self.order - 1
-        out = [ExactScalar.zero()] * (n + 1)
-        for k in range(2, n + 1):
-            out[k] = self.coeffs[k - 1] * (-(k - 1))
-        return PowerSeries(n, tuple(out))
+        # c_j moves to degree j + 1 with factor -j; c_0 and c_n leave the window
+        return _series(n, self.den, ((0, 0) + tuple(-j * x for j, x in enumerate(self.re[1:n], 1)))[: n + 1],
+                       ((0, 0) + tuple(-j * y for j, y in enumerate(self.im[1:n], 1)))[: n + 1])
 
     def _deriv_in_window(self, times: int) -> "PowerSeries":
         # exact n-th derivative kept in the full window; degree d of the
         # result depends only on c_{d-times}, so every stored entry is exact
+        if times == 0:
+            return self
         n = self.order
-        out = [ExactScalar.zero()] * (n + 1)
-        for d in range(n + 1):
-            k = d - times
-            if k < 0:
-                continue
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            fac = 1
-            for j in range(times):
-                fac *= -(k + j)
-            out[d] = c * fac
-        return PowerSeries(n, tuple(out))
+        # c_k moves to degree k + times with factor (-k)(-k-1)...(-k-times+1)
+        sign = -1 if times & 1 else 1
+        facs = [sign * perm(k + times - 1, times) for k in range(n + 1 - times)]
+        pad = (0,) * min(times, n + 1)
+        return _series(n, self.den, pad + tuple(x * f for x, f in zip(self.re, facs)),
+                       pad + tuple(y * f for y, f in zip(self.im, facs)))
 
     # -- composition -------------------------------------------------------
 
@@ -325,7 +325,7 @@ class PowerSeries:
         a documented order-N truncation of the shifted series.
         """
         n = min(self.order, phi.order)
-        if not phi.coeffs[0].is_zero() and not allow_constant:
+        if (phi.re[0] or phi.im[0]) and not allow_constant:
             raise ValueError("composition shift must have zero constant term")
         out = self.truncate(n)
         power = PowerSeries.one(n)
@@ -341,10 +341,8 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """self(-z): flips the sign of every odd coefficient."""
-        return PowerSeries(
-            self.order,
-            tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)),
-        )
+        return _series(self.order, self.den, tuple(-x if k & 1 else x for k, x in enumerate(self.re)),
+                       tuple(-y if k & 1 else y for k, y in enumerate(self.im)))
 
     # -- serialization -------------------------------------------------------
 

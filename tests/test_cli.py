@@ -1,5 +1,6 @@
 """CLI and configuration: exit codes, payload shapes, precedence, reproducibility."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -414,3 +415,22 @@ def test_public_names_resolve_lazily_to_their_definitions():
     exec("from resurgentia import *", namespace)
     assert set(resurgentia.__all__) <= set(namespace)
     assert namespace["stokes_action_check"] is resurgentia.stokes_action_check
+
+
+# sha256 of the stdout of exact commands, recorded before the series layer
+# stored its coefficients as integer numerators over one denominator; any
+# change to a printed Fraction, or to the layout, changes a digest
+EXACT_STDOUT_SHA256 = {
+    "large-radius h0 --order 12": "713be105149fde5505f0edc4e1954dcb4d50ee1f9044f24501a15852284bb21f",
+    "large-radius uresidual --order 12": "e8a6fc039843997a07e71bb5c0e099082192630a33bdc49fdbee8ede497a8d7f",
+    "large-radius pols --n 3 --gmax 5": "5532a28bb4e7242a965ae1a3a221de485318b4c44c5f8670eb4f17997ea5c39c",
+    "coeffs --bn --max-n 40": "32f5dc7996fa4565f07d0709878fd41e87a103f2e5fb88179a170366f2948d65",
+    "ode-check --which g --order 32": "dfe5369ad2bb01ff0476566fd354865493fad19660e661bfba75be7ce21f991e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_STDOUT_SHA256))
+def test_exact_stdout_is_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_STDOUT_SHA256[command]

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from resurgentia import families
+from resurgentia import families, largeradius
 from resurgentia.alien import Caps, Poly, TransElement, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError
 from resurgentia.largeradius import (
     UCoeffSeries,
     ULaurent,
-    _zs_mul,
     binom_half,
     gen_H0,
     gen_Hn,
@@ -32,6 +31,7 @@ from resurgentia.largeradius import (
     u_equation_residual,
 )
 from resurgentia.scalars import ExactScalar
+from resurgentia.series import PowerSeries
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def test_ulaurent_diff_is_a_derivation(a, b):
 
 
 def _reference_zs_mul(a: list, b: list, N: int) -> list:
-    """The ULaurent loop the integer-numerator kernel replaces."""
+    """The ULaurent loop the integer-numerator product of UCoeffSeries replaces."""
     out = [ULaurent()] * (N + 1)
     for i, x in enumerate(a):
         if i > N or x.is_zero():
@@ -90,6 +90,12 @@ def _reference_zs_mul(a: list, b: list, N: int) -> list:
             if not y.is_zero():
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def _window(xs: list, N: int, grading: str = "gs2") -> UCoeffSeries:
+    """The first N + 1 entries of xs, padded with zeros, as an order-N series."""
+    xs = list(xs[: N + 1]) + [ULaurent()] * (N + 1 - len(xs))
+    return UCoeffSeries(grading, N, tuple(xs))
 
 
 # few exponents and small values, so products collide and cancel; windows hold
@@ -109,10 +115,75 @@ ul_windows = st.lists(small_ulaurents, min_size=1, max_size=7)
     [UL({0: 1}), UL({1: 1, -1: 1})], [UL({-1: -1, 1: 2}), UL({0: 1, 5: 1})], 1
 )
 def test_zs_mul_matches_ulaurent_loop(a, b, N):
-    got, want = _zs_mul(a, b, N), _reference_zs_mul(a, b, N)
+    got = (_window(a, N) * _window(b, N)).coeffs
+    want = _reference_zs_mul(a, b, N)
     assert [x.to_map() for x in got] == [x.to_map() for x in want]
     assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
     assert all(type(c) is Fraction for x in got for c in x.terms.values())
+
+
+def _reference_add(a: UCoeffSeries, b: UCoeffSeries, sign: int = 1) -> tuple:
+    return tuple(x + y.scale(sign) for x, y in zip(a.coeffs, b.coeffs)), a.log_u + sign * b.log_u
+
+
+def _reference_diff_u(s: UCoeffSeries) -> tuple:
+    out = [x.diff() for x in s.coeffs]
+    out[0] = out[0] + ULaurent.mono(-1, s.log_u)
+    return tuple(out), Fraction(0)
+
+
+def _terms(coeffs) -> list:
+    return [list(x.terms.items()) for x in coeffs]
+
+
+def _assert_native_u(got: UCoeffSeries, want: tuple):
+    """got has the reference's coefficients, term order and log u scalar, is
+    canonical, and equals (with equal hash) the series built from them."""
+    coeffs, log_u = want
+    assert _terms(got.coeffs) == _terms(coeffs) and got.log_u == log_u
+    assert got.den > 0 and math.gcd(got.den, *(c for row in got.rows for c in row.values())) == 1
+    assert all(type(c) is int and c for row in got.rows for c in row.values())
+    same = UCoeffSeries(got.grading, got.order, coeffs, log_u, got.exp_tag)
+    assert got == same and hash(got) == hash(same)
+
+
+log_us = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def u_series(draw, N):
+    return UCoeffSeries("gs2", N, tuple(draw(st.lists(small_ulaurents, min_size=N + 1, max_size=N + 1))),
+                       draw(log_us))
+
+
+@st.composite
+def u_series_pairs(draw):
+    N = draw(st.integers(0, 6))
+    return draw(u_series(N)), draw(u_series(draw(st.integers(N, 7))))
+
+
+@given(u_series_pairs(), fracs, st.integers(-3, 3))
+def test_ucoeff_ops_match_ulaurent_loops(pair, c, k):
+    a, b = pair
+    _assert_native_u(a + b, _reference_add(a, b))
+    _assert_native_u(b + a, _reference_add(b, a))
+    _assert_native_u(a - b, _reference_add(a, b, -1))
+    _assert_native_u(a.scale(c), (tuple(x.scale(c) for x in a.coeffs), a.log_u * c))
+    _assert_native_u(a.diff_u(), _reference_diff_u(a))
+    flat = a - UCoeffSeries("gs2", a.order, (ULaurent(),) * (a.order + 1), a.log_u)  # log u dropped
+    _assert_native_u(flat.shift_u(k), (tuple(x.shift(k) for x in flat.coeffs), Fraction(0)))
+    _assert_native_u(flat.mul_gs2(), ((ULaurent(),) + flat.coeffs[: a.order], Fraction(0)))
+    _assert_native_u(flat * flat, (tuple(_reference_zs_mul(flat.coeffs, flat.coeffs, a.order)), Fraction(0)))
+
+
+def test_ucoeff_series_are_canonical():
+    # equal values computed along different routes store equal numerators
+    H = gen_H0(10)
+    assert (H + H.scale(F(2, 3))) - H.scale(F(2, 3)) == H
+    d1 = gen_H0(10).diff_u()
+    lhs, rhs = (d1 * d1) * d1, d1 * (d1 * d1)
+    assert (lhs.den, lhs.rows) == (rhs.den, rhs.rows) and hash(lhs) == hash(rhs)
+    assert d1.scale(3).scale(F(1, 3)) == d1 and d1.scale(0).den == 1
 
 
 def _validated_arithmetic() -> dict:
@@ -255,6 +326,27 @@ def test_H0_frozen_coefficients():
         gen_H0(0)
 
 
+@pytest.mark.parametrize("route", ["psi closed form", "G_1 via exp", "H0 route (b)"])
+def test_two_route_cross_checks_raise_on_disagreement(monkeypatch, route):
+    # each check compares two independent constructions; spoil one of them by
+    # one unit in its top coefficient
+    if route == "psi closed form":
+        orig = families._psi_by_ode_recursion
+        monkeypatch.setattr(families, "_psi_by_ode_recursion", lambda n: orig(n)[:-1] + [orig(n)[-1] + 1])
+        build = lambda: families.gen_psi_phi(8)
+    elif route == "G_1 via exp":
+        exp = PowerSeries.exp
+        monkeypatch.setattr(PowerSeries, "exp", lambda s: exp(s) + PowerSeries.monomial(s.order, s.order))
+        build = lambda: families.gen_Gn(8, 2)
+    else:
+        orig = largeradius._h0_z2_route
+        top = UCoeffSeries("gs2", 6, (ULaurent(),) * 6 + (ULaurent.mono(18, 1),))
+        monkeypatch.setattr(largeradius, "_h0_z2_route", lambda N, g: orig(N, g) + top)
+        build = lambda: gen_H0(6)
+    with pytest.raises(ArithmeticError, match="disagreement"):
+        build()
+
+
 def test_u_equation_residual_vanishes():
     H0 = gen_H0(8)
     assert u_equation_residual(H0).is_zero()
@@ -318,7 +410,7 @@ def hn_oracle(n: int, gmax: int) -> list:
     expfac = [ULaurent.const(1)] + [ULaurent()] * gmax
     term = expfac[:]
     for j in range(1, gmax + 1):
-        term = [c.scale(F(1, j)) for c in _zs_mul(term, scaled, gmax)]
+        term = [c.scale(F(1, j)) for c in _reference_zs_mul(term, scaled, gmax)]
         if all(c.is_zero() for c in term):
             break
         expfac = [a + b for a, b in zip(expfac, term)]
@@ -328,7 +420,7 @@ def hn_oracle(n: int, gmax: int) -> list:
     t = geo[:]
     negx = [-c for c in x]
     for _ in range(gmax):
-        t = _zs_mul(t, negx, gmax)
+        t = _reference_zs_mul(t, negx, gmax)
         if all(c.is_zero() for c in t):
             break
         geo = [a + b for a, b in zip(geo, t)]
@@ -340,10 +432,10 @@ def hn_oracle(n: int, gmax: int) -> list:
     for k in range(gmax + 1):
         rk = sign * F(Gn.coeff(k).re)  # (phi/psi)^n coefficient
         if k > 0:
-            wk = _zs_mul(wk, w, gmax)
+            wk = _reference_zs_mul(wk, w, gmax)
         if rk:
             comp = [a + b.scale(rk) for a, b in zip(comp, wk)]
-    total = _zs_mul(expfac, comp, gmax)
+    total = _reference_zs_mul(expfac, comp, gmax)
     out = []
     for k in range(gmax + 1):
         out.append(total[k].scale(F(-1, n) * F(3) ** k).shift(3 * k))

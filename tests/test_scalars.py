@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resurgentia.largeradius import UCoeffSeries, ULaurent
 from resurgentia.scalars import ExactScalar
+from resurgentia.series import PowerSeries
 
 fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -108,3 +110,29 @@ def test_int_coercion_matches(a):
     assert a + 1 == a + ExactScalar.one()
     assert 2 * a == a + a
     assert 1 - a == ExactScalar.one() - a
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExactScalar(0.1),
+        lambda: ExactScalar(1, 0.5),
+        lambda: ExactScalar(1j),
+        lambda: ExactScalar.one() + 0.5,
+        lambda: PowerSeries.from_coeffs([1, 0.5]),
+        lambda: PowerSeries(1, (Fraction(1, 2), 2j)),
+        lambda: PowerSeries.one(3).scale(0.25),
+        lambda: ULaurent({0: 0.1}),
+        lambda: ULaurent.mono(2, 0.25),
+        lambda: ULaurent.const(1.0),
+        lambda: ULaurent.mono(0, 1).scale(0.5),
+        lambda: UCoeffSeries("gs2", 0, (ULaurent.const(1),)).scale(2.0),
+    ],
+    ids=["scalar-re", "scalar-im", "scalar-complex", "scalar-add", "series-from-coeffs", "series-init",
+         "series-scale", "ulaurent-init", "ulaurent-mono", "ulaurent-const", "ulaurent-scale",
+         "ucoeff-scale"],
+)
+def test_exact_layer_refuses_floats(build):
+    # 0.1 would otherwise enter as the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        build()

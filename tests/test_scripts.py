@@ -1,0 +1,36 @@
+"""The scripts under scripts/: each runs to exit 0 on a small input."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from resurgentia.largeradius import gen_Hn
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_pol_table_json_matches_gen_Hn():
+    proc = _script("pol_table.py", "--n-max", "2", "--g-max", "3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(doc) == ["1", "2"]
+    for n in (1, 2):
+        pref, _, pols = gen_Hn(n, 3)
+        assert doc[str(n)] == {"prefactor": pref, "pols": {str(2 * g): pols[g - 1].to_map() for g in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("name", ["gevrey_profile.py", "connection_scan.py"])
+def test_script_runs_with_its_defaults(name):
+    proc = _script(name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

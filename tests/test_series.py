@@ -1,6 +1,7 @@
 """Exact window arithmetic for series in z^{-1}."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -282,3 +283,95 @@ def test_pow_forms_no_wasted_square(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == bin(k).count("1") + k.bit_length() - 1
         _assert_same_window(got, want)
+
+
+# -- the native window operations against the term-by-term scalar loops ---------
+
+
+def _reference_add(a: PowerSeries, b: PowerSeries, sign: int = 1) -> PowerSeries:
+    n = min(a.order, b.order)
+    return PowerSeries(n, tuple(a.coeffs[k] + b.coeffs[k] * sign for k in range(n + 1)))
+
+
+def _reference_scale(s: PowerSeries, c: ExactScalar) -> PowerSeries:
+    return PowerSeries(s.order, tuple(c * x for x in s.coeffs))
+
+
+def _reference_diff(s: PowerSeries) -> PowerSeries:
+    n = s.order - 1
+    out = [ExactScalar.zero()] * (n + 1)
+    for k in range(2, n + 1):
+        out[k] = s.coeffs[k - 1] * (-(k - 1))
+    return PowerSeries(n, tuple(out))
+
+
+def _reference_deriv_in_window(s: PowerSeries, times: int) -> PowerSeries:
+    out = [ExactScalar.zero()] * (s.order + 1)
+    for d in range(times, s.order + 1):
+        fac = 1
+        for j in range(times):
+            fac *= -(d - times + j)
+        out[d] = s.coeffs[d - times] * fac
+    return PowerSeries(s.order, tuple(out))
+
+
+def _reference_reflect(s: PowerSeries) -> PowerSeries:
+    return PowerSeries(s.order, tuple(c if k % 2 == 0 else -c for k, c in enumerate(s.coeffs)))
+
+
+def _assert_canonical(s: PowerSeries):
+    """den > 0 and gcd(den, every numerator) == 1, over the order + 1 window."""
+    assert s.den > 0 and gcd(s.den, *s.re, *s.im) == 1
+    assert len(s.re) == len(s.im) == s.order + 1
+    assert all(type(x) is int for x in s.re + s.im)
+
+
+def _assert_native(got: PowerSeries, want: PowerSeries):
+    _assert_same_window(got, want)
+    _assert_canonical(got)
+    assert got == want and hash(got) == hash(want)
+
+
+scale_factors = (
+    rational_scalars
+    | gaussian_scalars
+    | st.sampled_from([ExactScalar(0, 1), ExactScalar(0, -1), ExactScalar(0), ExactScalar(-1)])
+)
+
+
+@given(windows(), windows())
+def test_add_sub_neg_match_scalar_loop(a, b):
+    _assert_native(a + b, _reference_add(a, b))
+    _assert_native(a - b, _reference_add(a, b, -1))
+    _assert_native(-a, _reference_scale(a, ExactScalar(-1)))
+
+
+@given(windows(), scale_factors)
+def test_scale_matches_scalar_loop(s, c):
+    # rationals, gaussian values, and +-i (a swap and a negation)
+    _assert_native(s.scale(c), _reference_scale(s, c))
+    if c.is_rational():
+        _assert_native(s.scale(c.re), _reference_scale(s, c))
+
+
+@given(windows(), st.integers(0, 11))
+def test_calculus_and_window_ops_match_scalar_loop(s, k):
+    if s.order:
+        _assert_native(s.diff(), _reference_diff(s))
+    _assert_native(s._deriv_in_window(k), _reference_deriv_in_window(s, k))
+    _assert_native(s.reflect(), _reference_reflect(s))
+    cut = min(k, s.order)
+    _assert_native(s.truncate(cut), PowerSeries(cut, s.coeffs[: cut + 1]))
+
+
+@given(windows(), windows(), windows())
+def test_equal_series_have_equal_numerators(a, b, c):
+    """Every result is canonical: equal values give equal (den, re, im) and
+    equal hashes, whichever way they were computed."""
+    for x, y in (((a + b) - b, a.truncate(min(a.order, b.order))),
+                 ((a * b) * c, a * (b * c)),
+                 (a.scale(ExactScalar(2, 3)).scale(ExactScalar(Fraction(2, 13), Fraction(-3, 13))), a),
+                 (a * (b + c), a * b + a * c)):
+        _assert_canonical(x)
+        assert (x.order, x.den, x.re, x.im) == (y.order, y.den, y.re, y.im)
+        assert hash(x) == hash(y)
