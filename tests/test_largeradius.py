@@ -92,10 +92,10 @@ def _reference_zs_mul(a: list, b: list, N: int) -> list:
     return out
 
 
-def _window(xs: list, N: int, grading: str = "gs2") -> UCoeffSeries:
+def _window(xs: list, N: int) -> UCoeffSeries:
     """The first N + 1 entries of xs, padded with zeros, as an order-N series."""
     xs = list(xs[: N + 1]) + [ULaurent()] * (N + 1 - len(xs))
-    return UCoeffSeries(grading, N, tuple(xs))
+    return UCoeffSeries("gs2", N, tuple(xs))
 
 
 # few exponents and small values, so products collide and cancel; windows hold
