@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
     "borel": (
-        "Direction", "G_pm", "airy_oracle", "check_derivation", "check_homomorphism",
+        "G_pm", "airy_oracle", "check_derivation", "check_homomorphism",
         "check_reflection", "choose_theta", "connection_check", "eval_Ahat", "eval_Bhat",
         "first_identity_check", "gevrey_check", "laplace_ray", "median_real_check",
         "singularity_locate", "sum_family",
@@ -41,7 +41,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCutError", "Caps", "CompositionContext", "DEFAULT_ORDER", "Direction", "DomainError",
+    "BranchCutError", "Caps", "CompositionContext", "DEFAULT_ORDER", "DomainError",
     "ENV_VAR", "ExactScalar", "FamilySeries", "G_pm", "Poly", "PowerSeries", "QuadratureError",
     "RunConfig", "SumValue", "TransElement", "UCoeffSeries", "ULaurent", "airy_oracle", "apply_ddz",
     "apply_delta", "apply_delta_plus", "apply_stokes", "bridge_check", "check_derivation",

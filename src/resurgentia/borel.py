@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -56,54 +55,32 @@ DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_END_TOL = 1e-6
 DELTA_RAY = 0.05
 THETA_MARGIN = 0.45  # preferred standoff from cuts; accuracy, not validity
+_DECAY_MIN = 1e-3  # least decay rate Re(z e^{i theta}) a Laplace ray accepts
+_GROWTH_MARGIN = 8.0  # a generic ray ends at T = (log(1/tol) + _GROWTH_MARGIN)/rate
+_MAX_PANELS = 4000
 
 _GAMMA56 = math.gamma(5.0 / 6.0)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A Laplace direction: an angle strictly inside its window."""
-
-    theta: float
-    interval: tuple[float, float]
-
-    def __post_init__(self):
-        a, b = self.interval
-        if not (a < self.theta < b):
-            raise DomainError("direction angle must lie strictly inside its window")
-
-
 def normalize_interval(interval) -> tuple[float, float]:
+    """The window of a tag I0|Ipi|Iplus|Iminus, or of an (a, b) pair with a < b."""
     if isinstance(interval, str):
-        key = {
-            "i0": "I0", "0": "I0", "lower": "I0",
-            "ipi": "Ipi", "pi": "Ipi", "sym": "Ipi",
-            "iplus": "Iplus", "plus": "Iplus", "+": "Iplus",
-            "iminus": "Iminus", "minus": "Iminus", "-": "Iminus",
-        }.get(interval.lower().replace("_", ""))
-        if key is None:
+        if interval not in INTERVALS:
             raise ValueError(f"unknown interval tag {interval!r}")
-        return INTERVALS[key]
+        return INTERVALS[interval]
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("empty interval")
     return (a, b)
 
 
-def choose_theta(
-    z: complex,
-    interval,
-    cuts: Sequence[float] = (0.0, math.pi),
-    delta_ray: float = DELTA_RAY,
-    theta_margin: float = THETA_MARGIN,
-    decay_min: float = 1e-3,
-) -> float:
+def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -> float:
     """Pick the admissible direction maximizing the decay rate Re(z e^{i theta}).
 
     The window is split at every cut ray it contains; within each cut-free
-    subarc the steepest ray -arg z is clamped to a standoff of theta_margin
-    (never less than delta_ray) from the subarc ends. Raises "domain empty"
-    when no admissible ray decays.
+    subarc the steepest ray -arg z is clamped to a standoff of THETA_MARGIN
+    (never less than DELTA_RAY) from the subarc ends. Raises "domain empty"
+    when no admissible ray decays by at least _DECAY_MIN.
     """
     a, b = normalize_interval(interval)
     z = complex(z)
@@ -122,18 +99,32 @@ def choose_theta(
     best_theta = None
     best_rate = -math.inf
     for lo, hi in zip(points[:-1], points[1:]):
-        if hi - lo <= 2.0 * delta_ray:
+        if hi - lo <= 2.0 * DELTA_RAY:
             continue
-        eff = max(delta_ray, min(theta_margin, (hi - lo) / 4.0))
+        eff = max(DELTA_RAY, min(THETA_MARGIN, (hi - lo) / 4.0))
         for k in range(-2, 3):
             cand = min(max(peak + TWO_PI * k, lo + eff), hi - eff)
             rate = (z * cmath.exp(1j * cand)).real
             if rate > best_rate:
                 best_rate = rate
                 best_theta = cand
-    if best_theta is None or best_rate < decay_min:
+    if best_theta is None or best_rate < _DECAY_MIN:
         raise DomainError("domain empty: no admissible decaying ray in the window")
     return best_theta
+
+
+def _theta_inside(theta: float, interval) -> float:
+    a, b = normalize_interval(interval)
+    if not (a < theta < b):
+        raise DomainError("direction angle must lie strictly inside its window")
+    return theta
+
+
+def _sign_window(sign) -> tuple[float, float]:
+    """The window of G_sign: I_+ for "+", I_- for "-"."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return INTERVALS["Iplus" if sign == "+" else "Iminus"]
 
 
 # -- kernels -------------------------------------------------------------------
@@ -533,8 +524,6 @@ def laplace_ray(
     z: complex,
     theta,
     tol: float = DEFAULT_QUAD_TOL,
-    growth_margin: float = 8.0,
-    max_panels: int = 4000,
 ) -> SumValue:
     """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
 
@@ -545,18 +534,18 @@ def laplace_ray(
     R = 1.2/|z| when that is larger, and the ray past R is the closed-form
     series of _far_laplace, whose truncation bound is the "tail". Any other
     kernel, or a psi/phi ray whose decay ends it before R, is integrated up to
-    T = (log(1/tol) + growth_margin)/rate, and the tail is the estimate
+    T = (log(1/tol) + _GROWTH_MARGIN)/rate, and the tail is the estimate
     |fhat(T)| e^{-rate T}/rate. The error field is the sum of the accepted
     panels' |G24 - K49| plus the tail, and meta reports the two parts
     ("quad_err", "tail"), the end of the numeric segment ("T") and the decay
     rate ("rate").
     """
-    theta = theta.theta if isinstance(theta, Direction) else float(theta)
+    theta = float(theta)
     z = complex(z)
     rate = (z * cmath.exp(1j * theta)).real
-    if rate <= 1e-3:
+    if rate <= _DECAY_MIN:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
-    T = (math.log(1.0 / tol) + growth_margin) / rate
+    T = (math.log(1.0 / tol) + _GROWTH_MARGIN) / rate
     R = max(_FAR_R, _FAR_X_FLOOR / abs(z))
     far = isinstance(fhat, _BhatKernel) and T > R
     if far:
@@ -579,13 +568,13 @@ def laplace_ray(
             total += kron
             err += d
             npanels += 1
-            if npanels > max_panels:
+            if npanels > _MAX_PANELS:
                 raise QuadratureError("quadrature failure", value=total, err=err)
         else:
             m = (a + b) / 2.0
             stack.append((a, m))
             stack.append((m, b))
-            if len(stack) + npanels > max_panels:
+            if len(stack) + npanels > _MAX_PANELS:
                 raise QuadratureError("quadrature failure", value=total, err=err)
     if far:
         # the truncation bound takes a negligible share of tol
@@ -643,12 +632,7 @@ def sum_family(
     if name not in ("psi", "phi", "g", "f"):
         raise ValueError("name must be one of psi, phi, g, f")
     z = complex(z)
-    if theta is None:
-        theta = choose_theta(z, interval, CUTS[name])
-    else:
-        a, b = normalize_interval(interval)
-        if not (a < theta < b):
-            raise DomainError("direction angle must lie strictly inside its window")
+    theta = choose_theta(z, interval, CUTS[name]) if theta is None else _theta_inside(theta, interval)
     kern = _psi_kernel(tol) if name in ("psi", "g") else _phi_kernel(tol)
     lap = laplace_ray(kern, z, theta, tol)
     val = z * lap.value
@@ -681,21 +665,13 @@ def G_pm(
     = 1/|S psi (1 + ratio)| and |dG/dS phi| = |sigma_2 e^{-2z}|/|S psi (1 + ratio)|,
     and the route difference.
     """
-    sgn = {"+": "+", "plus": "+", 1: "+", "-": "-", "minus": "-", -1: "-"}.get(sign)
-    if sgn is None:
-        raise ValueError("sign must be '+' or '-'")
-    interval = INTERVALS["Iplus"] if sgn == "+" else INTERVALS["Iminus"]
+    interval = _sign_window(sign)
     z = complex(z)
     sigma1 = complex(sigma1)
     sigma2 = complex(sigma2)
     if sigma2 != 0 and z.real <= 0.5 * math.log(2.0 * abs(sigma2)):
         raise DomainError("outside solution domain: Re z <= (1/2) log|2 sigma_2|")
-    if theta is None:
-        theta = choose_theta(z, interval, (0.0, math.pi))
-    else:
-        a, b = interval
-        if not (a < theta < b):
-            raise DomainError("direction angle must lie strictly inside its window")
+    theta = choose_theta(z, interval) if theta is None else _theta_inside(theta, interval)
     spsi = laplace_ray(_psi_kernel(quad_tol), z, theta, quad_tol)
     sphi = laplace_ray(_phi_kernel(quad_tol), z, theta, quad_tol)
     psi_val = z * spsi.value
@@ -728,7 +704,7 @@ def G_pm(
     w = 1.0 / max(abs(psi_val) * abs(1.0 + ratio), 1e-30)
     parts = _error_budget(z, (spsi, sphi), quad_tol, (w, abs(sigma2 * cmath.exp(-2.0 * z)) * w),
                           route_diff)
-    return SumValue(closed, sum(parts.values()), {"theta": theta, "sign": sgn, "err_parts": parts})
+    return SumValue(closed, sum(parts.values()), {"theta": theta, "sign": sign, "err_parts": parts})
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -797,7 +773,6 @@ def median_real_check(
     b: float = 0.0,
     ray: str = "arg0",
     theta: float = 0.0,
-    tol: float = 1e-8,
 ) -> tuple[complex, float]:
     """Median-summation reality: the designated G_- value must be real.
 
@@ -827,7 +802,7 @@ def check_homomorphism(z: complex, order: int = 60, tol: float = DEFAULT_END_TOL
     z = complex(z)
     theta = choose_theta(z, "Ipi", (0.0, math.pi))
     rate = (z * cmath.exp(1j * theta)).real
-    T = (math.log(1.0 / DEFAULT_QUAD_TOL) + 8.0) / rate
+    T = (math.log(1.0 / DEFAULT_QUAD_TOL) + _GROWTH_MARGIN) / rate
     if T > _MACLAURIN_RADIUS:
         raise DomainError("Maclaurin route needs larger |z| at this tolerance")
     psi, phi = families.gen_psi_phi(order)
@@ -851,8 +826,9 @@ def check_derivation(z: complex, h: float = 0.005, tol: float = 1e-5) -> dict:
     fd = (-sg(z + 2 * h) + 8 * sg(z + h) - 8 * sg(z - h) + sg(z - 2 * h)) / (12 * h)
     kern = _psi_kernel(DEFAULT_QUAD_TOL)
     kern_moment = lambda zs: -zs * eval_Bhat(zs, "B", DEFAULT_QUAD_TOL)
-    spsi = z * laplace_ray(kern, z, theta).value
-    spsi_prime = laplace_ray(kern, z, theta).value + z * laplace_ray(kern_moment, z, theta).value
+    lap = laplace_ray(kern, z, theta).value
+    spsi = z * lap
+    spsi_prime = lap + z * laplace_ray(kern_moment, z, theta).value
     exact = spsi_prime / spsi
     res = abs(fd - exact)
     return {"residual": res, "ok": res <= tol, "theta": theta}
@@ -869,7 +845,7 @@ def check_reflection(z: complex, sigma1: complex, sigma2: complex, tol=DEFAULT_E
 def gpm_ode_residual(sign, z: complex, sigma1: complex, sigma2: complex, h: float = 1e-3) -> float:
     """5-point finite-difference residual of G'' + (G')^2 + 2G' + 5/(36 z^2)."""
     z = complex(z)
-    theta = choose_theta(z, INTERVALS["Iplus"] if str(sign) in ("+", "plus", "1") else INTERVALS["Iminus"], (0.0, math.pi))
+    theta = choose_theta(z, _sign_window(sign))
     vals = {}
     for k in (-2, -1, 0, 1, 2):
         vals[k] = G_pm(sign, z + k * h, sigma1, sigma2, theta=theta, quad_tol=1e-11).value

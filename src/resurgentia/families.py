@@ -134,15 +134,18 @@ def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
 
 
 def ode_residual(series: PowerSeries, which: str) -> PowerSeries:
-    """Residual window of the defining equation, exact through order N - 2.
+    """Residual window of the defining equation, exact through z^{-(N-2)}.
 
     which = "airy_linear": psi'' + 2 psi' + (5/36) z^{-2} psi.
     which = "hae_nonlinear": g'' + (g')^2 + 2 g' + (5/36) z^{-2}; any constant
     shift of g leaves this residual unchanged.
+    The coefficients of z^0 and z^{-1} vanish for every series, so N >= 4: a
+    window that stops above z^{-2} would certify any series.
     """
     n = series.order
-    if n < 2:
-        raise ValueError("need order >= 2 to form a second derivative")
+    if n < 4:
+        raise ValueError("need order >= 4: the residual window must reach z^-2, "
+                         "the first coefficient the equation constrains")
     quad = PowerSeries.monomial(2, n - 2, Fraction(5, 36))
     if which == "airy_linear":
         d1 = series.diff()

@@ -1,18 +1,17 @@
-"""Large-radius pipeline: the change of variable z2 -> z2 + phi_u and its fallout.
+"""Large-radius pipeline: one frame map over the double-scaling layer.
 
-With t = g_s^2 u^2 and z2 = 1/(3 g_s^2 u^3), the tangent-to-identity shift
+With t = g_s^2 u^2 and z2 = 1/(3 g_s^2 u^3), the shift z2 -> z2 + phi_u,
 
-    phi_u(z2) = sum_{n>=1} binom(3/2, n) (-2/(3u))^n z2^{-(n-1)}
+    phi_u(z2) = sum_{n>=1} A_n (3u)^{-n} z2^{-(n-1)},  (1-2t)^{3/2} = sum_n A_n t^n,
 
-maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2), carrying the double-scaling
-free energies to the large-radius frame. Everything exact here lives in one of
-two gradings, powers of g_s^2 with Laurent-in-u coefficients or powers of
-z2^{-1}, and the perturbative series H^(0) is built along both and compared.
-A UCoeffSeries stores its window as integer numerators over one denominator
-and computes on ints; ULaurent is its coefficient view and the type of Pol_n.
-The symbolic layer extends the alien engine with composition factors
-e^{-+2 phi_u} so the bridge and Stokes identities can be checked verbatim, and
-the numeric layer delegates to the sectorial solver at z1.
+maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2). Resurgent series are stable
+under it, so each large-radius object is a double-scaling one at z1 plus the
+elementary term R: H^(0) (built along two routes and compared), the composition
+factors e^{-+2 phi_u} of the symbolic layer (one context per z order), and the
+numeric sums and connection law (G_+- at z1 with sigma_2 -> -sigma_2). phi_u, R~
+and the t-coefficients of (1-2t)^{+-3/2} are each written once. Exact series are
+graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores one as integer
+numerators over one denominator, and ULaurent is its coefficient view.
 """
 
 from __future__ import annotations
@@ -21,10 +20,13 @@ import cmath
 import math
 from itertools import chain
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import families
 from .alien import (
+    IDX,
+    NVARS,
     ONE_POLY,
     Caps,
     CompositionContext,
@@ -40,11 +42,11 @@ from .scalars import ExactScalar, exact_fraction
 from .series import PowerSeries
 
 
-def binom_half(num: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient binom(num, k) for rational num."""
-    out = Fraction(1)
-    for j in range(k):
-        out *= (num - j) / (j + 1)
+def _one_minus_2t(a: Fraction, n: int) -> list:
+    """t-coefficients A_0..A_n of (1 - 2t)^a, A_k = binom(a, k) (-2)^k, as a running product."""
+    out = [Fraction(1)]
+    for k in range(n):
+        out.append(out[-1] * 2 * (k - a) / (k + 1))
     return out
 
 
@@ -330,15 +332,19 @@ def _head(grading: str, order: int, c0: ULaurent) -> UCoeffSeries:
 
 
 def gen_phi_u(N: int) -> UCoeffSeries:
-    """First N terms of the change of variable phi_u in the z2 grading."""
+    """First N terms of the change of variable phi_u in the z2 grading: coefficient
+    n - 1 is A_n/3^n u^{-n}, with A the t-coefficients of (1-2t)^{3/2}."""
     if N < 1:
         raise ValueError("need at least one term")
-    coeffs = []
-    for k in range(N):
-        n = k + 1
-        c = binom_half(Fraction(3, 2), n) * Fraction(-2, 3) ** n
-        coeffs.append(ULaurent.mono(-n, c))
-    return UCoeffSeries("z2", N - 1, tuple(coeffs))
+    A = _one_minus_2t(Fraction(3, 2), N)
+    return UCoeffSeries("z2", N - 1, tuple(ULaurent.mono(-n, A[n] / 3 ** n) for n in range(1, N + 1)))
+
+
+def _rtilde(phi: UCoeffSeries) -> UCoeffSeries:
+    """phi_u + (1/4) sum_k (2/(3u))^k z2^{-k}/k + (1/2) log u on the window of phi."""
+    N = phi.order
+    return phi + UCoeffSeries("z2", N, (_ZERO_UL,) + tuple(
+        ULaurent.mono(-k, Fraction(2 ** k, 3 ** k * 4 * k)) for k in range(1, N + 1)), Fraction(1, 2))
 
 
 def gen_R(N: int) -> UCoeffSeries:
@@ -349,26 +355,22 @@ def gen_R(N: int) -> UCoeffSeries:
     """
     if N < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [ULaurent.mono(-1, -1)]
-    for k in range(1, N + 1):
-        log_part = Fraction(2 ** k, 4 * k)
-        sqrt_part = binom_half(Fraction(3, 2), k + 1) * Fraction(-2) ** (k + 1) / 3
-        coeffs.append(ULaurent.mono(2 * k, log_part) + ULaurent.mono(2 * k - 1, sqrt_part))
+    A = _one_minus_2t(Fraction(3, 2), N + 1)
+    coeffs = [ULaurent.mono(-1, -1)] + [
+        ULaurent.mono(2 * k, Fraction(2 ** k, 4 * k)) + ULaurent.mono(2 * k - 1, A[k + 1] / 3)
+        for k in range(1, N + 1)]
     return UCoeffSeries("gs2", N, tuple(coeffs), log_u=Fraction(1, 2))
 
 
 def lambda_s_squared(N: int) -> UCoeffSeries:
-    """lambda_s^2 = sum_l (2l-1)!/(2^{l-1}((l-1)!)^2) u^{2l+1} g_s^{2l}."""
-    coeffs = [_ZERO_UL]
-    for ell in range(1, N + 1):
-        c = Fraction(math.factorial(2 * ell - 1), 2 ** (ell - 1) * math.factorial(ell - 1) ** 2)
-        coeffs.append(ULaurent.mono(2 * ell + 1, c))
-    return UCoeffSeries("gs2", N, tuple(coeffs))
+    """lambda_s^2 = g_s^2 u^3 (1-2t)^{-3/2} = sum_l (2l-1)!/(2^{l-1}((l-1)!)^2) u^{2l+1} g_s^{2l}."""
+    A = _one_minus_2t(Fraction(-3, 2), N)
+    return UCoeffSeries("gs2", N, (_ZERO_UL,) + tuple(ULaurent.mono(2 * k + 3, a) for k, a in enumerate(A[:N])))
 
 
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
-    """g(z2 + phi_u) + phi_u + (1/4) sum_k (2/(3u))^k z2^{-k}/k + (1/2)log u,
-    built in the z2 grading and regraded via z2^{-1} = 3 g_s^2 u^3; g = log psi."""
+    """g(z2 + phi_u) + R~ with g = log psi (see _rtilde), built in the z2 grading
+    and regraded via z2^{-1} = 3 g_s^2 u^3."""
     phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
     # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} sum_j (-x)^j
     negx = _index_shift(phi).scale(-1)
@@ -379,8 +381,7 @@ def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
             break
         geo = geo + term
     w = _index_shift(geo)  # valuation 1
-    total = phi + UCoeffSeries("z2", N, (_ZERO_UL,) + tuple(
-        ULaurent.mono(-k, Fraction(2 ** k, 3 ** k * 4 * k)) for k in range(1, N + 1)))
+    total = _rtilde(phi)
     wn = _head("z2", N, ULaurent.const(1))
     for n in range(1, N + 1):
         wn = wn * w
@@ -389,7 +390,7 @@ def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
             total = total + wn.scale(bn)
     # z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}
     rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(total.rows))
-    return _ucs("gs2", N, total.den, rows, Fraction(1, 2))
+    return _ucs("gs2", N, total.den, rows, total.log_u)
 
 
 def gen_H0(N: int) -> UCoeffSeries:
@@ -430,28 +431,12 @@ def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:
     return lhs - _head("gs2", lhs.order, rhs0)
 
 
-def _c_minus(order: int) -> list:
-    """t-coefficients of ((1-2t)^{3/2} - 1 + 3t)/(3t^2); c_minus(0) = 1/2."""
-    return [
-        binom_half(Fraction(3, 2), r + 2) * Fraction(-2) ** (r + 2) / 3
-        for r in range(order + 1)
-    ]
-
-
-def _c_plus(order: int) -> list:
-    """t-coefficients of ((1-2t)^{-3/2} - 1)/t; c_plus(0) = 3."""
-    return [
-        binom_half(Fraction(-3, 2), r + 1) * Fraction(-2) ** (r + 1)
-        for r in range(order + 1)
-    ]
-
-
 def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     """Transseries component n: prefactor e^{2n/u}, series, and Pol_n(u,2g).
 
-    Built from the discrepancy series c_-, c_+ and the double-scaling tower:
-    the g_s^{2g} coefficient is u^g Pol_n(u,2g) with Pol of degree exactly 2g,
-    and the g_s^0 term is -1/n.
+    Built from c_- = ((1-2t)^{3/2} - 1 + 3t)/(3t^2), 1 + t c_+ = (1-2t)^{-3/2} and
+    the double-scaling tower: the g_s^{2g} coefficient is u^g Pol_n(u,2g) with
+    Pol of degree exactly 2g, and the g_s^0 term is -1/n.
     """
     if n < 1:
         raise ValueError("component index must be positive")
@@ -459,13 +444,12 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
         raise ValueError("gmax must be nonnegative")
     Gn = families.gen_Gn(max(gmax + 1, 4), n)[n - 1].series
     gcoef = [3 ** k * Gn.coeff(k).re for k in range(gmax + 1)]
-    cm = PowerSeries.from_coeffs(_c_minus(gmax))
-    cp1 = PowerSeries.from_coeffs([1] + _c_plus(gmax - 1))  # 1 + t c_+
+    cm = PowerSeries.from_coeffs([a / 3 for a in _one_minus_2t(Fraction(3, 2), gmax + 2)[2:]])
     cm_pow = [PowerSeries.one(gmax)]
-    cp_pow = [PowerSeries.one(gmax)]
     for _ in range(gmax):
         cm_pow.append(cm_pow[-1] * cm)
-        cp_pow.append(cp_pow[-1] * cp1)
+    # (1 + t c_+)^k = (1-2t)^{-3k/2}
+    cp_pow = [PowerSeries.from_coeffs(_one_minus_2t(Fraction(-3 * k, 2), gmax)) for k in range(gmax + 1)]
     # t-coefficients of c_-^ell (1 + t c_+)^k, each product formed once
     c_lk = {
         (ell, k): [c.re for c in (cm_pow[ell] * cp_pow[k]).coeffs]
@@ -510,14 +494,26 @@ def _poly_exp(p: Poly, zcap: int) -> Poly:
     return out
 
 
+def _z_poly(s: UCoeffSeries) -> Poly:
+    """A z2-graded series as a Poly: row k, u^e -> z^{-k} u^e; log u -> lu."""
+    def mono(z: int, u: int, lu: int = 0) -> tuple:
+        m = [0] * NVARS
+        m[IDX["z"]], m[IDX["u"]], m[IDX["lu"]] = z, u, lu
+        return tuple(m)
+
+    terms = {mono(0, 0, 1): s.log_u} if s.log_u else {}
+    terms.update((mono(-k, e), Fraction(c, s.den)) for k, row in enumerate(s.rows) for e, c in row.items())
+    return Poly(terms)
+
+
+@lru_cache(maxsize=None)
 def make_context(zcap: int = 8) -> CompositionContext:
-    """Composition factors e^{-+2 phi_u} with the e^{+-2/u} part in the w slot."""
+    """Composition factors e^{-+2 phi_u} with the e^{+-2/u} part in the w slot,
+    built and checked once per z order."""
     if zcap < 1:
         raise ValueError("z order must be positive")
-    h = Poly.zero()  # -2 (phi_u + 1/u)
-    for k in range(1, zcap + 1):
-        c = binom_half(Fraction(3, 2), k + 1) * Fraction(-2, 3) ** (k + 1)
-        h = h + Poly.var("z", -k, 1) * Poly.var("u", -(k + 1), -2 * c)
+    # -2 (phi_u + 1/u): the 1/u cancels row 0 of phi_u
+    h = _z_poly((gen_phi_u(zcap + 1) + _head("z2", zcap, ULaurent.mono(-1, 1))).scale(-2))
     fplus = _poly_exp(h, zcap) * Poly.var("w", 1)
     fminus = _poly_exp(h.scale(-1), zcap) * Poly.var("w", -1)
     check = (fplus * fminus).drop_low_z(zcap)
@@ -526,27 +522,14 @@ def make_context(zcap: int = 8) -> CompositionContext:
     return CompositionContext(factor_plus2=fplus, factor_minus2=fminus, zcap=zcap)
 
 
-def _rtilde_poly(zcap: int) -> Poly:
-    """(1/2) log u + phi_u + (1/4) sum_k (2/(3u))^k z^{-k}/k, z-truncated."""
-    out = Poly.var("lu", 1, Fraction(1, 2)) + Poly.var("u", -1, -1)
-    for k in range(1, zcap + 1):
-        c_phi = binom_half(Fraction(3, 2), k + 1) * Fraction(-2, 3) ** (k + 1)
-        out = out + Poly.var("z", -k, 1) * Poly.var("u", -(k + 1), c_phi)
-        out = out + Poly.var("z", -k, 1) * Poly.var("u", -k, Fraction(2 ** k, 3 ** k * 4 * k))
-    return out
-
-
-def lr_transseries(caps: Caps, context: Optional[CompositionContext] = None) -> TransElement:
+def lr_transseries(caps: Caps) -> TransElement:
     """The symbolic transseries: the formal integral at (sigma_1, -sigma_2)
-    composed with id + phi_u, plus the elementary term."""
+    composed with id + phi_u, plus the elementary term R~."""
     if caps.zorder is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
-    if context is None:
-        context = make_context(caps.zorder)
-    if context.zcap != caps.zorder:
-        raise ValueError("cap inconsistency: context and caps disagree on the z order")
-    core = formal_integral(caps, context=context, grade_cap=caps.grade, negate_sigma2=True)
-    return core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps, context)
+    context = make_context(caps.zorder)
+    core = formal_integral(caps, context=context, negate_sigma2=True)
+    return core + TransElement.from_poly(_z_poly(_rtilde(gen_phi_u(caps.zorder + 1))), caps, context)
 
 
 def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
@@ -581,21 +564,10 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
 # -- numeric layer -----------------------------------------------------------------
 
 
-def lr_sum(
-    sign,
-    gs: complex,
-    u: complex,
-    sigma1: complex = 0.0,
-    sigma2: complex = 0.0,
-    tol: float = 1e-6,
-) -> SumValue:
-    """Numeric large-radius solution: the sectorial sum at z1 plus R(g_s, u).
-
-    z1 = (1-2t)^{3/2}/(3 g_s^2 u^3) with t = g_s^2 u^2, principal powers; the
-    exponential-term domain condition is enforced by the sectorial solver.
-    """
-    from .borel import G_pm  # the float engine loads only for numeric work
-
+def _frame(gs: complex, u: complex) -> tuple:
+    """z1 = (1-2t)^{3/2}/(3 g_s^2 u^3), t = g_s^2 u^2 and R(g_s, u) =
+    (1/4) log(u^2/(1-2t)) + ((1-2t)^{3/2} - 1)/(3 g_s^2 u^3), principal powers,
+    after the domain checks: g_s, u nonzero, |t| < 1/2, and no cut in the log."""
     gs = complex(gs)
     u = complex(u)
     if gs == 0 or u == 0:
@@ -605,14 +577,29 @@ def lr_sum(
         raise DomainError("outside the principal branch domain |g_s^2 u^2| < 1/2")
     w = 1.0 - 2.0 * t
     r32 = w ** 1.5
-    z1 = r32 / (3.0 * gs * gs * u ** 3)
-    core = G_pm(sign, z1, sigma1, -complex(sigma2), tol)
     ratio = u * u / w
     if ratio.real <= 0.0 and abs(ratio.imag) < 1e-13:
         raise BranchCutError("branch cut: log of a negative real ratio")
-    r_num = 0.25 * cmath.log(ratio) + (r32 - 1.0) / (3.0 * gs * gs * u ** 3)
-    meta = dict(core.meta, z1=z1, t=t)
-    return SumValue(core.value + r_num, core.err, meta)
+    return r32 / (3.0 * gs * gs * u ** 3), t, 0.25 * cmath.log(ratio) + (r32 - 1.0) / (3.0 * gs * gs * u ** 3)
+
+
+def lr_sum(
+    sign,
+    gs: complex,
+    u: complex,
+    sigma1: complex = 0.0,
+    sigma2: complex = 0.0,
+    tol: float = 1e-6,
+) -> SumValue:
+    """Numeric large-radius solution: G_sign at z1 with sigma_2 -> -sigma_2, plus R(g_s, u).
+
+    The exponential-term domain condition is enforced by the sectorial solver.
+    """
+    from .borel import G_pm  # the float engine loads only for numeric work
+
+    z1, t, R = _frame(gs, u)
+    core = G_pm(sign, z1, sigma1, -complex(sigma2), tol)
+    return SumValue(core.value + R, core.err, dict(core.meta, z1=z1, t=t))
 
 
 def lr_connection_check(
@@ -628,26 +615,11 @@ def lr_connection_check(
     right: H_+(g_s, u, s1, s2) - H_-(g_s, u, s1, s2 + i).
     left:  H_+(e^{-i pi} g_s, u, s1, s2) - H_-(g_s, u, s1 + log(1 - i s2),
            s2/(1 - i s2)); needs |s2| small enough for both domains.
+    Computed as connection_check at z1 with sigma_2 -> -sigma_2, plus R on both
+    sides; e^{-i pi} g_s has the same z1 and R as g_s.
     """
-    gs = complex(gs)
-    sigma1 = complex(sigma1)
-    sigma2 = complex(sigma2)
-    if which == "right":
-        lhs = lr_sum("+", gs, u, sigma1, sigma2, tol)
-        rhs = lr_sum("-", gs, u, sigma1, sigma2 + 1j, tol)
-    elif which == "left":
-        wfac = 1.0 - 1j * sigma2
-        if abs(wfac) < 1e-9:
-            raise DomainError("domain empty: 1 - i sigma_2 vanishes")
-        lhs = lr_sum("+", -gs, u, sigma1, sigma2, tol)
-        rhs = lr_sum("-", gs, u, sigma1 + cmath.log(wfac), sigma2 / wfac, tol)
-    else:
-        raise ValueError("which must be 'right' or 'left'")
-    res = abs(lhs.value - rhs.value)
-    return {
-        "residual": res,
-        "ok": res <= tol,
-        "lhs": lhs.value,
-        "rhs": rhs.value,
-        "err": lhs.err + rhs.err,
-    }
+    from .borel import connection_check
+
+    z1, _, R = _frame(gs, u)
+    out = connection_check(which, z1, sigma1, -complex(sigma2), tol)
+    return dict(out, lhs=out["lhs"] + R, rhs=out["rhs"] + R)

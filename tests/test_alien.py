@@ -75,7 +75,7 @@ def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
         window = caps.widen(extra_sigma=1, extra_grade=1)
     else:
         window = _stokes_window(caps, direction)
-    x = lr_transseries(window) if frame == "lr" else formal_integral(window, grade_cap=window.grade)
+    x = lr_transseries(window) if frame == "lr" else formal_integral(window)
     if direction is None:
         return list(_bridge_residuals(x, caps, unit))
     return [_stokes_residual(x, direction, caps, unit)]
@@ -186,7 +186,7 @@ def test_stokes_one_parameter_group():
     t1 = Poly.var("t1")
     t2 = Poly.var("t2")
     for direction in ("geq0", "leq0"):
-        src = formal_integral(Caps(6, 6), grade_cap=6)
+        src = formal_integral(Caps(6, 6))
         assert apply_stokes(src, direction, t1 + t2) == apply_stokes(
             apply_stokes(src, direction, t2), direction, t1
         )

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from resurgentia import borel, families
 from resurgentia.borel import (
     BranchCutError,
-    Direction,
     DomainError,
     G_pm,
     QuadratureError,
@@ -130,16 +129,26 @@ def test_laplace_needs_decay():
 
 
 def test_direction_and_interval_plumbing():
-    assert normalize_interval("minus") == (0.0, math.pi)
-    assert normalize_interval("+") == (-math.pi, 0.0)
+    assert normalize_interval("Iminus") == (0.0, math.pi)
+    assert normalize_interval("Iplus") == (-math.pi, 0.0)
     assert normalize_interval((0.5, 1.5)) == (0.5, 1.5)
-    with pytest.raises(ValueError):
-        normalize_interval("sideways")
+    # the tags are the only spellings
+    for alias in ("minus", "+", "iminus", "I_plus", "sideways"):
+        with pytest.raises(ValueError, match="unknown interval tag"):
+            normalize_interval(alias)
     with pytest.raises(ValueError, match="empty interval"):
         normalize_interval((1.0, 1.0))
-    Direction(0.5, (0.0, math.pi))
-    with pytest.raises(DomainError):
-        Direction(-0.5, (0.0, math.pi))
+    sum_family("psi", 4.0, (0.0, math.pi), theta=0.5)
+    for theta, window in ((-0.5, "Iminus"), (0.0, "Iminus"), (0.5, "Iplus")):
+        with pytest.raises(DomainError, match="strictly inside"):
+            sum_family("psi", 4.0, window, theta=theta)
+        with pytest.raises(DomainError, match="strictly inside"):
+            G_pm("-" if window == "Iminus" else "+", 4.0, theta=theta)
+    for sign in ("plus", "minus", 1, -1):
+        with pytest.raises(ValueError, match="sign must be"):
+            G_pm(sign, 4.0)
+        with pytest.raises(ValueError, match="sign must be"):
+            gpm_ode_residual(sign, 4.0, 0.0, 0.0)
 
 
 def test_choose_theta_rejects_slit_window():

@@ -123,6 +123,22 @@ def test_ode_check_honors_order_flag(capsys):
     assert payload["order"] == 6 and payload["psi_zero"] and payload["ok"]
 
 
+@pytest.mark.parametrize("which", ["psi", "g", "all"])
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_ode_check_rejects_orders_below_the_first_constrained_coefficient(capsys, which, order):
+    code, out = run(capsys, "ode-check", "--which", which, "--order", order)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "ValueError" and payload["message"].startswith("need order >= 4")
+    assert "z^-2" in payload["message"]
+
+
+def test_ode_check_u_equation_at_order_1(capsys):
+    code, out = run(capsys, "ode-check", "--which", "u", "--order", "1")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "order": 1, "u_zero": True}
+
+
 # -- numeric subcommands ----------------------------------------------------------
 
 
@@ -398,7 +414,7 @@ def test_exact_commands_do_not_import_numpy(args):
 def test_public_names_resolve_lazily_to_their_definitions():
     import resurgentia
 
-    assert len(resurgentia.__all__) == 62 and resurgentia.__all__[-1] == "__version__"
+    assert len(resurgentia.__all__) == 61 and resurgentia.__all__[-1] == "__version__"
     for name in resurgentia.__all__[:-1]:
         module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
         assert getattr(resurgentia, name) is getattr(module, name), name

@@ -72,6 +72,25 @@ def test_ode_residual_catches_wrong_series():
         families.ode_residual(PowerSeries.one(4), "bogus")
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_ode_residual_needs_the_z2_coefficient(order):
+    # below order 4 the window stops above z^-2, where it vanishes for any series
+    for which, build in (("airy_linear", lambda: families.gen_psi_phi(order)[0]),
+                         ("hae_nonlinear", lambda: families.gen_g_f(order)[0])):
+        with pytest.raises(ValueError, match="order >= 4.*z\\^-2"):
+            families.ode_residual(build().series, which)
+
+
+def test_ode_residual_sees_a_wrong_c1_at_order_4():
+    psi = families.gen_psi_phi(4)[0].series
+    g = families.gen_g_f(4)[0].series
+    assert families.ode_residual(psi, "airy_linear").is_zero()
+    assert families.ode_residual(g, "hae_nonlinear").is_zero()
+    wrong_c1 = PowerSeries.monomial(1, 4)
+    assert not families.ode_residual(psi + wrong_c1, "airy_linear").is_zero()
+    assert not families.ode_residual(g + wrong_c1, "hae_nonlinear").is_zero()
+
+
 def test_tower_frozen_and_power_law():
     Gs = families.gen_Gn(8, 4)
     G1 = Gs[0].series

@@ -2,6 +2,7 @@
 and the numeric sums restricted to the principal branch."""
 
 import cmath
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,11 +13,10 @@ from hypothesis import strategies as st
 
 from resurgentia import families, largeradius
 from resurgentia.alien import Caps, Poly, TransElement, apply_stokes, formal_integral
-from resurgentia.borel import BranchCutError, DomainError
+from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
     UCoeffSeries,
     ULaurent,
-    binom_half,
     gen_H0,
     gen_Hn,
     gen_phi_u,
@@ -54,10 +54,15 @@ def test_ulaurent_basics():
     assert (a - a).is_zero()
 
 
-def test_binom_half():
-    assert binom_half(F(3, 2), 0) == 1
-    assert binom_half(F(3, 2), 2) == F(3, 8)
-    assert binom_half(F(3, 2), 3) == F(-1, 16)
+@pytest.mark.parametrize("a", [F(3, 2), F(-3, 2)], ids=["a=3/2", "a=-3/2"])
+def test_one_minus_2t_power_matches_the_binomial_product(a):
+    A = largeradius._one_minus_2t(a, 12)
+    for k in range(13):
+        binom = F(1)
+        for j in range(k):
+            binom *= (a - j) / (j + 1)
+        assert A[k] == binom * F(-2) ** k
+    assert largeradius._one_minus_2t(F(3, 2), 3) == [1, -3, F(3, 2), F(1, 2)]
 
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -459,10 +464,62 @@ def test_context_inversion_guard():
     make_context(4)  # internal f+ f- = 1 assertion must pass
 
 
+def test_one_context_per_z_order():
+    assert make_context(5) is make_context(5)
+    assert make_context(5) is not make_context(6)
+    assert lr_transseries(Caps(2, 2, 5)).context is make_context(5)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _series_sha(s: UCoeffSeries) -> str:
+    return _sha(json.dumps(s.to_json_dict(), sort_keys=True))
+
+
+def _context_sha(z: int) -> str:
+    ctx = make_context(z)
+    return _sha(ctx.factor_plus2.to_str() + "\n" + ctx.factor_minus2.to_str())
+
+
+# sha256 of exact large-radius outputs, recorded before phi_u, R~ and the
+# (1-2t)^{+-3/2} coefficients were each written once; any changed Fraction or
+# Poly term order changes a digest
+FRAME_MAP_SHA256 = {
+    "make_context(1)": (lambda: _context_sha(1),
+                        "6c10839300993df8cd439f3fece399082b2a5b6726ad5a1b29765287b0c9857e"),
+    "make_context(4)": (lambda: _context_sha(4),
+                        "7d1d49446247dcd8eef164935557bd836d038465ecc950ce546d09a64580d73e"),
+    "make_context(8)": (lambda: _context_sha(8),
+                        "599512ce90d22f292547b13d9ffbf3d6064ebb55760d086b47508c5b911fd69b"),
+    "lr_transseries(5,5,8)": (lambda: _sha(lr_transseries(Caps(5, 5, 8)).to_json()),
+                              "9b45c0d4b937d441d84a4aa53d6dbd814eabde9e9a22e858a6a5efca6d393382"),
+    "gen_phi_u(30)": (lambda: _series_sha(gen_phi_u(30)),
+                      "62fa0114254336831682e5e760190b8a43e5cf176af13de28228732836441c20"),
+    "gen_R(30)": (lambda: _series_sha(gen_R(30)),
+                  "f4287015c42f1f25e549f5cb62e6712ddaf1064e5e18db42b898c26677eb2a2f"),
+    "lambda_s_squared(30)": (lambda: _series_sha(lambda_s_squared(30)),
+                             "5c690d8ba3e851248426537eeae03696823ec40a42c5cf5eae90294a556cc84f"),
+    "gen_Hn(1,8)": (lambda: _series_sha(gen_Hn(1, 8)[1]),
+                    "2fffb81e3a7b531a392f66d9d271864dc120c8345679845dd320f4f304c0498d"),
+    "gen_Hn(2,8)": (lambda: _series_sha(gen_Hn(2, 8)[1]),
+                    "39da8f7e288564501b2a918a3a3e75d8d847c10316a0b902fa5ad8104bde41da"),
+    "gen_Hn(3,8)": (lambda: _series_sha(gen_Hn(3, 8)[1]),
+                    "bbcc272b80ab9d8eff19cd5c3500b8696690896d0731dc426b0e7175b44793ca"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_MAP_SHA256))
+def test_frame_map_outputs_are_pinned(name):
+    build, digest = FRAME_MAP_SHA256[name]
+    assert build() == digest
+
+
 def test_composed_rightward_stokes_in_sigma_convention():
     ctx = make_context(6)
     caps = Caps(3, 3, 6)
-    G = formal_integral(caps.widen(extra_grade=1), context=ctx, grade_cap=4)
+    G = formal_integral(caps.widen(extra_grade=1), context=ctx)
     lhs = apply_stokes(G, "geq0")
     rhs = G.subst("s2", Poly.var("s2") - Poly.const(ExactScalar(0, 1)))
     assert (lhs - rhs).truncated(caps).is_zero()
@@ -487,8 +544,6 @@ def test_lr_rightward_stokes_above_the_sigma_cap(caps):
 def test_lr_caps_consistency():
     with pytest.raises(ValueError, match="cap inconsistency"):
         lr_transseries(Caps(3, 3))
-    with pytest.raises(ValueError, match="cap inconsistency"):
-        lr_transseries(Caps(3, 3, 8), make_context(6))
     # formal_integral takes its z floor from the context, so the two must agree
     with pytest.raises(ValueError, match="cap inconsistency"):
         formal_integral(Caps(3, 3, 8), context=make_context(6))
@@ -544,6 +599,24 @@ def test_lr_connection_left():
         lr_connection_check("up", 0.4, 1.0)
     with pytest.raises(DomainError, match="vanishes"):
         lr_connection_check("left", gs, 1.0, 0.0, -1j)
+
+
+@pytest.mark.parametrize("which,gs,u,s1,s2,tol", [
+    ("right", 0.4, 1.0, 0.0, 1.0, 1e-5),
+    ("right", 0.35, 1.1, 0.5, -0.5 + 0.2j, 1e-5),
+    ("left", 0.55j, 1.0, 0.0, 0.002j, 1e-4),
+    ("left", 0.5 * cmath.exp(1.5j), 1.05, 0.1, 0.001 + 0.001j, 1e-4),
+])
+def test_lr_connection_is_the_connection_law_at_z1(which, gs, u, s1, s2, tol):
+    # z1 = (1-2t)^{3/2}/(3 g_s^2 u^3) and R = (1/4) log(u^2/(1-2t)) + ((1-2t)^{3/2} - 1)/(3 g_s^2 u^3)
+    gs, u = complex(gs), complex(u)
+    w = 1.0 - 2.0 * (gs * gs * u * u)
+    z1 = w ** 1.5 / (3.0 * gs * gs * u ** 3)
+    R = 0.25 * cmath.log(u * u / w) + (w ** 1.5 - 1.0) / (3.0 * gs * gs * u ** 3)
+    out = lr_connection_check(which, gs, u, s1, s2, tol)
+    ref = connection_check(which, z1, s1, -complex(s2), tol)
+    assert out == dict(ref, lhs=ref["lhs"] + R, rhs=ref["rhs"] + R)
+    assert out["ok"] and abs(out["residual"] - abs(out["lhs"] - out["rhs"])) < 1e-15
 
 
 def test_lr_sum_domains():
