@@ -119,7 +119,7 @@ def _check_kernel_range(nums: dict) -> None:
 
 
 class _Terms(Mapping):
-    """Read-only view {12-tuple monomial: ExactScalar} of a Poly, in term order."""
+    """Read-only view {12-tuple monomial: ExactScalar} of a Poly."""
 
     __slots__ = ("_poly",)
 
@@ -153,9 +153,8 @@ class Poly:
     +-i swaps and negates numerators, and truncation compares slots. The
     product sums monomial products with plain int arithmetic and takes
     operands whose exponents lie in [-2^30, 2^30) (others raise
-    OverflowError). terms is a read-only view with ExactScalar values; terms
-    are visited in the order of the term-by-term ExactScalar loops these
-    operations replace.
+    OverflowError). terms is a read-only view with ExactScalar values. The
+    order of the terms is unspecified; to_str sorts them.
     """
 
     __slots__ = ("den", "nums")
@@ -258,15 +257,10 @@ class Poly:
                 e = get(key)
                 if e is None:
                     acc[key] = [re, im]
-                    continue
-                re += e[0]
-                im += e[1]
-                if re or im:
-                    e[0] = re
-                    e[1] = im
                 else:
-                    del acc[key]
-        return _poly(self.den * other.den, {k: (re, im) for k, (re, im) in acc.items()})
+                    e[0] += re
+                    e[1] += im
+        return _poly(self.den * other.den, {k: (re, im) for k, (re, im) in acc.items() if re or im})
 
     def scale(self, c) -> "Poly":
         # c = (a + b i) / q
@@ -304,17 +298,24 @@ class Poly:
         return _poly(self.den, out)
 
     def subst(self, name: str, replacement: "Poly") -> "Poly":
-        """Substitute a polynomial for a variable (nonnegative powers only)."""
+        """Substitute a polynomial for a variable (nonnegative powers only).
+
+        The terms are grouped by their exponent e of the variable, so each
+        distinct e costs one product with replacement**e."""
         shift, mask = _slot(name)
-        powers = [ONE_POLY]
-        out = Poly()
+        groups: dict[int, dict] = {}
         for key, num in self.nums.items():
             e = ((key & mask) >> shift) - _HALF
             if e < 0:
                 raise ValueError("cannot substitute into a negative power")
-            while len(powers) <= e:
-                powers.append(powers[-1] * replacement)
-            out = out + _poly(self.den, {key - (e << shift): num}) * powers[e]
+            groups.setdefault(e, {})[key - (e << shift)] = num
+        out = Poly()
+        power = ONE_POLY
+        for e in range(max(groups, default=-1) + 1):
+            if e:
+                power = power * replacement
+            if e in groups:
+                out = out + _poly(self.den, groups[e]) * power
         return out
 
     # -- truncation ------------------------------------------------------------

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sum", "lateral Borel-Laplace sum of a family")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
-    p.add_argument("--interval", default="Ipi")
+    p.add_argument("--interval", choices=("I0", "Ipi", "Iplus", "Iminus"), default="Ipi")
     p.add_argument("--theta", type=float, default=None)
 
     p = add("connect", "numeric connection formulas")

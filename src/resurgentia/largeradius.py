@@ -61,7 +61,8 @@ class ULaurent:
     """Laurent polynomial in u with rational coefficients.
 
     The constructor validates its input; the arithmetic below builds results
-    through _ulaurent, dropping the zeros a sum or a scale can produce.
+    through _ulaurent, dropping the zeros a sum or a product can produce. The
+    order of the terms is unspecified; to_map and to_str sort them.
     """
 
     __slots__ = ("terms",)
@@ -92,12 +93,7 @@ class ULaurent:
             out[e] = out[e] + c if e in out else c
         return _ulaurent({e: c for e, c in out.items() if c})
 
-    def __neg__(self) -> "ULaurent":
-        return _ulaurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ULaurent") -> "ULaurent":
-        return self + (-other)
-
+    # unused in src/, but perfbench/tracer.py wraps it at install; traced runs need it
     def __mul__(self, other: "ULaurent") -> "ULaurent":
         out: dict[int, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -106,16 +102,9 @@ class ULaurent:
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return _ulaurent({e: c for e, c in out.items() if c})
 
-    def scale(self, c) -> "ULaurent":
-        c = exact_fraction(c)
-        return _ulaurent({e: v * c for e, v in self.terms.items()} if c else {})
-
     def shift(self, k: int) -> "ULaurent":
         """Multiply by u^k."""
         return _ulaurent({e + k: c for e, c in self.terms.items()})
-
-    def diff(self) -> "ULaurent":
-        return _ulaurent({e - 1: e * c for e, c in self.terms.items() if e != 0})
 
     def eval(self, u: complex) -> complex:
         return sum(complex(c) * u ** e for e, c in self.terms.items())
@@ -170,19 +159,6 @@ def _ucs(grading: str, order: int, den: int, rows: tuple,
     return out
 
 
-def _add_into(out: dict, y: dict, fy: int = 1) -> dict:
-    """out += fy y in place, skipping zeros in y: a term keeps its place in out,
-    a new one goes last, and one that cancels leaves, as in the ULaurent sum."""
-    for e, c in y.items():
-        if c:
-            c = c * fy + out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-    return out
-
-
 class UCoeffSeries:
     """Truncated series with ULaurent coefficients in one of two gradings.
 
@@ -192,8 +168,7 @@ class UCoeffSeries:
     e^{2n/u}. The window is stored as rows[k] = {u-exponent: numerator},
     nonzero ints over one denominator den > 0, in canonical form (gcd(den,
     every numerator) == 1); coeffs and coeff(k) are read-only ULaurent views.
-    Every operation works on ints and keeps the terms of each row in the
-    order of the term-by-term ULaurent loop it replaces.
+    Every operation works on ints.
     """
 
     __slots__ = ("grading", "order", "den", "rows", "log_u", "exp_tag")
@@ -233,9 +208,13 @@ class UCoeffSeries:
             raise ValueError("exponential prefactor mismatch")
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        rows = tuple(_add_into({e: c * fa for e, c in x.items()}, y, fb)
-                     for x, y in zip(self.rows, other.rows))
-        return _ucs(self.grading, len(rows) - 1, den, rows, self.log_u + sign * other.log_u, self.exp_tag)
+        rows = []
+        for x, y in zip(self.rows, other.rows):
+            row = {e: c * fa for e, c in x.items()}
+            for e, c in y.items():
+                row[e] = row.get(e, 0) + c * fb
+            rows.append({e: c for e, c in row.items() if c})
+        return _ucs(self.grading, len(rows) - 1, den, tuple(rows), self.log_u + sign * other.log_u, self.exp_tag)
 
     def __add__(self, other: "UCoeffSeries") -> "UCoeffSeries":
         return self._plus(other, 1)
@@ -244,8 +223,7 @@ class UCoeffSeries:
         return self._plus(other, -1)
 
     def __mul__(self, other: "UCoeffSeries") -> "UCoeffSeries":
-        """The truncated product. Row pairs and terms are visited in the order of the ULaurent
-        loop, and a term that cancels is dropped at the same point, so each row keeps its order."""
+        """The truncated product, accumulated straight into the output rows."""
         self._match(other)
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
@@ -257,13 +235,14 @@ class UCoeffSeries:
             for j, ys in rows_b:
                 if i + j > n:
                     break
-                prod: dict[int, int] = {}
+                row = acc[i + j]
+                get = row.get
                 for e1, c1 in xs:
                     for e2, c2 in ys:
                         e = e1 + e2
-                        prod[e] = prod.get(e, 0) + c1 * c2
-                _add_into(acc[i + j], prod)
-        return _ucs(self.grading, n, self.den * other.den, tuple(acc), _F0, self.exp_tag + other.exp_tag)
+                        row[e] = get(e, 0) + c1 * c2
+        rows = tuple({e: c for e, c in row.items() if c} for row in acc)
+        return _ucs(self.grading, n, self.den * other.den, rows, _F0, self.exp_tag + other.exp_tag)
 
     def scale(self, c) -> "UCoeffSeries":
         c = exact_fraction(c)
@@ -318,6 +297,12 @@ class UCoeffSeries:
             raise ValueError("grading mismatch")
 
 
+def _z2_to_gs2(s: UCoeffSeries) -> UCoeffSeries:
+    """Regrade a z2 series by z2^{-1} = 3 g_s^2 u^3: z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}."""
+    rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(s.rows))
+    return _ucs("gs2", s.order, s.den, rows, s.log_u)
+
+
 def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
     """Coefficient k moves to k + 1 (times g_s^2 or z2^{-1}); the top one leaves."""
     return _ucs(s.grading, s.order, s.den, ({},) + s.rows[: s.order], s.log_u, s.exp_tag)
@@ -351,15 +336,11 @@ def gen_R(N: int) -> UCoeffSeries:
     """The elementary term (1/4)log(u^2/(1-2t)) + ((1-2t)^{3/2}-1)/(3 g_s^2 u^3).
 
     Expanded in g_s^2 with t = g_s^2 u^2; the constant term is -1/u + (1/2)log u
-    and the log u scalar is carried symbolically.
+    and the log u scalar is carried symbolically. R is R~ regraded from z2 to g_s^2.
     """
     if N < 0:
         raise ValueError("order must be nonnegative")
-    A = _one_minus_2t(Fraction(3, 2), N + 1)
-    coeffs = [ULaurent.mono(-1, -1)] + [
-        ULaurent.mono(2 * k, Fraction(2 ** k, 4 * k)) + ULaurent.mono(2 * k - 1, A[k + 1] / 3)
-        for k in range(1, N + 1)]
-    return UCoeffSeries("gs2", N, tuple(coeffs), log_u=Fraction(1, 2))
+    return _z2_to_gs2(_rtilde(gen_phi_u(N + 1)))
 
 
 def lambda_s_squared(N: int) -> UCoeffSeries:
@@ -388,9 +369,7 @@ def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
         bn = g.coeff(n).re
         if bn:
             total = total + wn.scale(bn)
-    # z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}
-    rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(total.rows))
-    return _ucs("gs2", N, total.den, rows, total.log_u)
+    return _z2_to_gs2(total)
 
 
 def gen_H0(N: int) -> UCoeffSeries:
@@ -461,7 +440,7 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     coeffs = []
     pols = []
     for g in range(gmax + 1):
-        pol = ULaurent()
+        terms: dict[int, Fraction] = {}
         for k in range(g + 1):
             if gcoef[k] == 0:
                 continue
@@ -471,7 +450,8 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
                 if c_lkr == 0:
                     continue
                 w = Fraction((-2 * n) ** ell, math.factorial(ell)) * sign_n * gcoef[k] * c_lkr
-                pol = pol + ULaurent.mono(r + 2 * k, w)
+                terms[r + 2 * k] = terms.get(r + 2 * k, _F0) + w
+        pol = _ulaurent({e: c for e, c in terms.items() if c})
         coeffs.append(pol.shift(g))
         if g >= 1:
             pols.append(pol)

@@ -311,16 +311,17 @@ kernel_polys = st.dictionaries(kernel_monos, kernel_coeffs, max_size=6).map(Poly
 def _assert_same_product(a: Poly, b: Poly):
     got = a * b
     want = _reference_mul(a, b)
+    assert got == want and hash(got) == hash(want)
+    assert (got.den, got.nums) == (want.den, want.nums)
     assert got.terms == want.terms
-    assert list(got.terms) == list(want.terms)
     assert got.to_str() == want.to_str()
 
 
 @given(kernel_polys, kernel_polys, kernel_polys)
 def test_poly_mul_matches_scalar_loop(p, q, r):
     _assert_same_product(p, q)
-    # (p + q)(p - q): the cross products cancel to zero, after which later
-    # products restart the term at the end of the term order
+    # (p + q)(p - q): the cross products cancel, and a term may reach zero
+    # midway through the accumulation
     _assert_same_product(p + q, p - q)
     _assert_same_product(p + q + r, (q - r) * p)
 
@@ -344,9 +345,9 @@ def test_poly_mul_rejects_exponents_beyond_the_kernel():
 
 
 def _assert_same_poly(got: Poly, want: Poly):
-    """Same value, same term order, and the same canonical (den, nums)."""
+    """Same value, same hash, and the same canonical (den, nums)."""
     assert got == want and hash(got) == hash(want)
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.terms == want.terms
     assert got.den == want.den and got.nums == want.nums
 
 
@@ -415,3 +416,55 @@ def test_poly_products_are_canonical(a, b, c):
     # the canonical form is the one built from the reduced ExactScalar terms
     _assert_same_poly(left, Poly(dict(left.terms)))
     _assert_same_poly(a * b, _reference_mul(a, b))
+
+
+# -- grouped substitution against the per-term loop it replaces -----------------
+
+
+def _reference_subst(p: Poly, name: str, replacement: Poly) -> Poly:
+    """One product with replacement**e and one Poly sum per term."""
+    k = IDX[name]
+    powers = [Poly.const(1)]
+    out = Poly()
+    for mono, c in p.terms.items():
+        e = mono[k]
+        if e < 0:
+            raise ValueError("cannot substitute into a negative power")
+        while len(powers) <= e:
+            powers.append(powers[-1] * replacement)
+        out = out + Poly({mono[:k] + (0,) + mono[k + 1:]: c}) * powers[e]
+    return out
+
+
+def _geometric_map(sigma: int) -> Poly:
+    """sigma_2 -> sigma_2/(1 - i sigma_2) through sigma_2^sigma, as in the leftward Stokes residual."""
+    out, c = Poly(), ExactScalar.one()
+    for k in range(1, sigma + 1):
+        out = out + Poly.var("s2", k, c)
+        c = c * I
+    return out
+
+
+# (2z + 2i + 1/z)^2 has no constant term: 4 from the cross product, -4 from (2i)^2
+CANCELLING = Poly.var("z", 1, 2) + Poly.const(2 * I) + Poly.var("z", -1)
+replacements = st.one_of(
+    st.sampled_from([Poly.var("s2") - Poly.const(I), _geometric_map(3), CANCELLING]),
+    kernel_polys,
+)
+
+
+@given(kernel_polys, st.sampled_from(["s2", "p"]), replacements)
+def test_grouped_subst_matches_per_term_loop(p, name, replacement):
+    got = p.subst(name, replacement)
+    want = _reference_subst(p, name, replacement)
+    assert got == want and hash(got) == hash(want)
+    assert (got.den, got.nums) == (want.den, want.nums)
+
+
+def test_grouped_subst_edge_cases():
+    assert _mono(0, 0, 0, 0, 0) not in (CANCELLING * CANCELLING).terms
+    # (s2 - 1)^2 at s2 = 1 + z: the groups cancel each other down to z^2
+    p = Poly.var("s2", 2) - Poly.var("s2", 1, 2) + Poly.const(1)
+    assert p.subst("s2", Poly.const(1) + Poly.var("z")) == Poly.var("z", 2)
+    with pytest.raises(ValueError, match="negative power"):
+        (Poly.var("z", -1) + Poly.var("z", 2)).subst("z", Poly.var("u"))

@@ -1,5 +1,6 @@
 """CLI and configuration: exit codes, payload shapes, precedence, reproducibility."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -259,6 +260,16 @@ def test_usage_errors_exit_two(capsys):
             main(["coeffs", "--ag", *flag])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_sum_interval_is_one_of_the_window_tags(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    interval = next(a for a in sub.choices["sum"]._actions if a.dest == "interval")
+    assert sorted(interval.choices) == sorted(borel.INTERVALS)
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "--family", "psi", "--z", "4", "--interval", "minus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'minus'" in capsys.readouterr().err
 
 
 # the flags each subcommand's handler reads; every other one is rejected. A

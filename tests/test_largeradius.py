@@ -40,6 +40,18 @@ def UL(d):
     return ULaurent({e: F(*v) if isinstance(v, tuple) else F(v) for e, v in d.items()})
 
 
+def _neg(a: ULaurent) -> ULaurent:
+    return ULaurent({e: -c for e, c in a.terms.items()})
+
+
+def _scale(a: ULaurent, c) -> ULaurent:
+    return ULaurent({e: v * c for e, v in a.terms.items()})
+
+
+def _diff(a: ULaurent) -> ULaurent:
+    return ULaurent({e - 1: e * c for e, c in a.terms.items() if e})
+
+
 # -- exact u-Laurent layer -----------------------------------------------------
 
 
@@ -48,10 +60,9 @@ def test_ulaurent_basics():
     assert a.coeff(2) == F(1, 2) and a.coeff(0) == 0
     assert a.deg_max() == 2 and a.deg_min() == -1
     assert a.shift(3) == UL({5: (1, 2), 2: 3})
-    assert a.diff() == UL({1: 1, -2: -3})
     assert a.eval(2.0) == pytest.approx(2.0 + 1.5)
     assert a.to_map() == {"-1": "3", "2": "1/2"}
-    assert (a - a).is_zero()
+    assert (a + _neg(a)).is_zero()
 
 
 @pytest.mark.parametrize("a", [F(3, 2), F(-3, 2)], ids=["a=3/2", "a=-3/2"])
@@ -80,7 +91,7 @@ def test_ulaurent_ring_laws(a, b, c):
 
 @given(ulaurents, ulaurents)
 def test_ulaurent_diff_is_a_derivation(a, b):
-    assert (a * b).diff() == a.diff() * b + a * b.diff()
+    assert _diff(a * b) == _diff(a) * b + a * _diff(b)
 
 
 def _reference_zs_mul(a: list, b: list, N: int) -> list:
@@ -116,40 +127,37 @@ ul_windows = st.lists(small_ulaurents, min_size=1, max_size=7)
 @given(ul_windows, ul_windows, st.integers(min_value=0, max_value=8))
 @example(
     # the second pair's product first cancels the u^0 term of the first pair,
-    # then restores it: the term keeps its place, as in the ULaurent loop
+    # then restores it
     [UL({0: 1}), UL({1: 1, -1: 1})], [UL({-1: -1, 1: 2}), UL({0: 1, 5: 1})], 1
 )
 def test_zs_mul_matches_ulaurent_loop(a, b, N):
-    got = (_window(a, N) * _window(b, N)).coeffs
-    want = _reference_zs_mul(a, b, N)
+    prod = _window(a, N) * _window(b, N)
+    got, want = prod.coeffs, _reference_zs_mul(a, b, N)
     assert [x.to_map() for x in got] == [x.to_map() for x in want]
-    assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
+    same = _window(want, N)
+    assert prod == same and hash(prod) == hash(same) and (prod.den, prod.rows) == (same.den, same.rows)
     assert all(type(c) is Fraction for x in got for c in x.terms.values())
 
 
 def _reference_add(a: UCoeffSeries, b: UCoeffSeries, sign: int = 1) -> tuple:
-    return tuple(x + y.scale(sign) for x, y in zip(a.coeffs, b.coeffs)), a.log_u + sign * b.log_u
+    return tuple(x + _scale(y, sign) for x, y in zip(a.coeffs, b.coeffs)), a.log_u + sign * b.log_u
 
 
 def _reference_diff_u(s: UCoeffSeries) -> tuple:
-    out = [x.diff() for x in s.coeffs]
+    out = [_diff(x) for x in s.coeffs]
     out[0] = out[0] + ULaurent.mono(-1, s.log_u)
     return tuple(out), Fraction(0)
 
 
-def _terms(coeffs) -> list:
-    return [list(x.terms.items()) for x in coeffs]
-
-
 def _assert_native_u(got: UCoeffSeries, want: tuple):
-    """got has the reference's coefficients, term order and log u scalar, is
-    canonical, and equals (with equal hash) the series built from them."""
+    """got has the reference's coefficients and log u scalar, is canonical, and
+    equals (with equal hash and (den, rows)) the series built from them."""
     coeffs, log_u = want
-    assert _terms(got.coeffs) == _terms(coeffs) and got.log_u == log_u
+    assert got.coeffs == tuple(coeffs) and got.log_u == log_u
     assert got.den > 0 and math.gcd(got.den, *(c for row in got.rows for c in row.values())) == 1
     assert all(type(c) is int and c for row in got.rows for c in row.values())
     same = UCoeffSeries(got.grading, got.order, coeffs, log_u, got.exp_tag)
-    assert got == same and hash(got) == hash(same)
+    assert got == same and hash(got) == hash(same) and (got.den, got.rows) == (same.den, same.rows)
 
 
 log_us = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 4)])
@@ -173,7 +181,7 @@ def test_ucoeff_ops_match_ulaurent_loops(pair, c, k):
     _assert_native_u(a + b, _reference_add(a, b))
     _assert_native_u(b + a, _reference_add(b, a))
     _assert_native_u(a - b, _reference_add(a, b, -1))
-    _assert_native_u(a.scale(c), (tuple(x.scale(c) for x in a.coeffs), a.log_u * c))
+    _assert_native_u(a.scale(c), (tuple(_scale(x, c) for x in a.coeffs), a.log_u * c))
     _assert_native_u(a.diff_u(), _reference_diff_u(a))
     flat = a - UCoeffSeries("gs2", a.order, (ULaurent(),) * (a.order + 1), a.log_u)  # log u dropped
     _assert_native_u(flat.shift_u(k), (tuple(x.shift(k) for x in flat.coeffs), Fraction(0)))
@@ -211,10 +219,7 @@ def _validated_arithmetic() -> dict:
     return {
         "__add__": add,
         "__mul__": mul,
-        "__neg__": lambda self: ULaurent({e: -c for e, c in self.terms.items()}),
-        "scale": lambda self, c: ULaurent({e: v * Fraction(c) for e, v in self.terms.items()}),
         "shift": lambda self, k: ULaurent({e + k: c for e, c in self.terms.items()}),
-        "diff": lambda self: ULaurent({e - 1: e * c for e, c in self.terms.items() if e != 0}),
         "mono": staticmethod(lambda e, c: ULaurent({e: Fraction(c)})),
         "const": staticmethod(lambda c: ULaurent({0: Fraction(c)})),
     }
@@ -222,8 +227,8 @@ def _validated_arithmetic() -> dict:
 
 def test_trusted_constructor_matches_validating_one(monkeypatch):
     """gen_H0(24), the parts of its u-residual, and H^(2) with its Pol_2 give equal
-    terms, in equal order, whether the arithmetic trusts its inputs or
-    re-validates every coefficient."""
+    terms whether the arithmetic trusts its inputs or re-validates every
+    coefficient."""
 
     def build():
         H = gen_H0(24)
@@ -232,8 +237,8 @@ def test_trusted_constructor_matches_validating_one(monkeypatch):
         inner = d1 + d2u.scale(F(1, 3)) + (d1 * d1).shift_u(1).scale(F(1, 3))
         _, Hn, pols = gen_Hn(2, 4)
         series = (H, H.scale(F(-2, 3)), d2u, inner, Hn, u_equation_residual(gen_H0(12)))
-        uls = [c for x in series for c in x.coeffs] + pols + [-p for p in pols] + [-c for c in H.coeffs]
-        return [list(x.terms.items()) for x in uls]
+        uls = [c for x in series for c in x.coeffs] + pols
+        return [x.terms for x in uls]
 
     got = build()
     with monkeypatch.context() as m:
@@ -241,8 +246,8 @@ def test_trusted_constructor_matches_validating_one(monkeypatch):
             m.setattr(ULaurent, name, fn)
         want = build()
     assert got == want
-    assert all(type(c) is Fraction and c for terms in got for _, c in terms)
-    assert ULaurent.mono(3, 0).is_zero() and UL({1: 2}).scale(0).is_zero()
+    assert all(type(c) is Fraction and c for terms in got for c in terms.values())
+    assert ULaurent.mono(3, 0).is_zero()
     assert (UL({1: 2, 0: 1}) + UL({1: -2})).terms == {0: F(1)}
 
 
@@ -305,6 +310,22 @@ def test_R_series():
     assert r.coeff(1) == UL({2: (1, 2), 1: (1, 2)})
     with pytest.raises(ValueError, match="nonnegative"):
         gen_R(-1)
+
+
+def _closed_form_R(N: int) -> UCoeffSeries:
+    """R expanded on its own: the log part gives 2^k/(4k) u^{2k} and the square-root
+    part A_{k+1}/3 u^{2k-1} at g_s^{2k}, with A the t-coefficients of (1-2t)^{3/2}."""
+    A = largeradius._one_minus_2t(F(3, 2), N + 1)
+    coeffs = [ULaurent.mono(-1, -1)] + [
+        ULaurent.mono(2 * k, F(2 ** k, 4 * k)) + ULaurent.mono(2 * k - 1, A[k + 1] / 3)
+        for k in range(1, N + 1)]
+    return UCoeffSeries("gs2", N, tuple(coeffs), log_u=F(1, 2))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 17, 30])
+def test_R_is_rtilde_regraded(N):
+    got, want = gen_R(N), _closed_form_R(N)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_lambda_squared():
@@ -411,11 +432,11 @@ def hn_oracle(n: int, gmax: int) -> list:
     phat = [ULaurent()] + list(phiN[1 : gmax + 1])  # phi_u + 1/u, valuation 1
     while len(phat) < gmax + 1:
         phat.append(ULaurent())
-    scaled = [c.scale(-2 * n) for c in phat]
+    scaled = [_scale(c, -2 * n) for c in phat]
     expfac = [ULaurent.const(1)] + [ULaurent()] * gmax
     term = expfac[:]
     for j in range(1, gmax + 1):
-        term = [c.scale(F(1, j)) for c in _reference_zs_mul(term, scaled, gmax)]
+        term = [_scale(c, F(1, j)) for c in _reference_zs_mul(term, scaled, gmax)]
         if all(c.is_zero() for c in term):
             break
         expfac = [a + b for a, b in zip(expfac, term)]
@@ -423,7 +444,7 @@ def hn_oracle(n: int, gmax: int) -> list:
     x = [ULaurent()] + list(phiN[:gmax])
     geo = [ULaurent.const(1)] + [ULaurent()] * gmax
     t = geo[:]
-    negx = [-c for c in x]
+    negx = [_neg(c) for c in x]
     for _ in range(gmax):
         t = _reference_zs_mul(t, negx, gmax)
         if all(c.is_zero() for c in t):
@@ -439,11 +460,11 @@ def hn_oracle(n: int, gmax: int) -> list:
         if k > 0:
             wk = _reference_zs_mul(wk, w, gmax)
         if rk:
-            comp = [a + b.scale(rk) for a, b in zip(comp, wk)]
+            comp = [a + _scale(b, rk) for a, b in zip(comp, wk)]
     total = _reference_zs_mul(expfac, comp, gmax)
     out = []
     for k in range(gmax + 1):
-        out.append(total[k].scale(F(-1, n) * F(3) ** k).shift(3 * k))
+        out.append(_scale(total[k], F(-1, n) * F(3) ** k).shift(3 * k))
     return out
 
 
@@ -484,8 +505,9 @@ def _context_sha(z: int) -> str:
 
 
 # sha256 of exact large-radius outputs, recorded before phi_u, R~ and the
-# (1-2t)^{+-3/2} coefficients were each written once; any changed Fraction or
-# Poly term order changes a digest
+# (1-2t)^{+-3/2} coefficients were each written once; any changed Fraction
+# changes a digest. Term order does not: Poly.to_str, TransElement.to_json and
+# UCoeffSeries.to_json_dict all print sorted
 FRAME_MAP_SHA256 = {
     "make_context(1)": (lambda: _context_sha(1),
                         "6c10839300993df8cd439f3fece399082b2a5b6726ad5a1b29765287b0c9857e"),

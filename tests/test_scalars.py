@@ -125,12 +125,10 @@ def test_int_coercion_matches(a):
         lambda: ULaurent({0: 0.1}),
         lambda: ULaurent.mono(2, 0.25),
         lambda: ULaurent.const(1.0),
-        lambda: ULaurent.mono(0, 1).scale(0.5),
         lambda: UCoeffSeries("gs2", 0, (ULaurent.const(1),)).scale(2.0),
     ],
     ids=["scalar-re", "scalar-im", "scalar-complex", "scalar-add", "series-from-coeffs", "series-init",
-         "series-scale", "ulaurent-init", "ulaurent-mono", "ulaurent-const", "ulaurent-scale",
-         "ucoeff-scale"],
+         "series-scale", "ulaurent-init", "ulaurent-mono", "ulaurent-const", "ucoeff-scale"],
 )
 def test_exact_layer_refuses_floats(build):
     # 0.1 would otherwise enter as the binary fraction 3602879701896397/36028797018963968
