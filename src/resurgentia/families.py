@@ -14,16 +14,21 @@ log-series g = log psi (whose coefficients b_n encode the genus expansion via
 a_{n+1} = 3^n b_n), the reflection f(z) = g(-z), and the unit ratio powers
 G_n = ((-1)^{n-1}/n) (phi/psi)^n that seed the two-parameter transseries. All
 coefficients are exact rationals.
+
+psi is built twice, from the closed-form ratio and from the equation, each
+time as integer numerators over the one denominator 72^N N! (a running product
+forward, one pass of weights backward), and the two integer lists must agree.
+g and the G_n tower are then series operations on that one psi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
-from .scalars import ExactScalar
-from .series import DEFAULT_ORDER, PowerSeries
+from .series import DEFAULT_ORDER, PowerSeries, _series
 
 FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n", "free_energy")
 
@@ -48,46 +53,69 @@ class FamilySeries:
         return self.series.order
 
 
-def gen_c_coeffs(order: int = DEFAULT_ORDER) -> list[Fraction]:
-    """c_0 .. c_order of the base series, as exact rationals.
+def _psi_closed_form(order: int) -> list[int]:
+    """Route (a): numerators of c_0 .. c_order over 72^order order!.
 
     The closed form is a ratio of Gamma factors; consecutive ratios telescope
-    to the rational recurrence used here, so no transcendental constants are
-    ever needed.
+    to c_{n+1} = c_n (6n + 1)(6n + 5) / (72 (n + 1)), so no transcendental
+    constants are ever needed.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    cs = [Fraction(1)]
+    prods = [1]
     for n in range(order):
-        cs.append(cs[-1] * Fraction(6 * n + 1, 6) * Fraction(6 * n + 5, 6) / (2 * (n + 1)))
-    return cs
+        prods.append(prods[-1] * (6 * n + 1) * (6 * n + 5))
+    return _over_psi_den(prods)
 
 
-def _psi_by_ode_recursion(order: int) -> list[Fraction]:
-    # substitute sum d_n z^{-n} into the linear equation and read off the
-    # z^{-(n+2)} coefficient: n(n+1) d_n - 2(n+1) d_{n+1} + (5/36) d_n = 0
-    ds = [Fraction(1)]
+def _psi_by_ode_recursion(order: int) -> list[int]:
+    """Route (b): the same numerators read off the linear equation.
+
+    Substituting sum d_n z^{-n} and reading off the z^{-(n+2)} coefficient gives
+    n(n+1) d_n - 2(n+1) d_{n+1} + (5/36) d_n = 0, that is
+    d_{n+1} = d_n (36 n(n+1) + 5) / (72 (n + 1)).
+    """
+    prods = [1]
     for n in range(order):
-        ds.append(ds[-1] * (Fraction(n * (n + 1)) + Fraction(5, 36)) / (2 * (n + 1)))
-    return ds
+        prods.append(prods[-1] * (36 * n * (n + 1) + 5))
+    return _over_psi_den(prods)
+
+
+def _over_psi_den(prods: list[int]) -> list[int]:
+    # c_n = prods[n] / (72^n n!) = prods[n] 72^{N-n} N!/n! / (72^N N!)
+    out = prods[:]
+    weight = 1
+    for n in range(len(out) - 1, -1, -1):
+        out[n] *= weight
+        weight *= 72 * n
+    return out
+
+
+def _psi_den(order: int) -> int:
+    return 72 ** order * factorial(order)
+
+
+def gen_c_coeffs(order: int = DEFAULT_ORDER) -> list[Fraction]:
+    """c_0 .. c_order of the base series, as exact rationals (route (a))."""
+    nums = _psi_closed_form(order)
+    den = _psi_den(order)
+    return [Fraction(c, den) for c in nums]
 
 
 def gen_psi_phi(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries]:
     """The base series and its reflection, cross-checked over two routes.
 
     Route (a) is the closed-form coefficient ratio, route (b) the recursion
-    obtained by substituting the ansatz into the linear equation. The two must
-    agree exactly.
+    obtained by substituting the ansatz into the linear equation. Both give
+    integer numerators over 72^order order!, which must agree exactly.
     """
-    closed = gen_c_coeffs(order)
-    recursed = _psi_by_ode_recursion(order)
-    if closed != recursed:
+    closed = _psi_closed_form(order)
+    if closed != _psi_by_ode_recursion(order):
         raise ArithmeticError("ODE/closed-form disagreement")
-    psi = PowerSeries.from_coeffs(closed)
-    phi = psi.reflect()
+    psi = _series(order, _psi_den(order), tuple(closed), (0,) * (order + 1))
     return (
         FamilySeries("psi", psi),
-        FamilySeries("phi", phi),
+        FamilySeries("phi", psi.reflect()),
     )
 
 
@@ -97,17 +125,10 @@ def gen_g_f(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries, lis
     Returns (g, f, a) where a[k] is the coefficient a_{k+2} = 3^{k+1} b_{k+1}
     of the genus expansion, so a = [a_2, a_3, ...] with order entries.
     """
-    psi, _ = gen_psi_phi(order)
-    g = psi.series.log()
-    f = g.reflect()
-    a: list[Fraction] = []
-    three_pow = 1
-    for n in range(1, order + 1):
-        bn = g.coeff(n)
-        assert bn.is_rational()
-        three_pow *= 3
-        a.append(three_pow * bn.re)  # a_{n+1} = 3^n b_n
-    return FamilySeries("g", g), FamilySeries("f", f), a
+    g = gen_psi_phi(order)[0].series.log()
+    # g is real: b_n = g.re[n] / g.den, and a_{n+1} = 3^n b_n
+    a = [Fraction(3 ** n * g.re[n], g.den) for n in range(1, order + 1)]
+    return FamilySeries("g", g), FamilySeries("f", g.reflect()), a
 
 
 def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
@@ -119,9 +140,9 @@ def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
     if nmax < 1:
         raise ValueError("nmax must be positive")
     psi, phi = gen_psi_phi(order)
-    g, f, _ = gen_g_f(order)
+    g = psi.series.log()
     ratio = phi.series * psi.series.inverse()
-    via_exp = (f.series - g.series).exp()
+    via_exp = (g.reflect() - g).exp()
     if ratio != via_exp:
         raise ArithmeticError("ODE/closed-form disagreement")
     out = []

@@ -159,6 +159,15 @@ def _ucs(grading: str, order: int, den: int, rows: tuple,
     return out
 
 
+def _acc_row(row: dict, xs: list, ys: list) -> None:
+    """Add the product of two rows, given as (u-exponent, numerator) pairs, into row."""
+    get = row.get
+    for e1, c1 in xs:
+        for e2, c2 in ys:
+            e = e1 + e2
+            row[e] = get(e, 0) + c1 * c2
+
+
 class UCoeffSeries:
     """Truncated series with ULaurent coefficients in one of two gradings.
 
@@ -223,24 +232,30 @@ class UCoeffSeries:
         return self._plus(other, -1)
 
     def __mul__(self, other: "UCoeffSeries") -> "UCoeffSeries":
-        """The truncated product, accumulated straight into the output rows."""
+        """The truncated product, accumulated straight into the output rows.
+
+        For x * x each unordered pair of rows is formed once: the pairs i < j
+        are doubled and the squares of the rows added after the loop.
+        """
         self._match(other)
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
         n = min(self.order, other.order)
-        rows_b = [(j, list(y.items())) for j, y in enumerate(other.rows[: n + 1]) if y]
+        rows_a = [(i, list(x.items())) for i, x in enumerate(self.rows[: n + 1]) if x]
+        square = other is self
+        rows_b = rows_a if square else [(j, list(y.items())) for j, y in enumerate(other.rows[: n + 1]) if y]
         acc: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        for i, x in enumerate(self.rows[: n + 1]):
-            xs = list(x.items())
-            for j, ys in rows_b:
+        for t, (i, xs) in enumerate(rows_a):
+            for j, ys in rows_b[t + 1:] if square else rows_b:
                 if i + j > n:
                     break
-                row = acc[i + j]
-                get = row.get
-                for e1, c1 in xs:
-                    for e2, c2 in ys:
-                        e = e1 + e2
-                        row[e] = get(e, 0) + c1 * c2
+                _acc_row(acc[i + j], xs, ys)
+        if square:
+            acc = [{e: 2 * c for e, c in row.items()} for row in acc]
+            for i, xs in rows_a:
+                if 2 * i > n:
+                    break
+                _acc_row(acc[2 * i], xs, xs)
         rows = tuple({e: c for e, c in row.items() if c} for row in acc)
         return _ucs(self.grading, n, self.den * other.den, rows, _F0, self.exp_tag + other.exp_tag)
 
@@ -308,6 +323,12 @@ def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
     return _ucs(s.grading, s.order, s.den, ({},) + s.rows[: s.order], s.log_u, s.exp_tag)
 
 
+def _window(s: UCoeffSeries, order: int) -> UCoeffSeries:
+    """s cut to, or padded with zero rows up to, the given order."""
+    rows = s.rows[: order + 1] + ({},) * (order - s.order)
+    return _ucs(s.grading, order, s.den, rows, s.log_u, s.exp_tag)
+
+
 def _head(grading: str, order: int, c0: ULaurent) -> UCoeffSeries:
     """The window c0, 0, ..., 0."""
     return UCoeffSeries(grading, order, (c0,) + (_ZERO_UL,) * order)
@@ -349,19 +370,30 @@ def lambda_s_squared(N: int) -> UCoeffSeries:
     return UCoeffSeries("gs2", N, (_ZERO_UL,) + tuple(ULaurent.mono(2 * k + 3, a) for k, a in enumerate(A[:N])))
 
 
+def _geometric(x: UCoeffSeries) -> UCoeffSeries:
+    """1/(1 + x) for x with an empty row 0 and no log u or exponential part,
+    by one row recurrence, as PowerSeries.inverse.
+
+    geo_0 = 1 and geo_k = -sum_{j=1}^k x_j geo_{k-j}. With x_j = X_j / d and
+    geo_k = G_k / d^k, G_k = -sum_j (X_j d^{j-1}) G_{k-j}: ints throughout.
+    """
+    n, d = x.order, x.den
+    xs = [[(e, c * d ** (j - 1)) for e, c in row.items()] for j, row in enumerate(x.rows) if j]
+    geo = [[(0, 1)]]
+    for k in range(1, n + 1):
+        row: dict[int, int] = {}
+        for j in range(1, k + 1):
+            _acc_row(row, xs[j - 1], geo[k - j])
+        geo.append([(e, -c) for e, c in row.items() if c])
+    return _ucs(x.grading, n, d ** n, tuple({e: c * d ** (n - k) for e, c in row} for k, row in enumerate(geo)))
+
+
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     """g(z2 + phi_u) + R~ with g = log psi (see _rtilde), built in the z2 grading
     and regraded via z2^{-1} = 3 g_s^2 u^3."""
     phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
-    # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} sum_j (-x)^j
-    negx = _index_shift(phi).scale(-1)
-    geo = term = _head("z2", N, ULaurent.const(1))
-    for _ in range(N):
-        term = term * negx
-        if term.is_zero():
-            break
-        geo = geo + term
-    w = _index_shift(geo)  # valuation 1
+    # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} / (1 + x)
+    w = _index_shift(_geometric(_index_shift(phi)))  # valuation 1
     total = _rtilde(phi)
     wn = _head("z2", N, ULaurent.const(1))
     for n in range(1, N + 1):
@@ -404,7 +436,10 @@ def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:
         raise ValueError("the u-equation acts on the gs2 grading")
     d1 = H.diff_u()
     d2 = d1.diff_u()
-    inner = d1 + d2.shift_u(1).scale(Fraction(1, 3)) + (d1 * d1).shift_u(1).scale(Fraction(1, 3))
+    # mul_gs2 drops the top row of inner, so (d_u H)^2 is formed through row N - 1 only
+    low = _window(d1, H.order - 1)
+    sq = _window(low * low, H.order)
+    inner = d1 + d2.shift_u(1).scale(Fraction(1, 3)) + sq.shift_u(1).scale(Fraction(1, 3))
     lhs = d1 - inner.shift_u(3).scale(Fraction(3, 2)).mul_gs2()
     rhs0 = ULaurent.mono(-1, Fraction(1, 2)) + ULaurent.mono(-2, 1)
     return lhs - _head("gs2", lhs.order, rhs0)

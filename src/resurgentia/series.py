@@ -10,11 +10,13 @@ when it is exact. No floating point enters this module.
 
 Every operation works on ints. Sums rescale to the lcm of the denominators; a
 product convolves the numerators, skipping zero rows and, for real windows,
-the imaginary parts. The recurrences for inverse, log and exp keep their
-outputs so far over one denominator that grows, with a rescale of the stored
-numerators, whenever a new output brings a new factor; each step then costs
-integer products and one gcd. Every output equals the one the term-by-term
-ExactScalar loop would give.
+the imaginary parts; a square (x * x, the same object twice) forms each
+unordered pair of rows once and doubles it. The constructors build their
+numerators directly, without a scalar per coefficient. The recurrences for
+inverse, log and exp keep their outputs so far over one denominator that
+grows, with a rescale of the stored numerators, whenever a new output brings a
+new factor; each step then costs integer products and one gcd. Every output
+equals the one the term-by-term ExactScalar loop would give.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
     out = PowerSeries.__new__(PowerSeries)
     out.order, out.den, out.re, out.im = order, den, re, im
     return out
+
+
+def _gaussian_over(c: CoeffLike) -> tuple[int, int, int]:
+    """(a, b, q) with c = (a + b i) / q and q the lcm of the reduced denominators."""
+    c = ExactScalar.coerce(c)
+    q = lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
 
 
 class _SharedDenominator:
@@ -112,22 +121,27 @@ class PowerSeries:
 
     @staticmethod
     def zero(order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([], order)
+        return PowerSeries.monomial(0, order, 0)
 
     @staticmethod
     def one(order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([1], order)
+        return PowerSeries.monomial(0, order)
 
     @staticmethod
     def constant(c: CoeffLike, order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([c], order)
+        return PowerSeries.monomial(0, order, c)
 
     @staticmethod
     def monomial(k: int, order: int, c: CoeffLike = 1) -> "PowerSeries":
         """c * z^{-k} as an order-`order` window."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if not 0 <= k <= order:
             raise ValueError("monomial degree outside the window")
-        return PowerSeries.from_coeffs([0] * k + [c], order)
+        a, b, q = _gaussian_over(c)
+        re, im = [0] * (order + 1), [0] * (order + 1)
+        re[k], im[k] = a, b
+        return _series(order, q, tuple(re), tuple(im))
 
     # -- inspection --------------------------------------------------------
 
@@ -181,11 +195,7 @@ class PowerSeries:
         return _series(self.order, self.den, tuple(-x for x in self.re), tuple(-y for y in self.im))
 
     def scale(self, c: CoeffLike) -> "PowerSeries":
-        # c = (a + b i) / q
-        c = ExactScalar.coerce(c)
-        q = lcm(c.re.denominator, c.im.denominator)
-        a = c.re.numerator * (q // c.re.denominator)
-        b = c.im.numerator * (q // c.im.denominator)
+        a, b, q = _gaussian_over(c)
         if not b:
             return _series(self.order, self.den * q, tuple(a * x for x in self.re),
                            tuple(a * y for y in self.im))
@@ -199,24 +209,35 @@ class PowerSeries:
         n = min(self.order, other.order)
         ar, ai, br, bi = self.re, self.im, other.re, other.im
         rows_a = [i for i in range(n + 1) if ar[i] or ai[i]]
-        rows_b = [j for j in range(n + 1) if br[j] or bi[j]]
+        # x * x: each unordered pair of rows once; the pairs i < j are doubled
+        # and the squares i = j added after the loop
+        square = other is self
+        rows_b = rows_a if square else [j for j in range(n + 1) if br[j] or bi[j]]
         re, im = [0] * (n + 1), [0] * (n + 1)
-        if any(ai) or any(bi):
-            for i in rows_a:
-                x, y = ar[i], ai[i]
-                for j in rows_b:
+        gaussian = any(ai) or any(bi)
+        for t, i in enumerate(rows_a):
+            x, y = ar[i], ai[i]
+            rows = rows_b[t + 1:] if square else rows_b
+            if gaussian:
+                for j in rows:
                     if i + j > n:
                         break
                     u, v = br[j], bi[j]
                     re[i + j] += x * u - y * v
                     im[i + j] += x * v + y * u
-        else:
-            for i in rows_a:
-                x = ar[i]
-                for j in rows_b:
+            else:
+                for j in rows:
                     if i + j > n:
                         break
                     re[i + j] += x * br[j]
+        if square:
+            re, im = [2 * r for r in re], [2 * m for m in im]
+            for i in rows_a:
+                if 2 * i > n:
+                    break
+                x, y = ar[i], ai[i]
+                re[2 * i] += x * x - y * y
+                im[2 * i] += 2 * x * y
         return _series(n, self.den * other.den, tuple(re), tuple(im))
 
     def inverse(self) -> "PowerSeries":
@@ -328,10 +349,11 @@ class PowerSeries:
         if (phi.re[0] or phi.im[0]) and not allow_constant:
             raise ValueError("composition shift must have zero constant term")
         out = self.truncate(n)
+        phi = phi.truncate(n)
         power = PowerSeries.one(n)
         fact = 1
         for k in range(1, n + 1):
-            power = power * phi.truncate(n)
+            power = power * phi
             fact *= k
             if power.is_zero():
                 break

@@ -140,6 +140,21 @@ def test_ode_check_u_equation_at_order_1(capsys):
     assert json.loads(out) == {"ok": True, "order": 1, "u_zero": True}
 
 
+def test_ode_check_u_equation_sees_the_top_row(capsys, monkeypatch):
+    # a u^1 term in the top coefficient of H0 shows only in the top residual row
+    from resurgentia import largeradius
+    from resurgentia.largeradius import ULaurent, UCoeffSeries
+
+    gen_H0 = largeradius.gen_H0
+    top = UCoeffSeries("gs2", 6, (ULaurent(),) * 6 + (ULaurent.mono(1, 1),))
+    monkeypatch.setattr(largeradius, "gen_H0", lambda N: gen_H0(N) + top)
+    residual = largeradius.u_equation_residual(largeradius.gen_H0(6))
+    assert all(residual.coeff(k).is_zero() for k in range(6)) and not residual.is_zero()
+    code, out = run(capsys, "ode-check", "--which", "u", "--order", "6")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "order": 6, "u_zero": False}
+
+
 # -- numeric subcommands ----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """The divergent solution family and its exact derivates."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,41 @@ def test_psi_matches_kernel_route():
     psi, _ = families.gen_psi_phi(12)
     for n in range(13):
         assert psi.series.coeff(n).re == cs[n]
+
+
+def _fraction_closed_form(order: int) -> list:
+    """The Fraction loop the integer route (a) replaced: the Gamma-ratio recurrence."""
+    cs = [F(1)]
+    for n in range(order):
+        cs.append(cs[-1] * F(6 * n + 1, 6) * F(6 * n + 5, 6) / (2 * (n + 1)))
+    return cs
+
+
+def _fraction_ode_recursion(order: int) -> list:
+    """The Fraction loop the integer route (b) replaced: n(n+1) d_n - 2(n+1) d_{n+1} + (5/36) d_n = 0."""
+    ds = [F(1)]
+    for n in range(order):
+        ds.append(ds[-1] * (F(n * (n + 1)) + F(5, 36)) / (2 * (n + 1)))
+    return ds
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 64, 160])
+def test_integer_psi_routes_match_the_fraction_recurrences(order):
+    want = _fraction_closed_form(order)
+    assert _fraction_ode_recursion(order) == want
+    den = 72 ** order * factorial(order)
+    assert [F(c, den) for c in families._psi_closed_form(order)] == want
+    assert [F(c, den) for c in families._psi_by_ode_recursion(order)] == want
+    assert families.gen_c_coeffs(order) == want
+    psi, phi = families.gen_psi_phi(order)
+    assert psi.series == PowerSeries.from_coeffs(want)
+    assert phi.series == PowerSeries.from_coeffs([(-1) ** n * c for n, c in enumerate(want)])
+
+
+def test_psi_rejects_a_negative_order():
+    for build in (families.gen_c_coeffs, families.gen_psi_phi):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(-1)
 
 
 def test_phi_is_reflection():

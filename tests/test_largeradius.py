@@ -2,6 +2,7 @@
 and the numeric sums restricted to the principal branch."""
 
 import cmath
+import copy
 import hashlib
 import json
 import math
@@ -137,6 +138,17 @@ def test_zs_mul_matches_ulaurent_loop(a, b, N):
     same = _window(want, N)
     assert prod == same and hash(prod) == hash(same) and (prod.den, prod.rows) == (same.den, same.rows)
     assert all(type(c) is Fraction for x in got for c in x.terms.values())
+
+
+@given(st.sampled_from(["gs2", "z2"]), ul_windows, st.integers(min_value=-2, max_value=2))
+def test_ucoeff_square_matches_product_with_a_copy(grading, xs, tag):
+    # s * s forms each unordered pair of rows once; s * twin is the general product
+    s = UCoeffSeries(grading, len(xs) - 1, tuple(xs), exp_tag=tag)
+    twin = copy.copy(s)
+    assert twin is not s
+    square = s * s
+    assert square == s * twin and square.exp_tag == 2 * tag
+    assert [x.to_map() for x in square.coeffs] == [x.to_map() for x in _reference_zs_mul(xs, xs, s.order)]
 
 
 def _reference_add(a: UCoeffSeries, b: UCoeffSeries, sign: int = 1) -> tuple:
@@ -355,7 +367,7 @@ def test_H0_frozen_coefficients():
 @pytest.mark.parametrize("route", ["psi closed form", "G_1 via exp", "H0 route (b)"])
 def test_two_route_cross_checks_raise_on_disagreement(monkeypatch, route):
     # each check compares two independent constructions; spoil one of them by
-    # one unit in its top coefficient
+    # one unit in its top coefficient (for psi, in its integer numerator over 72^N N!)
     if route == "psi closed form":
         orig = families._psi_by_ode_recursion
         monkeypatch.setattr(families, "_psi_by_ode_recursion", lambda n: orig(n)[:-1] + [orig(n)[-1] + 1])
@@ -371,6 +383,23 @@ def test_two_route_cross_checks_raise_on_disagreement(monkeypatch, route):
         build = lambda: gen_H0(6)
     with pytest.raises(ArithmeticError, match="disagreement"):
         build()
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 30])
+def test_route_b_geometric_series_inverts_one_plus_x(N):
+    # x = z2^{-1} phi_u as route (b) of gen_H0 uses it: one u-monomial per row
+    x = largeradius._index_shift(gen_phi_u(N + 1))
+    one = UCoeffSeries("z2", N, (ULaurent.const(1),) + (ULaurent(),) * N)
+    assert largeradius._geometric(x) * (one + x) == one
+
+
+@given(ul_windows, st.integers(min_value=-2, max_value=2))
+def test_geometric_series_inverts_one_plus_x(xs, shift):
+    # rows of several u-exponents, zero rows, and a common u-shift
+    N = len(xs)
+    x = UCoeffSeries("z2", N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
+    one = UCoeffSeries("z2", N, (ULaurent.const(1),) + (ULaurent(),) * N)
+    assert largeradius._geometric(x) * (one + x) == one
 
 
 def test_u_equation_residual_vanishes():

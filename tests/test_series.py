@@ -1,5 +1,6 @@
 """Exact window arithmetic for series in z^{-1}."""
 
+import copy
 from fractions import Fraction
 from math import gcd
 
@@ -235,6 +236,16 @@ def test_mul_matches_scalar_loop(a, b):
     # operands of unequal order are truncated to the shorter window
     _assert_same_window(a * b, _reference_mul(a, b))
     _assert_same_window(b * a, _reference_mul(b, a))
+
+
+@given(windows())
+def test_square_matches_product_with_a_copy(s):
+    # s * s forms each unordered pair of rows once; s * twin is the general product
+    twin = copy.copy(s)
+    assert twin is not s
+    square = s * s
+    assert square == s * twin
+    _assert_same_window(square, _reference_mul(s, s))
 
 
 @given(windows(c0=units))
