@@ -69,12 +69,8 @@ def _psi_closed_form(order: int) -> list[int]:
 
 
 def _psi_by_ode_recursion(order: int) -> list[int]:
-    """Route (b): the same numerators read off the linear equation.
-
-    Substituting sum d_n z^{-n} and reading off the z^{-(n+2)} coefficient gives
-    n(n+1) d_n - 2(n+1) d_{n+1} + (5/36) d_n = 0, that is
-    d_{n+1} = d_n (36 n(n+1) + 5) / (72 (n + 1)).
-    """
+    # route (b): substitute sum d_n z^{-n} into the linear equation and read off
+    # the z^{-(n+2)} coefficient: n(n+1) d_n - 2(n+1) d_{n+1} + (5/36) d_n = 0
     prods = [1]
     for n in range(order):
         prods.append(prods[-1] * (36 * n * (n + 1) + 5))
@@ -91,14 +87,10 @@ def _over_psi_den(prods: list[int]) -> list[int]:
     return out
 
 
-def _psi_den(order: int) -> int:
-    return 72 ** order * factorial(order)
-
-
 def gen_c_coeffs(order: int = DEFAULT_ORDER) -> list[Fraction]:
     """c_0 .. c_order of the base series, as exact rationals (route (a))."""
     nums = _psi_closed_form(order)
-    den = _psi_den(order)
+    den = 72 ** order * factorial(order)
     return [Fraction(c, den) for c in nums]
 
 
@@ -112,7 +104,7 @@ def gen_psi_phi(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries]
     closed = _psi_closed_form(order)
     if closed != _psi_by_ode_recursion(order):
         raise ArithmeticError("ODE/closed-form disagreement")
-    psi = _series(order, _psi_den(order), tuple(closed), (0,) * (order + 1))
+    psi = _series(order, 72 ** order * factorial(order), tuple(closed), (0,) * (order + 1))
     return (
         FamilySeries("psi", psi),
         FamilySeries("phi", psi.reflect()),
@@ -174,7 +166,6 @@ def ode_residual(series: PowerSeries, which: str) -> PowerSeries:
         return d2 + d1.truncate(n - 2).scale(2) + quad * series.truncate(n - 2)
     if which == "hae_nonlinear":
         d1 = series.diff()
-        d2 = d1.diff()
-        sq = (d1 * d1).truncate(n - 2)
-        return d2 + sq + d1.truncate(n - 2).scale(2) + quad
+        low = d1.truncate(n - 2)  # the top row of d1 leaves the window of d2
+        return d1.diff() + low * low + low.scale(2) + quad
     raise ValueError(f"unknown residual kind {which!r}")

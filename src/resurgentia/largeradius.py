@@ -232,11 +232,8 @@ class UCoeffSeries:
         return self._plus(other, -1)
 
     def __mul__(self, other: "UCoeffSeries") -> "UCoeffSeries":
-        """The truncated product, accumulated straight into the output rows.
-
-        For x * x each unordered pair of rows is formed once: the pairs i < j
-        are doubled and the squares of the rows added after the loop.
-        """
+        """The truncated product, accumulated straight into the output rows; x * x
+        forms each unordered pair of rows once, doubled, then adds the row squares."""
         self._match(other)
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
