@@ -1027,8 +1027,7 @@ def gevrey_check(
         ref = sum_family("g", z, interval).value
     else:
         bs = [complex(c) for c in coeffs]
-        full = sum(b * z ** (-n) for n, b in enumerate(bs))
-        ref = full
+        ref = sum(b * z ** (-n) for n, b in enumerate(bs))
     errors = []
     partial = 0.0 + 0.0j
     for n_next in range(1, n_max + 1):
@@ -1036,8 +1035,6 @@ def gevrey_check(
         errors.append(abs(ref - partial))
         if n_next < len(bs):
             partial += bs[n_next] * z ** (-n_next)
-        else:
-            partial += 0.0
     idx = min(range(len(errors)), key=lambda i: errors[i])
     unimodal = all(
         errors[i + 1] < errors[i] * 1.05 for i in range(idx)

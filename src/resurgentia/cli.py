@@ -334,7 +334,7 @@ def _emit(payload, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(exc: Exception, cfg: Optional[RunConfig]) -> None:
+def _emit_error(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
@@ -342,7 +342,6 @@ def _emit_error(exc: Exception, cfg: Optional[RunConfig]) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg: Optional[RunConfig] = None
     try:
         overrides = {
             k: getattr(args, k, None)
@@ -367,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         ok = payload.get("ok", True) if isinstance(payload, dict) else True
         return 0 if ok else 1
     except (DomainError, BranchCutError, QuadratureError, ValueError, ArithmeticError, OSError) as exc:
-        _emit_error(exc, cfg)
+        _emit_error(exc)
         return 1
 
 

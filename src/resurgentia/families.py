@@ -23,14 +23,14 @@ g and the G_n tower are then series operations on that one psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional
 
 from .series import DEFAULT_ORDER, PowerSeries, _series
 
-FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n", "free_energy")
+FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class FamilySeries:
     tag: str
     series: PowerSeries
     n: Optional[int] = None  # only used by the G_n tower
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:

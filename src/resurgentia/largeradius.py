@@ -6,10 +6,14 @@ With t = g_s^2 u^2 and z2 = 1/(3 g_s^2 u^3), the shift z2 -> z2 + phi_u,
 
 maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2). Resurgent series are stable
 under it, so each large-radius object is a double-scaling one at z1 plus the
-elementary term R: H^(0) (built along two routes and compared), the composition
+elementary term R. Exact series at z1 come from one evaluation map, _at_z1,
+which reads z1^{-k} = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2} off the t-coefficients,
+and the factors e^{-2n(phi_u + 1/u)} from one row recurrence (which also gives
+1/(1 + x)): H^(0) (route (a) is log psi at z1 plus R, checked against route (b),
+the composition in the z2 grading), the components H^(n), the composition
 factors e^{-+2 phi_u} of the symbolic layer (one context per z order), and the
-numeric sums and connection law (G_+- at z1 with sigma_2 -> -sigma_2). phi_u, R~
-and the t-coefficients of (1-2t)^{+-3/2} are each written once. Exact series are
+numeric sums and connection law (G_+- at z1 with sigma_2 -> -sigma_2). phi_u,
+R~ and the t-coefficients of (1-2t)^a are each written once. Exact series are
 graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores one as integer
 numerators over one denominator, and ULaurent is its coefficient view.
 """
@@ -57,6 +61,12 @@ def _ulaurent(terms: dict[int, Fraction]) -> "ULaurent":
     return out
 
 
+def _exponent(e) -> int:
+    if type(e) is not int:  # int() would turn 2.5 into 2 and "3" into 3
+        raise TypeError(f"u-exponent must be an int, not {type(e).__name__}")
+    return e
+
+
 class ULaurent:
     """Laurent polynomial in u with rational coefficients.
 
@@ -69,11 +79,10 @@ class ULaurent:
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = exact_fraction(c)
-                if c != 0:
-                    self.terms[int(e)] = c
+        for e, c in (terms or {}).items():
+            c = exact_fraction(c)
+            if c != 0:
+                self.terms[_exponent(e)] = c
 
     @staticmethod
     def const(c) -> "ULaurent":
@@ -82,7 +91,7 @@ class ULaurent:
     @staticmethod
     def mono(e: int, c) -> "ULaurent":
         c = exact_fraction(c)
-        return _ulaurent({int(e): c} if c else {})
+        return _ulaurent({_exponent(e): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -363,26 +372,49 @@ def gen_R(N: int) -> UCoeffSeries:
 
 def lambda_s_squared(N: int) -> UCoeffSeries:
     """lambda_s^2 = g_s^2 u^3 (1-2t)^{-3/2} = sum_l (2l-1)!/(2^{l-1}((l-1)!)^2) u^{2l+1} g_s^{2l}."""
-    A = _one_minus_2t(Fraction(-3, 2), N)
-    return UCoeffSeries("gs2", N, (_ZERO_UL,) + tuple(ULaurent.mono(2 * k + 3, a) for k, a in enumerate(A[:N])))
+    return _at_z1(PowerSeries.from_coeffs([0, Fraction(1, 3)]), N)
 
 
-def _geometric(x: UCoeffSeries) -> UCoeffSeries:
-    """1/(1 + x) for x with an empty row 0 and no log u or exponential part,
-    by one row recurrence, as PowerSeries.inverse.
+def _at_z1(c: PowerSeries, N: int) -> UCoeffSeries:
+    """sum_k c_k z1^{-k} through g_s^{2N}, for a real series c in z^{-1}.
 
-    geo_0 = 1 and geo_k = -sum_{j=1}^k x_j geo_{k-j}. With x_j = X_j / d and
-    geo_k = G_k / d^k, G_k = -sum_j (X_j d^{j-1}) G_{k-j}: ints throughout.
+    z1^{-k} = (3 lambda_s^2)^k = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2}, so row g
+    holds c_k 3^k [t^{g-k}](1-2t)^{-3k/2} at u^{2g+k}: no series products.
+    """
+    rows: list[dict[int, Fraction]] = [{} for _ in range(N + 1)]
+    for k in range(min(N, c.order) + 1):
+        ck = Fraction(c.re[k] * 3 ** k, c.den)
+        for m, a in enumerate(_one_minus_2t(Fraction(-3 * k, 2), N - k)):
+            if v := ck * a:
+                rows[k + m][3 * k + 2 * m] = v
+    return UCoeffSeries("gs2", N, tuple(map(_ulaurent, rows)))
+
+
+def _row_recurrence(x: UCoeffSeries, exp: bool) -> UCoeffSeries:
+    """exp(x), or 1/(1 + x), for x with an empty row 0 and no log u or
+    exponential part, by one row recurrence, as PowerSeries.exp and .inverse.
+
+    E_0 = 1 and k E_k = sum_{j=1}^k w x_j E_{k-j}, with w = j for exp(x) and
+    w = -k for 1/(1 + x). With x_j = X_j / d and E_k = N_k / (d^k k!),
+    N_k = sum_j w (k-1)!/(k-j)! (X_j d^{j-1}) N_{k-j}: ints throughout.
     """
     n, d = x.order, x.den
     xs = [[(e, c * d ** (j - 1)) for e, c in row.items()] for j, row in enumerate(x.rows) if j]
-    geo = [[(0, 1)]]
+    E = [[(0, 1)]]
     for k in range(1, n + 1):
         row: dict[int, int] = {}
         for j in range(1, k + 1):
-            _acc_row(row, xs[j - 1], geo[k - j])
-        geo.append([(e, -c) for e, c in row.items() if c])
-    return _ucs(x.grading, n, d ** n, tuple({e: c * d ** (n - k) for e, c in row} for k, row in enumerate(geo)))
+            w = (j if exp else -k) * math.perm(k - 1, j - 1)
+            _acc_row(row, [(e, c * w) for e, c in xs[j - 1]], E[k - j])
+        E.append([(e, c) for e, c in row.items() if c])
+    return _ucs(x.grading, n, d ** n * math.factorial(n),
+                tuple({e: c * d ** (n - k) * math.perm(n, n - k) for e, c in row} for k, row in enumerate(E)))
+
+
+def _exp_phi(n: int, N: int) -> UCoeffSeries:
+    """e^{-2n (phi_u + 1/u)} through z2^{-N}; the 1/u cancels row 0 of phi_u."""
+    x = (gen_phi_u(N + 1) + _head("z2", N, ULaurent.mono(-1, 1))).scale(-2 * n)
+    return _row_recurrence(x, exp=True)
 
 
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
@@ -390,7 +422,7 @@ def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     and regraded via z2^{-1} = 3 g_s^2 u^3."""
     phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
     # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} / (1 + x)
-    w = _index_shift(_geometric(_index_shift(phi)))  # valuation 1
+    w = _index_shift(_row_recurrence(_index_shift(phi), exp=False))  # valuation 1
     total = _rtilde(phi)
     wn = _head("z2", N, ULaurent.const(1))
     for n in range(1, N + 1):
@@ -404,20 +436,15 @@ def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
 def gen_H0(N: int) -> UCoeffSeries:
     """The large-radius perturbative series, exact through g_s^{2N}.
 
-    Route (a) substitutes lambda_s^2 into the genus expansion and adds R;
-    route (b) composes g with id + phi_u in the z2 grading and regrades.
-    The two must agree coefficientwise.
+    Route (a) evaluates g = log psi at z1 and adds R (the genus expansion in
+    lambda_s^2 = 1/(3 z1)); route (b) composes g with id + phi_u in the z2
+    grading and regrades. The two must agree coefficientwise.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
-    lam = lambda_s_squared(N)
-    log_psi, _, a_list = families.gen_g_f(N + 2)  # a_list[g-2] = a_g
-    route_a = gen_R(N)
-    power = _head("gs2", N, ULaurent.const(1))
-    for g in range(2, N + 2):
-        power = power * lam  # lambda_s^{2(g-1)}
-        route_a = route_a + power.scale(a_list[g - 2])
-    if route_a != _h0_z2_route(N, log_psi.series):
+    log_psi = families.gen_g_f(N)[0].series
+    route_a = gen_R(N) + _at_z1(log_psi, N)
+    if route_a != _h0_z2_route(N, log_psi):
         raise ArithmeticError("free-energy route disagreement")
     return route_a
 
@@ -445,65 +472,21 @@ def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:
 def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     """Transseries component n: prefactor e^{2n/u}, series, and Pol_n(u,2g).
 
-    Built from c_- = ((1-2t)^{3/2} - 1 + 3t)/(3t^2), 1 + t c_+ = (1-2t)^{-3/2} and
-    the double-scaling tower: the g_s^{2g} coefficient is u^g Pol_n(u,2g) with
-    Pol of degree exactly 2g, and the g_s^0 term is -1/n.
+    The series is (-1)^n G_n evaluated at z1 times e^{-2n(phi_u + 1/u)}
+    regraded to g_s^2: the g_s^{2g} coefficient is u^g Pol_n(u,2g) with Pol of
+    degree exactly 2g, and the g_s^0 term is -1/n.
     """
     if n < 1:
         raise ValueError("component index must be positive")
     if gmax < 0:
         raise ValueError("gmax must be nonnegative")
     Gn = families.gen_Gn(max(gmax + 1, 4), n)[n - 1].series
-    gcoef = [3 ** k * Gn.coeff(k).re for k in range(gmax + 1)]
-    cm = PowerSeries.from_coeffs([a / 3 for a in _one_minus_2t(Fraction(3, 2), gmax + 2)[2:]])
-    cm_pow = [PowerSeries.one(gmax)]
-    for _ in range(gmax):
-        cm_pow.append(cm_pow[-1] * cm)
-    # (1 + t c_+)^k = (1-2t)^{-3k/2}
-    cp_pow = [PowerSeries.from_coeffs(_one_minus_2t(Fraction(-3 * k, 2), gmax)) for k in range(gmax + 1)]
-    # t-coefficients of c_-^ell (1 + t c_+)^k, each product formed once
-    c_lk = {
-        (ell, k): [c.re for c in (cm_pow[ell] * cp_pow[k]).coeffs]
-        for k in range(gmax + 1)
-        if gcoef[k] != 0
-        for ell in range(gmax + 1 - k)
-    }
-    sign_n = Fraction((-1) ** n)
-    coeffs = []
-    pols = []
-    for g in range(gmax + 1):
-        terms: dict[int, Fraction] = {}
-        for k in range(g + 1):
-            if gcoef[k] == 0:
-                continue
-            for ell in range(g - k + 1):
-                r = g - k - ell
-                c_lkr = c_lk[ell, k][r]
-                if c_lkr == 0:
-                    continue
-                w = Fraction((-2 * n) ** ell, math.factorial(ell)) * sign_n * gcoef[k] * c_lkr
-                terms[r + 2 * k] = terms.get(r + 2 * k, _F0) + w
-        pol = _ulaurent({e: c for e, c in terms.items() if c})
-        coeffs.append(pol.shift(g))
-        if g >= 1:
-            pols.append(pol)
-    series = UCoeffSeries("gs2", gmax, tuple(coeffs), exp_tag=n)
-    return f"exp({2 * n}/u)", series, pols
+    s = _at_z1(Gn.scale((-1) ** n), gmax) * _z2_to_gs2(_exp_phi(n, gmax))
+    series = _ucs("gs2", gmax, s.den, s.rows, exp_tag=n)
+    return f"exp({2 * n}/u)", series, [series.coeff(g).shift(-g) for g in range(1, gmax + 1)]
 
 
 # -- symbolic layer ----------------------------------------------------------------
-
-
-def _poly_exp(p: Poly, zcap: int) -> Poly:
-    """exp(p) for a polynomial with strictly negative z-valuation, z-truncated."""
-    out = ONE_POLY
-    term = ONE_POLY
-    for j in range(1, zcap + 1):
-        term = (term * p).scale(Fraction(1, j)).drop_low_z(zcap)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
 
 
 def _z_poly(s: UCoeffSeries) -> Poly:
@@ -524,12 +507,8 @@ def make_context(zcap: int = 8) -> CompositionContext:
     built and checked once per z order."""
     if zcap < 1:
         raise ValueError("z order must be positive")
-    # -2 (phi_u + 1/u): the 1/u cancels row 0 of phi_u
-    h = _z_poly((gen_phi_u(zcap + 1) + _head("z2", zcap, ULaurent.mono(-1, 1))).scale(-2))
-    fplus = _poly_exp(h, zcap) * Poly.var("w", 1)
-    fminus = _poly_exp(h.scale(-1), zcap) * Poly.var("w", -1)
-    check = (fplus * fminus).drop_low_z(zcap)
-    if check != ONE_POLY:
+    fplus, fminus = (_z_poly(_exp_phi(n, zcap)) * Poly.var("w", n) for n in (1, -1))
+    if (fplus * fminus).drop_low_z(zcap) != ONE_POLY:
         raise ArithmeticError("composition factors fail to invert each other")
     return CompositionContext(factor_plus2=fplus, factor_minus2=fminus, zcap=zcap)
 

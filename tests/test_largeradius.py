@@ -364,7 +364,7 @@ def test_H0_frozen_coefficients():
         gen_H0(0)
 
 
-@pytest.mark.parametrize("route", ["psi closed form", "G_1 via exp", "H0 route (b)"])
+@pytest.mark.parametrize("route", ["psi closed form", "G_1 via exp", "H0 route (a)", "H0 route (b)"])
 def test_two_route_cross_checks_raise_on_disagreement(monkeypatch, route):
     # each check compares two independent constructions; spoil one of them by
     # one unit in its top coefficient (for psi, in its integer numerator over 72^N N!)
@@ -377,20 +377,28 @@ def test_two_route_cross_checks_raise_on_disagreement(monkeypatch, route):
         monkeypatch.setattr(PowerSeries, "exp", lambda s: exp(s) + PowerSeries.monomial(s.order, s.order))
         build = lambda: families.gen_Gn(8, 2)
     else:
-        orig = largeradius._h0_z2_route
         top = UCoeffSeries("gs2", 6, (ULaurent(),) * 6 + (ULaurent.mono(18, 1),))
-        monkeypatch.setattr(largeradius, "_h0_z2_route", lambda N, g: orig(N, g) + top)
+        if route == "H0 route (a)":
+            at_z1 = largeradius._at_z1
+            monkeypatch.setattr(largeradius, "_at_z1", lambda c, N: at_z1(c, N) + top)
+        else:
+            z2_route = largeradius._h0_z2_route
+            monkeypatch.setattr(largeradius, "_h0_z2_route", lambda N, g: z2_route(N, g) + top)
         build = lambda: gen_H0(6)
     with pytest.raises(ArithmeticError, match="disagreement"):
         build()
+
+
+def _one(grading: str, N: int) -> UCoeffSeries:
+    return UCoeffSeries(grading, N, (ULaurent.const(1),) + (ULaurent(),) * N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 30])
 def test_route_b_geometric_series_inverts_one_plus_x(N):
     # x = z2^{-1} phi_u as route (b) of gen_H0 uses it: one u-monomial per row
     x = largeradius._index_shift(gen_phi_u(N + 1))
-    one = UCoeffSeries("z2", N, (ULaurent.const(1),) + (ULaurent(),) * N)
-    assert largeradius._geometric(x) * (one + x) == one
+    one = _one("z2", N)
+    assert largeradius._row_recurrence(x, exp=False) * (one + x) == one
 
 
 @given(ul_windows, st.integers(min_value=-2, max_value=2))
@@ -398,8 +406,27 @@ def test_geometric_series_inverts_one_plus_x(xs, shift):
     # rows of several u-exponents, zero rows, and a common u-shift
     N = len(xs)
     x = UCoeffSeries("z2", N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
-    one = UCoeffSeries("z2", N, (ULaurent.const(1),) + (ULaurent(),) * N)
-    assert largeradius._geometric(x) * (one + x) == one
+    one = _one("z2", N)
+    assert largeradius._row_recurrence(x, exp=False) * (one + x) == one
+
+
+def _reference_exp(x: UCoeffSeries) -> UCoeffSeries:
+    """sum_{j<=N} x^j / j!, truncated, by repeated products."""
+    N = x.order
+    out = term = _one(x.grading, N)
+    for j in range(1, N + 1):
+        term = (term * x).scale(Fraction(1, j))
+        out = out + term
+    return out
+
+
+@given(st.sampled_from(["gs2", "z2"]), ul_windows, st.integers(min_value=-2, max_value=2))
+def test_exp_branch_is_the_truncated_exponential(grading, xs, shift):
+    N = len(xs)
+    x = UCoeffSeries(grading, N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
+    ex = largeradius._row_recurrence(x, exp=True)
+    assert ex * largeradius._row_recurrence(x.scale(-1), exp=True) == _one(grading, N)
+    assert ex == _reference_exp(x)
 
 
 def test_u_equation_residual_vanishes():
@@ -497,7 +524,7 @@ def hn_oracle(n: int, gmax: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("n,gmax", [(1, 4), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n,gmax", [(1, 4), (2, 3), (3, 3), (4, 8), (6, 8)])
 def test_Hn_matches_composition_oracle(n, gmax):
     _, Sn, _ = gen_Hn(n, gmax)
     orc = hn_oracle(n, gmax)

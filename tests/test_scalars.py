@@ -126,11 +126,16 @@ def test_int_coercion_matches(a):
         lambda: ULaurent.mono(2, 0.25),
         lambda: ULaurent.const(1.0),
         lambda: UCoeffSeries("gs2", 0, (ULaurent.const(1),)).scale(2.0),
+        lambda: ULaurent({2.5: 1}),
+        lambda: ULaurent.mono(1.5, 1),
+        lambda: ULaurent({"3": 1}),
     ],
     ids=["scalar-re", "scalar-im", "scalar-complex", "scalar-add", "series-from-coeffs", "series-init",
-         "series-scale", "ulaurent-init", "ulaurent-mono", "ulaurent-const", "ucoeff-scale"],
+         "series-scale", "ulaurent-init", "ulaurent-mono", "ulaurent-const", "ucoeff-scale",
+         "ulaurent-float-exponent", "ulaurent-mono-float-exponent", "ulaurent-str-exponent"],
 )
 def test_exact_layer_refuses_floats(build):
-    # 0.1 would otherwise enter as the binary fraction 3602879701896397/36028797018963968
+    # 0.1 would otherwise enter as the binary fraction 3602879701896397/36028797018963968;
+    # a u-exponent 2.5 or "3" would otherwise enter as int(2.5) = 2 or int("3") = 3
     with pytest.raises(TypeError):
         build()
