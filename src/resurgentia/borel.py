@@ -11,6 +11,10 @@ produces the lateral sums, and every higher-level object here (the sectorial
 family G, connection residuals, median-real values) is a finite composition of
 those two quadratures with exact series data from the companion modules.
 
+eval_Bhat evaluates Bhat, at each point off the cut, by the convergent 2F1
+series of whichever of six covering regions converges fastest there, each
+summed to a rigorous tail bound, so every value is within _KAPPA = 1e-13.
+
 A kernel ray is sampled only up to |zeta| = R (4, or more for small |z|).
 Past R the kernels equal their DLMF 15.8.2 connection series in 2/zeta, whose
 Laplace integral is a series of generalized exponential integrals E_p (DLMF
@@ -151,41 +155,181 @@ def eval_Ahat(zeta: complex, branch: str = "A", arg_zeta: Optional[float] = None
     return pref * w ** (-1.0 / 6.0) / _GAMMA56
 
 
-# -- quadrature rules ------------------------------------------------------------
+# -- the Borel kernel ----------------------------------------------------------------
 #
-# All rules come from the eigen-decomposition of a Jacobi matrix (Golub-Welsch):
-# nodes are its eigenvalues, weights mu_0 times the squared first components of
-# its eigenvectors. These weights stay accurate to rounding at every size used
-# here; weights recomputed from the nodes, as scipy's roots_jacobi does, are
-# off by up to 8e-11 at 384-768 nodes, above the kernel tolerance floor.
+# With x = +-zeta/2, Bhat = F(x) = 2F1(1/6, 5/6; 1; x), holomorphic off the cut
+# x in [1, oo). In each of six regions F is one convergent series
+#
+#     F = sum_j P_j(x) sum_k a_{j,k} v^k,   |v| < 1,
+#
+# and eval_Bhat sums, at each point, the region with the smallest |v|:
+#
+#   v = x            Maclaurin, a_k = t_k = (1/6)_k (5/6)_k / k!^2;
+#   v = 1/x          DLMF 15.8.2, P_j = A_j (-x)^{-s_j}, a_{j,k} = c_{j,k} (below);
+#   v = 1/(1-x)      DLMF 15.8.3, P_j = A_j (1-x)^{-s_j}, the same c_{j,k};
+#   v = x/(x-1)      Pfaff, P = (1-x)^{-1/6}, a_k = (1/6)_k^2 / k!^2;
+#   v = 1-x          DLMF 15.8.10, the logarithmic case a + b = c:
+#                    (1/2pi) sum_k t_k (d_k - log(1-x)) v^k, d_0 = log 432,
+#                    d_{k+1} = d_k + 2/(k+1) - 1/(k+1/6) - 1/(k+5/6);
+#   v = (x-x0)/rho   Taylor series at x0 = 1/2 +- i/2 (the centre on the side of x),
+#                    from x(1-x)F'' + (1-2x)F' - (5/36)F = 0. It covers the
+#                    neighbourhoods of e^{+-i pi/3}, where every other |v| is 1.
+#
+# The smallest |v| is at most 0.84 anywhere off the cut. Every tail bound is an
+# upper bound. The hypergeometric coefficients are positive and nonincreasing in
+# k (each ratio such as (k+1/6)(k+5/6)/(k+1)^2 is at most 1, and d_k = 2 psi(k+1)
+# - psi(k+1/6) - psi(k+5/6) is positive and decreasing), so with r = max |v| the
+# tail past K is at most |P_j| a_{j,K} r^K/(1-r). For the Taylor series the Euler
+# integral gives |F(x)| <= max_{s in [0,1]} |1 - s x|^{-1/6}; on the disc
+# |x - x0| <= rho, |1 - s x| >= |1 - s x0| - s rho >= 1/sqrt(2) - rho, so Cauchy's
+# estimate gives |a_k| <= M = (1/sqrt(2) - rho)^{-1/6} and a tail of at most
+# M r^K/(1-r).
+
+_KAPPA = 1e-13  # |eval_Bhat - Bhat| at every point: kappa/10 for the tail, the rest for rounding
+_TERMS = 220  # at |v| = 0.84 every tail bound is below kappa/10 within this many terms
+_TAYLOR_RHO = 0.7
+_TAYLOR_M = (math.sqrt(0.5) - _TAYLOR_RHO) ** (-1.0 / 6.0)
+_FAR_S = (1.0 / 6.0, 5.0 / 6.0)
+_FAR_A = (
+    math.gamma(2.0 / 3.0) / math.gamma(5.0 / 6.0) ** 2,
+    math.gamma(-2.0 / 3.0) / math.gamma(1.0 / 6.0) ** 2,
+)
+
+
+def _hyp_coeffs(a: float, b: float, c: float) -> list:
+    # (a)_k (b)_k / ((c)_k k!) for k = 0 .. _TERMS
+    out = [1.0]
+    for k in range(_TERMS):
+        out.append(out[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
+    return out
+
+
+_MACLAURIN = _hyp_coeffs(1.0 / 6.0, 5.0 / 6.0, 1.0)
+# c_{1,k} = (1/6)_k^2/((1/3)_k k!), c_{2,k} = (5/6)_k^2/((5/3)_k k!)
+_FAR_C = (_hyp_coeffs(1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0), _hyp_coeffs(5.0 / 6.0, 5.0 / 6.0, 5.0 / 3.0))
+
+
+def _log_coeffs() -> list:
+    d = math.log(432.0)
+    out = []
+    for k, t in enumerate(_MACLAURIN):
+        out.append(t * d)
+        d += 2.0 / (k + 1) - 1.0 / (k + 1.0 / 6.0) - 1.0 / (k + 5.0 / 6.0)
+    return out
+
+
+def _taylor_coeffs() -> np.ndarray:
+    """a_k = F^{(k)}(x0) rho^k / k! at x0 = (1 + i)/2.
+
+    F(x0) and F'(x0) come from the Maclaurin table (|x0| = 0.71). With x = x0 + y,
+    x(1-x) = 1/2 - i y - y^2 and 1 - 2x = -i - 2y, so the ODE gives
+    (n+1)(n+2) f_{n+2} = 2 (n^2 + n + 5/36) f_n + 2i (n+1)^2 f_{n+1}.
+    """
+    x0, rho = 0.5 + 0.5j, _TAYLOR_RHO
+    a = [sum(t * x0 ** k for k, t in enumerate(_MACLAURIN)),
+         rho * sum(k * t * x0 ** (k - 1) for k, t in enumerate(_MACLAURIN) if k)]
+    for n in range(_TERMS - 1):
+        a.append(2.0 * ((n * n + n + 5.0 / 36.0) * rho * rho * a[n] + 1j * rho * (n + 1) ** 2 * a[n + 1])
+                 / ((n + 1) * (n + 2)))
+    return np.array(a)
+
+
+def _region_table(coeffs, majorant=None) -> tuple:
+    # (a_{j,k}, bounds on |a_{j,k}|) as (J, _TERMS + 1) arrays
+    a = np.array(coeffs)
+    return a, np.full(a.shape, majorant) if majorant is not None else a
+
+
+_TAYLOR = _taylor_coeffs()
+# per region: v(x), the prefactors P_j(x), and the table of _region_table
+_REGIONS = (
+    (lambda x: x, lambda x: (1.0,), _region_table([_MACLAURIN])),
+    (lambda x: 1.0 / x, lambda x: [a * (-x) ** -s for a, s in zip(_FAR_A, _FAR_S)], _region_table(_FAR_C)),
+    (lambda x: 1.0 / (1.0 - x), lambda x: [a * (1.0 - x) ** -s for a, s in zip(_FAR_A, _FAR_S)],
+     _region_table(_FAR_C)),
+    (lambda x: x / (x - 1.0), lambda x: [(1.0 - x) ** (-1.0 / 6.0)],
+     _region_table([_hyp_coeffs(1.0 / 6.0, 1.0 / 6.0, 1.0)])),
+    (lambda x: 1.0 - x, lambda x: (1.0 / TWO_PI, -np.log(1.0 - x) / TWO_PI),
+     _region_table([_log_coeffs(), _MACLAURIN])),
+    (lambda x: (x - (0.5 + 0.5j)) / _TAYLOR_RHO, lambda x: (1.0,), _region_table([_TAYLOR], _TAYLOR_M)),
+    (lambda x: (x - (0.5 - 0.5j)) / _TAYLOR_RHO, lambda x: (1.0,), _region_table([_TAYLOR.conj()], _TAYLOR_M)),
+)
+_POWERS = np.arange(_TERMS + 1)
+
+
+def _region_sum(k: int, x: np.ndarray) -> np.ndarray:
+    """F at the points x by the series of region k, each tail at most _KAPPA/10."""
+    v_of, pref_of, (coeffs, majorant) = _REGIONS[k]
+    v = v_of(x)
+    pref = pref_of(x)
+    r = float(np.max(np.abs(v)))
+    pmax = np.array([np.max(np.abs(p)) for p in pref])
+    # tail[K] bounds the terms from K on; it does not increase with K
+    tail = (pmax @ majorant) * r ** _POWERS / (1.0 - r)
+    K = max(1, int(np.count_nonzero(tail > _KAPPA / 10.0)))
+    V = np.empty((len(v), K), dtype=complex)
+    V[:, 0] = 1.0
+    V[:, 1:] = v[:, None]
+    sums = np.cumprod(V, axis=1) @ coeffs[:, :K].T
+    return sum(p * sums[:, j] for j, p in enumerate(pref))
+
+
+def eval_Bhat(zeta, branch: str = "B"):
+    """The Borel transform of z^{-1} psi (branch "B") or its mirror ("B_plus").
+
+    Each point is summed by the series of the region with the smallest ratio
+    |v| (see the table above) until that series' tail bound is at most
+    _KAPPA/10, so every value is within _KAPPA of Bhat. The points of one
+    region are summed together. Accepts scalars or arrays; raises
+    BranchCutError on the cut and nothing else.
+    """
+    if branch not in ("B", "B_plus"):
+        raise ValueError("branch must be 'B' or 'B_plus'")
+    sign = 1.0 if branch == "B" else -1.0
+    scalar = np.isscalar(zeta) or isinstance(zeta, complex)
+    zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    on_cut = (np.abs(zarr.imag) < 1e-13) & (sign * zarr.real >= 2.0 - 1e-13)
+    if np.any(on_cut):
+        raise BranchCutError("branch cut")
+    x = sign * zarr / 2.0
+    ax, a1 = np.abs(x), np.abs(1.0 - x)
+    taylor = np.hypot(x.real - 0.5, np.abs(x.imag) - 0.5) / _TAYLOR_RHO
+    with np.errstate(divide="ignore"):  # 1/|x| at x = 0, where the Maclaurin ratio is 0
+        region = np.argmin([ax, 1.0 / ax, 1.0 / a1, ax / a1, a1, taylor], axis=0)
+    region[(region == 5) & (x.imag < 0.0)] = 6
+    out = np.empty(len(x), dtype=complex)
+    for k in set(region.tolist()):
+        sel = region == k
+        out[sel] = _region_sum(k, x[sel])
+    return complex(out[0]) if scalar else out
+
+
+class _BhatKernel:
+    """eval_Bhat on one branch; laplace_ray recognises it and takes the far
+    part of its ray in closed form (see _far_laplace)."""
+
+    __slots__ = ("branch",)
+
+    def __init__(self, branch: str):
+        self.branch = branch
+
+    def __call__(self, zs):
+        return eval_Bhat(zs, self.branch)
+
+
+_PSI_KERNEL = _BhatKernel("B")
+_PHI_KERNEL = _BhatKernel("B_plus")
+
+
+# -- quadrature rules ------------------------------------------------------------
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple:
-    # dense eigh: at 768 nodes about 0.1 s and 15 MB, once per process
+    # Golub-Welsch: the nodes are the Jacobi matrix's eigenvalues, the weights
+    # mu_0 times the squared first components of its eigenvectors
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     x, vec = np.linalg.eigh(jac)
     return x, mu0 * vec[0] ** 2
-
-
-@lru_cache(maxsize=None)
-def _gj_rule(n: int) -> tuple:
-    """n-point Gauss rule for the weight (1-x)^{-1/6}(1+x)^{-5/6} on [-1, 1].
-
-    With t = (x+1)/2 the weight absorbs the endpoint factors t^{-5/6}(1-t)^{-1/6}
-    of the Bhat integral exactly (the 2-powers cancel), and its mass is 2 pi.
-    Returned as (1 - t, weight / 2 pi), the two arrays the kernel sum uses.
-    """
-    # recurrence of the monic Jacobi polynomials at alpha = -1/6, beta = -5/6
-    # (alpha + beta = -1 simplifies the textbook formulas; b_1 is their limit)
-    alpha, beta = -1.0 / 6.0, -5.0 / 6.0
-    k = np.arange(1, n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = beta - alpha
-    diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))
-    off = np.sqrt((k + alpha) * (k + beta)) / (2.0 * k - 1.0)
-    off[0] *= math.sqrt(2.0)
-    x, w = _golub_welsch(diag, off, TWO_PI)
-    return (1.0 - x) / 2.0, w / TWO_PI
 
 
 @lru_cache(maxsize=None)
@@ -237,163 +381,10 @@ def _gk_rule(n: int) -> tuple:
     return x, wk, wg
 
 
-@lru_cache(maxsize=None)
-def _c_floats(n: int) -> tuple:
-    return tuple(float(c) for c in families.gen_c_coeffs(n))
-
-
-@lru_cache(maxsize=None)
-def _bhat_maclaurin_coeffs(n: int) -> np.ndarray:
-    cs = _c_floats(n)
-    fact = 1.0
-    out = np.empty(len(cs))
-    for k, c in enumerate(cs):
-        if k > 0:
-            fact *= k
-        out[k] = c / fact
-    return out
-
-
-# Jacobi rule sizes eval_Bhat may pick; a point whose error bound needs more than
-# the last one raises QuadratureError
-_BHAT_RULES = np.array([16, 28, 44, 64, 96, 144, 256, 768])
-# the smallest kernel tolerance; lower requests are raised to it
-_BHAT_TOL_FLOOR = 5e-11
-# ellipses tried for the bound: rho' = rho^s for these s
-_ELLIPSE_EXPONENTS = np.array([0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999])
-_RHO_CAP = 1e4  # a smaller ellipse than the true one keeps the bound valid
-_BHAT_BLOCK = 8192  # point-node products per block of the kernel sum
-_MACLAURIN_RADIUS = 1.5
-_MACLAURIN_TERMS = 120
-
-
-def _bhat_log_bound(w: np.ndarray) -> tuple:
-    """Error bound of the n-point rule for Bhat at the points w = +-zeta, as
-    the pair (log_c, log_r) of shape (points, ellipses): for every ellipse the
-    bound is exp(log_c - 2 n log_r), and any ellipse may be used.
-
-    The integrand (w/4 (x - x*))^{-1/6}, x* = 1 - 4/w, is analytic inside every
-    Bernstein ellipse E_r (foci +-1) with r < rho = |x* + sqrt(x*^2 - 1)|: its
-    cut runs from x* away from x = 1, and E_r is convex and contains 1. On E_r
-    the distance to x* is at least a(rho) - a(r), a(r) = (r + 1/r)/2 (the
-    Joukowski map stretches radial paths by at least (1 - 1/r^2)/2), so
-    |f| <= M(r) = (|w|/4 (a(rho) - a(r)))^{-1/6}. The degree-N Chebyshev
-    truncation error is at most 2 M r^{-N}/(r - 1) (Trefethen, ATAP, Thm 8.2);
-    an n-point Gauss rule is exact to degree N = 2n - 1 and its weights are
-    positive with mass 2 pi, so the rule's error in Bhat = integral / 2 pi is at
-    most twice that: 4 M(r) r^{1-2n}/(r - 1).
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xs = 1.0 - 4.0 / w
-        u = np.abs(xs + np.sqrt(xs - 1.0) * np.sqrt(xs + 1.0))
-        rho = np.minimum(np.maximum(u, 1.0 / u), _RHO_CAP)
-        log_r = np.log(rho)[:, None] * _ELLIPSE_EXPONENTS
-        r = np.exp(log_r)
-        gap = np.fmax((rho + 1.0 / rho)[:, None] / 2.0 - (r + 1.0 / r) / 2.0, 0.0)
-        log_m = -(np.log(np.abs(w) / 4.0)[:, None] + np.log(gap)) / 6.0
-        log_c = math.log(4.0) + log_m + log_r - np.log(r - 1.0)
-    return log_c, log_r
-
-
-def _bhat_nodes_needed(w: np.ndarray, tol: float) -> np.ndarray:
-    """Per point, the least node count whose bound is at most tol (inf if none)."""
-    log_c, log_r = _bhat_log_bound(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = (log_c - math.log(tol)) / (2.0 * log_r)
-    need = np.nan_to_num(n, nan=np.inf, posinf=np.inf).min(axis=1)
-    need[w == 0] = 0.0  # constant integrand
-    return need
-
-
-def _bhat_quad(w: np.ndarray, n: int) -> np.ndarray:
-    """Bhat at the points w = +-zeta with the n-point rule, in blocks of points."""
-    omt, wts = _gj_rule(n)
-    out = np.empty(len(w), dtype=complex)
-    step = max(1, _BHAT_BLOCK // n)
-    for i in range(0, len(w), step):
-        base = 1.0 - np.multiply.outer(w[i : i + step], omt) / 2.0
-        # principal base^{-1/6} in polar form, several times faster than **
-        mod = np.abs(base) ** (-1.0 / 6.0)
-        arg = np.angle(base) / -6.0
-        out[i : i + step] = (mod * np.cos(arg)) @ wts + 1j * ((mod * np.sin(arg)) @ wts)
-    return out
-
-
-def eval_Bhat(zeta, branch: str = "B", tol: float = DEFAULT_QUAD_TOL):
-    """The Borel transform of z^{-1} psi (branch "B") or its mirror ("B_plus").
-
-    Gauss-Jacobi quadrature of the convolution integral. Each point gets the
-    smallest rule in _BHAT_RULES whose a-priori Bernstein-ellipse bound (see
-    _bhat_log_bound) is at most half of max(tol, _BHAT_TOL_FLOOR), and each
-    rule is evaluated once on the points that chose it; a point that would
-    need more than the largest rule raises QuadratureError. Values with
-    |zeta| <= 1.5 are additionally cross-checked against the exact-coefficient
-    Maclaurin series. Accepts scalars or arrays.
-    """
-    if branch not in ("B", "B_plus"):
-        raise ValueError("branch must be 'B' or 'B_plus'")
-    tol = max(tol, _BHAT_TOL_FLOOR)
-    sign = 1.0 if branch == "B" else -1.0
-    scalar = np.isscalar(zeta) or isinstance(zeta, complex)
-    zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    on_cut = (np.abs(zarr.imag) < 1e-13) & (sign * zarr.real >= 2.0 - 1e-13)
-    if np.any(on_cut):
-        raise BranchCutError("branch cut")
-    w = sign * zarr
-    # the bound takes half the tolerance, rounding (under 1e-13) the other half
-    rule = np.searchsorted(_BHAT_RULES, _bhat_nodes_needed(w, tol / 2.0))
-    top = len(_BHAT_RULES) - 1
-    clamped = np.minimum(rule, top)
-    cur = np.empty(len(w), dtype=complex)
-    for k in set(clamped.tolist()):
-        sel = clamped == k
-        cur[sel] = _bhat_quad(w[sel], int(_BHAT_RULES[k]))
-    if rule.max() > top:
-        log_c, log_r = _bhat_log_bound(w[rule > top])
-        bound = float(np.exp(np.max(np.min(log_c - 2.0 * _BHAT_RULES[top] * log_r, axis=1))))
-        raise QuadratureError(
-            f"quadrature failure: a point needs more than {_BHAT_RULES[top]} nodes",
-            value=cur[0] if scalar else cur,
-            err=bound,
-        )
-    near = np.abs(zarr) <= _MACLAURIN_RADIUS
-    if np.any(near):
-        coeffs = _bhat_maclaurin_coeffs(_MACLAURIN_TERMS)
-        series = np.vander(w[near], len(coeffs), increasing=True) @ coeffs
-        mismatch = float(np.max(np.abs(series - cur[near])))
-        if mismatch > max(1e-8, 100.0 * tol):
-            raise QuadratureError(
-                "quadrature failure: Maclaurin cross-check mismatch",
-                value=cur[0] if scalar else cur,
-                err=mismatch,
-            )
-    return complex(cur[0]) if scalar else cur
-
-
-class _BhatKernel:
-    """eval_Bhat on one branch at one tolerance; laplace_ray recognises it and
-    takes the far part of its ray in closed form (see _far_laplace)."""
-
-    __slots__ = ("branch", "tol")
-
-    def __init__(self, branch: str, tol: float):
-        self.branch = branch
-        self.tol = tol
-
-    def __call__(self, zs):
-        return eval_Bhat(zs, self.branch, self.tol)
-
-
 # -- closed-form far ray ------------------------------------------------------------
 #
-# With x = +-zeta/2, Bhat = 2F1(1/6, 5/6; 1; x), and b - a = 2/3 is not an
-# integer, so DLMF 15.8.2 gives, for |x| > 1 off the cut,
-#
-#     Bhat = sum_j A_j (-x)^{-s_j} sum_k c_{j,k} x^{-k},   s = (1/6, 5/6),
-#
-# A_1 = Gamma(2/3)/Gamma(5/6)^2, A_2 = Gamma(-2/3)/Gamma(1/6)^2,
-# c_{1,k} = (1/6)_k^2/((1/3)_k k!), c_{2,k} = (5/6)_k^2/((5/3)_k k!). On the ray
-# zeta = t e^{i theta}, t >= R, every term is a power of t/R, so
+# Past |x| = R/2 > 1 the kernel is its DLMF 15.8.2 series (the 1/x region above).
+# On the ray zeta = t e^{i theta}, t >= R, every term is a power of t/R, so
 #
 #     int_R^oo Bhat e^{-z zeta} dzeta
 #         = R e^{i theta} sum_j A_j (-x0)^{-s_j} sum_k c_{j,k} x0^{-k} E_{s_j+k}(X)
@@ -402,24 +393,7 @@ class _BhatKernel:
 
 _FAR_R = 4.0  # numeric segment [0, R]; 2/R is the ratio of the 1/x series
 _FAR_X_FLOOR = 1.2  # R is raised so that |X| = R |z| stays above this
-_FAR_S = (1.0 / 6.0, 5.0 / 6.0)
-_FAR_A = (
-    math.gamma(2.0 / 3.0) / math.gamma(5.0 / 6.0) ** 2,
-    math.gamma(-2.0 / 3.0) / math.gamma(1.0 / 6.0) ** 2,
-)
-_FAR_TERMS = 160  # most terms of the 1/x series one ray may take
 _CF_BUDGET = 500  # most continued-fraction steps per E_p value
-
-
-def _connection_coeffs(a: float, c: float) -> list:
-    # (a)_k^2 / ((c)_k k!); each ratio (a+k)^2/((c+k)(k+1)) is at most 1
-    out = [1.0]
-    for k in range(_FAR_TERMS):
-        out.append(out[-1] * (a + k) ** 2 / ((c + k) * (k + 1)))
-    return out
-
-
-_FAR_C = (_connection_coeffs(1.0 / 6.0, 1.0 / 3.0), _connection_coeffs(5.0 / 6.0, 5.0 / 3.0))
 
 
 def _expint_cf(p: float, X: complex) -> complex:
@@ -460,7 +434,7 @@ def _expint_run(s: float, X: complex, n: int) -> list:
 
 def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) -> tuple:
     """int_R^oo Bhat(+-t e^{i theta}) e^{-z t e^{i theta}} e^{i theta} dt and a bound on
-    its truncation error, which is at most tol when _FAR_TERMS suffice.
+    its truncation error, which is at most tol when _TERMS suffice.
 
     The series stops at the first n where R e^{-Re X}/Re X sum_j |A_j| c_{j,n}
     (2/R)^n/(1 - 2/R) <= tol: |E_p(X)| <= e^{-Re X}/Re X for p >= 0,
@@ -475,7 +449,7 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
     qn = 1.0
     while True:
         bound = pref * qn * (abs(_FAR_A[0]) * _FAR_C[0][n] + abs(_FAR_A[1]) * _FAR_C[1][n])
-        if bound <= tol or n == _FAR_TERMS:
+        if bound <= tol or n == _TERMS:
             break
         n += 1
         qn *= q
@@ -490,6 +464,9 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
                 w *= inv
             total += a * (-x0) ** (-s) * acc
     return R * phase * total, bound
+
+
+_MACLAURIN_RADIUS = 1.5
 
 
 def maclaurin_borel_eval(coeffs: Sequence, radius: float = _MACLAURIN_RADIUS) -> Callable:
@@ -530,7 +507,7 @@ def laplace_ray(
     Composite adaptive Gauss-Kronrod on [0, T]: each panel makes one kernel
     call on the 49 nodes of the nested G24/K49 pair and is accepted when the
     two values agree to the panel's share of tol; the K49 value enters the
-    sum. For the psi/phi kernels (_psi_kernel, _phi_kernel) T is R = 4, or
+    sum. For the psi/phi kernels (_PSI_KERNEL, _PHI_KERNEL) T is R = 4, or
     R = 1.2/|z| when that is larger, and the ray past R is the closed-form
     series of _far_laplace, whose truncation bound is the "tail". Any other
     kernel, or a psi/phi ray whose decay ends it before R, is integrated up to
@@ -538,7 +515,8 @@ def laplace_ray(
     |fhat(T)| e^{-rate T}/rate. The error field is the sum of the accepted
     panels' |G24 - K49| plus the tail, and meta reports the two parts
     ("quad_err", "tail"), the end of the numeric segment ("T") and the decay
-    rate ("rate").
+    rate ("rate"). The kernel's own error is not in it: eval_Bhat is within
+    _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
     """
     theta = float(theta)
     z = complex(z)
@@ -589,32 +567,23 @@ def laplace_ray(
 # -- family sums ------------------------------------------------------------------
 
 
-def _error_budget(z: complex, rays: Sequence[SumValue], kernel_tol: float,
-                  weights: Sequence[float], route: float = 0.0) -> dict:
+def _error_budget(z: complex, rays: Sequence[SumValue], weights: Sequence[float],
+                  route: float = 0.0) -> dict:
     """The error of a function of z times Laplace integrals of eval_Bhat kernels, by source.
 
     Each ray's error enters with its weight, the modulus of the function's
     derivative with respect to that sum. quadrature and tail are the rays' own
-    parts; each kernel value is within max(kernel_tol, floor) of Bhat, which
-    moves a ray's integral by at most that over its decay rate; route is a
-    cross-check difference added as is.
+    parts; each kernel value is within _KAPPA of Bhat, which moves a ray's
+    integral by at most _KAPPA over its decay rate; route is a cross-check
+    difference added as is.
     """
-    kappa = max(kernel_tol, _BHAT_TOL_FLOOR)
     f = [abs(z) * w for w in weights]
     return {
         "quadrature": sum(fr * r.meta["quad_err"] for fr, r in zip(f, rays)),
-        "kernel": sum(fr * kappa / r.meta["rate"] for fr, r in zip(f, rays)),
+        "kernel": sum(fr * _KAPPA / r.meta["rate"] for fr, r in zip(f, rays)),
         "tail": sum(fr * r.meta["tail"] for fr, r in zip(f, rays)),
         "route": route,
     }
-
-
-def _psi_kernel(tol):
-    return _BhatKernel("B", tol)
-
-
-def _phi_kernel(tol):
-    return _BhatKernel("B_plus", tol)
 
 
 def sum_family(
@@ -633,7 +602,7 @@ def sum_family(
         raise ValueError("name must be one of psi, phi, g, f")
     z = complex(z)
     theta = choose_theta(z, interval, CUTS[name]) if theta is None else _theta_inside(theta, interval)
-    kern = _psi_kernel(tol) if name in ("psi", "g") else _phi_kernel(tol)
+    kern = _PSI_KERNEL if name in ("psi", "g") else _PHI_KERNEL
     lap = laplace_ray(kern, z, theta, tol)
     val = z * lap.value
     scale = 1.0
@@ -642,7 +611,7 @@ def sum_family(
             raise BranchCutError("branch cut: log of a negative real sum")
         scale = max(abs(val), 1e-30)
         val = cmath.log(val)
-    parts = _error_budget(z, (lap,), tol, (1.0 / scale,))
+    parts = _error_budget(z, (lap,), (1.0 / scale,))
     return SumValue(val, sum(parts.values()), dict(lap.meta, family=name, err_parts=parts))
 
 
@@ -672,8 +641,8 @@ def G_pm(
     if sigma2 != 0 and z.real <= 0.5 * math.log(2.0 * abs(sigma2)):
         raise DomainError("outside solution domain: Re z <= (1/2) log|2 sigma_2|")
     theta = choose_theta(z, interval) if theta is None else _theta_inside(theta, interval)
-    spsi = laplace_ray(_psi_kernel(quad_tol), z, theta, quad_tol)
-    sphi = laplace_ray(_phi_kernel(quad_tol), z, theta, quad_tol)
+    spsi = laplace_ray(_PSI_KERNEL, z, theta, quad_tol)
+    sphi = laplace_ray(_PHI_KERNEL, z, theta, quad_tol)
     psi_val = z * spsi.value
     phi_val = z * sphi.value
     if psi_val.real <= 0.0 and abs(psi_val.imag) < 1e-13:
@@ -702,8 +671,7 @@ def G_pm(
     # G = sigma_1 + log(S psi + sigma_2 e^{-2z} S phi): an error in S psi moves G
     # by it over |S psi (1 + ratio)|, an error in S phi by |sigma_2 e^{-2z}| times that
     w = 1.0 / max(abs(psi_val) * abs(1.0 + ratio), 1e-30)
-    parts = _error_budget(z, (spsi, sphi), quad_tol, (w, abs(sigma2 * cmath.exp(-2.0 * z)) * w),
-                          route_diff)
+    parts = _error_budget(z, (spsi, sphi), (w, abs(sigma2 * cmath.exp(-2.0 * z)) * w), route_diff)
     return SumValue(closed, sum(parts.values()), {"theta": theta, "sign": sign, "err_parts": parts})
 
 
@@ -809,8 +777,8 @@ def check_homomorphism(z: complex, order: int = 60, tol: float = DEFAULT_END_TOL
     prod = psi.series * phi.series
     kern = maclaurin_borel_eval(prod.coeffs)
     lhs = z * laplace_ray(kern, z, theta).value
-    spsi = z * laplace_ray(_psi_kernel(DEFAULT_QUAD_TOL), z, theta).value
-    sphi = z * laplace_ray(_phi_kernel(DEFAULT_QUAD_TOL), z, theta).value
+    spsi = z * laplace_ray(_PSI_KERNEL, z, theta).value
+    sphi = z * laplace_ray(_PHI_KERNEL, z, theta).value
     res = abs(lhs - spsi * sphi)
     return {"residual": res, "ok": res <= tol, "theta": theta}
 
@@ -824,9 +792,8 @@ def check_derivation(z: complex, h: float = 0.005, tol: float = 1e-5) -> dict:
         return sum_family("g", zz, "Iminus", theta=theta).value
 
     fd = (-sg(z + 2 * h) + 8 * sg(z + h) - 8 * sg(z - h) + sg(z - 2 * h)) / (12 * h)
-    kern = _psi_kernel(DEFAULT_QUAD_TOL)
-    kern_moment = lambda zs: -zs * eval_Bhat(zs, "B", DEFAULT_QUAD_TOL)
-    lap = laplace_ray(kern, z, theta).value
+    kern_moment = lambda zs: -zs * eval_Bhat(zs, "B")
+    lap = laplace_ray(_PSI_KERNEL, z, theta).value
     spsi = z * lap
     spsi_prime = lap + z * laplace_ray(kern_moment, z, theta).value
     exact = spsi_prime / spsi
@@ -1029,7 +996,7 @@ def gevrey_check(
         bs = [complex(c) for c in coeffs]
         ref = sum(b * z ** (-n) for n, b in enumerate(bs))
     errors = []
-    partial = 0.0 + 0.0j
+    partial = bs[0] if bs else 0j
     for n_next in range(1, n_max + 1):
         # error of the sum over n < n_next
         errors.append(abs(ref - partial))

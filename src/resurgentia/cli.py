@@ -54,7 +54,7 @@ _READS = {
     "large-radius pols": (),
     "large-radius h0": ("order",),
     "large-radius uresidual": ("order",),
-    "large-radius lrsum": ("quad_tol",),
+    "large-radius lrsum": (),
     "verify-all": (),
 }
 
@@ -274,7 +274,7 @@ def _cmd_large_radius(args, cfg: RunConfig):
         return {"order": N, "zero_through": N - 1 if not nonzero else min(nonzero) - 1, "ok": not nonzero}
     if args.gs is None:
         raise ValueError("lrsum requires --gs")
-    sv = largeradius.lr_sum(args.sign, args.gs, args.u, args.sigma1, args.sigma2, tol=cfg.quad_tol * 1e4)
+    sv = largeradius.lr_sum(args.sign, args.gs, args.u, args.sigma1, args.sigma2)
     out = {"sign": args.sign, "err": sv.err}
     out.update(_cval("gs", args.gs))
     out.update(_cval("u", args.u))

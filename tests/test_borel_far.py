@@ -93,16 +93,18 @@ def test_split_ray_agrees_with_the_generic_full_ray():
     assert sum(1 for _, z, theta in grid if (z * cmath.exp(1j * theta)).real <= 5e-2 + 1e-12) >= 40
     answered = 0
     for branch, z, theta in grid:
-        split = laplace_ray(borel._psi_kernel(1e-10) if branch == "B" else borel._phi_kernel(1e-10),
-                            z, theta)
+        split = laplace_ray(borel._PSI_KERNEL if branch == "B" else borel._PHI_KERNEL, z, theta)
         assert split.meta["T"] == max(4.0, 1.2 / abs(z))
         try:
-            full = laplace_ray(lambda zs, b=branch: eval_Bhat(zs, b, 1e-10), z, theta)
-        except QuadratureError:
-            continue  # far points on slowly decaying rays need more than 768 nodes
+            full = laplace_ray(lambda zs, b=branch: eval_Bhat(zs, b), z, theta)
+        except QuadratureError as exc:
+            # the kernel answers at every point; only the panel cap of a slowly
+            # decaying generic ray may stop it
+            assert str(exc) == "quadrature failure", exc
+            continue
         answered += 1
         assert abs(split.value - full.value) <= split.err + full.err, (branch, z, theta)
-    assert answered >= 16
+    assert answered >= 56
 
 
 def test_split_ray_err_bounds_the_airy_reference():
@@ -142,15 +144,15 @@ def test_gpm_err_parts_carry_the_log_derivative_weights(target):
     sigma1 = 0.2 - 0.1j
     g = G_pm("+", z, sigma1, sigma2)
     assert g.meta["theta"] == theta
-    spsi = laplace_ray(borel._psi_kernel(1e-10), z, theta)
-    sphi = laplace_ray(borel._phi_kernel(1e-10), z, theta)
+    spsi = laplace_ray(borel._PSI_KERNEL, z, theta)
+    sphi = laplace_ray(borel._PHI_KERNEL, z, theta)
     psi_val, phi_val = z * spsi.value, z * sphi.value
     ratio = sigma2 * cmath.exp(-2.0 * z) * phi_val / psi_val
     assert ratio.real == pytest.approx(target, rel=1e-6)
     w_psi = 1.0 / (abs(psi_val) * abs(1.0 + ratio))
     w_phi = abs(sigma2 * cmath.exp(-2.0 * z)) * w_psi
     parts = g.meta["err_parts"]
-    kappa = 1e-10
+    kappa = 1e-13
     for key, per_ray in (("quadrature", lambda r: r.meta["quad_err"]),
                          ("kernel", lambda r: kappa / r.meta["rate"]),
                          ("tail", lambda r: r.meta["tail"])):

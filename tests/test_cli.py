@@ -312,7 +312,7 @@ _READS = {
     "large-radius": ("n", "gmax"),
     "large-radius-h0": ("order",),
     "large-radius-uresidual": ("order",),
-    "large-radius-lrsum": ("tol", "gs", "u", "sigma1", "sigma2", "sign"),
+    "large-radius-lrsum": ("gs", "u", "sigma1", "sigma2", "sign"),
 }
 _FLAG_VALUES = {"order": "8", "cap-sigma": "3", "cap-grade": "3", "tol": "1e-8"}
 _ACTION_FLAG_VALUES = {"n": "2", "gmax": "3", "gs": "0.1", "u": "2", "sigma1": "0.5", "sigma2": "0.25", "sign": "+"}
