@@ -42,9 +42,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
-from .scalars import ExactScalar, scalar_from_reduced
+from .scalars import ExactScalar, _gaussian_over, _scalar_over
 from .series import PowerSeries
 from . import families
 
@@ -55,7 +55,6 @@ NVARS = len(VARS)
 IDX = {name: k for k, name in enumerate(VARS)}
 _LAURENT = {IDX["z"], IDX["u"], IDX["w"]}
 _ZERO_MONO = (0,) * NVARS
-_F0 = Fraction(0)
 
 
 # A monomial is packed into one int, 32 bits per slot and each exponent biased
@@ -84,10 +83,6 @@ def _slot(name: str) -> tuple[int, int]:
 
 _S2_SLOT = _slot("s2")
 _Z_SLOT = _slot("z")
-
-
-def _scalar(re: int, im: int, den: int) -> ExactScalar:
-    return scalar_from_reduced(Fraction(re, den), Fraction(im, den) if im else _F0)
 
 
 def _raw(den: int, nums: dict) -> "Poly":
@@ -138,7 +133,7 @@ class _Terms(Mapping):
             re, im = p.nums[_pack(mono)]
         except (struct.error, TypeError):
             raise KeyError(mono) from None
-        return _scalar(re, im, p.den)
+        return _scalar_over(re, im, p.den)
 
 
 class Poly:
@@ -264,13 +259,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         # c = (a + b i) / q
-        if isinstance(c, int):
-            a, b, q = c, 0, 1
-        else:
-            c = ExactScalar.coerce(c)
-            q = lcm(c.re.denominator, c.im.denominator)
-            a = c.re.numerator * (q // c.re.denominator)
-            b = c.im.numerator * (q // c.im.denominator)
+        a, b, q = (c, 0, 1) if isinstance(c, int) else _gaussian_over(c)
         if not b:
             if not a:
                 return Poly()
@@ -361,7 +350,7 @@ class Poly:
                 if e == 0:
                     continue
                 factors.append(VARS[k] if e == 1 else f"{VARS[k]}^{e}")
-            head = f"({_scalar(re, im, self.den).to_str()})"
+            head = f"({_scalar_over(re, im, self.den).to_str()})"
             parts.append("*".join([head] + factors) if factors else head)
         return " + ".join(parts)
 
@@ -701,13 +690,27 @@ def apply_stokes(
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _delta_plus_tower(x: TransElement, sign: int, m: int) -> list[TransElement]:
+    """[Delta^+_{sign 2j} x for j = 1..m] by one word recursion.
+
+    layer maps each weight j to the sum of the r-letter words
+    Delta_{sign 2m_1} ... Delta_{sign 2m_r} x with m_1 + ... + m_r = j; layer
+    r + 1 applies Delta_{sign 2k}, k = 1..m - j, once to each nonzero entry,
+    so each word tail is formed once, and Delta^+_{sign 2j} x = sum_r layer_r[j] / r!.
+    """
+    out = [x._like() for _ in range(m)]
+    layer = {0: x}
+    for r in range(1, m + 1):  # every entry of layer r has weight >= r
+        nxt: dict[int, TransElement] = {}
+        for j, y in layer.items():
+            for k in range(1, m - j + 1):
+                word = apply_delta(y, sign * 2 * k)
+                if not word.is_zero():
+                    nxt[j + k] = nxt[j + k] + word if j + k in nxt else word
+        for j, y in nxt.items():
+            out[j - 1] = out[j - 1] + y.scale(Fraction(1, factorial(r)))
+        layer = nxt
+    return out
 
 
 def apply_delta_plus(x: TransElement, omega: int) -> TransElement:
@@ -716,24 +719,12 @@ def apply_delta_plus(x: TransElement, omega: int) -> TransElement:
     Delta^+_{2m} collects every operator word Delta_{2m_1} ... Delta_{2m_r}
     with m_1 + ... + m_r = m weighted by 1/r!; the first few read
     Delta^+_{w} = Delta_w, Delta^+_{2w} = Delta_{2w} + (1/2) Delta_w Delta_w.
+    It is the last entry of _delta_plus_tower, the word recursion; every
+    letter goes through apply_delta, the rays that act by zero included.
     """
     if omega == 0 or omega % 2 != 0:
         raise ValueError("alien operators live on nonzero even rays")
-    m = abs(omega) // 2
-    sign = 1 if omega > 0 else -1
-    out = x._like()
-    for r in range(1, m + 1):
-        coeff = Fraction(1, factorial(r))
-        for comp in _compositions(m, r):
-            y = x
-            # operator word acts right to left
-            for part in reversed(comp):
-                y = apply_delta(y, sign * 2 * part)
-                if y.is_zero():
-                    break
-            if not y.is_zero():
-                out = out + y.scale(coeff)
-    return out
+    return _delta_plus_tower(x, 1 if omega > 0 else -1, abs(omega) // 2)[-1]
 
 
 # -- the formal integral and its identities -------------------------------------
@@ -875,51 +866,37 @@ def stokes_action_check(caps: Caps = Caps()) -> dict:
     }
 
 
-def deltaplus_table(nmax: int, kmax: int, caps: Caps | None = None) -> dict:
+def deltaplus_table(nmax: int, kmax: int) -> dict:
     """Delta^+ on the pure tower members G_k = ((-1)^{k-1}/k) E^k.
 
     Returns {(omega, k): element} for omega = ±2n, 1 <= n <= nmax,
-    1 <= k <= kmax. The closed forms these must match:
+    1 <= k <= kmax, from one _delta_plus_tower per G_k and direction, at caps
+    max(nmax, kmax) + 2 in sigma_2 and grade. The closed forms these must match:
 
         Delta^+_{+2n} G_k = (-i)^n  C(k+n, n) G_{k+n}
         Delta^+_{-2n} G_k = 0                 for n > k
                           = -i^k / k          for n = k
                           = i^n C(k-1, n) G_{k-n}   for n < k
     """
-    caps = caps or Caps(max(nmax, kmax) + 2, max(nmax, kmax) + 2)
+    caps = Caps(max(nmax, kmax) + 2, max(nmax, kmax) + 2)
     out = {}
     for k in range(1, kmax + 1):
-        Gk = TransElement(
-            {(0, k, 0): Poly.const(Fraction((-1) ** (k - 1), k))}, caps
-        )
-        for n in range(1, nmax + 1):
-            out[(2 * n, k)] = apply_delta_plus(Gk, 2 * n)
-            out[(-2 * n, k)] = apply_delta_plus(Gk, -2 * n)
+        Gk = TransElement({(0, k, 0): Poly.const(Fraction((-1) ** (k - 1), k))}, caps)
+        for sign in (1, -1):
+            for n, elem in enumerate(_delta_plus_tower(Gk, sign, nmax), 1):
+                out[(sign * 2 * n, k)] = elem
     return out
 
 
 def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
     """deltaplus_table(nmax, kmax) equals the closed forms in its docstring."""
-    tab = deltaplus_table(nmax, kmax)
     I = ExactScalar(0, 1)
-    minus_i = ExactScalar(0, -1)
-    for (om, k), elem in tab.items():
+    for (om, k), elem in deltaplus_table(nmax, kmax).items():
         n = abs(om) // 2
-        if om > 0:
-            j = k + n
-            expected = {
-                (0, j, 0): Poly.const((minus_i ** n) * ExactScalar(Fraction(comb(j, n) * (-1) ** (j - 1), j)))
-            }
-        elif n > k:
-            expected = {}
-        elif n == k:
-            expected = {(0, 0, 0): Poly.const((I ** k) * ExactScalar(Fraction(-1, k)))}
-        else:
-            j = k - n
-            expected = {
-                (0, j, 0): Poly.const((I ** n) * ExactScalar(Fraction(comb(k - 1, n) * (-1) ** (j - 1), j)))
-            }
-        if elem.terms != {kk: v for kk, v in expected.items() if not v.is_zero()}:
+        # the image is c G_j, or the constant -i^k / k when j = 0, or 0 when j < 0
+        j, c = (k + n, (-I) ** n * comb(k + n, n)) if om > 0 else (k - n, I ** n * comb(k - 1, n))
+        c = c * Fraction(1 if j % 2 else -1, j) if j else I ** k * Fraction(-1, k)
+        if elem.terms != ({(0, j, 0): Poly.const(c)} if j >= 0 else {}):
             return False
     return True
 
@@ -927,12 +904,10 @@ def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
 def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
     """Delta+_{2m} g = (i^m) (-1/m) E^m for m = 1, 2, 3, at caps widened by 3."""
     wide = Caps(sigma + 3, grade + 3)
-    gelem = TransElement.generator("g", wide)
     I = ExactScalar(0, 1)
     return all(
-        apply_delta_plus(gelem, 2 * m)
-        == TransElement({(0, m, 0): Poly.const((I ** m) * ExactScalar(Fraction(-1, m)))}, wide)
-        for m in (1, 2, 3)
+        elem == TransElement({(0, m, 0): Poly.const(I ** m * Fraction(-1, m))}, wide)
+        for m, elem in enumerate(_delta_plus_tower(TransElement.generator("g", wide), 1, 3), 1)
     )
 
 

@@ -469,10 +469,10 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
 _MACLAURIN_RADIUS = 1.5
 
 
-def maclaurin_borel_eval(coeffs: Sequence, radius: float = _MACLAURIN_RADIUS) -> Callable:
+def maclaurin_borel_eval(coeffs: Sequence) -> Callable:
     """Borel-kernel evaluator sum a_n zeta^n/n! from exact series coefficients.
 
-    Only valid inside the stated radius; the returned callable raises past it.
+    Only valid for |zeta| <= _MACLAURIN_RADIUS (1.5); the callable raises past it.
     Used for summing auxiliary exact series (products, derivatives) where no
     closed-form kernel is on hand.
     """
@@ -485,7 +485,7 @@ def maclaurin_borel_eval(coeffs: Sequence, radius: float = _MACLAURIN_RADIUS) ->
 
     def kernel(zeta):
         zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        if np.any(np.abs(zarr) > radius):
+        if np.any(np.abs(zarr) > _MACLAURIN_RADIUS):
             raise DomainError("Maclaurin kernel evaluated outside its radius")
         vals = np.polynomial.polynomial.polyval(zarr, arr)
         return vals if np.ndim(zeta) else complex(vals[0])
@@ -678,8 +678,8 @@ def G_pm(
 # -- identity checks ---------------------------------------------------------------
 
 
-def first_identity_check(z: complex, tol: float = DEFAULT_END_TOL) -> dict:
-    """Residual of S^{I+} psi = S^{I-} psi - i e^{-2z} S^{Ipi} phi."""
+def first_identity_check(z: complex) -> dict:
+    """Residual of S^{I+} psi = S^{I-} psi - i e^{-2z} S^{Ipi} phi; ok at 1e-6 (DEFAULT_END_TOL)."""
     z = complex(z)
     a = sum_family("psi", z, "Iplus")
     b = sum_family("psi", z, "Iminus")
@@ -689,7 +689,7 @@ def first_identity_check(z: complex, tol: float = DEFAULT_END_TOL) -> dict:
     res = abs(lhs - rhs)
     return {
         "residual": res,
-        "ok": res <= tol,
+        "ok": res <= DEFAULT_END_TOL,
         "lhs": lhs,
         "rhs": rhs,
         "err": a.err + b.err + abs(cmath.exp(-2.0 * z)) * c.err,
@@ -761,11 +761,11 @@ def median_real_check(
     return val, abs(val.imag)
 
 
-def check_homomorphism(z: complex, order: int = 60, tol: float = DEFAULT_END_TOL) -> dict:
+def check_homomorphism(z: complex) -> dict:
     """|S(psi phi) - S psi . S phi| with the product summed by its own Borel data.
 
-    The product kernel is only available as an exact Maclaurin series, so |z|
-    must be large enough that the truncation radius T stays inside it.
+    The product kernel is only available as the exact order-60 Maclaurin series
+    of psi phi, so |z| must keep the truncation radius T inside it; ok at 1e-6.
     """
     z = complex(z)
     theta = choose_theta(z, "Ipi", (0.0, math.pi))
@@ -773,18 +773,19 @@ def check_homomorphism(z: complex, order: int = 60, tol: float = DEFAULT_END_TOL
     T = (math.log(1.0 / DEFAULT_QUAD_TOL) + _GROWTH_MARGIN) / rate
     if T > _MACLAURIN_RADIUS:
         raise DomainError("Maclaurin route needs larger |z| at this tolerance")
-    psi, phi = families.gen_psi_phi(order)
+    psi, phi = families.gen_psi_phi(60)
     prod = psi.series * phi.series
     kern = maclaurin_borel_eval(prod.coeffs)
     lhs = z * laplace_ray(kern, z, theta).value
     spsi = z * laplace_ray(_PSI_KERNEL, z, theta).value
     sphi = z * laplace_ray(_PHI_KERNEL, z, theta).value
     res = abs(lhs - spsi * sphi)
-    return {"residual": res, "ok": res <= tol, "theta": theta}
+    return {"residual": res, "ok": res <= DEFAULT_END_TOL, "theta": theta}
 
 
-def check_derivation(z: complex, h: float = 0.005, tol: float = 1e-5) -> dict:
-    """5-point d/dz of S g against the summed derivative S(g') = S psi'/S psi."""
+def check_derivation(z: complex) -> dict:
+    """5-point d/dz of S g, step h = 0.005, against S(g') = S psi'/S psi; ok at 1e-5."""
+    h = 0.005
     z = complex(z)
     theta = choose_theta(z, "Iminus", (0.0, math.pi))
 
@@ -798,19 +799,20 @@ def check_derivation(z: complex, h: float = 0.005, tol: float = 1e-5) -> dict:
     spsi_prime = lap + z * laplace_ray(kern_moment, z, theta).value
     exact = spsi_prime / spsi
     res = abs(fd - exact)
-    return {"residual": res, "ok": res <= tol, "theta": theta}
+    return {"residual": res, "ok": res <= 1e-5, "theta": theta}
 
 
-def check_reflection(z: complex, sigma1: complex, sigma2: complex, tol=DEFAULT_END_TOL) -> dict:
-    """conj G_-(z, s1, s2) = G_+(conj z, conj s1, conj s2)."""
+def check_reflection(z: complex, sigma1: complex, sigma2: complex) -> dict:
+    """conj G_-(z, s1, s2) = G_+(conj z, conj s1, conj s2); ok at 1e-6 (DEFAULT_END_TOL)."""
     lhs = G_pm("-", z, sigma1, sigma2)
     rhs = G_pm("+", complex(z).conjugate(), complex(sigma1).conjugate(), complex(sigma2).conjugate())
     res = abs(lhs.value.conjugate() - rhs.value)
-    return {"residual": res, "ok": res <= tol}
+    return {"residual": res, "ok": res <= DEFAULT_END_TOL}
 
 
-def gpm_ode_residual(sign, z: complex, sigma1: complex, sigma2: complex, h: float = 1e-3) -> float:
-    """5-point finite-difference residual of G'' + (G')^2 + 2G' + 5/(36 z^2)."""
+def gpm_ode_residual(sign, z: complex, sigma1: complex, sigma2: complex) -> float:
+    """5-point finite-difference residual, step h = 1e-3, of G'' + (G')^2 + 2G' + 5/(36 z^2)."""
+    h = 1e-3
     z = complex(z)
     theta = choose_theta(z, _sign_window(sign))
     vals = {}
@@ -825,10 +827,10 @@ def gpm_ode_residual(sign, z: complex, sigma1: complex, sigma2: complex, h: floa
 
 
 def singularity_locate(coeffs: Sequence, method: str = "ratio"):
-    """Nearest Borel-plane singularity of ghat(zeta) = sum b_{n+1} zeta^n / n!.
+    """Nearest Borel-plane singularity of ghat(zeta) = sum b_n zeta^n / n!.
 
-    Input is the exact list b_1, b_2, ... of series coefficients. The ratio
-    route returns n b_n / b_{n+1} at the deepest available index; the Pade
+    Input is the exact list b_0, b_1, ... of series coefficients. The ratio
+    route returns n b_n / b_{n+1} at the last of nine tail indices; the Pade
     route returns the smallest-modulus pole of a near-diagonal approximant.
     Entire input (no finite singularity) is flagged with complex infinity.
     """
@@ -837,7 +839,7 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
     if method == "ratio":
         tail = []
         for n in range(len(coeffs) - 10, len(coeffs) - 1):
-            bn, bn1 = coeffs[n - 1], coeffs[n]
+            bn, bn1 = coeffs[n], coeffs[n + 1]
             if bn1 == 0:
                 raise ValueError("zero coefficient in ratio window")
             tail.append(n * bn / bn1)
@@ -850,7 +852,7 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
             return complex(math.inf, 0.0)
         return vals[-1]
     if method == "pade":
-        # Borel data d_n = b_{n+1}/n! kept exact; the [L/M] denominator system
+        # Borel data d_n = b_n/n! kept exact; the [L/M] denominator system
         # sum_j q_j d_{L+k-j} = -d_{L+k} is solved over the rationals, because
         # in double precision it is ill-conditioned beyond tiny M
         d = []

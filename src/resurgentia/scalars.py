@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, "ExactScalar"]
 
 _TERM_RE = _re.compile(r"^[+-]?(?:\d+(?:/\d+)?)?\*?i?$")
+_F0 = Fraction(0)
 
 
 class ExactScalar:
@@ -192,6 +194,18 @@ def scalar_from_reduced(re: Fraction, im: Fraction) -> ExactScalar:
     out.re = re
     out.im = im
     return out
+
+
+def _scalar_over(re: int, im: int, den: int) -> ExactScalar:
+    """The ExactScalar (re + im i) / den."""
+    return scalar_from_reduced(Fraction(re, den), Fraction(im, den) if im else _F0)
+
+
+def _gaussian_over(c: RationalLike) -> tuple[int, int, int]:
+    """(a, b, q) with c = (a + b i) / q and q the lcm of the reduced denominators."""
+    c = ExactScalar.coerce(c)
+    q = lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
 
 
 ZERO = ExactScalar.zero()

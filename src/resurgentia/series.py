@@ -27,11 +27,9 @@ from math import gcd, lcm, perm
 from operator import mul
 from typing import Sequence, Union
 
-from .scalars import ExactScalar, scalar_from_reduced
+from .scalars import ExactScalar, _gaussian_over, _scalar_over
 
 CoeffLike = Union[int, Fraction, ExactScalar]
-
-_F0 = Fraction(0)
 
 
 def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
@@ -44,13 +42,6 @@ def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
     out = PowerSeries.__new__(PowerSeries)
     out.order, out.den, out.re, out.im = order, den, re, im
     return out
-
-
-def _gaussian_over(c: CoeffLike) -> tuple[int, int, int]:
-    """(a, b, q) with c = (a + b i) / q and q the lcm of the reduced denominators."""
-    c = ExactScalar.coerce(c)
-    q = lcm(c.re.denominator, c.im.denominator)
-    return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
 
 
 class _SharedDenominator:
@@ -152,8 +143,7 @@ class PowerSeries:
     def coeff(self, k: int) -> ExactScalar:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} outside order-{self.order} window")
-        y = self.im[k]
-        return scalar_from_reduced(Fraction(self.re[k], self.den), Fraction(y, self.den) if y else _F0)
+        return _scalar_over(self.re[k], self.im[k], self.den)
 
     def is_zero(self) -> bool:
         return not (any(self.re) or any(self.im))

@@ -1,7 +1,7 @@
 """The alien-derivation engine: every identity is exact or it is wrong."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -111,8 +111,10 @@ def test_companion_mirror():
     assert sorted(k[2] for k in Fc.terms) == [-4, -3, -2, -1, 0, 0]
 
 
-def test_deltaplus_table_closed_forms():
-    tab = deltaplus_table(4, 4)
+@pytest.mark.parametrize("nmax, kmax", [(4, 4), (8, 8)])
+def test_deltaplus_table_closed_forms(nmax, kmax):
+    tab = deltaplus_table(nmax, kmax)
+    assert len(tab) == 2 * nmax * kmax
     minus_i = ExactScalar(0, -1)
     for (om, k), elem in tab.items():
         n = abs(om) // 2
@@ -160,6 +162,34 @@ def test_deltaplus_composition_identities():
         + apply_delta(apply_delta(apply_delta(x, -2), -2), -2).scale(F(1, 6))
     )
     assert lhs6 == rhs6
+    # every word, one at a time: the brute-force sum is the oracle for the recursion
+    for x in (_fuzz_element(), lr_transseries(Caps(3, 3, 4))):
+        for m in range(1, 7):
+            for om in (2 * m, -2 * m):
+                assert apply_delta_plus(x, om) == _delta_plus_by_words(x, om), om
+
+
+def _compositions(total, parts):
+    """The ordered tuples of `parts` positive integers that sum to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _delta_plus_by_words(x, omega):
+    """Delta^+_omega x as the explicit sum of (1/r!) Delta_{2m_1} ... Delta_{2m_r} x."""
+    m, sign = abs(omega) // 2, 1 if omega > 0 else -1
+    out = x._like()
+    for r in range(1, m + 1):
+        for comp in _compositions(m, r):
+            y = x
+            for part in reversed(comp):  # the word acts right to left
+                y = apply_delta(y, sign * 2 * part)
+            out = out + y.scale(F(1, factorial(r)))
+    return out
 
 
 def test_leibniz_rules():

@@ -264,7 +264,7 @@ def test_reflection_symmetry():
 
 def test_singularity_ratio_route():
     g = families.gen_g_f(82)[0]
-    loc = singularity_locate([g.series.coeff(n) for n in range(1, 81)], "ratio")
+    loc = singularity_locate([g.series.coeff(n) for n in range(81)], "ratio")
     assert abs(loc - 2.0) < 1e-3
 
 

@@ -199,6 +199,14 @@ def test_median_payload(capsys):
     assert payload["abs_im"] < 1e-12
 
 
+@pytest.mark.parametrize("family", ["g", "psi"])
+def test_singularity_ratio_lands_on_two(capsys, family):
+    # n b_n / b_{n+1} over b_0, b_1, ...; reading the list from b_1 gave 2.0256
+    code, out = run(capsys, "singularity", "--family", family, "--count", "80")
+    assert code == 0
+    assert abs(json.loads(out)["location_re"] - 2.0) < 1e-3
+
+
 def test_singularity_pade(capsys):
     code, out = run(capsys, "singularity", "--method", "pade", "--count", "60")
     assert code == 0
