@@ -19,18 +19,17 @@ _EXPORTS = {
     "families": ("FamilySeries", "gen_Gn", "gen_c_coeffs", "gen_g_f", "gen_psi_phi", "ode_residual"),
     "alien": (
         "Caps", "CompositionContext", "Poly", "TransElement", "apply_ddz", "apply_delta",
-        "apply_delta_plus", "apply_stokes", "bridge_check", "companion_F", "deltaplus_table",
-        "expand_to_series", "formal_integral", "stokes_action_check",
+        "apply_delta_plus", "apply_stokes", "bridge_check", "deltaplus_table", "formal_integral",
+        "stokes_action_check",
     ),
     "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
     "borel": (
-        "G_pm", "airy_oracle", "check_derivation", "check_homomorphism",
-        "check_reflection", "choose_theta", "connection_check", "eval_Ahat", "eval_Bhat",
+        "G_pm", "airy_oracle", "check_derivation", "choose_theta", "connection_check", "eval_Bhat",
         "first_identity_check", "gevrey_check", "laplace_ray", "median_real_check",
         "singularity_locate", "sum_family",
     ),
     "largeradius": (
-        "UCoeffSeries", "ULaurent", "gen_H0", "gen_Hn", "gen_phi_u", "gen_R", "lambda_s_squared",
+        "UCoeffSeries", "ULaurent", "gen_H0", "gen_Hn", "gen_phi_u", "gen_R",
         "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
         "make_context", "u_equation_residual",
     ),
@@ -40,19 +39,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchCutError", "Caps", "CompositionContext", "DEFAULT_ORDER", "DomainError",
-    "ENV_VAR", "ExactScalar", "FamilySeries", "G_pm", "Poly", "PowerSeries", "QuadratureError",
-    "RunConfig", "SumValue", "TransElement", "UCoeffSeries", "ULaurent", "airy_oracle", "apply_ddz",
-    "apply_delta", "apply_delta_plus", "apply_stokes", "bridge_check", "check_derivation",
-    "check_homomorphism", "check_reflection", "choose_theta", "companion_F", "connection_check",
-    "deltaplus_table", "eval_Ahat", "eval_Bhat", "expand_to_series", "first_identity_check",
-    "formal_integral", "gen_Gn", "gen_H0", "gen_Hn", "gen_c_coeffs", "gen_g_f", "gen_phi_u",
-    "gen_psi_phi", "gen_R", "gevrey_check", "lambda_s_squared", "laplace_ray", "load_config_file",
-    "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
-    "make_context", "median_real_check", "ode_residual", "resolve_config", "singularity_locate",
-    "stokes_action_check", "sum_family", "u_equation_residual", "__version__",
-]
+__all__ = sorted(_HOME) + ["__version__"]
 
 
 def __getattr__(name: str):

@@ -45,8 +45,6 @@ from math import comb, factorial, gcd, lcm
 from typing import Optional
 
 from .scalars import ExactScalar, _gaussian_over, _scalar_over
-from .series import PowerSeries
-from . import families
 
 # coefficient-ring variables; z, u, w are Laurent (integer exponents of z,
 # u, e^{2/u}), lu marks log u, the rest are ordinary polynomial symbols
@@ -909,88 +907,3 @@ def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
         elem == TransElement({(0, m, 0): Poly.const(I ** m * Fraction(-1, m))}, wide)
         for m, elem in enumerate(_delta_plus_tower(TransElement.generator("g", wide), 1, 3), 1)
     )
-
-
-def companion_F(caps: Caps = Caps()) -> TransElement:
-    """The mirror transseries in the e^{+2z} grading.
-
-    F = -2z + delta_1 + f + sum_n ((-1)^{n-1}/n) delta_2^n e^{+2nz} E^{-n}.
-    Checked against the mirrored bridge pair before being returned:
-
-        Delta_-2 F = -i e^{-2z} dF/ddelta_2
-        Delta_+2 F = -i e^{+2z} (delta_2 dF/ddelta_1 - delta_2^2 dF/ddelta_2)
-    """
-    wide = caps.widen(extra_sigma=1, extra_grade=1)
-    gc = wide.grade
-    terms: dict[tuple[int, int, int], Poly] = {
-        (0, 0, 0): Poly.var("z", 1, -2) + Poly.var("d1"),
-        (2, 0, 0): ONE_POLY,
-    }
-    F = TransElement(terms, wide)
-    d2 = Poly.var("d2")
-    d2_pow = ONE_POLY
-    for n in range(1, gc + 1):
-        d2_pow = d2_pow * d2
-        F = F + TransElement(
-            {(0, -n, -n): d2_pow.scale(Fraction((-1) ** (n - 1), n))}, wide
-        )
-    r1, r2 = _bridge_residuals(F, caps, ExactScalar(0, 1), ray=-2, names=("d1", "d2"))
-    if not (r1.is_zero() and r2.is_zero()):
-        raise ArithmeticError("companion element fails its mirrored bridge identities")
-    return F.truncated(caps)
-
-
-# -- expansion to honest power series ---------------------------------------------
-
-
-def expand_to_series(
-    x: TransElement, order: int
-) -> dict[tuple[tuple[int, ...], int], PowerSeries]:
-    """Expand an element into power-series data per symbol monomial and grade.
-
-    The generators map to their series: g -> log psi, f -> its reflection,
-    E^m -> (phi/psi)^m, p and q -> the respective log-derivatives, z^{-k} into
-    the series itself. Keys are (exponents of the six parameter symbols, n);
-    values are order-`order` windows. Positive powers of z and any use of the
-    u-family slots have no series meaning here and raise.
-    """
-    if x.context is not None:
-        raise ValueError("composed elements expand in the large-radius module")
-    pad = order + 2
-    psi, phi = families.gen_psi_phi(pad)
-    g = psi.series.log()
-    f = g.reflect()
-    ratio = phi.series * psi.series.inverse()
-    ratio_inv = ratio.inverse()
-    p_series = g._deriv_in_window(1)
-    q_series = f._deriv_in_window(1)
-    param_idx = [IDX[v] for v in ("s1", "s2", "t1", "t2", "d1", "d2")]
-
-    out: dict[tuple[tuple[int, ...], int], PowerSeries] = {}
-    for (lin, m, n), poly in x.terms.items():
-        base = PowerSeries.one(pad)
-        if lin == 1:
-            base = base * g
-        elif lin == 2:
-            base = base * f
-        if m > 0:
-            base = base * ratio**m
-        elif m < 0:
-            base = base * ratio_inv ** (-m)
-        for mono, c in poly.terms.items():
-            if any(mono[IDX[v]] != 0 for v in ("u", "lu", "w")):
-                raise ValueError("u-family symbols have no series expansion")
-            zexp = mono[IDX["z"]]
-            if zexp > 0:
-                raise ValueError("positive z powers have no series expansion")
-            piece = base.scale(c)
-            if zexp < 0:
-                piece = piece * PowerSeries.monomial(-zexp, pad)
-            for e, s in ((mono[IDX["p"]], p_series), (mono[IDX["q"]], q_series)):
-                if e:
-                    piece = piece * s**e
-            key = (tuple(mono[i] for i in param_idx), n)
-            prev = out.get(key)
-            piece = piece.truncate(order)
-            out[key] = piece if prev is None else prev + piece
-    return {k: v for k, v in out.items() if not v.is_zero()}

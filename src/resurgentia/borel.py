@@ -63,8 +63,6 @@ _DECAY_MIN = 1e-3  # least decay rate Re(z e^{i theta}) a Laplace ray accepts
 _GROWTH_MARGIN = 8.0  # a generic ray ends at T = (log(1/tol) + _GROWTH_MARGIN)/rate
 _MAX_PANELS = 4000
 
-_GAMMA56 = math.gamma(5.0 / 6.0)
-
 
 def normalize_interval(interval) -> tuple[float, float]:
     """The window of a tag I0|Ipi|Iplus|Iminus, or of an (a, b) pair with a < b."""
@@ -132,27 +130,6 @@ def _sign_window(sign) -> tuple[float, float]:
 
 
 # -- kernels -------------------------------------------------------------------
-
-
-def eval_Ahat(zeta: complex, branch: str = "A", arg_zeta: Optional[float] = None) -> complex:
-    """The algebraic Borel germ zeta^{-1/6}(1 -+ zeta/2)^{-1/6}/Gamma(5/6).
-
-    branch "A" carries the cut [2, oo), "A_plus" the mirrored (-oo, -2].
-    arg_zeta selects the sheet of the zeta^{-1/6} prefactor explicitly
-    (principal value by default); the second factor is always principal.
-    """
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise DomainError("zeta must be nonzero")
-    if branch not in ("A", "A_plus"):
-        raise ValueError("branch must be 'A' or 'A_plus'")
-    if arg_zeta is None:
-        arg_zeta = cmath.phase(zeta)
-    pref = abs(zeta) ** (-1.0 / 6.0) * cmath.exp(-1j * arg_zeta / 6.0)
-    w = 1.0 - zeta / 2.0 if branch == "A" else 1.0 + zeta / 2.0
-    if w.real <= 0.0 and abs(w.imag) < 1e-13:
-        raise BranchCutError("branch cut")
-    return pref * w ** (-1.0 / 6.0) / _GAMMA56
 
 
 # -- the Borel kernel ----------------------------------------------------------------
@@ -466,33 +443,6 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
     return R * phase * total, bound
 
 
-_MACLAURIN_RADIUS = 1.5
-
-
-def maclaurin_borel_eval(coeffs: Sequence) -> Callable:
-    """Borel-kernel evaluator sum a_n zeta^n/n! from exact series coefficients.
-
-    Only valid for |zeta| <= _MACLAURIN_RADIUS (1.5); the callable raises past it.
-    Used for summing auxiliary exact series (products, derivatives) where no
-    closed-form kernel is on hand.
-    """
-    arr = np.empty(len(coeffs))
-    fact = 1.0
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            fact *= k
-        arr[k] = float(c) / fact
-
-    def kernel(zeta):
-        zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        if np.any(np.abs(zarr) > _MACLAURIN_RADIUS):
-            raise DomainError("Maclaurin kernel evaluated outside its radius")
-        vals = np.polynomial.polynomial.polyval(zarr, arr)
-        return vals if np.ndim(zeta) else complex(vals[0])
-
-    return kernel
-
-
 # -- Laplace integration ----------------------------------------------------------
 
 
@@ -761,28 +711,6 @@ def median_real_check(
     return val, abs(val.imag)
 
 
-def check_homomorphism(z: complex) -> dict:
-    """|S(psi phi) - S psi . S phi| with the product summed by its own Borel data.
-
-    The product kernel is only available as the exact order-60 Maclaurin series
-    of psi phi, so |z| must keep the truncation radius T inside it; ok at 1e-6.
-    """
-    z = complex(z)
-    theta = choose_theta(z, "Ipi", (0.0, math.pi))
-    rate = (z * cmath.exp(1j * theta)).real
-    T = (math.log(1.0 / DEFAULT_QUAD_TOL) + _GROWTH_MARGIN) / rate
-    if T > _MACLAURIN_RADIUS:
-        raise DomainError("Maclaurin route needs larger |z| at this tolerance")
-    psi, phi = families.gen_psi_phi(60)
-    prod = psi.series * phi.series
-    kern = maclaurin_borel_eval(prod.coeffs)
-    lhs = z * laplace_ray(kern, z, theta).value
-    spsi = z * laplace_ray(_PSI_KERNEL, z, theta).value
-    sphi = z * laplace_ray(_PHI_KERNEL, z, theta).value
-    res = abs(lhs - spsi * sphi)
-    return {"residual": res, "ok": res <= DEFAULT_END_TOL, "theta": theta}
-
-
 def check_derivation(z: complex) -> dict:
     """5-point d/dz of S g, step h = 0.005, against S(g') = S psi'/S psi; ok at 1e-5."""
     h = 0.005
@@ -800,14 +728,6 @@ def check_derivation(z: complex) -> dict:
     exact = spsi_prime / spsi
     res = abs(fd - exact)
     return {"residual": res, "ok": res <= 1e-5, "theta": theta}
-
-
-def check_reflection(z: complex, sigma1: complex, sigma2: complex) -> dict:
-    """conj G_-(z, s1, s2) = G_+(conj z, conj s1, conj s2); ok at 1e-6 (DEFAULT_END_TOL)."""
-    lhs = G_pm("-", z, sigma1, sigma2)
-    rhs = G_pm("+", complex(z).conjugate(), complex(sigma1).conjugate(), complex(sigma2).conjugate())
-    res = abs(lhs.value.conjugate() - rhs.value)
-    return {"residual": res, "ok": res <= DEFAULT_END_TOL}
 
 
 def gpm_ode_residual(sign, z: complex, sigma1: complex, sigma2: complex) -> float:
@@ -975,35 +895,20 @@ def airy_oracle(w: complex) -> complex:
     return c1 * total_f - c2 * total_g
 
 
-def gevrey_check(
-    z: complex,
-    interval="Iminus",
-    n_max: int = 40,
-    coeffs: Optional[Sequence] = None,
-) -> dict:
-    """Truncation-error table |S g(z) - sum_{n<N} b_n z^{-n}| for N = 1..n_max.
-
-    With a custom convergent coefficient list, the reference value is the
-    numerically converged direct sum instead of a Borel sum; the table then
-    decreases monotonically instead of showing an optimal truncation.
-    """
+def gevrey_check(z: complex, interval="Iminus", n_max: int = 40) -> dict:
+    """Truncation-error table |S g(z) - sum_{n<N} b_n z^{-n}| for N = 1..n_max."""
     z = complex(z)
-    if coeffs is None:
-        if abs(z) < 5.0:
-            raise DomainError("need |z| >= 5 for a clean profile")
-        g = families.gen_g_f(max(n_max + 2, 16))[0].series
-        bs = [complex(c) for c in g.coeffs]
-        ref = sum_family("g", z, interval).value
-    else:
-        bs = [complex(c) for c in coeffs]
-        ref = sum(b * z ** (-n) for n, b in enumerate(bs))
+    if abs(z) < 5.0:
+        raise DomainError("need |z| >= 5 for a clean profile")
+    g = families.gen_g_f(max(n_max + 2, 16))[0].series
+    bs = [complex(c) for c in g.coeffs]
+    ref = sum_family("g", z, interval).value
     errors = []
-    partial = bs[0] if bs else 0j
+    partial = bs[0]
     for n_next in range(1, n_max + 1):
         # error of the sum over n < n_next
         errors.append(abs(ref - partial))
-        if n_next < len(bs):
-            partial += bs[n_next] * z ** (-n_next)
+        partial += bs[n_next] * z ** (-n_next)
     idx = min(range(len(errors)), key=lambda i: errors[i])
     unimodal = all(
         errors[i + 1] < errors[i] * 1.05 for i in range(idx)

@@ -71,6 +71,29 @@ def _common_parser(keys: tuple) -> argparse.ArgumentParser:
     return p
 
 
+# flags that only some modes of a subcommand read: command -> (the mode of
+# args, {dest: (flag, default, the modes that read it)}); any other mode rejects them
+_MODE_FLAGS = {
+    "coeffs": (lambda a: "--ag" if a.ag else "--cn" if a.cn else "--bn",
+               {"max_g": ("--max-g", 4, ("--ag",)), "max_n": ("--max-n", 8, ("--cn", "--bn"))}),
+    "median": (lambda a: f"--ray {a.ray}", {"theta": ("--theta", 0.0, ("--ray argpi",))}),
+}
+
+
+def _apply_mode_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Default each mode flag where its mode reads it; a usage error where it does not."""
+    if args.command not in _MODE_FLAGS:
+        return
+    mode_of, flags = _MODE_FLAGS[args.command]
+    mode = mode_of(args)
+    for dest, (flag, default, modes) in flags.items():
+        if mode in modes:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is not None:
+            parser.error(f"{flag} is not read by {args.command} {mode}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
@@ -83,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--ag", action="store_true", help="genus coefficients a_2, a_3, ...")
     grp.add_argument("--cn", action="store_true", help="Borel kernel coefficients c_0, c_1, ...")
     grp.add_argument("--bn", action="store_true", help="free-energy coefficients b_1, b_2, ...")
-    p.add_argument("--max-g", type=int, default=4, dest="max_g")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-g", type=int, dest="max_g")
+    p.add_argument("--max-n", type=int, dest="max_n")
 
     p = add("ode-check", "formal-solution certificates")
     p.add_argument("--which", choices=("psi", "g", "u", "all"), default="all")
@@ -110,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=float)
 
     p = add("singularity", "locate the nearest Borel singularity")
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), default="g")
@@ -342,6 +365,7 @@ def _emit_error(exc: Exception) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _apply_mode_flags(parser, args)
     try:
         overrides = {
             k: getattr(args, k, None)

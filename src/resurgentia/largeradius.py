@@ -294,21 +294,6 @@ class UCoeffSeries:
     def is_zero(self) -> bool:
         return self.log_u == 0 and not any(self.rows)
 
-    def eval_partial(self, gs: complex, u: complex, nterms: Optional[int] = None) -> complex:
-        """Numeric partial sum through g_s^{2(nterms-1)} (principal log u)."""
-        if self.grading != "gs2":
-            raise ValueError("numeric partial sums use the gs2 grading")
-        n = self.order + 1 if nterms is None else min(nterms, self.order + 1)
-        x = complex(gs) ** 2
-        total = 0.0 + 0.0j
-        for k in range(n - 1, -1, -1):
-            total = total * x + self.coeff(k).eval(u)
-        if self.log_u != 0:
-            total += complex(self.log_u) * cmath.log(u)
-        if self.exp_tag:
-            total *= cmath.exp(2.0 * self.exp_tag / u)
-        return total
-
     def to_json_dict(self) -> dict:
         return {"grading": self.grading, "order": self.order, "log_u": str(self.log_u),
                 "exp_tag": self.exp_tag, "coeffs": [x.to_map() for x in self.coeffs]}
@@ -368,11 +353,6 @@ def gen_R(N: int) -> UCoeffSeries:
     if N < 0:
         raise ValueError("order must be nonnegative")
     return _z2_to_gs2(_rtilde(gen_phi_u(N + 1)))
-
-
-def lambda_s_squared(N: int) -> UCoeffSeries:
-    """lambda_s^2 = g_s^2 u^3 (1-2t)^{-3/2} = sum_l (2l-1)!/(2^{l-1}((l-1)!)^2) u^{2l+1} g_s^{2l}."""
-    return _at_z1(PowerSeries.from_coeffs([0, Fraction(1, 3)]), N)
 
 
 def _at_z1(c: PowerSeries, N: int) -> UCoeffSeries:

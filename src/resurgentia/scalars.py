@@ -8,14 +8,12 @@ and never touches floating point: a float or complex input raises TypeError.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, "ExactScalar"]
 
-_TERM_RE = _re.compile(r"^[+-]?(?:\d+(?:/\d+)?)?\*?i?$")
 _F0 = Fraction(0)
 
 
@@ -147,39 +145,6 @@ class ExactScalar:
     def __repr__(self) -> str:
         return f"ExactScalar({self.to_str()!r})"
 
-    @staticmethod
-    def from_str(s: str) -> "ExactScalar":
-        """Parse the to_str formats, plus bare integers and fractions."""
-        text = s.strip().replace(" ", "")
-        if not text:
-            raise ValueError("empty scalar string")
-        # split into signed terms while respecting the leading sign
-        terms: list[str] = []
-        buf = text[0]
-        for ch in text[1:]:
-            if ch in "+-" and buf[-1] != "/":
-                terms.append(buf)
-                buf = ch
-            else:
-                buf += ch
-        terms.append(buf)
-        re_part = Fraction(0)
-        im_part = Fraction(0)
-        for term in terms:
-            if not _TERM_RE.match(term):
-                raise ValueError(f"malformed scalar term {term!r}")
-            if term.endswith("i"):
-                core = term[:-1].rstrip("*")
-                if core in ("", "+"):
-                    im_part += 1
-                elif core == "-":
-                    im_part -= 1
-                else:
-                    im_part += Fraction(core)
-            else:
-                re_part += Fraction(term)
-        return ExactScalar(re_part, im_part)
-
 
 def exact_fraction(x: Union[int, Fraction, str]) -> Fraction:
     """x as a Fraction; a float or complex input is refused, never rounded."""
@@ -206,8 +171,3 @@ def _gaussian_over(c: RationalLike) -> tuple[int, int, int]:
     c = ExactScalar.coerce(c)
     q = lcm(c.re.denominator, c.im.denominator)
     return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
-
-
-ZERO = ExactScalar.zero()
-ONE = ExactScalar.one()
-I = ExactScalar.i()

@@ -328,15 +328,13 @@ class PowerSeries:
 
     # -- composition -------------------------------------------------------
 
-    def compose_shift(self, phi: "PowerSeries", allow_constant: bool = False) -> "PowerSeries":
+    def compose_shift(self, phi: "PowerSeries") -> "PowerSeries":
         """self(z + phi(z)) via the Taylor sum over derivatives of self.
 
-        Exact to the window when phi has no constant term. A nonzero constant
-        term is admitted only with allow_constant=True; the Taylor sum is then
-        a documented order-N truncation of the shifted series.
+        Exact to the window; phi must have no constant term.
         """
         n = min(self.order, phi.order)
-        if (phi.re[0] or phi.im[0]) and not allow_constant:
+        if phi.re[0] or phi.im[0]:
             raise ValueError("composition shift must have zero constant term")
         out = self.truncate(n)
         phi = phi.truncate(n)
@@ -363,14 +361,6 @@ class PowerSeries:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "PowerSeries":
-        return PowerSeries(int(d["order"]), tuple(ExactScalar.from_str(s) for s in d["coeffs"]))
-
-    @staticmethod
-    def from_json(s: str) -> "PowerSeries":
-        return PowerSeries.from_json_dict(json.loads(s))
 
     def __str__(self) -> str:
         parts = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from resurgentia import families
 from resurgentia.alien import (
     IDX,
+    ONE_POLY,
     Caps,
     Poly,
     TransElement,
@@ -22,18 +23,99 @@ from resurgentia.alien import (
     apply_dotted,
     apply_stokes,
     bridge_check,
-    companion_F,
     deltaplus_table,
-    expand_to_series,
     formal_integral,
     stokes_action_check,
 )
 from resurgentia.largeradius import lr_transseries
 from resurgentia.scalars import ExactScalar
+from resurgentia.series import PowerSeries
 
 F = Fraction
 I = ExactScalar(0, 1)
 WIDE = Caps(8, 8)
+
+
+def _companion_F(caps: Caps = Caps()) -> TransElement:
+    """The mirror transseries in the e^{+2z} grading.
+
+    F = -2z + delta_1 + f + sum_n ((-1)^{n-1}/n) delta_2^n e^{+2nz} E^{-n}.
+    Checked against the mirrored bridge pair before being returned:
+
+        Delta_-2 F = -i e^{-2z} dF/ddelta_2
+        Delta_+2 F = -i e^{+2z} (delta_2 dF/ddelta_1 - delta_2^2 dF/ddelta_2)
+    """
+    wide = caps.widen(extra_sigma=1, extra_grade=1)
+    gc = wide.grade
+    terms: dict[tuple[int, int, int], Poly] = {
+        (0, 0, 0): Poly.var("z", 1, -2) + Poly.var("d1"),
+        (2, 0, 0): ONE_POLY,
+    }
+    F = TransElement(terms, wide)
+    d2 = Poly.var("d2")
+    d2_pow = ONE_POLY
+    for n in range(1, gc + 1):
+        d2_pow = d2_pow * d2
+        F = F + TransElement(
+            {(0, -n, -n): d2_pow.scale(Fraction((-1) ** (n - 1), n))}, wide
+        )
+    r1, r2 = _bridge_residuals(F, caps, ExactScalar(0, 1), ray=-2, names=("d1", "d2"))
+    if not (r1.is_zero() and r2.is_zero()):
+        raise ArithmeticError("companion element fails its mirrored bridge identities")
+    return F.truncated(caps)
+
+
+def _expand_to_series(
+    x: TransElement, order: int
+) -> dict[tuple[tuple[int, ...], int], PowerSeries]:
+    """Expand an element into power-series data per symbol monomial and grade.
+
+    The generators map to their series: g -> log psi, f -> its reflection,
+    E^m -> (phi/psi)^m, p and q -> the respective log-derivatives, z^{-k} into
+    the series itself. Keys are (exponents of the six parameter symbols, n);
+    values are order-`order` windows. Positive powers of z and any use of the
+    u-family slots have no series meaning here and raise.
+    """
+    if x.context is not None:
+        raise ValueError("composed elements expand in the large-radius module")
+    pad = order + 2
+    psi, phi = families.gen_psi_phi(pad)
+    g = psi.series.log()
+    f = g.reflect()
+    ratio = phi.series * psi.series.inverse()
+    ratio_inv = ratio.inverse()
+    p_series = g._deriv_in_window(1)
+    q_series = f._deriv_in_window(1)
+    param_idx = [IDX[v] for v in ("s1", "s2", "t1", "t2", "d1", "d2")]
+
+    out: dict[tuple[tuple[int, ...], int], PowerSeries] = {}
+    for (lin, m, n), poly in x.terms.items():
+        base = PowerSeries.one(pad)
+        if lin == 1:
+            base = base * g
+        elif lin == 2:
+            base = base * f
+        if m > 0:
+            base = base * ratio**m
+        elif m < 0:
+            base = base * ratio_inv ** (-m)
+        for mono, c in poly.terms.items():
+            if any(mono[IDX[v]] != 0 for v in ("u", "lu", "w")):
+                raise ValueError("u-family symbols have no series expansion")
+            zexp = mono[IDX["z"]]
+            if zexp > 0:
+                raise ValueError("positive z powers have no series expansion")
+            piece = base.scale(c)
+            if zexp < 0:
+                piece = piece * PowerSeries.monomial(-zexp, pad)
+            for e, s in ((mono[IDX["p"]], p_series), (mono[IDX["q"]], q_series)):
+                if e:
+                    piece = piece * s**e
+            key = (tuple(mono[i] for i in param_idx), n)
+            prev = out.get(key)
+            piece = piece.truncate(order)
+            out[key] = piece if prev is None else prev + piece
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def test_formal_integral_grades():
@@ -67,7 +149,7 @@ def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
     (large radius) and law bridge, right (geq0 Stokes) or left (leq0 Stokes).
     """
     if case == "companion":
-        F = companion_F(caps.widen(extra_sigma=1, extra_grade=1))
+        F = _companion_F(caps.widen(extra_sigma=1, extra_grade=1))
         return list(_bridge_residuals(F, caps, unit, ray=-2, names=("d1", "d2")))
     frame, law = case.split("-")
     direction = {"right": "geq0", "left": "leq0"}.get(law)
@@ -107,7 +189,7 @@ def test_wrong_orientation_is_caught(case, caps):
 
 
 def test_companion_mirror():
-    Fc = companion_F(Caps(4, 4))
+    Fc = _companion_F(Caps(4, 4))
     assert sorted(k[2] for k in Fc.terms) == [-4, -3, -2, -1, 0, 0]
 
 
@@ -224,7 +306,7 @@ def test_stokes_one_parameter_group():
 
 def test_expansion_matches_series_routes():
     G = formal_integral(Caps(5, 5))
-    exp = expand_to_series(G, 20)
+    exp = _expand_to_series(G, 20)
     psi, phi = families.gen_psi_phi(22)
     ratio = (phi.series * psi.series.inverse()).truncate(20)
     assert exp[((0, 1, 0, 0, 0, 0), 1)] == ratio
@@ -233,7 +315,7 @@ def test_expansion_matches_series_routes():
 
 def test_ddz_expands_to_log_derivative():
     g = TransElement.generator("g", WIDE)
-    exp = expand_to_series(apply_ddz(g), 20)
+    exp = _expand_to_series(apply_ddz(g), 20)
     psi, _ = families.gen_psi_phi(22)
     want = psi.series.log()._deriv_in_window(1).truncate(20)
     assert exp[((0, 0, 0, 0, 0, 0), 0)] == want

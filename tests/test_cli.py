@@ -354,6 +354,24 @@ def test_ignored_flags_are_rejected(capsys, case, flag):
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coeffs", "--ag", "--max-n", "3"], "--max-n"),
+        (["coeffs", "--bn", "--max-g", "5"], "--max-g"),
+        (["median", "--x", "3", "--theta", "0.3"], "--theta"),
+    ],
+    ids=["coeffs-ag-max-n", "coeffs-bn-max-g", "median-arg0-theta"],
+)
+def test_flags_of_another_mode_are_rejected(capsys, argv, flag):
+    """--max-g belongs to coeffs --ag, --max-n to --cn and --bn, and --theta to
+    median --ray argpi; any other mode exits 2 and names the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag + " is not read by" in capsys.readouterr().err
+
+
 # -- emission ----------------------------------------------------------------
 
 
@@ -445,10 +463,24 @@ def test_exact_commands_do_not_import_numpy(args):
         assert not any(m.startswith("resurgentia.") for m in modules if m != "resurgentia.errors")
 
 
+def test_alien_does_not_import_the_series_layer():
+    modules = _imported("-c", "import resurgentia.alien")
+    assert "resurgentia.alien" in modules
+    assert "resurgentia.series" not in modules and "resurgentia.families" not in modules
+
+
+# public names that moved into the tests, or were deleted, with their former module
+_GONE = {
+    "companion_F": "alien", "expand_to_series": "alien", "check_homomorphism": "borel",
+    "check_reflection": "borel", "eval_Ahat": "borel", "maclaurin_borel_eval": "borel",
+    "lambda_s_squared": "largeradius", "ZERO": "scalars", "ONE": "scalars", "I": "scalars",
+}
+
+
 def test_public_names_resolve_lazily_to_their_definitions():
     import resurgentia
 
-    assert len(resurgentia.__all__) == 61 and resurgentia.__all__[-1] == "__version__"
+    assert len(resurgentia.__all__) == 55 and resurgentia.__all__[-1] == "__version__"
     for name in resurgentia.__all__[:-1]:
         module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
         assert getattr(resurgentia, name) is getattr(module, name), name
@@ -458,6 +490,14 @@ def test_public_names_resolve_lazily_to_their_definitions():
     assert resurgentia.stokes_action_check is importlib.import_module("resurgentia.alien").stokes_action_check
     with pytest.raises(AttributeError):
         resurgentia.no_such_name
+    for name, home in _GONE.items():
+        for owner in (resurgentia, importlib.import_module("resurgentia." + home)):
+            with pytest.raises(AttributeError):
+                getattr(owner, name)
+    for cls, name in (("ExactScalar", "from_str"), ("PowerSeries", "from_json"),
+                      ("PowerSeries", "from_json_dict"), ("UCoeffSeries", "eval_partial")):
+        with pytest.raises(AttributeError):
+            getattr(getattr(resurgentia, cls), name)
     # a submodule is an attribute of the package after a bare import, as before
     modules = _imported("-c", "import resurgentia; resurgentia.largeradius.gen_H0(2)")
     assert "resurgentia.largeradius" in modules and not _loads(modules, "numpy")

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import example, given
@@ -22,7 +23,6 @@ from resurgentia.largeradius import (
     gen_Hn,
     gen_phi_u,
     gen_R,
-    lambda_s_squared,
     lr_bridge_check,
     lr_connection_check,
     lr_stokes_check,
@@ -51,6 +51,27 @@ def _scale(a: ULaurent, c) -> ULaurent:
 
 def _diff(a: ULaurent) -> ULaurent:
     return ULaurent({e - 1: e * c for e, c in a.terms.items() if e})
+
+
+def _eval_partial(s: UCoeffSeries, gs: complex, u: complex, nterms: Optional[int] = None) -> complex:
+    """Numeric partial sum through g_s^{2(nterms-1)} (principal log u)."""
+    if s.grading != "gs2":
+        raise ValueError("numeric partial sums use the gs2 grading")
+    n = s.order + 1 if nterms is None else min(nterms, s.order + 1)
+    x = complex(gs) ** 2
+    total = 0.0 + 0.0j
+    for k in range(n - 1, -1, -1):
+        total = total * x + s.coeff(k).eval(u)
+    if s.log_u != 0:
+        total += complex(s.log_u) * cmath.log(u)
+    if s.exp_tag:
+        total *= cmath.exp(2.0 * s.exp_tag / u)
+    return total
+
+
+def _lambda_s_squared(N: int) -> UCoeffSeries:
+    """lambda_s^2 = g_s^2 u^3 (1-2t)^{-3/2} = sum_l (2l-1)!/(2^{l-1}((l-1)!)^2) u^{2l+1} g_s^{2l}."""
+    return largeradius._at_z1(PowerSeries.from_coeffs([0, Fraction(1, 3)]), N)
 
 
 # -- exact u-Laurent layer -----------------------------------------------------
@@ -289,7 +310,7 @@ def test_series_container_guards():
     with pytest.raises(ValueError, match="gs2 grading"):
         z2s.mul_gs2()
     with pytest.raises(ValueError, match="gs2 grading"):
-        z2s.eval_partial(0.1, 1.0, 2)
+        _eval_partial(z2s, 0.1, 1.0, 2)
 
 
 def test_series_container_json_shape():
@@ -341,7 +362,7 @@ def test_R_is_rtilde_regraded(N):
 
 
 def test_lambda_squared():
-    lam = lambda_s_squared(6)
+    lam = _lambda_s_squared(6)
     assert lam.coeff(0).is_zero()
     assert lam.coeff(1) == UL({3: 1})
     assert lam.coeff(2) == UL({5: 3})
@@ -577,7 +598,7 @@ FRAME_MAP_SHA256 = {
                       "62fa0114254336831682e5e760190b8a43e5cf176af13de28228732836441c20"),
     "gen_R(30)": (lambda: _series_sha(gen_R(30)),
                   "f4287015c42f1f25e549f5cb62e6712ddaf1064e5e18db42b898c26677eb2a2f"),
-    "lambda_s_squared(30)": (lambda: _series_sha(lambda_s_squared(30)),
+    "lambda_s_squared(30)": (lambda: _series_sha(_lambda_s_squared(30)),
                              "5c690d8ba3e851248426537eeae03696823ec40a42c5cf5eae90294a556cc84f"),
     "gen_Hn(1,8)": (lambda: _series_sha(gen_Hn(1, 8)[1]),
                     "2fffb81e3a7b531a392f66d9d271864dc120c8345679845dd320f4f304c0498d"),
@@ -639,7 +660,7 @@ def test_lr_sum_small_gs_limit():
     assert abs(v.value - (-1.0)) < 5e-3
     v2 = lr_sum("-", 0.02, 1.0)
     assert abs(v2.value - (-1.0)) < abs(v.value - (-1.0))
-    gap = abs(v.value - gen_H0(3).eval_partial(0.05, 1.0, 2))
+    gap = abs(v.value - _eval_partial(gen_H0(3), 0.05, 1.0, 2))
     assert gap < 1e-4
 
 
@@ -647,7 +668,7 @@ def test_lr_sum_optimal_truncation_floor():
     gs, u = 0.25, 1.0
     sv = lr_sum("-", gs, u)
     H0 = gen_H0(12)
-    best = min(abs(sv.value - H0.eval_partial(gs, u, k)) for k in range(4, 13))
+    best = min(abs(sv.value - _eval_partial(H0, gs, u, k)) for k in range(4, 13))
     np_scale = math.exp(-2.0 * sv.meta["z1"].real)
     assert np_scale / 100.0 < best < 10.0 * np_scale
 
