@@ -20,6 +20,9 @@ Past R the kernels equal their DLMF 15.8.2 connection series in 2/zeta, whose
 Laplace integral is a series of generalized exponential integrals E_p (DLMF
 8.19), summed in closed form under a rigorous truncation bound (laplace_ray,
 _far_laplace). Kernels without such a series are sampled along the whole ray.
+A psi/phi panel's nodes and kernel values depend only on (branch, theta, a, b),
+so they are kept in one bounded per-process cache (_kernel_row); nothing that
+depends on z is cached.
 
 Direction windows are arcs of rays: theta and theta + 2pi label the same ray
 and the same integral, so a shifted window such as 2pi + I_+ needs no special
@@ -446,6 +449,16 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
 # -- Laplace integration ----------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _kernel_row(branch: str, theta: float, a: float, b: float) -> tuple:
+    """The G24/K49 nodes of the panel [a, b] on the ray of direction theta and
+    eval_Bhat on them, both read-only: they depend on no z."""
+    zs = cmath.exp(1j * theta) * ((a + b) / 2.0 + (b - a) / 2.0 * _gk_rule(24)[0])
+    kern = eval_Bhat(zs, branch)
+    zs.flags.writeable = kern.flags.writeable = False
+    return zs, kern
+
+
 def laplace_ray(
     fhat: Callable,
     z: complex,
@@ -457,7 +470,9 @@ def laplace_ray(
     Composite adaptive Gauss-Kronrod on [0, T]: each panel makes one kernel
     call on the 49 nodes of the nested G24/K49 pair and is accepted when the
     two values agree to the panel's share of tol; the K49 value enters the
-    sum. For the psi/phi kernels (_PSI_KERNEL, _PHI_KERNEL) T is R = 4, or
+    sum. For the psi/phi kernels (_PSI_KERNEL, _PHI_KERNEL) a panel's nodes and
+    kernel values depend only on (branch, theta, a, b) and come from the
+    bounded cache _kernel_row; only e^{-z zeta} is formed per call. T is R = 4, or
     R = 1.2/|z| when that is larger, and the ray past R is the closed-form
     series of _far_laplace, whose truncation bound is the "tail". Any other
     kernel, or a psi/phi ray whose decay ends it before R, is integrated up to
@@ -480,6 +495,8 @@ def laplace_ray(
         T = R
     phase = cmath.exp(1j * theta)
     x, wk, wg = _gk_rule(24)
+    # theta = +-0 give equal cache keys but nodes whose zero imaginary parts differ in sign
+    cached = isinstance(fhat, _BhatKernel) and theta != 0.0
 
     stack = [(0.0, T)]
     total = 0.0 + 0.0j
@@ -487,8 +504,12 @@ def laplace_ray(
     npanels = 0
     while stack:
         a, b = stack.pop()
-        zs = phase * ((a + b) / 2.0 + (b - a) / 2.0 * x)
-        vals = np.asarray(fhat(zs), dtype=complex) * np.exp(-z * zs)
+        if cached:
+            zs, kern = _kernel_row(fhat.branch, theta, a, b)
+        else:
+            zs = phase * ((a + b) / 2.0 + (b - a) / 2.0 * x)
+            kern = np.asarray(fhat(zs), dtype=complex)
+        vals = kern * np.exp(-z * zs)
         scale = (b - a) / 2.0 * phase
         kron = complex(scale * (wk @ vals))
         d = abs(complex(scale * (wg @ vals)) - kron)

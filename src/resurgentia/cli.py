@@ -72,26 +72,32 @@ def _common_parser(keys: tuple) -> argparse.ArgumentParser:
 
 
 # flags that only some modes of a subcommand read: command -> (the mode of
-# args, {dest: (flag, default, the modes that read it)}); any other mode rejects them
+# args, {dest: (flag, default, {mode that reads it: None or (least value,
+# what the message calls it)})}); any other mode rejects them
 _MODE_FLAGS = {
     "coeffs": (lambda a: "--ag" if a.ag else "--cn" if a.cn else "--bn",
-               {"max_g": ("--max-g", 4, ("--ag",)), "max_n": ("--max-n", 8, ("--cn", "--bn"))}),
-    "median": (lambda a: f"--ray {a.ray}", {"theta": ("--theta", 0.0, ("--ray argpi",))}),
+               {"max_g": ("--max-g", 4, {"--ag": (2, "at least 2")}),
+                "max_n": ("--max-n", 8, {"--cn": (0, "nonnegative"), "--bn": (1, "positive")})}),
+    "median": (lambda a: f"--ray {a.ray}",
+               {"theta": ("--theta", 0.0, {"--ray argpi": None}), "b": ("--b", 0.0, {"--ray arg0": None})}),
 }
 
 
 def _apply_mode_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Default each mode flag where its mode reads it; a usage error where it does not."""
+    """Default each mode flag left unset; a usage error where one is set that
+    its mode does not read, or set below its least value."""
     if args.command not in _MODE_FLAGS:
         return
     mode_of, flags = _MODE_FLAGS[args.command]
     mode = mode_of(args)
     for dest, (flag, default, modes) in flags.items():
-        if mode in modes:
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        elif getattr(args, dest) is not None:
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, default)
+        elif mode not in modes:
             parser.error(f"{flag} is not read by {args.command} {mode}")
+        elif modes[mode] and value < modes[mode][0]:
+            parser.error(f"{flag} must be {modes[mode][1]}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("median", "median summation reality check")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
+    p.add_argument("--b", type=float)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
     p.add_argument("--theta", type=float)
 
@@ -166,17 +172,11 @@ def _cmd_coeffs(args, cfg: RunConfig):
     from . import families
 
     if args.ag:
-        if args.max_g < 2:
-            raise ValueError("--max-g must be at least 2")
         _, _, a = families.gen_g_f(args.max_g - 1)
         return [str(a[g - 2]) for g in range(2, args.max_g + 1)]
     if args.cn:
-        if args.max_n < 0:
-            raise ValueError("--max-n must be nonnegative")
         cs = families.gen_c_coeffs(max(args.max_n, 1))
         return [str(c) for c in cs[: args.max_n + 1]]
-    if args.max_n < 1:
-        raise ValueError("--max-n must be positive")
     g, _, _ = families.gen_g_f(args.max_n)
     return [str(g.series.coeff(n).re) for n in range(1, args.max_n + 1)]
 

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from resurgentia import borel
 
 settings.register_profile(
     "ci",
@@ -8,3 +11,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_kernel_rows():
+    """Each test starts with an empty Borel-kernel row cache, so no test is
+    served rows that an earlier one made, and test order cannot change a result."""
+    borel._kernel_row.cache_clear()

@@ -460,3 +460,85 @@ def test_error_budget_parts_add_up_and_bound_the_airy_oracle():
     parts = g.meta["err_parts"]
     assert g.err == pytest.approx(sum(parts.values()), rel=1e-12)
     assert parts["kernel"] > 0 and parts["route"] >= 0
+
+
+# -- the kernel-row cache ------------------------------------------------------------
+#
+# A psi/phi panel's nodes and kernel values depend on (branch, theta, a, b) only,
+# so laplace_ray keeps them in borel._kernel_row; only e^{-z zeta} and the far
+# part are computed per z. Cached and fresh rows must give the same bits.
+
+_ROW_CASES = {
+    # theta is clamped to 0.45 from the family's cut for the first z, not for the others
+    **{f"sum-{fam}-{tag}": (lambda fam=fam, z=z: sum_family(fam, z, "Ipi"))
+       for fam, clamped in (("psi", 3.0), ("g", 3.0), ("phi", -3.0 + 0.2j), ("f", -3.0 + 0.2j))
+       for tag, z in (("clamped", clamped), ("unclamped", 2.0 - 2.0j), ("small", 0.7 + 0.4j))},
+    "sum-psi-given-theta": lambda: sum_family("psi", 2.5, "Iminus", theta=0.3),
+    "G_pm-plus": lambda: G_pm("+", 3.0 + 0.5j, 0.1, 0.05),
+    "G_pm-minus": lambda: G_pm("-", 2.0 - 1.0j, 0.0, 0.2),
+    "connect-right": lambda: connection_check("right", 3.0, 0.1, 0.2),
+    "connect-left": lambda: connection_check("left", -0.8 + 0.1j, 0.1, 0.03j),
+    "ode-residual": lambda: gpm_ode_residual("-", 3.0 + 0.5j, 0.1, 0.05),
+    "lr_sum": lambda: __import__("resurgentia.largeradius").largeradius.lr_sum("-", 0.15, 1.0, 0.0, 0.02),
+}
+
+
+def _bits(result):
+    # repr round-trips every float, -0.0 included
+    if isinstance(result, borel.SumValue):
+        return repr((result.value, result.err, result.meta))
+    return repr(result)
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_CASES))
+def test_cached_kernel_rows_give_the_bits_of_fresh_ones(case):
+    borel._kernel_row.cache_clear()
+    cold = _bits(_ROW_CASES[case]())
+    hits = borel._kernel_row.cache_info().hits
+    warm = _bits(_ROW_CASES[case]())
+    assert warm == cold
+    assert borel._kernel_row.cache_info().hits > hits
+
+
+def test_cached_kernel_rows_are_read_only():
+    zs, kern = borel._kernel_row("B", -0.45, 0.0, 4.0)
+    for arr in (zs, kern):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the integrand is a new array, so a ray never writes into its row
+    laplace_ray(_PSI_KERNEL, 3.0, -0.45)
+    assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern
+
+
+def test_kernel_row_cache_stays_within_its_bound():
+    maxsize = borel._kernel_row.cache_info().maxsize
+    for theta in np.linspace(-1.5, -0.2, maxsize + 20):
+        borel._kernel_row("B", float(theta), 0.0, 4.0)
+    info = borel._kernel_row.cache_info()
+    assert info.misses == maxsize + 20 and info.currsize == maxsize
+
+
+def test_generic_kernels_never_enter_the_row_cache():
+    laplace_ray(lambda zs: eval_Bhat(zs, "B"), 3.0, -0.45)
+    assert sum_family("phi", 3.0).meta["theta"] == 0.0  # +-0 share a key, so theta = 0 is not cached
+    assert borel._kernel_row.cache_info().currsize == 0
+    check_derivation(3.0 + 0.5j)  # its moment kernel is generic; its S psi ray is not
+    info = borel._kernel_row.cache_info()
+    borel._kernel_row.cache_clear()
+    laplace_ray(lambda zs: eval_Bhat(zs, "B"), 3.0, -0.45)
+    assert borel._kernel_row.cache_info().currsize == 0 < info.currsize
+
+
+def test_ode_stencil_evaluates_each_panel_row_once(monkeypatch):
+    """The five G_pm of one stencil share theta, so their ten rays share rows."""
+    seen = []
+    inner = borel.eval_Bhat
+
+    def counted(zeta, branch="B"):
+        seen.append((branch, np.asarray(zeta).tobytes()))
+        return inner(zeta, branch)
+
+    monkeypatch.setattr(borel, "eval_Bhat", counted)
+    assert gpm_ode_residual("-", 3.0 + 0.5j, 0.1, 0.05) < 1e-4
+    panels = {points for _, points in seen}
+    assert len(set(seen)) == len(seen) <= 2 * len(panels)

@@ -360,16 +360,42 @@ def test_ignored_flags_are_rejected(capsys, case, flag):
         (["coeffs", "--ag", "--max-n", "3"], "--max-n"),
         (["coeffs", "--bn", "--max-g", "5"], "--max-g"),
         (["median", "--x", "3", "--theta", "0.3"], "--theta"),
+        (["median", "--x", "4", "--ray", "argpi", "--b", "0.3"], "--b"),
     ],
-    ids=["coeffs-ag-max-n", "coeffs-bn-max-g", "median-arg0-theta"],
+    ids=["coeffs-ag-max-n", "coeffs-bn-max-g", "median-arg0-theta", "median-argpi-b"],
 )
 def test_flags_of_another_mode_are_rejected(capsys, argv, flag):
-    """--max-g belongs to coeffs --ag, --max-n to --cn and --bn, and --theta to
-    median --ray argpi; any other mode exits 2 and names the flag."""
+    """--max-g belongs to coeffs --ag, --max-n to --cn and --bn, --theta to
+    median --ray argpi and --b to median --ray arg0; any other mode exits 2 and
+    names the flag."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert flag + " is not read by" in capsys.readouterr().err
+
+
+def test_median_prints_the_default_b_on_both_rays(capsys):
+    for ray in ("arg0", "argpi"):
+        code, out = run(capsys, "median", "--x", "4", "--ray", ray)
+        assert code == 0 and json.loads(out)["b"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coeffs", "--ag", "--max-g", "1"], "--max-g must be at least 2"),
+        (["coeffs", "--bn", "--max-n", "0"], "--max-n must be positive"),
+        (["coeffs", "--cn", "--max-n", "-1"], "--max-n must be nonnegative"),
+    ],
+    ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1"],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    """A count below its least value is a malformed flag (exit 2), not a domain failure."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 # -- emission ----------------------------------------------------------------
