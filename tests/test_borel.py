@@ -17,7 +17,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resurgentia import borel, families
+from resurgentia import borel, families, largeradius
 from resurgentia.borel import (
     DEFAULT_END_TOL,
     DEFAULT_QUAD_TOL,
@@ -479,7 +479,7 @@ _ROW_CASES = {
     "connect-right": lambda: connection_check("right", 3.0, 0.1, 0.2),
     "connect-left": lambda: connection_check("left", -0.8 + 0.1j, 0.1, 0.03j),
     "ode-residual": lambda: gpm_ode_residual("-", 3.0 + 0.5j, 0.1, 0.05),
-    "lr_sum": lambda: __import__("resurgentia.largeradius").largeradius.lr_sum("-", 0.15, 1.0, 0.0, 0.02),
+    "lr_sum": lambda: largeradius.lr_sum("-", 0.15, 1.0, 0.0, 0.02),
 }
 
 
@@ -505,9 +505,9 @@ def test_cached_kernel_rows_are_read_only():
     for arr in (zs, kern):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the integrand is a new array, so a ray never writes into its row
-    laplace_ray(_PSI_KERNEL, 3.0, -0.45)
-    assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern
+    before = kern.copy()
+    laplace_ray(_PSI_KERNEL, 3.0, -0.45)  # its first panel is this row
+    assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern and np.array_equal(kern, before)
 
 
 def test_kernel_row_cache_stays_within_its_bound():
@@ -520,13 +520,10 @@ def test_kernel_row_cache_stays_within_its_bound():
 
 def test_generic_kernels_never_enter_the_row_cache():
     laplace_ray(lambda zs: eval_Bhat(zs, "B"), 3.0, -0.45)
-    assert sum_family("phi", 3.0).meta["theta"] == 0.0  # +-0 share a key, so theta = 0 is not cached
+    laplace_ray(lambda zs: -zs * eval_Bhat(zs, "B"), 3.0 + 0.5j, 0.45)  # check_derivation's moment kernel
+    # +-0 share a cache key but not their nodes' signed zeros, so theta = 0 stays out too
+    assert sum_family("phi", 3.0).meta["theta"] == 0.0
     assert borel._kernel_row.cache_info().currsize == 0
-    check_derivation(3.0 + 0.5j)  # its moment kernel is generic; its S psi ray is not
-    info = borel._kernel_row.cache_info()
-    borel._kernel_row.cache_clear()
-    laplace_ray(lambda zs: eval_Bhat(zs, "B"), 3.0, -0.45)
-    assert borel._kernel_row.cache_info().currsize == 0 < info.currsize
 
 
 def test_ode_stencil_evaluates_each_panel_row_once(monkeypatch):
