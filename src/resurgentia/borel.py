@@ -15,14 +15,15 @@ eval_Bhat evaluates Bhat, at each point off the cut, by the convergent 2F1
 series of whichever of six covering regions converges fastest there, each
 summed to a rigorous tail bound, so every value is within _KAPPA = 1e-13.
 
-A kernel ray is sampled only up to |zeta| = R (4, or more for small |z|).
-Past R the kernels equal their DLMF 15.8.2 connection series in 2/zeta, whose
-Laplace integral is a series of generalized exponential integrals E_p (DLMF
-8.19), summed in closed form under a rigorous truncation bound (laplace_ray,
-_far_laplace). Kernels without such a series are sampled along the whole ray.
-A psi/phi panel's nodes and kernel values depend only on (branch, theta, a, b),
-so they are kept in one bounded per-process cache (_kernel_row); nothing that
-depends on z is cached.
+Every ray the package integrates has one shape, whatever its decay rate and
+direction: a kernel Bhat(+-zeta), or the moment -zeta Bhat(zeta), is sampled up
+to |zeta| = R (4, or more for small |z|), and past R it equals its DLMF 15.8.2
+connection series in 2/zeta, whose Laplace integral is a series of generalized
+exponential integrals E_p (DLMF 8.19), summed in closed form under a rigorous
+truncation bound (laplace_ray, _far_laplace). A panel's nodes and Bhat values
+depend only on (branch, theta, a, b), so they are kept in one bounded
+per-process cache (_kernel_row); nothing that depends on z is cached. Other
+callables, from outside the package, are sampled along the whole ray.
 
 Direction windows are arcs of rays: theta and theta + 2pi label the same ray
 and the same integral, so a shifted window such as 2pi + I_+ needs no special
@@ -130,9 +131,6 @@ def _sign_window(sign) -> tuple[float, float]:
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     return INTERVALS["Iplus" if sign == "+" else "Iminus"]
-
-
-# -- kernels -------------------------------------------------------------------
 
 
 # -- the Borel kernel ----------------------------------------------------------------
@@ -285,20 +283,20 @@ def eval_Bhat(zeta, branch: str = "B"):
 
 
 class _BhatKernel:
-    """eval_Bhat on one branch; laplace_ray recognises it and takes the far
+    """The kernel (-zeta)^moment Bhat(zeta) on one branch, moment 0 or 1. It is
+    not called: laplace_ray takes its panel rows from _kernel_row and the far
     part of its ray in closed form (see _far_laplace)."""
 
-    __slots__ = ("branch",)
+    __slots__ = ("branch", "moment")
 
-    def __init__(self, branch: str):
+    def __init__(self, branch: str, moment: int = 0):
         self.branch = branch
-
-    def __call__(self, zs):
-        return eval_Bhat(zs, self.branch)
+        self.moment = moment
 
 
 _PSI_KERNEL = _BhatKernel("B")
 _PHI_KERNEL = _BhatKernel("B_plus")
+_PSI_MOMENT = _BhatKernel("B", 1)  # its Laplace integral is d/dz of Bhat's
 
 
 # -- quadrature rules ------------------------------------------------------------
@@ -366,10 +364,11 @@ def _gk_rule(n: int) -> tuple:
 # Past |x| = R/2 > 1 the kernel is its DLMF 15.8.2 series (the 1/x region above).
 # On the ray zeta = t e^{i theta}, t >= R, every term is a power of t/R, so
 #
-#     int_R^oo Bhat e^{-z zeta} dzeta
-#         = R e^{i theta} sum_j A_j (-x0)^{-s_j} sum_k c_{j,k} x0^{-k} E_{s_j+k}(X)
+#     int_R^oo (-zeta)^m Bhat e^{-z zeta} dzeta
+#         = (-R e^{i theta})^m R e^{i theta} sum_j A_j (-x0)^{-s_j} sum_k c_{j,k} x0^{-k} E_{s_j+k-m}(X)
 #
-# with x0 = +-R e^{i theta}/2 and X = z R e^{i theta} (DLMF 8.19.1).
+# with x0 = +-R e^{i theta}/2 and X = z R e^{i theta} (DLMF 8.19.1), for the
+# moments m = 0 (Bhat) and m = 1 (-zeta Bhat).
 
 _FAR_R = 4.0  # numeric segment [0, R]; 2/R is the ratio of the 1/x series
 _FAR_X_FLOOR = 1.2  # R is raised so that |X| = R |z| stays above this
@@ -395,7 +394,7 @@ def _expint_cf(p: float, X: complex) -> complex:
 
 
 def _expint_run(s: float, X: complex, n: int) -> list:
-    """E_{s+k}(X) for k = 0 .. n-1, Re X > 0.
+    """E_{s+k}(X) for k = 0 .. n-1, Re X > 0, s > -1.
 
     One continued fraction at k0 ~ |X| - s; p E_{p+1} = e^{-X} - X E_p runs
     forward above k0 and backward below it, the direction in which each is
@@ -412,19 +411,22 @@ def _expint_run(s: float, X: complex, n: int) -> list:
     return e
 
 
-def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) -> tuple:
-    """int_R^oo Bhat(+-t e^{i theta}) e^{-z t e^{i theta}} e^{i theta} dt and a bound on
-    its truncation error, which is at most tol when _TERMS suffice.
+def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: float) -> tuple:
+    """int_R^oo of the kernel at t e^{i theta} times e^{-z t e^{i theta}} e^{i theta} dt,
+    and a bound on its truncation error, which is at most tol when _TERMS suffice.
 
     The series stops at the first n where R e^{-Re X}/Re X sum_j |A_j| c_{j,n}
-    (2/R)^n/(1 - 2/R) <= tol: |E_p(X)| <= e^{-Re X}/Re X for p >= 0,
-    |(-x0)^{-s}| <= 1, and the c-ratios are at most 1.
+    (2/R)^n/(1 - 2/R) <= tol, times R (1 + 1/Re X) for the moment kernel:
+    |E_p(X)| <= e^{-Re X}/Re X for p >= 0 and <= e^{-Re X} (1 + 1/Re X)/Re X
+    for -1 < p < 0, |(-x0)^{-s}| <= 1, and the c-ratios are at most 1.
     """
     phase = cmath.exp(1j * theta)
     X = z * R * phase
-    x0 = (R / 2.0 if branch == "B" else -R / 2.0) * phase
+    x0 = (R / 2.0 if kernel.branch == "B" else -R / 2.0) * phase
     q = 2.0 / R
     pref = R * math.exp(-X.real) / X.real / (1.0 - q)
+    if kernel.moment:
+        pref *= R * (1.0 + 1.0 / X.real)
     n = 0
     qn = 1.0
     while True:
@@ -439,10 +441,12 @@ def _far_laplace(branch: str, z: complex, theta: float, R: float, tol: float) ->
         for a, s, cs in zip(_FAR_A, _FAR_S, _FAR_C):
             acc = 0j
             w = 1.0 + 0j
-            for ck, ek in zip(cs, _expint_run(s, X, n)):
+            for ck, ek in zip(cs, _expint_run(s - kernel.moment, X, n)):
                 acc += ck * w * ek
                 w *= inv
             total += a * (-x0) ** (-s) * acc
+    if kernel.moment:
+        total *= -R * phase
     return R * phase * total, bound
 
 
@@ -460,43 +464,38 @@ def _kernel_row(branch: str, theta: float, a: float, b: float) -> tuple:
 
 
 def laplace_ray(
-    fhat: Callable,
+    fhat: _BhatKernel | Callable,
     z: complex,
     theta,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> SumValue:
     """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
 
-    Composite adaptive Gauss-Kronrod on [0, T]: each panel makes one kernel
-    call on the 49 nodes of the nested G24/K49 pair and is accepted when the
-    two values agree to the panel's share of tol; the K49 value enters the
-    sum. For the psi/phi kernels (_PSI_KERNEL, _PHI_KERNEL) a panel's nodes and
-    kernel values depend only on (branch, theta, a, b) and come from the
-    bounded cache _kernel_row; only e^{-z zeta} is formed per call. T is R = 4, or
-    R = 1.2/|z| when that is larger, and the ray past R is the closed-form
-    series of _far_laplace, whose truncation bound is the "tail". Any other
-    kernel, or a psi/phi ray whose decay ends it before R, is integrated up to
-    T = (log(1/tol) + _GROWTH_MARGIN)/rate, and the tail is the estimate
-    |fhat(T)| e^{-rate T}/rate. The error field is the sum of the accepted
-    panels' |G24 - K49| plus the tail, and meta reports the two parts
-    ("quad_err", "tail"), the end of the numeric segment ("T") and the decay
-    rate ("rate"). The kernel's own error is not in it: eval_Bhat is within
-    _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
+    Composite adaptive Gauss-Kronrod on [0, T]: each panel takes the kernel on
+    the 49 nodes of the nested G24/K49 pair and is accepted when the two values
+    agree to the panel's share of tol; the K49 value enters the sum. A
+    _BhatKernel, which every ray of the package passes, is integrated on [0, R],
+    R = 4 or 1.2/|z| when that is larger, whatever the decay rate: its panel
+    nodes and Bhat values depend only on (branch, theta, a, b) and come from the
+    bounded cache _kernel_row, and the ray past R is the closed-form series of
+    _far_laplace, whose truncation bound is the "tail". Any other callable is
+    called on the nodes up to T = (log(1/tol) + _GROWTH_MARGIN)/rate, and the
+    tail is the estimate |fhat(T)| e^{-rate T}/rate. theta = -0.0 is taken as
+    +0.0: one cache key, one set of signed zeros. The error field is the sum of
+    the accepted panels' |G24 - K49| plus the tail, and meta reports the two
+    parts ("quad_err", "tail"), the end of the numeric segment ("T") and the
+    decay rate ("rate"). The kernel's own error is not in it: eval_Bhat is
+    within _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
     """
-    theta = float(theta)
+    theta = float(theta) + 0.0
     z = complex(z)
     rate = (z * cmath.exp(1j * theta)).real
     if rate <= _DECAY_MIN:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
-    T = (math.log(1.0 / tol) + _GROWTH_MARGIN) / rate
-    R = max(_FAR_R, _FAR_X_FLOOR / abs(z))
-    far = isinstance(fhat, _BhatKernel) and T > R
-    if far:
-        T = R
+    bhat = isinstance(fhat, _BhatKernel)
+    T = max(_FAR_R, _FAR_X_FLOOR / abs(z)) if bhat else (math.log(1.0 / tol) + _GROWTH_MARGIN) / rate
     phase = cmath.exp(1j * theta)
     x, wk, wg = _gk_rule(24)
-    # theta = +-0 give equal cache keys but nodes whose zero imaginary parts differ in sign
-    cached = isinstance(fhat, _BhatKernel) and theta != 0.0
 
     stack = [(0.0, T)]
     total = 0.0 + 0.0j
@@ -504,8 +503,10 @@ def laplace_ray(
     npanels = 0
     while stack:
         a, b = stack.pop()
-        if cached:
+        if bhat:
             zs, kern = _kernel_row(fhat.branch, theta, a, b)
+            if fhat.moment:
+                kern = -zs * kern
         else:
             zs = phase * ((a + b) / 2.0 + (b - a) / 2.0 * x)
             kern = np.asarray(fhat(zs), dtype=complex)
@@ -525,9 +526,9 @@ def laplace_ray(
             stack.append((m, b))
             if len(stack) + npanels > _MAX_PANELS:
                 raise QuadratureError("quadrature failure", value=total, err=err)
-    if far:
+    if bhat:
         # the truncation bound takes a negligible share of tol
-        rest, tail = _far_laplace(fhat.branch, z, theta, T, 1e-3 * tol)
+        rest, tail = _far_laplace(fhat, z, theta, T, 1e-3 * tol)
         total += rest
     else:
         tail = abs(complex(np.asarray(fhat(np.array([phase * T])))[0])) * math.exp(-rate * T) / rate
@@ -738,14 +739,11 @@ def check_derivation(z: complex) -> dict:
     z = complex(z)
     theta = choose_theta(z, "Iminus", (0.0, math.pi))
 
-    def sg(zz: complex) -> complex:
-        return sum_family("g", zz, "Iminus", theta=theta).value
-
-    fd = (-sg(z + 2 * h) + 8 * sg(z + h) - 8 * sg(z - h) + sg(z - 2 * h)) / (12 * h)
-    kern_moment = lambda zs: -zs * eval_Bhat(zs, "B")
+    sg = {k: sum_family("g", z + k * h, "Iminus", theta=theta).value for k in (-2, -1, 1, 2)}
+    fd = (-sg[2] + 8 * sg[1] - 8 * sg[-1] + sg[-2]) / (12 * h)
     lap = laplace_ray(_PSI_KERNEL, z, theta).value
     spsi = z * lap
-    spsi_prime = lap + z * laplace_ray(kern_moment, z, theta).value
+    spsi_prime = lap + z * laplace_ray(_PSI_MOMENT, z, theta).value
     exact = spsi_prime / spsi
     res = abs(fd - exact)
     return {"residual": res, "ok": res <= 1e-5, "theta": theta}
@@ -778,20 +776,15 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
     if len(coeffs) < 40:
         raise ValueError("need at least 40 coefficients")
     if method == "ratio":
-        tail = []
+        vals = []
         for n in range(len(coeffs) - 10, len(coeffs) - 1):
             bn, bn1 = coeffs[n], coeffs[n + 1]
             if bn1 == 0:
                 raise ValueError("zero coefficient in ratio window")
-            tail.append(n * bn / bn1)
-        vals = [complex(t) for t in tail]
+            vals.append(complex(n * bn / bn1))
         # a finite singularity gives a drift of O(1/n^2) per step across the
         # tail window; an entire function's ratios keep growing without bound
-        drift = abs(vals[-1] - vals[0]) / max(abs(vals[-1]), 1e-30)
-        increasing = all(abs(vals[i + 1]) > abs(vals[i]) for i in range(len(vals) - 1))
-        if drift > 0.05 and increasing:
-            return complex(math.inf, 0.0)
-        return vals[-1]
+        return complex(math.inf, 0.0) if _grows_without_bound(vals) else vals[-1]
     if method == "pade":
         # Borel data d_n = b_n/n! kept exact; the [L/M] denominator system
         # sum_j q_j d_{L+k-j} = -d_{L+k} is solved over the rationals, because
@@ -811,11 +804,8 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
                 tail_r = []
                 break
             tail_r.append(abs(complex(d[n - 1])) / abs(complex(d[n])))
-        if tail_r:
-            drift = (tail_r[-1] - tail_r[0]) / max(tail_r[-1], 1e-30)
-            increasing = all(b > a for a, b in zip(tail_r, tail_r[1:]))
-            if drift > 0.05 and increasing:
-                return complex(math.inf, 0.0)
+        if tail_r and _grows_without_bound(tail_r):
+            return complex(math.inf, 0.0)
         # a genuine pole is also stable under a change of denominator degree
         first = _pade_smallest_pole(d, M)
         second = _pade_smallest_pole(d, M - 1)
@@ -825,6 +815,13 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
             return complex(math.inf, 0.0)
         return first
     raise ValueError("method must be 'ratio' or 'pade'")
+
+
+def _grows_without_bound(vals: list) -> bool:
+    """A tail window whose moduli increase strictly and drift by more than 5%."""
+    mods = [abs(v) for v in vals]
+    return (abs(vals[-1] - vals[0]) / max(mods[-1], 1e-30) > 0.05
+            and all(b > a for a, b in zip(mods, mods[1:])))
 
 
 def _pade_smallest_pole(d: list, M: int):

@@ -83,9 +83,9 @@ _MODE_FLAGS = {
 }
 
 
-def _apply_mode_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Default each mode flag left unset; a usage error where one is set that
-    its mode does not read, or set below its least value."""
+def _apply_mode_flags(args) -> None:
+    """Default each mode flag left unset; a usage error of the subcommand's own
+    parser where one is set that its mode does not read, or set below its least value."""
     if args.command not in _MODE_FLAGS:
         return
     mode_of, flags = _MODE_FLAGS[args.command]
@@ -95,9 +95,9 @@ def _apply_mode_flags(parser: argparse.ArgumentParser, args) -> None:
         if value is None:
             setattr(args, dest, default)
         elif mode not in modes:
-            parser.error(f"{flag} is not read by {args.command} {mode}")
+            args.subparser.error(f"{flag} is not read by {args.command} {mode}")
         elif modes[mode] and value < modes[mode][0]:
-            parser.error(f"{flag} must be {modes[mode][1]}")
+            args.subparser.error(f"{flag} must be {modes[mode][1]}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True)
 
     def add(name: str, text: str, sub=sub) -> argparse.ArgumentParser:
-        return sub.add_parser(name.split()[-1], parents=[_common_parser(_READS[name])], help=text)
+        p = sub.add_parser(name.split()[-1], parents=[_common_parser(_READS[name])], help=text)
+        p.set_defaults(subparser=p)
+        return p
 
     p = add("coeffs", "exact coefficient families")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -365,7 +367,7 @@ def _emit_error(exc: Exception) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_mode_flags(parser, args)
+    _apply_mode_flags(args)
     try:
         overrides = {
             k: getattr(args, k, None)

@@ -308,10 +308,7 @@ class PowerSeries:
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 window")
-        n = self.order - 1
-        # c_j moves to degree j + 1 with factor -j; c_0 and c_n leave the window
-        return _series(n, self.den, ((0, 0) + tuple(-j * x for j, x in enumerate(self.re[1:n], 1)))[: n + 1],
-                       ((0, 0) + tuple(-j * y for j, y in enumerate(self.im[1:n], 1)))[: n + 1])
+        return self._deriv_in_window(1).truncate(self.order - 1)
 
     def _deriv_in_window(self, times: int) -> "PowerSeries":
         # exact n-th derivative kept in the full window; degree d of the

@@ -520,10 +520,43 @@ def test_kernel_row_cache_stays_within_its_bound():
 
 def test_generic_kernels_never_enter_the_row_cache():
     laplace_ray(lambda zs: eval_Bhat(zs, "B"), 3.0, -0.45)
-    laplace_ray(lambda zs: -zs * eval_Bhat(zs, "B"), 3.0 + 0.5j, 0.45)  # check_derivation's moment kernel
-    # +-0 share a cache key but not their nodes' signed zeros, so theta = 0 stays out too
-    assert sum_family("phi", 3.0).meta["theta"] == 0.0
+    laplace_ray(lambda zs: -zs * eval_Bhat(zs, "B"), 3.0 + 0.5j, 0.45)
     assert borel._kernel_row.cache_info().currsize == 0
+
+
+def test_every_ray_of_the_package_is_a_bhat_kernel_ray(monkeypatch):
+    kernels = []
+    inner = borel.laplace_ray
+
+    def recorded(fhat, *args, **kwargs):
+        kernels.append(fhat)
+        return inner(fhat, *args, **kwargs)
+
+    monkeypatch.setattr(borel, "laplace_ray", recorded)
+    sum_family("f", -3.0 + 0.2j, "Ipi")
+    G_pm("+", 3.0 + 0.5j, 0.1, 0.05)
+    connection_check("right", 3.0, 0.1, 0.2)
+    connection_check("left", -0.8 + 0.1j, 0.1, 0.03j)
+    median_real_check(4.0, 0.2, 0.1)
+    median_real_check(0.9, 0.7, ray="argpi", theta=0.05)
+    gpm_ode_residual("-", 3.0 + 0.5j, 0.1, 0.05)
+    check_derivation(3.0 - 0.5j)
+    gevrey_check(8.0, n_max=12)
+    largeradius.lr_sum("-", 0.15, 1.0, 0.0, 0.02)
+    largeradius.lr_connection_check("right", 0.3, 1.0, 0.0, 0.02)
+    assert len(kernels) >= 30
+    assert all(isinstance(k, borel._BhatKernel) for k in kernels)
+    assert {borel._PSI_KERNEL, borel._PHI_KERNEL, borel._PSI_MOMENT} <= set(kernels)
+
+
+def test_negative_zero_theta_is_served_the_rows_of_positive_zero():
+    # theta = -0.0 is taken as +0.0 at entry: one cache key, one set of signed zeros
+    plus = _bits(sum_family("phi", 3.0, theta=0.0))
+    info = borel._kernel_row.cache_info()
+    assert info.currsize > 0
+    assert _bits(sum_family("phi", 3.0, theta=-0.0)) == plus
+    after = borel._kernel_row.cache_info()
+    assert after.misses == info.misses and after.hits > info.hits
 
 
 def test_ode_stencil_evaluates_each_panel_row_once(monkeypatch):

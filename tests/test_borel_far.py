@@ -1,8 +1,9 @@
 """The split Laplace ray: numeric on [0, R], closed form past R.
 
 Every reference here is independent of the closed form: mpmath's expint for
-the generalized exponential integrals, the generic full-ray quadrature of a
-plain callable around eval_Bhat, and 30-digit Airy values for the sums.
+the generalized exponential integrals, mpmath quadrature of the 2F1 kernel
+past R, the generic full-ray quadrature of a plain callable around eval_Bhat,
+and 30-digit Airy values for the sums.
 """
 
 import cmath
@@ -62,7 +63,8 @@ def test_expint_run_matches_mpmath():
         for rex in (4e-3, 0.5):
             for sgn in (1, -1):
                 X = complex(rex, sgn * math.sqrt(mod * mod - rex * rex))
-                for s in borel._FAR_S:
+                # s - 1 serves the moment kernel -zeta Bhat
+                for s in borel._FAR_S + tuple(s - 1.0 for s in borel._FAR_S):
                     got = borel._expint_run(s, X, 61)
                     with mpmath.workdps(20):
                         for k in range(61):
@@ -86,6 +88,93 @@ def test_connection_series_matches_the_kernel_past_R():
             got = sum(a * (-x) ** (-s) * sum(c * x ** (-k) for k, c in enumerate(cs[:60]))
                       for a, s, cs in zip(borel._FAR_A, borel._FAR_S, borel._FAR_C))
             assert abs(got - want) < 1e-12, (branch, zeta)
+
+
+def _moment_far_reference(z: complex, theta: float, R: float) -> complex:
+    # int_R^oo -zeta 2F1(1/6, 5/6; 1; zeta/2) e^{-z zeta} dzeta on the ray of theta
+    with mpmath.workdps(25):
+        ph = mpmath.expj(theta)
+        zz = mpmath.mpc(z)
+
+        def f(t):
+            zeta = t * ph
+            return -zeta * mpmath.hyp2f1(mpmath.mpf(1) / 6, mpmath.mpf(5) / 6, 1, zeta / 2) * mpmath.exp(-zz * zeta) * ph
+
+        return complex(mpmath.quad(f, [R, 2 * R, 4 * R, mpmath.inf]))
+
+
+@pytest.mark.parametrize("z, theta", [
+    (3.0 + 0.5j, 0.45),
+    (2.0 - 1.0j, 0.45),
+    (0.3j + 0.05, -1.2),   # |X| = 1.2: R = 4 at |z| = 0.3
+    (0.2, 0.6),            # |X| = 1.2 with R raised to 6
+    (0.25 - 0.1j, 1.0),
+    (6.0, -0.45),
+    (1.0 + 1.0j, -0.9),
+])
+def test_moment_far_part_matches_quadrature_past_R(z, theta):
+    R = max(4.0, 1.2 / abs(z))
+    ref = _moment_far_reference(z, theta, R)
+    got, bound = borel._far_laplace(borel._PSI_MOMENT, z, theta, R, 1e-14 * abs(ref))
+    assert abs(got - ref) <= 1e-12 * abs(ref), (abs(got - ref) / abs(ref))
+    # a loose tolerance truncates early; the returned bound covers what is dropped
+    short, loose = borel._far_laplace(borel._PSI_MOMENT, z, theta, R, 1e-4 * abs(ref))
+    assert abs(short - ref) <= loose, (abs(short - ref), loose)
+
+
+@pytest.mark.parametrize("family", ["psi", "phi"])
+def test_large_z_sums_err_bounds_the_airy_reference(family):
+    # rays whose decay rate is above (log(1/tol) + 8)/R once stopped short of R
+    changed = 0
+    for r in (8.0, 10.0, 12.0, 15.0, 20.0, 30.0):
+        for arg in (0.0, 0.7, -1.1):
+            z = cmath.rect(r, arg) * (1 if family == "phi" else -1)
+            sv = sum_family(family, z, "Ipi")
+            assert sv.meta["T"] == 4.0
+            changed += sv.meta["rate"] > (math.log(1e10) + 8.0) / 4.0
+            ref = airy_sum(family, z, sv.meta["theta"])
+            assert abs(sv.value - ref) <= sv.err, (z, abs(sv.value - ref), sv.err)
+    assert changed >= 17
+
+
+def test_check_derivation_takes_the_moment_kernel_ray(monkeypatch):
+    rays = []
+    inner = borel.laplace_ray
+
+    def recorded(fhat, z, theta, tol=borel.DEFAULT_QUAD_TOL):
+        out = inner(fhat, z, theta, tol)
+        rays.append((fhat, out))
+        return out
+
+    monkeypatch.setattr(borel, "laplace_ray", recorded)
+    for r in (1.0, 2.5, 6.0):
+        for rate in (2e-2, 5e-2, 0.2):
+            z = cmath.rect(r, math.pi / 2 - 0.45 - math.asin(rate / r))
+            rays.clear()
+            out = borel.check_derivation(z)
+            assert out["ok"] and out["residual"] <= 1e-5, (z, out)
+            moment = [sv for fhat, sv in rays if fhat is borel._PSI_MOMENT]
+            assert len(moment) == 1 and moment[0].meta["T"] == max(4.0, 1.2 / r)
+
+
+def test_moment_ray_reuses_the_psi_rows(monkeypatch):
+    seen = []
+    inner = borel.eval_Bhat
+
+    def counted(zeta, branch="B"):
+        seen.append((branch, zeta.tobytes()))
+        return inner(zeta, branch)
+
+    monkeypatch.setattr(borel, "eval_Bhat", counted)
+    z, theta = 3.0 + 0.5j, 0.45
+    laplace_ray(borel._PSI_KERNEL, z, theta)
+    psi_rows = set(seen)
+    seen.clear()
+    hits = borel._kernel_row.cache_info().hits
+    laplace_ray(borel._PSI_MOMENT, z, theta)
+    # the moment's rows are -zeta times the psi rows: shared panels come from the cache
+    assert borel._kernel_row.cache_info().hits > hits
+    assert psi_rows.isdisjoint(seen) and len(set(seen)) == len(seen)
 
 
 def test_split_ray_agrees_with_the_generic_full_ray():

@@ -355,23 +355,25 @@ def test_ignored_flags_are_rejected(capsys, case, flag):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, usage",
     [
-        (["coeffs", "--ag", "--max-n", "3"], "--max-n"),
-        (["coeffs", "--bn", "--max-g", "5"], "--max-g"),
-        (["median", "--x", "3", "--theta", "0.3"], "--theta"),
-        (["median", "--x", "4", "--ray", "argpi", "--b", "0.3"], "--b"),
+        (["coeffs", "--ag", "--max-n", "3"], "--max-n", "usage: resurgentia coeffs "),
+        (["coeffs", "--bn", "--max-g", "5"], "--max-g", "usage: resurgentia coeffs "),
+        (["median", "--x", "3", "--theta", "0.3"], "--theta", "usage: resurgentia median "),
+        (["median", "--x", "4", "--ray", "argpi", "--b", "0.3"], "--b", "usage: resurgentia median "),
     ],
     ids=["coeffs-ag-max-n", "coeffs-bn-max-g", "median-arg0-theta", "median-argpi-b"],
 )
-def test_flags_of_another_mode_are_rejected(capsys, argv, flag):
+def test_flags_of_another_mode_are_rejected(capsys, argv, flag, usage):
     """--max-g belongs to coeffs --ag, --max-n to --cn and --bn, --theta to
-    median --ray argpi and --b to median --ray arg0; any other mode exits 2 and
-    names the flag."""
+    median --ray argpi and --b to median --ray arg0; any other mode exits 2,
+    names the flag and prints the subcommand's usage."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag + " is not read by" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag + " is not read by" in err
+    assert err.splitlines()[0].startswith(usage)
 
 
 def test_median_prints_the_default_b_on_both_rays(capsys):
@@ -381,21 +383,23 @@ def test_median_prints_the_default_b_on_both_rays(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, usage",
     [
-        (["coeffs", "--ag", "--max-g", "1"], "--max-g must be at least 2"),
-        (["coeffs", "--bn", "--max-n", "0"], "--max-n must be positive"),
-        (["coeffs", "--cn", "--max-n", "-1"], "--max-n must be nonnegative"),
+        (["coeffs", "--ag", "--max-g", "1"], "--max-g must be at least 2", "usage: resurgentia coeffs "),
+        (["coeffs", "--bn", "--max-n", "0"], "--max-n must be positive", "usage: resurgentia coeffs "),
+        (["coeffs", "--cn", "--max-n", "-1"], "--max-n must be nonnegative", "usage: resurgentia coeffs "),
     ],
     ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1"],
 )
-def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
-    """A count below its least value is a malformed flag (exit 2), not a domain failure."""
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
+    """A count below its least value is a malformed flag (exit 2), not a domain
+    failure, and the usage printed is the subcommand's, as for a malformed value."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert captured.err.splitlines()[0].startswith(usage)
 
 
 # -- emission ----------------------------------------------------------------
