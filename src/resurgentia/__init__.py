@@ -25,7 +25,7 @@ _EXPORTS = {
     "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
     "borel": (
         "G_pm", "airy_oracle", "check_derivation", "choose_theta", "connection_check", "eval_Bhat",
-        "first_identity_check", "gevrey_check", "laplace_ray", "median_real_check",
+        "first_identity_check", "gevrey_check", "median_real_check",
         "singularity_locate", "sum_family",
     ),
     "largeradius": (

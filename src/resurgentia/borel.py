@@ -20,10 +20,10 @@ direction: a kernel Bhat(+-zeta), or the moment -zeta Bhat(zeta), is sampled up
 to |zeta| = R (4, or more for small |z|), and past R it equals its DLMF 15.8.2
 connection series in 2/zeta, whose Laplace integral is a series of generalized
 exponential integrals E_p (DLMF 8.19), summed in closed form under a rigorous
-truncation bound (laplace_ray, _far_laplace). A panel's nodes and Bhat values
-depend only on (branch, theta, a, b), so they are kept in one bounded
-per-process cache (_kernel_row); nothing that depends on z is cached. Other
-callables, from outside the package, are sampled along the whole ray.
+truncation bound (laplace_ray, _far_laplace). laplace_ray integrates these
+kernels only. A panel's nodes and Bhat values depend only on (branch, theta, a,
+b), so they are kept in one bounded per-process cache (_kernel_row); nothing
+that depends on z is cached.
 
 Direction windows are arcs of rays: theta and theta + 2pi label the same ray
 and the same integral, so a shifted window such as 2pi + I_+ needs no special
@@ -40,7 +40,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +64,6 @@ DEFAULT_END_TOL = 1e-6
 DELTA_RAY = 0.05
 THETA_MARGIN = 0.45  # preferred standoff from cuts; accuracy, not validity
 _DECAY_MIN = 1e-3  # least decay rate Re(z e^{i theta}) a Laplace ray accepts
-_GROWTH_MARGIN = 8.0  # a generic ray ends at T = (log(1/tol) + _GROWTH_MARGIN)/rate
 _MAX_PANELS = 4000
 
 
@@ -464,38 +463,34 @@ def _kernel_row(branch: str, theta: float, a: float, b: float) -> tuple:
 
 
 def laplace_ray(
-    fhat: _BhatKernel | Callable,
+    fhat: _BhatKernel,
     z: complex,
     theta,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> SumValue:
     """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
 
-    Composite adaptive Gauss-Kronrod on [0, T]: each panel takes the kernel on
-    the 49 nodes of the nested G24/K49 pair and is accepted when the two values
-    agree to the panel's share of tol; the K49 value enters the sum. A
-    _BhatKernel, which every ray of the package passes, is integrated on [0, R],
-    R = 4 or 1.2/|z| when that is larger, whatever the decay rate: its panel
-    nodes and Bhat values depend only on (branch, theta, a, b) and come from the
-    bounded cache _kernel_row, and the ray past R is the closed-form series of
-    _far_laplace, whose truncation bound is the "tail". Any other callable is
-    called on the nodes up to T = (log(1/tol) + _GROWTH_MARGIN)/rate, and the
-    tail is the estimate |fhat(T)| e^{-rate T}/rate. theta = -0.0 is taken as
-    +0.0: one cache key, one set of signed zeros. The error field is the sum of
-    the accepted panels' |G24 - K49| plus the tail, and meta reports the two
-    parts ("quad_err", "tail"), the end of the numeric segment ("T") and the
-    decay rate ("rate"). The kernel's own error is not in it: eval_Bhat is
-    within _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
+    Composite adaptive Gauss-Kronrod on [0, T], T = R = 4 or 1.2/|z| when that
+    is larger, whatever the decay rate: each panel takes the kernel on the 49
+    nodes of the nested G24/K49 pair and is accepted when the two values agree
+    to the panel's share of tol; the K49 value enters the sum. The panel nodes
+    and Bhat values depend only on (branch, theta, a, b) and come from the
+    bounded cache _kernel_row. The ray past R is the closed-form series of
+    _far_laplace, whose rigorous truncation bound is the "tail". theta = -0.0 is
+    taken as +0.0: one cache key, one set of signed zeros. The error field is
+    the sum of the accepted panels' |G24 - K49| plus the tail, and meta reports
+    the two parts ("quad_err", "tail"), the end of the numeric segment ("T")
+    and the decay rate ("rate"). The kernel's own error is not in it: eval_Bhat
+    is within _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
     """
     theta = float(theta) + 0.0
     z = complex(z)
     rate = (z * cmath.exp(1j * theta)).real
     if rate <= _DECAY_MIN:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
-    bhat = isinstance(fhat, _BhatKernel)
-    T = max(_FAR_R, _FAR_X_FLOOR / abs(z)) if bhat else (math.log(1.0 / tol) + _GROWTH_MARGIN) / rate
+    T = max(_FAR_R, _FAR_X_FLOOR / abs(z))
     phase = cmath.exp(1j * theta)
-    x, wk, wg = _gk_rule(24)
+    _, wk, wg = _gk_rule(24)
 
     stack = [(0.0, T)]
     total = 0.0 + 0.0j
@@ -503,13 +498,9 @@ def laplace_ray(
     npanels = 0
     while stack:
         a, b = stack.pop()
-        if bhat:
-            zs, kern = _kernel_row(fhat.branch, theta, a, b)
-            if fhat.moment:
-                kern = -zs * kern
-        else:
-            zs = phase * ((a + b) / 2.0 + (b - a) / 2.0 * x)
-            kern = np.asarray(fhat(zs), dtype=complex)
+        zs, kern = _kernel_row(fhat.branch, theta, a, b)
+        if fhat.moment:
+            kern = -zs * kern
         vals = kern * np.exp(-z * zs)
         scale = (b - a) / 2.0 * phase
         kron = complex(scale * (wk @ vals))
@@ -526,12 +517,9 @@ def laplace_ray(
             stack.append((m, b))
             if len(stack) + npanels > _MAX_PANELS:
                 raise QuadratureError("quadrature failure", value=total, err=err)
-    if bhat:
-        # the truncation bound takes a negligible share of tol
-        rest, tail = _far_laplace(fhat, z, theta, T, 1e-3 * tol)
-        total += rest
-    else:
-        tail = abs(complex(np.asarray(fhat(np.array([phase * T])))[0])) * math.exp(-rate * T) / rate
+    # the truncation bound takes a negligible share of tol
+    rest, tail = _far_laplace(fhat, z, theta, T, 1e-3 * tol)
+    total += rest
     meta = {"theta": theta, "T": T, "panels": npanels, "rate": rate, "quad_err": err, "tail": tail}
     return SumValue(total, err + tail, meta)
 
@@ -737,7 +725,7 @@ def check_derivation(z: complex) -> dict:
     """5-point d/dz of S g, step h = 0.005, against S(g') = S psi'/S psi; ok at 1e-5."""
     h = 0.005
     z = complex(z)
-    theta = choose_theta(z, "Iminus", (0.0, math.pi))
+    theta = choose_theta(z, "Iminus")
 
     sg = {k: sum_family("g", z + k * h, "Iminus", theta=theta).value for k in (-2, -1, 1, 2)}
     fd = (-sg[2] + 8 * sg[1] - 8 * sg[-1] + sg[-2]) / (12 * h)

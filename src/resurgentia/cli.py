@@ -104,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str, sub=sub) -> argparse.ArgumentParser:
+    def add(name: str, text: str, handler=None, sub=sub) -> argparse.ArgumentParser:
         p = sub.add_parser(name.split()[-1], parents=[_common_parser(_READS[name])], help=text)
-        p.set_defaults(subparser=p)
+        p.set_defaults(subparser=p, handler=handler)
         return p
 
-    p = add("coeffs", "exact coefficient families")
+    p = add("coeffs", "exact coefficient families", _cmd_coeffs)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--ag", action="store_true", help="genus coefficients a_2, a_3, ...")
     grp.add_argument("--cn", action="store_true", help="Borel kernel coefficients c_0, c_1, ...")
@@ -117,33 +117,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-g", type=int, dest="max_g")
     p.add_argument("--max-n", type=int, dest="max_n")
 
-    p = add("ode-check", "formal-solution certificates")
+    p = add("ode-check", "formal-solution certificates", _cmd_ode_check)
     p.add_argument("--which", choices=("psi", "g", "u", "all"), default="all")
 
-    p = add("alien", "symbolic resurgence identities")
+    p = add("alien", "symbolic resurgence identities", _cmd_alien)
     p.add_argument("--what", choices=("bridge", "stokes", "table", "gtower", "all"), default="all")
 
-    p = add("sum", "lateral Borel-Laplace sum of a family")
+    p = add("sum", "lateral Borel-Laplace sum of a family", _cmd_sum)
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--interval", choices=("I0", "Ipi", "Iplus", "Iminus"), default="Ipi")
     p.add_argument("--theta", type=float, default=None)
 
-    p = add("connect", "numeric connection formulas")
+    p = add("connect", "numeric connection formulas", _cmd_connect)
     p.add_argument("which", choices=("right", "left"))
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--sigma1", type=_complex, default=0j)
     p.add_argument("--sigma2", type=_complex, default=0j)
     p.add_argument("--threshold", type=float, default=None, help="residual bound (default 1e-6 right, 1e-4 left)")
 
-    p = add("median", "median summation reality check")
+    p = add("median", "median summation reality check", _cmd_median)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
     p.add_argument("--theta", type=float)
 
-    p = add("singularity", "locate the nearest Borel singularity")
+    p = add("singularity", "locate the nearest Borel singularity", _cmd_singularity)
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), default="g")
     p.add_argument("--count", type=int, default=80, help="number of exact coefficients")
     p.add_argument("--method", choices=("ratio", "pade"), default="ratio")
@@ -151,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     # one sub-parser per action, so each action rejects the flags it does not read
     actions = sub.add_parser("large-radius", help="large-radius pipeline").add_subparsers(
         dest="action", required=True)
-    p = add("large-radius pols", "the polynomials Pol_n(u, 2g)", actions)
+    p = add("large-radius pols", "the polynomials Pol_n(u, 2g)", _cmd_lr_pols, actions)
     p.add_argument("--n", type=int, default=1, help="transseries component index")
     p.add_argument("--gmax", type=int, default=2)
-    add("large-radius h0", "the perturbative series H^0", actions)
-    add("large-radius uresidual", "the u-equation residual of H^0", actions)
-    p = add("large-radius lrsum", "numeric large-radius sum", actions)
-    p.add_argument("--gs", type=_complex, default=None)
+    add("large-radius h0", "the perturbative series H^0", _cmd_lr_h0, actions)
+    add("large-radius uresidual", "the u-equation residual of H^0", _cmd_lr_uresidual, actions)
+    p = add("large-radius lrsum", "numeric large-radius sum", _cmd_lr_sum, actions)
+    p.add_argument("--gs", type=_complex, required=True)
     p.add_argument("--u", type=_complex, default=1 + 0j)
     p.add_argument("--sigma1", type=_complex, default=0j)
     p.add_argument("--sigma2", type=_complex, default=0j)
@@ -262,11 +262,11 @@ def _cmd_median(args, cfg: RunConfig):
 
 
 def _cmd_singularity(args, cfg: RunConfig):
+    if args.count < 40:
+        args.subparser.error("--count must be at least 40")
     from . import families
     from .borel import singularity_locate
 
-    if args.count < 40:
-        raise ValueError("--count must be at least 40")
     if args.family in ("psi", "phi"):
         fam, other = families.gen_psi_phi(args.count)
         series = fam.series if args.family == "psi" else other.series
@@ -280,46 +280,46 @@ def _cmd_singularity(args, cfg: RunConfig):
     return out
 
 
-def _cmd_large_radius(args, cfg: RunConfig):
+def _cmd_lr_pols(args, cfg: RunConfig):
+    if args.n < 1:
+        args.subparser.error("component index must be positive")
+    if args.gmax < 0:
+        args.subparser.error("gmax must be nonnegative")
     from . import largeradius
 
-    if args.action == "pols":
-        pref, _, pols = largeradius.gen_Hn(args.n, args.gmax)
-        return {
-            "n": args.n,
-            "prefactor": pref,
-            "pols": {str(2 * g): pols[g - 1].to_map() for g in range(1, args.gmax + 1)},
-        }
-    if args.action == "h0":
-        return largeradius.gen_H0(cfg.order).to_json_dict()
-    if args.action == "uresidual":
-        N = cfg.order
-        res = largeradius.u_equation_residual(largeradius.gen_H0(N))
-        nonzero = [k for k in range(res.order + 1) if not res.coeff(k).is_zero()]
-        return {"order": N, "zero_through": N - 1 if not nonzero else min(nonzero) - 1, "ok": not nonzero}
-    if args.gs is None:
-        raise ValueError("lrsum requires --gs")
+    pref, _, pols = largeradius.gen_Hn(args.n, args.gmax)
+    return {
+        "n": args.n,
+        "prefactor": pref,
+        "pols": {str(2 * g): pols[g - 1].to_map() for g in range(1, args.gmax + 1)},
+    }
+
+
+def _cmd_lr_h0(args, cfg: RunConfig):
+    from . import largeradius
+
+    return largeradius.gen_H0(cfg.order).to_json_dict()
+
+
+def _cmd_lr_uresidual(args, cfg: RunConfig):
+    from . import largeradius
+
+    N = cfg.order
+    res = largeradius.u_equation_residual(largeradius.gen_H0(N))
+    nonzero = [k for k in range(res.order + 1) if not res.coeff(k).is_zero()]
+    return {"order": N, "zero_through": N - 1 if not nonzero else min(nonzero) - 1, "ok": not nonzero}
+
+
+def _cmd_lr_sum(args, cfg: RunConfig):
+    from . import largeradius
+
     sv = largeradius.lr_sum(args.sign, args.gs, args.u, args.sigma1, args.sigma2)
     out = {"sign": args.sign, "err": sv.err}
-    out.update(_cval("gs", args.gs))
-    out.update(_cval("u", args.u))
-    out.update(_cval("sigma1", args.sigma1))
-    out.update(_cval("sigma2", args.sigma2))
+    for key in ("gs", "u", "sigma1", "sigma2"):
+        out.update(_cval(key, getattr(args, key)))
     out.update(_cval("value", sv.value))
     out.update(_cval("z1", sv.meta["z1"]))
     return out
-
-
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "ode-check": _cmd_ode_check,
-    "alien": _cmd_alien,
-    "sum": _cmd_sum,
-    "connect": _cmd_connect,
-    "median": _cmd_median,
-    "singularity": _cmd_singularity,
-    "large-radius": _cmd_large_radius,
-}
 
 
 # -- emission ----------------------------------------------------------------------
@@ -387,7 +387,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 ]
                 _emit(payload if cfg.fmt == "json" else {f"criterion_{r.number}": r.passed for r in results}, cfg)
             return 0 if all(r.passed for r in results) else 1
-        payload = _HANDLERS[args.command](args, cfg)
+        payload = args.handler(args, cfg)
         _emit(payload, cfg)
         ok = payload.get("ok", True) if isinstance(payload, dict) else True
         return 0 if ok else 1

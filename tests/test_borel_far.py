@@ -2,8 +2,7 @@
 
 Every reference here is independent of the closed form: mpmath's expint for
 the generalized exponential integrals, mpmath quadrature of the 2F1 kernel
-past R, the generic full-ray quadrature of a plain callable around eval_Bhat,
-and 30-digit Airy values for the sums.
+past R, and 30-digit Airy values for the sums.
 """
 
 import cmath
@@ -177,30 +176,14 @@ def test_moment_ray_reuses_the_psi_rows(monkeypatch):
     assert psi_rows.isdisjoint(seen) and len(set(seen)) == len(seen)
 
 
-def test_split_ray_agrees_with_the_generic_full_ray():
+def test_split_ray_err_bounds_the_airy_reference():
     grid = _small_decay_grid()
     assert sum(1 for _, z, theta in grid if (z * cmath.exp(1j * theta)).real <= 5e-2 + 1e-12) >= 40
-    answered = 0
     for branch, z, theta in grid:
-        split = laplace_ray(borel._PSI_KERNEL if branch == "B" else borel._PHI_KERNEL, z, theta)
-        assert split.meta["T"] == max(4.0, 1.2 / abs(z))
-        try:
-            full = laplace_ray(lambda zs, b=branch: eval_Bhat(zs, b), z, theta)
-        except QuadratureError as exc:
-            # the kernel answers at every point; only the panel cap of a slowly
-            # decaying generic ray may stop it
-            assert str(exc) == "quadrature failure", exc
-            continue
-        answered += 1
-        assert abs(split.value - full.value) <= split.err + full.err, (branch, z, theta)
-    assert answered >= 56
-
-
-def test_split_ray_err_bounds_the_airy_reference():
-    for branch, z, theta in _small_decay_grid():
         family = "psi" if branch == "B" else "phi"
         window = (theta - 0.4, theta + 0.4)
         sv = sum_family(family, z, window, theta=theta)
+        assert sv.meta["T"] == max(4.0, 1.2 / abs(z))
         ref = airy_sum(family, z, theta)
         assert abs(sv.value - ref) <= sv.err, (family, z, theta, abs(sv.value - ref), sv.err)
         assert sv.meta["tail"] <= 1e-13

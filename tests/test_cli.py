@@ -250,11 +250,12 @@ def test_domain_error_is_a_structured_record(capsys):
 
 
 def test_missing_lrsum_gs(capsys):
-    code, out = run(capsys, "large-radius", "lrsum")
-    assert code == 1
-    record = json.loads(out)
-    assert record["error"] == "ValueError"
-    assert "--gs" in record["message"]
+    # --gs is a required flag of lrsum: its usage names it outside brackets
+    with pytest.raises(SystemExit) as exc:
+        main(["large-radius", "lrsum"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--gs GS" in captured.err and "[--gs GS]" not in captured.err
 
 
 def test_invalid_config_file_exits_one(capsys, tmp_path):
@@ -310,7 +311,7 @@ _BASE_ARGV = {
     "verify-all": [],
     "large-radius-h0": ["h0"],
     "large-radius-uresidual": ["uresidual"],
-    "large-radius-lrsum": ["lrsum"],
+    "large-radius-lrsum": ["lrsum", "--gs", "0.3"],  # --gs is required
 }
 _READS = {
     "ode-check": ("order",),
@@ -388,12 +389,21 @@ def test_median_prints_the_default_b_on_both_rays(capsys):
         (["coeffs", "--ag", "--max-g", "1"], "--max-g must be at least 2", "usage: resurgentia coeffs "),
         (["coeffs", "--bn", "--max-n", "0"], "--max-n must be positive", "usage: resurgentia coeffs "),
         (["coeffs", "--cn", "--max-n", "-1"], "--max-n must be nonnegative", "usage: resurgentia coeffs "),
+        (["singularity", "--count", "39"], "--count must be at least 40", "usage: resurgentia singularity "),
+        (["large-radius", "pols", "--n", "0"], "component index must be positive",
+         "usage: resurgentia large-radius pols "),
+        (["large-radius", "pols", "--gmax", "-1"], "gmax must be nonnegative",
+         "usage: resurgentia large-radius pols "),
+        (["large-radius", "lrsum"], "the following arguments are required: --gs",
+         "usage: resurgentia large-radius lrsum "),
     ],
-    ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1"],
+    ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1", "singularity-count-39", "pols-n-0",
+         "pols-gmax-minus-1", "lrsum-without-gs"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
-    """A count below its least value is a malformed flag (exit 2), not a domain
-    failure, and the usage printed is the subcommand's, as for a malformed value."""
+    """A count below its least value, or a missing required flag, is a malformed
+    command line (exit 2), not a domain failure, and the usage printed is the
+    subcommand's, as for a malformed value."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -510,7 +520,7 @@ _GONE = {
 def test_public_names_resolve_lazily_to_their_definitions():
     import resurgentia
 
-    assert len(resurgentia.__all__) == 55 and resurgentia.__all__[-1] == "__version__"
+    assert len(resurgentia.__all__) == 54 and resurgentia.__all__[-1] == "__version__"
     for name in resurgentia.__all__[:-1]:
         module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
         assert getattr(resurgentia, name) is getattr(module, name), name
@@ -520,6 +530,10 @@ def test_public_names_resolve_lazily_to_their_definitions():
     assert resurgentia.stokes_action_check is importlib.import_module("resurgentia.alien").stokes_action_check
     with pytest.raises(AttributeError):
         resurgentia.no_such_name
+    # laplace_ray takes only the package's private kernels; the tracer rebinds it in borel
+    with pytest.raises(AttributeError):
+        resurgentia.laplace_ray
+    assert callable(borel.laplace_ray)
     for name, home in _GONE.items():
         for owner in (resurgentia, importlib.import_module("resurgentia." + home)):
             with pytest.raises(AttributeError):
