@@ -41,7 +41,9 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Optional
 
 from .scalars import ExactScalar, _gaussian_over, _scalar_over
@@ -109,6 +111,44 @@ def _check_kernel_range(nums: dict) -> None:
     # the sum of two such exponents still fits its slot
     if not all((k ^ k << 1) & _KEY_BIAS == _KEY_BIAS for k in nums):
         raise OverflowError("monomial exponent too large for the product kernel")
+
+
+def _cap_bounds(sigma: Optional[int], zorder: Optional[int]) -> tuple[int, int]:
+    """(top, floor) for the masked sigma_2 and z slots of two keys summed:
+    the sum of two monomials lies inside the caps iff its sigma_2 slots add to
+    at most top and its z slots to at least floor (no bound for a None cap)."""
+    top = 2 * _S2_SLOT[1] if sigma is None else (sigma + 2 * _HALF) << _S2_SLOT[0]
+    floor = 0 if zorder is None else (2 * _HALF - zorder) << _Z_SLOT[0]
+    return top, floor
+
+
+def _inside(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> bool:
+    """Every product of a term of a and a term of b lies inside the caps."""
+    top, floor = _cap_bounds(sigma, zorder)
+    s_mask, z_mask = _S2_SLOT[1], _Z_SLOT[1]
+    return (max(map(s_mask.__and__, a)) + max(map(s_mask.__and__, b)) <= top
+            and min(map(z_mask.__and__, a)) + min(map(z_mask.__and__, b)) >= floor)
+
+
+def _blocks(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> list:
+    """[(terms of a, terms of b)] holding exactly the pairs inside the caps.
+
+    Each operand is grouped by its (sigma_2, z) exponents, and each group of a
+    meets the groups of b that its exponents leave room for."""
+    top, floor = _cap_bounds(sigma, zorder)
+    s_mask, z_mask = _S2_SLOT[1], _Z_SLOT[1]
+    ga: dict[tuple, list] = {}
+    gb: dict[tuple, list] = {}
+    for k, num in a.items():
+        ga.setdefault((k & s_mask, k & z_mask), []).append((k, num))
+    for k, (u, v) in b.items():
+        gb.setdefault((k & s_mask, k & z_mask), []).append((k - _KEY_BIAS, u, v))
+    blocks = []
+    for (sa, za), terms in ga.items():
+        row = [t for (sb, zb), ts in gb.items() if sa + sb <= top and za + zb >= floor for t in ts]
+        if row:
+            blocks.append((terms, row))
+    return blocks
 
 
 class _Terms(Mapping):
@@ -232,28 +272,39 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        _check_kernel_range(self.nums)
-        _check_kernel_range(other.nums)
-        b = [(k - _KEY_BIAS, u, v) for k, (u, v) in other.nums.items()]
+    def mul(self, other: "Poly", sigma: Optional[int] = None, zorder: Optional[int] = None) -> "Poly":
+        """The product with only its terms of sigma_2 degree <= sigma and z
+        exponent >= -zorder, (self * other).capped(sigma, zorder), formed
+        without the pairs the caps drop; a cap that is None is no cap, and
+        self * other is self.mul(other)."""
+        a, b = self.nums, other.nums
+        _check_kernel_range(a)
+        _check_kernel_range(b)
+        if (sigma is None and zorder is None) or not (a and b) or _inside(a, b, sigma, zorder):
+            blocks = ((a.items(), [(k - _KEY_BIAS, u, v) for k, (u, v) in b.items()]),)
+        else:
+            blocks = _blocks(a, b, sigma, zorder)
         acc: dict[int, list] = {}  # packed mono -> [re, im]
         get = acc.get
-        for k1, (x, y) in self.nums.items():
-            for k2, u, v in b:
-                key = k1 + k2
-                if y:
-                    re = x * u - y * v
-                    im = x * v + y * u
-                else:
-                    re = x * u
-                    im = x * v
-                e = get(key)
-                if e is None:
-                    acc[key] = [re, im]
-                else:
-                    e[0] += re
-                    e[1] += im
+        for terms, row in blocks:
+            for k1, (x, y) in terms:
+                for k2, u, v in row:
+                    key = k1 + k2
+                    if y:
+                        re = x * u - y * v
+                        im = x * v + y * u
+                    else:
+                        re = x * u
+                        im = x * v
+                    e = get(key)
+                    if e is None:
+                        acc[key] = [re, im]
+                    else:
+                        e[0] += re
+                        e[1] += im
         return _poly(self.den * other.den, {k: (re, im) for k, (re, im) in acc.items() if re or im})
+
+    __mul__ = mul
 
     def scale(self, c) -> "Poly":
         # c = (a + b i) / q
@@ -284,11 +335,18 @@ class Poly:
                 out[key - unit] = (x * e, y * e)
         return _poly(self.den, out)
 
-    def subst(self, name: str, replacement: "Poly") -> "Poly":
-        """Substitute a polynomial for a variable (nonnegative powers only).
+    def subst(
+        self, name: str, replacement: "Poly", sigma: Optional[int] = None, zorder: Optional[int] = None,
+    ) -> "Poly":
+        """Substitute a polynomial for a variable (nonnegative powers only),
+        keeping the terms inside the caps as mul does.
 
         The terms are grouped by their exponent e of the variable, so each
-        distinct e costs one product with replacement**e."""
+        distinct e costs one product with replacement**e. The powers are
+        capped in sigma_2 only: sigma_2 exponents are never negative, so a
+        power's terms past the sigma_2 cap only feed products past it."""
+        if sigma is not None:
+            assert (self.min_degree("s2") or 0) >= 0 and (replacement.min_degree("s2") or 0) >= 0
         shift, mask = _slot(name)
         groups: dict[int, dict] = {}
         for key, num in self.nums.items():
@@ -300,9 +358,9 @@ class Poly:
         power = ONE_POLY
         for e in range(max(groups, default=-1) + 1):
             if e:
-                power = power * replacement
+                power = power.mul(replacement, sigma)
             if e in groups:
-                out = out + _poly(self.den, groups[e]) * power
+                out = out + _poly(self.den, groups[e]).mul(power, sigma, zorder)
         return out
 
     # -- truncation ------------------------------------------------------------
@@ -359,13 +417,15 @@ class Poly:
 ONE_POLY = Poly.const(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionContext:
     """Composed mode: every series generator is precomposed with id + phi_u.
 
     factor_for[w] is the z-truncated expansion of e^{-w phi_u} for w = +2, -2,
     including the e^{2w'/u} prefactor tracked through the w slot. d/dz is not
-    available in composed mode.
+    available in composed mode. A context compares and hashes by identity
+    (elements combine only under the same context), so a cache keyed on one
+    never hashes its factors.
     """
 
     factor_plus2: Poly  # expansion of e^{-2 phi_u}
@@ -418,10 +478,14 @@ class TransElement:
     # -- bookkeeping -----------------------------------------------------------
 
     def _accumulate(self, key: tuple[int, int, int], poly: Poly) -> None:
-        if abs(key[2]) > self.caps.grade:
-            return
-        poly = poly.capped(self.caps.sigma, self.caps.zorder)
-        if poly.is_zero():
+        """Add poly at key, cut to the caps."""
+        if abs(key[2]) <= self.caps.grade:
+            self._put(key, poly.capped(self.caps.sigma, self.caps.zorder))
+
+    def _put(self, key: tuple[int, int, int], poly: Poly) -> None:
+        """Add poly, already inside the sigma_2 and z caps, at key unless
+        its grade is past the grade cap."""
+        if poly.is_zero() or abs(key[2]) > self.caps.grade:
             return
         cur = self.terms.get(key)
         s = poly if cur is None else cur + poly
@@ -464,13 +528,15 @@ class TransElement:
     def __add__(self, other: "TransElement") -> "TransElement":
         self._check_compatible(other)
         out = self._like()
-        out.terms = dict(self.terms)  # already within the shared caps
+        out.terms = dict(self.terms)  # both are within the shared caps
         for key, poly in other.terms.items():
-            out._accumulate(key, poly)
+            out._put(key, poly)
         return out
 
     def __neg__(self) -> "TransElement":
-        return self._like({k: -p for k, p in self.terms.items()})
+        out = self._like()
+        out.terms = {k: -p for k, p in self.terms.items()}
+        return out
 
     def __sub__(self, other: "TransElement") -> "TransElement":
         return self + (-other)
@@ -478,32 +544,35 @@ class TransElement:
     def __mul__(self, other: "TransElement") -> "TransElement":
         self._check_compatible(other)
         out = self._like()
+        sigma, grade, zorder = self.caps.sigma, self.caps.grade, self.caps.zorder
         for (l1, m1, n1), p1 in self.terms.items():
             for (l2, m2, n2), p2 in other.terms.items():
                 if l1 != 0 and l2 != 0:
                     raise ArithmeticError(
                         "linear-generator square: the algebra is affine in g and f"
                     )
-                out._accumulate((l1 + l2, m1 + m2, n1 + n2), p1 * p2)
+                if abs(n1 + n2) <= grade:
+                    out._put((l1 + l2, m1 + m2, n1 + n2), p1.mul(p2, sigma, zorder))
         return out
 
     def scale_poly(self, poly: Poly) -> "TransElement":
         out = self._like()
+        sigma, zorder = self.caps.sigma, self.caps.zorder
         for key, p in self.terms.items():
-            out._accumulate(key, p * poly)
+            out._put(key, p.mul(poly, sigma, zorder))
         return out
 
     def scale(self, c) -> "TransElement":
         out = self._like()
         for key, p in self.terms.items():
-            out._accumulate(key, p.scale(c))
+            out._put(key, p.scale(c))
         return out
 
     def shift_grade(self, dn: int) -> "TransElement":
         """Multiply by e^{-2 dn z} (pure exponential, grade shift only)."""
         out = self._like()
         for (lin, m, n), p in self.terms.items():
-            out._accumulate((lin, m, n + dn), p)
+            out._put((lin, m, n + dn), p)
         return out
 
     def partial(self, name: str) -> "TransElement":
@@ -514,8 +583,9 @@ class TransElement:
 
     def subst(self, name: str, replacement: Poly) -> "TransElement":
         out = self._like()
+        sigma, zorder = self.caps.sigma, self.caps.zorder
         for key, p in self.terms.items():
-            out._accumulate(key, p.subst(name, replacement))
+            out._put(key, p.subst(name, replacement, sigma, zorder))
         return out
 
     def truncated(self, caps: Caps) -> "TransElement":
@@ -586,11 +656,14 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
     # mirror images with -i m and +i on the ray -2
     step, lin_hit, dvar, e_unit, d_unit = (
         (1, 1, "p", _PLUS_I, _MINUS_I) if omega == 2 else (-1, 2, "q", _MINUS_I, _PLUS_I))
-    # in a composed context every image carries the ray's composition factor
+    # each image keeps the sigma_2 and z exponents of its term, so it lies
+    # inside the caps; in a composed context every image carries the ray's
+    # composition factor, and that product forms only the terms inside them
     fac = None if x.context is None else x.context.factor(omega)
+    sigma, zorder = x.caps.sigma, x.caps.zorder
 
     def put(key, image: Poly) -> None:
-        out._accumulate(key, image if fac is None else image * fac)
+        out._put(key, image if fac is None else image.mul(fac, sigma, zorder))
 
     for (lin, m, n), p in x.terms.items():
         if lin == lin_hit:
@@ -668,6 +741,7 @@ def apply_stokes(
     r = 0
     bound = 2 * (x.caps.sigma + x.caps.grade) + 4
     power_r = ONE_POLY
+    unit_power = power == ONE_POLY  # then power^r is 1, and no product is formed
     while True:
         nxt = apply_dotted(current, direction)
         if direction == "leq0" and not nxt.is_zero():
@@ -683,8 +757,11 @@ def apply_stokes(
             break
         if r > bound:
             raise ArithmeticError("Stokes exponential failed to terminate under the caps")
-        power_r = power_r * power
-        out = out + current.scale_poly(power_r).scale(Fraction(1, factorial(r)))
+        term = current
+        if not unit_power:
+            power_r = power_r * power
+            term = current.scale_poly(power_r)
+        out = out + term.scale(Fraction(1, factorial(r)))
     return out
 
 
@@ -741,9 +818,17 @@ def formal_integral(
     (context.zcap, which must equal caps.zorder) as it is formed. Built along
     two routes, the explicit sum and the exponential
     exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g, which must agree.
+
+    Each (caps, context, negate_sigma2) is built and checked once per process;
+    the element returned is shared, so its terms are a read-only mapping.
     """
     if context is not None and context.zcap != caps.zorder:
         raise ValueError("cap inconsistency: context and caps disagree on the z order")
+    return _formal_integral(caps, context, bool(negate_sigma2))
+
+
+@lru_cache(maxsize=64)
+def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
     s2 = Poly.var("s2", 1, -1 if negate_sigma2 else 1)
 
     terms: dict[tuple[int, int, int], Poly] = {
@@ -759,10 +844,10 @@ def formal_integral(
         if context is not None:
             # the factor carries no positive z power, so the truncated
             # power still yields every term above the z floor
-            fac_pow = (fac_pow * context.factor(2)).drop_low_z(context.zcap)
+            fac_pow = fac_pow.mul(context.factor(2), zorder=context.zcap)
         coeff = s2_pow.scale(Fraction((-1) ** (n - 1), n))
         if context is not None:
-            coeff = coeff * fac_pow
+            coeff = coeff.mul(fac_pow, caps.sigma, caps.zorder)
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
     seed = TransElement(
@@ -771,6 +856,7 @@ def formal_integral(
     via_exp = apply_stokes(seed, "geq0", s2.scale(ExactScalar(0, 1)))
     if via_exp != explicit:
         raise ArithmeticError("formal-integral route disagreement")
+    explicit.terms = MappingProxyType(explicit.terms)
     return explicit
 
 

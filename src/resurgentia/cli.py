@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .config import ENV_VAR, RunConfig, resolve_config
+from .config import ENV_VAR, POSITIVE_KEYS, RunConfig, resolve_config
 from .errors import BranchCutError, DomainError, QuadratureError
 
 # Each handler imports the modules it runs: an exact subcommand never loads
@@ -83,9 +83,15 @@ _MODE_FLAGS = {
 }
 
 
-def _apply_mode_flags(args) -> None:
+def _check_flags(args) -> None:
     """Default each mode flag left unset; a usage error of the subcommand's own
-    parser where one is set that its mode does not read, or set below its least value."""
+    parser where one is set that its mode does not read, or where a mode flag
+    or a config key's flag is set below its least value. The same config value
+    from a file is RunConfig.validate's ValueError."""
+    for key, message in POSITIVE_KEYS.items():
+        value = getattr(args, key, None)
+        if value is not None and not value > 0:
+            args.subparser.error(message)
     if args.command not in _MODE_FLAGS:
         return
     mode_of, flags = _MODE_FLAGS[args.command]
@@ -367,7 +373,7 @@ def _emit_error(exc: Exception) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_mode_flags(args)
+    _check_flags(args)
     try:
         overrides = {
             k: getattr(args, k, None)

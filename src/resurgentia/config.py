@@ -16,6 +16,16 @@ ENV_VAR = "RESURGENTIA_CONFIG"
 _FORMATS = ("json", "csv")
 
 
+# the numeric keys, each of which must be positive, and the message that
+# names a value that is not
+POSITIVE_KEYS = {
+    "order": "order must be positive",
+    "cap_sigma": "alien caps must be positive",
+    "cap_grade": "alien caps must be positive",
+    "quad_tol": "quadrature tolerance must be positive",
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     order: int = 32          # truncation order N
@@ -26,12 +36,9 @@ class RunConfig:
     output: Optional[str] = None  # output path (stdout when None)
 
     def validate(self) -> "RunConfig":
-        if self.order <= 0:
-            raise ValueError("order must be positive")
-        if self.cap_sigma <= 0 or self.cap_grade <= 0:
-            raise ValueError("alien caps must be positive")
-        if not self.quad_tol > 0.0:
-            raise ValueError("quadrature tolerance must be positive")
+        for key, message in POSITIVE_KEYS.items():
+            if not getattr(self, key) > 0:
+                raise ValueError(message)
         if self.fmt not in _FORMATS:
             raise ValueError("format must be one of " + "|".join(_FORMATS))
         return self

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resurgentia import families
+from resurgentia import alien, families
 from resurgentia.alien import (
     IDX,
     ONE_POLY,
     Caps,
     Poly,
     TransElement,
+    _blocks,
     _bridge_residuals,
     _stokes_residual,
     _stokes_window,
@@ -27,7 +28,7 @@ from resurgentia.alien import (
     formal_integral,
     stokes_action_check,
 )
-from resurgentia.largeradius import lr_transseries
+from resurgentia.largeradius import lr_stokes_check, lr_transseries, make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
 
@@ -304,6 +305,73 @@ def test_stokes_one_parameter_group():
         )
 
 
+# -- the formal-integral cache ---------------------------------------------------
+
+
+def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
+    assert formal_integral(Caps(3, 3)) is formal_integral(Caps(3, 3))
+    real = alien.apply_stokes
+
+    def spoiled(x, direction, power=1):
+        return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps, x.context)
+
+    monkeypatch.setattr(alien, "apply_stokes", spoiled)
+    formal_integral(Caps(3, 3))  # a hit: built and checked before the spoil
+    for caps, kwargs in ((Caps(3, 4), {}), (Caps(3, 3), {"negate_sigma2": True}),
+                         (Caps(2, 2, 4), {"context": make_context(4)})):
+        with pytest.raises(ArithmeticError, match="route disagreement"):
+            formal_integral(caps, **kwargs)
+    alien._formal_integral.cache_clear()
+    with pytest.raises(ArithmeticError, match="route disagreement"):
+        formal_integral(Caps(3, 3))
+
+
+def test_cached_formal_integrals_stay_unchanged():
+    caps = Caps(4, 4)
+    lr_caps = Caps(4, 4, 6)
+    shared = {
+        "bridge": formal_integral(caps.widen(extra_sigma=1, extra_grade=1)),
+        **{d: formal_integral(_stokes_window(caps, d)) for d in ("geq0", "leq0")},
+        **{"lr " + d: formal_integral(_stokes_window(lr_caps, d), make_context(6), True)
+           for d in ("geq0", "leq0")},
+    }
+    before = {name: G.to_json() for name, G in shared.items()}
+    assert bridge_check(caps)["ok"] and stokes_action_check(caps)["ok"]
+    assert lr_stokes_check("geq0", lr_caps)["ok"] and lr_stokes_check("leq0", lr_caps)["ok"]
+    assert formal_integral(caps.widen(extra_sigma=1, extra_grade=1)) is shared["bridge"]
+    for d in ("geq0", "leq0"):
+        assert formal_integral(_stokes_window(lr_caps, d), make_context(6), True) is shared["lr " + d]
+    assert {name: G.to_json() for name, G in shared.items()} == before
+    G = shared["bridge"]
+    with pytest.raises(TypeError):
+        G.terms[(0, 0, 0)] = ONE_POLY
+    with pytest.raises(TypeError):
+        del G.terms[(1, 0, 0)]
+
+
+def test_formal_integral_cache_lookups_never_hash_a_factor(monkeypatch):
+    ctx = make_context(4)
+
+    def no_hash(self):
+        raise AssertionError("a context's factor Poly was hashed")
+
+    monkeypatch.setattr(Poly, "__hash__", no_hash)
+    G = formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True)
+    assert formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True) is G
+
+
+def test_formal_integral_cache_is_bounded():
+    bound = alien._formal_integral.cache_info().maxsize
+    assert bound is not None
+    # the z order of a plain element is only a key here: each build is tiny
+    first = formal_integral(Caps(1, 1, 1))
+    for z in range(2, bound + 10):
+        formal_integral(Caps(1, 1, z))
+    info = alien._formal_integral.cache_info()
+    assert info.currsize == bound and info.misses == bound + 9
+    assert formal_integral(Caps(1, 1, 1)) is not first  # evicted, so built again
+
+
 def test_expansion_matches_series_routes():
     G = formal_integral(Caps(5, 5))
     exp = _expand_to_series(G, 20)
@@ -528,6 +596,55 @@ def test_poly_products_are_canonical(a, b, c):
     # the canonical form is the one built from the reduced ExactScalar terms
     _assert_same_poly(left, Poly(dict(left.terms)))
     _assert_same_poly(a * b, _reference_mul(a, b))
+
+
+# -- the capped product kernel against the capped full product -----------------
+
+
+def _capped(p: Poly, sigma, zorder) -> Poly:
+    """p cut to the caps the kernel takes, where either may be None."""
+    if sigma is not None:
+        return p.capped(sigma, zorder)
+    return p if zorder is None else p.drop_low_z(zorder)
+
+
+def _pairs_inside(a: Poly, b: Poly, sigma, zorder) -> int:
+    s, z = IDX["s2"], IDX["z"]
+    return sum(1 for m1 in a.terms for m2 in b.terms
+               if (sigma is None or m1[s] + m2[s] <= sigma)
+               and (zorder is None or m1[z] + m2[z] >= -zorder))
+
+
+cap_sigmas = st.sampled_from([None, 0, 1, 2, 3])
+cap_zorders = st.sampled_from([None, 0, 1, 2, 3])
+monomials = st.builds(lambda m, c: Poly({m: c}), kernel_monos,
+                      kernel_coeffs.filter(lambda c: not c.is_zero()))
+
+
+@given(kernel_polys, st.one_of(kernel_polys, monomials), cap_sigmas, cap_zorders)
+def test_capped_product_is_the_capped_full_product(a, b, sigma, zorder):
+    """Gaussian coefficients, negative z exponents and sigma_2 degrees past the
+    cap; either cap may be None, and b is a monomial half the time."""
+    for x, y in ((a, b), (b, a)):
+        _assert_same_poly(x.mul(y, sigma, zorder), _capped(x * y, sigma, zorder))
+        # the pairs the caps drop are never formed
+        if x.nums and y.nums and (sigma is not None or zorder is not None):
+            blocks = _blocks(x.nums, y.nums, sigma, zorder)
+            assert sum(len(t) * len(r) for t, r in blocks) == _pairs_inside(x, y, sigma, zorder)
+    _assert_same_poly(a.mul(b), a * b)
+
+
+cap_replacements = st.one_of(
+    st.sampled_from([Poly.var("s2") - Poly.const(I), Poly.var("s2", 2) + Poly.var("z", -1)]),
+    kernel_polys,
+)
+
+
+@given(kernel_polys, st.sampled_from(["s2", "p"]), cap_replacements, st.integers(0, 3), cap_zorders)
+def test_capped_subst_is_the_capped_full_subst(p, name, replacement, sigma, zorder):
+    # the powers of the replacement are capped in sigma_2 only
+    _assert_same_poly(p.subst(name, replacement, sigma, zorder),
+                      p.subst(name, replacement).capped(sigma, zorder))
 
 
 # -- grouped substitution against the per-term loop it replaces -----------------

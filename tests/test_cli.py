@@ -396,9 +396,15 @@ def test_median_prints_the_default_b_on_both_rays(capsys):
          "usage: resurgentia large-radius pols "),
         (["large-radius", "lrsum"], "the following arguments are required: --gs",
          "usage: resurgentia large-radius lrsum "),
+        (["alien", "--cap-sigma", "0"], "alien caps must be positive", "usage: resurgentia alien "),
+        (["alien", "--cap-grade", "-1"], "alien caps must be positive", "usage: resurgentia alien "),
+        (["ode-check", "--order", "0"], "order must be positive", "usage: resurgentia ode-check "),
+        (["sum", "--family", "psi", "--z", "3", "--tol", "0"], "quadrature tolerance must be positive",
+         "usage: resurgentia sum "),
     ],
     ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1", "singularity-count-39", "pols-n-0",
-         "pols-gmax-minus-1", "lrsum-without-gs"],
+         "pols-gmax-minus-1", "lrsum-without-gs", "alien-cap-sigma-0", "alien-cap-grade-minus-1",
+         "ode-check-order-0", "sum-tol-0"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
     """A count below its least value, or a missing required flag, is a malformed
@@ -410,6 +416,32 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert captured.err.splitlines()[0].startswith(usage)
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["alien"], "cap_sigma = 0", "alien caps must be positive"),
+        (["alien"], "cap_grade = -1", "alien caps must be positive"),
+        (["ode-check"], "order = 0", "order must be positive"),
+        (["sum", "--family", "psi", "--z", "3"], "quad_tol = 0", "quadrature tolerance must be positive"),
+    ],
+    ids=["cap-sigma-0", "cap-grade-minus-1", "order-0", "quad-tol-0"],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_out_of_range_config_values_keep_their_record(capsys, monkeypatch, tmp_path, argv, line, message,
+                                                      source):
+    """The values that are usage errors as flags stay RunConfig.validate's
+    ValueError record (exit 1) when they come from a config file."""
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    if source == "flag":
+        code, out = run(capsys, *argv, "--config", str(path))
+    else:
+        monkeypatch.setenv(ENV_VAR, str(path))
+        code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}
 
 
 # -- emission ----------------------------------------------------------------

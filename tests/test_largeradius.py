@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resurgentia import families, largeradius
-from resurgentia.alien import Caps, Poly, TransElement, apply_stokes, formal_integral
+from resurgentia.alien import Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
     UCoeffSeries,
@@ -613,6 +613,34 @@ FRAME_MAP_SHA256 = {
 def test_frame_map_outputs_are_pinned(name):
     build, digest = FRAME_MAP_SHA256[name]
     assert build() == digest
+
+
+# sha256 of the to_json() of elements whose every term goes through the capped
+# product kernel (composed apply_delta, scale_poly, subst and the formal
+# integral's factor powers), recorded with the full products cut to the caps
+KERNEL_IMAGE_SHA256 = {
+    "apply_stokes(lr_transseries(5,6,8), geq0)": (
+        lambda: apply_stokes(lr_transseries(Caps(5, 6, 8)), "geq0"),
+        "87da646ee4c6b02856a0afca95cc30e8eabd3e0d50da97323431f01a92b3e2cd"),
+    "apply_stokes(lr_transseries(5,5,8), leq0)": (
+        lambda: apply_stokes(lr_transseries(Caps(5, 5, 8)), "leq0"),
+        "706899449d29dd6389c38f70a500317db2f6bc6677d6e15f882c45b30c63594d"),
+    "apply_delta(lr_transseries(5,6,8), 2)": (
+        lambda: apply_delta(lr_transseries(Caps(5, 6, 8)), 2),
+        "c0f3d1ec7f97b691f61e1e822215b584fa3e3a1110ff2d3d4e2e7a26d8bf7da4"),
+    "apply_delta(lr_transseries(5,6,8), -2)": (
+        lambda: apply_delta(lr_transseries(Caps(5, 6, 8)), -2),
+        "fba8b3643e4682cc037eee5bd5409ec39fdd7dfd2c31cd95d73e2d72a2a0197b"),
+    "apply_stokes(formal_integral(6,6), geq0)": (
+        lambda: apply_stokes(formal_integral(Caps(6, 6)), "geq0"),
+        "d4871a0c2defb0f023180456ebd0c340a2a8e1b59924e4ef13890064b9b03c8d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_IMAGE_SHA256))
+def test_capped_kernel_images_are_pinned(name):
+    build, digest = KERNEL_IMAGE_SHA256[name]
+    assert _sha(build().to_json()) == digest
 
 
 def test_composed_rightward_stokes_in_sigma_convention():
