@@ -11,9 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import borel, families, largeradius
 from .alien import (
@@ -25,8 +24,7 @@ from .alien import (
 )
 
 
-@dataclass(frozen=True)
-class AcceptanceResult:
+class AcceptanceResult(NamedTuple):
     number: int
     title: str
     passed: bool

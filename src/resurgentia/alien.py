@@ -39,12 +39,11 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import ExactScalar, _gaussian_over, _scalar_over
 
@@ -417,8 +416,7 @@ class Poly:
 ONE_POLY = Poly.const(1)
 
 
-@dataclass(frozen=True, eq=False)
-class CompositionContext:
+class CompositionContext(NamedTuple):
     """Composed mode: every series generator is precomposed with id + phi_u.
 
     factor_for[w] is the z-truncated expansion of e^{-w phi_u} for w = +2, -2,
@@ -432,6 +430,8 @@ class CompositionContext:
     factor_minus2: Poly  # expansion of e^{+2 phi_u}
     zcap: int
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
     def factor(self, omega: int) -> Poly:
         if omega == 2:
             return self.factor_plus2
@@ -440,8 +440,7 @@ class CompositionContext:
         raise ValueError("composition factors exist for the rays +2 and -2 only")
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Truncation caps: sigma_2 degree, |exponential grade|, optional z order."""
 
     sigma: int = 6

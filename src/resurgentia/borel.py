@@ -12,8 +12,9 @@ family G, connection residuals, median-real values) is a finite composition of
 those two quadratures with exact series data from the companion modules.
 
 eval_Bhat evaluates Bhat, at each point off the cut, by the convergent 2F1
-series of whichever of six covering regions converges fastest there, each
-summed to a rigorous tail bound, so every value is within _KAPPA = 1e-13.
+series of whichever of five covering regions converges fastest there, each
+summed to a rigorous tail bound, so every value is within _KAPPA = 1e-13. The
+float layer is Python complex arithmetic with math and cmath only.
 
 Every ray the package integrates has one shape, whatever its decay rate and
 direction: a kernel Bhat(+-zeta), or the moment -zeta Bhat(zeta), is sampled up
@@ -40,9 +41,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Number
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import families
 from .errors import BranchCutError, DomainError, QuadratureError, SumValue  # re-exported
@@ -65,6 +66,7 @@ DELTA_RAY = 0.05
 THETA_MARGIN = 0.45  # preferred standoff from cuts; accuracy, not validity
 _DECAY_MIN = 1e-3  # least decay rate Re(z e^{i theta}) a Laplace ray accepts
 _MAX_PANELS = 4000
+_ROOT_SWEEPS = 200  # most Aberth-Ehrlich sweeps or Newton steps of the Pade root finder
 
 
 def normalize_interval(interval) -> tuple[float, float]:
@@ -135,27 +137,30 @@ def _sign_window(sign) -> tuple[float, float]:
 # -- the Borel kernel ----------------------------------------------------------------
 #
 # With x = +-zeta/2, Bhat = F(x) = 2F1(1/6, 5/6; 1; x), holomorphic off the cut
-# x in [1, oo). In each of six regions F is one convergent series
+# x in [1, oo). In each of five regions F is one convergent series
 #
 #     F = sum_j P_j(x) sum_k a_{j,k} v^k,   |v| < 1,
 #
 # and eval_Bhat sums, at each point, the region with the smallest |v|:
 #
 #   v = x            Maclaurin, a_k = t_k = (1/6)_k (5/6)_k / k!^2;
-#   v = 1/x          DLMF 15.8.2, P_j = A_j (-x)^{-s_j}, a_{j,k} = c_{j,k} (below);
-#   v = 1/(1-x)      DLMF 15.8.3, P_j = A_j (1-x)^{-s_j}, the same c_{j,k};
+#   v = (1-2x)^-2    DLMF 15.8.2 in 1/x, or 15.8.3 in 1/(1-x): F = sum_j A_j w^{-s_j}
+#                    2F1(s_j, s_j; 2s_j; 1/w), w = -x or 1-x, s = 1/6, 5/6. The
+#                    quadratic transformation 15.8.13 turns both into one series,
+#                    P_j = A_j (1/2 - x)^{-s_j}, a_{j,k} = (s_j/2)_k (s_j/2 + 1/2)_k
+#                    / ((s_j + 1/2)_k k!), for |1 - 2x| > 1;
 #   v = x/(x-1)      Pfaff, P = (1-x)^{-1/6}, a_k = (1/6)_k^2 / k!^2;
 #   v = 1-x          DLMF 15.8.10, the logarithmic case a + b = c:
 #                    (1/2pi) sum_k t_k (d_k - log(1-x)) v^k, d_0 = log 432,
 #                    d_{k+1} = d_k + 2/(k+1) - 1/(k+1/6) - 1/(k+5/6);
 #   v = (x-x0)/rho   Taylor series at x0 = 1/2 +- i/2 (the centre on the side of x),
 #                    from x(1-x)F'' + (1-2x)F' - (5/36)F = 0. It covers the
-#                    neighbourhoods of e^{+-i pi/3}, where every other |v| is 1.
+#                    neighbourhoods of x0, where every other |v| is at least 0.7.
 #
-# The smallest |v| is at most 0.84 anywhere off the cut. Every tail bound is an
+# The smallest |v| is at most 0.56 anywhere off the cut. Every tail bound is an
 # upper bound. The hypergeometric coefficients are positive and nonincreasing in
 # k (each ratio such as (k+1/6)(k+5/6)/(k+1)^2 is at most 1, and d_k = 2 psi(k+1)
-# - psi(k+1/6) - psi(k+5/6) is positive and decreasing), so with r = max |v| the
+# - psi(k+1/6) - psi(k+5/6) is positive and decreasing), so with r = |v| the
 # tail past K is at most |P_j| a_{j,K} r^K/(1-r). For the Taylor series the Euler
 # integral gives |F(x)| <= max_{s in [0,1]} |1 - s x|^{-1/6}; on the disc
 # |x - x0| <= rho, |1 - s x| >= |1 - s x0| - s rho >= 1/sqrt(2) - rho, so Cauchy's
@@ -195,7 +200,7 @@ def _log_coeffs() -> list:
     return out
 
 
-def _taylor_coeffs() -> np.ndarray:
+def _taylor_coeffs() -> list:
     """a_k = F^{(k)}(x0) rho^k / k! at x0 = (1 + i)/2.
 
     F(x0) and F'(x0) come from the Maclaurin table (|x0| = 0.71). With x = x0 + y,
@@ -208,77 +213,101 @@ def _taylor_coeffs() -> np.ndarray:
     for n in range(_TERMS - 1):
         a.append(2.0 * ((n * n + n + 5.0 / 36.0) * rho * rho * a[n] + 1j * rho * (n + 1) ** 2 * a[n + 1])
                  / ((n + 1) * (n + 2)))
-    return np.array(a)
+    return a
 
 
-def _region_table(coeffs, majorant=None) -> tuple:
-    # (a_{j,k}, bounds on |a_{j,k}|) as (J, _TERMS + 1) arrays
-    a = np.array(coeffs)
-    return a, np.full(a.shape, majorant) if majorant is not None else a
+# Each point takes the K >= 1 terms that bring its region's tail bound to _KAPPA/10
+# at its own |v| = r, read from a table of K(r) at r rounded up to a multiple of
+# 1/_K_BINS (_TERMS + 1, every term, where no count meets it). The bound takes
+# |P_j| at its largest given r: |A_j| (4r)^{s_j/2} in the (1-2x)^-2 region
+# (|1/2 - x| = 1/(2 sqrt r) there), (1 + r)^{1/6} for Pfaff's (|1 - x| >= 1/(1 + r)),
+# (pi + |log r|)/2pi for the log term, and 1 elsewhere. For every K >= 1 the whole
+# bound increases with r, so K(r) does not decrease and the rounded-up r is safe.
+_K_BINS = 256
+
+
+def _region(rows: list, pref_bound, majorant=None) -> tuple:
+    """The rows a_{j,k} reversed for Horner, and the table K(r); |a_{j,k}| is at
+    most majorant, or at most a_{j,K} for k >= K where none is given."""
+    counts = [1]
+    K = 1
+    for i in range(1, _K_BINS):
+        r = i / _K_BINS
+        pmax = pref_bound(r)
+        while K <= _TERMS and sum(
+                p * (row[K] if majorant is None else majorant) for p, row in zip(pmax, rows)
+        ) * r ** K / (1.0 - r) > _KAPPA / 10.0:
+            K += 1
+        counts.append(K)
+    counts.append(_TERMS + 1)
+    return [[complex(a) for a in reversed(row)] for row in rows], counts  # complex + complex is the fast add
 
 
 _TAYLOR = _taylor_coeffs()
-# per region: v(x), the prefactors P_j(x), and the table of _region_table
+_TAYLOR_X0 = (0.5 + 0.5j, 0.5 - 0.5j)
+# in the order of the ratios in eval_Bhat, the Taylor series below the axis last
 _REGIONS = (
-    (lambda x: x, lambda x: (1.0,), _region_table([_MACLAURIN])),
-    (lambda x: 1.0 / x, lambda x: [a * (-x) ** -s for a, s in zip(_FAR_A, _FAR_S)], _region_table(_FAR_C)),
-    (lambda x: 1.0 / (1.0 - x), lambda x: [a * (1.0 - x) ** -s for a, s in zip(_FAR_A, _FAR_S)],
-     _region_table(_FAR_C)),
-    (lambda x: x / (x - 1.0), lambda x: [(1.0 - x) ** (-1.0 / 6.0)],
-     _region_table([_hyp_coeffs(1.0 / 6.0, 1.0 / 6.0, 1.0)])),
-    (lambda x: 1.0 - x, lambda x: (1.0 / TWO_PI, -np.log(1.0 - x) / TWO_PI),
-     _region_table([_log_coeffs(), _MACLAURIN])),
-    (lambda x: (x - (0.5 + 0.5j)) / _TAYLOR_RHO, lambda x: (1.0,), _region_table([_TAYLOR], _TAYLOR_M)),
-    (lambda x: (x - (0.5 - 0.5j)) / _TAYLOR_RHO, lambda x: (1.0,), _region_table([_TAYLOR.conj()], _TAYLOR_M)),
+    _region([_MACLAURIN], lambda r: (1.0,)),
+    _region([_hyp_coeffs(s / 2.0, s / 2.0 + 0.5, s + 0.5) for s in _FAR_S],
+            lambda r: [abs(a) * (4.0 * r) ** (s / 2.0) for a, s in zip(_FAR_A, _FAR_S)]),
+    _region([_hyp_coeffs(1.0 / 6.0, 1.0 / 6.0, 1.0)], lambda r: ((1.0 + r) ** (1.0 / 6.0),)),
+    _region([_log_coeffs(), _MACLAURIN], lambda r: (1.0 / TWO_PI, (math.pi - math.log(r)) / TWO_PI)),
+    _region([_TAYLOR], lambda r: (1.0,), _TAYLOR_M),
+    _region([[a.conjugate() for a in _TAYLOR]], lambda r: (1.0,), _TAYLOR_M),
 )
-_POWERS = np.arange(_TERMS + 1)
-
-
-def _region_sum(k: int, x: np.ndarray) -> np.ndarray:
-    """F at the points x by the series of region k, each tail at most _KAPPA/10."""
-    v_of, pref_of, (coeffs, majorant) = _REGIONS[k]
-    v = v_of(x)
-    pref = pref_of(x)
-    r = float(np.max(np.abs(v)))
-    pmax = np.array([np.max(np.abs(p)) for p in pref])
-    # tail[K] bounds the terms from K on; it does not increase with K
-    tail = (pmax @ majorant) * r ** _POWERS / (1.0 - r)
-    K = max(1, int(np.count_nonzero(tail > _KAPPA / 10.0)))
-    V = np.empty((len(v), K), dtype=complex)
-    V[:, 0] = 1.0
-    V[:, 1:] = v[:, None]
-    sums = np.cumprod(V, axis=1) @ coeffs[:, :K].T
-    return sum(p * sums[:, j] for j, p in enumerate(pref))
 
 
 def eval_Bhat(zeta, branch: str = "B"):
     """The Borel transform of z^{-1} psi (branch "B") or its mirror ("B_plus").
 
     Each point is summed by the series of the region with the smallest ratio
-    |v| (see the table above) until that series' tail bound is at most
-    _KAPPA/10, so every value is within _KAPPA of Bhat. The points of one
-    region are summed together. Accepts scalars or arrays; raises
-    BranchCutError on the cut and nothing else.
+    |v| (see the table above) until that series' tail bound at the point's own
+    |v| is at most _KAPPA/10, so every value is within _KAPPA of Bhat. A number
+    gives a complex, a sequence a list. Raises BranchCutError on the cut and
+    nothing else.
     """
     if branch not in ("B", "B_plus"):
         raise ValueError("branch must be 'B' or 'B_plus'")
-    sign = 1.0 if branch == "B" else -1.0
-    scalar = np.isscalar(zeta) or isinstance(zeta, complex)
-    zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    on_cut = (np.abs(zarr.imag) < 1e-13) & (sign * zarr.real >= 2.0 - 1e-13)
-    if np.any(on_cut):
-        raise BranchCutError("branch cut")
-    x = sign * zarr / 2.0
-    ax, a1 = np.abs(x), np.abs(1.0 - x)
-    taylor = np.hypot(x.real - 0.5, np.abs(x.imag) - 0.5) / _TAYLOR_RHO
-    with np.errstate(divide="ignore"):  # 1/|x| at x = 0, where the Maclaurin ratio is 0
-        region = np.argmin([ax, 1.0 / ax, 1.0 / a1, ax / a1, a1, taylor], axis=0)
-    region[(region == 5) & (x.imag < 0.0)] = 6
-    out = np.empty(len(x), dtype=complex)
-    for k in set(region.tolist()):
-        sel = region == k
-        out[sel] = _region_sum(k, x[sel])
-    return complex(out[0]) if scalar else out
+    half = 0.5 if branch == "B" else -0.5
+    scalar = isinstance(zeta, Number)
+    out = []
+    for point in (zeta,) if scalar else zeta:
+        x = half * complex(point)
+        if abs(x.imag) < 5e-14 and x.real >= 1.0 - 5e-14:
+            raise BranchCutError("branch cut")
+        w = 0.5 - x
+        aw = abs(w)
+        if aw >= 1.0:  # |v| = 1/(4|w|^2) <= 1/4, and every other |v| is at least 1/3
+            k, r = 1, 0.25 / (aw * aw)
+        else:  # |v| of each region; |1 - 2x| = 0 only at x = 1/2, inside the Maclaurin disc
+            ax, a1 = abs(x), abs(1.0 - x)
+            ratios = (ax, 0.25 / (aw * aw) if aw else math.inf, ax / a1, a1,
+                      math.hypot(x.real - 0.5, abs(x.imag) - 0.5) / _TAYLOR_RHO)
+            r = min(ratios)
+            k = ratios.index(r)
+        if k == 0:
+            v, prefs = x, (1.0,)
+        elif k == 1:  # (1 - 2x)^-2, with (1/2 - x)^{-5/6} = 1/((1/2 - x) (1/2 - x)^{-1/6})
+            v = 0.25 / (w * w)
+            p = w ** (-1.0 / 6.0)
+            prefs = (_FAR_A[0] * p, _FAR_A[1] / (w * p))
+        elif k == 2:
+            v, prefs = x / (x - 1.0), ((1.0 - x) ** (-1.0 / 6.0),)
+        elif k == 3:
+            v, prefs = 1.0 - x, (1.0 / TWO_PI, -cmath.log(1.0 - x) / TWO_PI)
+        else:
+            k += x.imag < 0.0
+            v, prefs = (x - _TAYLOR_X0[k - 4]) / _TAYLOR_RHO, (1.0,)
+        rows, counts = _REGIONS[k]
+        K = counts[int(r * _K_BINS) + 1]
+        total = 0j
+        for p, row in zip(prefs, rows):
+            acc = row[-K]  # a_{K-1}, then Horner down to a_0
+            for a in row[_TERMS + 2 - K:]:
+                acc = acc * v + a
+            total += p * acc
+        out.append(total)
+    return out[0] if scalar else out
 
 
 class _BhatKernel:
@@ -301,66 +330,45 @@ _PSI_MOMENT = _BhatKernel("B", 1)  # its Laplace integral is d/dz of Bhat's
 # -- quadrature rules ------------------------------------------------------------
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple:
-    # Golub-Welsch: the nodes are the Jacobi matrix's eigenvalues, the weights
-    # mu_0 times the squared first components of its eigenvectors
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    x, vec = np.linalg.eigh(jac)
-    return x, mu0 * vec[0] ** 2
-
-
-@lru_cache(maxsize=None)
-def _gk_rule(n: int) -> tuple:
-    """Gauss-Kronrod pair on [-1, 1]: the 2n+1 Kronrod nodes and weights, and the
-    n-point Gauss weights placed on the Gauss nodes among them (0 elsewhere).
-
-    The Kronrod-Jacobi matrix comes from Laurie's algorithm (Math. Comp. 66
-    (1997) 1133, as in Gautschi's r_kronrod), started from the Legendre
-    recurrence a_k = 0, b_0 = 2, b_k = k^2/(4k^2 - 1). The Gauss nodes are the
-    odd-indexed Kronrod nodes.
-    """
-    k = np.arange(2 * n + 1, dtype=float)
-    a = np.zeros(2 * n + 1)
-    b = np.zeros(2 * n + 1)
-    m = (3 * n + 1) // 2 + 1  # b_0 .. b_{ceil(3n/2)} are the Legendre ones
-    b[0] = 2.0
-    b[1:m] = k[1:m] ** 2 / (4.0 * k[1:m] ** 2 - 1.0)
-    s = np.zeros(n // 2 + 3)  # s[j + 1] holds Laurie's s_j, so s[0] is s_{-1} = 0
-    t = np.zeros(n // 2 + 3)
-    t[1] = b[n + 1]
-    for mm in range(n - 1):
-        kk = np.arange((mm + 1) // 2, -1, -1)
-        ll = mm - kk
-        s[kk + 1] = np.cumsum(
-            (a[kk + n + 1] - a[ll]) * t[kk + 1] + b[kk + n + 1] * s[kk] - b[ll] * s[kk + 1]
-        )
-        s, t = t, s
-    s[1 : n // 2 + 3] = s[0 : n // 2 + 2].copy()
-    for mm in range(n - 1, 2 * n - 2):
-        kk = np.arange(mm + 1 - n, (mm - 1) // 2 + 1)
-        ll = mm - kk
-        j = n - 1 - ll
-        s[j + 1] = np.cumsum(
-            -(a[kk + n + 1] - a[ll]) * t[j + 1] - b[kk + n + 1] * s[j + 1] + b[ll] * s[j + 2]
-        )
-        j = j[-1]
-        kk = (mm + 1) // 2
-        if mm % 2 == 0:
-            a[kk + n + 1] = a[kk] + (s[j + 1] - b[kk + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[kk + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    x, wk = _golub_welsch(a, np.sqrt(b[1:]), b[0])
-    gauss = np.polynomial.legendre.leggauss(n)[1]
-    wg = np.zeros(2 * n + 1)
-    wg[1::2] = gauss
-    return x, wk, wg
+# The nested Gauss-Legendre 24 / Kronrod 49 pair on [-1, 1] by Laurie's algorithm
+# (Math. Comp. 66 (1997) 1133) and Golub-Welsch, which tests/test_borel.py runs to
+# regenerate it. Each row holds |x| of a node x <= 0, ascending in x, its Kronrod
+# weight and its Gauss weight (0 off the odd-indexed Gauss nodes); x > 0 mirrors.
+_GK_HALF = (
+    (0.999201056021875, 0.002152308550946161, 0.0),
+    (0.9951872199970214, 0.006025671015719986, 0.01234122979998869),
+    (0.987040496015809, 0.01025978640928064, 0.0),
+    (0.9747285559713095, 0.014327444630883826, 0.02853138862893356),
+    (0.9584416844052095, 0.018231178550387347, 0.0),
+    (0.9382745520027327, 0.022104084900061792, 0.04427743881741941),
+    (0.9142406907949114, 0.02595119466137398, 0.0),
+    (0.8864155270044012, 0.02967130609065919, 0.05929858491543636),
+    (0.8549538039040514, 0.033227378319829234, 0.0),
+    (0.8200019859739027, 0.036658100242212846, 0.07334648141108016),
+    (0.7816772264764644, 0.039967623893622684, 0.0),
+    (0.7401241915785544, 0.04310592819369527, 0.0861901615319532),
+    (0.6955320723967788, 0.046045891776563666, 0.0),
+    (0.6480936519369757, 0.048801386753259256, 0.09761865210411393),
+    (0.5979905139060785, 0.05137195138345797, 0.0),
+    (0.5454214713888395, 0.05372794550175172, 0.10744427011596556),
+    (0.4906123654634465, 0.05585171510306359, 0.0),
+    (0.43379350762604507, 0.05774867537569013, 0.11550566805372552),
+    (0.3751911547979508, 0.05941654324595254, 0.0),
+    (0.3150426796961635, 0.060838034873127333, 0.1216704729278033),
+    (0.2536004303696779, 0.062004001419780574, 0.0),
+    (0.19111886747361634, 0.06291711226969848, 0.12583745634682825),
+    (0.12785124028621686, 0.06357487871297227, 0.0),
+    (0.06405689286260563, 0.06396962624137585, 0.12793819534675202),
+    (0.0, 0.06410046376926676, 0.0),
+)
+_GK_X = tuple(-t for t, _, _ in _GK_HALF) + tuple(t for t, _, _ in reversed(_GK_HALF[:-1]))
+_GK_WK = tuple(w for _, w, _ in _GK_HALF) + tuple(w for _, w, _ in reversed(_GK_HALF[:-1]))
+_GK_WG = tuple(g for _, _, g in _GK_HALF[1::2]) + tuple(g for _, _, g in reversed(_GK_HALF[1::2]))  # odd nodes
 
 
 # -- closed-form far ray ------------------------------------------------------------
 #
-# Past |x| = R/2 > 1 the kernel is its DLMF 15.8.2 series (the 1/x region above).
+# Past |x| = R/2 > 1 the kernel is its DLMF 15.8.2 series in 1/x (A_j, c_{j,k} above).
 # On the ray zeta = t e^{i theta}, t >= R, every term is a power of t/R, so
 #
 #     int_R^oo (-zeta)^m Bhat e^{-z zeta} dzeta
@@ -372,6 +380,7 @@ def _gk_rule(n: int) -> tuple:
 _FAR_R = 4.0  # numeric segment [0, R]; 2/R is the ratio of the 1/x series
 _FAR_X_FLOOR = 1.2  # R is raised so that |X| = R |z| stays above this
 _CF_BUDGET = 500  # most continued-fraction steps per E_p value
+_FAR_G = [abs(_FAR_A[0]) * c0 + abs(_FAR_A[1]) * c1 for c0, c1 in zip(*_FAR_C)]  # sum_j |A_j| c_{j,n}
 
 
 def _expint_cf(p: float, X: complex) -> complex:
@@ -428,21 +437,17 @@ def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: f
         pref *= R * (1.0 + 1.0 / X.real)
     n = 0
     qn = 1.0
-    while True:
-        bound = pref * qn * (abs(_FAR_A[0]) * _FAR_C[0][n] + abs(_FAR_A[1]) * _FAR_C[1][n])
-        if bound <= tol or n == _TERMS:
-            break
+    while pref * qn * _FAR_G[n] > tol and n < _TERMS:
         n += 1
         qn *= q
+    bound = pref * qn * _FAR_G[n]
     total = 0j
     if n:
         inv = 1.0 / x0
         for a, s, cs in zip(_FAR_A, _FAR_S, _FAR_C):
-            acc = 0j
-            w = 1.0 + 0j
-            for ck, ek in zip(cs, _expint_run(s - kernel.moment, X, n)):
-                acc += ck * w * ek
-                w *= inv
+            acc = 0j  # sum_k c_k E_{s+k-m}(X) x0^{-k}, by Horner in 1/x0
+            for ck, ek in zip(cs[n - 1::-1], reversed(_expint_run(s - kernel.moment, X, n))):
+                acc = acc * inv + ck * ek
             total += a * (-x0) ** (-s) * acc
     if kernel.moment:
         total *= -R * phase
@@ -455,11 +460,11 @@ def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: f
 @lru_cache(maxsize=256)
 def _kernel_row(branch: str, theta: float, a: float, b: float) -> tuple:
     """The G24/K49 nodes of the panel [a, b] on the ray of direction theta and
-    eval_Bhat on them, both read-only: they depend on no z."""
-    zs = cmath.exp(1j * theta) * ((a + b) / 2.0 + (b - a) / 2.0 * _gk_rule(24)[0])
-    kern = eval_Bhat(zs, branch)
-    zs.flags.writeable = kern.flags.writeable = False
-    return zs, kern
+    eval_Bhat on them, both tuples: they depend on no z."""
+    phase = cmath.exp(1j * theta)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    zs = tuple(phase * (mid + half * x) for x in _GK_X)
+    return zs, tuple(eval_Bhat(zs, branch))
 
 
 def laplace_ray(
@@ -490,7 +495,7 @@ def laplace_ray(
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
     T = max(_FAR_R, _FAR_X_FLOOR / abs(z))
     phase = cmath.exp(1j * theta)
-    _, wk, wg = _gk_rule(24)
+    exp, mz = cmath.exp, -z
 
     stack = [(0.0, T)]
     total = 0.0 + 0.0j
@@ -500,11 +505,12 @@ def laplace_ray(
         a, b = stack.pop()
         zs, kern = _kernel_row(fhat.branch, theta, a, b)
         if fhat.moment:
-            kern = -zs * kern
-        vals = kern * np.exp(-z * zs)
+            vals = [-w * k * exp(mz * w) for w, k in zip(zs, kern)]
+        else:
+            vals = [k * exp(mz * w) for w, k in zip(zs, kern)]
         scale = (b - a) / 2.0 * phase
-        kron = complex(scale * (wk @ vals))
-        d = abs(complex(scale * (wg @ vals)) - kron)
+        kron = scale * sum(map(mul, _GK_WK, vals))
+        d = abs(scale * sum(map(mul, _GK_WG, vals[1::2])) - kron)
         if d < tol * (b - a) / T or (b - a) < 1e-9 * T:
             total += kron
             err += d
@@ -819,15 +825,76 @@ def _pade_smallest_pole(d: list, M: int):
     q = _solve_exact(A, rhs)
     if q is None:
         return None
-    poly = np.array([float(qj) for qj in reversed(q)] + [1.0])
-    roots = np.roots(poly)
-    roots = roots[np.isfinite(roots)]
-    if len(roots) == 0:
+    q = [Fraction(1)] + q  # the denominator 1 + q_1 zeta + ... + q_M zeta^M
+    while not q[-1]:
+        q.pop()
+    roots = [r for r in _poly_roots([float(qj) for qj in q]) if cmath.isfinite(r)]
+    if not roots:
         return None
-    smallest = roots[np.argmin(np.abs(roots))]
-    if abs(smallest) > 1e6:
-        return None
-    return complex(smallest)
+    smallest = min(roots, key=abs)
+    # the roots cluster along the cut, where rounding the q_j alone moves a float
+    # root by up to 1e-3: a real root of the exact denominator replaces it when it
+    # lies nearer to it than half the way to any other root but its conjugate
+    x = _exact_real_root(q, smallest.real)
+    others = [abs(r - smallest) for r in roots if r != smallest and r != smallest.conjugate()]
+    if x is not None and abs(x - smallest) <= abs(smallest.imag) + 0.5 * min(others, default=math.inf):
+        smallest = complex(x, 0.0)
+    return None if abs(smallest) > 1e6 else smallest
+
+
+def _poly_roots(c: list) -> list:
+    """The roots of c_0 + ... + c_n x^n (c_0, c_n nonzero) by Aberth-Ehrlich
+    iteration (Aberth, Math. Comp. 27 (1973) 339) from n points on the circle of
+    radius |c_0/c_n|^{1/n}. A point stops after a step below 1e-8 of its modulus
+    (the error is then about the cube of that), or once |p| there is within the
+    rounding error of Horner's sum, n eps sum |c_k| |x|^k, past which a step
+    follows rounding, not the root."""
+    n = len(c) - 1
+    z = [abs(c[0] / c[n]) ** (1.0 / n) * cmath.exp(1j * (TWO_PI * k / n + 0.4)) for k in range(n)]
+    live = list(range(n))
+    for _ in range(_ROOT_SWEEPS):
+        for i in live[:]:
+            zi, r = z[i], abs(z[i])
+            p, dp, scale = c[n] + 0j, 0j, abs(c[n])
+            for ck in c[n - 1::-1]:
+                dp = dp * zi + p
+                p = p * zi + ck
+                scale = scale * r + abs(ck)
+            den = dp - p * sum(1.0 / (zi - zj) for zj in z if zj is not zi)
+            if abs(p) <= n * 2.0 ** -53 * scale or not den:
+                live.remove(i)
+                continue
+            z[i] = zi - p / den
+            if abs(p / den) <= 1e-8 * r:
+                live.remove(i)
+        if not live:
+            break
+    return z
+
+
+def _exact_real_root(q: list, x: float):
+    """Newton from x for sum_j q_j t^j, rational q_j, with every step exact: for
+    x = a/b, b a power of 2, and integer C_j = D q_j, S = b^M sum C_j x^j and
+    T = b^(M-1) sum j C_j x^(j-1) are integer Horner sums, and the step is S/(b T).
+    The root to within an ulp, or None where the steps do not settle."""
+    D = math.lcm(*(qj.denominator for qj in q))
+    C = [qj.numerator * (D // qj.denominator) for qj in q]
+    for _ in range(_ROOT_SWEEPS):
+        a, b = x.as_integer_ratio()
+        S, T, bk = C[-1], 0, 1
+        for cj in C[-2::-1]:
+            bk *= b
+            T = T * a + S
+            S = S * a + cj * bk
+        if not T:
+            return None
+        step = S / (b * T)
+        x -= step
+        if not math.isfinite(x):
+            return None
+        if abs(step) <= 2.0 ** -52 * abs(x):
+            return x
+    return None
 
 
 def _as_fraction(c) -> Fraction:

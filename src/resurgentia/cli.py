@@ -19,7 +19,7 @@ from .config import ENV_VAR, POSITIVE_KEYS, RunConfig, resolve_config
 from .errors import BranchCutError, DomainError, QuadratureError
 
 # Each handler imports the modules it runs: an exact subcommand never loads
-# borel (and with it numpy), and only verify-all loads the acceptance suite.
+# borel (the float engine), and only verify-all loads the acceptance suite.
 
 
 def _complex(text: str) -> complex:

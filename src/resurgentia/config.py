@@ -8,8 +8,7 @@ environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ENV_VAR = "RESURGENTIA_CONFIG"
 
@@ -26,8 +25,7 @@ POSITIVE_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     order: int = 32          # truncation order N
     cap_sigma: int = 5       # alien cap K_sigma
     cap_grade: int = 5       # alien cap K_e
@@ -44,17 +42,10 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = ("order", "cap_sigma", "cap_grade")
-_FLOAT_KEYS = ("quad_tol",)
-
-
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    # the numeric keys take the type of their default; fmt and output stay text
+    default = RunConfig._field_defaults[key]
+    return type(default)(raw) if isinstance(default, (int, float)) else raw
 
 
 def load_config_file(path: str) -> dict:
@@ -70,7 +61,7 @@ def load_config_file(path: str) -> dict:
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in _FIELD_TYPES:
+            if key not in RunConfig._fields:
                 raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
             out[key] = _coerce(key, raw)
     return out
@@ -81,11 +72,11 @@ def resolve_config(overrides: Optional[dict] = None, config_path: Optional[str] 
     cfg = RunConfig()
     path = config_path or os.environ.get(ENV_VAR)
     if path:
-        cfg = replace(cfg, **load_config_file(path))
+        cfg = cfg._replace(**load_config_file(path))
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(clean) - set(_FIELD_TYPES)
+        unknown = set(clean) - set(RunConfig._fields)
         if unknown:
             raise ValueError("unknown config keys: " + ", ".join(sorted(unknown)))
-        cfg = replace(cfg, **clean)
+        cfg = cfg._replace(**clean)
     return cfg.validate()

@@ -1,13 +1,13 @@
 """Typed errors and the summed-value record shared by the numeric layers.
 
-Kept free of numpy so that the exact subcommands, which only need to name
-these types, never load the float engine.
+Kept free of the float engine, and of dataclasses (which load inspect), so
+that the exact subcommands, which only need to name these types, start light.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -27,8 +27,7 @@ class QuadratureError(ArithmeticError):
         self.err = err
 
 
-@dataclass(frozen=True)
-class SumValue:
+class SumValue(NamedTuple):
     value: complex
     err: float
-    meta: dict = field(default_factory=dict)
+    meta: dict

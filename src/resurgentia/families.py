@@ -23,29 +23,32 @@ g and the G_n tower are then series operations on that one psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .series import DEFAULT_ORDER, PowerSeries, _series
 
 FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n")
 
 
-@dataclass(frozen=True)
-class FamilySeries:
-    """A tagged member of the series family."""
-
+class _Tagged(NamedTuple):
     tag: str
     series: PowerSeries
     n: Optional[int] = None  # only used by the G_n tower
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        if (self.tag == "G_n") != (self.n is not None):
+
+class FamilySeries(_Tagged):
+    """A tagged member of the series family."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, series: PowerSeries, n: Optional[int] = None):
+        if tag not in FAMILY_TAGS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        if (tag == "G_n") != (n is not None):
             raise ValueError("the index n is exactly for the G_n tag")
+        return super().__new__(cls, tag, series, n)
 
     @property
     def order(self) -> int:

@@ -9,6 +9,7 @@ reality, reflection) is an independent mathematical statement.
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -303,8 +304,51 @@ def test_singularity_ratio_route():
 def test_singularity_pade_route():
     g = families.gen_g_f(62)[0]
     loc = singularity_locate([g.series.coeff(n) for n in range(61)], "pade")
-    assert abs(loc - 2.0054649436712038) < 1e-9
+    assert abs(loc - 2.005414670646674) < 1e-9
     assert abs(loc - 2.0) < 0.1
+
+
+def test_aberth_roots_match_numpy_roots():
+    rng = np.random.default_rng(7)
+    for degree in range(1, 11):
+        for _ in range(25):
+            c = [float(v) for v in rng.normal(size=degree + 1)]
+            got = borel._poly_roots(c)
+            want = np.roots(c[::-1])
+            assert len(got) == degree
+            for w in want:
+                assert min(abs(g - w) for g in got) <= 1e-9 * max(1.0, abs(w)), (c, w)
+
+
+def test_pade_poles_are_the_exact_denominators_smallest_roots(monkeypatch):
+    """The Pade denominators cluster their roots along the cut, where rounding
+    the q_j to doubles moves a root by up to 1e-3, so no float root finder can
+    place them better. Against the smallest root of the exact rational
+    denominator at 60 digits, the pole is good to 1e-14, and np.roots on the
+    rounded q_j is never closer."""
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    inner = borel._exact_real_root
+
+    def recorded(q, x):
+        seen.append((list(q), inner(q, x)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(borel, "_exact_real_root", recorded)
+    g, f, _ = families.gen_g_f(82)
+    psi, phi = families.gen_psi_phi(82)
+    for series in (g.series, f.series, psi.series, phi.series):
+        for count in (40, 61, 81):
+            pole = singularity_locate([series.coeff(n) for n in range(count)], "pade")
+            assert pole == seen[-2][1] and pole.imag == 0.0, (count, pole)
+    assert len(seen) == 24
+    with mpmath.workdps(60):
+        for q, pole in seen:
+            exact = min(mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in q[::-1]],
+                                         maxsteps=400, extraprec=400), key=abs)
+            assert abs(exact.imag) < 1e-40
+            theirs = complex(min(np.roots([float(c) for c in q[::-1]]), key=abs))
+            assert abs(pole - exact.real) <= 1e-14 * abs(pole) < abs(theirs - exact.real), (pole, theirs, exact)
 
 
 def gauss_jordan_reference(A: list, rhs: list):
@@ -414,6 +458,50 @@ def test_bhat_matches_mpmath_oracle_on_both_branches():
                 assert abs(got - want) <= kappa, (zeta, branch, abs(got - want))
 
 
+def test_bhat_takes_a_number_or_a_sequence():
+    assert eval_Bhat(0) == eval_Bhat(0.0) == eval_Bhat(0j) == 1.0 and isinstance(eval_Bhat(0), complex)
+    points = [0.0, 1.0 + 0.5j, -7.0 + 0.3j, 3.0 - 0.2j]
+    for branch in ("B", "B_plus"):
+        together = eval_Bhat(points, branch)
+        assert isinstance(together, list) and together == [eval_Bhat(p, branch) for p in points]
+        assert eval_Bhat(tuple(points), branch) == together == eval_Bhat(np.array(points), branch)
+    with pytest.raises(BranchCutError):
+        eval_Bhat([1.0, 2.5])
+
+
+def test_each_point_takes_the_terms_its_own_tail_bound_needs():
+    """The term count read from a region's K(|v|) table brings that series' tail
+    bound, with the point's own prefactors and |v|, to at most _KAPPA/10."""
+    a, s = borel._FAR_A, borel._FAR_S
+    x0 = borel._TAYLOR_X0
+    rho = borel._TAYLOR_RHO
+    # v(x) and the prefactors P_j(x) of each region, in the order of borel._REGIONS
+    regions = (
+        (lambda x: x, lambda x: (1.0,)),
+        (lambda x: (1 - 2 * x) ** -2, lambda x: [aj * (0.5 - x) ** -sj for aj, sj in zip(a, s)]),
+        (lambda x: x / (x - 1), lambda x: ((1 - x) ** (-1 / 6),)),
+        (lambda x: 1 - x, lambda x: (1 / (2 * math.pi), -cmath.log(1 - x) / (2 * math.pi))),
+        (lambda x: (x - x0[0]) / rho, lambda x: (1.0,)),
+        (lambda x: (x - x0[1]) / rho, lambda x: (1.0,)),
+    )
+    rng = np.random.default_rng(11)
+    for k, ((v_of, pref_of), (rows, counts)) in enumerate(zip(regions, borel._REGIONS)):
+        majorant = borel._TAYLOR_M if k >= 4 else None
+        checked = 0
+        while checked < 300:
+            x = complex(*rng.uniform(-6.0, 6.0, 2))
+            if abs(x.imag) < 1e-3:
+                continue
+            r = abs(v_of(x))
+            if not 0.0 < r <= 0.84:
+                continue
+            K = counts[int(r * borel._K_BINS) + 1]
+            bound = sum(abs(p) * (abs(row[::-1][K]) if majorant is None else majorant)
+                        for p, row in zip(pref_of(x), rows)) * r ** K / (1.0 - r)
+            assert K <= borel._TERMS and bound <= borel._KAPPA / 10.0, (k, x, K, bound)
+            checked += 1
+
+
 def test_bhat_answers_within_kappa_next_to_the_cut():
     # 1e-6 above the cut the Euler integrand's singular point sits next to [0, 1];
     # the 1/(1 - x) and 1/x series do not see it
@@ -426,20 +514,88 @@ def test_bhat_answers_within_kappa_next_to_the_cut():
         assert abs(g - want) <= borel._KAPPA, zeta
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple:
+    # Golub-Welsch: the nodes are the Jacobi matrix's eigenvalues, the weights
+    # mu_0 times the squared first components of its eigenvectors
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, vec = np.linalg.eigh(jac)
+    return x, mu0 * vec[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def _gk_rule(n: int) -> tuple:
+    """Gauss-Kronrod pair on [-1, 1]: the 2n+1 Kronrod nodes and weights, and the
+    n-point Gauss weights placed on the Gauss nodes among them (0 elsewhere).
+
+    The Kronrod-Jacobi matrix comes from Laurie's algorithm (Math. Comp. 66
+    (1997) 1133, as in Gautschi's r_kronrod), started from the Legendre
+    recurrence a_k = 0, b_0 = 2, b_k = k^2/(4k^2 - 1). The Gauss nodes are the
+    odd-indexed Kronrod nodes.
+    """
+    k = np.arange(2 * n + 1, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    m = (3 * n + 1) // 2 + 1  # b_0 .. b_{ceil(3n/2)} are the Legendre ones
+    b[0] = 2.0
+    b[1:m] = k[1:m] ** 2 / (4.0 * k[1:m] ** 2 - 1.0)
+    s = np.zeros(n // 2 + 3)  # s[j + 1] holds Laurie's s_j, so s[0] is s_{-1} = 0
+    t = np.zeros(n // 2 + 3)
+    t[1] = b[n + 1]
+    for mm in range(n - 1):
+        kk = np.arange((mm + 1) // 2, -1, -1)
+        ll = mm - kk
+        s[kk + 1] = np.cumsum(
+            (a[kk + n + 1] - a[ll]) * t[kk + 1] + b[kk + n + 1] * s[kk] - b[ll] * s[kk + 1]
+        )
+        s, t = t, s
+    s[1 : n // 2 + 3] = s[0 : n // 2 + 2].copy()
+    for mm in range(n - 1, 2 * n - 2):
+        kk = np.arange(mm + 1 - n, (mm - 1) // 2 + 1)
+        ll = mm - kk
+        j = n - 1 - ll
+        s[j + 1] = np.cumsum(
+            -(a[kk + n + 1] - a[ll]) * t[j + 1] - b[kk + n + 1] * s[j + 1] + b[ll] * s[j + 2]
+        )
+        j = j[-1]
+        kk = (mm + 1) // 2
+        if mm % 2 == 0:
+            a[kk + n + 1] = a[kk] + (s[j + 1] - b[kk + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[kk + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, wk = _golub_welsch(a, np.sqrt(b[1:]), b[0])
+    gauss = np.polynomial.legendre.leggauss(n)[1]
+    wg = np.zeros(2 * n + 1)
+    wg[1::2] = gauss
+    return x, wk, wg
+
+
 def test_kronrod_rule_extends_gauss_24():
-    x, wk, wg = borel._gk_rule(24)
+    x, wk, wg = _gk_rule(24)
     gx, gw = np.polynomial.legendre.leggauss(24)
     assert len(x) == 49 and np.all(np.diff(x) > 0)
     assert np.all(wk > 0)
     assert np.max(np.abs(x[1::2] - gx)) < 1e-14
     assert np.array_equal(wg[1::2], gw) and not np.any(wg[0::2])
-    # exact for every polynomial up to degree 3 * 24 + 1 = 73, in the Legendre basis
+    # the package's literal table is this rule made symmetric: each row is the
+    # mean of a mirror pair, and the full rule is the table and its mirror
+    regenerated = [((x[48 - i] - x[i]) / 2.0, (wk[i] + wk[48 - i]) / 2.0, wg[i]) for i in range(24)]
+    regenerated.append((0.0, wk[24], 0.0))
+    assert np.max(np.abs(np.array(borel._GK_HALF) - np.array(regenerated))) <= 1e-15
+    tx, twk, twg = np.array(borel._GK_X), np.array(borel._GK_WK), np.array(borel._GK_WG)
+    assert np.max(np.abs(tx - x)) <= 1e-15 and np.max(np.abs(twk - wk)) <= 1e-15
+    assert np.array_equal(twg, gw) and np.array_equal(tx, -tx[::-1]) and np.array_equal(twk, twk[::-1])
+    # the table is exact for every polynomial up to degree 3 * 24 + 1 = 73, in the
+    # Legendre basis, and its Gauss part up to 47
     for d in range(74):
-        p = np.polynomial.legendre.Legendre.basis(d)(x)
-        assert abs(wk @ p - (2.0 if d == 0 else 0.0)) < 1e-13, d
+        p = np.polynomial.legendre.Legendre.basis(d)(tx)
+        assert abs(twk @ p - (2.0 if d == 0 else 0.0)) < 1e-13, d
+        if d < 48:
+            assert abs(twg @ p[1::2] - (2.0 if d == 0 else 0.0)) < 1e-13, d
     # and not beyond: degree 74 is where a 49-point rule with 24 fixed nodes stops
-    p74 = np.polynomial.legendre.Legendre.basis(74)(x)
-    assert abs(wk @ p74) > 1e-6
+    p74 = np.polynomial.legendre.Legendre.basis(74)(tx)
+    assert abs(twk @ p74) > 1e-6
 
 
 def test_error_budget_parts_add_up_and_bound_the_airy_oracle():
@@ -500,12 +656,22 @@ def test_cached_kernel_rows_give_the_bits_of_fresh_ones(case):
 
 def test_cached_kernel_rows_are_read_only():
     zs, kern = borel._kernel_row("B", -0.45, 0.0, 4.0)
-    for arr in (zs, kern):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    before = kern.copy()
+    for row in (zs, kern):
+        with pytest.raises(TypeError):
+            row[0] = 0.0
+    before = tuple(kern)
     laplace_ray(_PSI_KERNEL, 3.0, -0.45)  # its first panel is this row
-    assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern and np.array_equal(kern, before)
+    assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern and kern == before
+
+
+def test_ray_panel_counts_are_pinned():
+    # one psi and one phi ray past R = 4; the loop that splits and accepts panels
+    # must keep the count, the end of the numeric segment and a nonzero Kronrod part
+    for fhat, z, theta, panels, T in ((_PSI_KERNEL, 0.05 + 0.02j, -0.6, 4, 22.28344058124622),
+                                      (_PHI_KERNEL, -0.02 - 0.01j, -2.9, 6, 53.66563145999495)):
+        meta = laplace_ray(fhat, z, theta).meta
+        assert meta["panels"] == panels and meta["T"] == T, meta
+        assert meta["quad_err"] > 0
 
 
 def test_kernel_row_cache_stays_within_its_bound():

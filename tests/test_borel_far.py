@@ -161,7 +161,7 @@ def test_moment_ray_reuses_the_psi_rows(monkeypatch):
     inner = borel.eval_Bhat
 
     def counted(zeta, branch="B"):
-        seen.append((branch, zeta.tobytes()))
+        seen.append((branch, tuple(zeta)))
         return inner(zeta, branch)
 
     monkeypatch.setattr(borel, "eval_Bhat", counted)

@@ -211,7 +211,7 @@ def test_singularity_pade(capsys):
     code, out = run(capsys, "singularity", "--method", "pade", "--count", "60")
     assert code == 0
     payload = json.loads(out)
-    assert payload["location_re"] == pytest.approx(2.0054649436712038, abs=1e-9)
+    assert payload["location_re"] == pytest.approx(2.005414670646674, abs=1e-9)
     assert payload["location_im"] == 0.0
 
 
@@ -505,10 +505,31 @@ def _loads(modules: set, package: str) -> bool:
 def test_exact_commands_do_not_import_scipy():
     for args in (("-c", "import resurgentia"), ("-m", "resurgentia", "coeffs", "--ag")):
         assert not _loads(_imported(*args), "scipy"), args
-    # positive control: a numeric command loads the float engine, still without scipy
+    # positive control: a numeric command loads the float engine, which needs
+    # neither scipy nor numpy
     modules = _imported("-m", "resurgentia", "sum", "--family", "psi", "--z", "3")
-    assert "resurgentia.borel" in modules and "numpy" in modules
+    assert "resurgentia.borel" in modules and not _loads(modules, "numpy")
     assert not _loads(modules, "scipy")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sum", "--family", "phi", "--z", "0.8-0.3i"),
+        ("connect", "left", "--z", "-0.9", "--sigma2", "0.05i"),
+        ("connect", "right", "--z", "3", "--sigma2", "1"),
+        ("median", "--x", "3", "--a", "1"),
+        ("large-radius", "lrsum", "--gs", "0.4"),
+        ("verify-all",),
+        ("coeffs", "--ag"),
+        ("alien", "--what", "bridge"),
+    ],
+    ids=["sum", "connect-left", "connect-right", "median", "lrsum", "verify-all", "coeffs", "alien"],
+)
+def test_commands_import_neither_numpy_nor_inspect(args):
+    # no dataclasses anywhere in the package, so nothing loads inspect either
+    modules = _imported("-m", "resurgentia", *args)
+    assert not _loads(modules, "numpy") and "inspect" not in modules, args
 
 
 @pytest.mark.parametrize(

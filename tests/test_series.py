@@ -60,6 +60,17 @@ def test_inverse_requires_unit():
         s.inverse()
 
 
+def test_inverse_of_a_purely_imaginary_unit():
+    # the unit guard reads both parts of c_0: i q is a unit, 0 + c_1 i is not
+    s = PowerSeries.from_coeffs([ExactScalar(0, Fraction(2, 3)), 1, ExactScalar(Fraction(1, 2), -1), 5], 3)
+    inv = s.inverse()
+    assert inv.coeff(0) == ExactScalar(0, Fraction(-3, 2))
+    assert s * inv == PowerSeries.one(3)
+    _assert_same_window(inv, _reference_inverse(s))
+    with pytest.raises(ValueError, match="not a unit"):
+        PowerSeries.from_coeffs([0, ExactScalar(0, 1), 2], 3).inverse()
+
+
 def test_log_exp_preconditions():
     with pytest.raises(ValueError, match="wrong constant term"):
         PowerSeries.from_coeffs([2, 1], 3).log()
