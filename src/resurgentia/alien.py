@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import struct
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -150,29 +149,6 @@ def _blocks(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> li
     return blocks
 
 
-class _Terms(Mapping):
-    """Read-only view {12-tuple monomial: ExactScalar} of a Poly."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "Poly"):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly.nums)
-
-    def __iter__(self):
-        return map(_unpack, self._poly.nums)
-
-    def __getitem__(self, mono) -> ExactScalar:
-        p = self._poly
-        try:
-            re, im = p.nums[_pack(mono)]
-        except (struct.error, TypeError):
-            raise KeyError(mono) from None
-        return _scalar_over(re, im, p.den)
-
-
 class Poly:
     """Sparse multivariate polynomial over Gaussian rationals.
 
@@ -185,8 +161,8 @@ class Poly:
     +-i swaps and negates numerators, and truncation compares slots. The
     product sums monomial products with plain int arithmetic and takes
     operands whose exponents lie in [-2^30, 2^30) (others raise
-    OverflowError). terms is a read-only view with ExactScalar values. The
-    order of the terms is unspecified; to_str sorts them.
+    OverflowError). terms is a read-only {monomial: ExactScalar} copy built
+    on each access. The order of the terms is unspecified; to_str sorts them.
     """
 
     __slots__ = ("den", "nums")
@@ -214,8 +190,8 @@ class Poly:
         }
 
     @property
-    def terms(self) -> Mapping:
-        return _Terms(self)
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType({_unpack(k): _scalar_over(x, y, self.den) for k, (x, y) in self.nums.items()})
 
     # -- constructors ------------------------------------------------------
 

@@ -57,8 +57,8 @@ INTERVALS: dict[str, tuple[float, float]] = {
     "Iminus": (0.0, math.pi),
 }
 
-# singular rays of the Borel kernels, as base angles mod 2pi
-CUTS = {"psi": (0.0,), "g": (0.0,), "phi": (math.pi,), "f": (math.pi,)}
+# the Borel kernel branch of each family: Bhat, cut on the ray 0, or Bhat_+, cut on the ray pi
+_BRANCH = {"psi": "B", "g": "B", "phi": "B_plus", "f": "B_plus"}
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_END_TOL = 1e-6
@@ -109,7 +109,10 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
         if hi - lo <= 2.0 * DELTA_RAY:
             continue
         eff = max(DELTA_RAY, min(THETA_MARGIN, (hi - lo) / 4.0))
-        for k in range(-2, 3):
+        # peak + 2pi k0 is the image of the steepest ray nearest the subarc's middle, wherever
+        # the window lies; clamped, it is the subarc's best ray, and k0 +- 1 can at most tie it
+        k0 = round(((lo + hi) / 2.0 - peak) / TWO_PI)
+        for k in range(k0 - 1, k0 + 2):
             cand = min(max(peak + TWO_PI * k, lo + eff), hi - eff)
             rate = (z * cmath.exp(1j * cand)).real
             if rate > best_rate:
@@ -310,23 +313,6 @@ def eval_Bhat(zeta, branch: str = "B"):
     return out[0] if scalar else out
 
 
-class _BhatKernel:
-    """The kernel (-zeta)^moment Bhat(zeta) on one branch, moment 0 or 1. It is
-    not called: laplace_ray takes its panel rows from _kernel_row and the far
-    part of its ray in closed form (see _far_laplace)."""
-
-    __slots__ = ("branch", "moment")
-
-    def __init__(self, branch: str, moment: int = 0):
-        self.branch = branch
-        self.moment = moment
-
-
-_PSI_KERNEL = _BhatKernel("B")
-_PHI_KERNEL = _BhatKernel("B_plus")
-_PSI_MOMENT = _BhatKernel("B", 1)  # its Laplace integral is d/dz of Bhat's
-
-
 # -- quadrature rules ------------------------------------------------------------
 
 
@@ -419,9 +405,9 @@ def _expint_run(s: float, X: complex, n: int) -> list:
     return e
 
 
-def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: float) -> tuple:
-    """int_R^oo of the kernel at t e^{i theta} times e^{-z t e^{i theta}} e^{i theta} dt,
-    and a bound on its truncation error, which is at most tol when _TERMS suffice.
+def _far_laplace(branch: str, moment: int, z: complex, theta: float, R: float, tol: float) -> tuple:
+    """int_R^oo of (-zeta)^moment Bhat(zeta) e^{-z zeta} dzeta on zeta = t e^{i theta}, Bhat
+    on the branch, and a bound on its truncation error, at most tol when _TERMS suffice.
 
     The series stops at the first n where R e^{-Re X}/Re X sum_j |A_j| c_{j,n}
     (2/R)^n/(1 - 2/R) <= tol, times R (1 + 1/Re X) for the moment kernel:
@@ -430,10 +416,10 @@ def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: f
     """
     phase = cmath.exp(1j * theta)
     X = z * R * phase
-    x0 = (R / 2.0 if kernel.branch == "B" else -R / 2.0) * phase
+    x0 = (R / 2.0 if branch == "B" else -R / 2.0) * phase
     q = 2.0 / R
     pref = R * math.exp(-X.real) / X.real / (1.0 - q)
-    if kernel.moment:
+    if moment:
         pref *= R * (1.0 + 1.0 / X.real)
     n = 0
     qn = 1.0
@@ -446,10 +432,10 @@ def _far_laplace(kernel: _BhatKernel, z: complex, theta: float, R: float, tol: f
         inv = 1.0 / x0
         for a, s, cs in zip(_FAR_A, _FAR_S, _FAR_C):
             acc = 0j  # sum_k c_k E_{s+k-m}(X) x0^{-k}, by Horner in 1/x0
-            for ck, ek in zip(cs[n - 1::-1], reversed(_expint_run(s - kernel.moment, X, n))):
+            for ck, ek in zip(cs[n - 1::-1], reversed(_expint_run(s - moment, X, n))):
                 acc = acc * inv + ck * ek
             total += a * (-x0) ** (-s) * acc
-    if kernel.moment:
+    if moment:
         total *= -R * phase
     return R * phase * total, bound
 
@@ -467,13 +453,9 @@ def _kernel_row(branch: str, theta: float, a: float, b: float) -> tuple:
     return zs, tuple(eval_Bhat(zs, branch))
 
 
-def laplace_ray(
-    fhat: _BhatKernel,
-    z: complex,
-    theta,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> SumValue:
-    """Directional Laplace transform int_0^{e^{i theta} oo} fhat(zeta) e^{-z zeta} dzeta.
+def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, moment: int = 0) -> SumValue:
+    """Directional Laplace transform int_0^{e^{i theta} oo} (-zeta)^moment Bhat(zeta) e^{-z zeta}
+    dzeta of the kernel on one branch, moment 0 or 1 (moment 1 gives d/dz of moment 0).
 
     Composite adaptive Gauss-Kronrod on [0, T], T = R = 4 or 1.2/|z| when that
     is larger, whatever the decay rate: each panel takes the kernel on the 49
@@ -503,8 +485,8 @@ def laplace_ray(
     npanels = 0
     while stack:
         a, b = stack.pop()
-        zs, kern = _kernel_row(fhat.branch, theta, a, b)
-        if fhat.moment:
+        zs, kern = _kernel_row(branch, theta, a, b)
+        if moment:
             vals = [-w * k * exp(mz * w) for w, k in zip(zs, kern)]
         else:
             vals = [k * exp(mz * w) for w, k in zip(zs, kern)]
@@ -524,7 +506,7 @@ def laplace_ray(
             if len(stack) + npanels > _MAX_PANELS:
                 raise QuadratureError("quadrature failure", value=total, err=err)
     # the truncation bound takes a negligible share of tol
-    rest, tail = _far_laplace(fhat, z, theta, T, 1e-3 * tol)
+    rest, tail = _far_laplace(branch, moment, z, theta, T, 1e-3 * tol)
     total += rest
     meta = {"theta": theta, "T": T, "panels": npanels, "rate": rate, "quad_err": err, "tail": tail}
     return SumValue(total, err + tail, meta)
@@ -564,12 +546,13 @@ def sum_family(
     The direction is chosen automatically inside the window (away from the
     kernel's singular rays) unless theta is supplied.
     """
-    if name not in ("psi", "phi", "g", "f"):
+    if name not in _BRANCH:
         raise ValueError("name must be one of psi, phi, g, f")
     z = complex(z)
-    theta = choose_theta(z, interval, CUTS[name]) if theta is None else _theta_inside(theta, interval)
-    kern = _PSI_KERNEL if name in ("psi", "g") else _PHI_KERNEL
-    lap = laplace_ray(kern, z, theta, tol)
+    branch = _BRANCH[name]
+    cut = 0.0 if branch == "B" else math.pi
+    theta = choose_theta(z, interval, (cut,)) if theta is None else _theta_inside(theta, interval)
+    lap = laplace_ray(branch, z, theta, tol)
     val = z * lap.value
     scale = 1.0
     if name in ("g", "f"):
@@ -607,8 +590,8 @@ def G_pm(
     if sigma2 != 0 and z.real <= 0.5 * math.log(2.0 * abs(sigma2)):
         raise DomainError("outside solution domain: Re z <= (1/2) log|2 sigma_2|")
     theta = choose_theta(z, interval) if theta is None else _theta_inside(theta, interval)
-    spsi = laplace_ray(_PSI_KERNEL, z, theta, quad_tol)
-    sphi = laplace_ray(_PHI_KERNEL, z, theta, quad_tol)
+    spsi = laplace_ray("B", z, theta, quad_tol)
+    sphi = laplace_ray("B_plus", z, theta, quad_tol)
     psi_val = z * spsi.value
     phi_val = z * sphi.value
     if psi_val.real <= 0.0 and abs(psi_val.imag) < 1e-13:
@@ -735,9 +718,9 @@ def check_derivation(z: complex) -> dict:
 
     sg = {k: sum_family("g", z + k * h, "Iminus", theta=theta).value for k in (-2, -1, 1, 2)}
     fd = (-sg[2] + 8 * sg[1] - 8 * sg[-1] + sg[-2]) / (12 * h)
-    lap = laplace_ray(_PSI_KERNEL, z, theta).value
+    lap = laplace_ray("B", z, theta).value
     spsi = z * lap
-    spsi_prime = lap + z * laplace_ray(_PSI_MOMENT, z, theta).value
+    spsi_prime = lap + z * laplace_ray("B", z, theta, moment=1).value
     exact = spsi_prime / spsi
     res = abs(fd - exact)
     return {"residual": res, "ok": res <= 1e-5, "theta": theta}
@@ -951,21 +934,17 @@ def airy_oracle(w: complex) -> complex:
         raise DomainError("oracle validated only for |w| <= 10")
     c1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     c2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
-    # two entire solutions of y'' = w y with a_{k+3} = a_k / ((k+2)(k+3))
-    total_f = term = 1.0 + 0.0j
-    k = 0
+    # two entire solutions of y'' = w y with a_{k+3} = a_k / ((k+2)(k+3)), from 1 and from w
     w3 = w * w * w
-    while abs(term) > 1e-20 and k < 300:
-        term = term * w3 / ((k + 2.0) * (k + 3.0))
-        total_f += term
-        k += 3
-    total_g = term = w
-    k = 1
-    while abs(term) > 1e-20 and k < 300:
-        term = term * w3 / ((k + 2.0) * (k + 3.0))
-        total_g += term
-        k += 3
-    return c1 * total_f - c2 * total_g
+    totals = []
+    for total, k in ((1.0 + 0.0j, 0), (w, 1)):
+        term = total
+        while abs(term) > 1e-20 and k < 300:
+            term = term * w3 / ((k + 2.0) * (k + 3.0))
+            total += term
+            k += 3
+        totals.append(total)
+    return c1 * totals[0] - c2 * totals[1]
 
 
 def gevrey_check(z: complex, interval="Iminus", n_max: int = 40) -> dict:

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .config import ENV_VAR, POSITIVE_KEYS, RunConfig, resolve_config
+from .config import _FORMATS, ENV_VAR, POSITIVE_KEYS, RunConfig, resolve_config
 from .errors import BranchCutError, DomainError, QuadratureError
 
 # Each handler imports the modules it runs: an exact subcommand never loads
@@ -34,39 +34,16 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
 
 
-# config key -> its flag; each subcommand (and each large-radius action) takes
-# --config, --format and --output, plus the flags of the keys its handler reads
-# (_READS), and rejects the rest
-_CONFIG_FLAGS = {
-    "order": ("--order", int, "truncation order N"),
-    "cap_sigma": ("--cap-sigma", int, "alien sigma_2 cap"),
-    "cap_grade": ("--cap-grade", int, "alien exponential-grade cap"),
-    "quad_tol": ("--tol", float, "quadrature tolerance"),
-}
-_READS = {
-    "coeffs": (),
-    "ode-check": ("order",),
-    "alien": ("cap_sigma", "cap_grade"),
-    "sum": ("quad_tol",),
-    "connect": ("quad_tol",),
-    "median": (),
-    "singularity": (),
-    "large-radius pols": (),
-    "large-radius h0": ("order",),
-    "large-radius uresidual": ("order",),
-    "large-radius lrsum": (),
-    "verify-all": (),
-}
-
-
 def _common_parser(keys: tuple) -> argparse.ArgumentParser:
+    """--config, --format and --output, plus the flag of each config key in keys;
+    a subcommand takes the flags of the keys its handler reads and rejects the rest."""
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("configuration")
     g.add_argument("--config", metavar="PATH", help=f"config file (or ${ENV_VAR})")
     for key in keys:
-        flag, kind, text = _CONFIG_FLAGS[key]
-        g.add_argument(flag, type=kind, dest=key, help=text)
-    g.add_argument("--format", dest="fmt", choices=("json", "csv"), help="output format")
+        flag, text, _ = POSITIVE_KEYS[key]
+        g.add_argument(flag, type=type(RunConfig._field_defaults[key]), dest=key, help=text)
+    g.add_argument("--format", dest="fmt", choices=_FORMATS, help="output format")
     g.add_argument("--output", help="output path (default stdout)")
     return p
 
@@ -88,7 +65,7 @@ def _check_flags(args) -> None:
     parser where one is set that its mode does not read, or where a mode flag
     or a config key's flag is set below its least value. The same config value
     from a file is RunConfig.validate's ValueError."""
-    for key, message in POSITIVE_KEYS.items():
+    for key, (_, _, message) in POSITIVE_KEYS.items():
         value = getattr(args, key, None)
         if value is not None and not value > 0:
             args.subparser.error(message)
@@ -110,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(prog="resurgentia", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str, handler=None, sub=sub) -> argparse.ArgumentParser:
-        p = sub.add_parser(name.split()[-1], parents=[_common_parser(_READS[name])], help=text)
+    def add(name: str, text: str, handler=None, sub=sub, reads=()) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[_common_parser(reads)], help=text)
         p.set_defaults(subparser=p, handler=handler)
         return p
 
@@ -123,19 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-g", type=int, dest="max_g")
     p.add_argument("--max-n", type=int, dest="max_n")
 
-    p = add("ode-check", "formal-solution certificates", _cmd_ode_check)
+    p = add("ode-check", "formal-solution certificates", _cmd_ode_check, reads=("order",))
     p.add_argument("--which", choices=("psi", "g", "u", "all"), default="all")
 
-    p = add("alien", "symbolic resurgence identities", _cmd_alien)
+    p = add("alien", "symbolic resurgence identities", _cmd_alien, reads=("cap_sigma", "cap_grade"))
     p.add_argument("--what", choices=("bridge", "stokes", "table", "gtower", "all"), default="all")
 
-    p = add("sum", "lateral Borel-Laplace sum of a family", _cmd_sum)
+    p = add("sum", "lateral Borel-Laplace sum of a family", _cmd_sum, reads=("quad_tol",))
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--interval", choices=("I0", "Ipi", "Iplus", "Iminus"), default="Ipi")
     p.add_argument("--theta", type=float, default=None)
 
-    p = add("connect", "numeric connection formulas", _cmd_connect)
+    p = add("connect", "numeric connection formulas", _cmd_connect, reads=("quad_tol",))
     p.add_argument("which", choices=("right", "left"))
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--sigma1", type=_complex, default=0j)
@@ -157,12 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     # one sub-parser per action, so each action rejects the flags it does not read
     actions = sub.add_parser("large-radius", help="large-radius pipeline").add_subparsers(
         dest="action", required=True)
-    p = add("large-radius pols", "the polynomials Pol_n(u, 2g)", _cmd_lr_pols, actions)
+    p = add("pols", "the polynomials Pol_n(u, 2g)", _cmd_lr_pols, actions)
     p.add_argument("--n", type=int, default=1, help="transseries component index")
     p.add_argument("--gmax", type=int, default=2)
-    add("large-radius h0", "the perturbative series H^0", _cmd_lr_h0, actions)
-    add("large-radius uresidual", "the u-equation residual of H^0", _cmd_lr_uresidual, actions)
-    p = add("large-radius lrsum", "numeric large-radius sum", _cmd_lr_sum, actions)
+    add("h0", "the perturbative series H^0", _cmd_lr_h0, actions, reads=("order",))
+    add("uresidual", "the u-equation residual of H^0", _cmd_lr_uresidual, actions, reads=("order",))
+    p = add("lrsum", "numeric large-radius sum", _cmd_lr_sum, actions)
     p.add_argument("--gs", type=_complex, required=True)
     p.add_argument("--u", type=_complex, default=1 + 0j)
     p.add_argument("--sigma1", type=_complex, default=0j)
@@ -338,7 +315,7 @@ def _csv_text(payload) -> str:
         writer.writerow(["index", "value"])
         for i, v in enumerate(payload):
             writer.writerow([i, v])
-    elif isinstance(payload, dict):
+    else:
         writer.writerow(["key", "value"])
         for k in sorted(payload):
             v = payload[k]
@@ -347,9 +324,6 @@ def _csv_text(payload) -> str:
                     writer.writerow([f"{k}.{kk}", v[kk]])
             else:
                 writer.writerow([k, v])
-    else:
-        writer.writerow(["value"])
-        writer.writerow([payload])
     return buf.getvalue()
 
 
@@ -375,10 +349,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_flags(args)
     try:
-        overrides = {
-            k: getattr(args, k, None)
-            for k in ("order", "cap_sigma", "cap_grade", "quad_tol", "fmt", "output")
-        }
+        overrides = {k: getattr(args, k, None) for k in RunConfig._fields}
         cfg = resolve_config(overrides, getattr(args, "config", None))
         if args.command == "verify-all":
             from .acceptance import run_all

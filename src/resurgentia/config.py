@@ -15,13 +15,13 @@ ENV_VAR = "RESURGENTIA_CONFIG"
 _FORMATS = ("json", "csv")
 
 
-# the numeric keys, each of which must be positive, and the message that
-# names a value that is not
+# the numeric keys, each of which must be positive: its command-line flag, the
+# flag's help text, and the message that names a value that is not positive
 POSITIVE_KEYS = {
-    "order": "order must be positive",
-    "cap_sigma": "alien caps must be positive",
-    "cap_grade": "alien caps must be positive",
-    "quad_tol": "quadrature tolerance must be positive",
+    "order": ("--order", "truncation order N", "order must be positive"),
+    "cap_sigma": ("--cap-sigma", "alien sigma_2 cap", "alien caps must be positive"),
+    "cap_grade": ("--cap-grade", "alien exponential-grade cap", "alien caps must be positive"),
+    "quad_tol": ("--tol", "quadrature tolerance", "quadrature tolerance must be positive"),
 }
 
 
@@ -34,7 +34,7 @@ class RunConfig(NamedTuple):
     output: Optional[str] = None  # output path (stdout when None)
 
     def validate(self) -> "RunConfig":
-        for key, message in POSITIVE_KEYS.items():
+        for key, (_, _, message) in POSITIVE_KEYS.items():
             if not getattr(self, key) > 0:
                 raise ValueError(message)
         if self.fmt not in _FORMATS:

@@ -26,8 +26,6 @@ from resurgentia.borel import (
     DomainError,
     G_pm,
     QuadratureError,
-    _PHI_KERNEL,
-    _PSI_KERNEL,
     airy_oracle,
     check_derivation,
     choose_theta,
@@ -97,8 +95,8 @@ def _check_homomorphism(z: complex) -> dict:
     with mpmath.workdps(15):
         lap = complex(mpmath.quad(integrand, [0, T]))
     lhs = z * phase * lap
-    spsi = z * laplace_ray(_PSI_KERNEL, z, theta).value
-    sphi = z * laplace_ray(_PHI_KERNEL, z, theta).value
+    spsi = z * laplace_ray("B", z, theta).value
+    sphi = z * laplace_ray("B_plus", z, theta).value
     res = abs(lhs - spsi * sphi)
     return {"residual": res, "ok": res <= DEFAULT_END_TOL, "theta": theta}
 
@@ -152,7 +150,7 @@ def test_bhat_branch_cut():
 
 def test_laplace_needs_decay():
     with pytest.raises(DomainError, match="outside half-plane"):
-        laplace_ray(_PSI_KERNEL, 5j, 0.0)
+        laplace_ray("B", 5j, 0.0)
 
 
 def test_direction_and_interval_plumbing():
@@ -181,6 +179,61 @@ def test_direction_and_interval_plumbing():
 def test_choose_theta_rejects_slit_window():
     with pytest.raises(DomainError, match="domain empty"):
         choose_theta(3.0, (0.0, 0.02))
+
+
+def _steepest_rate_on_a_grid(z: complex, window: tuple, cuts: tuple) -> float:
+    """The largest decay rate on 401 points of each cut-free subarc of the window,
+    each shrunk by choose_theta's standoff."""
+    a, b = window
+    cut_rays = (c + borel.TWO_PI * k for c in cuts for k in range(-6, 7))
+    points = sorted({a, b, *(t for t in cut_rays if a < t < b)})
+    best = -math.inf
+    for lo, hi in zip(points, points[1:]):
+        if hi - lo <= 2.0 * borel.DELTA_RAY:
+            continue
+        eff = max(borel.DELTA_RAY, min(borel.THETA_MARGIN, (hi - lo) / 4.0))
+        for j in range(401):
+            best = max(best, (z * cmath.exp(1j * (lo + eff + (hi - lo - 2.0 * eff) * j / 400))).real)
+    return best
+
+
+def _theta_cases(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    zs = [-1 + 0.5j, 2 - 2j] + list(rng.uniform(-3, 3, count) + 1j * rng.uniform(-3, 3, count))
+    cut_sets = ((0.0, math.pi), (0.0,), (math.pi,))
+    return [(z, tag, cuts) for z in zs for tag in borel.INTERVALS for cuts in cut_sets]
+
+
+def test_choose_theta_takes_the_steepest_admissible_ray():
+    for z, tag, cuts in _theta_cases(40, 3):
+        window = normalize_interval(tag)
+        best = _steepest_rate_on_a_grid(z, window, cuts)
+        if best < borel._DECAY_MIN:
+            continue
+        theta = choose_theta(z, tag, cuts)
+        assert window[0] < theta < window[1]
+        assert (z * cmath.exp(1j * theta)).real >= best - 1e-12, (z, tag, cuts, theta)
+
+
+def test_choose_theta_is_invariant_under_whole_turns_of_its_window():
+    # theta and theta + 2 pi label one ray: a window shifted by k turns gives the
+    # direction shifted by k turns, or "domain empty" wherever the unshifted one does.
+    # A window turns away must try the images of the steepest ray near it, as in the
+    # first two cases: I_- + 4pi at z = -1 + 0.5i and I0 - 4pi at z = 2 - 2i
+    for z, tag, cuts in _theta_cases(150, 5):
+        a, b = normalize_interval(tag)
+        try:
+            theta = choose_theta(z, tag, cuts)
+        except DomainError:
+            theta = None
+        for k in (-3, -2, -1, 1, 2, 3):
+            shifted = (a + borel.TWO_PI * k, b + borel.TWO_PI * k)
+            if theta is None:
+                with pytest.raises(DomainError, match="domain empty"):
+                    choose_theta(z, shifted, cuts)
+            else:
+                got = choose_theta(z, shifted, cuts) - borel.TWO_PI * k
+                assert abs(got - theta) <= 1e-9, (z, tag, cuts, k)
 
 
 def test_sum_family_theta_must_be_inside_window():
@@ -212,6 +265,12 @@ def test_airy_identity():
     lhs = sum_family("phi", z, "Ipi")
     rhs = 2.0 * math.sqrt(math.pi) * w ** 0.25 * cmath.exp(z) * airy_oracle(w)
     assert abs(lhs.value - rhs) / abs(rhs) < 1e-10
+
+
+def test_airy_oracle_refuses_w_past_its_validated_disc():
+    assert airy_oracle(-10.0) == pytest.approx(sp.airy(-10.0)[0], abs=1e-8)
+    with pytest.raises(DomainError, match=r"\|w\| <= 10"):
+        airy_oracle(12.0)
 
 
 # -- sectorial family and formulas ----------------------------------------------
@@ -274,6 +333,12 @@ def test_median_domain():
         median_real_check(-1.0, 0.0)
     with pytest.raises(ValueError, match="ray"):
         median_real_check(1.0, 0.0, ray="argtau")
+
+
+def test_median_rejects_x_on_its_boundary():
+    # x = 0 is refused by the guard itself, not later by choose_theta (z = 0)
+    with pytest.raises(DomainError, match="x must be positive"):
+        median_real_check(0.0, 0.0)
 
 
 def test_sum_is_a_homomorphism():
@@ -409,6 +474,16 @@ def test_singularity_input_validation():
         singularity_locate([1.0] * 50, "bogus")
 
 
+def test_singularity_routes_on_a_zero_coefficient():
+    # b_n = n!/2^n with b_45 = 0: the ratio window divides by b_45, and the Pade
+    # route's tail-ratio probe skips a window holding d_45 = 0
+    coeffs = [Fraction(math.factorial(n), 2 ** n) for n in range(50)]
+    coeffs[45] = Fraction(0)
+    with pytest.raises(ValueError, match="zero coefficient in ratio window"):
+        singularity_locate(coeffs, "ratio")
+    assert isinstance(singularity_locate(coeffs, "pade"), complex)
+
+
 def test_gevrey_profile_divergent():
     out = gevrey_check(10 * cmath.exp(-1j * math.pi / 2.0), "Iminus", 40)
     assert out["unimodal"]
@@ -423,6 +498,14 @@ def test_gevrey_needs_large_z():
 def test_quadrature_error_carries_payload():
     err = QuadratureError("quadrature failure", value=1.5, err=2e-3)
     assert err.value == 1.5 and err.err == 2e-3
+
+
+def test_ray_past_its_panel_budget_raises_with_its_partial_sum(monkeypatch):
+    # this ray takes 4 panels (test_ray_panel_counts_are_pinned); a budget of 2 stops it
+    monkeypatch.setattr(borel, "_MAX_PANELS", 2)
+    with pytest.raises(QuadratureError, match="quadrature failure") as exc:
+        laplace_ray("B", 0.05 + 0.02j, -0.6)
+    assert isinstance(exc.value.value, complex) and math.isfinite(exc.value.err)
 
 
 # -- the series kernel ----------------------------------------------------------------
@@ -660,16 +743,16 @@ def test_cached_kernel_rows_are_read_only():
         with pytest.raises(TypeError):
             row[0] = 0.0
     before = tuple(kern)
-    laplace_ray(_PSI_KERNEL, 3.0, -0.45)  # its first panel is this row
+    laplace_ray("B", 3.0, -0.45)  # its first panel is this row
     assert borel._kernel_row("B", -0.45, 0.0, 4.0)[1] is kern and kern == before
 
 
 def test_ray_panel_counts_are_pinned():
     # one psi and one phi ray past R = 4; the loop that splits and accepts panels
     # must keep the count, the end of the numeric segment and a nonzero Kronrod part
-    for fhat, z, theta, panels, T in ((_PSI_KERNEL, 0.05 + 0.02j, -0.6, 4, 22.28344058124622),
-                                      (_PHI_KERNEL, -0.02 - 0.01j, -2.9, 6, 53.66563145999495)):
-        meta = laplace_ray(fhat, z, theta).meta
+    for branch, z, theta, panels, T in (("B", 0.05 + 0.02j, -0.6, 4, 22.28344058124622),
+                                        ("B_plus", -0.02 - 0.01j, -2.9, 6, 53.66563145999495)):
+        meta = laplace_ray(branch, z, theta).meta
         assert meta["panels"] == panels and meta["T"] == T, meta
         assert meta["quad_err"] > 0
 
@@ -686,9 +769,9 @@ def test_every_ray_of_the_package_is_a_bhat_kernel_ray(monkeypatch):
     kernels = []
     inner = borel.laplace_ray
 
-    def recorded(fhat, *args, **kwargs):
-        kernels.append(fhat)
-        return inner(fhat, *args, **kwargs)
+    def recorded(branch, *args, moment=0, **kwargs):
+        kernels.append((branch, moment))
+        return inner(branch, *args, moment=moment, **kwargs)
 
     monkeypatch.setattr(borel, "laplace_ray", recorded)
     sum_family("f", -3.0 + 0.2j, "Ipi")
@@ -703,8 +786,7 @@ def test_every_ray_of_the_package_is_a_bhat_kernel_ray(monkeypatch):
     largeradius.lr_sum("-", 0.15, 1.0, 0.0, 0.02)
     largeradius.lr_connection_check("right", 0.3, 1.0, 0.0, 0.02)
     assert len(kernels) >= 30
-    assert all(isinstance(k, borel._BhatKernel) for k in kernels)
-    assert {borel._PSI_KERNEL, borel._PHI_KERNEL, borel._PSI_MOMENT} <= set(kernels)
+    assert {("B", 0), ("B_plus", 0), ("B", 1)} == set(kernels)
 
 
 def test_negative_zero_theta_is_served_the_rows_of_positive_zero():

@@ -114,10 +114,10 @@ def _moment_far_reference(z: complex, theta: float, R: float) -> complex:
 def test_moment_far_part_matches_quadrature_past_R(z, theta):
     R = max(4.0, 1.2 / abs(z))
     ref = _moment_far_reference(z, theta, R)
-    got, bound = borel._far_laplace(borel._PSI_MOMENT, z, theta, R, 1e-14 * abs(ref))
+    got, bound = borel._far_laplace("B", 1, z, theta, R, 1e-14 * abs(ref))
     assert abs(got - ref) <= 1e-12 * abs(ref), (abs(got - ref) / abs(ref))
     # a loose tolerance truncates early; the returned bound covers what is dropped
-    short, loose = borel._far_laplace(borel._PSI_MOMENT, z, theta, R, 1e-4 * abs(ref))
+    short, loose = borel._far_laplace("B", 1, z, theta, R, 1e-4 * abs(ref))
     assert abs(short - ref) <= loose, (abs(short - ref), loose)
 
 
@@ -140,9 +140,9 @@ def test_check_derivation_takes_the_moment_kernel_ray(monkeypatch):
     rays = []
     inner = borel.laplace_ray
 
-    def recorded(fhat, z, theta, tol=borel.DEFAULT_QUAD_TOL):
-        out = inner(fhat, z, theta, tol)
-        rays.append((fhat, out))
+    def recorded(branch, z, theta, tol=borel.DEFAULT_QUAD_TOL, moment=0):
+        out = inner(branch, z, theta, tol, moment)
+        rays.append(((branch, moment), out))
         return out
 
     monkeypatch.setattr(borel, "laplace_ray", recorded)
@@ -152,7 +152,7 @@ def test_check_derivation_takes_the_moment_kernel_ray(monkeypatch):
             rays.clear()
             out = borel.check_derivation(z)
             assert out["ok"] and out["residual"] <= 1e-5, (z, out)
-            moment = [sv for fhat, sv in rays if fhat is borel._PSI_MOMENT]
+            moment = [sv for kernel, sv in rays if kernel == ("B", 1)]
             assert len(moment) == 1 and moment[0].meta["T"] == max(4.0, 1.2 / r)
 
 
@@ -166,11 +166,11 @@ def test_moment_ray_reuses_the_psi_rows(monkeypatch):
 
     monkeypatch.setattr(borel, "eval_Bhat", counted)
     z, theta = 3.0 + 0.5j, 0.45
-    laplace_ray(borel._PSI_KERNEL, z, theta)
+    laplace_ray("B", z, theta)
     psi_rows = set(seen)
     seen.clear()
     hits = borel._kernel_row.cache_info().hits
-    laplace_ray(borel._PSI_MOMENT, z, theta)
+    laplace_ray("B", z, theta, moment=1)
     # the moment's rows are -zeta times the psi rows: shared panels come from the cache
     assert borel._kernel_row.cache_info().hits > hits
     assert psi_rows.isdisjoint(seen) and len(set(seen)) == len(seen)
@@ -216,8 +216,8 @@ def test_gpm_err_parts_carry_the_log_derivative_weights(target):
     sigma1 = 0.2 - 0.1j
     g = G_pm("+", z, sigma1, sigma2)
     assert g.meta["theta"] == theta
-    spsi = laplace_ray(borel._PSI_KERNEL, z, theta)
-    sphi = laplace_ray(borel._PHI_KERNEL, z, theta)
+    spsi = laplace_ray("B", z, theta)
+    sphi = laplace_ray("B_plus", z, theta)
     psi_val, phi_val = z * spsi.value, z * sphi.value
     ratio = sigma2 * cmath.exp(-2.0 * z) * phi_val / psi_val
     assert ratio.real == pytest.approx(target, rel=1e-6)

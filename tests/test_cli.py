@@ -476,6 +476,37 @@ def test_csv_format_nested_dict(capsys):
     assert "value_re" in keys and "abs_im" in keys
 
 
+def test_csv_format_flattens_a_nested_payload(capsys):
+    # pols is a dict of dicts: each inner map is one row under the key pols.<2g>
+    code, out = run(capsys, "large-radius", "pols", "--n", "1", "--gmax", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "key,value",
+        "n,1",
+        "pols.2,\"{'0': '1', '2': '5/12'}\"",
+        "pols.4,\"{'0': '-1/2', '1': '1/3', '2': '-5/12', '3': '5/4', '4': '-25/288'}\"",
+        "prefactor,exp(2/u)",
+    ]
+
+
+def test_verify_all_csv_prints_one_row_per_criterion(capsys):
+    code, out = run(capsys, "verify-all", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:9]] == [f"ACCEPTANCE {n}" for n in range(1, 10)]
+    assert lines[9:] == ["key,value"] + [f"criterion_{n},True" for n in range(1, 10)]
+
+
+def test_verify_all_output_writes_the_records(capsys, tmp_path):
+    target = tmp_path / "acceptance.json"
+    code, out = run(capsys, "verify-all", "--output", str(target))
+    assert code == 0
+    assert len(out.splitlines()) == 9
+    records = json.loads(target.read_text())
+    assert [r["number"] for r in records] == list(range(1, 10))
+    assert all(sorted(r) == ["detail", "number", "passed", "title"] and r["passed"] is True for r in records)
+
+
 # -- imports -------------------------------------------------------------------
 
 
