@@ -57,8 +57,8 @@ INTERVALS: dict[str, tuple[float, float]] = {
     "Iminus": (0.0, math.pi),
 }
 
-# the Borel kernel branch of each family: Bhat, cut on the ray 0, or Bhat_+, cut on the ray pi
-_BRANCH = {"psi": "B", "g": "B", "phi": "B_plus", "f": "B_plus"}
+# the Borel kernel branch of each family and the ray of its cut
+_BRANCH = {"psi": ("B", 0.0), "g": ("B", 0.0), "phi": ("B_plus", math.pi), "f": ("B_plus", math.pi)}
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_END_TOL = 1e-6
@@ -70,14 +70,14 @@ _ROOT_SWEEPS = 200  # most Aberth-Ehrlich sweeps or Newton steps of the Pade roo
 
 
 def normalize_interval(interval) -> tuple[float, float]:
-    """The window of a tag I0|Ipi|Iplus|Iminus, or of an (a, b) pair with a < b."""
+    """The window of a tag I0|Ipi|Iplus|Iminus, or of an (a, b) pair with finite a < b."""
     if isinstance(interval, str):
         if interval not in INTERVALS:
             raise ValueError(f"unknown interval tag {interval!r}")
         return INTERVALS[interval]
     a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("empty interval")
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError("empty interval" if not a < b else "interval ends must be finite")
     return (a, b)
 
 
@@ -96,8 +96,7 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
     # cut angles inside the window
     points = [a, b]
     for base in cuts:
-        k0 = math.floor((a - base) / TWO_PI)
-        for k in range(k0 - 1, k0 + 4):
+        for k in range(math.floor((a - base) / TWO_PI), math.floor((b - base) / TWO_PI) + 1):
             c = base + TWO_PI * k
             if a < c < b:
                 points.append(c)
@@ -109,15 +108,14 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
         if hi - lo <= 2.0 * DELTA_RAY:
             continue
         eff = max(DELTA_RAY, min(THETA_MARGIN, (hi - lo) / 4.0))
-        # peak + 2pi k0 is the image of the steepest ray nearest the subarc's middle, wherever
-        # the window lies; clamped, it is the subarc's best ray, and k0 +- 1 can at most tie it
+        # the image of the steepest ray nearest the subarc's middle, clamped, is the subarc's
+        # best ray wherever the window lies: no other image is nearer to [lo + eff, hi - eff]
         k0 = round(((lo + hi) / 2.0 - peak) / TWO_PI)
-        for k in range(k0 - 1, k0 + 2):
-            cand = min(max(peak + TWO_PI * k, lo + eff), hi - eff)
-            rate = (z * cmath.exp(1j * cand)).real
-            if rate > best_rate:
-                best_rate = rate
-                best_theta = cand
+        cand = min(max(peak + TWO_PI * k0, lo + eff), hi - eff)
+        rate = (z * cmath.exp(1j * cand)).real
+        if rate > best_rate:
+            best_rate = rate
+            best_theta = cand
     if best_theta is None or best_rate < _DECAY_MIN:
         raise DomainError("domain empty: no admissible decaying ray in the window")
     return best_theta
@@ -549,8 +547,7 @@ def sum_family(
     if name not in _BRANCH:
         raise ValueError("name must be one of psi, phi, g, f")
     z = complex(z)
-    branch = _BRANCH[name]
-    cut = 0.0 if branch == "B" else math.pi
+    branch, cut = _BRANCH[name]
     theta = choose_theta(z, interval, (cut,)) if theta is None else _theta_inside(theta, interval)
     lap = laplace_ray(branch, z, theta, tol)
     val = z * lap.value

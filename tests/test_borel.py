@@ -163,6 +163,8 @@ def test_direction_and_interval_plumbing():
             normalize_interval(alias)
     with pytest.raises(ValueError, match="empty interval"):
         normalize_interval((1.0, 1.0))
+    with pytest.raises(ValueError, match="interval ends must be finite"):
+        normalize_interval((0.0, math.inf))
     sum_family("psi", 4.0, (0.0, math.pi), theta=0.5)
     for theta, window in ((-0.5, "Iminus"), (0.0, "Iminus"), (0.5, "Iplus")):
         with pytest.raises(DomainError, match="strictly inside"):
@@ -205,13 +207,16 @@ def _theta_cases(count: int, seed: int):
 
 
 def test_choose_theta_takes_the_steepest_admissible_ray():
-    for z, tag, cuts in _theta_cases(40, 3):
+    # tag windows, and a window of almost five turns whose later cuts must be found too
+    long = [(z, (0.1, 30.0), cuts) for z in (1.0, 1j, -2 + 0.5j) for cuts in ((0.0,), (math.pi,))]
+    for z, tag, cuts in _theta_cases(40, 3) + long:
         window = normalize_interval(tag)
         best = _steepest_rate_on_a_grid(z, window, cuts)
         if best < borel._DECAY_MIN:
             continue
         theta = choose_theta(z, tag, cuts)
         assert window[0] < theta < window[1]
+        assert min(abs(math.remainder(theta - c, borel.TWO_PI)) for c in cuts) >= borel.DELTA_RAY - 1e-12
         assert (z * cmath.exp(1j * theta)).real >= best - 1e-12, (z, tag, cuts, theta)
 
 
@@ -234,6 +239,14 @@ def test_choose_theta_is_invariant_under_whole_turns_of_its_window():
             else:
                 got = choose_theta(z, shifted, cuts) - borel.TWO_PI * k
                 assert abs(got - theta) <= 1e-9, (z, tag, cuts, k)
+
+
+def test_a_window_of_several_turns_sums_on_a_side_of_each_cut():
+    # at z = 1 the window holds rays of equal rate on both sides of every cut
+    for name in ("psi", "phi"):
+        far = sum_family(name, 1.0, (0.1, 30.0)).value
+        sides = [sum_family(name, 1.0, tag).value for tag in ("Iplus", "Iminus")]
+        assert min(abs(far - side) for side in sides) <= 1e-10, name
 
 
 def test_sum_family_theta_must_be_inside_window():
