@@ -340,30 +340,25 @@ class Poly:
 
     # -- truncation ------------------------------------------------------------
 
-    def _kept(self, nums: dict) -> "Poly":
+    def _kept(self, mask: int, top: int, floor: int) -> "Poly":
+        """The terms whose slot under mask is at most top and whose z slot is at least floor."""
+        z_mask = _Z_SLOT[1]
+        nums = {k: c for k, c in self.nums.items() if k & mask <= top and k & z_mask >= floor}
         # a dropped term can take the last factor coprime to den with it
         return self if len(nums) == len(self.nums) else _poly(self.den, nums)
 
     def drop_high_degree(self, name: str, cap: int) -> "Poly":
         shift, mask = _slot(name)
-        top = (cap + _HALF) << shift
-        return self._kept({k: c for k, c in self.nums.items() if k & mask <= top})
+        return self._kept(mask, (cap + _HALF) << shift, 0)
 
     def drop_low_z(self, zcap: int) -> "Poly":
         """Drop z-exponents below -zcap (series truncation in z^{-1})."""
-        shift, mask = _Z_SLOT
-        floor = (_HALF - zcap) << shift
-        return self._kept({k: c for k, c in self.nums.items() if k & mask >= floor})
+        return self._kept(0, 0, (_HALF - zcap) << _Z_SLOT[0])
 
     def capped(self, sigma: int, zorder: Optional[int]) -> "Poly":
         """drop_high_degree("s2", sigma), then drop_low_z(zorder) unless it is None, in one pass."""
-        s_shift, s_mask = _S2_SLOT
-        z_shift, z_mask = _Z_SLOT
-        top = (sigma + _HALF) << s_shift
-        floor = 0 if zorder is None else (_HALF - zorder) << z_shift
-        return self._kept({
-            k: c for k, c in self.nums.items() if k & s_mask <= top and k & z_mask >= floor
-        })
+        floor = 0 if zorder is None else (_HALF - zorder) << _Z_SLOT[0]
+        return self._kept(_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0], floor)
 
     def min_degree(self, name: str) -> Optional[int]:
         shift, mask = _slot(name)
@@ -469,8 +464,16 @@ class TransElement:
         else:
             self.terms[key] = s
 
-    def _like(self, terms: dict | None = None) -> "TransElement":
-        return TransElement(terms, caps=self.caps, context=self.context)
+    def _like(self) -> "TransElement":
+        return TransElement(None, self.caps, self.context)
+
+    def _map(self, f, dn: int = 0) -> "TransElement":
+        """f(p) at (lin, m, n + dn) for each term p at (lin, m, n); f must keep
+        a coefficient inside the sigma_2 and z caps."""
+        out = self._like()
+        for (lin, m, n), p in self.terms.items():
+            out._put((lin, m, n + dn), f(p))
+        return out
 
     def _check_compatible(self, other: "TransElement") -> None:
         if self.caps != other.caps or self.context is not other.context:
@@ -509,9 +512,7 @@ class TransElement:
         return out
 
     def __neg__(self) -> "TransElement":
-        out = self._like()
-        out.terms = {k: -p for k, p in self.terms.items()}
-        return out
+        return self._map(Poly.__neg__)
 
     def __sub__(self, other: "TransElement") -> "TransElement":
         return self + (-other)
@@ -531,44 +532,27 @@ class TransElement:
         return out
 
     def scale_poly(self, poly: Poly) -> "TransElement":
-        out = self._like()
-        sigma, zorder = self.caps.sigma, self.caps.zorder
-        for key, p in self.terms.items():
-            out._put(key, p.mul(poly, sigma, zorder))
-        return out
+        return self._map(lambda p: p.mul(poly, self.caps.sigma, self.caps.zorder))
 
     def scale(self, c) -> "TransElement":
-        out = self._like()
-        for key, p in self.terms.items():
-            out._put(key, p.scale(c))
-        return out
+        return self._map(lambda p: p.scale(c))
 
     def shift_grade(self, dn: int) -> "TransElement":
         """Multiply by e^{-2 dn z} (pure exponential, grade shift only)."""
-        out = self._like()
-        for (lin, m, n), p in self.terms.items():
-            out._put((lin, m, n + dn), p)
-        return out
+        return self._map(lambda p: p, dn)
 
     def partial(self, name: str) -> "TransElement":
         """Partial derivative in a parameter variable (never z)."""
         if name == "z":
             raise ValueError("use apply_ddz for the z derivative")
-        return self._like({k: p.deriv(name) for k, p in self.terms.items()})
+        return self._map(lambda p: p.deriv(name))
 
     def subst(self, name: str, replacement: Poly) -> "TransElement":
-        out = self._like()
-        sigma, zorder = self.caps.sigma, self.caps.zorder
-        for key, p in self.terms.items():
-            out._put(key, p.subst(name, replacement, sigma, zorder))
-        return out
+        return self._map(lambda p: p.subst(name, replacement, self.caps.sigma, self.caps.zorder))
 
     def truncated(self, caps: Caps) -> "TransElement":
         """Re-truncate to tighter caps (used to land on a check window)."""
-        out = TransElement({}, caps, self.context)
-        for key, p in self.terms.items():
-            out._accumulate(key, p)
-        return out
+        return TransElement(self.terms, caps, self.context)
 
     def min_sigma2_degree(self) -> Optional[int]:
         degs = [p.min_degree("s2") for p in self.terms.values()]
@@ -806,11 +790,8 @@ def formal_integral(
 def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
     s2 = Poly.var("s2", 1, -1 if negate_sigma2 else 1)
 
-    terms: dict[tuple[int, int, int], Poly] = {
-        (0, 0, 0): Poly.var("s1"),
-        (1, 0, 0): ONE_POLY,
-    }
-    explicit = TransElement(terms, caps, context)
+    seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context)
+    explicit = seed  # + forms a new element, so the seed stays sigma_1 + g
     fac_pow = ONE_POLY
     s2_pow = ONE_POLY
     # grade n carries sigma_2^n, so the grades above the sigma_2 cap vanish
@@ -825,9 +806,6 @@ def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigm
             coeff = coeff.mul(fac_pow, caps.sigma, caps.zorder)
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
-    seed = TransElement(
-        {(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context
-    )
     via_exp = apply_stokes(seed, "geq0", s2.scale(ExactScalar(0, 1)))
     if via_exp != explicit:
         raise ArithmeticError("formal-integral route disagreement")
@@ -891,20 +869,23 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
     return (lhs - rhs).truncated(caps)
 
 
+def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
+    """The two bridge residuals of x on the window caps, and whether both vanish."""
+    r_plus, r_minus = _bridge_residuals(x, caps, unit)
+    return {
+        "residual_plus": r_plus,
+        "residual_minus": r_minus,
+        "ok": r_plus.is_zero() and r_minus.is_zero(),
+    }
+
+
 def bridge_check(caps: Caps = Caps()) -> dict:
     """Exact residuals of the two bridge identities for the formal integral.
 
     r_plus  = Delta_2  G + i e^{+2z} dG/dsigma_2
     r_minus = Delta_-2 G + i e^{-2z} (sigma_2 dG/dsigma_1 - sigma_2^2 dG/dsigma_2)
     """
-    wide = caps.widen(extra_sigma=1, extra_grade=1)
-    G = formal_integral(wide)
-    r_plus, r_minus = _bridge_residuals(G, caps, ExactScalar(0, 1))
-    return {
-        "residual_plus": r_plus,
-        "residual_minus": r_minus,
-        "ok": r_plus.is_zero() and r_minus.is_zero(),
-    }
+    return _bridge_check(formal_integral(caps.widen(extra_sigma=1, extra_grade=1)), caps, ExactScalar(0, 1))
 
 
 def stokes_action_check(caps: Caps = Caps()) -> dict:

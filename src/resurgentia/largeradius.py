@@ -36,7 +36,7 @@ from .alien import (
     CompositionContext,
     Poly,
     TransElement,
-    _bridge_residuals,
+    _bridge_check,
     _stokes_residual,
     _stokes_window,
     formal_integral,
@@ -105,10 +105,7 @@ class ULaurent:
     # unused in src/, but perfbench/tracer.py wraps it at install; traced runs need it
     def __mul__(self, other: "ULaurent") -> "ULaurent":
         out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        _acc_row(out, self.terms.items(), other.terms.items())
         return _ulaurent({e: c for e, c in out.items() if c})
 
     def shift(self, k: int) -> "ULaurent":
@@ -509,13 +506,7 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    H = lr_transseries(caps.widen(extra_sigma=1, extra_grade=1))
-    r_plus, r_minus = _bridge_residuals(H, caps, ExactScalar(0, -1))
-    return {
-        "residual_plus": r_plus,
-        "residual_minus": r_minus,
-        "ok": r_plus.is_zero() and r_minus.is_zero(),
-    }
+    return _bridge_check(lr_transseries(caps.widen(extra_sigma=1, extra_grade=1)), caps, ExactScalar(0, -1))
 
 
 def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -308,20 +308,13 @@ class PowerSeries:
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 window")
-        return self._deriv_in_window(1).truncate(self.order - 1)
+        return self._deriv_in_window().truncate(self.order - 1)
 
-    def _deriv_in_window(self, times: int) -> "PowerSeries":
-        # exact n-th derivative kept in the full window; degree d of the
-        # result depends only on c_{d-times}, so every stored entry is exact
-        if times == 0:
-            return self
-        n = self.order
-        # c_k moves to degree k + times with factor (-k)(-k-1)...(-k-times+1)
-        sign = -1 if times & 1 else 1
-        facs = [sign * perm(k + times - 1, times) for k in range(n + 1 - times)]
-        pad = (0,) * min(times, n + 1)
-        return _series(n, self.den, pad + tuple(x * f for x, f in zip(self.re, facs)),
-                       pad + tuple(y * f for y, f in zip(self.im, facs)))
+    def _deriv_in_window(self) -> "PowerSeries":
+        # exact d/dz kept in the full window: c_k moves to degree k + 1 with
+        # factor -k, and c_order leaves it, so every stored entry is exact
+        return _series(self.order, self.den, (0,) + tuple(-k * x for k, x in enumerate(self.re[:-1])),
+                       (0,) + tuple(-k * y for k, y in enumerate(self.im[:-1])))
 
     # -- composition -------------------------------------------------------
 
@@ -336,14 +329,15 @@ class PowerSeries:
         out = self.truncate(n)
         phi = phi.truncate(n)
         power = PowerSeries.one(n)
+        deriv = out
         fact = 1
         for k in range(1, n + 1):
             power = power * phi
             fact *= k
             if power.is_zero():
                 break
-            term = self._deriv_in_window(k).truncate(n) * power
-            out = out + term.scale(Fraction(1, fact))
+            deriv = deriv._deriv_in_window()  # the k-th derivative, exact in the window
+            out = out + (deriv * power).scale(Fraction(1, fact))
         return out
 
     def reflect(self) -> "PowerSeries":

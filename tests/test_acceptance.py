@@ -11,3 +11,8 @@ def test_criterion(criterion, capsys):
     with capsys.disabled():
         print(result.line())
     assert result.passed, result.line()
+
+
+def test_every_criterion_is_registered_once_in_order():
+    assert [c.__name__ for c in acceptance.CRITERIA] == [f"criterion_{k}" for k in range(1, 10)]
+    assert [r.number for r in acceptance.run_all()] == list(range(1, 10))

@@ -85,8 +85,8 @@ def _expand_to_series(
     f = g.reflect()
     ratio = phi.series * psi.series.inverse()
     ratio_inv = ratio.inverse()
-    p_series = g._deriv_in_window(1)
-    q_series = f._deriv_in_window(1)
+    p_series = g._deriv_in_window()
+    q_series = f._deriv_in_window()
     param_idx = [IDX[v] for v in ("s1", "s2", "t1", "t2", "d1", "d2")]
 
     out: dict[tuple[tuple[int, ...], int], PowerSeries] = {}
@@ -385,7 +385,7 @@ def test_ddz_expands_to_log_derivative():
     g = TransElement.generator("g", WIDE)
     exp = _expand_to_series(apply_ddz(g), 20)
     psi, _ = families.gen_psi_phi(22)
-    want = psi.series.log()._deriv_in_window(1).truncate(20)
+    want = psi.series.log()._deriv_in_window().truncate(20)
     assert exp[((0, 0, 0, 0, 0, 0), 0)] == want
 
 
@@ -587,6 +587,11 @@ def test_accumulate_truncates_in_one_pass(p, sigma, zorder):
     _assert_same_poly(p.capped(sigma, zorder), want)
     x = TransElement({(0, 0, 0): p}, Caps(sigma, 3, zorder))
     _assert_same_poly(x.terms.get((0, 0, 0), Poly()), want)
+    # the one filter takes any slot, Laurent ones and negative caps included
+    for name in ("p", "u", "w"):
+        for cap in range(-2, 3):
+            kept = {m: c for m, c in p.terms.items() if m[IDX[name]] <= cap}
+            _assert_same_poly(p.drop_high_degree(name, cap), Poly(kept))
 
 
 @given(kernel_polys, kernel_polys, kernel_polys)

@@ -284,6 +284,30 @@ def test_airy_oracle_refuses_w_past_its_validated_disc():
     assert airy_oracle(-10.0) == pytest.approx(sp.airy(-10.0)[0], abs=1e-8)
     with pytest.raises(DomainError, match=r"\|w\| <= 10"):
         airy_oracle(12.0)
+    # inside the disc at c(w) = 24.7, 30.2 and 36.5, where the sums cancel
+    for w in (7.0, 8.0, 10.0 * cmath.exp(0.5j)):
+        with pytest.raises(DomainError, match=r"\|w\| <= 10"):
+            airy_oracle(w)
+
+
+def test_airy_oracle_matches_mpmath_wherever_it_answers():
+    """On a 960-point polar grid of |w| <= 10 the oracle refuses exactly where
+    c(w) > 21.5 and is within 2^-50 e^{c(w)} + 1e-14 relative elsewhere."""
+    mpmath = pytest.importorskip("mpmath")
+    admitted = 0
+    with mpmath.workdps(30):
+        for i in range(1, 21):
+            for j in range(48):
+                w = cmath.rect(0.5 * i, -math.pi + math.pi * j / 24)
+                c = 2.0 / 3.0 * (abs(w) ** 1.5 + (w ** 1.5).real)
+                if abs(w) > 10.0 or c > 21.5:
+                    with pytest.raises(DomainError):
+                        airy_oracle(w)
+                    continue
+                want = complex(mpmath.airyai(mpmath.mpc(w.real, w.imag)))
+                assert abs(airy_oracle(w) - want) <= (2.0 ** -50 * math.exp(c) + 1e-14) * abs(want)
+                admitted += 1
+    assert admitted > 800
 
 
 # -- sectorial family and formulas ----------------------------------------------

@@ -389,7 +389,10 @@ def test_scale_matches_scalar_loop(s, c):
 def test_calculus_and_window_ops_match_scalar_loop(s, k):
     if s.order:
         _assert_native(s.diff(), _reference_diff(s))
-    _assert_native(s._deriv_in_window(k), _reference_deriv_in_window(s, k))
+    deriv = s
+    for _ in range(k):
+        deriv = deriv._deriv_in_window()
+    _assert_native(deriv, _reference_deriv_in_window(s, k))
     _assert_native(s.reflect(), _reference_reflect(s))
     cut = min(k, s.order)
     _assert_native(s.truncate(cut), PowerSeries(cut, s.coeffs[: cut + 1]))
