@@ -770,9 +770,13 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
             tail_r.append(abs(complex(d[n - 1])) / abs(complex(d[n])))
         if tail_r and _grows_without_bound(tail_r):
             return complex(math.inf, 0.0)
-        # a genuine pole is also stable under a change of denominator degree
-        first = _pade_smallest_pole(d, M)
-        second = _pade_smallest_pole(d, M - 1)
+        # a genuine pole is also stable under a change of denominator degree:
+        # the [L+1/M-1] system is rows 2..M, columns 1..M-1 of the [L/M] one
+        L = len(d) - 1 - M
+        q, q_short = _solve_pair([[d[L + k - j] for j in range(1, M + 1)] for k in range(1, M + 1)],
+                                 [-d[L + k] for k in range(1, M + 1)])
+        first = _pade_smallest_pole(q)
+        second = _pade_smallest_pole(q_short)
         if first is None or second is None:
             return complex(math.inf, 0.0)
         if abs(first - second) > 0.25 * abs(first):
@@ -788,11 +792,8 @@ def _grows_without_bound(vals: list) -> bool:
             and all(b > a for a, b in zip(mods, mods[1:])))
 
 
-def _pade_smallest_pole(d: list, M: int):
-    L = len(d) - 1 - M
-    A = [[d[L + k - j] for j in range(1, M + 1)] for k in range(1, M + 1)]
-    rhs = [-d[L + k] for k in range(1, M + 1)]
-    q = _solve_exact(A, rhs)
+def _pade_smallest_pole(q):
+    """The smallest pole of the Pade denominator with solved coefficients q_1..q_M."""
     if q is None:
         return None
     q = [Fraction(1)] + q  # the denominator 1 + q_1 zeta + ... + q_M zeta^M
@@ -878,40 +879,59 @@ def _as_fraction(c) -> Fraction:
 
 
 def _solve_exact(A: list, rhs: list):
-    """Exact solution of A q = rhs over the rationals; None on a singular system.
+    """Exact solution of A q = rhs over the rationals; None on a singular system."""
+    return _bareiss(_integer_rows(A, rhs), len(rhs))[0]
 
-    Each augmented row is scaled to integers by the lcm of its denominators, then
-    fraction-free (Bareiss) elimination makes it upper triangular: every entry
-    stays an integer minor, and each division by the previous pivot is exact
-    (Bareiss, Math. Comp. 22 (1968) 565). With D the last pivot, +-det A, back
-    substitution yields the integers D q_i, again by exact divisions.
-    """
-    n = len(rhs)
-    M = []
+
+def _solve_pair(A: list, rhs: list):
+    """The solutions of A q = rhs and of its block of rows 2..n, columns
+    1..n-1, by one elimination: rows 2..n first, pivoting among themselves,
+    then row 1. A singular block gives (None, None), a singular A (None, q')."""
+    M = _integer_rows(A[1:] + A[:1], rhs[1:] + rhs[:1])
+    short, prev = _bareiss(M, len(rhs) - 1)
+    return (None, None) if short is None else (_bareiss(M, len(rhs), len(rhs) - 1, prev)[0], short)
+
+
+def _integer_rows(A: list, rhs: list) -> list:
+    # each augmented row times the lcm of its denominators, over the gcd of the results
+    out = []
     for row, b in zip(A, rhs):
         aug = [Fraction(x) for x in row] + [Fraction(b)]
         scale = math.lcm(*(x.denominator for x in aug))
-        M.append([x.numerator * (scale // x.denominator) for x in aug])
-    prev = 1
-    for k in range(n):
+        ints = [x.numerator * (scale // x.denominator) for x in aug]
+        content = math.gcd(*ints) or 1
+        out.append([v // content for v in ints])
+    return out
+
+
+def _bareiss(M: list, n: int, k0: int = 0, prev: int = 1):
+    """(q, last pivot) for the first n integer rows of M on columns 0..n-1, the
+    right-hand side in the last column; q is None on a singular system.
+
+    Fraction-free (Bareiss) elimination of columns k0..n-1 (k0 > 0 resumes one
+    whose last pivot was prev), pivots from rows k..n-1, every later row of M
+    updated too, keeps each entry an integer minor; each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22 (1968) 565). With D the
+    last pivot, +-det, back substitution yields the integers D q_i exactly.
+    """
+    for k in range(k0, n):
         piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            return None
+            return None, prev
         M[k], M[piv] = M[piv], M[k]
         pk = M[k]
         p = pk[k]
-        for r in range(k + 1, n):
+        for r in range(k + 1, len(M)):
             row = M[r]
             f = row[k]
-            M[r] = [0] * (k + 1) + [(p * row[j] - f * pk[j]) // prev for j in range(k + 1, n + 1)]
+            M[r] = [0] * (k + 1) + [(p * row[j] - f * pk[j]) // prev for j in range(k + 1, len(row))]
         prev = p
-    D = prev
     y = [0] * n
     for i in range(n - 1, -1, -1):
         row = M[i]
-        acc = D * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        acc = prev * row[-1] - sum(row[j] * y[j] for j in range(i + 1, n))
         y[i] = acc // row[i]
-    return [Fraction(v, D) for v in y]
+    return [Fraction(v, prev) for v in y], prev
 
 
 def airy_oracle(w: complex) -> complex:

@@ -34,6 +34,26 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
 
 
+# argparse reads a token that starts with "-" as an option unless it looks like
+# a negative real number, so main writes "--z -1i" as "--z=-1i" for these flags
+_COMPLEX_FLAGS = ("--z", "--sigma1", "--sigma2", "--gs", "--u")
+
+
+def _attach_complex_values(argv: list) -> list:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _COMPLEX_FLAGS and tok.startswith("-"):
+            try:
+                _complex(tok)
+            except argparse.ArgumentTypeError:
+                pass  # "--sigma2 --z 4": the missing value stays a usage error
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def _common_parser(keys: tuple) -> argparse.ArgumentParser:
     """--config, --format and --output, plus the flag of each config key in keys;
     a subcommand takes the flags of the keys its handler reads and rejects the rest."""
@@ -346,7 +366,7 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_complex_values(sys.argv[1:] if argv is None else argv))
     _check_flags(args)
     try:
         overrides = {k: getattr(args, k, None) for k in RunConfig._fields}

@@ -18,7 +18,10 @@ coefficients are exact rationals.
 psi is built twice, from the closed-form ratio and from the equation, each
 time as integer numerators over the one denominator 72^N N! (a running product
 forward, one pass of weights backward), and the two integer lists must agree.
-g and the G_n tower are then series operations on that one psi.
+g and the G_n tower are then series operations on that one psi, taken in the
+variable z/72: there coefficient n is 72^n c_n, numerators over N! alone, so
+every log, inverse, exp and product works on integers about half as long, and
+one exact rescale c_k -> c_k/72^k maps each output back.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .series import DEFAULT_ORDER, PowerSeries, _series
+from .series import DEFAULT_ORDER, PowerSeries, _rescale, _series
 
 FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n")
 
@@ -96,6 +99,20 @@ def gen_c_coeffs(order: int = DEFAULT_ORDER) -> list[Fraction]:
     return [Fraction(c, den) for c in nums]
 
 
+def _checked_psi(order: int) -> list[int]:
+    # psi's numerators over 72^order order!, route (a) checked against route (b)
+    closed = _psi_closed_form(order)
+    if closed != _psi_by_ode_recursion(order):
+        raise ArithmeticError("ODE/closed-form disagreement")
+    return closed
+
+
+def _psi_over_72(order: int) -> PowerSeries:
+    """psi in the variable z/72: coefficient n is 72^n c_n, numerators over order!."""
+    nums = tuple(c // 72 ** (order - n) for n, c in enumerate(_checked_psi(order)))
+    return _series(order, factorial(order), nums, (0,) * (order + 1))
+
+
 def gen_psi_phi(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries]:
     """The base series and its reflection, cross-checked over two routes.
 
@@ -103,10 +120,8 @@ def gen_psi_phi(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries]
     obtained by substituting the ansatz into the linear equation. Both give
     integer numerators over 72^order order!, which must agree exactly.
     """
-    closed = _psi_closed_form(order)
-    if closed != _psi_by_ode_recursion(order):
-        raise ArithmeticError("ODE/closed-form disagreement")
-    psi = _series(order, 72 ** order * factorial(order), tuple(closed), (0,) * (order + 1))
+    closed = tuple(_checked_psi(order))
+    psi = _series(order, 72 ** order * factorial(order), closed, (0,) * (order + 1))
     return (
         FamilySeries("psi", psi),
         FamilySeries("phi", psi.reflect()),
@@ -119,7 +134,7 @@ def gen_g_f(order: int = DEFAULT_ORDER) -> tuple[FamilySeries, FamilySeries, lis
     Returns (g, f, a) where a[k] is the coefficient a_{k+2} = 3^{k+1} b_{k+1}
     of the genus expansion, so a = [a_2, a_3, ...] with order entries.
     """
-    g = gen_psi_phi(order)[0].series.log()
+    g = _rescale(_psi_over_72(order).log(), 1, 72)
     # g is real: b_n = g.re[n] / g.den, and a_{n+1} = 3^n b_n
     a = [Fraction(3 ** n * g.re[n], g.den) for n in range(1, order + 1)]
     return FamilySeries("g", g), FamilySeries("f", g.reflect()), a
@@ -133,9 +148,9 @@ def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
-    psi, phi = gen_psi_phi(order)
-    g = psi.series.log()
-    ratio = phi.series * psi.series.inverse()
+    psi = _psi_over_72(order)
+    g = psi.log()
+    ratio = psi.reflect() * psi.inverse()
     via_exp = (g.reflect() - g).exp()
     if ratio != via_exp:
         raise ArithmeticError("ODE/closed-form disagreement")
@@ -144,7 +159,7 @@ def gen_Gn(order: int = DEFAULT_ORDER, nmax: int = 6) -> list[FamilySeries]:
     for n in range(1, nmax + 1):
         power = power * ratio
         sign = Fraction((-1) ** (n - 1), n)
-        out.append(FamilySeries("G_n", power.scale(sign), n=n))
+        out.append(FamilySeries("G_n", _rescale(power.scale(sign), 1, 72), n=n))
     return out
 
 

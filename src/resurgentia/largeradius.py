@@ -7,10 +7,11 @@ With t = g_s^2 u^2 and z2 = 1/(3 g_s^2 u^3), the shift z2 -> z2 + phi_u,
 maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2). Resurgent series are stable
 under it, so each large-radius object is a double-scaling one at z1 plus the
 elementary term R. Exact series at z1 come from one evaluation map, _at_z1,
-which reads z1^{-k} = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2} off the t-coefficients,
-and the factors e^{-2n(phi_u + 1/u)} from one row recurrence (which also gives
-1/(1 + x)): H^(0) (route (a) is log psi at z1 plus R, checked against route (b),
-the composition in the z2 grading), the components H^(n), the composition
+which reads z1^{-k} = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2} off the t-coefficients
+as integers, and the factors e^{-2n(phi_u + 1/u)} from one row recurrence:
+H^(0) (route (a) is log psi at z1 plus R, checked against route (b), the
+composition in the z2 grading as one table of integer powers of
+1/(1 + z2^{-1} phi_u)), the components H^(n), the composition
 factors e^{-+2 phi_u} of the symbolic layer (one context per z order), and the
 numeric sums and connection law (G_+- at z1 with sigma_2 -> -sigma_2). phi_u,
 R~ and the t-coefficients of (1-2t)^a are each written once. Exact series are
@@ -25,6 +26,7 @@ import math
 from itertools import chain
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from . import families
@@ -43,7 +45,7 @@ from .alien import (
 )
 from .errors import BranchCutError, DomainError, SumValue
 from .scalars import ExactScalar, exact_fraction
-from .series import PowerSeries
+from .series import PowerSeries, _series
 
 
 def _one_minus_2t(a: Fraction, n: int) -> list:
@@ -275,10 +277,10 @@ class UCoeffSeries:
         return _ucs(self.grading, self.order, self.den, rows, _F0, self.exp_tag)
 
     def mul_gs2(self) -> "UCoeffSeries":
-        """Multiply by g_s^2 (an index shift in the gs2 grading)."""
+        """Multiply by g_s^2: in the gs2 grading coefficient k moves to k + 1, the top one leaves."""
         if self.grading != "gs2":
             raise ValueError("g_s^2 shift requires the gs2 grading")
-        return _index_shift(self)
+        return _ucs("gs2", self.order, self.den, ({},) + self.rows[: self.order], self.log_u, self.exp_tag)
 
     def diff_u(self) -> "UCoeffSeries":
         if self.exp_tag != 0:
@@ -304,11 +306,6 @@ def _z2_to_gs2(s: UCoeffSeries) -> UCoeffSeries:
     """Regrade a z2 series by z2^{-1} = 3 g_s^2 u^3: z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}."""
     rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(s.rows))
     return _ucs("gs2", s.order, s.den, rows, s.log_u)
-
-
-def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
-    """Coefficient k moves to k + 1 (times g_s^2 or z2^{-1}); the top one leaves."""
-    return _ucs(s.grading, s.order, s.den, ({},) + s.rows[: s.order], s.log_u, s.exp_tag)
 
 
 def _window(s: UCoeffSeries, order: int) -> UCoeffSeries:
@@ -356,24 +353,28 @@ def _at_z1(c: PowerSeries, N: int) -> UCoeffSeries:
     """sum_k c_k z1^{-k} through g_s^{2N}, for a real series c in z^{-1}.
 
     z1^{-k} = (3 lambda_s^2)^k = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2}, so row g
-    holds c_k 3^k [t^{g-k}](1-2t)^{-3k/2} at u^{2g+k}: no series products.
+    holds c_k 3^k [t^{g-k}](1-2t)^{-3k/2} at u^{2g+k}, an integer over c.den N!
+    by [t^m](1-2t)^{-3k/2} = prod_{j<m} (2j + 3k) / m!.
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(N + 1)]
+    rows: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    fact = math.factorial(N)
     for k in range(min(N, c.order) + 1):
-        ck = Fraction(c.re[k] * 3 ** k, c.den)
-        for m, a in enumerate(_one_minus_2t(Fraction(-3 * k, 2), N - k)):
-            if v := ck * a:
-                rows[k + m][3 * k + 2 * m] = v
-    return UCoeffSeries("gs2", N, tuple(map(_ulaurent, rows)))
+        v = c.re[k] * 3 ** k * fact  # times prod_{j<m} (2j + 3k) N!/m! at step m
+        for m in range(N - k + 1):
+            if not v:
+                break
+            rows[k + m][3 * k + 2 * m] = v
+            v = v * (2 * m + 3 * k) // (m + 1)
+    return _ucs("gs2", N, c.den * fact, tuple(rows))
 
 
-def _row_recurrence(x: UCoeffSeries, exp: bool) -> UCoeffSeries:
-    """exp(x), or 1/(1 + x), for x with an empty row 0 and no log u or
-    exponential part, by one row recurrence, as PowerSeries.exp and .inverse.
+def _row_recurrence(x: UCoeffSeries) -> UCoeffSeries:
+    """exp(x), for x with an empty row 0 and no log u or exponential part, by
+    one row recurrence, as PowerSeries.exp.
 
-    E_0 = 1 and k E_k = sum_{j=1}^k w x_j E_{k-j}, with w = j for exp(x) and
-    w = -k for 1/(1 + x). With x_j = X_j / d and E_k = N_k / (d^k k!),
-    N_k = sum_j w (k-1)!/(k-j)! (X_j d^{j-1}) N_{k-j}: ints throughout.
+    E_0 = 1 and k E_k = sum_{j=1}^k j x_j E_{k-j}. With x_j = X_j / d and
+    E_k = N_k / (d^k k!), N_k = sum_j j (k-1)!/(k-j)! (X_j d^{j-1}) N_{k-j}:
+    ints throughout.
     """
     n, d = x.order, x.den
     xs = [[(e, c * d ** (j - 1)) for e, c in row.items()] for j, row in enumerate(x.rows) if j]
@@ -381,7 +382,7 @@ def _row_recurrence(x: UCoeffSeries, exp: bool) -> UCoeffSeries:
     for k in range(1, n + 1):
         row: dict[int, int] = {}
         for j in range(1, k + 1):
-            w = (j if exp else -k) * math.perm(k - 1, j - 1)
+            w = j * math.perm(k - 1, j - 1)
             _acc_row(row, [(e, c * w) for e, c in xs[j - 1]], E[k - j])
         E.append([(e, c) for e, c in row.items() if c])
     return _ucs(x.grading, n, d ** n * math.factorial(n),
@@ -391,23 +392,34 @@ def _row_recurrence(x: UCoeffSeries, exp: bool) -> UCoeffSeries:
 def _exp_phi(n: int, N: int) -> UCoeffSeries:
     """e^{-2n (phi_u + 1/u)} through z2^{-N}; the 1/u cancels row 0 of phi_u."""
     x = (gen_phi_u(N + 1) + _head("z2", N, ULaurent.mono(-1, 1))).scale(-2 * n)
-    return _row_recurrence(x, exp=True)
+    return _row_recurrence(x)
+
+
+def _one_plus_x(phi: UCoeffSeries) -> PowerSeries:
+    """1 + X(s) with X(1/(u z2)) = z2^{-1} phi_u: row k - 1 of phi is X_k u^{-k}."""
+    N = phi.order
+    return _series(N, phi.den, (phi.den,) + tuple(phi.rows[k].get(-k - 1, 0) for k in range(N)), (0,) * (N + 1))
 
 
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     """g(z2 + phi_u) + R~ with g = log psi (see _rtilde), built in the z2 grading
-    and regraded via z2^{-1} = 3 g_s^2 u^3."""
+    and regraded via z2^{-1} = 3 g_s^2 u^3. w = (z2 + phi_u)^{-1} = z2^{-1} W(s)
+    with W = 1/(1 + X(s)) (see _one_plus_x), so b_n w^n puts b_n [s^m] W^n at
+    z2^{-(n+m)} u^{-m}: T_n = W^n through s^{N-n} is an int convolution over
+    D^n (D = W.den), summed into int rows over g.den D^N.
+    """
     phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
-    # x = z2^{-1} phi_u, then w = (z2 + phi_u)^{-1} = z2^{-1} / (1 + x)
-    w = _index_shift(_row_recurrence(_index_shift(phi), exp=False))  # valuation 1
-    total = _rtilde(phi)
-    wn = _head("z2", N, ULaurent.const(1))
+    W = _one_plus_x(phi).inverse()
+    D, w = W.den, W.re
+    rows: list[dict[int, int]] = [{} for _ in range(N + 1)]
+    T = [1]
     for n in range(1, N + 1):
-        wn = wn * w
-        bn = g.coeff(n).re
-        if bn:
-            total = total + wn.scale(bn)
-    return _z2_to_gs2(total)
+        T = [sum(map(mul, T[: m + 1], reversed(w[: m + 1]))) for m in range(N - n + 1)]
+        b = g.re[n] * D ** (N - n)
+        for m, t in enumerate(T):
+            if v := b * t:
+                rows[n + m][-m] = v
+    return _z2_to_gs2(_rtilde(phi) + _ucs("z2", N, g.den * D ** N, tuple(rows)))
 
 
 def gen_H0(N: int) -> UCoeffSeries:

@@ -44,6 +44,13 @@ def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
     return out
 
 
+def _rescale(s: "PowerSeries", p: int, q: int) -> "PowerSeries":
+    """s(q z / p), q > 0: coefficient k times (p/q)^k. Products, inverse, log,
+    exp and reflect commute with it, and (p, q) then (q, p) is the identity."""
+    w = [p ** k * q ** (s.order - k) for k in range(s.order + 1)]
+    return _series(s.order, s.den * q ** s.order, tuple(map(mul, s.re, w)), tuple(map(mul, s.im, w)))
+
+
 class _SharedDenominator:
     """The outputs of a recurrence so far, as numerators re, im over den.
 

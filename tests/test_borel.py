@@ -410,6 +410,25 @@ def test_singularity_pade_route():
     assert abs(loc - 2.0) < 0.1
 
 
+# repr of the Pade pole of each family at three coefficient counts, recorded
+# while the [L/M] and [L+1/M-1] systems were still solved one at a time
+PADE_POLE_REPR = {
+    ("psi", 41): "(2.009014753098924+0j)", ("psi", 60): "(2.0055595025532718+0j)", ("psi", 80): "(2.003961271953345+0j)",
+    ("phi", 41): "(-2.009014753098924+0j)", ("phi", 60): "(-2.0055595025532718+0j)", ("phi", 80): "(-2.003961271953345+0j)",
+    ("g", 41): "(2.008970455383667+0j)", ("g", 60): "(2.00552579298974+0j)", ("g", 80): "(2.00394672084428+0j)",
+    ("f", 41): "(-2.008970455383667+0j)", ("f", 60): "(-2.00552579298974+0j)", ("f", 80): "(-2.00394672084428+0j)",
+}
+
+
+def test_pade_poles_are_pinned():
+    g, f, _ = families.gen_g_f(80)
+    psi, phi = families.gen_psi_phi(80)
+    series = {"psi": psi.series, "phi": phi.series, "g": g.series, "f": f.series}
+    got = {(fam, count): repr(singularity_locate([series[fam].coeff(n) for n in range(count)], "pade"))
+           for fam, count in PADE_POLE_REPR}
+    assert got == PADE_POLE_REPR
+
+
 def test_aberth_roots_match_numpy_roots():
     rng = np.random.default_rng(7)
     for degree in range(1, 11):
@@ -482,6 +501,14 @@ def test_bareiss_solve_matches_gauss_jordan(system):
     assert borel._solve_exact(A, rhs) == gauss_jordan_reference(A, rhs)
 
 
+def gauss_jordan_pair(A: list, rhs: list):
+    """The [L/M] and [L+1/M-1] Pade systems each solved by Gauss-Jordan:
+    A q = rhs, and rows 2..M, columns 1..M-1 of it with the same right-hand side."""
+    full = gauss_jordan_reference(A, rhs)
+    short = gauss_jordan_reference([row[:-1] for row in A[1:]], rhs[1:])
+    return (None, None) if short is None else (full, short)
+
+
 def test_bareiss_solve_on_singular_and_pade_systems(monkeypatch):
     assert borel._solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
                               [Fraction(1), Fraction(3)]) is None
@@ -492,10 +519,42 @@ def test_bareiss_solve_on_singular_and_pade_systems(monkeypatch):
         for count in (40, 61, 81):
             coeffs = [series.coeff(n) for n in range(count)]
             got = singularity_locate(coeffs, "pade")
-            monkeypatch.setattr(borel, "_solve_exact", gauss_jordan_reference)
+            monkeypatch.setattr(borel, "_solve_pair", gauss_jordan_pair)
             want = singularity_locate(coeffs, "pade")
             monkeypatch.undo()
             assert got == want, (count, got, want)
+
+
+def _hankel(d: list, M: int):
+    """The [L/M] Pade system of the data d: A[k][j] = d[L+k-j], rhs[k] = -d[L+k]."""
+    L = len(d) - 1 - M
+    return ([[d[L + k - j] for j in range(1, M + 1)] for k in range(1, M + 1)],
+            [-d[L + k] for k in range(1, M + 1)])
+
+
+@given(st.integers(1, 6).flatmap(lambda M: st.tuples(
+    st.just(M), st.lists(_fractions, min_size=2 * M + 1, max_size=2 * M + 5))))
+def test_pair_solve_is_two_separate_solves(case):
+    # random data; test_pair_solve_on_singular_systems forces a singular M
+    # system with a regular block and the reverse
+    M, d = case
+    A, rhs = _hankel(d, M)
+    full, short = borel._solve_exact(A, rhs), borel._solve_exact([r[:-1] for r in A[1:]], rhs[1:])
+    assert borel._solve_pair(A, rhs) == ((None, None) if short is None else (full, short))
+
+
+@pytest.mark.parametrize("M,d,singular", [
+    (2, [0, 1, 1, 1, 3], "full"),  # [[1, 1], [1, 1]], block [1]
+    (2, [0, 0, 1, 0, 1], "block"),  # [[1, 0], [0, 1]], block [0]
+    (3, [1, 2, 3, 4, 5, 6, 7], "full"),  # a linear sequence has Hankel rank 2; block det 1
+    (3, [0, 0, 0, 1, 1, 1, 2], "block"),  # det (1 - d_2)^2 = 1; block [[1, 1], [1, 1]]
+])
+def test_pair_solve_on_singular_systems(M, d, singular):
+    A, rhs = _hankel([Fraction(x) for x in d], M)
+    block = borel._solve_exact([r[:-1] for r in A[1:]], rhs[1:])
+    full = borel._solve_exact(A, rhs)
+    assert (block is None) == (singular == "block") and (full is None) == (singular == "full")
+    assert borel._solve_pair(A, rhs) == ((None, None) if block is None else (full, block))
 
 
 def test_singularity_flags_entire_input():

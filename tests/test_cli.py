@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from resurgentia import borel
+from resurgentia import borel, cli
 from resurgentia.cli import build_parser, main
 from resurgentia.config import ENV_VAR, RunConfig, load_config_file, resolve_config
 
@@ -236,6 +236,65 @@ def test_complex_arguments_accept_i_notation(capsys):
     assert code2 == 0
     payload = json.loads(out2)
     assert payload["gs_im"] == pytest.approx(0.55)
+
+
+def _complex_options(parser: argparse.ArgumentParser) -> set:
+    out = set()
+    for action in parser._actions:
+        if action.type is cli._complex:
+            out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _complex_options(sub)
+    return out
+
+
+# (the argv before the flag, the flag): each complex flag in each command that takes it
+_COMPLEX_FLAG_CASES = [
+    (("sum", "--family", "phi"), "--z"),
+    (("connect", "right"), "--z"),
+    (("connect", "right", "--z", "4"), "--sigma1"),
+    (("connect", "right", "--z", "4"), "--sigma2"),
+    (("large-radius", "lrsum"), "--gs"),
+    (("large-radius", "lrsum", "--gs", "0.1"), "--u"),
+    (("large-radius", "lrsum", "--gs", "0.1"), "--sigma1"),
+    (("large-radius", "lrsum", "--gs", "0.1"), "--sigma2"),
+]
+
+
+@pytest.mark.parametrize("prefix,flag", _COMPLEX_FLAG_CASES,
+                         ids=[f"{p[0]}-{f}" for p, f in _COMPLEX_FLAG_CASES])
+@pytest.mark.parametrize("value", ["-1i", "-3+1i", "-0.5-2j", "-1", "0.25i"])
+def test_complex_flag_values_starting_with_a_minus(prefix, flag, value):
+    """"--flag value" parses as "--flag=value" for every complex flag, also
+    where the value starts with "-" and is no plain negative number."""
+    assert {f for _, f in _COMPLEX_FLAG_CASES} == _complex_options(build_parser()) == set(cli._COMPLEX_FLAGS)
+    parser = build_parser()
+    spaced = parser.parse_args(cli._attach_complex_values([*prefix, flag, value]))
+    joined = parser.parse_args([*prefix, f"{flag}={value}"])
+    assert vars(spaced) == vars(joined)
+    assert getattr(spaced, flag[2:]) == cli._complex(value)
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    ("connect right --z 4 --sigma1 1 --sigma2 -1i", "connect right --z 4 --sigma1 1 --sigma2=-1i"),
+    ("sum --family phi --z -3+1i --interval Ipi", "sum --family phi --z=-3+1i --interval Ipi"),
+    ("large-radius lrsum --gs 0.55i --u -1+0.1i --sigma1 -1i --sigma2 -0.002i",
+     "large-radius lrsum --gs=0.55i --u=-1+0.1i --sigma1=-1i --sigma2=-0.002i"),
+])
+def test_complex_flag_space_form_runs_like_the_equals_form(capsys, spaced, joined):
+    code, out = run(capsys, *spaced.split())
+    assert (code, out) == run(capsys, *joined.split())
+    assert "error" not in json.loads(out)
+
+
+def test_complex_flag_without_its_value_is_a_usage_error(capsys):
+    for argv in (["connect", "right", "--sigma2", "--z", "4"], ["sum", "--family", "psi", "--z"],
+                 ["large-radius", "lrsum", "--gs", "0.1", "--u", "--sigma1", "-1i"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
 
 # -- failure modes ---------------------------------------------------------------

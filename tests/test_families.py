@@ -1,5 +1,7 @@
 """The divergent solution family and its exact derivates."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -166,3 +168,26 @@ def test_constant_shift_invariance_fuzz(c):
     g, _, _ = families.gen_g_f(8)
     shifted = g.series + PowerSeries.constant(c, 8)
     assert families.ode_residual(shifted, "hae_nonlinear").is_zero()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _g_f_text(order: int) -> str:
+    g, f, a = families.gen_g_f(order)
+    return g.series.to_json() + f.series.to_json() + json.dumps([str(x) for x in a])
+
+
+# sha256 of the exact family outputs that the z/72 rescaling rebuilds,
+# recorded before the log, inverse and exp ran in that variable
+FAMILY_SHA256 = {
+    "gen_g_f(120)": (lambda: _g_f_text(120), "c94d6ab42f00933fd1e6de102a8efe9a393a5ae2f7126e9c73869295760008e4"),
+    "gen_Gn(64,6)": (lambda: "".join(G.series.to_json() for G in families.gen_Gn(64, 6)), "4afaaf60b7983165098b6a7ca2f9816ea248683330c6bbe5d3969374964a9515"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SHA256))
+def test_family_outputs_are_pinned(name):
+    build, digest = FAMILY_SHA256[name]
+    assert _sha(build()) == digest

@@ -416,19 +416,55 @@ def _one(grading: str, N: int) -> UCoeffSeries:
 
 @pytest.mark.parametrize("N", [1, 2, 8, 30])
 def test_route_b_geometric_series_inverts_one_plus_x(N):
-    # x = z2^{-1} phi_u as route (b) of gen_H0 uses it: one u-monomial per row
-    x = largeradius._index_shift(gen_phi_u(N + 1))
-    one = _one("z2", N)
-    assert largeradius._row_recurrence(x, exp=False) * (one + x) == one
+    # x = z2^{-1} phi_u as route (b) of gen_H0 uses it, one u-monomial per row,
+    # is X(s) at s = 1/(u z2); W = 1/(1 + X) is PowerSeries.inverse
+    one_plus_x = largeradius._one_plus_x(gen_phi_u(N + 1))
+    x = _index_shift(gen_phi_u(N + 1))
+    assert [one_plus_x.coeff(k).re for k in range(1, N + 1)] == [x.coeff(k).coeff(-k) for k in range(1, N + 1)]
+    assert one_plus_x.coeff(0) == 1 and all(len(x.coeff(k).terms) == 1 for k in range(1, N + 1))
+    assert one_plus_x.inverse() * one_plus_x == PowerSeries.one(N)
 
 
-@given(ul_windows, st.integers(min_value=-2, max_value=2))
-def test_geometric_series_inverts_one_plus_x(xs, shift):
-    # rows of several u-exponents, zero rows, and a common u-shift
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=30))
+def test_geometric_series_inverts_one_plus_x(xs):
+    # random rational windows X(s) with X(0) = 0, zero rows included
+    one_plus_x = PowerSeries.from_coeffs([1, *xs])
     N = len(xs)
-    x = UCoeffSeries("z2", N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
+    assert one_plus_x.inverse() * one_plus_x == PowerSeries.one(N)
+
+
+def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
+    """Coefficient k moves to k + 1 (times z2^{-1}); the top one leaves."""
+    return UCoeffSeries(s.grading, s.order, (ULaurent(),) + s.coeffs[: s.order], s.log_u)
+
+
+def _route_b_by_products(N: int, g: PowerSeries) -> UCoeffSeries:
+    """Route (b) before its power table: 1/(1 + x) as sum (-x)^j, then
+    total + w^n b_n, with N UCoeffSeries products and N sums."""
+    phi = gen_phi_u(N + 1)
+    x = _index_shift(phi)
     one = _one("z2", N)
-    assert largeradius._row_recurrence(x, exp=False) * (one + x) == one
+    inv = term = one
+    for _ in range(N):
+        term = term * x.scale(-1)
+        inv = inv + term
+    w = _index_shift(inv)
+    total = largeradius._rtilde(phi)
+    wn = one
+    for n in range(1, N + 1):
+        wn = wn * w
+        bn = g.coeff(n).re
+        if bn:
+            total = total + wn.scale(bn)
+    return largeradius._z2_to_gs2(total)
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_route_b_power_table_matches_the_product_loop(N):
+    g = families.gen_g_f(N)[0].series
+    got, want = largeradius._h0_z2_route(N, g), _route_b_by_products(N, g)
+    assert got == want
+    assert [list(row.items()) for row in got.rows] == [list(row.items()) for row in want.rows]
 
 
 def _reference_exp(x: UCoeffSeries) -> UCoeffSeries:
@@ -445,8 +481,8 @@ def _reference_exp(x: UCoeffSeries) -> UCoeffSeries:
 def test_exp_branch_is_the_truncated_exponential(grading, xs, shift):
     N = len(xs)
     x = UCoeffSeries(grading, N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
-    ex = largeradius._row_recurrence(x, exp=True)
-    assert ex * largeradius._row_recurrence(x.scale(-1), exp=True) == _one(grading, N)
+    ex = largeradius._row_recurrence(x)
+    assert ex * largeradius._row_recurrence(x.scale(-1)) == _one(grading, N)
     assert ex == _reference_exp(x)
 
 
@@ -607,6 +643,27 @@ FRAME_MAP_SHA256 = {
     "gen_Hn(3,8)": (lambda: _series_sha(gen_Hn(3, 8)[1]),
                     "bbcc272b80ab9d8eff19cd5c3500b8696690896d0731dc426b0e7175b44793ca"),
 }
+
+
+def _ordered_sha(s: UCoeffSeries) -> str:
+    """sha256 of s with each row's terms in their stored order."""
+    rows = [[[e, str(c)] for e, c in s.coeff(k).terms.items()] for k in range(s.order + 1)]
+    return _sha(json.dumps([s.grading, str(s.log_u), s.exp_tag, rows]))
+
+
+def _hn_sha(n: int, gmax: int) -> str:
+    pref, series, pols = gen_Hn(n, gmax)
+    return _sha(pref + _ordered_sha(series) + json.dumps([[[e, str(c)] for e, c in p.terms.items()] for p in pols]))
+
+
+# sha256 of H^0, its u-residual and H^(6), term order included, recorded before
+# route (b) became one power table and _at_z1 an integer map
+FRAME_MAP_SHA256.update({
+    "gen_H0(30) ordered": (lambda: _ordered_sha(gen_H0(30)), "c320067871f6bb758129c8995a3080590c6de94dae4412d71fcb7b1b79325046"),
+    "u_equation_residual(gen_H0(30)) ordered": (lambda: _ordered_sha(u_equation_residual(gen_H0(30))),
+                                                "cc7e98813c222c7cb6f15c4380e26211ec2236cd85287351d0a5abd7128d0491"),
+    "gen_Hn(6,8) ordered": (lambda: _hn_sha(6, 8), "20f1d6d56eaced6d1db72742cb50bd1cd9b36f5e390f1e63f99c85b47a08c2f8"),
+})
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_MAP_SHA256))

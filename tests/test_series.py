@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from resurgentia.scalars import ExactScalar
-from resurgentia.series import DEFAULT_ORDER, PowerSeries
+from resurgentia.series import DEFAULT_ORDER, PowerSeries, _rescale
 from test_scalars import _from_str
 
 coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -409,3 +409,33 @@ def test_equal_series_have_equal_numerators(a, b, c):
         _assert_canonical(x)
         assert (x.order, x.den, x.re, x.im) == (y.order, y.den, y.re, y.im)
         assert hash(x) == hash(y)
+
+
+def _rescaled_by_loop(s: PowerSeries, r: Fraction) -> PowerSeries:
+    """coefficient k times r^k, one ExactScalar at a time."""
+    return PowerSeries(s.order, tuple(c * ExactScalar(r ** k) for k, c in enumerate(s.coeffs)))
+
+
+@given(windows(), st.sampled_from([(72, 1), (1, 72), (3, 2), (5, 7)]))
+def test_rescale_round_trip_is_exact(s, pq):
+    # the families run log, inverse and exp in the variable z/72: s -> s(z/72)
+    # and back must be the identity, on canonical numerators
+    p, q = pq
+    there = _rescale(s, p, q)
+    _assert_same_window(there, _rescaled_by_loop(s, Fraction(p, q)))
+    assert _rescale(there, q, p) == s
+
+
+@given(windows(c0=ones), windows(c0=zeros), windows(c0=units), windows(), windows())
+def test_log_inverse_exp_and_products_commute_with_the_rescale(unit1, nil, unit, a, b):
+    def there(x):
+        return _rescale(x, 72, 1)
+
+    def back(x):
+        return _rescale(x, 1, 72)
+
+    assert back(there(unit1).log()) == unit1.log()
+    assert back(there(nil).exp()) == nil.exp()
+    assert back(there(unit).inverse()) == unit.inverse()
+    assert back(there(a) * there(b)) == a * b
+    assert back(there(a).reflect()) == a.reflect()
