@@ -413,10 +413,14 @@ def test_singularity_pade_route():
 # repr of the Pade pole of each family at three coefficient counts, recorded
 # while the [L/M] and [L+1/M-1] systems were still solved one at a time
 PADE_POLE_REPR = {
-    ("psi", 41): "(2.009014753098924+0j)", ("psi", 60): "(2.0055595025532718+0j)", ("psi", 80): "(2.003961271953345+0j)",
-    ("phi", 41): "(-2.009014753098924+0j)", ("phi", 60): "(-2.0055595025532718+0j)", ("phi", 80): "(-2.003961271953345+0j)",
-    ("g", 41): "(2.008970455383667+0j)", ("g", 60): "(2.00552579298974+0j)", ("g", 80): "(2.00394672084428+0j)",
-    ("f", 41): "(-2.008970455383667+0j)", ("f", 60): "(-2.00552579298974+0j)", ("f", 80): "(-2.00394672084428+0j)",
+    ("psi", 41): "(2.009014753098924+0j)", ("psi", 60): "(2.0055595025532718+0j)",
+    ("psi", 80): "(2.003961271953345+0j)",
+    ("phi", 41): "(-2.009014753098924+0j)", ("phi", 60): "(-2.0055595025532718+0j)",
+    ("phi", 80): "(-2.003961271953345+0j)",
+    ("g", 41): "(2.008970455383667+0j)", ("g", 60): "(2.00552579298974+0j)",
+    ("g", 80): "(2.00394672084428+0j)",
+    ("f", 41): "(-2.008970455383667+0j)", ("f", 60): "(-2.00552579298974+0j)",
+    ("f", 80): "(-2.00394672084428+0j)",
 }
 
 

@@ -182,8 +182,10 @@ def _g_f_text(order: int) -> str:
 # sha256 of the exact family outputs that the z/72 rescaling rebuilds,
 # recorded before the log, inverse and exp ran in that variable
 FAMILY_SHA256 = {
-    "gen_g_f(120)": (lambda: _g_f_text(120), "c94d6ab42f00933fd1e6de102a8efe9a393a5ae2f7126e9c73869295760008e4"),
-    "gen_Gn(64,6)": (lambda: "".join(G.series.to_json() for G in families.gen_Gn(64, 6)), "4afaaf60b7983165098b6a7ca2f9816ea248683330c6bbe5d3969374964a9515"),
+    "gen_g_f(120)": (lambda: _g_f_text(120),
+                     "c94d6ab42f00933fd1e6de102a8efe9a393a5ae2f7126e9c73869295760008e4"),
+    "gen_Gn(64,6)": (lambda: "".join(G.series.to_json() for G in families.gen_Gn(64, 6)),
+                     "4afaaf60b7983165098b6a7ca2f9816ea248683330c6bbe5d3969374964a9515"),
 }
 
 

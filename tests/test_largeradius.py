@@ -659,10 +659,12 @@ def _hn_sha(n: int, gmax: int) -> str:
 # sha256 of H^0, its u-residual and H^(6), term order included, recorded before
 # route (b) became one power table and _at_z1 an integer map
 FRAME_MAP_SHA256.update({
-    "gen_H0(30) ordered": (lambda: _ordered_sha(gen_H0(30)), "c320067871f6bb758129c8995a3080590c6de94dae4412d71fcb7b1b79325046"),
+    "gen_H0(30) ordered": (lambda: _ordered_sha(gen_H0(30)),
+                           "c320067871f6bb758129c8995a3080590c6de94dae4412d71fcb7b1b79325046"),
     "u_equation_residual(gen_H0(30)) ordered": (lambda: _ordered_sha(u_equation_residual(gen_H0(30))),
                                                 "cc7e98813c222c7cb6f15c4380e26211ec2236cd85287351d0a5abd7128d0491"),
-    "gen_Hn(6,8) ordered": (lambda: _hn_sha(6, 8), "20f1d6d56eaced6d1db72742cb50bd1cd9b36f5e390f1e63f99c85b47a08c2f8"),
+    "gen_Hn(6,8) ordered": (lambda: _hn_sha(6, 8),
+                            "20f1d6d56eaced6d1db72742cb50bd1cd9b36f5e390f1e63f99c85b47a08c2f8"),
 })
 
 
