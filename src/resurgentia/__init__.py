@@ -18,9 +18,8 @@ _EXPORTS = {
     "series": ("DEFAULT_ORDER", "PowerSeries"),
     "families": ("FamilySeries", "gen_Gn", "gen_c_coeffs", "gen_g_f", "gen_psi_phi", "ode_residual"),
     "alien": (
-        "Caps", "CompositionContext", "Poly", "TransElement", "apply_ddz", "apply_delta",
-        "apply_delta_plus", "apply_stokes", "bridge_check", "deltaplus_table", "formal_integral",
-        "stokes_action_check",
+        "Caps", "CompositionContext", "Poly", "TransElement", "apply_delta", "apply_stokes",
+        "bridge_check", "deltaplus_table", "formal_integral", "stokes_action_check",
     ),
     "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
     "borel": (

@@ -6,8 +6,7 @@ Elements live in a graded algebra with basis monomials
 
 where g is the log-series generator, f its reflection, E = exp(f - g) the unit
 ratio, and n the exponential grade (n < 0 encodes e^{+2|n|z}; the companion
-tower needs it). The algebra is affine in g and f: a product in which both
-factors carry a linear flag is rejected, so g^2 never forms.
+tower needs it). The algebra is affine in g and f, so g^2 never forms.
 
 Coefficients are sparse polynomials over Gaussian rationals in the transseries
 parameters (sigma_1, sigma_2), two auxiliary group parameters, the companion
@@ -391,10 +390,9 @@ class CompositionContext(NamedTuple):
     """Composed mode: every series generator is precomposed with id + phi_u.
 
     factor_for[w] is the z-truncated expansion of e^{-w phi_u} for w = +2, -2,
-    including the e^{2w'/u} prefactor tracked through the w slot. d/dz is not
-    available in composed mode. A context compares and hashes by identity
-    (elements combine only under the same context), so a cache keyed on one
-    never hashes its factors.
+    including the e^{2w'/u} prefactor tracked through the w slot. A context
+    compares and hashes by identity (elements combine only under the same
+    context), so a cache keyed on one never hashes its factors.
     """
 
     factor_plus2: Poly  # expansion of e^{-2 phi_u}
@@ -426,8 +424,6 @@ class TransElement:
     """Finite sum of coefficient polynomials times basis monomials."""
 
     __slots__ = ("terms", "caps", "context")
-
-    LIN_NONE, LIN_G, LIN_F = 0, 1, 2
 
     def __init__(
         self,
@@ -517,20 +513,6 @@ class TransElement:
     def __sub__(self, other: "TransElement") -> "TransElement":
         return self + (-other)
 
-    def __mul__(self, other: "TransElement") -> "TransElement":
-        self._check_compatible(other)
-        out = self._like()
-        sigma, grade, zorder = self.caps.sigma, self.caps.grade, self.caps.zorder
-        for (l1, m1, n1), p1 in self.terms.items():
-            for (l2, m2, n2), p2 in other.terms.items():
-                if l1 != 0 and l2 != 0:
-                    raise ArithmeticError(
-                        "linear-generator square: the algebra is affine in g and f"
-                    )
-                if abs(n1 + n2) <= grade:
-                    out._put((l1 + l2, m1 + m2, n1 + n2), p1.mul(p2, sigma, zorder))
-        return out
-
     def scale_poly(self, poly: Poly) -> "TransElement":
         return self._map(lambda p: p.mul(poly, self.caps.sigma, self.caps.zorder))
 
@@ -544,7 +526,7 @@ class TransElement:
     def partial(self, name: str) -> "TransElement":
         """Partial derivative in a parameter variable (never z)."""
         if name == "z":
-            raise ValueError("use apply_ddz for the z derivative")
+            raise ValueError("partial takes a parameter variable, not z")
         return self._map(lambda p: p.deriv(name))
 
     def subst(self, name: str, replacement: Poly) -> "TransElement":
@@ -573,27 +555,11 @@ class TransElement:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self):
-        pieces = []
-        names = {0: "", 1: "g", 2: "f"}
-        for (lin, m, n) in sorted(self.terms):
-            tags = [t for t in (
-                names[lin],
-                f"E^{m}" if m else "",
-                f"e(-{2*n}z)" if n else "",
-            ) if t]
-            mono = "*".join(tags) if tags else "1"
-            pieces.append(f"[{self.terms[(lin, m, n)].to_str()}]*{mono}")
-        return "TransElement(" + (" + ".join(pieces) if pieces else "0") + ")"
+        return f"TransElement({self.to_json()})"
 
 
 # -- alien derivations ---------------------------------------------------------
 
-_RIC_P = (
-    Poly.var("p", 2, -1) + Poly.var("p", 1, -2) + Poly.var("z", -2, Fraction(-5, 36))
-)
-_RIC_Q = (
-    Poly.var("q", 2, -1) + Poly.var("q", 1, 2) + Poly.var("z", -2, Fraction(-5, 36))
-)
 _QP_MINUS_2 = Poly.var("q") - Poly.var("p") - Poly.const(2)
 _PLUS_I = ExactScalar(0, 1)
 _MINUS_I = ExactScalar(0, -1)
@@ -632,33 +598,6 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
         d = p.deriv(dvar)
         if not d.is_zero():
             put((lin, m + step, n), d.scale(d_unit) * _QP_MINUS_2)
-    return out
-
-
-def apply_ddz(x: TransElement) -> TransElement:
-    """d/dz as a derivation; the Riccati equations keep the ring closed."""
-    if x.context is not None:
-        raise ValueError("d/dz is not available for composed elements")
-    out = x._like()
-    for (lin, m, n), p in x.terms.items():
-        if lin == 1:
-            out._accumulate((0, m, n), p * Poly.var("p"))
-        elif lin == 2:
-            out._accumulate((0, m, n), p * Poly.var("q"))
-        if m != 0:
-            out._accumulate((lin, m, n), p.scale(m) * (Poly.var("q") - Poly.var("p")))
-        if n != 0:
-            out._accumulate((lin, m, n), p.scale(-2 * n))
-        dz = p.deriv("z")
-        dp = p.deriv("p")
-        dq = p.deriv("q")
-        acc = dz
-        if not dp.is_zero():
-            acc = acc + dp * _RIC_P
-        if not dq.is_zero():
-            acc = acc + dq * _RIC_Q
-        if not acc.is_zero():
-            out._accumulate((lin, m, n), acc)
     return out
 
 
@@ -745,20 +684,6 @@ def _delta_plus_tower(x: TransElement, sign: int, m: int) -> list[TransElement]:
             out[j - 1] = out[j - 1] + y.scale(Fraction(1, factorial(r)))
         layer = nxt
     return out
-
-
-def apply_delta_plus(x: TransElement, omega: int) -> TransElement:
-    """The comultiplicative component Delta^+ of the Stokes automorphism.
-
-    Delta^+_{2m} collects every operator word Delta_{2m_1} ... Delta_{2m_r}
-    with m_1 + ... + m_r = m weighted by 1/r!; the first few read
-    Delta^+_{w} = Delta_w, Delta^+_{2w} = Delta_{2w} + (1/2) Delta_w Delta_w.
-    It is the last entry of _delta_plus_tower, the word recursion; every
-    letter goes through apply_delta, the rays that act by zero included.
-    """
-    if omega == 0 or omega % 2 != 0:
-        raise ValueError("alien operators live on nonzero even rays")
-    return _delta_plus_tower(x, 1 if omega > 0 else -1, abs(omega) // 2)[-1]
 
 
 # -- the formal integral and its identities -------------------------------------

@@ -45,7 +45,6 @@ from numbers import Number
 from operator import mul
 from typing import Optional, Sequence
 
-from . import families
 from .errors import BranchCutError, DomainError, QuadratureError, SumValue  # re-exported
 
 TWO_PI = 2.0 * math.pi
@@ -878,11 +877,6 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
-def _solve_exact(A: list, rhs: list):
-    """Exact solution of A q = rhs over the rationals; None on a singular system."""
-    return _bareiss(_integer_rows(A, rhs), len(rhs))[0]
-
-
 def _solve_pair(A: list, rhs: list):
     """The solutions of A q = rhs and of its block of rows 2..n, columns
     1..n-1, by one elimination: rows 2..n first, pivoting among themselves,
@@ -965,6 +959,8 @@ def gevrey_check(z: complex, interval="Iminus", n_max: int = 40) -> dict:
     z = complex(z)
     if abs(z) < 5.0:
         raise DomainError("need |z| >= 5 for a clean profile")
+    from . import families  # the exact series layer loads only for this check
+
     g = families.gen_g_f(max(n_max + 2, 16))[0].series
     bs = [complex(c) for c in g.coeffs]
     ref = sum_family("g", z, interval).value

@@ -36,13 +36,16 @@ def _complex(text: str) -> complex:
 
 # argparse reads a token that starts with "-" as an option unless it looks like
 # a negative real number, so main writes "--z -1i" as "--z=-1i" for these flags
+# and for the prefixes argparse accepts for them ("--g" for "--gs"); the bare
+# "--" ends the options
 _COMPLEX_FLAGS = ("--z", "--sigma1", "--sigma2", "--gs", "--u")
 
 
 def _attach_complex_values(argv: list) -> list:
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _COMPLEX_FLAGS and tok.startswith("-"):
+        if (out and len(out[-1]) > 2 and tok.startswith("-")
+                and any(flag.startswith(out[-1]) for flag in _COMPLEX_FLAGS)):
             try:
                 _complex(tok)
             except argparse.ArgumentTypeError:

@@ -32,30 +32,13 @@ from typing import NamedTuple, Optional
 
 from .series import DEFAULT_ORDER, PowerSeries, _rescale, _series
 
-FAMILY_TAGS = ("psi", "phi", "g", "f", "G_n")
 
+class FamilySeries(NamedTuple):
+    """A member of the series family: tag psi, phi, g, f or G_n, and n for G_n only."""
 
-class _Tagged(NamedTuple):
     tag: str
     series: PowerSeries
-    n: Optional[int] = None  # only used by the G_n tower
-
-
-class FamilySeries(_Tagged):
-    """A tagged member of the series family."""
-
-    __slots__ = ()
-
-    def __new__(cls, tag: str, series: PowerSeries, n: Optional[int] = None):
-        if tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {tag!r}")
-        if (tag == "G_n") != (n is not None):
-            raise ValueError("the index n is exactly for the G_n tag")
-        return super().__new__(cls, tag, series, n)
-
-    @property
-    def order(self) -> int:
-        return self.series.order
+    n: Optional[int] = None
 
 
 def _psi_closed_form(order: int) -> list[int]:

@@ -254,19 +254,6 @@ class PowerSeries:
             store.push(-(sr * a + si * b), sr * b - si * a, store.den * norm)
         return _series(self.order, store.den, tuple(store.re), tuple(store.im))
 
-    def __pow__(self, k: int) -> "PowerSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = PowerSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     # -- log and exp ---------------------------------------------------------
 
     def log(self) -> "PowerSeries":
@@ -359,15 +346,6 @@ class PowerSeries:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            mono = "1" if k == 0 else ("z^-1" if k == 1 else f"z^-{k}")
-            parts.append(f"({c.to_str()})*{mono}")
-        return " + ".join(parts) if parts else "0"
 
 
 DEFAULT_ORDER = 64

@@ -494,6 +494,11 @@ def gauss_jordan_reference(A: list, rhs: list):
     return [M[r][n] for r in range(n)]
 
 
+def _solve_exact(A: list, rhs: list):
+    """A q = rhs by one Bareiss pass over the rationals; None on a singular system."""
+    return borel._bareiss(borel._integer_rows(A, rhs), len(rhs))[0]
+
+
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
 
 
@@ -502,7 +507,7 @@ _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
     st.lists(_fractions, min_size=n, max_size=n))))
 def test_bareiss_solve_matches_gauss_jordan(system):
     A, rhs = system
-    assert borel._solve_exact(A, rhs) == gauss_jordan_reference(A, rhs)
+    assert _solve_exact(A, rhs) == gauss_jordan_reference(A, rhs)
 
 
 def gauss_jordan_pair(A: list, rhs: list):
@@ -514,10 +519,10 @@ def gauss_jordan_pair(A: list, rhs: list):
 
 
 def test_bareiss_solve_on_singular_and_pade_systems(monkeypatch):
-    assert borel._solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                              [Fraction(1), Fraction(3)]) is None
-    assert borel._solve_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
-                              [Fraction(2), Fraction(3)]) == [3, 2]
+    assert _solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+                        [Fraction(1), Fraction(3)]) is None
+    assert _solve_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+                        [Fraction(2), Fraction(3)]) == [3, 2]
     g, f, _ = families.gen_g_f(82)
     for series in (g.series, f.series):
         for count in (40, 61, 81):
@@ -543,7 +548,7 @@ def test_pair_solve_is_two_separate_solves(case):
     # system with a regular block and the reverse
     M, d = case
     A, rhs = _hankel(d, M)
-    full, short = borel._solve_exact(A, rhs), borel._solve_exact([r[:-1] for r in A[1:]], rhs[1:])
+    full, short = _solve_exact(A, rhs), _solve_exact([r[:-1] for r in A[1:]], rhs[1:])
     assert borel._solve_pair(A, rhs) == ((None, None) if short is None else (full, short))
 
 
@@ -555,8 +560,8 @@ def test_pair_solve_is_two_separate_solves(case):
 ])
 def test_pair_solve_on_singular_systems(M, d, singular):
     A, rhs = _hankel([Fraction(x) for x in d], M)
-    block = borel._solve_exact([r[:-1] for r in A[1:]], rhs[1:])
-    full = borel._solve_exact(A, rhs)
+    block = _solve_exact([r[:-1] for r in A[1:]], rhs[1:])
+    full = _solve_exact(A, rhs)
     assert (block is None) == (singular == "block") and (full is None) == (singular == "full")
     assert borel._solve_pair(A, rhs) == ((None, None) if block is None else (full, block))
 

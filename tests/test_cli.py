@@ -1,10 +1,12 @@
 """CLI and configuration: exit codes, payload shapes, precedence, reproducibility."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -281,11 +283,22 @@ def test_complex_flag_values_starting_with_a_minus(prefix, flag, value):
     ("sum --family phi --z -3+1i --interval Ipi", "sum --family phi --z=-3+1i --interval Ipi"),
     ("large-radius lrsum --gs 0.55i --u -1+0.1i --sigma1 -1i --sigma2 -0.002i",
      "large-radius lrsum --gs=0.55i --u=-1+0.1i --sigma1=-1i --sigma2=-0.002i"),
+    # an abbreviation argparse resolves takes its value as the full flag does
+    ("large-radius lrsum --g -0.55i --u 1", "large-radius lrsum --gs -0.55i --u 1"),
 ])
 def test_complex_flag_space_form_runs_like_the_equals_form(capsys, spaced, joined):
     code, out = run(capsys, *spaced.split())
     assert (code, out) == run(capsys, *joined.split())
     assert "error" not in json.loads(out)
+
+
+def test_ambiguous_complex_flag_prefix_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", "right", "--z", "4", "--sig", "-1i"])
+    assert exc.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err
+    # the bare "--" ends the options and never takes a value
+    assert cli._attach_complex_values(["sum", "--", "-1i"]) == ["sum", "--", "-1i"]
 
 
 def test_complex_flag_without_its_value_is_a_usage_error(capsys):
@@ -646,6 +659,21 @@ def test_exact_commands_do_not_import_numpy(args):
         assert not any(m.startswith("resurgentia.") for m in modules if m != "resurgentia.errors")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sum", "--family", "psi", "--z", "3"),
+        ("connect", "left", "--z", "-0.9", "--sigma2", "0.05i"),
+        ("connect", "right", "--z", "3", "--sigma2", "1"),
+    ],
+    ids=["sum", "connect-left", "connect-right"],
+)
+def test_numeric_commands_do_not_import_the_series_layer(args):
+    modules = _imported("-m", "resurgentia", *args)
+    assert "resurgentia.borel" in modules
+    assert "resurgentia.families" not in modules and "resurgentia.series" not in modules, args
+
+
 def test_alien_does_not_import_the_series_layer():
     modules = _imported("-c", "import resurgentia.alien")
     assert "resurgentia.alien" in modules
@@ -657,13 +685,14 @@ _GONE = {
     "companion_F": "alien", "expand_to_series": "alien", "check_homomorphism": "borel",
     "check_reflection": "borel", "eval_Ahat": "borel", "maclaurin_borel_eval": "borel",
     "lambda_s_squared": "largeradius", "ZERO": "scalars", "ONE": "scalars", "I": "scalars",
+    "apply_ddz": "alien", "apply_delta_plus": "alien",
 }
 
 
 def test_public_names_resolve_lazily_to_their_definitions():
     import resurgentia
 
-    assert len(resurgentia.__all__) == 54 and resurgentia.__all__[-1] == "__version__"
+    assert len(resurgentia.__all__) == 52 and resurgentia.__all__[-1] == "__version__"
     for name in resurgentia.__all__[:-1]:
         module = importlib.import_module("resurgentia." + resurgentia._HOME[name])
         assert getattr(resurgentia, name) is getattr(module, name), name
@@ -692,6 +721,28 @@ def test_public_names_resolve_lazily_to_their_definitions():
     exec("from resurgentia import *", namespace)
     assert set(resurgentia.__all__) <= set(namespace)
     assert namespace["stokes_action_check"] is resurgentia.stokes_action_check
+
+
+def test_every_private_name_in_src_is_used_in_src():
+    """A private module-level name of the package that nothing in the package
+    reads is kept only for the tests; it belongs in them."""
+    src = Path(__file__).resolve().parents[1] / "src" / "resurgentia"
+    texts = [path.read_text() for path in sorted(src.glob("*.py"))]
+    defined = []
+    for text in texts:
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [n for n in names if n.startswith("_") and not n.startswith("__")]
+    code = "\n".join(texts)
+    assert len(defined) > 50
+    unread = sorted({n for n in defined if len(re.findall(rf"\b{n}\b", code)) <= defined.count(n)})
+    assert unread == []
 
 
 # sha256 of the stdout of exact commands, recorded before the series layer
