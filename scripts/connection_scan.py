@@ -4,10 +4,12 @@
 Emits one CSV row per grid point: which formula, z, residual, the quadrature
 error estimate, and whether the residual clears the threshold. Useful for
 mapping how far into the complex plane the numerical verification stays clean.
+A range that starts with "-" takes the "=" form (--re=-3:-0.5:6): argparse
+reads a bare "-3:-0.5:6" as an option.
 
 Example:
-    python3 scripts/connection_scan.py --which right --re 2:6:5 --im -1:1:5
-    python3 scripts/connection_scan.py --which left --re -3:-0.5:6 --sigma2 0.05i
+    python3 scripts/connection_scan.py --which right --re 2:6:5 --im=-1:1:5
+    python3 scripts/connection_scan.py --which left --re=-3:-0.5:6 --sigma2 0.05i
 """
 
 import argparse

@@ -9,8 +9,7 @@ ratio, and n the exponential grade (n < 0 encodes e^{+2|n|z}; the companion
 tower needs it). The algebra is affine in g and f, so g^2 never forms.
 
 Coefficients are sparse polynomials over Gaussian rationals in the transseries
-parameters (sigma_1, sigma_2), two auxiliary group parameters, the companion
-parameters (delta_1, delta_2), the derivative generators p = dg/dz and
+parameters (sigma_1, sigma_2), the derivative generators p = dg/dz and
 q = df/dz, a Laurent variable z, and (for the large-radius extension) a
 Laurent variable u, a log(u) marker, and an e^{2/u} grading slot. The two
 Riccati equations
@@ -20,7 +19,9 @@ Riccati equations
 close the ring under d/dz, which makes the commutation of d/dz with the dotted
 derivations an exactly checkable identity rather than a numerical statement.
 
-Alien action on generators (all other rays act by zero):
+The Borel singularities of this family lie at +-2 only, so only D2 and D-2
+act (apply_delta gives zero on every other ray), the dotted derivations are
+e^{-+2z} D+-2, and Delta^+_{+-2j} = D+-2^j / j!. Alien action on generators:
 
     D2  g = -i E        D-2 g = 0          D2  E^m =  i m E^{m+1}
     D2  f = 0           D-2 f = -i E^{-1}  D-2 E^m = -i m E^{m-1}
@@ -47,7 +48,7 @@ from .scalars import ExactScalar, _gaussian_over, _scalar_over
 
 # coefficient-ring variables; z, u, w are Laurent (integer exponents of z,
 # u, e^{2/u}), lu marks log u, the rest are ordinary polynomial symbols
-VARS = ("s1", "s2", "t1", "t2", "d1", "d2", "p", "q", "z", "u", "lu", "w")
+VARS = ("s1", "s2", "p", "q", "z", "u", "lu", "w")
 NVARS = len(VARS)
 IDX = {name: k for k, name in enumerate(VARS)}
 _LAURENT = {IDX["z"], IDX["u"], IDX["w"]}
@@ -110,29 +111,15 @@ def _check_kernel_range(nums: dict) -> None:
         raise OverflowError("monomial exponent too large for the product kernel")
 
 
-def _cap_bounds(sigma: Optional[int], zorder: Optional[int]) -> tuple[int, int]:
-    """(top, floor) for the masked sigma_2 and z slots of two keys summed:
-    the sum of two monomials lies inside the caps iff its sigma_2 slots add to
-    at most top and its z slots to at least floor (no bound for a None cap)."""
-    top = 2 * _S2_SLOT[1] if sigma is None else (sigma + 2 * _HALF) << _S2_SLOT[0]
-    floor = 0 if zorder is None else (2 * _HALF - zorder) << _Z_SLOT[0]
-    return top, floor
-
-
-def _inside(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> bool:
-    """Every product of a term of a and a term of b lies inside the caps."""
-    top, floor = _cap_bounds(sigma, zorder)
-    s_mask, z_mask = _S2_SLOT[1], _Z_SLOT[1]
-    return (max(map(s_mask.__and__, a)) + max(map(s_mask.__and__, b)) <= top
-            and min(map(z_mask.__and__, a)) + min(map(z_mask.__and__, b)) >= floor)
-
-
 def _blocks(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> list:
     """[(terms of a, terms of b)] holding exactly the pairs inside the caps.
 
     Each operand is grouped by its (sigma_2, z) exponents, and each group of a
-    meets the groups of b that its exponents leave room for."""
-    top, floor = _cap_bounds(sigma, zorder)
+    meets the groups of b that its exponents leave room for: the sum of two
+    monomials lies inside the caps iff its masked sigma_2 slots add to at most
+    top and its masked z slots to at least floor (no bound for a None cap)."""
+    top = 2 * _S2_SLOT[1] if sigma is None else (sigma + 2 * _HALF) << _S2_SLOT[0]
+    floor = 0 if zorder is None else (2 * _HALF - zorder) << _Z_SLOT[0]
     s_mask, z_mask = _S2_SLOT[1], _Z_SLOT[1]
     ga: dict[tuple, list] = {}
     gb: dict[tuple, list] = {}
@@ -254,7 +241,7 @@ class Poly:
         a, b = self.nums, other.nums
         _check_kernel_range(a)
         _check_kernel_range(b)
-        if (sigma is None and zorder is None) or not (a and b) or _inside(a, b, sigma, zorder):
+        if (sigma is None and zorder is None) or not (a and b):
             blocks = ((a.items(), [(k - _KEY_BIAS, u, v) for k, (u, v) in b.items()]),)
         else:
             blocks = _blocks(a, b, sigma, zorder)
@@ -605,18 +592,13 @@ def apply_dotted(x: TransElement, direction: str) -> TransElement:
     """The graded derivation along a half-line of singular rays.
 
     direction "geq0": sum_k e^{-2kz} Delta_{2k}; "leq0": sum_k e^{2kz}
-    Delta_{-2k}. On this family only k = 1 contributes, but the sum is formed
-    over every capped ray for honesty.
+    Delta_{-2k}. Only k = 1 acts on this family (apply_delta), so it is
+    e^{-+2z} Delta_{+-2}.
     """
     if direction not in ("geq0", "leq0"):
         raise ValueError("direction must be 'geq0' or 'leq0'")
     sign = 1 if direction == "geq0" else -1
-    out = x._like()
-    for k in range(1, x.caps.grade + 2):
-        piece = apply_delta(x, sign * 2 * k)
-        if not piece.is_zero():
-            out = out + piece.shift_grade(sign * k)
-    return out
+    return apply_delta(x, 2 * sign).shift_grade(sign)
 
 
 def apply_stokes(
@@ -664,25 +646,16 @@ def apply_stokes(
 
 
 def _delta_plus_tower(x: TransElement, sign: int, m: int) -> list[TransElement]:
-    """[Delta^+_{sign 2j} x for j = 1..m] by one word recursion.
+    """[Delta^+_{sign 2j} x for j = 1..m].
 
-    layer maps each weight j to the sum of the r-letter words
-    Delta_{sign 2m_1} ... Delta_{sign 2m_r} x with m_1 + ... + m_r = j; layer
-    r + 1 applies Delta_{sign 2k}, k = 1..m - j, once to each nonzero entry,
-    so each word tail is formed once, and Delta^+_{sign 2j} x = sum_r layer_r[j] / r!.
+    Delta^+_{sign 2j} is the sum of the words Delta_{sign 2m_1} ... Delta_{sign 2m_r}
+    with m_1 + ... + m_r = j, each over r!. Only Delta_{sign 2} acts
+    (apply_delta), so the one word left is Delta_{sign 2}^j, over j!.
     """
-    out = [x._like() for _ in range(m)]
-    layer = {0: x}
-    for r in range(1, m + 1):  # every entry of layer r has weight >= r
-        nxt: dict[int, TransElement] = {}
-        for j, y in layer.items():
-            for k in range(1, m - j + 1):
-                word = apply_delta(y, sign * 2 * k)
-                if not word.is_zero():
-                    nxt[j + k] = nxt[j + k] + word if j + k in nxt else word
-        for j, y in nxt.items():
-            out[j - 1] = out[j - 1] + y.scale(Fraction(1, factorial(r)))
-        layer = nxt
+    out = []
+    for j in range(1, m + 1):
+        x = apply_delta(x, 2 * sign)
+        out.append(x.scale(Fraction(1, factorial(j))))
     return out
 
 
@@ -738,24 +711,21 @@ def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigm
     return explicit
 
 
-def _bridge_residuals(
-    x: TransElement, caps: Caps, unit: ExactScalar, ray: int = 2, names=("s1", "s2")
-) -> tuple[TransElement, TransElement]:
-    """Residuals of the bridge pair on the window caps, with (a, b) = names:
+def _bridge_residuals(x: TransElement, caps: Caps, unit: ExactScalar) -> tuple[TransElement, TransElement]:
+    """Residuals of the bridge pair on the window caps:
 
-        r_ray  = Delta_ray  x + unit e^{+ray z} dx/db
-        r_-ray = Delta_-ray x + unit e^{-ray z} (b dx/da - b^2 dx/db)
+        r_2  = Delta_2  x + unit e^{+2z} dx/dsigma_2
+        r_-2 = Delta_-2 x + unit e^{-2z} (sigma_2 dx/dsigma_1 - sigma_2^2 dx/dsigma_2)
 
     unit is +i in the double-scaling frame and -i in the large-radius frame,
     whose sigma_2 is the double-scaling one with its sign flipped. x must be
     generated with one extra grade and sigma_2 degree so the window is exact.
     """
-    a, b = names
-    bv = Poly.var(b)
-    r_fwd = apply_delta(x, ray) + x.partial(b).shift_grade(-ray // 2).scale(unit)
-    r_back = apply_delta(x, -ray) + (
-        x.partial(a).scale_poly(bv) - x.partial(b).scale_poly(bv * bv)
-    ).shift_grade(ray // 2).scale(unit)
+    s2 = Poly.var("s2")
+    r_fwd = apply_delta(x, 2) + x.partial("s2").shift_grade(-1).scale(unit)
+    r_back = apply_delta(x, -2) + (
+        x.partial("s1").scale_poly(s2) - x.partial("s2").scale_poly(s2 * s2)
+    ).shift_grade(1).scale(unit)
     return r_fwd.truncated(caps), r_back.truncated(caps)
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
@@ -64,6 +65,8 @@ DEFAULT_END_TOL = 1e-6
 DELTA_RAY = 0.05
 THETA_MARGIN = 0.45  # preferred standoff from cuts; accuracy, not validity
 _DECAY_MIN = 1e-3  # least decay rate Re(z e^{i theta}) a Laplace ray accepts
+_DECAY_MAX = sys.float_info.epsilon / sys.float_info.min  # past it 1/rate nears the float underflow
+_LAYER = 400.0  # the first panel of a ray ends within this many decay lengths 1/rate
 _MAX_PANELS = 4000
 _ROOT_SWEEPS = 200  # most Aberth-Ehrlich sweeps or Newton steps of the Pade root finder
 
@@ -90,6 +93,8 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
     """
     a, b = normalize_interval(interval)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
     if z == 0:
         raise DomainError("domain empty: z = 0")
     # cut angles inside the window
@@ -457,7 +462,9 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
     Composite adaptive Gauss-Kronrod on [0, T], T = R = 4 or 1.2/|z| when that
     is larger, whatever the decay rate: each panel takes the kernel on the 49
     nodes of the nested G24/K49 pair and is accepted when the two values agree
-    to the panel's share of tol; the K49 value enters the sum. The panel nodes
+    to the panel's share of tol; the K49 value enters the sum. The first panel
+    ends at _LAYER/rate when that is below T, so that its nodes see e^{-z zeta}
+    before it decays; a rate past _DECAY_MAX raises DomainError. The panel nodes
     and Bhat values depend only on (branch, theta, a, b) and come from the
     bounded cache _kernel_row. The ray past R is the closed-form series of
     _far_laplace, whose rigorous truncation bound is the "tail". theta = -0.0 is
@@ -469,14 +476,19 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
     """
     theta = float(theta) + 0.0
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
     rate = (z * cmath.exp(1j * theta)).real
     if rate <= _DECAY_MIN:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
+    if not rate < _DECAY_MAX:
+        raise DomainError("decay rate Re(z e^{i theta}) too large to resolve in floats")
     T = max(_FAR_R, _FAR_X_FLOOR / abs(z))
+    head = min(T, _LAYER / rate)
     phase = cmath.exp(1j * theta)
     exp, mz = cmath.exp, -z
 
-    stack = [(0.0, T)]
+    stack = [(0.0, T)] if head == T else [(head, T), (0.0, head)]
     total = 0.0 + 0.0j
     err = 0.0
     npanels = 0
@@ -490,7 +502,7 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
         scale = (b - a) / 2.0 * phase
         kron = scale * sum(map(mul, _GK_WK, vals))
         d = abs(scale * sum(map(mul, _GK_WG, vals[1::2])) - kron)
-        if d < tol * (b - a) / T or (b - a) < 1e-9 * T:
+        if d < tol * (b - a) / T or (b - a) < 1e-9 * head:
             total += kron
             err += d
             npanels += 1
@@ -683,8 +695,8 @@ def median_real_check(
     argpi: G_-(x e^{-i pi}, a - i theta/2, -i(1 - e^{i theta})) along the
            negative axis; theta = 0 collapses to the sigma_2 = 0 slice.
     """
-    if x <= 0:
-        raise DomainError("x must be positive")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be positive and finite")
     if ray == "arg0":
         val = G_pm("-", x, a, b - 0.5j, quad_tol=1e-11).value
     elif ray == "argpi":

@@ -9,9 +9,11 @@ given fixed tolerances.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -24,14 +26,25 @@ from .errors import BranchCutError, DomainError, QuadratureError
 
 def _complex(text: str) -> complex:
     s = text.strip().replace(" ", "")
+    for form in (s, s.replace("i", "j")):
+        try:
+            value = complex(form)
+        except ValueError:
+            continue
+        if cmath.isfinite(value):
+            return value
+        break
+    raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a finite complex number")
+
+
+def _finite(text: str) -> float:
     try:
-        return complex(s)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        return complex(s.replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a complex number")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a finite number")
+    return value
 
 
 # argparse reads a token that starts with "-" as an option unless it looks like
@@ -133,21 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), required=True)
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--interval", choices=("I0", "Ipi", "Iplus", "Iminus"), default="Ipi")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
 
     p = add("connect", "numeric connection formulas", _cmd_connect, reads=("quad_tol",))
     p.add_argument("which", choices=("right", "left"))
     p.add_argument("--z", type=_complex, required=True)
     p.add_argument("--sigma1", type=_complex, default=0j)
     p.add_argument("--sigma2", type=_complex, default=0j)
-    p.add_argument("--threshold", type=float, default=None, help="residual bound (default 1e-6 right, 1e-4 left)")
+    p.add_argument("--threshold", type=_finite, default=None, help="residual bound (default 1e-6 right, 1e-4 left)")
 
     p = add("median", "median summation reality check", _cmd_median)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float)
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--a", type=_finite, default=0.0)
+    p.add_argument("--b", type=_finite)
     p.add_argument("--ray", choices=("arg0", "argpi"), default="arg0")
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=_finite)
 
     p = add("singularity", "locate the nearest Borel singularity", _cmd_singularity)
     p.add_argument("--family", choices=("psi", "phi", "g", "f"), default="g")
@@ -352,7 +365,7 @@ def _csv_text(payload) -> str:
 
 def _emit(payload, cfg: RunConfig) -> None:
     if cfg.fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = _csv_text(payload)
     if cfg.output:

@@ -541,11 +541,11 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
 def _frame(gs: complex, u: complex) -> tuple:
     """z1 = (1-2t)^{3/2}/(3 g_s^2 u^3), t = g_s^2 u^2 and R(g_s, u) =
     (1/4) log(u^2/(1-2t)) + ((1-2t)^{3/2} - 1)/(3 g_s^2 u^3), principal powers,
-    after the domain checks: g_s, u nonzero, |t| < 1/2, and no cut in the log."""
+    after the domain checks: g_s, u nonzero and finite, |t| < 1/2, and no cut in the log."""
     gs = complex(gs)
     u = complex(u)
-    if gs == 0 or u == 0:
-        raise DomainError("g_s and u must be nonzero")
+    if gs == 0 or u == 0 or not (cmath.isfinite(gs) and cmath.isfinite(u)):
+        raise DomainError("g_s and u must be nonzero and finite")
     t = gs * gs * u * u
     if abs(t) >= 0.5:
         raise DomainError("outside the principal branch domain |g_s^2 u^2| < 1/2")

@@ -373,9 +373,12 @@ def test_median_domain():
 
 
 def test_median_rejects_x_on_its_boundary():
-    # x = 0 is refused by the guard itself, not later by choose_theta (z = 0)
-    with pytest.raises(DomainError, match="x must be positive"):
-        median_real_check(0.0, 0.0)
+    # x = 0 is refused by the guard itself, not later by choose_theta (z = 0),
+    # and so are the non-finite x, on both rays
+    for x in (0.0, math.inf, math.nan):
+        for ray in ("arg0", "argpi"):
+            with pytest.raises(DomainError, match="x must be positive and finite"):
+                median_real_check(x, 0.0, ray=ray)
 
 
 def test_sum_is_a_homomorphism():
@@ -860,6 +863,53 @@ def test_ray_panel_counts_are_pinned():
         meta = laplace_ray(branch, z, theta).meta
         assert meta["panels"] == panels and meta["T"] == T, meta
         assert meta["quad_err"] > 0
+
+
+def _asymptotic_sum(family: str, z: complex) -> complex:
+    """The family's first 20 terms sum_n c_n (+-z)^{-n}, by Horner in 1/z: at
+    |z| >= 2e4 they are exact to rounding (the 20th term is below 1e-70)."""
+    w = (1.0 if family in ("psi", "g") else -1.0) / z
+    acc = 0j
+    for c in reversed(families.gen_c_coeffs(19)):
+        acc = acc * w + float(c)
+    return cmath.log(acc) if family in ("g", "f") else acc
+
+
+@pytest.mark.parametrize("modulus", [2e4, 1e5, 1e6, 1e12, 1e100])
+def test_large_z_sums_lie_within_err_of_the_asymptotic_sum(modulus):
+    # past |z| ~ 1e4 every node of one [0, 4] panel sits beyond the boundary
+    # layer e^{-z zeta}; a ray must still see it, and its err must cover the
+    # rest without going vacuous, also where the layer is below 1e-9 T thin
+    for family in ("psi", "phi", "g", "f"):
+        for phase in (0.0, 0.7, -1.2):
+            z = modulus * cmath.exp(1j * phase)
+            sv = sum_family(family, z)
+            assert sv.err < DEFAULT_END_TOL and abs(sv.value - _asymptotic_sum(family, z)) <= sv.err, (family, z, sv)
+
+
+def test_large_radius_sum_at_small_gs_lies_within_err_of_the_asymptotic_sum():
+    z1, _, R = largeradius._frame(1e-3, 1.0)
+    assert abs(z1) > 3e5
+    sv = largeradius.lr_sum("-", 1e-3, 1.0)
+    # a vacuous err would cover any value: it must meet the sum's own tolerance
+    assert sv.err < DEFAULT_END_TOL and abs(sv.value - (_asymptotic_sum("g", z1) + R)) <= sv.err, sv
+
+
+@pytest.mark.parametrize("z", [1e300, -1e300j, complex(1e308, 1e308)])
+def test_rays_past_the_float_range_raise_domain_error(z):
+    with pytest.raises(DomainError, match="too large to resolve"):
+        sum_family("psi", z)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan, complex(math.inf, 1.0), complex(1.0, math.nan)]
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=repr)
+def test_non_finite_z_raises_domain_error(z):
+    for call in (lambda: choose_theta(z, "Ipi"), lambda: laplace_ray("B", z, 0.3),
+                 lambda: sum_family("psi", z), lambda: sum_family("psi", z, theta=0.3)):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()
 
 
 def test_kernel_row_cache_stays_within_its_bound():

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -356,6 +357,43 @@ def test_usage_errors_exit_two(capsys):
             main(["coeffs", "--ag", *flag])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+NON_FINITE_FLAGS = [
+    (["sum", "--family", "psi"], "--z"),
+    (["sum", "--family", "psi", "--z", "3"], "--theta"),
+    (["connect", "right", "--z", "3"], "--sigma2"),
+    (["connect", "right", "--z", "3"], "--threshold"),
+    (["median"], "--x"),
+    (["median", "--x", "2"], "--a"),
+    (["median", "--x", "2"], "--b"),
+    (["median", "--x", "2", "--ray", "argpi"], "--theta"),
+    (["large-radius", "lrsum"], "--gs"),
+    (["large-radius", "lrsum", "--gs", "0.1"], "--u"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("argv, flag", NON_FINITE_FLAGS, ids=[f"{a[0]}-{f}" for a, f in NON_FINITE_FLAGS])
+def test_non_finite_values_are_usage_errors(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}: cannot parse '{value}' as a finite" in captured.err
+
+
+def test_stdout_is_valid_json_when_a_value_is_not_finite(capsys, monkeypatch):
+    def nan_sum(*args, **kwargs):
+        return borel.SumValue(complex(math.nan, 0.0), math.inf, {"theta": 0.0})
+
+    monkeypatch.setattr(borel, "sum_family", nan_sum)
+    code, out = run(capsys, "sum", "--family", "psi", "--z", "3")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert code == 1 and json.loads(out, parse_constant=reject)["error"] == "ValueError"
 
 
 def test_sum_interval_is_one_of_the_window_tags(capsys):

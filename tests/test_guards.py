@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from resurgentia import alien, borel, largeradius
 from resurgentia.alien import IDX, NVARS, Caps, Poly, TransElement
-from resurgentia.borel import singularity_locate
+from resurgentia.borel import BranchCutError, G_pm, QuadratureError, singularity_locate, sum_family
 from resurgentia.largeradius import make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
@@ -31,11 +32,67 @@ GUARDS = {
         lambda: singularity_locate([ExactScalar(1, 1)] + [Fraction(1)] * 39, "pade"),
         ValueError, "real coefficients",
     ),
+    # no tolerance is below the rounding of the two routes
+    "gpm-route-disagreement": (
+        lambda: G_pm("+", 3.0, 0, 1, tol=1e-30), QuadratureError, "series and closed-form routes disagree",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GUARDS))
 def test_guard_raises(case):
     call, error, message = GUARDS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+# -- guards that only a spoiled input reaches --------------------------------------
+
+
+def _spoil_exp_phi(monkeypatch):
+    real = largeradius._exp_phi
+    monkeypatch.setattr(largeradius, "_exp_phi", lambda n, N: real(n, N).scale(2))
+
+
+def _endless_dotted(monkeypatch):
+    """A dotted derivation that never reaches zero; each real one is nilpotent under the caps."""
+    calls = []
+
+    def endless(x, direction):
+        calls.append(direction)
+        if len(calls) > 100:  # the guard stops a Caps(3, 3) element after 17 steps
+            raise RuntimeError("apply_stokes ran past its termination guard")
+        return x
+
+    monkeypatch.setattr(alien, "apply_dotted", endless)
+
+
+def _negative_psi_ray(monkeypatch):
+    """S psi = z * (the B ray's value) moved onto the negative real axis."""
+    real = borel.laplace_ray
+
+    def spoiled(branch, z, theta, *args, **kwargs):
+        sv = real(branch, z, theta, *args, **kwargs)
+        return sv._replace(value=-1.0 / complex(z)) if branch == "B" else sv
+
+    monkeypatch.setattr(borel, "laplace_ray", spoiled)
+
+
+SPOILED_GUARDS = {
+    # make_context's cache is bypassed, so no spoiled context is kept
+    "context-inverse": (_spoil_exp_phi, lambda: make_context.__wrapped__(4),
+                        ArithmeticError, "fail to invert each other"),
+    "stokes-termination": (_endless_dotted,
+                           lambda: alien.apply_stokes(TransElement.generator("g", Caps(3, 3)), "geq0"),
+                           ArithmeticError, "failed to terminate"),
+    "sum-negative-log": (_negative_psi_ray, lambda: sum_family("g", 3.0), BranchCutError, "negative real sum"),
+    "gpm-negative-log": (_negative_psi_ray, lambda: G_pm("-", 3.0), BranchCutError, "negative real sum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPOILED_GUARDS))
+def test_guard_raises_on_a_spoiled_input(monkeypatch, case):
+    spoil, call, error, message = SPOILED_GUARDS[case]
+    spoil(monkeypatch)
     with pytest.raises(error, match=message):
         call()

@@ -806,8 +806,9 @@ def test_lr_connection_is_the_connection_law_at_z1(which, gs, u, s1, s2, tol):
 
 
 def test_lr_sum_domains():
-    with pytest.raises(DomainError, match="nonzero"):
-        lr_sum("-", 0.0, 1.0)
+    for gs, u in ((0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e-2, math.inf), (1e-2, complex(0.5, math.nan))):
+        with pytest.raises(DomainError, match="nonzero and finite"):
+            lr_sum("-", gs, u)
     with pytest.raises(DomainError, match="principal branch"):
         lr_sum("+", 1.0, 1.0)
     with pytest.raises(BranchCutError, match="negative real ratio"):

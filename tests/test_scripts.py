@@ -1,7 +1,9 @@
 """The scripts under scripts/: each runs to exit 0 on a small input."""
 
+import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -32,5 +34,31 @@ def test_pol_table_json_matches_gen_Hn():
 @pytest.mark.parametrize("name", ["gevrey_profile.py", "connection_scan.py"])
 def test_script_runs_with_its_defaults(name):
     proc = _script(name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def _examples() -> list:
+    """(script, arguments) for each command line under "Example:" in a script's docstring."""
+    out = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        doc = ast.get_docstring(ast.parse(path.read_text(encoding="utf-8")))
+        for line in doc.split("Example:", 1)[1].splitlines():
+            words = shlex.split(line)
+            if words[:2] == ["python3", f"scripts/{path.name}"]:
+                out.append((path.name, words[2:]))
+    return out
+
+
+EXAMPLES = _examples()
+
+
+def test_every_script_documents_an_example():
+    assert {name for name, _ in EXAMPLES} == {p.name for p in (ROOT / "scripts").glob("*.py")}
+
+
+@pytest.mark.parametrize("name, args", EXAMPLES, ids=[" ".join([n, *a]) for n, a in EXAMPLES])
+def test_docstring_example_runs(name, args):
+    proc = _script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
