@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
 from operator import mul
@@ -761,36 +760,35 @@ def singularity_locate(coeffs: Sequence, method: str = "ratio"):
         # tail window; an entire function's ratios keep growing without bound
         return complex(math.inf, 0.0) if _grows_without_bound(vals) else vals[-1]
     if method == "pade":
-        # Borel data d_n = b_n/n! kept exact; the [L/M] denominator system
-        # sum_j q_j d_{L+k-j} = -d_{L+k} is solved over the rationals, because
-        # in double precision it is ill-conditioned beyond tiny M
-        d = []
-        fact = Fraction(1)
-        for n, bc in enumerate(coeffs):
-            if n > 0:
-                fact *= n
-            d.append(_as_fraction(bc) / fact)
-        M = min(10, len(d) // 4)
+        from .series import PowerSeries  # the exact series layer loads only for this route
+
+        # the window as integers over one denominator (a float raises TypeError);
+        # the Borel data b_n/n! times den N! are the integers d_n = b_n N!/n!,
+        # and no Pade quantity depends on that common scale. The [L/M] system
+        # sum_j q_j d_{L+k-j} = -d_{L+k} is solved exactly: in floats it is
+        # ill-conditioned beyond tiny M
+        s = PowerSeries.from_coeffs(coeffs)
+        if any(s.im):
+            raise ValueError("Pade route needs real coefficients")
+        d, fact = [], 1
+        for n in range(s.order, -1, -1):
+            d.append(s.re[n] * fact)
+            fact *= n
+        d.reverse()
         # entire input has no finite radius: the tail ratios |d_{n-1}/d_n|
         # keep growing instead of stabilizing, and any Pade pole is spurious
-        tail_r = []
-        for n in range(len(d) - 10, len(d)):
-            if d[n] == 0 or d[n - 1] == 0:
-                tail_r = []
-                break
-            tail_r.append(abs(complex(d[n - 1])) / abs(complex(d[n])))
-        if tail_r and _grows_without_bound(tail_r):
+        tail = d[-11:]
+        if all(tail) and _grows_without_bound([abs(a) / abs(b) for a, b in zip(tail, tail[1:])]):
             return complex(math.inf, 0.0)
         # a genuine pole is also stable under a change of denominator degree:
         # the [L+1/M-1] system is rows 2..M, columns 1..M-1 of the [L/M] one
+        M = min(10, len(d) // 4)
         L = len(d) - 1 - M
-        q, q_short = _solve_pair([[d[L + k - j] for j in range(1, M + 1)] for k in range(1, M + 1)],
-                                 [-d[L + k] for k in range(1, M + 1)])
-        first = _pade_smallest_pole(q)
-        second = _pade_smallest_pole(q_short)
-        if first is None or second is None:
-            return complex(math.inf, 0.0)
-        if abs(first - second) > 0.25 * abs(first):
+        full, short = _solve_pair([[d[L + k - j] for j in range(1, M + 1)] for k in range(1, M + 1)],
+                                  [-d[L + k] for k in range(1, M + 1)])
+        first = _pade_smallest_pole(full)
+        second = _pade_smallest_pole(short)
+        if first is None or second is None or abs(first - second) > 0.25 * abs(first):
             return complex(math.inf, 0.0)
         return first
     raise ValueError("method must be 'ratio' or 'pade'")
@@ -803,21 +801,22 @@ def _grows_without_bound(vals: list) -> bool:
             and all(b > a for a, b in zip(mods, mods[1:])))
 
 
-def _pade_smallest_pole(q):
-    """The smallest pole of the Pade denominator with solved coefficients q_1..q_M."""
-    if q is None:
+def _pade_smallest_pole(solved):
+    """The smallest pole of the Pade denominator 1 + q_1 zeta + ... + q_M zeta^M,
+    from the solved pair (D q, D), or None."""
+    if solved is None:
         return None
-    q = [Fraction(1)] + q  # the denominator 1 + q_1 zeta + ... + q_M zeta^M
-    while not q[-1]:
-        q.pop()
-    roots = [r for r in _poly_roots([float(qj) for qj in q]) if cmath.isfinite(r)]
+    C = [solved[1]] + solved[0]  # the denominator times D, in integers
+    while not C[-1]:
+        C.pop()
+    roots = [r for r in _poly_roots([c / C[0] for c in C]) if cmath.isfinite(r)]
     if not roots:
         return None
     smallest = min(roots, key=abs)
     # the roots cluster along the cut, where rounding the q_j alone moves a float
     # root by up to 1e-3: a real root of the exact denominator replaces it when it
     # lies nearer to it than half the way to any other root but its conjugate
-    x = _exact_real_root(q, smallest.real)
+    x = _exact_real_root(C, smallest.real)
     others = [abs(r - smallest) for r in roots if r != smallest and r != smallest.conjugate()]
     if x is not None and abs(x - smallest) <= abs(smallest.imag) + 0.5 * min(others, default=math.inf):
         smallest = complex(x, 0.0)
@@ -854,13 +853,11 @@ def _poly_roots(c: list) -> list:
     return z
 
 
-def _exact_real_root(q: list, x: float):
-    """Newton from x for sum_j q_j t^j, rational q_j, with every step exact: for
-    x = a/b, b a power of 2, and integer C_j = D q_j, S = b^M sum C_j x^j and
-    T = b^(M-1) sum j C_j x^(j-1) are integer Horner sums, and the step is S/(b T).
-    The root to within an ulp, or None where the steps do not settle."""
-    D = math.lcm(*(qj.denominator for qj in q))
-    C = [qj.numerator * (D // qj.denominator) for qj in q]
+def _exact_real_root(C: list, x: float):
+    """Newton from x for sum_j C_j t^j, integer C_j, with every step exact: for
+    x = a/b, b a power of 2, S = b^M sum C_j x^j and T = b^(M-1) sum j C_j x^(j-1)
+    are integer Horner sums, and the step is S/(b T). The root to within an ulp,
+    or None where the steps do not settle or leave the float range."""
     for _ in range(_ROOT_SWEEPS):
         a, b = x.as_integer_ratio()
         S, T, bk = C[-1], 0, 1
@@ -870,7 +867,10 @@ def _exact_real_root(q: list, x: float):
             S = S * a + cj * bk
         if not T:
             return None
-        step = S / (b * T)
+        try:
+            step = S / (b * T)
+        except OverflowError:
+            return None
         x -= step
         if not math.isfinite(x):
             return None
@@ -879,40 +879,23 @@ def _exact_real_root(q: list, x: float):
     return None
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if hasattr(c, "re") and hasattr(c, "im"):
-        if c.im != 0:
-            raise ValueError("Pade route needs real coefficients")
-        return Fraction(c.re)
-    return Fraction(c)
-
-
 def _solve_pair(A: list, rhs: list):
-    """The solutions of A q = rhs and of its block of rows 2..n, columns
-    1..n-1, by one elimination: rows 2..n first, pivoting among themselves,
-    then row 1. A singular block gives (None, None), a singular A (None, q')."""
-    M = _integer_rows(A[1:] + A[:1], rhs[1:] + rhs[:1])
-    short, prev = _bareiss(M, len(rhs) - 1)
-    return (None, None) if short is None else (_bareiss(M, len(rhs), len(rhs) - 1, prev)[0], short)
-
-
-def _integer_rows(A: list, rhs: list) -> list:
-    # each augmented row times the lcm of its denominators, over the gcd of the results
-    out = []
-    for row, b in zip(A, rhs):
-        aug = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = math.lcm(*(x.denominator for x in aug))
-        ints = [x.numerator * (scale // x.denominator) for x in aug]
-        content = math.gcd(*ints) or 1
-        out.append([v // content for v in ints])
-    return out
+    """The solutions (D q, D) of the integer system A q = rhs and of its block
+    of rows 2..n, columns 1..n-1, by one elimination: rows 2..n first, pivoting
+    among themselves, then row 1. A singular block gives (None, None), a
+    singular A (None, (D' q', D')). Each augmented row is divided by its
+    content first, which keeps the minors of the elimination small."""
+    M = []
+    for row, b in zip(A[1:] + A[:1], rhs[1:] + rhs[:1]):
+        content = math.gcd(*row, b) or 1
+        M.append([v // content for v in row + [b]])
+    short = _bareiss(M, len(rhs) - 1)
+    return (None, None) if short is None else (_bareiss(M, len(rhs), len(rhs) - 1, short[1]), short)
 
 
 def _bareiss(M: list, n: int, k0: int = 0, prev: int = 1):
-    """(q, last pivot) for the first n integer rows of M on columns 0..n-1, the
-    right-hand side in the last column; q is None on a singular system.
+    """(D q, D) in integers for the first n integer rows of M on columns
+    0..n-1, the right-hand side in the last column; None on a singular system.
 
     Fraction-free (Bareiss) elimination of columns k0..n-1 (k0 > 0 resumes one
     whose last pivot was prev), pivots from rows k..n-1, every later row of M
@@ -923,7 +906,7 @@ def _bareiss(M: list, n: int, k0: int = 0, prev: int = 1):
     for k in range(k0, n):
         piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            return None, prev
+            return None
         M[k], M[piv] = M[piv], M[k]
         pk = M[k]
         p = pk[k]
@@ -937,7 +920,7 @@ def _bareiss(M: list, n: int, k0: int = 0, prev: int = 1):
         row = M[i]
         acc = prev * row[-1] - sum(row[j] * y[j] for j in range(i + 1, n))
         y[i] = acc // row[i]
-    return [Fraction(v, prev) for v in y], prev
+    return y, prev
 
 
 def airy_oracle(w: complex) -> complex:

@@ -17,24 +17,29 @@ import math
 import sys
 from typing import Optional
 
-from .config import _FORMATS, ENV_VAR, POSITIVE_KEYS, RunConfig, resolve_config
+from .config import _FORMATS, ENV_VAR, POSITIVE_KEYS, RunConfig, _finite_positive, resolve_config
 from .errors import BranchCutError, DomainError, QuadratureError
 
 # Each handler imports the modules it runs: an exact subcommand never loads
 # borel (the float engine), and only verify-all loads the acceptance suite.
 
 
-def _complex(text: str) -> complex:
+def _read_complex(text: str) -> Optional[complex]:
+    """text as complex() reads it, with i for j, finite or not; None where it cannot."""
     s = text.strip().replace(" ", "")
     for form in (s, s.replace("i", "j")):
         try:
-            value = complex(form)
+            return complex(form)
         except ValueError:
-            continue
-        if cmath.isfinite(value):
-            return value
-        break
-    raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a finite complex number")
+            pass
+    return None
+
+
+def _complex(text: str) -> complex:
+    value = _read_complex(text)
+    if value is None or not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a finite complex number")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -48,24 +53,21 @@ def _finite(text: str) -> float:
 
 
 # argparse reads a token that starts with "-" as an option unless it looks like
-# a negative real number, so main writes "--z -1i" as "--z=-1i" for these flags
-# and for the prefixes argparse accepts for them ("--g" for "--gs"); the bare
-# "--" ends the options
+# a negative real number, so main writes "--z -1i" as "--z=-1i" (and "--z -inf"
+# as "--z=-inf", which _complex then refuses) for these flags and for the
+# prefixes argparse accepts for them ("--g" for "--gs"); the bare "--" ends the
+# options
 _COMPLEX_FLAGS = ("--z", "--sigma1", "--sigma2", "--gs", "--u")
 
 
 def _attach_complex_values(argv: list) -> list:
     out: list[str] = []
     for tok in argv:
+        # "--sigma2 --z 4": a token complex() cannot read stays apart, a missing value
         if (out and len(out[-1]) > 2 and tok.startswith("-")
-                and any(flag.startswith(out[-1]) for flag in _COMPLEX_FLAGS)):
-            try:
-                _complex(tok)
-            except argparse.ArgumentTypeError:
-                pass  # "--sigma2 --z 4": the missing value stays a usage error
-            else:
-                out[-1] += "=" + tok
-                continue
+                and any(flag.startswith(out[-1]) for flag in _COMPLEX_FLAGS) and _read_complex(tok) is not None):
+            out[-1] += "=" + tok
+            continue
         out.append(tok)
     return out
 
@@ -99,11 +101,11 @@ _MODE_FLAGS = {
 def _check_flags(args) -> None:
     """Default each mode flag left unset; a usage error of the subcommand's own
     parser where one is set that its mode does not read, or where a mode flag
-    or a config key's flag is set below its least value. The same config value
+    or a config key's flag is not finite and positive. The same config value
     from a file is RunConfig.validate's ValueError."""
     for key, (_, _, message) in POSITIVE_KEYS.items():
         value = getattr(args, key, None)
-        if value is not None and not value > 0:
+        if value is not None and not _finite_positive(value):
             args.subparser.error(message)
     if args.command not in _MODE_FLAGS:
         return

@@ -7,6 +7,7 @@ environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import NamedTuple, Optional
 
@@ -15,14 +16,19 @@ ENV_VAR = "RESURGENTIA_CONFIG"
 _FORMATS = ("json", "csv")
 
 
-# the numeric keys, each of which must be positive: its command-line flag, the
-# flag's help text, and the message that names a value that is not positive
+# the numeric keys, each of which must be finite and positive: its command-line
+# flag, the flag's help text, and the message that names a value out of range
 POSITIVE_KEYS = {
     "order": ("--order", "truncation order N", "order must be positive"),
     "cap_sigma": ("--cap-sigma", "alien sigma_2 cap", "alien caps must be positive"),
     "cap_grade": ("--cap-grade", "alien exponential-grade cap", "alien caps must be positive"),
     "quad_tol": ("--tol", "quadrature tolerance", "quadrature tolerance must be positive"),
 }
+
+
+def _finite_positive(value) -> bool:
+    """The range of every numeric key, from a flag or a file (NaN is outside it)."""
+    return 0 < value < math.inf
 
 
 class RunConfig(NamedTuple):
@@ -35,7 +41,7 @@ class RunConfig(NamedTuple):
 
     def validate(self) -> "RunConfig":
         for key, (_, _, message) in POSITIVE_KEYS.items():
-            if not getattr(self, key) > 0:
+            if not _finite_positive(getattr(self, key)):
                 raise ValueError(message)
         if self.fmt not in _FORMATS:
             raise ValueError("format must be one of " + "|".join(_FORMATS))

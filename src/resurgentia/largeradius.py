@@ -539,9 +539,11 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
 
 
 def _frame(gs: complex, u: complex) -> tuple:
-    """z1 = (1-2t)^{3/2}/(3 g_s^2 u^3), t = g_s^2 u^2 and R(g_s, u) =
-    (1/4) log(u^2/(1-2t)) + ((1-2t)^{3/2} - 1)/(3 g_s^2 u^3), principal powers,
-    after the domain checks: g_s, u nonzero and finite, |t| < 1/2, and no cut in the log."""
+    """z1 = w^{3/2}/(3 g_s^2 u^3), t = g_s^2 u^2 and R(g_s, u) = (1/4) log(u^2/w) +
+    (w^{3/2} - 1)/(3 g_s^2 u^3), w = 1 - 2t, principal powers, after the domain checks:
+    g_s, u nonzero and finite, |t| < 1/2, z1 finite and u^2 nonzero, no cut in the log.
+    R's second term, which cancels at small t, is -2(w^2 + w + 1)/(3u(1 + w^{3/2})) by
+    w^{3/2} - 1 = (w - 1)(w^2 + w + 1)/(w^{3/2} + 1); Re w > 0 keeps 1 + w^{3/2} from 0."""
     gs = complex(gs)
     u = complex(u)
     if gs == 0 or u == 0 or not (cmath.isfinite(gs) and cmath.isfinite(u)):
@@ -551,10 +553,14 @@ def _frame(gs: complex, u: complex) -> tuple:
         raise DomainError("outside the principal branch domain |g_s^2 u^2| < 1/2")
     w = 1.0 - 2.0 * t
     r32 = w ** 1.5
+    scale = 3.0 * gs * gs * u ** 3
+    z1 = r32 / scale if scale else math.inf
+    if not (cmath.isfinite(z1) and u * u):
+        raise DomainError("g_s^2 u^3 or u^2 underflows the float range")
     ratio = u * u / w
     if ratio.real <= 0.0 and abs(ratio.imag) < 1e-13:
         raise BranchCutError("branch cut: log of a negative real ratio")
-    return r32 / (3.0 * gs * gs * u ** 3), t, 0.25 * cmath.log(ratio) + (r32 - 1.0) / (3.0 * gs * gs * u ** 3)
+    return z1, t, 0.25 * cmath.log(ratio) - 2.0 * (w * w + w + 1.0) / (3.0 * u * (1.0 + r32))
 
 
 def lr_sum(

@@ -475,14 +475,14 @@ def test_pade_poles_are_the_exact_denominators_smallest_roots(monkeypatch):
             exact = min(mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in q[::-1]],
                                          maxsteps=400, extraprec=400), key=abs)
             assert abs(exact.imag) < 1e-40
-            theirs = complex(min(np.roots([float(c) for c in q[::-1]]), key=abs))
+            theirs = complex(min(np.roots([c / q[0] for c in q[::-1]]), key=abs))
             assert abs(pole - exact.real) <= 1e-14 * abs(pole) < abs(theirs - exact.real), (pole, theirs, exact)
 
 
 def gauss_jordan_reference(A: list, rhs: list):
     """Gauss-Jordan elimination over Fraction, the Pade solver before Bareiss."""
     n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+    M = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(A)]
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
@@ -497,35 +497,45 @@ def gauss_jordan_reference(A: list, rhs: list):
     return [M[r][n] for r in range(n)]
 
 
+def _as_fractions(solved):
+    """The q of a solved pair (D q, D) as Fractions; None stays None."""
+    return None if solved is None else [Fraction(v, solved[1]) for v in solved[0]]
+
+
 def _solve_exact(A: list, rhs: list):
-    """A q = rhs by one Bareiss pass over the rationals; None on a singular system."""
-    return borel._bareiss(borel._integer_rows(A, rhs), len(rhs))[0]
+    """The integer system A q = rhs by one Bareiss pass, q as Fractions; None on a singular system."""
+    return _as_fractions(borel._bareiss([row + [b] for row, b in zip(A, rhs)], len(rhs)))
 
 
-_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+_entries = st.integers(-9, 9)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=n, max_size=n),
-    st.lists(_fractions, min_size=n, max_size=n))))
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(_entries, min_size=n, max_size=n))))
 def test_bareiss_solve_matches_gauss_jordan(system):
     A, rhs = system
     assert _solve_exact(A, rhs) == gauss_jordan_reference(A, rhs)
 
 
 def gauss_jordan_pair(A: list, rhs: list):
-    """The [L/M] and [L+1/M-1] Pade systems each solved by Gauss-Jordan:
-    A q = rhs, and rows 2..M, columns 1..M-1 of it with the same right-hand side."""
+    """The [L/M] and [L+1/M-1] Pade systems each solved by Gauss-Jordan, as
+    pairs (D q, D): A q = rhs, and rows 2..M, columns 1..M-1 of it with the
+    same right-hand side."""
+    def as_pair(q):
+        if q is None:
+            return None
+        D = math.lcm(*(x.denominator for x in q))
+        return [int(x * D) for x in q], D
+
     full = gauss_jordan_reference(A, rhs)
     short = gauss_jordan_reference([row[:-1] for row in A[1:]], rhs[1:])
-    return (None, None) if short is None else (full, short)
+    return (None, None) if short is None else (as_pair(full), as_pair(short))
 
 
 def test_bareiss_solve_on_singular_and_pade_systems(monkeypatch):
-    assert _solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                        [Fraction(1), Fraction(3)]) is None
-    assert _solve_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
-                        [Fraction(2), Fraction(3)]) == [3, 2]
+    assert _solve_exact([[1, 2], [2, 4]], [1, 3]) is None
+    assert _solve_exact([[0, 1], [1, 0]], [2, 3]) == [3, 2]
     g, f, _ = families.gen_g_f(82)
     for series in (g.series, f.series):
         for count in (40, 61, 81):
@@ -545,14 +555,15 @@ def _hankel(d: list, M: int):
 
 
 @given(st.integers(1, 6).flatmap(lambda M: st.tuples(
-    st.just(M), st.lists(_fractions, min_size=2 * M + 1, max_size=2 * M + 5))))
+    st.just(M), st.lists(_entries, min_size=2 * M + 1, max_size=2 * M + 5))))
 def test_pair_solve_is_two_separate_solves(case):
     # random data; test_pair_solve_on_singular_systems forces a singular M
     # system with a regular block and the reverse
     M, d = case
     A, rhs = _hankel(d, M)
     full, short = _solve_exact(A, rhs), _solve_exact([r[:-1] for r in A[1:]], rhs[1:])
-    assert borel._solve_pair(A, rhs) == ((None, None) if short is None else (full, short))
+    got = borel._solve_pair(A, rhs)
+    assert (_as_fractions(got[0]), _as_fractions(got[1])) == ((None, None) if short is None else (full, short))
 
 
 @pytest.mark.parametrize("M,d,singular", [
@@ -562,11 +573,12 @@ def test_pair_solve_is_two_separate_solves(case):
     (3, [0, 0, 0, 1, 1, 1, 2], "block"),  # det (1 - d_2)^2 = 1; block [[1, 1], [1, 1]]
 ])
 def test_pair_solve_on_singular_systems(M, d, singular):
-    A, rhs = _hankel([Fraction(x) for x in d], M)
+    A, rhs = _hankel(d, M)
     block = _solve_exact([r[:-1] for r in A[1:]], rhs[1:])
     full = _solve_exact(A, rhs)
     assert (block is None) == (singular == "block") and (full is None) == (singular == "full")
-    assert borel._solve_pair(A, rhs) == ((None, None) if block is None else (full, block))
+    got = borel._solve_pair(A, rhs)
+    assert (_as_fractions(got[0]), _as_fractions(got[1])) == ((None, None) if block is None else (full, block))
 
 
 def test_singularity_flags_entire_input():
@@ -580,6 +592,13 @@ def test_singularity_input_validation():
         singularity_locate([1.0] * 10, "ratio")
     with pytest.raises(ValueError, match="method"):
         singularity_locate([1.0] * 50, "bogus")
+
+
+def test_pade_route_refuses_floats():
+    # the exact layer's TypeError, not the binary fraction of 0.5
+    coeffs = [Fraction(math.factorial(n), 2 ** n) for n in range(50)]
+    with pytest.raises(TypeError, match="refuses the float"):
+        singularity_locate(coeffs[:-1] + [0.5], "pade")
 
 
 def test_singularity_routes_on_a_zero_coefficient():
@@ -893,6 +912,31 @@ def test_large_radius_sum_at_small_gs_lies_within_err_of_the_asymptotic_sum():
     sv = largeradius.lr_sum("-", 1e-3, 1.0)
     # a vacuous err would cover any value: it must meet the sum's own tolerance
     assert sv.err < DEFAULT_END_TOL and abs(sv.value - (_asymptotic_sum("g", z1) + R)) <= sv.err, sv
+
+
+def _mpmath_R(gs: complex, u: complex) -> complex:
+    """R = (1/4) log(u^2/w) + (w^{3/2} - 1)/(3 g_s^2 u^3), w = 1 - 2 g_s^2 u^2, as written:
+    its second term cancels to about |t| = |g_s^2 u^2|, so the precision grows with |log10 t|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30 + round(-math.log10(abs(gs * gs * u * u)))):
+        G, U = mpmath.mpc(gs), mpmath.mpc(u)
+        W = 1 - 2 * G * G * U * U
+        return complex(mpmath.log(U * U / W) / 4 + (W ** 1.5 - 1) / (3 * G * G * U ** 3))
+
+
+@pytest.mark.parametrize("u", [1.0, 0.9 + 0.2j])
+@pytest.mark.parametrize("gs", [1e-2, 1e-3, 1e-5, 1e-8])
+def test_large_radius_R_keeps_its_digits_at_small_gs(gs, u):
+    R = largeradius._frame(gs, u)[2]
+    ref = _mpmath_R(gs, u)
+    assert abs(R - ref) <= 4e-16 * abs(ref), (R, ref)
+
+
+@pytest.mark.parametrize("gs", [1e-3, 1e-5])
+def test_large_radius_sum_at_small_gs_lies_within_err_of_the_asymptotic_sum_plus_mpmath_R(gs):
+    z1 = largeradius._frame(gs, 1.0)[0]
+    sv = largeradius.lr_sum("-", gs, 1.0)
+    assert sv.err < DEFAULT_END_TOL and abs(sv.value - (_asymptotic_sum("g", z1) + _mpmath_R(gs, 1.0))) <= sv.err, sv
 
 
 @pytest.mark.parametrize("z", [1e300, -1e300j, complex(1e308, 1e308)])

@@ -383,6 +383,17 @@ def test_non_finite_values_are_usage_errors(capsys, argv, flag, value):
     assert captured.out == "" and f"argument {flag}: cannot parse '{value}' as a finite" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e999", "-1+infj"])
+@pytest.mark.parametrize("prefix,flag", _COMPLEX_FLAG_CASES, ids=[f"{p[0]}-{f}" for p, f in _COMPLEX_FLAG_CASES])
+def test_non_finite_complex_values_starting_with_a_minus_are_usage_errors(capsys, prefix, flag, value):
+    # "--z -inf" takes its value as "--z=-inf" does, not as a missing one
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}: cannot parse '{value}' as a finite complex" in captured.err
+
+
 def test_stdout_is_valid_json_when_a_value_is_not_finite(capsys, monkeypatch):
     def nan_sum(*args, **kwargs):
         return borel.SumValue(complex(math.nan, 0.0), math.inf, {"theta": 0.0})
@@ -511,10 +522,12 @@ def test_median_prints_the_default_b_on_both_rays(capsys):
         (["ode-check", "--order", "0"], "order must be positive", "usage: resurgentia ode-check "),
         (["sum", "--family", "psi", "--z", "3", "--tol", "0"], "quadrature tolerance must be positive",
          "usage: resurgentia sum "),
+        (["sum", "--family", "psi", "--z", "3", "--tol", "inf"], "quadrature tolerance must be positive",
+         "usage: resurgentia sum "),
     ],
     ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1", "singularity-count-39", "pols-n-0",
          "pols-gmax-minus-1", "lrsum-without-gs", "alien-cap-sigma-0", "alien-cap-grade-minus-1",
-         "ode-check-order-0", "sum-tol-0"],
+         "ode-check-order-0", "sum-tol-0", "sum-tol-inf"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
     """A count below its least value, or a missing required flag, is a malformed
@@ -535,8 +548,9 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
         (["alien"], "cap_grade = -1", "alien caps must be positive"),
         (["ode-check"], "order = 0", "order must be positive"),
         (["sum", "--family", "psi", "--z", "3"], "quad_tol = 0", "quadrature tolerance must be positive"),
+        (["sum", "--family", "psi", "--z", "3"], "quad_tol = inf", "quadrature tolerance must be positive"),
     ],
-    ids=["cap-sigma-0", "cap-grade-minus-1", "order-0", "quad-tol-0"],
+    ids=["cap-sigma-0", "cap-grade-minus-1", "order-0", "quad-tol-0", "quad-tol-inf"],
 )
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_out_of_range_config_values_keep_their_record(capsys, monkeypatch, tmp_path, argv, line, message,

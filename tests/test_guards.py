@@ -6,7 +6,7 @@ import pytest
 
 from resurgentia import alien, borel, largeradius
 from resurgentia.alien import IDX, NVARS, Caps, Poly, TransElement
-from resurgentia.borel import BranchCutError, G_pm, QuadratureError, singularity_locate, sum_family
+from resurgentia.borel import BranchCutError, DomainError, G_pm, QuadratureError, singularity_locate, sum_family
 from resurgentia.largeradius import make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
@@ -78,6 +78,18 @@ def _negative_psi_ray(monkeypatch):
     monkeypatch.setattr(borel, "laplace_ray", spoiled)
 
 
+def _large_phi_ray(monkeypatch):
+    """S phi = z * (the B_plus ray's value) a thousand times too large: at z = 3,
+    sigma_2 = 1 the ratio sigma_2 e^{-2z} S phi / S psi is then about 2.5."""
+    real = borel.laplace_ray
+
+    def spoiled(branch, z, theta, *args, **kwargs):
+        sv = real(branch, z, theta, *args, **kwargs)
+        return sv._replace(value=1e3 * sv.value) if branch == "B_plus" else sv
+
+    monkeypatch.setattr(borel, "laplace_ray", spoiled)
+
+
 SPOILED_GUARDS = {
     # make_context's cache is bypassed, so no spoiled context is kept
     "context-inverse": (_spoil_exp_phi, lambda: make_context.__wrapped__(4),
@@ -87,6 +99,8 @@ SPOILED_GUARDS = {
                            ArithmeticError, "failed to terminate"),
     "sum-negative-log": (_negative_psi_ray, lambda: sum_family("g", 3.0), BranchCutError, "negative real sum"),
     "gpm-negative-log": (_negative_psi_ray, lambda: G_pm("-", 3.0), BranchCutError, "negative real sum"),
+    # Re z = 3 lies inside the solution domain Re z > (1/2) log 2 of sigma_2 = 1
+    "gpm-not-contractive": (_large_phi_ray, lambda: G_pm("+", 3.0, 0, 1), DomainError, "not contractive"),
 }
 
 
@@ -96,3 +110,18 @@ def test_guard_raises_on_a_spoiled_input(monkeypatch, case):
     spoil(monkeypatch)
     with pytest.raises(error, match=message):
         call()
+
+
+# -- the None returns of the exact Newton step of the Pade route ---------------------
+
+_A = -10 ** 308  # (t - A)^2 + B: from x = A + 1e300 the first step is about 1.5e308
+
+
+@pytest.mark.parametrize("C, x", [
+    ([1, 0, 1], 0.0),  # 1 + t^2 at its critical point: T = 0
+    ([2, -2, 0, 1], 0.0),  # t^3 - 2t + 2: the steps cycle 0 -> 1 -> 0 and never settle
+    ([1, 0, 1], 5e-324),  # the first step, about 1/(2x), is past the float range
+    ([_A * _A + 3 * 10 ** 608, -2 * _A, 1], -1e308 + 1e300),  # x - step is past it
+], ids=["derivative-zero", "cycle", "step-overflows", "x-overflows"])
+def test_exact_real_root_returns_none(C, x):
+    assert borel._exact_real_root(C, x) is None

@@ -787,6 +787,14 @@ def test_lr_connection_left():
         lr_connection_check("left", gs, 1.0, 0.0, -1j)
 
 
+@pytest.mark.parametrize("gs,u", [(1e-200, 1.0), (0.3, 1e-110), (0.3, 1e-200), (1e-160, 1.0)],
+                         ids=["gs2-underflows", "u3-underflows", "u2-underflows", "z1-overflows"])
+def test_lr_sum_raises_domain_error_where_the_frame_leaves_the_floats(gs, u):
+    # g_s^2 u^3 or u^2 below the smallest float, or z1 past the largest
+    with pytest.raises(DomainError, match="underflows"):
+        lr_sum("-", gs, u)
+
+
 @pytest.mark.parametrize("which,gs,u,s1,s2,tol", [
     ("right", 0.4, 1.0, 0.0, 1.0, 1e-5),
     ("right", 0.35, 1.1, 0.5, -0.5 + 0.2j, 1e-5),
@@ -794,11 +802,12 @@ def test_lr_connection_left():
     ("left", 0.5 * cmath.exp(1.5j), 1.05, 0.1, 0.001 + 0.001j, 1e-4),
 ])
 def test_lr_connection_is_the_connection_law_at_z1(which, gs, u, s1, s2, tol):
-    # z1 = (1-2t)^{3/2}/(3 g_s^2 u^3) and R = (1/4) log(u^2/(1-2t)) + ((1-2t)^{3/2} - 1)/(3 g_s^2 u^3)
+    # z1 = w^{3/2}/(3 g_s^2 u^3) and R = (1/4) log(u^2/w) + (w^{3/2} - 1)/(3 g_s^2 u^3), w = 1 - 2t,
+    # whose second term is -2(w^2 + w + 1)/(3u(1 + w^{3/2})) without the cancellation
     gs, u = complex(gs), complex(u)
     w = 1.0 - 2.0 * (gs * gs * u * u)
     z1 = w ** 1.5 / (3.0 * gs * gs * u ** 3)
-    R = 0.25 * cmath.log(u * u / w) + (w ** 1.5 - 1.0) / (3.0 * gs * gs * u ** 3)
+    R = 0.25 * cmath.log(u * u / w) - 2.0 * (w * w + w + 1.0) / (3.0 * u * (1.0 + w ** 1.5))
     out = lr_connection_check(which, gs, u, s1, s2, tol)
     ref = connection_check(which, z1, s1, -complex(s2), tol)
     assert out == dict(ref, lhs=ref["lhs"] + R, rhs=ref["rhs"] + R)
