@@ -276,6 +276,11 @@ def _cmd_connect(args, cfg: RunConfig):
 def _cmd_median(args, cfg: RunConfig):
     from .borel import median_real_check
 
+    # argpi runs at Re z = -x with |sigma_2| = 2|sin(theta/2)|, inside G_pm's domain
+    # Re z > (1/2) log|2 sigma_2| exactly for |theta| < 2 asin(e^{-2x}/4)
+    bound = 2 * math.asin(math.exp(-2 * args.x) / 4) if args.x > 0 else math.inf
+    if args.ray == "argpi" and args.theta and abs(args.theta) >= bound:
+        args.subparser.error(f"--theta must satisfy |theta| < 2 asin(e^(-2x)/4) = {bound:.6g} at --x {args.x:g}")
     value, im = median_real_check(args.x, args.a, args.b, ray=args.ray, theta=args.theta)
     out = {"x": args.x, "a": args.a, "b": args.b, "ray": args.ray, "abs_im": im}
     out.update(_cval("value", value))

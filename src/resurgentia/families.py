@@ -27,10 +27,10 @@ one exact rescale c_k -> c_k/72^k maps each output back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional
 
-from .series import DEFAULT_ORDER, PowerSeries, _rescale, _series
+from .series import DEFAULT_ORDER, PowerSeries, _convolve, _rescale, _series
 
 
 class FamilySeries(NamedTuple):
@@ -153,19 +153,29 @@ def ode_residual(series: PowerSeries, which: str) -> PowerSeries:
     which = "hae_nonlinear": g'' + (g')^2 + 2 g' + (5/36) z^{-2}; any constant
     shift of g leaves this residual unchanged.
     The coefficients of z^0 and z^{-1} vanish for every series, so N >= 4: a
-    window that stops above z^{-2} would certify any series.
+    window that stops above z^{-2} would certify any series. Each residual is one
+    integer pass over the numerators c_k of the series, with one canonical form.
     """
     n = series.order
     if n < 4:
         raise ValueError("need order >= 4: the residual window must reach z^-2, "
                          "the first coefficient the equation constrains")
-    quad = PowerSeries.monomial(2, n - 2, Fraction(5, 36))
+    d = series.den
     if which == "airy_linear":
-        d1 = series.diff()
-        d2 = d1.diff()
-        return d2 + d1.truncate(n - 2).scale(2) + quad * series.truncate(n - 2)
+        # at z^{-m}: ((36 (m-1)(m-2) + 5) c_{m-2} - 72 (m-1) c_{m-1}) / (36 d)
+        re, im = ((0, 0) + tuple((36 * (m - 1) * (m - 2) + 5) * c[m - 2] - 72 * (m - 1) * c[m - 1]
+                                 for m in range(2, n - 1)) for c in (series.re, series.im))
+        return _series(n - 2, 36 * d, re, im)
     if which == "hae_nonlinear":
-        d1 = series.diff()
-        low = d1.truncate(n - 2)  # the top row of d1 leaves the window of d2
-        return d1.diff() + low * low + low.scale(2) + quad
+        # at z^{-i}: g' = p_i / d with p_i = -(i-1) c_{i-1} and g'' = -(i-1) p_{i-1} / d;
+        # (g')^2 is squared as P / e with P = p / h, e = d / h and h = gcd(d, p)
+        ps = [(0,) + tuple(-(i - 1) * c[i - 1] for i in range(1, n - 1)) for c in (series.re, series.im)]
+        h = gcd(d, *ps[0], *ps[1])
+        pr, pi = ([x // h for x in p] for p in ps)
+        den = lcm(d, (d // h) ** 2, 36)
+        a, b = den // d, den // (d // h) ** 2
+        re, im = ([a * (2 * x - (i - 1) * y) + b * s for i, x, y, s in zip(range(n - 1), p, (0,) + p, sq)]
+                  for p, sq in zip(ps, _convolve(pr, pi, pr, pi, n - 2, True)))
+        re[2] += 5 * (den // 36)
+        return _series(n - 2, den, tuple(re), tuple(im))
     raise ValueError(f"unknown residual kind {which!r}")

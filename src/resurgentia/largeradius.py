@@ -176,6 +176,26 @@ def _acc_row(row: dict, xs: list, ys: list) -> None:
             row[e] = get(e, 0) + c1 * c2
 
 
+def _row_product(a: Sequence[dict], b: Sequence[dict], n: int, square: bool) -> tuple:
+    """The nonzero numerators of rows 0..n of a product of row windows; with square
+    (b is a) each unordered pair of rows is formed once, doubled, then the row squares added."""
+    rows_a = [(i, list(x.items())) for i, x in enumerate(a[: n + 1]) if x]
+    rows_b = rows_a if square else [(j, list(y.items())) for j, y in enumerate(b[: n + 1]) if y]
+    acc: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for t, (i, xs) in enumerate(rows_a):
+        for j, ys in rows_b[t + 1:] if square else rows_b:
+            if i + j > n:
+                break
+            _acc_row(acc[i + j], xs, ys)
+    if square:
+        acc = [{e: 2 * c for e, c in row.items()} for row in acc]
+        for i, xs in rows_a:
+            if 2 * i > n:
+                break
+            _acc_row(acc[2 * i], xs, xs)
+    return tuple({e: c for e, c in row.items() if c} for row in acc)
+
+
 class UCoeffSeries:
     """Truncated series with ULaurent coefficients in one of two gradings.
 
@@ -240,28 +260,12 @@ class UCoeffSeries:
         return self._plus(other, -1)
 
     def __mul__(self, other: "UCoeffSeries") -> "UCoeffSeries":
-        """The truncated product, accumulated straight into the output rows; x * x
-        forms each unordered pair of rows once, doubled, then adds the row squares."""
+        """The truncated product (see _row_product)."""
         self._match(other)
         if self.log_u != 0 or other.log_u != 0:
             raise ValueError("cannot multiply series carrying a log u term")
         n = min(self.order, other.order)
-        rows_a = [(i, list(x.items())) for i, x in enumerate(self.rows[: n + 1]) if x]
-        square = other is self
-        rows_b = rows_a if square else [(j, list(y.items())) for j, y in enumerate(other.rows[: n + 1]) if y]
-        acc: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        for t, (i, xs) in enumerate(rows_a):
-            for j, ys in rows_b[t + 1:] if square else rows_b:
-                if i + j > n:
-                    break
-                _acc_row(acc[i + j], xs, ys)
-        if square:
-            acc = [{e: 2 * c for e, c in row.items()} for row in acc]
-            for i, xs in rows_a:
-                if 2 * i > n:
-                    break
-                _acc_row(acc[2 * i], xs, xs)
-        rows = tuple({e: c for e, c in row.items() if c} for row in acc)
+        rows = _row_product(self.rows, other.rows, n, other is self)
         return _ucs(self.grading, n, self.den * other.den, rows, _F0, self.exp_tag + other.exp_tag)
 
     def scale(self, c) -> "UCoeffSeries":
@@ -269,26 +273,6 @@ class UCoeffSeries:
         p = c.numerator
         rows = tuple({e: v * p for e, v in row.items()} if p else {} for row in self.rows)
         return _ucs(self.grading, self.order, self.den * c.denominator, rows, self.log_u * c, self.exp_tag)
-
-    def shift_u(self, k: int) -> "UCoeffSeries":
-        if self.log_u != 0:
-            raise ValueError("cannot shift a series carrying a log u term")
-        rows = tuple({e + k: c for e, c in row.items()} for row in self.rows)
-        return _ucs(self.grading, self.order, self.den, rows, _F0, self.exp_tag)
-
-    def mul_gs2(self) -> "UCoeffSeries":
-        """Multiply by g_s^2: in the gs2 grading coefficient k moves to k + 1, the top one leaves."""
-        if self.grading != "gs2":
-            raise ValueError("g_s^2 shift requires the gs2 grading")
-        return _ucs("gs2", self.order, self.den, ({},) + self.rows[: self.order], self.log_u, self.exp_tag)
-
-    def diff_u(self) -> "UCoeffSeries":
-        if self.exp_tag != 0:
-            raise ValueError("u-derivative not supported under an exponential prefactor")
-        rows = tuple({e - 1: e * c for e, c in row.items() if e} for row in self.rows)
-        out = _ucs(self.grading, self.order, self.den, rows)
-        # d/du (log_u log u) = log_u u^{-1}
-        return out + _head(self.grading, self.order, ULaurent.mono(-1, self.log_u)) if self.log_u else out
 
     def is_zero(self) -> bool:
         return self.log_u == 0 and not any(self.rows)
@@ -306,17 +290,6 @@ def _z2_to_gs2(s: UCoeffSeries) -> UCoeffSeries:
     """Regrade a z2 series by z2^{-1} = 3 g_s^2 u^3: z2^{-k} u^e -> 3^k g_s^{2k} u^{e + 3k}."""
     rows = tuple({e + 3 * k: c * 3 ** k for e, c in row.items()} for k, row in enumerate(s.rows))
     return _ucs("gs2", s.order, s.den, rows, s.log_u)
-
-
-def _window(s: UCoeffSeries, order: int) -> UCoeffSeries:
-    """s cut to, or padded with zero rows up to, the given order."""
-    rows = s.rows[: order + 1] + ({},) * (order - s.order)
-    return _ucs(s.grading, order, s.den, rows, s.log_u, s.exp_tag)
-
-
-def _head(grading: str, order: int, c0: ULaurent) -> UCoeffSeries:
-    """The window c0, 0, ..., 0."""
-    return UCoeffSeries(grading, order, (c0,) + (_ZERO_UL,) * order)
 
 
 # -- exact generators ------------------------------------------------------------
@@ -391,7 +364,7 @@ def _row_recurrence(x: UCoeffSeries) -> UCoeffSeries:
 
 def _exp_phi(n: int, N: int) -> UCoeffSeries:
     """e^{-2n (phi_u + 1/u)} through z2^{-N}; the 1/u cancels row 0 of phi_u."""
-    x = (gen_phi_u(N + 1) + _head("z2", N, ULaurent.mono(-1, 1))).scale(-2 * n)
+    x = (gen_phi_u(N + 1) + UCoeffSeries("z2", N, (ULaurent.mono(-1, 1),) + (_ZERO_UL,) * N)).scale(-2 * n)
     return _row_recurrence(x)
 
 
@@ -444,18 +417,31 @@ def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:
         d_u H - (3/2) g_s^2 u^3 (d_u H + (u/3) d_u^2 H + (u/3)(d_u H)^2)
             = 1/(2u) + 1/u^2,
 
-    exact; zero through the representable order certifies a solution."""
-    if H.grading != "gs2":
-        raise ValueError("the u-equation acts on the gs2 grading")
-    d1 = H.diff_u()
-    d2 = d1.diff_u()
-    # mul_gs2 drops the top row of inner, so (d_u H)^2 is formed through row N - 1 only
-    low = _window(d1, H.order - 1)
-    sq = _window(low * low, H.order)
-    inner = d1 + d2.shift_u(1).scale(Fraction(1, 3)) + sq.shift_u(1).scale(Fraction(1, 3))
-    lhs = d1 - inner.shift_u(3).scale(Fraction(3, 2)).mul_gs2()
-    rhs0 = ULaurent.mono(-1, Fraction(1, 2)) + ULaurent.mono(-2, 1)
-    return lhs - _head("gs2", lhs.order, rhs0)
+    exact; zero through the representable order certifies a solution. Row k,
+    d1_k - (3/2) u^3 d1_{k-1} - (1/2) u^4 (d2_{k-1} + sq_{k-1}) with d_u^j H = dj
+    and sq = d1^2, is formed on ints over one denominator, one canonical form."""
+    if H.grading != "gs2" or H.exp_tag:
+        raise ValueError("the u-equation acts on the gs2 grading, without an exponential prefactor")
+    N, lam = H.order, H.log_u
+    m = math.lcm(H.den, lam.denominator)
+    # d1 over m; d_u (lam log u) = lam u^{-1} is row 0's only u^{-1} term (zeros drop at the end)
+    d1 = [{e - 1: e * c * (m // H.den) for e, c in row.items() if e} for row in H.rows]
+    d1[0][-1] = lam.numerator * (m // lam.denominator)
+    # (d_u H)^2 through row N - 1, squared as rows / (m / h) with h = gcd(m, rows)
+    h = math.gcd(m, *chain.from_iterable(map(dict.values, d1[:N])))
+    low = [{e: c // h for e, c in row.items()} for row in d1[:N]]
+    sq = _row_product(low, low, N - 1, True)
+    den = 2 * math.lcm(m, (m // h) ** 2)
+    a, b = den // (2 * m), den // (2 * (m // h) ** 2)
+    # over den: row k gets 2a d1_k; row k + 1 gets -a (e + 3) c u^{e+3} for each
+    # term c u^e of d1_k (the u^3 d1 and u^4 d2 terms) and -b u^4 sq_k
+    out = [{-1: -a * m, -2: -2 * a * m}] + [{} for _ in range(N)]
+    for k, row in enumerate(d1):
+        _acc_row(out[k], row.items(), ((0, 2 * a),))
+        if k < N:
+            _acc_row(out[k + 1], [(e, (e + 3) * c) for e, c in row.items()], ((3, -a),))
+            _acc_row(out[k + 1], sq[k].items(), ((4, -b),))
+    return _ucs("gs2", N, den, tuple({e: c for e, c in row.items() if c} for row in out))
 
 
 def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:

@@ -39,9 +39,48 @@ def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
         den //= g
         re = tuple(x // g for x in re)
         im = tuple(y // g for y in im)
+    return _wrap(order, den, re, im)
+
+
+def _wrap(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
+    """A PowerSeries from numerators over den that are already in canonical form."""
     out = PowerSeries.__new__(PowerSeries)
     out.order, out.den, out.re, out.im = order, den, re, im
     return out
+
+
+def _convolve(ar: Sequence[int], ai: Sequence[int], br: Sequence[int], bi: Sequence[int],
+              n: int, square: bool) -> tuple[list, list]:
+    """Numerators of (a * b)_0 .. (a * b)_n, skipping zero rows and, for real windows, the
+    imaginary parts; square (b is a) forms each pair i < j once, doubled, then adds i = j."""
+    rows_a = [i for i in range(n + 1) if ar[i] or ai[i]]
+    rows_b = rows_a if square else [j for j in range(n + 1) if br[j] or bi[j]]
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    gaussian = any(ai) or any(bi)
+    for t, i in enumerate(rows_a):
+        x, y = ar[i], ai[i]
+        rows = rows_b[t + 1:] if square else rows_b
+        if gaussian:
+            for j in rows:
+                if i + j > n:
+                    break
+                u, v = br[j], bi[j]
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+        else:
+            for j in rows:
+                if i + j > n:
+                    break
+                re[i + j] += x * br[j]
+    if square:
+        re, im = [2 * r for r in re], [2 * m for m in im]
+        for i in rows_a:
+            if 2 * i > n:
+                break
+            x, y = ar[i], ai[i]
+            re[2 * i] += x * x - y * y
+            im[2 * i] += 2 * x * y
+    return re, im
 
 
 def _rescale(s: "PowerSeries", p: int, q: int) -> "PowerSeries":
@@ -118,16 +157,8 @@ class PowerSeries:
         return PowerSeries(order, tuple(cs[: order + 1]))
 
     @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries.monomial(0, order, 0)
-
-    @staticmethod
     def one(order: int) -> "PowerSeries":
         return PowerSeries.monomial(0, order)
-
-    @staticmethod
-    def constant(c: CoeffLike, order: int) -> "PowerSeries":
-        return PowerSeries.monomial(0, order, c)
 
     @staticmethod
     def monomial(k: int, order: int, c: CoeffLike = 1) -> "PowerSeries":
@@ -189,7 +220,8 @@ class PowerSeries:
         return self._plus(other, -1)
 
     def __neg__(self) -> "PowerSeries":
-        return _series(self.order, self.den, tuple(-x for x in self.re), tuple(-y for y in self.im))
+        # a sign flip keeps the canonical form
+        return _wrap(self.order, self.den, tuple(-x for x in self.re), tuple(-y for y in self.im))
 
     def scale(self, c: CoeffLike) -> "PowerSeries":
         a, b, q = _gaussian_over(c)
@@ -204,37 +236,7 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        rows_a = [i for i in range(n + 1) if ar[i] or ai[i]]
-        # x * x: each unordered pair of rows once; the pairs i < j are doubled
-        # and the squares i = j added after the loop
-        square = other is self
-        rows_b = rows_a if square else [j for j in range(n + 1) if br[j] or bi[j]]
-        re, im = [0] * (n + 1), [0] * (n + 1)
-        gaussian = any(ai) or any(bi)
-        for t, i in enumerate(rows_a):
-            x, y = ar[i], ai[i]
-            rows = rows_b[t + 1:] if square else rows_b
-            if gaussian:
-                for j in rows:
-                    if i + j > n:
-                        break
-                    u, v = br[j], bi[j]
-                    re[i + j] += x * u - y * v
-                    im[i + j] += x * v + y * u
-            else:
-                for j in rows:
-                    if i + j > n:
-                        break
-                    re[i + j] += x * br[j]
-        if square:
-            re, im = [2 * r for r in re], [2 * m for m in im]
-            for i in rows_a:
-                if 2 * i > n:
-                    break
-                x, y = ar[i], ai[i]
-                re[2 * i] += x * x - y * y
-                im[2 * i] += 2 * x * y
+        re, im = _convolve(self.re, self.im, other.re, other.im, n, other is self)
         return _series(n, self.den * other.den, tuple(re), tuple(im))
 
     def inverse(self) -> "PowerSeries":
@@ -302,13 +304,14 @@ class PowerSeries:
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 window")
-        return self._deriv_in_window().truncate(self.order - 1)
+        return self._deriv_in_window(self.order - 1)
 
-    def _deriv_in_window(self) -> "PowerSeries":
-        # exact d/dz kept in the full window: c_k moves to degree k + 1 with
-        # factor -k, and c_order leaves it, so every stored entry is exact
-        return _series(self.order, self.den, (0,) + tuple(-k * x for k, x in enumerate(self.re[:-1])),
-                       (0,) + tuple(-k * y for k, y in enumerate(self.im[:-1])))
+    def _deriv_in_window(self, order: int | None = None) -> "PowerSeries":
+        # exact d/dz through z^{-order} (default: the full window): c_k moves to degree
+        # k + 1 with factor -k, and c_order leaves it, so every stored entry is exact
+        n = self.order if order is None else order
+        return _series(n, self.den, (0,) + tuple(-k * x for k, x in enumerate(self.re[:n])),
+                       (0,) + tuple(-k * y for k, y in enumerate(self.im[:n])))
 
     # -- composition -------------------------------------------------------
 
@@ -336,8 +339,8 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """self(-z): flips the sign of every odd coefficient."""
-        return _series(self.order, self.den, tuple(-x if k & 1 else x for k, x in enumerate(self.re)),
-                       tuple(-y if k & 1 else y for k, y in enumerate(self.im)))
+        return _wrap(self.order, self.den, tuple(-x if k & 1 else x for k, x in enumerate(self.re)),
+                     tuple(-y if k & 1 else y for k, y in enumerate(self.im)))
 
     # -- serialization -------------------------------------------------------
 

@@ -97,7 +97,7 @@ def test_ode_residuals_vanish():
 
 def test_nonlinear_residual_constant_shift_invariance():
     g, _, _ = families.gen_g_f(12)
-    shifted = g.series + PowerSeries.constant(F(7, 3), 12)
+    shifted = g.series + PowerSeries.monomial(0, 12, F(7, 3))
     assert families.ode_residual(shifted, "hae_nonlinear").is_zero()
 
 
@@ -127,6 +127,67 @@ def test_ode_residual_sees_a_wrong_c1_at_order_4():
     wrong_c1 = PowerSeries.monomial(1, 4)
     assert not families.ode_residual(psi + wrong_c1, "airy_linear").is_zero()
     assert not families.ode_residual(g + wrong_c1, "hae_nonlinear").is_zero()
+
+
+def _composed_ode_residual(series: PowerSeries, which: str) -> PowerSeries:
+    """The residual composed of series operations, each one canonical: the form
+    ode_residual had before it became one integer pass."""
+    n = series.order
+    quad = PowerSeries.monomial(2, n - 2, F(5, 36))
+    d1 = series.diff()
+    if which == "airy_linear":
+        return d1.diff() + d1.truncate(n - 2).scale(2) + quad * series.truncate(n - 2)
+    low = d1.truncate(n - 2)  # the top row of d1 leaves the window of d2
+    return d1.diff() + low * low + low.scale(2) + quad
+
+
+_small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def residual_windows(draw):
+    """Real and Gaussian windows of order 4..40."""
+    n = draw(st.integers(4, 40))
+    im = _small if draw(st.booleans()) else st.just(F(0))
+    return PowerSeries(n, tuple(draw(st.lists(st.builds(ExactScalar, _small, im), min_size=n + 1, max_size=n + 1))))
+
+
+def _assert_same_residual(series: PowerSeries, which: str):
+    got, want = families.ode_residual(series, which), _composed_ode_residual(series, which)
+    assert (got.order, got.den, got.re, got.im) == (want.order, want.den, want.re, want.im)
+
+
+@given(residual_windows(), st.sampled_from(["airy_linear", "hae_nonlinear"]))
+def test_ode_residual_matches_the_composed_formula(series, which):
+    _assert_same_residual(series, which)
+
+
+@pytest.mark.parametrize("order", [4, 5, 9, 33])
+def test_ode_residual_of_the_family_matches_the_composed_formula(order):
+    (psi, phi), (g, f, _) = families.gen_psi_phi(order), families.gen_g_f(order)
+    for member in (psi, phi, g, f):
+        for which in ("airy_linear", "hae_nonlinear"):
+            _assert_same_residual(member.series, which)
+
+
+def _first_nonzero_row(r: PowerSeries) -> int:
+    return next(m for m in range(r.order + 1) if r.re[m] or r.im[m])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 9, 17])
+def test_one_unit_spoil_of_psi_shows_at_its_first_constrained_row(k):
+    # c_k enters row k + 1 through -72 k c_k, and c_0 row 2 through 5 c_0
+    psi = families.gen_psi_phi(20)[0].series
+    spoiled = psi + PowerSeries.monomial(k, 20, F(1, psi.den))
+    assert _first_nonzero_row(families.ode_residual(spoiled, "airy_linear")) == max(k + 1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 17])
+def test_one_unit_spoil_of_g_shows_at_its_first_constrained_row(k):
+    # c_k enters row k + 1 through 2 g' = -2 k c_k; (g')^2 sees it only from row k + 3
+    g = families.gen_g_f(20)[0].series
+    spoiled = g + PowerSeries.monomial(k, 20, F(1, g.den))
+    assert _first_nonzero_row(families.ode_residual(spoiled, "hae_nonlinear")) == k + 1
 
 
 def test_tower_frozen_and_power_law():
@@ -166,7 +227,7 @@ def test_psi_route_agreement_any_order(order):
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=8))
 def test_constant_shift_invariance_fuzz(c):
     g, _, _ = families.gen_g_f(8)
-    shifted = g.series + PowerSeries.constant(c, 8)
+    shifted = g.series + PowerSeries.monomial(0, 8, c)
     assert families.ode_residual(shifted, "hae_nonlinear").is_zero()
 
 

@@ -53,6 +53,55 @@ def _diff(a: ULaurent) -> ULaurent:
     return ULaurent({e - 1: e * c for e, c in a.terms.items() if e})
 
 
+def _head(grading: str, order: int, c0: ULaurent) -> UCoeffSeries:
+    """The window c0, 0, ..., 0."""
+    return UCoeffSeries(grading, order, (c0,) + (ULaurent(),) * order)
+
+
+# the row operations u_equation_residual was composed of before it became one
+# integer pass; they build the oracle _composed_u_residual below
+
+
+def _diff_u(s: UCoeffSeries) -> UCoeffSeries:
+    """d/du; d/du (log_u log u) = log_u u^{-1}."""
+    if s.exp_tag != 0:
+        raise ValueError("u-derivative not supported under an exponential prefactor")
+    rows = tuple({e - 1: e * c for e, c in row.items() if e} for row in s.rows)
+    out = largeradius._ucs(s.grading, s.order, s.den, rows)
+    return out + _head(s.grading, s.order, ULaurent.mono(-1, s.log_u)) if s.log_u else out
+
+
+def _shift_u(s: UCoeffSeries, k: int) -> UCoeffSeries:
+    """Multiply by u^k."""
+    assert s.log_u == 0
+    rows = tuple({e + k: c for e, c in row.items()} for row in s.rows)
+    return largeradius._ucs(s.grading, s.order, s.den, rows, F(0), s.exp_tag)
+
+
+def _mul_gs2(s: UCoeffSeries) -> UCoeffSeries:
+    """Multiply by g_s^2: in the gs2 grading coefficient k moves to k + 1, the top one leaves."""
+    assert s.grading == "gs2"
+    return largeradius._ucs("gs2", s.order, s.den, ({},) + s.rows[: s.order], s.log_u, s.exp_tag)
+
+
+def _cut(s: UCoeffSeries, order: int) -> UCoeffSeries:
+    """s cut to, or padded with zero rows up to, the given order."""
+    rows = s.rows[: order + 1] + ({},) * (order - s.order)
+    return largeradius._ucs(s.grading, order, s.den, rows, s.log_u, s.exp_tag)
+
+
+def _composed_u_residual(H: UCoeffSeries) -> UCoeffSeries:
+    """The u-equation residual composed of series operations, each one canonical."""
+    d1 = _diff_u(H)
+    d2 = _diff_u(d1)
+    # _mul_gs2 drops the top row of inner, so (d_u H)^2 is formed through row N - 1 only
+    low = _cut(d1, H.order - 1)
+    sq = _cut(low * low, H.order)
+    inner = d1 + _shift_u(d2, 1).scale(F(1, 3)) + _shift_u(sq, 1).scale(F(1, 3))
+    lhs = d1 - _mul_gs2(_shift_u(inner, 3).scale(F(3, 2)))
+    return lhs - _head("gs2", lhs.order, ULaurent.mono(-1, F(1, 2)) + ULaurent.mono(-2, 1))
+
+
 def _eval_partial(s: UCoeffSeries, gs: complex, u: complex, nterms: Optional[int] = None) -> complex:
     """Numeric partial sum through g_s^{2(nterms-1)} (principal log u)."""
     if s.grading != "gs2":
@@ -215,10 +264,11 @@ def test_ucoeff_ops_match_ulaurent_loops(pair, c, k):
     _assert_native_u(b + a, _reference_add(b, a))
     _assert_native_u(a - b, _reference_add(a, b, -1))
     _assert_native_u(a.scale(c), (tuple(_scale(x, c) for x in a.coeffs), a.log_u * c))
-    _assert_native_u(a.diff_u(), _reference_diff_u(a))
+    # the parts of the composed u-residual oracle
+    _assert_native_u(_diff_u(a), _reference_diff_u(a))
     flat = a - UCoeffSeries("gs2", a.order, (ULaurent(),) * (a.order + 1), a.log_u)  # log u dropped
-    _assert_native_u(flat.shift_u(k), (tuple(x.shift(k) for x in flat.coeffs), Fraction(0)))
-    _assert_native_u(flat.mul_gs2(), ((ULaurent(),) + flat.coeffs[: a.order], Fraction(0)))
+    _assert_native_u(_shift_u(flat, k), (tuple(x.shift(k) for x in flat.coeffs), Fraction(0)))
+    _assert_native_u(_mul_gs2(flat), ((ULaurent(),) + flat.coeffs[: a.order], Fraction(0)))
     _assert_native_u(flat * flat, (tuple(_reference_zs_mul(flat.coeffs, flat.coeffs, a.order)), Fraction(0)))
 
 
@@ -226,7 +276,7 @@ def test_ucoeff_series_are_canonical():
     # equal values computed along different routes store equal numerators
     H = gen_H0(10)
     assert (H + H.scale(F(2, 3))) - H.scale(F(2, 3)) == H
-    d1 = gen_H0(10).diff_u()
+    d1 = _diff_u(gen_H0(10))
     lhs, rhs = (d1 * d1) * d1, d1 * (d1 * d1)
     assert (lhs.den, lhs.rows) == (rhs.den, rhs.rows) and hash(lhs) == hash(rhs)
     assert d1.scale(3).scale(F(1, 3)) == d1 and d1.scale(0).den == 1
@@ -265,9 +315,9 @@ def test_trusted_constructor_matches_validating_one(monkeypatch):
 
     def build():
         H = gen_H0(24)
-        d1 = H.diff_u()
-        d2u = d1.diff_u().shift_u(1)
-        inner = d1 + d2u.scale(F(1, 3)) + (d1 * d1).shift_u(1).scale(F(1, 3))
+        d1 = _diff_u(H)
+        d2u = _shift_u(_diff_u(d1), 1)
+        inner = d1 + d2u.scale(F(1, 3)) + _shift_u(d1 * d1, 1).scale(F(1, 3))
         _, Hn, pols = gen_Hn(2, 4)
         series = (H, H.scale(F(-2, 3)), d2u, inner, Hn, u_equation_residual(gen_H0(12)))
         uls = [c for x in series for c in x.coeffs] + pols
@@ -303,12 +353,8 @@ def test_series_container_guards():
         gen_Hn(1, 2)[1] + gen_Hn(2, 2)[1]
     with pytest.raises(ValueError, match="log u term"):
         r * r
-    with pytest.raises(ValueError, match="log u term"):
-        r.shift_u(1)
     with pytest.raises(ValueError, match="exponential prefactor"):
-        gen_Hn(1, 2)[1].diff_u()
-    with pytest.raises(ValueError, match="gs2 grading"):
-        z2s.mul_gs2()
+        u_equation_residual(gen_Hn(1, 2)[1])
     with pytest.raises(ValueError, match="gs2 grading"):
         _eval_partial(z2s, 0.1, 1.0, 2)
 
@@ -491,6 +537,43 @@ def test_u_equation_residual_vanishes():
     assert u_equation_residual(H0).is_zero()
     with pytest.raises(ValueError, match="gs2 grading"):
         u_equation_residual(gen_phi_u(4))
+
+
+@st.composite
+def u_residual_inputs(draw):
+    """UCoeffSeries of order 0..10 with random Laurent rows and a log u scalar."""
+    N = draw(st.integers(0, 10))
+    rows = draw(st.lists(small_ulaurents, min_size=N + 1, max_size=N + 1))
+    return UCoeffSeries("gs2", N, tuple(rows), draw(st.sampled_from([F(0), F(1, 2), F(-3, 5)])))
+
+
+@given(u_residual_inputs())
+def test_u_equation_residual_matches_the_composed_formula(H):
+    got, want = u_equation_residual(H), _composed_u_residual(H)
+    assert got == want and (got.den, got.rows) == (want.den, want.rows)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 17])
+def test_u_equation_residual_of_H0_matches_the_composed_formula(N):
+    H = gen_H0(N)
+    spoiled = H + _head("gs2", N, ULaurent.mono(2, 1))
+    for x in (H, spoiled):
+        got, want = u_equation_residual(x), _composed_u_residual(x)
+        assert got == want and (got.den, got.rows) == (want.den, want.rows)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 12])
+def test_one_unit_spoil_of_H0_shows_at_its_row(k):
+    # one unit on the numerator of the lowest u-power of row k (never u^0, which
+    # the equation cannot see) moves d_u H in row k, while rows below k are untouched
+    N = 12
+    H = gen_H0(N)
+    e = min(H.rows[k])
+    assert e != 0
+    spoil = UCoeffSeries("gs2", N, tuple(ULaurent.mono(e, F(1, H.den)) if j == k else ULaurent()
+                                         for j in range(N + 1)))
+    res = u_equation_residual(H + spoil)
+    assert not any(res.rows[:k]) and res.rows[k]
 
 
 def test_u_equation_detects_perturbation():

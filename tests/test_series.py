@@ -130,7 +130,7 @@ def test_diff_leibniz(a, b):
 
 @given(series_strategy(6))
 def test_compose_identity_shift(a):
-    zero = PowerSeries.zero(a.order)
+    zero = PowerSeries.monomial(0, a.order, 0)
     assert a.compose_shift(zero) == a
 
 
@@ -411,6 +411,13 @@ def test_calculus_and_window_ops_match_scalar_loop(s, k):
     _assert_native(s.reflect(), _reference_reflect(s))
     cut = min(k, s.order)
     _assert_native(s.truncate(cut), PowerSeries(cut, s.coeffs[: cut + 1]))
+
+
+@given(windows(max_order=40))
+def test_reflect_and_negation_return_canonical_forms(s):
+    # a sign flip keeps gcd(den, numerators) == 1, so both wrap without a gcd
+    _assert_native(s.reflect(), _reference_reflect(s))
+    _assert_native(-s, _reference_scale(s, ExactScalar(-1)))
 
 
 @given(windows(), windows(), windows())
