@@ -276,11 +276,12 @@ def _cmd_connect(args, cfg: RunConfig):
 def _cmd_median(args, cfg: RunConfig):
     from .borel import median_real_check
 
-    # argpi runs at Re z = -x with |sigma_2| = 2|sin(theta/2)|, inside G_pm's domain
-    # Re z > (1/2) log|2 sigma_2| exactly for |theta| < 2 asin(e^{-2x}/4)
-    bound = 2 * math.asin(math.exp(-2 * args.x) / 4) if args.x > 0 else math.inf
-    if args.ray == "argpi" and args.theta and abs(args.theta) >= bound:
-        args.subparser.error(f"--theta must satisfy |theta| < 2 asin(e^(-2x)/4) = {bound:.6g} at --x {args.x:g}")
+    # argpi runs at Re z = -x with |sigma_2| = 2|sin(theta/2)|, so G_pm's domain
+    # Re z > (1/2) log|2 sigma_2| is |sin(theta/2)| < e^{-2x}/4 (every theta for x <= -1)
+    edge = math.exp(-2 * max(args.x, -1.0)) / 4
+    if args.ray == "argpi" and abs(math.sin(args.theta / 2)) >= edge:
+        args.subparser.error(f"--theta must lie within 2 asin(e^(-2x)/4) = {2 * math.asin(edge):.6g} "
+                             f"of a multiple of 2 pi at --x {args.x:g}")
     value, im = median_real_check(args.x, args.a, args.b, ray=args.ray, theta=args.theta)
     out = {"x": args.x, "a": args.a, "b": args.b, "ray": args.ray, "abs_im": im}
     out.update(_cval("value", value))

@@ -114,11 +114,17 @@ class ULaurent:
         """Multiply by u^k."""
         return _ulaurent({e + k: c for e, c in self.terms.items()})
 
+    def eval(self, u: complex) -> complex:
+        return sum(complex(c) * u ** e for e, c in self.terms.items())
+
     def coeff(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
     def deg_max(self) -> Optional[int]:
         return max(self.terms) if self.terms else None
+
+    def deg_min(self) -> Optional[int]:
+        return min(self.terms) if self.terms else None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ULaurent) and self.terms == other.terms

@@ -157,8 +157,16 @@ class PowerSeries:
         return PowerSeries(order, tuple(cs[: order + 1]))
 
     @staticmethod
+    def zero(order: int) -> "PowerSeries":
+        return PowerSeries.monomial(0, order, 0)
+
+    @staticmethod
     def one(order: int) -> "PowerSeries":
         return PowerSeries.monomial(0, order)
+
+    @staticmethod
+    def constant(c: CoeffLike, order: int) -> "PowerSeries":
+        return PowerSeries.monomial(0, order, c)
 
     @staticmethod
     def monomial(k: int, order: int, c: CoeffLike = 1) -> "PowerSeries":
@@ -304,14 +312,14 @@ class PowerSeries:
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 window")
-        return self._deriv_in_window(self.order - 1)
+        # the cut numerators need not be in lowest terms: the one gcd is the derivative's
+        return _wrap(self.order - 1, self.den, self.re[:-1], self.im[:-1])._deriv_in_window()
 
-    def _deriv_in_window(self, order: int | None = None) -> "PowerSeries":
-        # exact d/dz through z^{-order} (default: the full window): c_k moves to degree
-        # k + 1 with factor -k, and c_order leaves it, so every stored entry is exact
-        n = self.order if order is None else order
-        return _series(n, self.den, (0,) + tuple(-k * x for k, x in enumerate(self.re[:n])),
-                       (0,) + tuple(-k * y for k, y in enumerate(self.im[:n])))
+    def _deriv_in_window(self) -> "PowerSeries":
+        # exact d/dz kept in the full window: c_k moves to degree k + 1 with
+        # factor -k, and c_order leaves it, so every stored entry is exact
+        return _series(self.order, self.den, (0,) + tuple(-k * x for k, x in enumerate(self.re[:-1])),
+                       (0,) + tuple(-k * y for k, y in enumerate(self.im[:-1])))
 
     # -- composition -------------------------------------------------------
 

@@ -500,9 +500,10 @@ def test_flags_of_another_mode_are_rejected(capsys, argv, flag, usage):
 
 @pytest.mark.parametrize("x", [1.0, 2.0, 4.0])
 def test_median_argpi_runs_real_or_rejects_theta(capsys, x):
-    """--ray argpi is inside G_pm's domain exactly for |theta| < 2 asin(e^{-2x}/4):
-    every theta either gives a real median (|Im| <= 1e-8) or exits 2 naming --theta
-    and that bound; at x = 4 the bound is 1.677e-4."""
+    """--ray argpi is inside G_pm's domain exactly for |sin(theta/2)| < e^{-2x}/4, so
+    near 0 for |theta| < 2 asin(e^{-2x}/4): every theta there either gives a real median
+    (|Im| <= 1e-8) or exits 2 naming --theta and that bound; at x = 4 the bound is
+    1.677e-4. The domain repeats every 2 pi, where the median is real up to Im -pi."""
     bound = 2 * math.asin(math.exp(-2 * x) / 4)
     codes = []
     for theta in (0.0, 0.5 * bound, -0.99 * bound, 1.01 * bound, 0.3):
@@ -511,12 +512,15 @@ def test_median_argpi_runs_real_or_rejects_theta(capsys, x):
         except SystemExit as exc:
             assert exc.code == 2 and abs(theta) >= bound
             err = capsys.readouterr().err
-            assert "--theta must satisfy |theta| < 2 asin(e^(-2x)/4)" in err and f"{bound:.6g}" in err
+            assert f"--theta must lie within 2 asin(e^(-2x)/4) = {bound:.6g} of a multiple of 2 pi" in err
             codes.append(2)
             continue
         assert code == 0 and abs(theta) < bound and json.loads(out)["abs_im"] <= 1e-8
         codes.append(0)
     assert codes == [0, 0, 0, 2, 2]
+    for theta in (2 * math.pi, -2 * math.pi + 0.5 * bound):
+        code, out = run(capsys, "median", "--x", str(x), "--ray", "argpi", "--theta", repr(theta))
+        assert code == 0 and json.loads(out)["abs_im"] == pytest.approx(math.pi, abs=1e-8)
 
 
 def test_median_prints_the_default_b_on_both_rays(capsys):

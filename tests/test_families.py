@@ -97,7 +97,7 @@ def test_ode_residuals_vanish():
 
 def test_nonlinear_residual_constant_shift_invariance():
     g, _, _ = families.gen_g_f(12)
-    shifted = g.series + PowerSeries.monomial(0, 12, F(7, 3))
+    shifted = g.series + PowerSeries.constant(F(7, 3), 12)
     assert families.ode_residual(shifted, "hae_nonlinear").is_zero()
 
 
@@ -227,7 +227,7 @@ def test_psi_route_agreement_any_order(order):
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=8))
 def test_constant_shift_invariance_fuzz(c):
     g, _, _ = families.gen_g_f(8)
-    shifted = g.series + PowerSeries.monomial(0, 8, c)
+    shifted = g.series + PowerSeries.constant(c, 8)
     assert families.ode_residual(shifted, "hae_nonlinear").is_zero()
 
 
