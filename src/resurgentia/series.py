@@ -43,7 +43,7 @@ def _series(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
 
 
 def _wrap(order: int, den: int, re: tuple, im: tuple) -> "PowerSeries":
-    """A PowerSeries from numerators over den that are already in canonical form."""
+    """A PowerSeries from numerators over den, taken without a gcd (canonical, or made so next)."""
     out = PowerSeries.__new__(PowerSeries)
     out.order, out.den, out.re, out.im = order, den, re, im
     return out
