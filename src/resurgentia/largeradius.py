@@ -8,15 +8,15 @@ maps z2 to z1 = z2 (1-2t)^{3/2} = 1/(3 lambda_s^2). Resurgent series are stable
 under it, so each large-radius object is a double-scaling one at z1 plus the
 elementary term R. Exact series at z1 come from one evaluation map, _at_z1,
 which reads z1^{-k} = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2} off the t-coefficients
-as integers, and the factors e^{-2n(phi_u + 1/u)} from one row recurrence:
-H^(0) (route (a) is log psi at z1 plus R, checked against route (b), the
-composition in the z2 grading as one table of integer powers of
-1/(1 + z2^{-1} phi_u)), the components H^(n), the composition
-factors e^{-+2 phi_u} of the symbolic layer (one context per z order), and the
-numeric sums and connection law (G_+- at z1 with sigma_2 -> -sigma_2). phi_u,
-R~ and the t-coefficients of (1-2t)^a are each written once. Exact series are
-graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores one as integer
-numerators over one denominator, and ULaurent is its coefficient view.
+as integers, and functions of phi_u from one integer power sum over s = 1/(u z2),
+_power_sum (the factors e^{-2n(phi_u + 1/u)} and g(z2 + phi_u)). On these sit
+H^(0) (route (a), g = log psi at z1, checked against route (b), g composed with
+id + phi_u in the z2 grading, then R added once), the components H^(n), the
+composition factors e^{-+2 phi_u} of the symbolic layer (one context per z
+order), and the numeric sums and connection law (G_+- at z1 with sigma_2 ->
+-sigma_2). phi_u, R~ and the t-coefficients of (1-2t)^a are each written once.
+Exact series are graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores
+one as integer numerators over one denominator; ULaurent is its coefficient view.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def _ulaurent(terms: dict[int, Fraction]) -> "ULaurent":
     return out
 
 
-def _exponent(e) -> int:
+def _exponent(e, what: str = "u-exponent") -> int:
     if type(e) is not int:  # int() would turn 2.5 into 2 and "3" into 3
-        raise TypeError(f"u-exponent must be an int, not {type(e).__name__}")
+        raise TypeError(f"{what} must be an int, not {type(e).__name__}")
     return e
 
 
@@ -214,13 +214,15 @@ class UCoeffSeries:
                  log_u: Fraction = _F0, exp_tag: int = 0):
         if grading not in ("gs2", "z2"):
             raise ValueError("grading must be 'gs2' or 'z2'")
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the order")
         # the lcm of reduced denominators leaves numerators without a common factor
         den = math.lcm(*(c.denominator for x in coeffs for c in x.terms.values()))
         rows = tuple({e: c.numerator * (den // c.denominator) for e, c in x.terms.items()} for x in coeffs)
         self.grading, self.order, self.den, self.rows = grading, order, den, rows
-        self.log_u, self.exp_tag = exact_fraction(log_u), exp_tag
+        self.log_u, self.exp_tag = exact_fraction(log_u), _exponent(exp_tag, "exp_tag")
 
     @property
     def coeffs(self) -> tuple:
@@ -341,74 +343,62 @@ def _at_z1(c: PowerSeries, N: int) -> UCoeffSeries:
     return _ucs("gs2", N, c.den * fact, tuple(rows))
 
 
-def _row_recurrence(x: UCoeffSeries) -> UCoeffSeries:
-    """exp(x), for x with an empty row 0 and no log u or exponential part, by
-    one row recurrence, as PowerSeries.exp.
-
-    E_0 = 1 and k E_k = sum_{j=1}^k j x_j E_{k-j}. With x_j = X_j / d and
-    E_k = N_k / (d^k k!), N_k = sum_j j (k-1)!/(k-j)! (X_j d^{j-1}) N_{k-j}:
-    ints throughout.
-    """
-    n, d = x.order, x.den
-    xs = [[(e, c * d ** (j - 1)) for e, c in row.items()] for j, row in enumerate(x.rows) if j]
-    E = [[(0, 1)]]
-    for k in range(1, n + 1):
-        row: dict[int, int] = {}
-        for j in range(1, k + 1):
-            w = j * math.perm(k - 1, j - 1)
-            _acc_row(row, [(e, c * w) for e, c in xs[j - 1]], E[k - j])
-        E.append([(e, c) for e, c in row.items() if c])
-    return _ucs(x.grading, n, d ** n * math.factorial(n),
-                tuple({e: c * d ** (n - k) * math.perm(n, n - k) for e, c in row} for k, row in enumerate(E)))
-
-
-def _exp_phi(n: int, N: int) -> UCoeffSeries:
-    """e^{-2n (phi_u + 1/u)} through z2^{-N}; the 1/u cancels row 0 of phi_u."""
-    x = (gen_phi_u(N + 1) + UCoeffSeries("z2", N, (ULaurent.mono(-1, 1),) + (_ZERO_UL,) * N)).scale(-2 * n)
-    return _row_recurrence(x)
-
-
 def _one_plus_x(phi: UCoeffSeries) -> PowerSeries:
     """1 + X(s) with X(1/(u z2)) = z2^{-1} phi_u: row k - 1 of phi is X_k u^{-k}."""
     N = phi.order
     return _series(N, phi.den, (phi.den,) + tuple(phi.rows[k].get(-k - 1, 0) for k in range(N)), (0,) * (N + 1))
 
 
-def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
-    """g(z2 + phi_u) + R~ with g = log psi (see _rtilde), built in the z2 grading
-    and regraded via z2^{-1} = 3 g_s^2 u^3. w = (z2 + phi_u)^{-1} = z2^{-1} W(s)
-    with W = 1/(1 + X(s)) (see _one_plus_x), so b_n w^n puts b_n [s^m] W^n at
-    z2^{-(n+m)} u^{-m}: T_n = W^n through s^{N-n} is an int convolution over
-    D^n (D = W.den), summed into int rows over g.den D^N.
+def _power_sum(P: PowerSeries, a: Sequence[int], q: int, zeta: int, N: int) -> UCoeffSeries:
+    """sum_r (a_r/q) (z2^{-zeta} u^{zeta-1} P(s))^r through z2^{-N}, s = 1/(u z2), zeta in {0, 1}.
+
+    [s^m] P^r sits at z2^{-(zeta r + m)} u^{(zeta-1) r - m}: P^r through s^{N - zeta r}
+    is an int convolution over D^r (D = P.den), summed into int rows over q D^N.
     """
-    phi = gen_phi_u(N + 1)  # z2^0 .. z2^{-N}
-    W = _one_plus_x(phi).inverse()
-    D, w = W.den, W.re
+    D, p = P.den, P.re
     rows: list[dict[int, int]] = [{} for _ in range(N + 1)]
     T = [1]
-    for n in range(1, N + 1):
-        T = [sum(map(mul, T[: m + 1], reversed(w[: m + 1]))) for m in range(N - n + 1)]
-        b = g.re[n] * D ** (N - n)
+    for r, a_r in enumerate(a):
+        if r:
+            T = [sum(map(mul, T[: m + 1], reversed(p[: m + 1]))) for m in range(N - zeta * r + 1)]
+        b = a_r * D ** (N - r)
         for m, t in enumerate(T):
             if v := b * t:
-                rows[n + m][-m] = v
-    return _z2_to_gs2(_rtilde(phi) + _ucs("z2", N, g.den * D ** N, tuple(rows)))
+                rows[zeta * r + m][(zeta - 1) * r - m] = v
+    return _ucs("z2", N, q * D ** N, tuple(dict(sorted(row.items())) for row in rows))
+
+
+def _exp_phi(n: int, N: int) -> UCoeffSeries:
+    """e^{-2n (phi_u + 1/u)} through z2^{-N}. The 1/u cancels row 0 of phi_u (X_1 = -1),
+    so the exponent is u^{-1} Y(s) with Y = -2n sum_{k>=1} X_{k+1} s^k (see _one_plus_x),
+    and e^{u^{-1} Y} = sum_r u^{-r} Y^r / r!."""
+    X = _one_plus_x(gen_phi_u(N + 2))
+    Y = _series(N, X.den, (0,) + tuple(-2 * n * c for c in X.re[2:]), (0,) * (N + 1))
+    fact = math.factorial(N)
+    return _power_sum(Y, [fact // math.factorial(r) for r in range(N + 1)], fact, 0, N)
+
+
+def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
+    """g(z2 + phi_u) through z2^{-N}, regraded via z2^{-1} = 3 g_s^2 u^3. w = (z2 + phi_u)^{-1}
+    = z2^{-1} W(s) with W = 1/(1 + X(s)) (see _one_plus_x), so g = sum_n b_n w^n."""
+    W = _one_plus_x(gen_phi_u(N + 1)).inverse()
+    return _z2_to_gs2(_power_sum(W, g.re[: N + 1], g.den, 1, N))
 
 
 def gen_H0(N: int) -> UCoeffSeries:
     """The large-radius perturbative series, exact through g_s^{2N}.
 
-    Route (a) evaluates g = log psi at z1 and adds R (the genus expansion in
-    lambda_s^2 = 1/(3 z1)); route (b) composes g with id + phi_u in the z2
-    grading and regrades. The two must agree coefficientwise.
+    H^(0) is g = log psi at z1 plus R (the genus expansion in lambda_s^2 = 1/(3 z1)).
+    Route (a) evaluates g at z1; route (b) composes g with id + phi_u in the z2
+    grading and regrades. The two must agree coefficientwise; R is added once.
     """
     if N < 1:
         raise ValueError("order must be at least 1")
     log_psi = families.gen_g_f(N)[0].series
-    route_a = gen_R(N) + _at_z1(log_psi, N)
+    route_a = _at_z1(log_psi, N)
     if route_a != _h0_z2_route(N, log_psi):
         raise ArithmeticError("free-energy route disagreement")
-    return route_a
+    return gen_R(N) + route_a
 
 
 def u_equation_residual(H: UCoeffSeries) -> UCoeffSeries:

@@ -32,7 +32,7 @@ from resurgentia.largeradius import (
     u_equation_residual,
 )
 from resurgentia.scalars import ExactScalar
-from resurgentia.series import PowerSeries
+from resurgentia.series import PowerSeries, _series
 
 F = Fraction
 
@@ -342,6 +342,13 @@ def test_series_container_validation():
         UCoeffSeries("bad", 1, (ULaurent(), ULaurent()))
     with pytest.raises(ValueError, match="does not match the order"):
         UCoeffSeries("gs2", 2, (ULaurent(),))
+    # an order -1 window would be an empty series that is_zero() calls zero
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        UCoeffSeries("gs2", -1, ())
+    # the exponential prefactor e^{2n/u} takes an int n, as the u-exponents do
+    for tag in (0.5, 1.0, True, Fraction(1), "1"):
+        with pytest.raises(TypeError, match="exp_tag must be an int"):
+            UCoeffSeries("gs2", 0, (ULaurent(),), exp_tag=tag)
 
 
 def test_series_container_guards():
@@ -486,16 +493,15 @@ def _index_shift(s: UCoeffSeries) -> UCoeffSeries:
 
 def _route_b_by_products(N: int, g: PowerSeries) -> UCoeffSeries:
     """Route (b) before its power table: 1/(1 + x) as sum (-x)^j, then
-    total + w^n b_n, with N UCoeffSeries products and N sums."""
-    phi = gen_phi_u(N + 1)
-    x = _index_shift(phi)
+    sum_n w^n b_n, with N UCoeffSeries products and N sums."""
+    x = _index_shift(gen_phi_u(N + 1))
     one = _one("z2", N)
     inv = term = one
     for _ in range(N):
         term = term * x.scale(-1)
         inv = inv + term
     w = _index_shift(inv)
-    total = largeradius._rtilde(phi)
+    total = UCoeffSeries("z2", N, (ULaurent(),) * (N + 1))
     wn = one
     for n in range(1, N + 1):
         wn = wn * w
@@ -523,13 +529,32 @@ def _reference_exp(x: UCoeffSeries) -> UCoeffSeries:
     return out
 
 
-@given(st.sampled_from(["gs2", "z2"]), ul_windows, st.integers(min_value=-2, max_value=2))
-def test_exp_branch_is_the_truncated_exponential(grading, xs, shift):
-    N = len(xs)
-    x = UCoeffSeries(grading, N, (ULaurent(),) + tuple(c.shift(shift) for c in xs))
-    ex = largeradius._row_recurrence(x)
-    assert ex * largeradius._row_recurrence(x.scale(-1)) == _one(grading, N)
-    assert ex == _reference_exp(x)
+@pytest.mark.parametrize("N", range(13))
+@pytest.mark.parametrize("n", [k for k in range(-6, 7) if k])
+def test_exp_phi_is_the_truncated_exponential(n, N):
+    # x = -2n (phi_u + 1/u) from UCoeffSeries sums; its exp by repeated products
+    x = (gen_phi_u(N + 1) + _head("z2", N, ULaurent.mono(-1, 1))).scale(-2 * n)
+    got, want = largeradius._exp_phi(n, N), _reference_exp(x)
+    assert (got.den, got.rows) == (want.den, want.rows)
+    # the power sum fills each row in ascending u-exponents, which the ordered pins hash
+    assert all(list(row) == sorted(row) for row in got.rows)
+    assert got * largeradius._exp_phi(-n, N) == _one("z2", N)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+@pytest.mark.parametrize("build", ["context", "H0"])
+def test_one_unit_spoil_inside_the_power_sum_raises(monkeypatch, build, k):
+    # one numerator of Y (make_context's factors) or of W (H0's route (b)) off by one
+    power_sum = largeradius._power_sum
+
+    def spoiled(P, a, q, zeta, N):
+        re = list(P.re)
+        re[k] += 1
+        return power_sum(_series(P.order, P.den, tuple(re), P.im), a, q, zeta, N)
+
+    monkeypatch.setattr(largeradius, "_power_sum", spoiled)
+    with pytest.raises(ArithmeticError, match="fail to invert|disagreement"):
+        make_context.__wrapped__(8) if build == "context" else gen_H0(8)
 
 
 def test_u_equation_residual_vanishes():
