@@ -704,29 +704,11 @@ def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigm
             coeff = coeff.mul(fac_pow, caps.sigma, caps.zorder)
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
-    via_exp = apply_stokes(seed, "geq0", s2.scale(ExactScalar(0, 1)))
+    via_exp = apply_stokes(seed, "geq0", s2.scale(_PLUS_I))
     if via_exp != explicit:
         raise ArithmeticError("formal-integral route disagreement")
     explicit.terms = MappingProxyType(explicit.terms)
     return explicit
-
-
-def _bridge_residuals(x: TransElement, caps: Caps, unit: ExactScalar) -> tuple[TransElement, TransElement]:
-    """Residuals of the bridge pair on the window caps:
-
-        r_2  = Delta_2  x + unit e^{+2z} dx/dsigma_2
-        r_-2 = Delta_-2 x + unit e^{-2z} (sigma_2 dx/dsigma_1 - sigma_2^2 dx/dsigma_2)
-
-    unit is +i in the double-scaling frame and -i in the large-radius frame,
-    whose sigma_2 is the double-scaling one with its sign flipped. x must be
-    generated with one extra grade and sigma_2 degree so the window is exact.
-    """
-    s2 = Poly.var("s2")
-    r_fwd = apply_delta(x, 2) + x.partial("s2").shift_grade(-1).scale(unit)
-    r_back = apply_delta(x, -2) + (
-        x.partial("s1").scale_poly(s2) - x.partial("s2").scale_poly(s2 * s2)
-    ).shift_grade(1).scale(unit)
-    return r_fwd.truncated(caps), r_back.truncated(caps)
 
 
 def _stokes_window(caps: Caps, direction: str) -> Caps:
@@ -745,8 +727,10 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
 
     geq0 shifts sigma_2 by -unit. leq0 shifts sigma_1 by log(1 - unit sigma_2)
     and maps sigma_2 to sigma_2/(1 - unit sigma_2), expanded to the sigma_2
-    cap. unit is +i (double scaling) or -i (large radius).
+    cap. unit is +i (double scaling) or -i (large radius). A negative cap raises.
     """
+    if min(caps.sigma, caps.grade) < 0:
+        raise ValueError("the sigma_2 and grade caps must be nonnegative")
     lhs = apply_stokes(x, direction)
     if direction == "geq0":
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
@@ -765,8 +749,22 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
 
 
 def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
-    """The two bridge residuals of x on the window caps, and whether both vanish."""
-    r_plus, r_minus = _bridge_residuals(x, caps, unit)
+    """The residuals of the bridge pair on the window caps, and whether both vanish:
+
+        r_2  = Delta_2  x + unit e^{+2z} dx/dsigma_2
+        r_-2 = Delta_-2 x + unit e^{-2z} (sigma_2 dx/dsigma_1 - sigma_2^2 dx/dsigma_2)
+
+    unit is +i in the double-scaling frame and -i in the large-radius frame,
+    whose sigma_2 is the double-scaling one with its sign flipped. x must be generated
+    with one extra grade and sigma_2 degree so the window is exact; a negative cap raises.
+    """
+    if min(caps.sigma, caps.grade) < 0:
+        raise ValueError("the sigma_2 and grade caps must be nonnegative")
+    s2 = Poly.var("s2")
+    r_plus = (apply_delta(x, 2) + x.partial("s2").shift_grade(-1).scale(unit)).truncated(caps)
+    r_minus = (apply_delta(x, -2) + (
+        x.partial("s1").scale_poly(s2) - x.partial("s2").scale_poly(s2 * s2)
+    ).shift_grade(1).scale(unit)).truncated(caps)
     return {
         "residual_plus": r_plus,
         "residual_minus": r_minus,
@@ -780,7 +778,7 @@ def bridge_check(caps: Caps = Caps()) -> dict:
     r_plus  = Delta_2  G + i e^{+2z} dG/dsigma_2
     r_minus = Delta_-2 G + i e^{-2z} (sigma_2 dG/dsigma_1 - sigma_2^2 dG/dsigma_2)
     """
-    return _bridge_check(formal_integral(caps.widen(extra_sigma=1, extra_grade=1)), caps, ExactScalar(0, 1))
+    return _bridge_check(formal_integral(caps.widen(extra_sigma=1, extra_grade=1)), caps, _PLUS_I)
 
 
 def stokes_action_check(caps: Caps = Caps()) -> dict:
@@ -793,7 +791,7 @@ def stokes_action_check(caps: Caps = Caps()) -> dict:
     for direction in ("geq0", "leq0"):
         window = _stokes_window(caps, direction)
         G = formal_integral(window)
-        res[direction] = _stokes_residual(G, direction, caps, ExactScalar(0, 1))
+        res[direction] = _stokes_residual(G, direction, caps, _PLUS_I)
     return {
         "residual_right": res["geq0"],
         "residual_left": res["leq0"],
@@ -813,6 +811,8 @@ def deltaplus_table(nmax: int, kmax: int) -> dict:
                           = -i^k / k          for n = k
                           = i^n C(k-1, n) G_{k-n}   for n < k
     """
+    if min(nmax, kmax) < 1:
+        raise ValueError("nmax and kmax must be at least 1")
     caps = Caps(max(nmax, kmax) + 2, max(nmax, kmax) + 2)
     out = {}
     for k in range(1, kmax + 1):
@@ -825,12 +825,11 @@ def deltaplus_table(nmax: int, kmax: int) -> dict:
 
 def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
     """deltaplus_table(nmax, kmax) equals the closed forms in its docstring."""
-    I = ExactScalar(0, 1)
     for (om, k), elem in deltaplus_table(nmax, kmax).items():
         n = abs(om) // 2
         # the image is c G_j, or the constant -i^k / k when j = 0, or 0 when j < 0
-        j, c = (k + n, (-I) ** n * comb(k + n, n)) if om > 0 else (k - n, I ** n * comb(k - 1, n))
-        c = c * Fraction(1 if j % 2 else -1, j) if j else I ** k * Fraction(-1, k)
+        j, c = (k + n, _MINUS_I ** n * comb(k + n, n)) if om > 0 else (k - n, _PLUS_I ** n * comb(k - 1, n))
+        c = c * Fraction(1 if j % 2 else -1, j) if j else _PLUS_I ** k * Fraction(-1, k)
         if elem.terms != ({(0, j, 0): Poly.const(c)} if j >= 0 else {}):
             return False
     return True
@@ -839,8 +838,7 @@ def _deltaplus_closed_forms_ok(nmax: int, kmax: int) -> bool:
 def _gtower_closed_forms_ok(sigma: int, grade: int) -> bool:
     """Delta+_{2m} g = (i^m) (-1/m) E^m for m = 1, 2, 3, at caps widened by 3."""
     wide = Caps(sigma + 3, grade + 3)
-    I = ExactScalar(0, 1)
     return all(
-        elem == TransElement({(0, m, 0): Poly.const(I ** m * Fraction(-1, m))}, wide)
+        elem == TransElement({(0, m, 0): Poly.const(_PLUS_I ** m * Fraction(-1, m))}, wide)
         for m, elem in enumerate(_delta_plus_tower(TransElement.generator("g", wide), 1, 3), 1)
     )

@@ -267,8 +267,8 @@ def eval_Bhat(zeta, branch: str = "B"):
     Each point is summed by the series of the region with the smallest ratio
     |v| (see the table above) until that series' tail bound at the point's own
     |v| is at most _KAPPA/10, so every value is within _KAPPA of Bhat. A number
-    gives a complex, a sequence a list. Raises BranchCutError on the cut and
-    nothing else.
+    gives a complex, a sequence a list. Raises BranchCutError on the cut,
+    DomainError where |1/2 - x| (x = +-zeta/2) is not below 1e150, and nothing else.
     """
     if branch not in ("B", "B_plus"):
         raise ValueError("branch must be 'B' or 'B_plus'")
@@ -281,6 +281,8 @@ def eval_Bhat(zeta, branch: str = "B"):
             raise BranchCutError("branch cut")
         w = 0.5 - x
         aw = abs(w)
+        if not aw < 1e150:  # w * w overflows past it; nan and inf inputs land here
+            raise DomainError("|1/2 - x| is not below 1e150: too large, or nan, for the kernel series")
         if aw >= 1.0:  # |v| = 1/(4|w|^2) <= 1/4, and every other |v| is at least 1/3
             k, r = 1, 0.25 / (aw * aw)
         else:  # |v| of each region; |1 - 2x| = 0 only at x = 1/2, inside the Maclaurin disc
@@ -473,6 +475,8 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
     and the decay rate ("rate"). The kernel's own error is not in it: eval_Bhat
     is within _KAPPA at every node, which _error_budget adds as _KAPPA/rate.
     """
+    if moment not in (0, 1):
+        raise ValueError("moment must be 0 or 1")
     theta = float(theta) + 0.0
     z = complex(z)
     if not cmath.isfinite(z):
@@ -668,16 +672,16 @@ def connection_check(
     sigma1 = complex(sigma1)
     sigma2 = complex(sigma2)
     if which == "right":
-        lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
-        rhs = G_pm("-", z, sigma1, sigma2 - 1j, tol, quad_tol=quad_tol)
+        minus = (sigma1, sigma2 - 1j)
     elif which == "left":
         w = 1.0 + 1j * sigma2
         if abs(w) < 1e-9:
             raise DomainError("domain empty: 1 + i sigma_2 vanishes")
-        lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
-        rhs = G_pm("-", z, sigma1 + cmath.log(w), sigma2 / w, tol, quad_tol=quad_tol)
+        minus = (sigma1 + cmath.log(w), sigma2 / w)
     else:
         raise ValueError("which must be 'right' or 'left'")
+    lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
+    rhs = G_pm("-", z, *minus, tol, quad_tol=quad_tol)
     return _residual(lhs.value, rhs.value, tol, lhs.err + rhs.err)
 
 

@@ -14,7 +14,7 @@ H^(0) (route (a), g = log psi at z1, checked against route (b), g composed with
 id + phi_u in the z2 grading, then R added once), the components H^(n), the
 composition factors e^{-+2 phi_u} of the symbolic layer (one context per z
 order), and the numeric sums and connection law (G_+- at z1 with sigma_2 ->
--sigma_2). phi_u, R~ and the t-coefficients of (1-2t)^a are each written once.
+-sigma_2). phi_u (from 1 + X(s) = z1/z2 = (1-2s/3)^{3/2}) and R~ are each written once.
 Exact series are graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores
 one as integer numerators over one denominator; ULaurent is its coefficient view.
 """
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Optional, Sequence
 
 from . import families
@@ -38,22 +37,15 @@ from .alien import (
     CompositionContext,
     Poly,
     TransElement,
+    _MINUS_I,
     _bridge_check,
     _stokes_residual,
     _stokes_window,
     formal_integral,
 )
 from .errors import BranchCutError, DomainError, SumValue
-from .scalars import ExactScalar, exact_fraction
-from .series import PowerSeries, _series
-
-
-def _one_minus_2t(a: Fraction, n: int) -> list:
-    """t-coefficients A_0..A_n of (1 - 2t)^a, A_k = binom(a, k) (-2)^k, as a running product."""
-    out = [Fraction(1)]
-    for k in range(n):
-        out.append(out[-1] * 2 * (k - a) / (k + 1))
-    return out
+from .scalars import exact_fraction
+from .series import PowerSeries, _convolve, _series
 
 
 def _ulaurent(terms: dict[int, Fraction]) -> "ULaurent":
@@ -297,13 +289,21 @@ def _z2_to_gs2(s: UCoeffSeries) -> UCoeffSeries:
 # -- exact generators ------------------------------------------------------------
 
 
+def _one_plus_x(N: int) -> PowerSeries:
+    """1 + X(s) = z1/z2 = (1 - 2s/3)^{3/2} through s^N, s = 1/(u z2) (t = s/3), so that
+    z2^{-1} phi_u = X(s). Numerators prod_{j<n} (2j - 3) 3^{N-n} N!/n! over 3^N N!."""
+    den = 3 ** N * math.factorial(N)  # each step v <- v (2n - 3)/(3(n + 1)) divides exactly
+    re = tuple(accumulate(range(N), lambda v, n: v * (2 * n - 3) // (3 * (n + 1)), initial=den))
+    return _series(N, den, re, (0,) * (N + 1))
+
+
 def gen_phi_u(N: int) -> UCoeffSeries:
     """First N terms of the change of variable phi_u in the z2 grading: coefficient
-    n - 1 is A_n/3^n u^{-n}, with A the t-coefficients of (1-2t)^{3/2}."""
+    n - 1 is X_n u^{-n}, with X_n the s^n coefficient of _one_plus_x."""
     if N < 1:
         raise ValueError("need at least one term")
-    A = _one_minus_2t(Fraction(3, 2), N)
-    return UCoeffSeries("z2", N - 1, tuple(ULaurent.mono(-n, A[n] / 3 ** n) for n in range(1, N + 1)))
+    P = _one_plus_x(N)
+    return _ucs("z2", N - 1, P.den, tuple({-n: P.re[n]} for n in range(1, N + 1)))
 
 
 def _rtilde(phi: UCoeffSeries) -> UCoeffSeries:
@@ -343,24 +343,18 @@ def _at_z1(c: PowerSeries, N: int) -> UCoeffSeries:
     return _ucs("gs2", N, c.den * fact, tuple(rows))
 
 
-def _one_plus_x(phi: UCoeffSeries) -> PowerSeries:
-    """1 + X(s) with X(1/(u z2)) = z2^{-1} phi_u: row k - 1 of phi is X_k u^{-k}."""
-    N = phi.order
-    return _series(N, phi.den, (phi.den,) + tuple(phi.rows[k].get(-k - 1, 0) for k in range(N)), (0,) * (N + 1))
-
-
 def _power_sum(P: PowerSeries, a: Sequence[int], q: int, zeta: int, N: int) -> UCoeffSeries:
     """sum_r (a_r/q) (z2^{-zeta} u^{zeta-1} P(s))^r through z2^{-N}, s = 1/(u z2), zeta in {0, 1}.
 
     [s^m] P^r sits at z2^{-(zeta r + m)} u^{(zeta-1) r - m}: P^r through s^{N - zeta r}
-    is an int convolution over D^r (D = P.den), summed into int rows over q D^N.
+    is an int convolution (_convolve) over D^r (D = P.den), summed into int rows over q D^N.
     """
-    D, p = P.den, P.re
+    D = P.den
     rows: list[dict[int, int]] = [{} for _ in range(N + 1)]
-    T = [1]
+    T, Ti = [1] + [0] * N, [0] * (N + 1)
     for r, a_r in enumerate(a):
         if r:
-            T = [sum(map(mul, T[: m + 1], reversed(p[: m + 1]))) for m in range(N - zeta * r + 1)]
+            T, Ti = _convolve(T, Ti, P.re, P.im, N - zeta * r, False)
         b = a_r * D ** (N - r)
         for m, t in enumerate(T):
             if v := b * t:
@@ -372,7 +366,7 @@ def _exp_phi(n: int, N: int) -> UCoeffSeries:
     """e^{-2n (phi_u + 1/u)} through z2^{-N}. The 1/u cancels row 0 of phi_u (X_1 = -1),
     so the exponent is u^{-1} Y(s) with Y = -2n sum_{k>=1} X_{k+1} s^k (see _one_plus_x),
     and e^{u^{-1} Y} = sum_r u^{-r} Y^r / r!."""
-    X = _one_plus_x(gen_phi_u(N + 2))
+    X = _one_plus_x(N + 1)
     Y = _series(N, X.den, (0,) + tuple(-2 * n * c for c in X.re[2:]), (0,) * (N + 1))
     fact = math.factorial(N)
     return _power_sum(Y, [fact // math.factorial(r) for r in range(N + 1)], fact, 0, N)
@@ -381,7 +375,7 @@ def _exp_phi(n: int, N: int) -> UCoeffSeries:
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     """g(z2 + phi_u) through z2^{-N}, regraded via z2^{-1} = 3 g_s^2 u^3. w = (z2 + phi_u)^{-1}
     = z2^{-1} W(s) with W = 1/(1 + X(s)) (see _one_plus_x), so g = sum_n b_n w^n."""
-    W = _one_plus_x(gen_phi_u(N + 1)).inverse()
+    W = _one_plus_x(N).inverse()
     return _z2_to_gs2(_power_sum(W, g.re[: N + 1], g.den, 1, N))
 
 
@@ -494,7 +488,7 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    return _bridge_check(lr_transseries(caps.widen(extra_sigma=1, extra_grade=1)), caps, ExactScalar(0, -1))
+    return _bridge_check(lr_transseries(caps.widen(extra_sigma=1, extra_grade=1)), caps, _MINUS_I)
 
 
 def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
@@ -507,7 +501,7 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
     if direction not in ("geq0", "leq0"):
         raise ValueError("direction must be 'geq0' or 'leq0'")
     H = lr_transseries(_stokes_window(caps, direction))
-    residual = _stokes_residual(H, direction, caps, ExactScalar(0, -1))
+    residual = _stokes_residual(H, direction, caps, _MINUS_I)
     return {"residual": residual, "ok": residual.is_zero()}
 
 

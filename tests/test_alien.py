@@ -15,7 +15,7 @@ from resurgentia.alien import (
     Poly,
     TransElement,
     _blocks,
-    _bridge_residuals,
+    _bridge_check,
     _delta_plus_tower,
     _stokes_residual,
     _stokes_window,
@@ -118,7 +118,7 @@ def _companion_F(caps: Caps = Caps()) -> TransElement:
 
 
 def _mirrored_residuals(F: TransElement, caps: Caps, unit: ExactScalar) -> tuple:
-    """The bridge pair of _bridge_residuals with the rays and grade shifts mirrored:
+    """The bridge pair of _bridge_check with the rays and grade shifts mirrored:
 
         r_-2 = Delta_-2 F + unit e^{-2z} dF/dsigma_2
         r_2  = Delta_2  F + unit e^{+2z} (sigma_2 dF/dsigma_1 - sigma_2^2 dF/dsigma_2)
@@ -197,6 +197,20 @@ def test_stokes_actions():
     assert stokes_action_check(Caps(5, 5))["ok"]
 
 
+@pytest.mark.parametrize("check, caps", [(bridge_check, Caps(-1, 2)), (bridge_check, Caps(2, -1)),
+                                         (stokes_action_check, Caps(2, -1)), (stokes_action_check, Caps(-1, 2))])
+def test_a_negative_cap_is_refused(check, caps):
+    # the window below a negative cap is empty, so its zero residual would certify nothing
+    with pytest.raises(ValueError, match="nonnegative"):
+        check(caps)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _bridge_check(formal_integral(Caps(3, 3)), caps, I)
+    for direction in ("geq0", "leq0"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _stokes_residual(formal_integral(Caps(3, 3)), direction, caps, I)
+    assert bridge_check(Caps(0, 0))["ok"] and stokes_action_check(Caps(0, 0))["ok"]
+
+
 @pytest.mark.parametrize("sigma", range(3, 7))
 @pytest.mark.parametrize("grade", range(3, 7))
 def test_stokes_actions_every_cap_pair(sigma, grade):
@@ -225,7 +239,8 @@ def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
         window = _stokes_window(caps, direction)
     x = lr_transseries(window) if frame == "lr" else formal_integral(window)
     if direction is None:
-        return list(_bridge_residuals(x, caps, unit))
+        res = _bridge_check(x, caps, unit)
+        return [res["residual_plus"], res["residual_minus"]]
     return [_stokes_residual(x, direction, caps, unit)]
 
 
@@ -277,6 +292,14 @@ def test_deltaplus_table_closed_forms(nmax, kmax):
             j = k - n
             expected = {(0, j, 0): Poly.const((I ** n) * ExactScalar(F(comb(k - 1, n) * (-1) ** (j - 1), j)))}
         assert elem.terms == {kk: v for kk, v in expected.items() if not v.is_zero()}, (om, k)
+
+
+@pytest.mark.parametrize("nmax, kmax", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+def test_deltaplus_table_refuses_an_empty_table(nmax, kmax):
+    with pytest.raises(ValueError, match="at least 1"):
+        deltaplus_table(nmax, kmax)
+    with pytest.raises(ValueError, match="at least 1"):
+        alien._deltaplus_closed_forms_ok(nmax, kmax)
 
 
 def test_deltaplus_on_free_energy_generator():

@@ -145,12 +145,39 @@ def test_bhat_branch_cut():
         eval_Bhat(-3.0, "B_plus")
 
 
+def test_bhat_refuses_points_past_the_float_range():
+    # past |1/2 - x| = 1e150 the square w^2 overflows; a value would be nan, not within kappa
+    inf, nan = math.inf, math.nan
+    for zeta, branch in ((-inf, "B"), (inf, "B_plus"), (complex(0, inf), "B"), (1e308 * (1 + 1j), "B"),
+                         (nan, "B"), (complex(0, nan), "B_plus"), (-2.1e150, "B"), (3e150j, "B_plus")):
+        with pytest.raises(DomainError, match="not below 1e150"):
+            eval_Bhat(zeta, branch)
+        with pytest.raises(DomainError, match="not below 1e150"):
+            eval_Bhat([0.0, zeta, 1.0j], branch)
+    # just inside the bound a point is summed as before: Bhat ~ zeta^{-1/6} there
+    for zeta in (-1.9e150, 1.9e150j):
+        value = eval_Bhat(zeta)
+        assert cmath.isfinite(value) and abs(value) < 1e-20
+    assert cmath.isfinite(eval_Bhat(-1e140j))
+
+
 # -- Laplace quadrature -------------------------------------------------------
 
 
 def test_laplace_needs_decay():
     with pytest.raises(DomainError, match="outside half-plane"):
         laplace_ray("B", 5j, 0.0)
+
+
+def test_laplace_ray_takes_moment_0_or_1_only():
+    # the panels take -zeta Bhat for any nonzero moment while the far part shifts by it,
+    # so any other moment would mix two kernels
+    for moment in (2, -1):
+        with pytest.raises(ValueError, match="moment must be 0 or 1"):
+            laplace_ray("B", 3.0, 0.3, moment=moment)
+    m0, m1 = (laplace_ray("B", 3.0, 0.3, moment=m) for m in (0, 1))
+    assert abs(m0.value - (0.34337731957597617 + 0.00040486789514521045j)) < 1e-15
+    assert abs(m1.value - (-0.11890506987216591 - 0.000942280504367551j)) < 1e-15
 
 
 def test_direction_and_interval_plumbing():

@@ -822,6 +822,16 @@ def test_every_private_name_in_src_is_used_in_src():
     assert unread == []
 
 
+SRC_LINE_CAP = 4038  # ROADMAP.md tracks the total next to speed
+
+
+def test_src_stays_under_its_line_cap():
+    """The lines of src/resurgentia/*.py together, as `cat src/resurgentia/*.py | wc -l` counts them."""
+    src = Path(__file__).resolve().parents[1] / "src" / "resurgentia"
+    total = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert 3000 < total <= SRC_LINE_CAP, f"src/ has {total} lines, cap {SRC_LINE_CAP}"
+
+
 # sha256 of the stdout of exact commands, recorded before the series layer
 # stored its coefficients as integer numerators over one denominator; any
 # change to a printed Fraction, or to the layout, changes a digest

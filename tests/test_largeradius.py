@@ -136,15 +136,24 @@ def test_ulaurent_basics():
     assert (a + _neg(a)).is_zero()
 
 
-@pytest.mark.parametrize("a", [F(3, 2), F(-3, 2)], ids=["a=3/2", "a=-3/2"])
-def test_one_minus_2t_power_matches_the_binomial_product(a):
-    A = largeradius._one_minus_2t(a, 12)
-    for k in range(13):
+def _binomial_series(a: Fraction, x: Fraction, n: int) -> list:
+    """The coefficients 0..n of (1 + x s)^a, each binom(a, k) x^k formed on its own."""
+    out = []
+    for k in range(n + 1):
         binom = F(1)
         for j in range(k):
             binom *= (a - j) / (j + 1)
-        assert A[k] == binom * F(-2) ** k
-    assert largeradius._one_minus_2t(F(3, 2), 3) == [1, -3, F(3, 2), F(1, 2)]
+        out.append(binom * x ** k)
+    return out
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 12, 40])
+def test_one_plus_x_is_the_series_of_the_three_halves_power(N):
+    # 1 + X(s) = z1/z2 = (1 - 2s/3)^{3/2}, and X_1 = -1 cancels the 1/u of e^{-2n(phi_u + 1/u)}
+    got = largeradius._one_plus_x(N)
+    assert got.order == N and not any(got.im)
+    assert [got.coeff(k).re for k in range(N + 1)] == _binomial_series(F(3, 2), F(-2, 3), N)
+    assert [got.coeff(k).re for k in range(min(N, 3) + 1)] == [1, -1, F(1, 6), F(1, 54)][: N + 1]
 
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -401,7 +410,7 @@ def test_R_series():
 def _closed_form_R(N: int) -> UCoeffSeries:
     """R expanded on its own: the log part gives 2^k/(4k) u^{2k} and the square-root
     part A_{k+1}/3 u^{2k-1} at g_s^{2k}, with A the t-coefficients of (1-2t)^{3/2}."""
-    A = largeradius._one_minus_2t(F(3, 2), N + 1)
+    A = _binomial_series(F(3, 2), F(-2), N + 1)
     coeffs = [ULaurent.mono(-1, -1)] + [
         ULaurent.mono(2 * k, F(2 ** k, 4 * k)) + ULaurent.mono(2 * k - 1, A[k + 1] / 3)
         for k in range(1, N + 1)]
@@ -471,7 +480,7 @@ def _one(grading: str, N: int) -> UCoeffSeries:
 def test_route_b_geometric_series_inverts_one_plus_x(N):
     # x = z2^{-1} phi_u as route (b) of gen_H0 uses it, one u-monomial per row,
     # is X(s) at s = 1/(u z2); W = 1/(1 + X) is PowerSeries.inverse
-    one_plus_x = largeradius._one_plus_x(gen_phi_u(N + 1))
+    one_plus_x = largeradius._one_plus_x(N)
     x = _index_shift(gen_phi_u(N + 1))
     assert [one_plus_x.coeff(k).re for k in range(1, N + 1)] == [x.coeff(k).coeff(-k) for k in range(1, N + 1)]
     assert one_plus_x.coeff(0) == 1 and all(len(x.coeff(k).terms) == 1 for k in range(1, N + 1))
@@ -828,6 +837,14 @@ def test_lr_stokes_actions():
     assert lr_stokes_check("leq0", Caps(4, 4, 8))["ok"]
     with pytest.raises(ValueError, match="geq0|leq0"):
         lr_stokes_check("sideways", Caps(4, 4, 8))
+
+
+@pytest.mark.parametrize("check", [lr_bridge_check, lambda c: lr_stokes_check("geq0", c),
+                                   lambda c: lr_stokes_check("leq0", c)])
+@pytest.mark.parametrize("caps", [Caps(-1, 3, 4), Caps(3, -1, 4)])
+def test_lr_checks_refuse_a_negative_cap(check, caps):
+    with pytest.raises(ValueError, match="nonnegative"):
+        check(caps)
 
 
 @pytest.mark.parametrize("caps", [Caps(3, 4, 4), Caps(3, 6, 4), Caps(5, 6, 4)])
