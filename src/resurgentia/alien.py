@@ -81,6 +81,7 @@ def _slot(name: str) -> tuple[int, int]:
 
 _S2_SLOT = _slot("s2")
 _Z_SLOT = _slot("z")
+_P_SLOT, _Q_SLOT = _slot("p"), _slot("q")
 
 
 def _raw(den: int, nums: dict) -> "Poly":
@@ -102,6 +103,25 @@ def _poly(den: int, nums: dict) -> "Poly":
         den //= g
         nums = {k: (re // g, im // g) for k, (re, im) in nums.items()}
     return _raw(den, nums)
+
+
+def _decode(c) -> tuple[int, int, int]:
+    """(a, b, q) with c = (a + b i) / q; an int or a Fraction builds no ExactScalar."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    return _gaussian_over(c)  # a float or a complex raises TypeError
+
+
+def _cut(sigma: Optional[int], zorder: Optional[int]) -> tuple[int, int, int]:
+    """(mask, top, floor) of _keep for a sigma_2 cap and a z order; a cap that is None is no cap."""
+    mask, top = (0, 0) if sigma is None else (_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0])
+    return mask, top, 0 if zorder is None else (_HALF - zorder) << _Z_SLOT[0]
+
+
+def _keep(nums: dict, mask: int, top: int, floor: int) -> dict:
+    """The terms whose slot under mask is at most top and whose z slot is at least floor."""
+    z_mask = _Z_SLOT[1]
+    return {k: c for k, c in nums.items() if k & mask <= top and k & z_mask >= floor}
 
 
 def _check_kernel_range(nums: dict) -> None:
@@ -241,6 +261,14 @@ class Poly:
         a, b = self.nums, other.nums
         _check_kernel_range(a)
         _check_kernel_range(b)
+        if len(a) == 1 or len(b) == 1:
+            # one term: a key shift and a numerator scale, which never cancel
+            if len(b) != 1:
+                a, b = b, a
+            ((k2, (u, v)),) = b.items()
+            k2 -= _KEY_BIAS
+            nums = {k1 + k2: (x * u - y * v, x * v + y * u) for k1, (x, y) in a.items()}
+            return _poly(self.den * other.den, _keep(nums, *_cut(sigma, zorder)))
         if (sigma is None and zorder is None) or not (a and b):
             blocks = ((a.items(), [(k - _KEY_BIAS, u, v) for k, (u, v) in b.items()]),)
         else:
@@ -268,11 +296,15 @@ class Poly:
     __mul__ = mul
 
     def scale(self, c) -> "Poly":
-        # c = (a + b i) / q
-        a, b, q = (c, 0, 1) if isinstance(c, int) else _gaussian_over(c)
+        return self._scaled(*_decode(c))
+
+    def _scaled(self, a: int, b: int, q: int) -> "Poly":
+        """self times (a + b i) / q."""
         if not b:
             if not a:
                 return Poly()
+            if a == q == 1:
+                return self
             return _poly(self.den * q, {k: (x * a, y * a) for k, (x, y) in self.nums.items()})
         if not a and q == 1 and b in (1, -1):
             # times +-i: a swap and a negation keep the form canonical
@@ -327,9 +359,7 @@ class Poly:
     # -- truncation ------------------------------------------------------------
 
     def _kept(self, mask: int, top: int, floor: int) -> "Poly":
-        """The terms whose slot under mask is at most top and whose z slot is at least floor."""
-        z_mask = _Z_SLOT[1]
-        nums = {k: c for k, c in self.nums.items() if k & mask <= top and k & z_mask >= floor}
+        nums = _keep(self.nums, mask, top, floor)
         # a dropped term can take the last factor coprime to den with it
         return self if len(nums) == len(self.nums) else _poly(self.den, nums)
 
@@ -343,8 +373,7 @@ class Poly:
 
     def capped(self, sigma: int, zorder: Optional[int]) -> "Poly":
         """drop_high_degree("s2", sigma), then drop_low_z(zorder) unless it is None, in one pass."""
-        floor = 0 if zorder is None else (_HALF - zorder) << _Z_SLOT[0]
-        return self._kept(_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0], floor)
+        return self._kept(*_cut(sigma, zorder))
 
     def min_degree(self, name: str) -> Optional[int]:
         shift, mask = _slot(name)
@@ -438,14 +467,14 @@ class TransElement:
     def _put(self, key: tuple[int, int, int], poly: Poly) -> None:
         """Add poly, already inside the sigma_2 and z caps, at key unless
         its grade is past the grade cap."""
-        if poly.is_zero() or abs(key[2]) > self.caps.grade:
+        if not poly.nums or abs(key[2]) > self.caps.grade:
             return
         cur = self.terms.get(key)
         s = poly if cur is None else cur + poly
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
+        if s.nums:
             self.terms[key] = s
+        else:
+            del self.terms[key]
 
     def _like(self) -> "TransElement":
         return TransElement(None, self.caps, self.context)
@@ -504,7 +533,8 @@ class TransElement:
         return self._map(lambda p: p.mul(poly, self.caps.sigma, self.caps.zorder))
 
     def scale(self, c) -> "TransElement":
-        return self._map(lambda p: p.scale(c))
+        abq = _decode(c)  # once for all terms
+        return self._map(lambda p: p._scaled(*abq))
 
     def shift_grade(self, dn: int) -> "TransElement":
         """Multiply by e^{-2 dn z} (pure exponential, grade shift only)."""
@@ -531,12 +561,8 @@ class TransElement:
     # -- serialization ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        items = []
-        for (lin, m, n) in sorted(self.terms):
-            items.append(
-                {"g": lin, "m": m, "n": n, "poly": self.terms[(lin, m, n)].to_str()}
-            )
-        return {"terms": items}
+        return {"terms": [{"g": lin, "m": m, "n": n, "poly": self.terms[(lin, m, n)].to_str()}
+                          for (lin, m, n) in sorted(self.terms)]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -547,7 +573,6 @@ class TransElement:
 
 # -- alien derivations ---------------------------------------------------------
 
-_QP_MINUS_2 = Poly.var("q") - Poly.var("p") - Poly.const(2)
 _PLUS_I = ExactScalar(0, 1)
 _MINUS_I = ExactScalar(0, -1)
 
@@ -558,34 +583,37 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
     Only the rays +2 and -2 act nontrivially on this family; every other even
     ray gives zero, and odd rays are not singular rays of the algebra at all.
     """
+    if type(omega) is not int:  # a bool or a float is not a ray
+        raise TypeError(f"the ray must be an int, not {type(omega).__name__}")
     if omega == 0 or omega % 2 != 0:
         raise ValueError("alien derivations live on nonzero even rays")
     out = x._like()
     if abs(omega) != 2:
         return out
-    # D_{+-2} raises or lowers m by one and hits the generator g or f and the
-    # derivative p or q: D2 E^m = i m E^{m+1}, D2 p = -i E (q - p - 2), and the
-    # mirror images with -i m and +i on the ray -2
-    step, lin_hit, dvar, e_unit, d_unit = (
-        (1, 1, "p", _PLUS_I, _MINUS_I) if omega == 2 else (-1, 2, "q", _MINUS_I, _PLUS_I))
-    # each image keeps the sigma_2 and z exponents of its term, so it lies
-    # inside the caps; in a composed context every image carries the ray's
-    # composition factor, and that product forms only the terms inside them
-    fac = None if x.context is None else x.context.factor(omega)
-    sigma, zorder = x.caps.sigma, x.caps.zorder
-
-    def put(key, image: Poly) -> None:
-        out._put(key, image if fac is None else image.mul(fac, sigma, zorder))
-
+    # D2 E^m = i m E^{m+1} and D2 p = -i E (q - p - 2), mirrored on the ray -2,
+    # take a monomial with e powers of the hit derivative (p or q) to i times an
+    # integer times its numerator: i (step m + e) at its own key, -i e with one hit
+    # derivative traded for the other, 2 i step e with one fewer; D2 g = -i E
+    step, lin_hit, (shift, mask), (other, _) = (1, 1, _P_SLOT, _Q_SLOT) if omega == 2 else (-1, 2, _Q_SLOT, _P_SLOT)
+    down, level = 1 << shift, _HALF << shift
+    trade = (1 << other) - down
     for (lin, m, n), p in x.terms.items():
         if lin == lin_hit:
-            put((0, m + step, n), p.scale(_MINUS_I))
-        if m != 0:
-            put((lin, m + step, n), p.scale(m).scale(e_unit))
-        d = p.deriv(dvar)
-        if not d.is_zero():
-            put((lin, m + step, n), d.scale(d_unit) * _QP_MINUS_2)
-    return out
+            out._put((0, m + step, n), p._scaled(0, -1, 1))  # the g or f hit
+        nums = {k: (-t * b, t * a) for k, (a, b) in p.nums.items() if (t := step * m + ((k & mask) >> shift) - _HALF)}
+        hits = [(key, ((key & mask) >> shift) - _HALF, a, b) for key, (a, b) in p.nums.items() if key & mask != level]
+        if hits:
+            _check_kernel_range(p.nums)  # the shifts below stay inside their slots
+        for key, e, a, b in hits:
+            for k, c in ((key + trade, -e), (key - down, 2 * step * e)):
+                re, im = nums.pop(k, (0, 0))
+                if re - c * b or im + c * a:
+                    nums[k] = (re - c * b, im + c * a)
+        if nums:
+            out._put((lin, m + step, n), _poly(p.den, nums))
+    # each image keeps the sigma_2 and z exponents of its term, so it lies inside the caps;
+    # in a composed context the ray's composition factor multiplies each key once
+    return out if x.context is None else out.scale_poly(x.context.factor(omega))
 
 
 def apply_dotted(x: TransElement, direction: str) -> TransElement:
@@ -616,8 +644,7 @@ def apply_stokes(
     """
     if not isinstance(power, Poly):
         power = Poly.const(power)
-    out = x
-    current = x
+    out = current = x
     r = 0
     bound = 2 * (x.caps.sigma + x.caps.grade) + 4
     power_r = ONE_POLY
@@ -681,6 +708,8 @@ def formal_integral(
     """
     if context is not None and context.zcap != caps.zorder:
         raise ValueError("cap inconsistency: context and caps disagree on the z order")
+    if (caps.zorder or 0) < 0:
+        raise ValueError("the z order must be nonnegative")
     return _formal_integral(caps, context, bool(negate_sigma2))
 
 
@@ -690,8 +719,7 @@ def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigm
 
     seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context)
     explicit = seed  # + forms a new element, so the seed stays sigma_1 + g
-    fac_pow = ONE_POLY
-    s2_pow = ONE_POLY
+    fac_pow = s2_pow = ONE_POLY
     # grade n carries sigma_2^n, so the grades above the sigma_2 cap vanish
     for n in range(1, min(caps.sigma, caps.grade) + 1):
         s2_pow = s2_pow * s2
@@ -729,15 +757,14 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
     and maps sigma_2 to sigma_2/(1 - unit sigma_2), expanded to the sigma_2
     cap. unit is +i (double scaling) or -i (large radius). A negative cap raises.
     """
-    if min(caps.sigma, caps.grade) < 0:
-        raise ValueError("the sigma_2 and grade caps must be nonnegative")
+    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
+        raise ValueError("the sigma_2, grade and z caps must be nonnegative")
     lhs = apply_stokes(x, direction)
     if direction == "geq0":
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
     else:
         u_s2 = Poly.var("s2", 1, unit)
-        log_shift = Poly.zero()
-        geom = Poly.zero()
+        log_shift = geom = Poly.zero()
         pw = ONE_POLY
         for k in range(1, caps.sigma + 1):
             pw = pw * u_s2
@@ -758,8 +785,8 @@ def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
     whose sigma_2 is the double-scaling one with its sign flipped. x must be generated
     with one extra grade and sigma_2 degree so the window is exact; a negative cap raises.
     """
-    if min(caps.sigma, caps.grade) < 0:
-        raise ValueError("the sigma_2 and grade caps must be nonnegative")
+    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
+        raise ValueError("the sigma_2, grade and z caps must be nonnegative")
     s2 = Poly.var("s2")
     r_plus = (apply_delta(x, 2) + x.partial("s2").shift_grade(-1).scale(unit)).truncated(caps)
     r_minus = (apply_delta(x, -2) + (

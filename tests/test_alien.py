@@ -198,7 +198,8 @@ def test_stokes_actions():
 
 
 @pytest.mark.parametrize("check, caps", [(bridge_check, Caps(-1, 2)), (bridge_check, Caps(2, -1)),
-                                         (stokes_action_check, Caps(2, -1)), (stokes_action_check, Caps(-1, 2))])
+                                         (stokes_action_check, Caps(2, -1)), (stokes_action_check, Caps(-1, 2)),
+                                         (bridge_check, Caps(2, 2, -1)), (stokes_action_check, Caps(2, 2, -1))])
 def test_a_negative_cap_is_refused(check, caps):
     # the window below a negative cap is empty, so its zero residual would certify nothing
     with pytest.raises(ValueError, match="nonnegative"):
@@ -209,6 +210,14 @@ def test_a_negative_cap_is_refused(check, caps):
         with pytest.raises(ValueError, match="nonnegative"):
             _stokes_residual(formal_integral(Caps(3, 3)), direction, caps, I)
     assert bridge_check(Caps(0, 0))["ok"] and stokes_action_check(Caps(0, 0))["ok"]
+    assert bridge_check(Caps(2, 2, 0))["ok"] and stokes_action_check(Caps(2, 2, 0))["ok"]
+
+
+def test_a_negative_z_order_is_refused_by_the_formal_integral():
+    # it used to keep none of its terms, so every residual built on it vanished
+    with pytest.raises(ValueError, match="z order must be nonnegative"):
+        formal_integral(Caps(3, 3, -1))
+    assert formal_integral(Caps(3, 3, None)).terms and formal_integral(Caps(3, 3, 0)).terms
 
 
 @pytest.mark.parametrize("sigma", range(3, 7))
@@ -496,6 +505,24 @@ def test_odd_ray_rejection():
         apply_delta(g, 3)
     with pytest.raises(ValueError):
         apply_delta(g, 0)
+
+
+@pytest.mark.parametrize("omega", [2.0, -2.0, True, F(2), 4.0])
+def test_a_ray_that_is_not_an_int_is_refused(omega):
+    # 2.0 used to act as Delta_2, and True as the ray 1
+    with pytest.raises(TypeError, match="the ray must be an int"):
+        apply_delta(_fuzz_element(), omega)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.0, 1j, complex(2, 0)])
+def test_exact_scaling_refuses_a_float_or_a_complex(c):
+    # an empty element used to return an empty element without looking at c
+    for x in (TransElement(), TransElement(None, WIDE), _fuzz_element()):
+        with pytest.raises(TypeError, match="exact arithmetic refuses"):
+            x.scale(c)
+    for p in (Poly(), Poly.var("s2"), Poly.var("z", -1, I)):
+        with pytest.raises(TypeError, match="exact arithmetic refuses"):
+            p.scale(c)
 
 
 def test_far_rays_annihilate():
@@ -791,3 +818,154 @@ def test_grouped_subst_edge_cases():
     assert p.subst("s2", Poly.const(1) + Poly.var("z")) == Poly.var("z", 2)
     with pytest.raises(ValueError, match="negative power"):
         (Poly.var("z", -1) + Poly.var("z", 2)).subst("z", Poly.var("u"))
+
+
+# -- the one-pass alien derivation against its compositional form -----------------
+
+
+_QP_MINUS_2 = Poly.var("q") - Poly.var("p") - Poly.const(2)
+
+
+def _reference_delta(x: TransElement, omega: int) -> TransElement:
+    """apply_delta built from Poly operations, one canonical Poly per step:
+    D2 g = -i E, D2 E^m = i m E^{m+1}, D2 p = -i E (q - p - 2) and their
+    mirrors on the ray -2, each image times the ray's composition factor."""
+    out = x._like()
+    if abs(omega) != 2:
+        return out
+    step, lin_hit, dvar, e_unit, d_unit = (1, 1, "p", I, -I) if omega == 2 else (-1, 2, "q", -I, I)
+    fac = None if x.context is None else x.context.factor(omega)
+
+    def put(key, image: Poly) -> None:
+        out._put(key, image if fac is None else image.mul(fac, x.caps.sigma, x.caps.zorder))
+
+    for (lin, m, n), p in x.terms.items():
+        if lin == lin_hit:
+            put((0, m + step, n), p.scale(-I))
+        if m != 0:
+            put((lin, m + step, n), p.scale(m).scale(e_unit))
+        d = p.deriv(dvar)
+        if not d.is_zero():
+            put((lin, m + step, n), _reference_mul(d.scale(d_unit), _QP_MINUS_2))
+    return out
+
+
+# every slot but log u, with negative Laurent exponents and Gaussian coefficients
+delta_monos = st.builds(
+    lambda s1, s2, p, q, z, u, w: (s1, s2, p, q, z, u, 0, w),
+    st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+    st.integers(-3, 1), st.integers(-2, 2), st.integers(-1, 1),
+)
+delta_polys = st.dictionaries(delta_monos, st.builds(ExactScalar, fractions, fractions), min_size=1, max_size=5).map(Poly)
+delta_elements = st.builds(
+    lambda terms, sigma, grade, zorder, zcap: TransElement(
+        terms, Caps(sigma, grade, zorder), None if zcap is None else make_context(zcap)),
+    st.dictionaries(st.tuples(st.sampled_from([0, 1, 2]), st.integers(-3, 3), st.integers(-3, 3)),
+                    delta_polys, max_size=4),
+    st.integers(0, 4), st.integers(0, 3), st.sampled_from([None, 0, 1, 2, 4]),
+    st.sampled_from([None, None, 2, 3, 4, 5, 6]),
+)
+
+
+@given(delta_elements)
+def test_one_pass_delta_matches_the_compositional_form(x):
+    for omega in (2, -2):
+        # Poly == compares the canonical (den, nums)
+        assert apply_delta(x, omega).terms == _reference_delta(x, omega).terms, omega
+
+
+def test_one_pass_delta_cancels_inside_a_term():
+    # D2 (p E^-1) = i (m + e) p E^0 + ... with m = -1, e = 1: the own-key image
+    # cancels, and the traded and lowered images remain
+    x = TransElement({(0, -1, 0): Poly.var("p") + Poly.var("q", 1, 3)}, WIDE)
+    assert apply_delta(x, 2) == _reference_delta(x, 2)
+    assert apply_delta(x, 2).terms == {(0, 0, 0): Poly.var("q", 1, -4 * I) + Poly.const(2 * I)}
+    # p^2 traded for p q meets the own-key image of 2 p q and cancels it on the ray 2
+    y = TransElement({(1, 0, 0): Poly.var("p", 2) + Poly.var("p") * Poly.var("q", 1, 2)}, WIDE)
+    for omega in (2, -2):
+        assert apply_delta(y, omega) == _reference_delta(y, omega)
+    assert (0, 0, 1, 1, 0, 0, 0, 0) not in apply_delta(y, 2).terms[(1, 1, 0)].terms
+    # trading p for q would carry q^(2^31 - 1) out of its slot
+    with pytest.raises(OverflowError):
+        apply_delta(TransElement({(0, 0, 0): Poly({(0, 0, 1, (1 << 31) - 1, 0, 0, 0, 0): 1})}, WIDE), 2)
+
+
+# -- the one-term branch of the product kernel against its grouped blocks -------
+
+
+def _grouped_mul(a: Poly, b: Poly, sigma, zorder) -> Poly:
+    """The product summed over _blocks, the path mul takes when both operands have two or more terms."""
+    acc = {}
+    for terms, row in _blocks(a.nums, b.nums, sigma, zorder):
+        for k1, (x, y) in terms:
+            for k2, u, v in row:
+                re, im = acc.get(k1 + k2, (0, 0))
+                acc[k1 + k2] = (re + x * u - y * v, im + x * v + y * u)
+    return alien._poly(a.den * b.den, {k: c for k, c in acc.items() if c != (0, 0)})
+
+
+# one term, with negative Laurent exponents and +-i coefficients among its draws
+one_terms = st.builds(
+    lambda mono, c: Poly({mono: c}),
+    kernel_monos,
+    st.one_of(st.sampled_from([I, -I]), kernel_coeffs.filter(lambda c: not c.is_zero())),
+)
+
+
+@given(one_terms, st.one_of(kernel_polys, one_terms), cap_sigmas, cap_zorders)
+def test_one_term_product_matches_the_grouped_kernel(m, p, sigma, zorder):
+    for x, y in ((m, p), (p, m)):
+        _assert_same_poly(x.mul(y, sigma, zorder), _grouped_mul(x, y, sigma, zorder))
+        _assert_same_poly(x.mul(y, sigma, zorder), _capped(_reference_mul(x, y), sigma, zorder))
+        _assert_same_poly(x * y, _grouped_mul(x, y, None, None))
+
+
+def test_one_term_product_edge_cases():
+    s2z = Poly.var("s2", 2) * Poly.var("z", -3)
+    p = Poly.var("s2") + Poly.var("z", -1, I) + Poly.const(F(1, 2))
+    assert Poly.var("z", -2, -I).mul(Poly.var("z", 2, I)) == ONE_POLY
+    # a cap may drop every term, or all but the terms that leave a common factor
+    assert s2z.mul(p, 1, None).is_zero() and s2z.mul(p, 3, 2).is_zero()
+    _assert_same_poly(Poly.const(2).mul(Poly.var("s2", 1, F(1, 2)) + Poly.var("s2", 4, F(1, 3)), 3),
+                      Poly.var("s2"))
+    for x, y in ((Poly(), Poly.var("s2")), (Poly.var("s2"), Poly())):
+        _assert_same_poly(x * y, Poly())
+    # the range guard looks at both operands, whichever has one term
+    wide = Poly.var("z", 1 << 30)
+    for one, other in ((wide, Poly.var("z")), (wide, p), (Poly.var("z"), wide), (Poly.var("s2"), wide + p)):
+        for x, y in ((one, other), (other, one)):
+            with pytest.raises(OverflowError, match="too large for the product kernel"):
+                x * y
+
+
+# -- deterministic counts of Poly builds and scalar decodes ----------------------
+
+# (_raw calls, _gaussian_over calls) of each check from empty formal-integral
+# caches with its composition context already built: 428/118, 272/66, 154/45
+# and 164/80 before the one-pass images, the one-term product and the
+# once-decoded scalars
+BUILD_COUNTS = {
+    "stokes_action_check(Caps(5, 5))": (lambda: stokes_action_check(Caps(5, 5)), 295, 2),
+    "lr_stokes_check('geq0', Caps(5, 5, 8))": (lambda: lr_stokes_check("geq0", Caps(5, 5, 8)), 196, 1),
+    "bridge_check(Caps(5, 5))": (lambda: bridge_check(Caps(5, 5)), 110, 3),
+    "deltaplus_table(5, 5)": (lambda: deltaplus_table(5, 5), 70, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_COUNTS))
+def test_checks_build_no_more_polys_than_recorded(monkeypatch, name):
+    check, raw_cap, decode_cap = BUILD_COUNTS[name]
+    make_context(8)  # built once per process; its build is not counted
+    alien._formal_integral.cache_clear()
+    counts = {"raw": 0, "decode": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(alien, "_raw", counting("raw", alien._raw))
+    monkeypatch.setattr(alien, "_gaussian_over", counting("decode", alien._gaussian_over))
+    check()
+    assert counts["raw"] <= raw_cap and counts["decode"] <= decode_cap, counts
