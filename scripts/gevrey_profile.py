@@ -25,6 +25,8 @@ def main() -> int:
     ap.add_argument("--n-max", type=int, default=40, dest="n_max")
     ap.add_argument("--interval", default="Iminus")
     args = ap.parse_args()
+    if args.n_max < 1:
+        ap.error("--n-max must be at least 1")
 
     z = args.z * cmath.exp(1j * math.radians(args.arg))
     out = gevrey_check(z, args.interval, args.n_max)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .scalars import ExactScalar, _gaussian_over, _scalar_over
 
@@ -405,24 +405,17 @@ ONE_POLY = Poly.const(1)
 class CompositionContext(NamedTuple):
     """Composed mode: every series generator is precomposed with id + phi_u.
 
-    factor_for[w] is the z-truncated expansion of e^{-w phi_u} for w = +2, -2,
-    including the e^{2w'/u} prefactor tracked through the w slot. A context
-    compares and hashes by identity (elements combine only under the same
-    context), so a cache keyed on one never hashes its factors.
+    power(n) is the expansion of e^{-2n phi_u} through z^{-zcap}, its e^{2n/u}
+    prefactor tracked in the w slot, built once per n from its closed form; the
+    ray +-2 multiplies by power(+-1). A context compares and hashes by identity
+    (elements combine only under the same context), so a cache keyed on one
+    never hashes its powers.
     """
 
-    factor_plus2: Poly  # expansion of e^{-2 phi_u}
-    factor_minus2: Poly  # expansion of e^{+2 phi_u}
+    power: Callable[[int], Poly]
     zcap: int
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def factor(self, omega: int) -> Poly:
-        if omega == 2:
-            return self.factor_plus2
-        if omega == -2:
-            return self.factor_minus2
-        raise ValueError("composition factors exist for the rays +2 and -2 only")
 
 
 class Caps(NamedTuple):
@@ -612,8 +605,8 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
         if nums:
             out._put((lin, m + step, n), _poly(p.den, nums))
     # each image keeps the sigma_2 and z exponents of its term, so it lies inside the caps;
-    # in a composed context the ray's composition factor multiplies each key once
-    return out if x.context is None else out.scale_poly(x.context.factor(omega))
+    # in a composed context e^{-+2 phi_u}, the ray's composition factor, multiplies each key once
+    return out if x.context is None else out.scale_poly(x.context.power(step))
 
 
 def apply_dotted(x: TransElement, direction: str) -> TransElement:
@@ -697,11 +690,12 @@ def formal_integral(
     """The two-parameter formal solution sigma_1 + g + higher exponential grades.
 
     Grade n carries ((-1)^{n-1}/n) sigma_2^n e^{-2nz} E^n; in a composed
-    context each grade is additionally multiplied by the expansion of
-    e^{-2n phi_u}, and each power of that factor is truncated at z^{-zcap}
-    (context.zcap, which must equal caps.zorder) as it is formed. Built along
-    two routes, the explicit sum and the exponential
-    exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g, which must agree.
+    context it is additionally multiplied by context.power(n), the expansion of
+    e^{-2n phi_u} through z^{-zcap} (context.zcap, which must equal
+    caps.zorder). Built along two routes, the explicit sum and the exponential
+    exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g, which must agree;
+    the second forms e^{-2n phi_u} as n ray factors power(1), so the two
+    routes also build the composition powers independently.
 
     Each (caps, context, negate_sigma2) is built and checked once per process;
     the element returned is shared, so its terms are a read-only mapping.
@@ -715,24 +709,17 @@ def formal_integral(
 
 @lru_cache(maxsize=64)
 def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
-    s2 = Poly.var("s2", 1, -1 if negate_sigma2 else 1)
-
+    sign = -1 if negate_sigma2 else 1
     seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context)
     explicit = seed  # + forms a new element, so the seed stays sigma_1 + g
-    fac_pow = s2_pow = ONE_POLY
     # grade n carries sigma_2^n, so the grades above the sigma_2 cap vanish
     for n in range(1, min(caps.sigma, caps.grade) + 1):
-        s2_pow = s2_pow * s2
+        coeff = Poly.var("s2", n, Fraction((-1) ** (n - 1) * sign ** n, n))
         if context is not None:
-            # the factor carries no positive z power, so the truncated
-            # power still yields every term above the z floor
-            fac_pow = fac_pow.mul(context.factor(2), zorder=context.zcap)
-        coeff = s2_pow.scale(Fraction((-1) ** (n - 1), n))
-        if context is not None:
-            coeff = coeff.mul(fac_pow, caps.sigma, caps.zorder)
+            coeff = coeff.mul(context.power(n), caps.sigma, caps.zorder)
         explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
 
-    via_exp = apply_stokes(seed, "geq0", s2.scale(_PLUS_I))
+    via_exp = apply_stokes(seed, "geq0", Poly.var("s2", 1, ExactScalar(0, sign)))
     if via_exp != explicit:
         raise ArithmeticError("formal-integral route disagreement")
     explicit.terms = MappingProxyType(explicit.terms)

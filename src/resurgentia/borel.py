@@ -477,6 +477,8 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
     """
     if moment not in (0, 1):
         raise ValueError("moment must be 0 or 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     theta = float(theta) + 0.0
     z = complex(z)
     if not cmath.isfinite(z):
@@ -593,6 +595,8 @@ def G_pm(
     = 1/|S psi (1 + ratio)| and |dG/dS phi| = |sigma_2 e^{-2z}|/|S psi (1 + ratio)|,
     and the route difference.
     """
+    if not (0.0 < tol < math.inf and 0.0 < quad_tol < math.inf):
+        raise ValueError("tol and quad_tol must be finite and positive")
     interval = _sign_window(sign)
     z = complex(z)
     sigma1 = complex(sigma1)
@@ -955,6 +959,8 @@ def airy_oracle(w: complex) -> complex:
 
 def gevrey_check(z: complex, interval="Iminus", n_max: int = 40) -> dict:
     """Truncation-error table |S g(z) - sum_{n<N} b_n z^{-n}| for N = 1..n_max."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     z = complex(z)
     if abs(z) < 5.0:
         raise DomainError("need |z| >= 5 for a clean profile")

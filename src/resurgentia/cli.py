@@ -261,6 +261,8 @@ def _cmd_connect(args, cfg: RunConfig):
     threshold = args.threshold
     if threshold is None:
         threshold = 1e-6 if args.which == "right" else 1e-4
+    elif threshold <= 0:
+        args.subparser.error("--threshold must be positive")
     from .borel import connection_check
 
     res = connection_check(

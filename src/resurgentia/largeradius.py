@@ -12,7 +12,7 @@ as integers, and functions of phi_u from one integer power sum over s = 1/(u z2)
 _power_sum (the factors e^{-2n(phi_u + 1/u)} and g(z2 + phi_u)). On these sit
 H^(0) (route (a), g = log psi at z1, checked against route (b), g composed with
 id + phi_u in the z2 grading, then R added once), the components H^(n), the
-composition factors e^{-+2 phi_u} of the symbolic layer (one context per z
+composition powers e^{-2n phi_u} of the symbolic layer (one context per z
 order), and the numeric sums and connection law (G_+- at z1 with sigma_2 ->
 -sigma_2). phi_u (from 1 + X(s) = z1/z2 = (1-2s/3)^{3/2}) and R~ are each written once.
 Exact series are graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores
@@ -462,14 +462,14 @@ def _z_poly(s: UCoeffSeries) -> Poly:
 
 @lru_cache(maxsize=None)
 def make_context(zcap: int = 8) -> CompositionContext:
-    """Composition factors e^{-+2 phi_u} with the e^{+-2/u} part in the w slot,
-    built and checked once per z order."""
+    """One composition context per z order: power(n) is e^{-2n phi_u}, its e^{2n/u} part
+    in the w slot, built once per n; the ray factors power(+-1) must invert each other."""
     if zcap < 1:
         raise ValueError("z order must be positive")
-    fplus, fminus = (_z_poly(_exp_phi(n, zcap)) * Poly.var("w", n) for n in (1, -1))
-    if (fplus * fminus).drop_low_z(zcap) != ONE_POLY:
+    power = lru_cache(maxsize=None)(lambda n: _z_poly(_exp_phi(n, zcap)) * Poly.var("w", n))
+    if (power(1) * power(-1)).drop_low_z(zcap) != ONE_POLY:
         raise ArithmeticError("composition factors fail to invert each other")
-    return CompositionContext(factor_plus2=fplus, factor_minus2=fminus, zcap=zcap)
+    return CompositionContext(power, zcap)
 
 
 def lr_transseries(caps: Caps) -> TransElement:

@@ -834,7 +834,7 @@ def _reference_delta(x: TransElement, omega: int) -> TransElement:
     if abs(omega) != 2:
         return out
     step, lin_hit, dvar, e_unit, d_unit = (1, 1, "p", I, -I) if omega == 2 else (-1, 2, "q", -I, I)
-    fac = None if x.context is None else x.context.factor(omega)
+    fac = None if x.context is None else x.context.power(step)
 
     def put(key, image: Poly) -> None:
         out._put(key, image if fac is None else image.mul(fac, x.caps.sigma, x.caps.zorder))
@@ -869,7 +869,8 @@ delta_elements = st.builds(
 
 @given(delta_elements)
 def test_one_pass_delta_matches_the_compositional_form(x):
-    for omega in (2, -2):
+    # the rays +-4 give zero, composed or not
+    for omega in (2, -2, 4, -4):
         # Poly == compares the canonical (den, nums)
         assert apply_delta(x, omega).terms == _reference_delta(x, omega).terms, omega
 

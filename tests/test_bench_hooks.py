@@ -25,6 +25,9 @@ largeradius.gen_H0(4)
 assert largeradius.lr_bridge_check(Caps(2, 2, 2))["ok"]
 borel.eval_Bhat(0.5 + 0.5j)
 assert t.counts["alien.poly_mul_calls"] > 0 and t.counts["borel.eval_Bhat_calls"] == 1, dict(t.counts)
+# the composed path: lr_bridge_check builds its transseries under a context
+assert t.counts["largeradius.make_context_calls"] >= 1, dict(t.counts)
+assert t.counts["largeradius.lr_transseries_calls"] >= 1, dict(t.counts)
 """
 
 

@@ -549,10 +549,14 @@ def test_median_prints_the_default_b_on_both_rays(capsys):
          "usage: resurgentia sum "),
         (["sum", "--family", "psi", "--z", "3", "--tol", "inf"], "quadrature tolerance must be positive",
          "usage: resurgentia sum "),
+        (["connect", "right", "--z", "3", "--sigma2", "1", "--threshold", "0"], "--threshold must be positive",
+         "usage: resurgentia connect "),
+        (["connect", "right", "--z", "3", "--sigma2", "1", "--threshold=-1"], "--threshold must be positive",
+         "usage: resurgentia connect "),
     ],
     ids=["ag-max-g-1", "bn-max-n-0", "cn-max-n-minus-1", "singularity-count-39", "pols-n-0",
          "pols-gmax-minus-1", "lrsum-without-gs", "alien-cap-sigma-0", "alien-cap-grade-minus-1",
-         "ode-check-order-0", "sum-tol-0", "sum-tol-inf"],
+         "ode-check-order-0", "sum-tol-0", "sum-tol-inf", "connect-threshold-0", "connect-threshold-minus-1"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, message, usage):
     """A count below its least value, or a missing required flag, is a malformed

@@ -1,12 +1,15 @@
 """Input guards that no other in-process test reaches: each must raise its own error."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from resurgentia import alien, borel, largeradius
-from resurgentia.alien import IDX, NVARS, Caps, Poly, TransElement
-from resurgentia.borel import BranchCutError, DomainError, G_pm, QuadratureError, singularity_locate, sum_family
+from resurgentia import acceptance, alien, borel, largeradius
+from resurgentia.alien import IDX, NVARS, Caps, CompositionContext, Poly, TransElement
+from resurgentia.borel import (
+    BranchCutError, DomainError, G_pm, QuadratureError, gevrey_check, singularity_locate, sum_family,
+)
 from resurgentia.largeradius import make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
@@ -23,7 +26,6 @@ GUARDS = {
         lambda: TransElement.generator("g", Caps(3, 3)) + TransElement.generator("g", Caps(4, 4)),
         ValueError, "different caps",
     ),
-    "context-ray": (lambda: make_context(4).factor(4), ValueError, "rays \\+2 and -2 only"),
     "series-negative-order": (lambda: PowerSeries(-1, ()), ValueError, "order must be nonnegative"),
     "truncate-past-window": (lambda: PowerSeries.one(3).truncate(4), ValueError, "cannot extend"),
     "truncate-below-window": (lambda: PowerSeries.one(3).truncate(-1), ValueError, "order must be nonnegative"),
@@ -36,7 +38,17 @@ GUARDS = {
     "gpm-route-disagreement": (
         lambda: G_pm("+", 3.0, 0, 1, tol=1e-30), QuadratureError, "series and closed-form routes disagree",
     ),
+    "gevrey-n-max-0": (lambda: gevrey_check(-10j, "Iminus", 0), ValueError, "n_max must be at least 1"),
 }
+# a tolerance that is not finite and positive is refused before any quadrature
+for _name, _t in (("0", 0.0), ("minus-1", -1.0), ("nan", math.nan), ("inf", math.inf)):
+    GUARDS |= {
+        f"sum-tol-{_name}": (lambda t=_t: sum_family("psi", 3.0, tol=t), ValueError, "tol must be finite"),
+        f"gpm-tol-{_name}": (lambda t=_t: G_pm("+", 3.0, 0, 1, tol=t), ValueError, "tol and quad_tol must be"),
+        f"gpm-quad-tol-{_name}": (lambda t=_t: G_pm("-", 3.0, quad_tol=t), ValueError, "tol and quad_tol must be"),
+        f"lr-sum-tol-{_name}": (lambda t=_t: largeradius.lr_sum("+", 0.1, 1.0, tol=t), ValueError,
+                                "tol and quad_tol must be"),
+    }
 
 
 @pytest.mark.parametrize("case", sorted(GUARDS))
@@ -52,6 +64,35 @@ def test_guard_raises(case):
 def _spoil_exp_phi(monkeypatch):
     real = largeradius._exp_phi
     monkeypatch.setattr(largeradius, "_exp_phi", lambda n, N: real(n, N).scale(2))
+
+
+def _shifted_factors(ctx):
+    """F+ = 1 + u/z and F- = sum_k (-u/z)^k, its inverse through z^-zcap."""
+    minus = sum((Poly.var("u", k, (-1) ** k) * Poly.var("z", -k) for k in range(1, ctx.zcap + 1)), Poly.const(1))
+    return Poly.const(1) + Poly.var("u") * Poly.var("z", -1), minus
+
+
+def _spoil_ray_factors(factors):
+    """make_context returns fresh contexts whose ray factors power(+-1), the values
+    apply_delta multiplies by, are factors(fresh context); every other power stays."""
+    def spoil(monkeypatch):
+        def spoiled_context(zcap=8):
+            fresh = make_context.__wrapped__(zcap)
+            plus, minus = factors(fresh)
+            # still a pair that inverts under the z cap, so make_context's own check would pass
+            assert (plus * minus).drop_low_z(zcap) == Poly.const(1)
+            return CompositionContext(lambda n: {1: plus, -1: minus}[n] if n in (1, -1) else fresh.power(n), zcap)
+
+        monkeypatch.setattr(largeradius, "make_context", spoiled_context)
+
+    return spoil
+
+
+# F+- = 1 + u/z and its inverse, or e^{-+4 phi_u} in place of e^{-+2 phi_u}
+FACTOR_SPOILS = {
+    "context-factor-shifted": _spoil_ray_factors(_shifted_factors),
+    "context-factor-doubled": _spoil_ray_factors(lambda ctx: (ctx.power(2), ctx.power(-2))),
+}
 
 
 def _endless_dotted(monkeypatch):
@@ -101,6 +142,11 @@ SPOILED_GUARDS = {
     "gpm-negative-log": (_negative_psi_ray, lambda: G_pm("-", 3.0), BranchCutError, "negative real sum"),
     # Re z = 3 lies inside the solution domain Re z > (1/2) log 2 of sigma_2 = 1
     "gpm-not-contractive": (_large_phi_ray, lambda: G_pm("+", 3.0, 0, 1), DomainError, "not contractive"),
+    # the explicit route reads e^{-2n phi_u} from its closed form, the exp route
+    # forms it from n ray factors, so a spoiled ray factor splits the two
+    **{name: (spoil, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
+              ArithmeticError, "formal-integral route disagreement")
+       for name, spoil in FACTOR_SPOILS.items()},
 }
 
 
@@ -110,6 +156,14 @@ def test_guard_raises_on_a_spoiled_input(monkeypatch, case):
     spoil(monkeypatch)
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_SPOILS))
+def test_a_spoiled_ray_factor_fails_criterion_3(monkeypatch, case):
+    FACTOR_SPOILS[case](monkeypatch)
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert result.detail == "ArithmeticError: formal-integral route disagreement"
 
 
 # -- the None returns of the exact Newton step of the Pade route ---------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resurgentia import families, largeradius
-from resurgentia.alien import Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
+from resurgentia.alien import ONE_POLY, Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
     UCoeffSeries,
@@ -715,6 +715,17 @@ def test_context_inversion_guard():
     make_context(4)  # internal f+ f- = 1 assertion must pass
 
 
+@pytest.mark.parametrize("zcap", [1, 4, 8, 16])
+def test_capped_ray_factor_chains_are_the_closed_form_powers(zcap):
+    # the exp route of the formal integral forms e^{-+2n phi_u} this way, the explicit route reads power(+-n)
+    ctx = make_context(zcap)
+    for sign in (1, -1):
+        chain = ONE_POLY
+        for n in range(1, 13):
+            chain = chain.mul(ctx.power(sign), zorder=zcap)
+            assert chain == ctx.power(sign * n), (sign, n)
+
+
 def test_one_context_per_z_order():
     assert make_context(5) is make_context(5)
     assert make_context(5) is not make_context(6)
@@ -731,7 +742,7 @@ def _series_sha(s: UCoeffSeries) -> str:
 
 def _context_sha(z: int) -> str:
     ctx = make_context(z)
-    return _sha(ctx.factor_plus2.to_str() + "\n" + ctx.factor_minus2.to_str())
+    return _sha(ctx.power(1).to_str() + "\n" + ctx.power(-1).to_str())
 
 
 # sha256 of exact large-radius outputs, recorded before phi_u, R~ and the

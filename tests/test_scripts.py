@@ -38,6 +38,13 @@ def test_script_runs_with_its_defaults(name):
     assert proc.stdout.strip()
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_gevrey_profile_refuses_n_max_below_1(n_max):
+    proc = _script("gevrey_profile.py", "--n-max", n_max)
+    assert proc.returncode == 2
+    assert "--n-max must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _examples() -> list:
     """(script, arguments) for each command line under "Example:" in a script's docstring."""
     out = []
