@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import struct
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
@@ -338,8 +337,14 @@ class Poly:
         distinct e costs one product with replacement**e. The powers are
         capped in sigma_2 only: sigma_2 exponents are never negative, so a
         power's terms past the sigma_2 cap only feed products past it."""
+        return self._subst(name, [ONE_POLY, replacement], sigma, zorder)
+
+    def _subst(self, name: str, powers: list, sigma: Optional[int], zorder: Optional[int]) -> "Poly":
+        """subst reading replacement**e from powers = [1, replacement, ...], the powers
+        formed so far (capped in sigma_2); it appends the ones it lacks, so one list
+        serves every call with the same replacement and caps."""
         if sigma is not None:
-            assert (self.min_degree("s2") or 0) >= 0 and (replacement.min_degree("s2") or 0) >= 0
+            assert (self.min_degree("s2") or 0) >= 0 and (powers[1].min_degree("s2") or 0) >= 0
         shift, mask = _slot(name)
         groups: dict[int, dict] = {}
         for key, num in self.nums.items():
@@ -347,13 +352,11 @@ class Poly:
             if e < 0:
                 raise ValueError("cannot substitute into a negative power")
             groups.setdefault(e, {})[key - (e << shift)] = num
+        while len(powers) <= max(groups, default=0):
+            powers.append(powers[-1].mul(powers[1], sigma))
         out = Poly()
-        power = ONE_POLY
-        for e in range(max(groups, default=-1) + 1):
-            if e:
-                power = power.mul(replacement, sigma)
-            if e in groups:
-                out = out + _poly(self.den, groups[e]).mul(power, sigma, zorder)
+        for e in sorted(groups):
+            out = out + _poly(self.den, groups[e]).mul(powers[e], sigma, zorder)
         return out
 
     # -- truncation ------------------------------------------------------------
@@ -540,7 +543,8 @@ class TransElement:
         return self._map(lambda p: p.deriv(name))
 
     def subst(self, name: str, replacement: Poly) -> "TransElement":
-        return self._map(lambda p: p.subst(name, replacement, self.caps.sigma, self.caps.zorder))
+        powers = [ONE_POLY, replacement]  # formed once, shared by every term
+        return self._map(lambda p: p._subst(name, powers, self.caps.sigma, self.caps.zorder))
 
     def truncated(self, caps: Caps) -> "TransElement":
         """Re-truncate to tighter caps (used to land on a check window)."""
@@ -697,18 +701,39 @@ def formal_integral(
     the second forms e^{-2n phi_u} as n ray factors power(1), so the two
     routes also build the composition powers independently.
 
-    Each (caps, context, negate_sigma2) is built and checked once per process;
-    the element returned is shared, so its terms are a read-only mapping.
+    A request is served from a built, route-checked element of the same context,
+    sign and z order whose sigma_2 and grade caps cover it, truncated to its
+    caps; only a request that no such element covers is built. The table is
+    bounded, each served element is kept under its own caps, and it is shared,
+    so its terms are a read-only mapping.
     """
     if context is not None and context.zcap != caps.zorder:
         raise ValueError("cap inconsistency: context and caps disagree on the z order")
     if (caps.zorder or 0) < 0:
         raise ValueError("the z order must be nonnegative")
-    return _formal_integral(caps, context, bool(negate_sigma2))
+    key = (caps, context, bool(negate_sigma2))
+    elem = _FORMAL_INTEGRALS.pop(key, None)
+    if elem is None:
+        # Truncation is exact: products are formed inside the caps, every factor has
+        # sigma_2 >= 0 and z <= 0 exponents, and the explicit route is a sum of
+        # independent grades, so a narrower build is the truncation of a wider one,
+        # term for term, and the wider route check implies the narrower one.
+        wide = next((e for (c, ctx, neg), e in _FORMAL_INTEGRALS.items() if ctx is context and neg == key[2]
+                     and c.zorder == caps.zorder and c.sigma >= caps.sigma and c.grade >= caps.grade), None)
+        elem = _build_formal_integral(*key) if wide is None else wide.truncated(caps)
+        elem.terms = MappingProxyType(elem.terms)
+        if len(_FORMAL_INTEGRALS) >= _FORMAL_INTEGRALS_MAX:
+            del _FORMAL_INTEGRALS[next(iter(_FORMAL_INTEGRALS))]  # the least recently used
+    _FORMAL_INTEGRALS[key] = elem
+    return elem
 
 
-@lru_cache(maxsize=64)
-def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
+# (caps, context, negate_sigma2) -> element, least recently used first
+_FORMAL_INTEGRALS: dict[tuple, TransElement] = {}
+_FORMAL_INTEGRALS_MAX = 64
+
+
+def _build_formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
     sign = -1 if negate_sigma2 else 1
     seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context)
     explicit = seed  # + forms a new element, so the seed stays sigma_1 + g
@@ -722,7 +747,6 @@ def _formal_integral(caps: Caps, context: CompositionContext | None, negate_sigm
     via_exp = apply_stokes(seed, "geq0", Poly.var("s2", 1, ExactScalar(0, sign)))
     if via_exp != explicit:
         raise ArithmeticError("formal-integral route disagreement")
-    explicit.terms = MappingProxyType(explicit.terms)
     return explicit
 
 
@@ -775,9 +799,10 @@ def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
     if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
         raise ValueError("the sigma_2, grade and z caps must be nonnegative")
     s2 = Poly.var("s2")
-    r_plus = (apply_delta(x, 2) + x.partial("s2").shift_grade(-1).scale(unit)).truncated(caps)
+    dx_s2 = x.partial("s2")
+    r_plus = (apply_delta(x, 2) + dx_s2.shift_grade(-1).scale(unit)).truncated(caps)
     r_minus = (apply_delta(x, -2) + (
-        x.partial("s1").scale_poly(s2) - x.partial("s2").scale_poly(s2 * s2)
+        x.partial("s1").scale_poly(s2) - dx_s2.scale_poly(s2 * s2)
     ).shift_grade(1).scale(unit)).truncated(caps)
     return {
         "residual_plus": r_plus,

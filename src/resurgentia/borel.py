@@ -684,8 +684,10 @@ def connection_check(
         minus = (sigma1 + cmath.log(w), sigma2 / w)
     else:
         raise ValueError("which must be 'right' or 'left'")
-    lhs = G_pm("+", z, sigma1, sigma2, tol, quad_tol=quad_tol)
-    rhs = G_pm("-", z, *minus, tol, quad_tol=quad_tol)
+    # the route gate is never tighter than G_pm's default; a tol G_pm refuses stays refused
+    gate = max(tol, DEFAULT_END_TOL) if tol > 0 else tol
+    lhs = G_pm("+", z, sigma1, sigma2, gate, quad_tol=quad_tol)
+    rhs = G_pm("-", z, *minus, gate, quad_tol=quad_tol)
     return _residual(lhs.value, rhs.value, tol, lhs.err + rhs.err)
 
 

@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 
 from . import families
 from .alien import (
-    IDX,
-    NVARS,
+    _KEY_BIAS,
     ONE_POLY,
     Caps,
     CompositionContext,
@@ -39,6 +38,8 @@ from .alien import (
     TransElement,
     _MINUS_I,
     _bridge_check,
+    _poly,
+    _slot,
     _stokes_residual,
     _stokes_window,
     formal_integral,
@@ -449,15 +450,15 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
 
 
 def _z_poly(s: UCoeffSeries) -> Poly:
-    """A z2-graded series as a Poly: row k, u^e -> z^{-k} u^e; log u -> lu."""
-    def mono(z: int, u: int, lu: int = 0) -> tuple:
-        m = [0] * NVARS
-        m[IDX["z"]], m[IDX["u"]], m[IDX["lu"]] = z, u, lu
-        return tuple(m)
-
-    terms = {mono(0, 0, 1): s.log_u} if s.log_u else {}
-    terms.update((mono(-k, e), Fraction(c, s.den)) for k, row in enumerate(s.rows) for e, c in row.items())
-    return Poly(terms)
+    """A z2-graded series as a Poly: row k, u^e -> z^{-k} u^e; log u -> lu. The packed
+    keys and integer numerators are formed directly (see alien._pack), canonicalised once."""
+    (z, _), (u, _), (lu, _) = map(_slot, ("z", "u", "lu"))
+    lam = s.log_u
+    den = math.lcm(s.den, lam.denominator)
+    nums = {_KEY_BIAS + (1 << lu): (lam.numerator * (den // lam.denominator), 0)} if lam else {}
+    f = den // s.den
+    nums.update((_KEY_BIAS + (e << u) - (k << z), (c * f, 0)) for k, row in enumerate(s.rows) for e, c in row.items())
+    return _poly(den, nums)
 
 
 @lru_cache(maxsize=None)
@@ -467,19 +468,38 @@ def make_context(zcap: int = 8) -> CompositionContext:
     if zcap < 1:
         raise ValueError("z order must be positive")
     power = lru_cache(maxsize=None)(lambda n: _z_poly(_exp_phi(n, zcap)) * Poly.var("w", n))
-    if (power(1) * power(-1)).drop_low_z(zcap) != ONE_POLY:
+    if power(1).mul(power(-1), None, zcap) != ONE_POLY:
         raise ArithmeticError("composition factors fail to invert each other")
     return CompositionContext(power, zcap)
 
 
+@lru_cache(maxsize=None)
+def _rtilde_poly(zorder: int) -> Poly:
+    """R~ through z2^{-zorder} as a Poly, the elementary term lr_transseries adds."""
+    return _z_poly(_rtilde(gen_phi_u(zorder + 1)))
+
+
+@lru_cache(maxsize=None)
+def _rtilde_reference(zorder: int) -> Poly:
+    """The R~ that gen_R regrades, which criterion 2's u-equation certifies, graded
+    back from g_s^2 u^3 to z2^{-1}: 3^k g_s^{2k} u^{e + 3k} -> z2^{-k} u^e."""
+    R = gen_R(zorder)
+    rows = tuple({e - 3 * k: c * 3 ** (zorder - k) for e, c in row.items()} for k, row in enumerate(R.rows))
+    return _z_poly(_ucs("z2", zorder, R.den * 3 ** zorder, rows, R.log_u))
+
+
 def lr_transseries(caps: Caps) -> TransElement:
     """The symbolic transseries: the formal integral at (sigma_1, -sigma_2)
-    composed with id + phi_u, plus the elementary term R~."""
+    composed with id + phi_u, plus the elementary term R~, which must be the R~ of gen_R."""
     if caps.zorder is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
     context = make_context(caps.zorder)
     core = formal_integral(caps, context=context, negate_sigma2=True)
-    return core + TransElement.from_poly(_z_poly(_rtilde(gen_phi_u(caps.zorder + 1))), caps, context)
+    H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps, context)
+    elementary = H.terms.get((0, 0, 0), Poly()) - core.terms.get((0, 0, 0), Poly())
+    if elementary != _rtilde_reference(caps.zorder).capped(caps.sigma, caps.zorder):
+        raise ArithmeticError("large-radius elementary term disagrees with gen_R")
+    return H
 
 
 def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:

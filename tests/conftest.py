@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from resurgentia import alien, borel
+from resurgentia import alien, borel, largeradius
 
 settings.register_profile(
     "ci",
@@ -21,7 +21,10 @@ def _no_cached_kernel_rows():
 
 
 @pytest.fixture(autouse=True)
-def _no_cached_formal_integrals():
-    """Each test starts with an empty formal-integral cache, so every test
-    builds, and route-checks, the formal integrals it uses."""
-    alien._formal_integral.cache_clear()
+def _no_cached_exact_builds():
+    """Each test starts with an empty formal-integral table and no R~ polys of
+    the large-radius frame, so every test builds, and route-checks, the formal
+    integrals it uses, and no test reads a build that another test checked."""
+    alien._FORMAL_INTEGRALS.clear()
+    largeradius._rtilde_poly.cache_clear()
+    largeradius._rtilde_reference.cache_clear()

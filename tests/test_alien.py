@@ -27,7 +27,7 @@ from resurgentia.alien import (
     formal_integral,
     stokes_action_check,
 )
-from resurgentia.largeradius import lr_stokes_check, lr_transseries, make_context
+from resurgentia.largeradius import lr_bridge_check, lr_stokes_check, lr_transseries, make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
 from test_series import _pow
@@ -408,6 +408,7 @@ def test_stokes_one_parameter_group():
 
 def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
     assert formal_integral(Caps(3, 3)) is formal_integral(Caps(3, 3))
+    narrow = alien._build_formal_integral(Caps(2, 3), None, False)
     real = alien.apply_stokes
 
     def spoiled(x, direction, power=1):
@@ -419,9 +420,11 @@ def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
                          (Caps(2, 2, 4), {"context": make_context(4)})):
         with pytest.raises(ArithmeticError, match="route disagreement"):
             formal_integral(caps, **kwargs)
-    alien._formal_integral.cache_clear()
-    with pytest.raises(ArithmeticError, match="route disagreement"):
-        formal_integral(Caps(3, 3))
+    assert formal_integral(Caps(2, 3)) == narrow  # covered by the checked (3, 3)
+    alien._FORMAL_INTEGRALS.clear()
+    for caps in (Caps(3, 3), Caps(2, 3)):
+        with pytest.raises(ArithmeticError, match="route disagreement"):
+            formal_integral(caps)
 
 
 def test_cached_formal_integrals_stay_unchanged():
@@ -458,16 +461,103 @@ def test_formal_integral_cache_lookups_never_hash_a_factor(monkeypatch):
     assert formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True) is G
 
 
-def test_formal_integral_cache_is_bounded():
-    bound = alien._formal_integral.cache_info().maxsize
-    assert bound is not None
-    # the z order of a plain element is only a key here: each build is tiny
+def _count_builds(monkeypatch) -> list:
+    """The caps of every formal-integral build from here on."""
+    builds, real = [], alien._build_formal_integral
+
+    def counting(caps, context, negate_sigma2):
+        builds.append(caps)
+        return real(caps, context, negate_sigma2)
+
+    monkeypatch.setattr(alien, "_build_formal_integral", counting)
+    return builds
+
+
+def test_formal_integral_cache_is_bounded(monkeypatch):
+    bound = alien._FORMAL_INTEGRALS_MAX
+    builds = _count_builds(monkeypatch)
+    # each z order is its own frame, so no element covers another: each is built, and tiny
     first = formal_integral(Caps(1, 1, 1))
     for z in range(2, bound + 10):
         formal_integral(Caps(1, 1, z))
-    info = alien._formal_integral.cache_info()
-    assert info.currsize == bound and info.misses == bound + 9
+    assert len(alien._FORMAL_INTEGRALS) == bound and len(builds) == bound + 9
     assert formal_integral(Caps(1, 1, 1)) is not first  # evicted, so built again
+    assert len(builds) == bound + 10
+
+
+def test_a_repeated_hit_keeps_an_element_in_the_table(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    first = formal_integral(Caps(1, 1, 0))
+    for z in range(1, alien._FORMAL_INTEGRALS_MAX + 10):
+        formal_integral(Caps(1, 1, z))
+        assert formal_integral(Caps(1, 1, 0)) is first  # least recently used goes first
+    assert builds == [Caps(1, 1, z) for z in range(alien._FORMAL_INTEGRALS_MAX + 10)]  # each once
+
+
+FRAMES = [(None, False), (None, True), (4, False), (4, True)]  # (z order of the context, negate_sigma2)
+CAP_GRID = [Caps(s, g) for s in range(1, 7) for g in range(1, 7)]
+
+
+def _frame(zorder):
+    """The context and the z order of a frame: uncomposed, or composed at that z order."""
+    return (None, None) if zorder is None else (make_context(zorder), zorder)
+
+
+@pytest.mark.parametrize("zorder, negate", FRAMES)
+def test_a_narrow_request_is_the_truncation_of_a_wide_build(monkeypatch, zorder, negate):
+    # products are formed inside the caps on sigma_2 >= 0, z <= 0 factors, so the
+    # truncation of a wider build is the narrower build, term for term
+    context, z = _frame(zorder)
+    grid = [Caps(c.sigma, c.grade, z) for c in CAP_GRID]
+    direct = {caps: alien._build_formal_integral(caps, context, negate) for caps in grid}
+
+    def no_build(*args):
+        raise AssertionError("a covered request was built")
+
+    monkeypatch.setattr(alien, "_build_formal_integral", no_build)
+    for wide in grid:
+        for narrow in grid:
+            if narrow.sigma <= wide.sigma and narrow.grade <= wide.grade:
+                alien._FORMAL_INTEGRALS.clear()
+                alien._FORMAL_INTEGRALS[(wide, context, negate)] = direct[wide]
+                served = formal_integral(narrow, context, negate)
+                assert served.caps == narrow and served.context is context
+                assert dict(served.terms) == direct[narrow].terms, (wide, narrow)
+                assert formal_integral(narrow, context, negate) is served  # kept under its own caps
+
+
+@pytest.mark.parametrize("zorder, negate", FRAMES)
+def test_a_request_no_checked_build_covers_is_route_checked(monkeypatch, zorder, negate):
+    context, z = _frame(zorder)
+    checked = formal_integral(Caps(4, 3, z), context, negate)
+    other_sign = formal_integral(Caps(6, 6, z), context, not negate)
+    real = alien.apply_stokes
+
+    def spoiled(x, direction, power=1):
+        return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps, x.context)
+
+    monkeypatch.setattr(alien, "apply_stokes", spoiled)
+    for c in CAP_GRID:
+        caps = Caps(c.sigma, c.grade, z)
+        if c.sigma <= 4 and c.grade <= 3:
+            assert formal_integral(caps, context, negate) == checked.truncated(caps)
+        else:  # neither the other sign, nor another frame or z order, covers it
+            with pytest.raises(ArithmeticError, match="route disagreement"):
+                formal_integral(caps, context, negate)
+    # another z order, and the uncomposed frame at the context's z order
+    for caps in (Caps(2, 2, 5), Caps(2, 2, None if z else 4)):
+        with pytest.raises(ArithmeticError, match="route disagreement"):
+            formal_integral(caps, None, negate)
+    assert formal_integral(Caps(6, 6, z), context, not negate) is other_sign
+
+
+def test_a_large_radius_triple_makes_one_build(monkeypatch):
+    make_context(8)
+    builds = _count_builds(monkeypatch)
+    caps = Caps(5, 5, 8)
+    assert lr_bridge_check(caps)["ok"]
+    assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
+    assert builds == [caps.widen(extra_sigma=1, extra_grade=1)]
 
 
 def test_expansion_matches_series_routes():
@@ -875,6 +965,21 @@ def test_one_pass_delta_matches_the_compositional_form(x):
         assert apply_delta(x, omega).terms == _reference_delta(x, omega).terms, omega
 
 
+def _sigma2_maps(sigma: int, unit: ExactScalar) -> tuple:
+    """The two sigma_2 maps of the Stokes residuals: sigma_2 - unit, and
+    sigma_2/(1 - unit sigma_2) through sigma_2^sigma."""
+    return Poly.var("s2") - Poly.const(unit), sum(
+        (Poly.var("s2", k, unit ** (k - 1)) for k in range(1, sigma + 1)), Poly())
+
+
+@given(delta_elements, st.sampled_from([I, -I]))
+def test_shared_subst_powers_match_per_term_powers(x, unit):
+    sigma, zorder = x.caps.sigma, x.caps.zorder
+    for replacement in _sigma2_maps(sigma, unit):
+        per_term = {k: _reference_subst(p, "s2", replacement).capped(sigma, zorder) for k, p in x.terms.items()}
+        assert x.subst("s2", replacement).terms == {k: p for k, p in per_term.items() if p.nums}
+
+
 def test_one_pass_delta_cancels_inside_a_term():
     # D2 (p E^-1) = i (m + e) p E^0 + ... with m = -1, e = 1: the own-key image
     # cancels, and the traded and lowered images remain
@@ -941,14 +1046,15 @@ def test_one_term_product_edge_cases():
 
 # -- deterministic counts of Poly builds and scalar decodes ----------------------
 
-# (_raw calls, _gaussian_over calls) of each check from empty formal-integral
-# caches with its composition context already built: 428/118, 272/66, 154/45
+# (_raw calls, _gaussian_over calls) of each check from an empty formal-integral
+# table with its composition context already built: 428/118, 272/66, 154/45
 # and 164/80 before the one-pass images, the one-term product and the
-# once-decoded scalars
+# once-decoded scalars; 275/0, 181/0, 98/2 and 70/0 before the stokes windows
+# shared one build, subst shared its powers and the bridge formed d/dsigma_2 once
 BUILD_COUNTS = {
-    "stokes_action_check(Caps(5, 5))": (lambda: stokes_action_check(Caps(5, 5)), 295, 2),
-    "lr_stokes_check('geq0', Caps(5, 5, 8))": (lambda: lr_stokes_check("geq0", Caps(5, 5, 8)), 196, 1),
-    "bridge_check(Caps(5, 5))": (lambda: bridge_check(Caps(5, 5)), 110, 3),
+    "stokes_action_check(Caps(5, 5))": (lambda: stokes_action_check(Caps(5, 5)), 233, 0),
+    "lr_stokes_check('geq0', Caps(5, 5, 8))": (lambda: lr_stokes_check("geq0", Caps(5, 5, 8)), 178, 0),
+    "bridge_check(Caps(5, 5))": (lambda: bridge_check(Caps(5, 5)), 90, 2),
     "deltaplus_table(5, 5)": (lambda: deltaplus_table(5, 5), 70, 0),
 }
 
@@ -957,7 +1063,7 @@ BUILD_COUNTS = {
 def test_checks_build_no_more_polys_than_recorded(monkeypatch, name):
     check, raw_cap, decode_cap = BUILD_COUNTS[name]
     make_context(8)  # built once per process; its build is not counted
-    alien._formal_integral.cache_clear()
+    alien._FORMAL_INTEGRALS.clear()
     counts = {"raw": 0, "decode": 0}
 
     def counting(key, fn):

@@ -177,6 +177,15 @@ def test_connect_right(capsys):
     assert payload["ok"] and payload["residual"] < 1e-9
 
 
+def test_connect_with_a_tight_threshold_reports_its_residual(capsys):
+    # the threshold bounds the residual; it is not the route gate of the two sums
+    for threshold in ("1e-300", "1e-20"):
+        code, out = run(capsys, "connect", "right", "--z", "3", "--sigma2", "1", "--threshold", threshold)
+        payload = json.loads(out)
+        assert code == 1 and not payload["ok"] and payload["residual"] < 1e-10
+        assert payload["threshold"] == float(threshold)
+
+
 def test_connect_honours_tol(capsys, monkeypatch):
     seen = []
     real = borel.G_pm

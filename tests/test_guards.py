@@ -95,6 +95,12 @@ FACTOR_SPOILS = {
 }
 
 
+def _doubled_rtilde(monkeypatch):
+    """lr_transseries adds 2R~: no bridge or Stokes residual sees a grade-0 elementary term."""
+    real = largeradius._rtilde_poly
+    monkeypatch.setattr(largeradius, "_rtilde_poly", lambda zorder: real(zorder).scale(2))
+
+
 def _endless_dotted(monkeypatch):
     """A dotted derivation that never reaches zero; each real one is nilpotent under the caps."""
     calls = []
@@ -147,6 +153,9 @@ SPOILED_GUARDS = {
     **{name: (spoil, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
               ArithmeticError, "formal-integral route disagreement")
        for name, spoil in FACTOR_SPOILS.items()},
+    # the grade-0 elementary term is compared with the R~ of gen_R, which criterion 2 certifies
+    "lr-transseries-doubled-rtilde": (_doubled_rtilde, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
+                                      ArithmeticError, "elementary term disagrees with gen_R"),
 }
 
 
@@ -164,6 +173,13 @@ def test_a_spoiled_ray_factor_fails_criterion_3(monkeypatch, case):
     result = acceptance.criterion_3()
     assert not result.passed
     assert result.detail == "ArithmeticError: formal-integral route disagreement"
+
+
+def test_a_doubled_rtilde_fails_verify_all(monkeypatch):
+    _doubled_rtilde(monkeypatch)
+    failed = [r for r in acceptance.run_all() if not r.passed]
+    assert [r.number for r in failed] == [3]
+    assert failed[0].detail == "ArithmeticError: large-radius elementary term disagrees with gen_R"
 
 
 # -- the None returns of the exact Newton step of the Pade route ---------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from resurgentia import families, largeradius
-from resurgentia.alien import ONE_POLY, Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
+from resurgentia import borel, families, largeradius
+from resurgentia.alien import IDX, NVARS, ONE_POLY, Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
     UCoeffSeries,
@@ -726,6 +726,39 @@ def test_capped_ray_factor_chains_are_the_closed_form_powers(zcap):
             assert chain == ctx.power(sign * n), (sign, n)
 
 
+def _z_poly_by_constructor(s: UCoeffSeries) -> Poly:
+    """The validating Poly constructor path _z_poly replaces: one ExactScalar per term."""
+    def mono(z: int, u: int, lu: int = 0) -> tuple:
+        m = [0] * NVARS
+        m[IDX["z"]], m[IDX["u"]], m[IDX["lu"]] = z, u, lu
+        return tuple(m)
+
+    terms = {mono(0, 0, 1): s.log_u} if s.log_u else {}
+    terms.update((mono(-k, e), Fraction(c, s.den)) for k, row in enumerate(s.rows) for e, c in row.items())
+    return Poly(terms)
+
+
+@pytest.mark.parametrize("zorder", range(1, 17))
+def test_frame_polys_match_the_constructor_path(zorder):
+    rtilde = largeradius._rtilde(gen_phi_u(zorder + 1))
+    # a log u scalar whose denominator does not divide the rows' one
+    odd_log = UCoeffSeries("z2", 1, (UL({0: (1, 2), 3: (5, 4)}), UL({-zorder: (-7, 6)})), F(2, 9))
+    for s in [largeradius._exp_phi(n, zorder) for n in range(-9, 10) if n] + [rtilde, odd_log]:
+        got, want = largeradius._z_poly(s), _z_poly_by_constructor(s)
+        assert (got.den, got.nums) == (want.den, want.nums) and got.to_str() == want.to_str()
+    # the R~ lr_transseries adds, and the R~ gen_R regrades, read back into z2
+    assert largeradius._rtilde_poly(zorder) == largeradius._rtilde_reference(zorder) == _z_poly_by_constructor(rtilde)
+
+
+def test_the_rtilde_polys_are_built_once_per_z_order():
+    assert largeradius._rtilde_poly(5) is largeradius._rtilde_poly(5)
+    assert largeradius._rtilde_reference(5) is largeradius._rtilde_reference(5)
+    H = lr_transseries(Caps(3, 3, 5))
+    assert H.terms[(0, 0, 0)] == Poly.var("s1") + largeradius._rtilde_poly(5)
+    # a negative sigma_2 cap keeps no grade-0 term, and no elementary term either
+    assert (0, 0, 0) not in lr_transseries(Caps(-1, 2, 5)).terms
+
+
 def test_one_context_per_z_order():
     assert make_context(5) is make_context(5)
     assert make_context(5) is not make_context(6)
@@ -921,6 +954,26 @@ def test_lr_connection_left():
         lr_connection_check("up", 0.4, 1.0)
     with pytest.raises(DomainError, match="vanishes"):
         lr_connection_check("left", gs, 1.0, 0.0, -1j)
+
+
+def test_a_tight_connection_bound_is_no_route_failure(monkeypatch):
+    # the residual bound is not the route gate of G_pm: the routes agree to about
+    # 1e-17, the two sums to about 1e-13, so a bound of 1e-300 fails the residual only
+    gates, real = [], borel.G_pm
+
+    def spy(sign, z, s1, s2, tol, **kwargs):
+        gates.append(tol)
+        return real(sign, z, s1, s2, tol, **kwargs)
+
+    monkeypatch.setattr(borel, "G_pm", spy)
+    for tol in (1e-300, 1e-20):
+        out = connection_check("right", 3.0, 0.0, 1.0, tol)
+        assert not out["ok"] and out["residual"] < 1e-10
+    out = lr_connection_check("right", 0.4, 1.0, 0.0, 1.0, tol=1e-300)
+    assert not out["ok"] and out["residual"] < 1e-10
+    assert gates == [1e-6] * 6
+    # a looser bound is still the gate, as it was
+    assert connection_check("left", -0.9, 0.0, 0.05j, 1e-4)["ok"] and gates[6:] == [1e-4] * 2
 
 
 @pytest.mark.parametrize("gs,u", [(1e-200, 1.0), (0.3, 1e-110), (0.3, 1e-200), (1e-160, 1.0)],
