@@ -496,7 +496,9 @@ class TransElement:
     @staticmethod
     def generator(which: str, caps: Caps = Caps(), context=None) -> "TransElement":
         """which in {"g", "f", "E", "Einv"}."""
-        key = {"g": (1, 0, 0), "f": (2, 0, 0), "E": (0, 1, 0), "Einv": (0, -1, 0)}[which]
+        key = {"g": (1, 0, 0), "f": (2, 0, 0), "E": (0, 1, 0), "Einv": (0, -1, 0)}.get(which)
+        if key is None:
+            raise ValueError("which must be one of g, f, E, Einv")
         return TransElement({key: ONE_POLY}, caps, context)
 
     # -- predicates ----------------------------------------------------------------
@@ -701,36 +703,34 @@ def formal_integral(
     the second forms e^{-2n phi_u} as n ray factors power(1), so the two
     routes also build the composition powers independently.
 
-    A request is served from a built, route-checked element of the same context,
-    sign and z order whose sigma_2 and grade caps cover it, truncated to its
-    caps; only a request that no such element covers is built. The table is
-    bounded, each served element is kept under its own caps, and it is shared,
-    so its terms are a read-only mapping.
+    Each frame (context, sign, z order) keeps one route-checked build, and each
+    request gets its own copy of the grades it keeps, so no caller can change the build.
     """
+    _check_caps(caps)
     if context is not None and context.zcap != caps.zorder:
         raise ValueError("cap inconsistency: context and caps disagree on the z order")
-    if (caps.zorder or 0) < 0:
-        raise ValueError("the z order must be nonnegative")
-    key = (caps, context, bool(negate_sigma2))
-    elem = _FORMAL_INTEGRALS.pop(key, None)
-    if elem is None:
-        # Truncation is exact: products are formed inside the caps, every factor has
-        # sigma_2 >= 0 and z <= 0 exponents, and the explicit route is a sum of
-        # independent grades, so a narrower build is the truncation of a wider one,
-        # term for term, and the wider route check implies the narrower one.
-        wide = next((e for (c, ctx, neg), e in _FORMAL_INTEGRALS.items() if ctx is context and neg == key[2]
-                     and c.zorder == caps.zorder and c.sigma >= caps.sigma and c.grade >= caps.grade), None)
-        elem = _build_formal_integral(*key) if wide is None else wide.truncated(caps)
-        elem.terms = MappingProxyType(elem.terms)
-        if len(_FORMAL_INTEGRALS) >= _FORMAL_INTEGRALS_MAX:
-            del _FORMAL_INTEGRALS[next(iter(_FORMAL_INTEGRALS))]  # the least recently used
-    _FORMAL_INTEGRALS[key] = elem
-    return elem
+    # The m rule: grade n carries exactly sigma_2^n, e^{-2n phi_u} no sigma_2, and products
+    # are formed inside the caps on sigma_2 >= 0, z <= 0 factors, so a build at Caps(m, m)
+    # serves every request with m' = min(sigma', grade') <= m, a sigma_2 cap above m included,
+    # as its grades up to m', term for term, and its route check implies the request's.
+    # A request past the stored m is built at its own m, and that build replaces the stored one.
+    m, key = min(caps.sigma, caps.grade), (context, bool(negate_sigma2), caps.zorder)
+    stored = _FORMAL_INTEGRALS.get(key)
+    if stored is None or stored.caps.sigma < m:
+        stored = _FORMAL_INTEGRALS[key] = _build_formal_integral(Caps(m, m, caps.zorder), context, key[1])
+    served = TransElement(None, caps, context)
+    served.terms = {k: p for k, p in stored.terms.items() if k[2] <= m}
+    return served
 
 
-# (caps, context, negate_sigma2) -> element, least recently used first
+# (context, negate_sigma2, z order) -> its one build, at Caps(m, m, z order)
 _FORMAL_INTEGRALS: dict[tuple, TransElement] = {}
-_FORMAL_INTEGRALS_MAX = 64
+
+
+def _check_caps(caps: Caps) -> None:
+    """A negative cap leaves an empty window, whose zero residual would certify nothing."""
+    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
+        raise ValueError("the sigma_2, grade and z-order caps must be nonnegative")
 
 
 def _build_formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
@@ -768,8 +768,7 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
     and maps sigma_2 to sigma_2/(1 - unit sigma_2), expanded to the sigma_2
     cap. unit is +i (double scaling) or -i (large radius). A negative cap raises.
     """
-    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
-        raise ValueError("the sigma_2, grade and z caps must be nonnegative")
+    _check_caps(caps)
     lhs = apply_stokes(x, direction)
     if direction == "geq0":
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
@@ -796,8 +795,7 @@ def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
     whose sigma_2 is the double-scaling one with its sign flipped. x must be generated
     with one extra grade and sigma_2 degree so the window is exact; a negative cap raises.
     """
-    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
-        raise ValueError("the sigma_2, grade and z caps must be nonnegative")
+    _check_caps(caps)
     s2 = Poly.var("s2")
     dx_s2 = x.partial("s2")
     r_plus = (apply_delta(x, 2) + dx_s2.shift_grade(-1).scale(unit)).truncated(caps)

@@ -22,9 +22,10 @@ def _no_cached_kernel_rows():
 
 @pytest.fixture(autouse=True)
 def _no_cached_exact_builds():
-    """Each test starts with an empty formal-integral table and no R~ polys of
-    the large-radius frame, so every test builds, and route-checks, the formal
-    integrals it uses, and no test reads a build that another test checked."""
+    """Each test starts with no stored formal-integral build in any frame (one
+    per context, sign and z order) and no R~ polys of the large-radius frame,
+    so every test builds, and route-checks, the formal integrals it uses, and
+    no test is served a truncation of a build that another test checked."""
     alien._FORMAL_INTEGRALS.clear()
     largeradius._rtilde_poly.cache_clear()
     largeradius._rtilde_reference.cache_clear()

@@ -215,7 +215,7 @@ def test_a_negative_cap_is_refused(check, caps):
 
 def test_a_negative_z_order_is_refused_by_the_formal_integral():
     # it used to keep none of its terms, so every residual built on it vanished
-    with pytest.raises(ValueError, match="z order must be nonnegative"):
+    with pytest.raises(ValueError, match="the sigma_2, grade and z-order caps must be nonnegative"):
         formal_integral(Caps(3, 3, -1))
     assert formal_integral(Caps(3, 3, None)).terms and formal_integral(Caps(3, 3, 0)).terms
 
@@ -406,21 +406,26 @@ def test_stokes_one_parameter_group():
 # -- the formal-integral cache ---------------------------------------------------
 
 
-def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
-    assert formal_integral(Caps(3, 3)) is formal_integral(Caps(3, 3))
-    narrow = alien._build_formal_integral(Caps(2, 3), None, False)
+def _spoil_the_exp_route(monkeypatch):
     real = alien.apply_stokes
 
     def spoiled(x, direction, power=1):
         return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps, x.context)
 
     monkeypatch.setattr(alien, "apply_stokes", spoiled)
-    formal_integral(Caps(3, 3))  # a hit: built and checked before the spoil
-    for caps, kwargs in ((Caps(3, 4), {}), (Caps(3, 3), {"negate_sigma2": True}),
+
+
+def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
+    assert formal_integral(Caps(3, 3)) == formal_integral(Caps(3, 3))
+    direct = {caps: alien._build_formal_integral(caps, None, False) for caps in (Caps(2, 3), Caps(6, 3))}
+    _spoil_the_exp_route(monkeypatch)
+    formal_integral(Caps(3, 3))  # served by the build checked before the spoil
+    for caps, kwargs in ((Caps(4, 4), {}), (Caps(3, 3), {"negate_sigma2": True}),
                          (Caps(2, 2, 4), {"context": make_context(4)})):
         with pytest.raises(ArithmeticError, match="route disagreement"):
             formal_integral(caps, **kwargs)
-    assert formal_integral(Caps(2, 3)) == narrow  # covered by the checked (3, 3)
+    for caps, elem in direct.items():  # m = 2 and 3, served by the checked m = 3
+        assert formal_integral(caps).terms == elem.terms
     alien._FORMAL_INTEGRALS.clear()
     for caps in (Caps(3, 3), Caps(2, 3)):
         with pytest.raises(ArithmeticError, match="route disagreement"):
@@ -439,15 +444,15 @@ def test_cached_formal_integrals_stay_unchanged():
     before = {name: G.to_json() for name, G in shared.items()}
     assert bridge_check(caps)["ok"] and stokes_action_check(caps)["ok"]
     assert lr_stokes_check("geq0", lr_caps)["ok"] and lr_stokes_check("leq0", lr_caps)["ok"]
-    assert formal_integral(caps.widen(extra_sigma=1, extra_grade=1)) is shared["bridge"]
-    for d in ("geq0", "leq0"):
-        assert formal_integral(_stokes_window(lr_caps, d), make_context(6), True) is shared["lr " + d]
     assert {name: G.to_json() for name, G in shared.items()} == before
-    G = shared["bridge"]
-    with pytest.raises(TypeError):
-        G.terms[(0, 0, 0)] = ONE_POLY
-    with pytest.raises(TypeError):
-        del G.terms[(1, 0, 0)]
+
+
+def test_a_served_element_is_its_callers_own():
+    G = formal_integral(Caps(4, 4))
+    before = G.to_json()
+    G.terms[(0, 0, 0)] = ONE_POLY
+    del G.terms[(1, 0, 0)]
+    assert formal_integral(Caps(4, 4)).to_json() == formal_integral(Caps(5, 4)).to_json() == before
 
 
 def test_formal_integral_cache_lookups_never_hash_a_factor(monkeypatch):
@@ -458,7 +463,7 @@ def test_formal_integral_cache_lookups_never_hash_a_factor(monkeypatch):
 
     monkeypatch.setattr(Poly, "__hash__", no_hash)
     G = formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True)
-    assert formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True) is G
+    assert formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True) == G
 
 
 def _count_builds(monkeypatch) -> list:
@@ -473,27 +478,6 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-def test_formal_integral_cache_is_bounded(monkeypatch):
-    bound = alien._FORMAL_INTEGRALS_MAX
-    builds = _count_builds(monkeypatch)
-    # each z order is its own frame, so no element covers another: each is built, and tiny
-    first = formal_integral(Caps(1, 1, 1))
-    for z in range(2, bound + 10):
-        formal_integral(Caps(1, 1, z))
-    assert len(alien._FORMAL_INTEGRALS) == bound and len(builds) == bound + 9
-    assert formal_integral(Caps(1, 1, 1)) is not first  # evicted, so built again
-    assert len(builds) == bound + 10
-
-
-def test_a_repeated_hit_keeps_an_element_in_the_table(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    first = formal_integral(Caps(1, 1, 0))
-    for z in range(1, alien._FORMAL_INTEGRALS_MAX + 10):
-        formal_integral(Caps(1, 1, z))
-        assert formal_integral(Caps(1, 1, 0)) is first  # least recently used goes first
-    assert builds == [Caps(1, 1, z) for z in range(alien._FORMAL_INTEGRALS_MAX + 10)]  # each once
-
-
 FRAMES = [(None, False), (None, True), (4, False), (4, True)]  # (z order of the context, negate_sigma2)
 CAP_GRID = [Caps(s, g) for s in range(1, 7) for g in range(1, 7)]
 
@@ -505,25 +489,31 @@ def _frame(zorder):
 
 @pytest.mark.parametrize("zorder, negate", FRAMES)
 def test_a_narrow_request_is_the_truncation_of_a_wide_build(monkeypatch, zorder, negate):
-    # products are formed inside the caps on sigma_2 >= 0, z <= 0 factors, so the
-    # truncation of a wider build is the narrower build, term for term
+    # grade n carries exactly sigma_2^n, so a build at m = min(sigma, grade) serves
+    # every request of its frame whose m is not larger, a sigma_2 cap above the build's
+    # included: the first request (4, 6) builds at (4, 4), which serves (6, 4)
     context, z = _frame(zorder)
     grid = [Caps(c.sigma, c.grade, z) for c in CAP_GRID]
     direct = {caps: alien._build_formal_integral(caps, context, negate) for caps in grid}
+    builds = []
 
-    def no_build(*args):
-        raise AssertionError("a covered request was built")
+    def stored_build(caps, ctx, neg):
+        builds.append(caps)
+        return direct[caps]
 
-    monkeypatch.setattr(alien, "_build_formal_integral", no_build)
-    for wide in grid:
-        for narrow in grid:
-            if narrow.sigma <= wide.sigma and narrow.grade <= wide.grade:
-                alien._FORMAL_INTEGRALS.clear()
-                alien._FORMAL_INTEGRALS[(wide, context, negate)] = direct[wide]
-                served = formal_integral(narrow, context, negate)
-                assert served.caps == narrow and served.context is context
-                assert dict(served.terms) == direct[narrow].terms, (wide, narrow)
-                assert formal_integral(narrow, context, negate) is served  # kept under its own caps
+    monkeypatch.setattr(alien, "_build_formal_integral", stored_build)
+    for first in grid:
+        alien._FORMAL_INTEGRALS.clear()
+        m = min(first.sigma, first.grade)
+        formal_integral(first, context, negate)
+        assert builds == [Caps(m, m, z)], first
+        for caps in grid:
+            if min(caps.sigma, caps.grade) <= m:
+                served = formal_integral(caps, context, negate)
+                assert served.caps == caps and served.context is context
+                assert served.terms == direct[caps].terms, (first, caps)
+        assert len(builds) == 1, first
+        builds.clear()
 
 
 @pytest.mark.parametrize("zorder, negate", FRAMES)
@@ -531,24 +521,34 @@ def test_a_request_no_checked_build_covers_is_route_checked(monkeypatch, zorder,
     context, z = _frame(zorder)
     checked = formal_integral(Caps(4, 3, z), context, negate)
     other_sign = formal_integral(Caps(6, 6, z), context, not negate)
-    real = alien.apply_stokes
-
-    def spoiled(x, direction, power=1):
-        return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps, x.context)
-
-    monkeypatch.setattr(alien, "apply_stokes", spoiled)
+    _spoil_the_exp_route(monkeypatch)
     for c in CAP_GRID:
         caps = Caps(c.sigma, c.grade, z)
-        if c.sigma <= 4 and c.grade <= 3:
+        if min(c.sigma, c.grade) <= 3:
             assert formal_integral(caps, context, negate) == checked.truncated(caps)
-        else:  # neither the other sign, nor another frame or z order, covers it
+        else:  # neither the other sign, nor another frame or z order, serves it
             with pytest.raises(ArithmeticError, match="route disagreement"):
                 formal_integral(caps, context, negate)
     # another z order, and the uncomposed frame at the context's z order
     for caps in (Caps(2, 2, 5), Caps(2, 2, None if z else 4)):
         with pytest.raises(ArithmeticError, match="route disagreement"):
             formal_integral(caps, None, negate)
-    assert formal_integral(Caps(6, 6, z), context, not negate) is other_sign
+    assert formal_integral(Caps(6, 6, z), context, not negate) == other_sign
+
+
+def test_a_check_sequence_keeps_one_build_per_frame(monkeypatch):
+    make_context(4)
+    builds = _count_builds(monkeypatch)
+    grid = [Caps(s, g) for s in range(3, 7) for g in range(3, 7)]
+    for caps in grid:
+        assert bridge_check(caps)["ok"] and stokes_action_check(caps)["ok"]
+    for c in grid:
+        caps = Caps(c.sigma, c.grade, 4)
+        assert lr_bridge_check(caps)["ok"]
+        assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
+    # each frame builds once per new m, at (m, m)
+    assert builds == [Caps(m, m, z) for z in (None, 4) for m in range(4, 8)]
+    assert sorted(alien._FORMAL_INTEGRALS, key=str) == [(make_context(4), True, 4), (None, False, None)]
 
 
 def test_a_large_radius_triple_makes_one_build(monkeypatch):
@@ -1050,10 +1050,11 @@ def test_one_term_product_edge_cases():
 # table with its composition context already built: 428/118, 272/66, 154/45
 # and 164/80 before the one-pass images, the one-term product and the
 # once-decoded scalars; 275/0, 181/0, 98/2 and 70/0 before the stokes windows
-# shared one build, subst shared its powers and the bridge formed d/dsigma_2 once
+# shared one build, subst shared its powers and the bridge formed d/dsigma_2 once;
+# 233/0 and 178/0 for the first two before each frame kept one build at Caps(m, m)
 BUILD_COUNTS = {
-    "stokes_action_check(Caps(5, 5))": (lambda: stokes_action_check(Caps(5, 5)), 233, 0),
-    "lr_stokes_check('geq0', Caps(5, 5, 8))": (lambda: lr_stokes_check("geq0", Caps(5, 5, 8)), 178, 0),
+    "stokes_action_check(Caps(5, 5))": (lambda: stokes_action_check(Caps(5, 5)), 230, 0),
+    "lr_stokes_check('geq0', Caps(5, 5, 8))": (lambda: lr_stokes_check("geq0", Caps(5, 5, 8)), 174, 0),
     "bridge_check(Caps(5, 5))": (lambda: bridge_check(Caps(5, 5)), 90, 2),
     "deltaplus_table(5, 5)": (lambda: deltaplus_table(5, 5), 70, 0),
 }

@@ -16,6 +16,7 @@ from resurgentia.series import PowerSeries
 
 _S1_INVERSE = (-1,) + (0,) * (NVARS - 1)
 _Z_POWER_2_31 = tuple(1 << 31 if k == IDX["z"] else 0 for k in range(NVARS))
+_NEGATIVE_CAP = "the sigma_2, grade and z-order caps must be nonnegative"
 
 GUARDS = {
     "poly-arity": (lambda: Poly({(1, 2): 1}), ValueError, "arity mismatch"),
@@ -39,6 +40,11 @@ GUARDS = {
         lambda: G_pm("+", 3.0, 0, 1, tol=1e-30), QuadratureError, "series and closed-form routes disagree",
     ),
     "gevrey-n-max-0": (lambda: gevrey_check(-10j, "Iminus", 0), ValueError, "n_max must be at least 1"),
+    "generator-unknown-name": (lambda: TransElement.generator("h"), ValueError, "which must be one of g, f, E, Einv"),
+    # a negative cap is refused before any build, so it never becomes a frame's stored build
+    "formal-integral-sigma-cap": (lambda: alien.formal_integral(Caps(-1, 3)), ValueError, _NEGATIVE_CAP),
+    "formal-integral-grade-cap": (lambda: alien.formal_integral(Caps(3, -2)), ValueError, _NEGATIVE_CAP),
+    "lr-transseries-grade-cap": (lambda: largeradius.lr_transseries(Caps(3, -1, 4)), ValueError, _NEGATIVE_CAP),
 }
 # a tolerance that is not finite and positive is refused before any quadrature
 for _name, _t in (("0", 0.0), ("minus-1", -1.0), ("nan", math.nan), ("inf", math.inf)):

@@ -755,8 +755,9 @@ def test_the_rtilde_polys_are_built_once_per_z_order():
     assert largeradius._rtilde_reference(5) is largeradius._rtilde_reference(5)
     H = lr_transseries(Caps(3, 3, 5))
     assert H.terms[(0, 0, 0)] == Poly.var("s1") + largeradius._rtilde_poly(5)
-    # a negative sigma_2 cap keeps no grade-0 term, and no elementary term either
-    assert (0, 0, 0) not in lr_transseries(Caps(-1, 2, 5)).terms
+    # a negative sigma_2 cap would keep no grade-0 term, so it is refused before any build
+    with pytest.raises(ValueError, match="nonnegative"):
+        lr_transseries(Caps(-1, 2, 5))
 
 
 def test_one_context_per_z_order():
