@@ -74,6 +74,8 @@ def _unpack(key: int) -> tuple:
 
 def _slot(name: str) -> tuple[int, int]:
     """(shift, mask) of a variable's slot in a packed key."""
+    if name not in IDX:
+        raise ValueError(f"unknown variable {name!r}: the variables are {', '.join(VARS)}")
     shift = _SLOT * IDX[name]
     return shift, _SLOT_MASK << shift
 
@@ -211,7 +213,7 @@ class Poly:
     @staticmethod
     def var(name: str, exponent: int = 1, coeff=1) -> "Poly":
         mono = [0] * NVARS
-        mono[IDX[name]] = exponent
+        mono[_slot(name)[0] // _SLOT] = exponent
         return Poly({tuple(mono): ExactScalar.coerce(coeff)})
 
     # -- predicates ----------------------------------------------------------
@@ -268,13 +270,9 @@ class Poly:
             k2 -= _KEY_BIAS
             nums = {k1 + k2: (x * u - y * v, x * v + y * u) for k1, (x, y) in a.items()}
             return _poly(self.den * other.den, _keep(nums, *_cut(sigma, zorder)))
-        if (sigma is None and zorder is None) or not (a and b):
-            blocks = ((a.items(), [(k - _KEY_BIAS, u, v) for k, (u, v) in b.items()]),)
-        else:
-            blocks = _blocks(a, b, sigma, zorder)
         acc: dict[int, list] = {}  # packed mono -> [re, im]
         get = acc.get
-        for terms, row in blocks:
+        for terms, row in _blocks(a, b, sigma, zorder):
             for k1, (x, y) in terms:
                 for k2, u, v in row:
                     key = k1 + k2
@@ -428,9 +426,6 @@ class Caps(NamedTuple):
     grade: int = 6
     zorder: Optional[int] = None
 
-    def widen(self, extra_sigma: int = 0, extra_grade: int = 0) -> "Caps":
-        return Caps(self.sigma + extra_sigma, self.grade + extra_grade, self.zorder)
-
 
 class TransElement:
     """Finite sum of coefficient polynomials times basis monomials."""
@@ -540,11 +535,12 @@ class TransElement:
 
     def partial(self, name: str) -> "TransElement":
         """Partial derivative in a parameter variable (never z)."""
-        if name == "z":
+        if _slot(name) == _Z_SLOT:
             raise ValueError("partial takes a parameter variable, not z")
         return self._map(lambda p: p.deriv(name))
 
     def subst(self, name: str, replacement: Poly) -> "TransElement":
+        _slot(name)  # an unknown name raises on an element without terms too
         powers = [ONE_POLY, replacement]  # formed once, shared by every term
         return self._map(lambda p: p._subst(name, powers, self.caps.sigma, self.caps.zorder))
 
@@ -757,18 +753,23 @@ def _stokes_window(caps: Caps, direction: str) -> Caps:
         # carries sigma_2^m, and the shift brings its low powers back into
         # the window, so the sigma_2 cap must reach every grade in the window
         return Caps(max(caps.sigma, caps.grade), caps.grade + 1, caps.zorder)
-    # grade d feeds sigma_2-degree d, so generate up to the sigma cap
-    return Caps(caps.sigma, max(caps.grade, caps.sigma), caps.zorder)
+    if direction == "leq0":
+        # grade d feeds sigma_2-degree d, so generate up to the sigma cap
+        return Caps(caps.sigma, max(caps.grade, caps.sigma), caps.zorder)
+    raise ValueError("direction must be 'geq0' or 'leq0'")
 
 
-def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactScalar) -> TransElement:
-    """Residual of one lateral Stokes action on x, built at _stokes_window(caps, direction).
+def _stokes_residual(build: Callable[[Caps], TransElement], direction: str, caps: Caps,
+                     unit: ExactScalar) -> TransElement:
+    """Residual of one lateral Stokes action on x = build(_stokes_window(caps, direction)).
 
     geq0 shifts sigma_2 by -unit. leq0 shifts sigma_1 by log(1 - unit sigma_2)
     and maps sigma_2 to sigma_2/(1 - unit sigma_2), expanded to the sigma_2
-    cap. unit is +i (double scaling) or -i (large radius). A negative cap raises.
+    cap. unit is +i (double scaling) or -i (large radius). A negative cap or an
+    unknown direction raises before x is built.
     """
     _check_caps(caps)
+    x = build(_stokes_window(caps, direction))
     lhs = apply_stokes(x, direction)
     if direction == "geq0":
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
@@ -785,17 +786,19 @@ def _stokes_residual(x: TransElement, direction: str, caps: Caps, unit: ExactSca
     return (lhs - rhs).truncated(caps)
 
 
-def _bridge_check(x: TransElement, caps: Caps, unit: ExactScalar) -> dict:
+def _bridge_check(build: Callable[[Caps], TransElement], caps: Caps, unit: ExactScalar) -> dict:
     """The residuals of the bridge pair on the window caps, and whether both vanish:
 
         r_2  = Delta_2  x + unit e^{+2z} dx/dsigma_2
         r_-2 = Delta_-2 x + unit e^{-2z} (sigma_2 dx/dsigma_1 - sigma_2^2 dx/dsigma_2)
 
     unit is +i in the double-scaling frame and -i in the large-radius frame,
-    whose sigma_2 is the double-scaling one with its sign flipped. x must be generated
-    with one extra grade and sigma_2 degree so the window is exact; a negative cap raises.
+    whose sigma_2 is the double-scaling one with its sign flipped. x is built
+    with one extra grade and sigma_2 degree, so the window is exact; a negative
+    cap raises before x is built.
     """
     _check_caps(caps)
+    x = build(Caps(caps.sigma + 1, caps.grade + 1, caps.zorder))
     s2 = Poly.var("s2")
     dx_s2 = x.partial("s2")
     r_plus = (apply_delta(x, 2) + dx_s2.shift_grade(-1).scale(unit)).truncated(caps)
@@ -815,7 +818,7 @@ def bridge_check(caps: Caps = Caps()) -> dict:
     r_plus  = Delta_2  G + i e^{+2z} dG/dsigma_2
     r_minus = Delta_-2 G + i e^{-2z} (sigma_2 dG/dsigma_1 - sigma_2^2 dG/dsigma_2)
     """
-    return _bridge_check(formal_integral(caps.widen(extra_sigma=1, extra_grade=1)), caps, _PLUS_I)
+    return _bridge_check(formal_integral, caps, _PLUS_I)
 
 
 def stokes_action_check(caps: Caps = Caps()) -> dict:
@@ -824,16 +827,8 @@ def stokes_action_check(caps: Caps = Caps()) -> dict:
     Rightward: the automorphism shifts sigma_2 by -i. Leftward: it shifts
     sigma_1 by log(1 - i sigma_2) and maps sigma_2 to sigma_2/(1 - i sigma_2).
     """
-    res = {}
-    for direction in ("geq0", "leq0"):
-        window = _stokes_window(caps, direction)
-        G = formal_integral(window)
-        res[direction] = _stokes_residual(G, direction, caps, _PLUS_I)
-    return {
-        "residual_right": res["geq0"],
-        "residual_left": res["leq0"],
-        "ok": res["geq0"].is_zero() and res["leq0"].is_zero(),
-    }
+    right, left = (_stokes_residual(formal_integral, d, caps, _PLUS_I) for d in ("geq0", "leq0"))
+    return {"residual_right": right, "residual_left": left, "ok": right.is_zero() and left.is_zero()}
 
 
 def deltaplus_table(nmax: int, kmax: int) -> dict:

@@ -96,10 +96,13 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
         raise DomainError("z must be finite")
     if z == 0:
         raise DomainError("domain empty: z = 0")
-    # cut angles inside the window
+    # cut angles inside the window; the subarcs between cuts repeat every turn, so a window past
+    # twelve turns lists the cuts of its first and last five and skips the span between them
+    wide = len(cuts) > 0 and b - a > 12 * TWO_PI
     points = [a, b]
     for base in cuts:
-        for k in range(math.floor((a - base) / TWO_PI), math.floor((b - base) / TWO_PI) + 1):
+        k_a, k_b = math.floor((a - base) / TWO_PI), math.floor((b - base) / TWO_PI)
+        for k in [*range(k_a, k_a + 5), *range(k_b - 4, k_b + 1)] if wide else range(k_a, k_b + 1):
             c = base + TWO_PI * k
             if a < c < b:
                 points.append(c)
@@ -108,7 +111,7 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
     best_theta = None
     best_rate = -math.inf
     for lo, hi in zip(points[:-1], points[1:]):
-        if hi - lo <= 2.0 * DELTA_RAY:
+        if hi - lo <= 2.0 * DELTA_RAY or wide and hi - lo > 2 * TWO_PI:
             continue
         eff = max(DELTA_RAY, min(THETA_MARGIN, (hi - lo) / 4.0))
         # the image of the steepest ray nearest the subarc's middle, clamped, is the subarc's
@@ -483,6 +486,8 @@ def laplace_ray(branch: str, z: complex, theta, tol: float = DEFAULT_QUAD_TOL, m
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
+    if not math.isfinite(theta):
+        raise DomainError("direction angle theta must be finite")
     rate = (z * cmath.exp(1j * theta)).real
     if rate <= _DECAY_MIN:
         raise DomainError("outside half-plane: Re(z e^{i theta}) too small")
@@ -601,6 +606,8 @@ def G_pm(
     z = complex(z)
     sigma1 = complex(sigma1)
     sigma2 = complex(sigma2)
+    if not (cmath.isfinite(sigma1) and cmath.isfinite(sigma2)):
+        raise DomainError("sigma_1 and sigma_2 must be finite")
     if sigma2 != 0 and z.real <= 0.5 * math.log(2.0 * abs(sigma2)):
         raise DomainError("outside solution domain: Re z <= (1/2) log|2 sigma_2|")
     theta = choose_theta(z, interval) if theta is None else _theta_inside(theta, interval)

@@ -38,10 +38,10 @@ from .alien import (
     TransElement,
     _MINUS_I,
     _bridge_check,
+    _check_caps,
     _poly,
     _slot,
     _stokes_residual,
-    _stokes_window,
     formal_integral,
 )
 from .errors import BranchCutError, DomainError, SumValue
@@ -493,6 +493,7 @@ def lr_transseries(caps: Caps) -> TransElement:
     composed with id + phi_u, plus the elementary term R~, which must be the R~ of gen_R."""
     if caps.zorder is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
+    _check_caps(caps)  # before the frame is built
     context = make_context(caps.zorder)
     core = formal_integral(caps, context=context, negate_sigma2=True)
     H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps, context)
@@ -508,7 +509,7 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    return _bridge_check(lr_transseries(caps.widen(extra_sigma=1, extra_grade=1)), caps, _MINUS_I)
+    return _bridge_check(lr_transseries, caps, _MINUS_I)
 
 
 def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
@@ -518,10 +519,7 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
     leq0: H(sigma_1, sigma_2) -> H(sigma_1 + log(1 + i sigma_2),
                                     sigma_2/(1 + i sigma_2)).
     """
-    if direction not in ("geq0", "leq0"):
-        raise ValueError("direction must be 'geq0' or 'leq0'")
-    H = lr_transseries(_stokes_window(caps, direction))
-    residual = _stokes_residual(H, direction, caps, _MINUS_I)
+    residual = _stokes_residual(lr_transseries, direction, caps, _MINUS_I)
     return {"residual": residual, "ok": residual.is_zero()}
 
 

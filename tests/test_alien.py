@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resurgentia import alien, families
+from resurgentia import alien, families, largeradius
 from resurgentia.alien import (
     IDX,
     ONE_POLY,
@@ -97,7 +97,7 @@ def _companion_F(caps: Caps = Caps()) -> TransElement:
         Delta_-2 F = -i e^{-2z} dF/dsigma_2
         Delta_+2 F = -i e^{+2z} (sigma_2 dF/dsigma_1 - sigma_2^2 dF/dsigma_2)
     """
-    wide = caps.widen(extra_sigma=1, extra_grade=1)
+    wide = Caps(caps.sigma + 1, caps.grade + 1, caps.zorder)
     gc = wide.grade
     terms: dict[tuple[int, int, int], Poly] = {
         (0, 0, 0): Poly.var("z", 1, -2) + Poly.var("s1"),
@@ -205,12 +205,35 @@ def test_a_negative_cap_is_refused(check, caps):
     with pytest.raises(ValueError, match="nonnegative"):
         check(caps)
     with pytest.raises(ValueError, match="nonnegative"):
-        _bridge_check(formal_integral(Caps(3, 3)), caps, I)
+        _bridge_check(formal_integral, caps, I)
     for direction in ("geq0", "leq0"):
         with pytest.raises(ValueError, match="nonnegative"):
-            _stokes_residual(formal_integral(Caps(3, 3)), direction, caps, I)
+            _stokes_residual(formal_integral, direction, caps, I)
     assert bridge_check(Caps(0, 0))["ok"] and stokes_action_check(Caps(0, 0))["ok"]
     assert bridge_check(Caps(2, 2, 0))["ok"] and stokes_action_check(Caps(2, 2, 0))["ok"]
+
+
+REFUSED_CHECKS = {
+    "bridge-sigma": (lambda: bridge_check(Caps(-1, 2)), "nonnegative"),
+    "stokes-grade": (lambda: stokes_action_check(Caps(2, -1)), "nonnegative"),
+    "lr-bridge-sigma": (lambda: lr_bridge_check(Caps(-1, 2, 4)), "nonnegative"),
+    "lr-stokes-grade": (lambda: lr_stokes_check("leq0", Caps(2, -1, 4)), "nonnegative"),
+    "lr-stokes-direction": (lambda: lr_stokes_check("sideways", Caps(2, 2, 4)), "geq0"),
+    # given both, the cap is reported first
+    "lr-stokes-cap-and-direction": (lambda: lr_stokes_check("sideways", Caps(-1, 2, 4)), "nonnegative"),
+    "lr-transseries-sigma": (lambda: lr_transseries(Caps(-1, 3, 4)), "nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CHECKS))
+def test_a_refused_check_builds_nothing(case):
+    refused, match = REFUSED_CHECKS[case]
+    caches = (make_context, largeradius._rtilde_poly, largeradius._rtilde_reference)
+    before = [c.cache_info().currsize for c in caches]
+    with pytest.raises(ValueError, match=match):
+        refused()
+    assert not alien._FORMAL_INTEGRALS
+    assert [c.cache_info().currsize for c in caches] == before
 
 
 def test_a_negative_z_order_is_refused_by_the_formal_integral():
@@ -238,19 +261,14 @@ def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
     (large radius) and law bridge, right (geq0 Stokes) or left (leq0 Stokes).
     """
     if case == "companion":
-        F = _companion_F(caps.widen(extra_sigma=1, extra_grade=1))
+        F = _companion_F(Caps(caps.sigma + 1, caps.grade + 1, caps.zorder))
         return list(_mirrored_residuals(F, caps, unit))
     frame, law = case.split("-")
-    direction = {"right": "geq0", "left": "leq0"}.get(law)
-    if direction is None:
-        window = caps.widen(extra_sigma=1, extra_grade=1)
-    else:
-        window = _stokes_window(caps, direction)
-    x = lr_transseries(window) if frame == "lr" else formal_integral(window)
-    if direction is None:
-        res = _bridge_check(x, caps, unit)
+    build = lr_transseries if frame == "lr" else formal_integral
+    if law == "bridge":
+        res = _bridge_check(build, caps, unit)
         return [res["residual_plus"], res["residual_minus"]]
-    return [_stokes_residual(x, direction, caps, unit)]
+    return [_stokes_residual(build, {"right": "geq0", "left": "leq0"}[law], caps, unit)]
 
 
 ORIENTATION_CASES = [
@@ -436,7 +454,7 @@ def test_cached_formal_integrals_stay_unchanged():
     caps = Caps(4, 4)
     lr_caps = Caps(4, 4, 6)
     shared = {
-        "bridge": formal_integral(caps.widen(extra_sigma=1, extra_grade=1)),
+        "bridge": formal_integral(Caps(5, 5)),
         **{d: formal_integral(_stokes_window(caps, d)) for d in ("geq0", "leq0")},
         **{"lr " + d: formal_integral(_stokes_window(lr_caps, d), make_context(6), True)
            for d in ("geq0", "leq0")},
@@ -557,7 +575,7 @@ def test_a_large_radius_triple_makes_one_build(monkeypatch):
     caps = Caps(5, 5, 8)
     assert lr_bridge_check(caps)["ok"]
     assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
-    assert builds == [caps.widen(extra_sigma=1, extra_grade=1)]
+    assert builds == [Caps(6, 6, 8)]
 
 
 def test_expansion_matches_series_routes():

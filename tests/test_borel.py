@@ -8,6 +8,7 @@ reality, reflection) is an independent mathematical statement.
 
 import cmath
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -266,6 +267,24 @@ def test_choose_theta_is_invariant_under_whole_turns_of_its_window():
             else:
                 got = choose_theta(z, shifted, cuts) - borel.TWO_PI * k
                 assert abs(got - theta) <= 1e-9, (z, tag, cuts, k)
+
+
+def test_choose_theta_returns_on_a_very_wide_window():
+    # about 1.6e11 turns: the subarcs between the first and the last repeat every turn, so
+    # the first turns hold a copy of each, and the best ray is found in microseconds. A
+    # window of two turns at either end has its subarcs inside the wide window's, so its
+    # steepest rate is a floor for the wide window's
+    for z, cuts in {(z, cuts) for z, _, cuts in _theta_cases(10, 11)}:
+        for wide, side in (((0.1, 1e12), (0.1, 4 * math.pi)), ((-1e12, 1.0), (-4 * math.pi, 1.0))):
+            best = _steepest_rate_on_a_grid(z, side, cuts)
+            start = time.perf_counter()
+            theta = choose_theta(z, wide, cuts)
+            assert time.perf_counter() - start < 0.1
+            assert wide[0] < theta < wide[1]
+            assert min(abs(math.remainder(theta - c, borel.TWO_PI)) for c in cuts) >= borel.DELTA_RAY - 1e-3
+            assert (z * cmath.exp(1j * theta)).real >= best - 1e-12, (z, cuts, wide, theta)
+    # the steepest ray e^{-0.3i} lies only in the last subarc (0, 1), past its standoff
+    assert abs(choose_theta(cmath.exp(-0.3j), (-1e12, 1.0)) - 0.3) <= 1e-12
 
 
 def test_a_window_of_several_turns_sums_on_a_side_of_each_cut():

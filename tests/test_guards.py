@@ -17,6 +17,7 @@ from resurgentia.series import PowerSeries
 _S1_INVERSE = (-1,) + (0,) * (NVARS - 1)
 _Z_POWER_2_31 = tuple(1 << 31 if k == IDX["z"] else 0 for k in range(NVARS))
 _NEGATIVE_CAP = "the sigma_2, grade and z-order caps must be nonnegative"
+_UNKNOWN_VARIABLE = "unknown variable 'x': the variables are s1, s2, p, q, z, u, lu, w"
 
 GUARDS = {
     "poly-arity": (lambda: Poly({(1, 2): 1}), ValueError, "arity mismatch"),
@@ -45,6 +46,29 @@ GUARDS = {
     "formal-integral-sigma-cap": (lambda: alien.formal_integral(Caps(-1, 3)), ValueError, _NEGATIVE_CAP),
     "formal-integral-grade-cap": (lambda: alien.formal_integral(Caps(3, -2)), ValueError, _NEGATIVE_CAP),
     "lr-transseries-grade-cap": (lambda: largeradius.lr_transseries(Caps(3, -1, 4)), ValueError, _NEGATIVE_CAP),
+    # a non-finite sigma is refused before any quadrature, not summed into a NaN or inf
+    "gpm-sigma1-inf": (lambda: G_pm("+", 3.0, sigma1=math.inf), DomainError, "sigma_1 and sigma_2 must be finite"),
+    "gpm-sigma2-nan": (lambda: G_pm("+", 3.0, sigma2=math.nan), DomainError, "sigma_1 and sigma_2 must be finite"),
+    "connection-sigma2-nan": (lambda: borel.connection_check("right", 3.0, 0, math.nan), DomainError,
+                              "sigma_1 and sigma_2 must be finite"),
+    "median-real-sigma1-nan": (lambda: borel.median_real_check(3.0, math.nan, 0.0), DomainError,
+                               "sigma_1 and sigma_2 must be finite"),
+    "lr-sum-sigma2-inf": (lambda: largeradius.lr_sum("+", 0.1, 1.0, sigma2=math.inf), DomainError,
+                          "sigma_1 and sigma_2 must be finite"),
+    "laplace-theta-inf": (lambda: borel.laplace_ray("B", 2.0, math.inf), DomainError, "theta must be finite"),
+    "laplace-theta-nan": (lambda: borel.laplace_ray("B", 2.0, math.nan), DomainError, "theta must be finite"),
+    # an unknown variable name is a ValueError that names the variables, not a bare KeyError
+    "poly-var-unknown": (lambda: Poly.var("x"), ValueError, _UNKNOWN_VARIABLE),
+    "poly-deriv-unknown": (lambda: Poly.var("s1").deriv("x"), ValueError, _UNKNOWN_VARIABLE),
+    "poly-subst-unknown": (lambda: Poly.var("s1").subst("x", Poly.var("s2")), ValueError, _UNKNOWN_VARIABLE),
+    "poly-drop-unknown": (lambda: Poly.var("s1").drop_high_degree("x", 2), ValueError, _UNKNOWN_VARIABLE),
+    "poly-min-degree-unknown": (lambda: Poly.var("s1").min_degree("x"), ValueError, _UNKNOWN_VARIABLE),
+    "element-partial-unknown": (lambda: TransElement.generator("g").partial("x"), ValueError, _UNKNOWN_VARIABLE),
+    "element-subst-unknown": (lambda: TransElement.generator("g").subst("x", Poly.var("s2")), ValueError,
+                              _UNKNOWN_VARIABLE),
+    "empty-element-partial-unknown": (lambda: TransElement().partial("x"), ValueError, _UNKNOWN_VARIABLE),
+    "empty-element-subst-unknown": (lambda: TransElement().subst("x", Poly.var("s2")), ValueError,
+                                    _UNKNOWN_VARIABLE),
 }
 # a tolerance that is not finite and positive is refused before any quadrature
 for _name, _t in (("0", 0.0), ("minus-1", -1.0), ("nan", math.nan), ("inf", math.inf)):
