@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
@@ -694,33 +695,49 @@ def formal_integral(
     Grade n carries ((-1)^{n-1}/n) sigma_2^n e^{-2nz} E^n; in a composed
     context it is additionally multiplied by context.power(n), the expansion of
     e^{-2n phi_u} through z^{-zcap} (context.zcap, which must equal
-    caps.zorder). Built along two routes, the explicit sum and the exponential
-    exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g, which must agree;
-    the second forms e^{-2n phi_u} as n ray factors power(1), so the two
-    routes also build the composition powers independently.
+    caps.zorder), by _in_frame. Built along two routes, the explicit sum and
+    the exponential exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g,
+    which must agree.
 
-    Each frame (context, sign, z order) keeps one route-checked build, and each
+    Each frame (sign, z order) keeps one route-checked build, and each
     request gets its own copy of the grades it keeps, so no caller can change the build.
     """
     _check_caps(caps)
     if context is not None and context.zcap != caps.zorder:
         raise ValueError("cap inconsistency: context and caps disagree on the z order")
-    # The m rule: grade n carries exactly sigma_2^n, e^{-2n phi_u} no sigma_2, and products
-    # are formed inside the caps on sigma_2 >= 0, z <= 0 factors, so a build at Caps(m, m)
-    # serves every request with m' = min(sigma', grade') <= m, a sigma_2 cap above m included,
-    # as its grades up to m', term for term, and its route check implies the request's.
+    # The m rule: grade n carries exactly sigma_2^n, so a build at Caps(m, m) serves every
+    # request with m' = min(sigma', grade') <= m, a sigma_2 cap above m included, as its
+    # grades up to m', term for term, and its route check implies the request's.
     # A request past the stored m is built at its own m, and that build replaces the stored one.
-    m, key = min(caps.sigma, caps.grade), (context, bool(negate_sigma2), caps.zorder)
+    m, key = min(caps.sigma, caps.grade), (bool(negate_sigma2), caps.zorder)
     stored = _FORMAL_INTEGRALS.get(key)
     if stored is None or stored.caps.sigma < m:
-        stored = _FORMAL_INTEGRALS[key] = _build_formal_integral(Caps(m, m, caps.zorder), context, key[1])
-    served = TransElement(None, caps, context)
+        stored = _FORMAL_INTEGRALS[key] = _build_formal_integral(Caps(m, m, caps.zorder), key[0])
+    served = TransElement(None, caps)
     served.terms = {k: p for k, p in stored.terms.items() if k[2] <= m}
-    return served
+    return served if context is None else _in_frame(served, context)
 
 
-# (context, negate_sigma2, z order) -> its one build, at Caps(m, m, z order)
+# (negate_sigma2, z order) -> its one build, at Caps(m, m, z order)
 _FORMAL_INTEGRALS: dict[tuple, TransElement] = {}
+
+
+def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
+    """x composed with id + phi_u: key (lin, m, n) times power(m) under the caps, m = 0 as is.
+    power(m) has no sigma_2, z <= 0 and a nonzero top z row, and Delta, the Stokes maps, d/dsigma and
+    sigma_2 substitutions commute with it, so a residual moves here key for key, zero iff it was."""
+    return TransElement({(lin, m, n): p.mul(_certified(context, m), x.caps.sigma, x.caps.zorder) if m else p
+                         for (lin, m, n), p in x.terms.items()}, x.caps, context)
+
+
+@lru_cache(maxsize=None)
+def _certified(context: CompositionContext, k: int) -> Poly:
+    """power(k) under the factor certificate: power(k) = power(k -+ 1) power(+-1), z-capped, so by
+    induction it is the z-capped |k|-th power of power(+-1); checked once per context and k."""
+    step = 1 if k > 0 else -1
+    if k != step and context.power(k) != _certified(context, k - step).mul(context.power(step), None, context.zcap):
+        raise ArithmeticError("formal-integral route disagreement")
+    return context.power(k)
 
 
 def _check_caps(caps: Caps) -> None:
@@ -729,16 +746,14 @@ def _check_caps(caps: Caps) -> None:
         raise ValueError("the sigma_2, grade and z-order caps must be nonnegative")
 
 
-def _build_formal_integral(caps: Caps, context: CompositionContext | None, negate_sigma2: bool) -> TransElement:
+def _build_formal_integral(caps: Caps, negate_sigma2: bool) -> TransElement:
     sign = -1 if negate_sigma2 else 1
-    seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps, context)
+    seed = TransElement({(0, 0, 0): Poly.var("s1"), (1, 0, 0): ONE_POLY}, caps)
     explicit = seed  # + forms a new element, so the seed stays sigma_1 + g
     # grade n carries sigma_2^n, so the grades above the sigma_2 cap vanish
     for n in range(1, min(caps.sigma, caps.grade) + 1):
         coeff = Poly.var("s2", n, Fraction((-1) ** (n - 1) * sign ** n, n))
-        if context is not None:
-            coeff = coeff.mul(context.power(n), caps.sigma, caps.zorder)
-        explicit = explicit + TransElement({(0, n, n): coeff}, caps, context)
+        explicit = explicit + TransElement({(0, n, n): coeff}, caps)
 
     via_exp = apply_stokes(seed, "geq0", Poly.var("s2", 1, ExactScalar(0, sign)))
     if via_exp != explicit:
@@ -774,16 +789,22 @@ def _stokes_residual(build: Callable[[Caps], TransElement], direction: str, caps
     if direction == "geq0":
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
     else:
-        u_s2 = Poly.var("s2", 1, unit)
-        log_shift = geom = Poly.zero()
-        pw = ONE_POLY
-        for k in range(1, caps.sigma + 1):
-            pw = pw * u_s2
-            log_shift = log_shift - pw.scale(Fraction(1, k))
-            geom = geom + pw.drop_high_degree("s2", caps.sigma - 1)
-        mapped = (Poly.var("s2") * (ONE_POLY + geom)).drop_high_degree("s2", caps.sigma)
+        log_shift, mapped = _leftward_maps(caps.sigma, unit)
         rhs = x.subst("s2", mapped) + TransElement.from_poly(log_shift, x.caps, x.context)
     return (lhs - rhs).truncated(caps)
+
+
+@lru_cache(maxsize=None)
+def _leftward_maps(sigma: int, unit: ExactScalar) -> tuple[Poly, Poly]:
+    """log(1 - unit sigma_2) and sigma_2/(1 - unit sigma_2) through sigma_2^sigma, shared by leftward residuals."""
+    u_s2 = Poly.var("s2", 1, unit)
+    log_shift = geom = Poly.zero()
+    pw = ONE_POLY
+    for k in range(1, sigma + 1):
+        pw = pw * u_s2
+        log_shift = log_shift - pw.scale(Fraction(1, k))
+        geom = geom + pw.drop_high_degree("s2", sigma - 1)
+    return log_shift, (Poly.var("s2") * (ONE_POLY + geom)).drop_high_degree("s2", sigma)
 
 
 def _bridge_check(build: Callable[[Caps], TransElement], caps: Caps, unit: ExactScalar) -> dict:

@@ -88,9 +88,12 @@ def choose_theta(z: complex, interval, cuts: Sequence[float] = (0.0, math.pi)) -
     The window is split at every cut ray it contains; within each cut-free
     subarc the steepest ray -arg z is clamped to a standoff of THETA_MARGIN
     (never less than DELTA_RAY) from the subarc ends. Raises "domain empty"
-    when no admissible ray decays by at least _DECAY_MIN.
+    when no admissible ray decays by at least _DECAY_MIN, and refuses a window
+    whose ends lie where floats are spaced wider than DELTA_RAY.
     """
     a, b = normalize_interval(interval)
+    if math.ulp(max(abs(a), abs(b))) > DELTA_RAY:
+        raise DomainError("window end past the float resolution of an angle")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")

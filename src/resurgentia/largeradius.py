@@ -38,7 +38,8 @@ from .alien import (
     TransElement,
     _MINUS_I,
     _bridge_check,
-    _check_caps,
+    _certified,
+    _in_frame,
     _poly,
     _slot,
     _stokes_residual,
@@ -488,19 +489,23 @@ def _rtilde_reference(zorder: int) -> Poly:
     return _z_poly(_ucs("z2", zorder, R.den * 3 ** zorder, rows, R.log_u))
 
 
-def lr_transseries(caps: Caps) -> TransElement:
-    """The symbolic transseries: the formal integral at (sigma_1, -sigma_2)
-    composed with id + phi_u, plus the elementary term R~, which must be the R~ of gen_R."""
+def _lr_double_scaling(caps: Caps) -> TransElement:
+    """The double-scaling formal integral at (sigma_1, -sigma_2) plus the elementary term R~,
+    which must be the R~ of gen_R; the frame's factors are certified through its grades."""
     if caps.zorder is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
-    _check_caps(caps)  # before the frame is built
-    context = make_context(caps.zorder)
-    core = formal_integral(caps, context=context, negate_sigma2=True)
-    H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps, context)
+    core = formal_integral(caps, None, True)  # refuses a negative cap before R~ is built
+    H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps)
     elementary = H.terms.get((0, 0, 0), Poly()) - core.terms.get((0, 0, 0), Poly())
     if elementary != _rtilde_reference(caps.zorder).capped(caps.sigma, caps.zorder):
         raise ArithmeticError("large-radius elementary term disagrees with gen_R")
+    _certified(make_context(caps.zorder), min(caps.sigma, caps.grade))
     return H
+
+
+def lr_transseries(caps: Caps) -> TransElement:
+    """The symbolic transseries: the formal integral at (sigma_1, -sigma_2) plus R~, composed with id + phi_u."""
+    return _in_frame(_lr_double_scaling(caps), make_context(caps.zorder))
 
 
 def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
@@ -509,7 +514,8 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    return _bridge_check(lr_transseries, caps, _MINUS_I)
+    out, context = _bridge_check(_lr_double_scaling, caps, _MINUS_I), make_context(caps.zorder)
+    return dict(out, **{k: _in_frame(out[k], context) for k in ("residual_plus", "residual_minus")})
 
 
 def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
@@ -519,7 +525,7 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
     leq0: H(sigma_1, sigma_2) -> H(sigma_1 + log(1 + i sigma_2),
                                     sigma_2/(1 + i sigma_2)).
     """
-    residual = _stokes_residual(lr_transseries, direction, caps, _MINUS_I)
+    residual = _in_frame(_stokes_residual(_lr_double_scaling, direction, caps, _MINUS_I), make_context(caps.zorder))
     return {"residual": residual, "ok": residual.is_zero()}
 
 

@@ -23,12 +23,15 @@ def _no_cached_kernel_rows():
 @pytest.fixture(autouse=True)
 def _no_cached_exact_builds():
     """Each test starts with no stored formal-integral build in any frame (one
-    per context, sign and z order), no composition context (whose powers are
-    built lazily) and no R~ polys of the large-radius frame, so every test
-    builds, and route-checks, the formal integrals it uses, no test is served
-    a truncation of a build that another test checked, and a count of the
+    per sign and z order), no factor certificate, no composition context (whose
+    powers are built lazily), no leftward sigma_2 maps and no R~ polys of the
+    large-radius frame, so every test builds, and route-checks, the formal
+    integrals it uses and certifies the factors it reads, no test is served a
+    truncation of a build that another test checked, and a count of the
     builds a test makes does not depend on which tests ran before it."""
     alien._FORMAL_INTEGRALS.clear()
+    alien._certified.cache_clear()
+    alien._leftward_maps.cache_clear()
     largeradius.make_context.cache_clear()
     largeradius._rtilde_poly.cache_clear()
     largeradius._rtilde_reference.cache_clear()

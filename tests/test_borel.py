@@ -700,18 +700,18 @@ def _bhat_oracle_grid():
 
 def test_bhat_matches_mpmath_oracle_on_both_branches():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    sixth = mpmath.mpf(1) / 6
-    kappa = borel._KAPPA
-    assert kappa <= 1e-13
-    points = _bhat_oracle_grid()
-    for branch, sign in (("B", 1), ("B_plus", -1)):
-        # one call per point and one for all points: the regions group differently
-        together = eval_Bhat(np.array(points), branch)
-        for zeta, got_all in zip(points, together):
-            want = complex(mpmath.hyp2f1(sixth, 5 * sixth, 1, sign * mpmath.mpc(zeta) / 2))
-            for got in (eval_Bhat(zeta, branch), got_all):
-                assert abs(got - want) <= kappa, (zeta, branch, abs(got - want))
+    with mpmath.workdps(30):
+        sixth = mpmath.mpf(1) / 6
+        kappa = borel._KAPPA
+        assert kappa <= 1e-13
+        points = _bhat_oracle_grid()
+        for branch, sign in (("B", 1), ("B_plus", -1)):
+            # one call per point and one for all points: the regions group differently
+            together = eval_Bhat(np.array(points), branch)
+            for zeta, got_all in zip(points, together):
+                want = complex(mpmath.hyp2f1(sixth, 5 * sixth, 1, sign * mpmath.mpc(zeta) / 2))
+                for got in (eval_Bhat(zeta, branch), got_all):
+                    assert abs(got - want) <= kappa, (zeta, branch, abs(got - want))
 
 
 def test_bhat_takes_a_number_or_a_sequence():
@@ -762,12 +762,12 @@ def test_bhat_answers_within_kappa_next_to_the_cut():
     # 1e-6 above the cut the Euler integrand's singular point sits next to [0, 1];
     # the 1/(1 - x) and 1/x series do not see it
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    zetas = [0.5, 6.0 + 1e-6j, 6.0 + 0.5j]
-    got = eval_Bhat(np.array(zetas))
-    for zeta, g in zip(zetas, got):
-        want = complex(mpmath.hyp2f1(mpmath.mpf(1) / 6, mpmath.mpf(5) / 6, 1, mpmath.mpc(zeta) / 2))
-        assert abs(g - want) <= borel._KAPPA, zeta
+    with mpmath.workdps(30):
+        zetas = [0.5, 6.0 + 1e-6j, 6.0 + 0.5j]
+        got = eval_Bhat(np.array(zetas))
+        for zeta, g in zip(zetas, got):
+            want = complex(mpmath.hyp2f1(mpmath.mpf(1) / 6, mpmath.mpf(5) / 6, 1, mpmath.mpc(zeta) / 2))
+            assert abs(g - want) <= borel._KAPPA, zeta
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float) -> tuple:
@@ -856,20 +856,20 @@ def test_kronrod_rule_extends_gauss_24():
 
 def test_error_budget_parts_add_up_and_bound_the_airy_oracle():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    for z in (2.0, 0.8 - 0.3j, 0.6 + 0.2j):
-        sv = sum_family("phi", z, "Ipi")
-        parts = sv.meta["err_parts"]
-        assert set(parts) == {"quadrature", "kernel", "tail", "route"}
-        assert sv.err == pytest.approx(sum(parts.values()), rel=1e-12)
-        assert parts["kernel"] == pytest.approx(abs(z) * 1e-13 / sv.meta["rate"], rel=1e-12)
-        w = (mpmath.mpf(3) * mpmath.mpc(z) / 2) ** (mpmath.mpf(2) / 3)
-        ref = 2 * mpmath.sqrt(mpmath.pi) * w ** (mpmath.mpf(1) / 4) * mpmath.exp(mpmath.mpc(z)) * mpmath.airyai(w)
-        assert abs(sv.value - complex(ref)) <= sv.err, z
-    g = G_pm("-", 4.0, 0.25, 0.5 - 0.25j)
-    parts = g.meta["err_parts"]
-    assert g.err == pytest.approx(sum(parts.values()), rel=1e-12)
-    assert parts["kernel"] > 0 and parts["route"] >= 0
+    with mpmath.workdps(30):
+        for z in (2.0, 0.8 - 0.3j, 0.6 + 0.2j):
+            sv = sum_family("phi", z, "Ipi")
+            parts = sv.meta["err_parts"]
+            assert set(parts) == {"quadrature", "kernel", "tail", "route"}
+            assert sv.err == pytest.approx(sum(parts.values()), rel=1e-12)
+            assert parts["kernel"] == pytest.approx(abs(z) * 1e-13 / sv.meta["rate"], rel=1e-12)
+            w = (mpmath.mpf(3) * mpmath.mpc(z) / 2) ** (mpmath.mpf(2) / 3)
+            ref = 2 * mpmath.sqrt(mpmath.pi) * w ** (mpmath.mpf(1) / 4) * mpmath.exp(mpmath.mpc(z)) * mpmath.airyai(w)
+            assert abs(sv.value - complex(ref)) <= sv.err, z
+        g = G_pm("-", 4.0, 0.25, 0.5 - 0.25j)
+        parts = g.meta["err_parts"]
+        assert g.err == pytest.approx(sum(parts.values()), rel=1e-12)
+        assert parts["kernel"] > 0 and parts["route"] >= 0
 
 
 # -- the kernel-row cache ------------------------------------------------------------

@@ -57,6 +57,11 @@ GUARDS = {
                           "sigma_1 and sigma_2 must be finite"),
     "laplace-theta-inf": (lambda: borel.laplace_ray("B", 2.0, math.inf), DomainError, "theta must be finite"),
     "laplace-theta-nan": (lambda: borel.laplace_ray("B", 2.0, math.nan), DomainError, "theta must be finite"),
+    # past 2^48 floats are spaced wider than a ray's standoff: the window's own end is no direction
+    "choose-theta-window-past-resolution": (lambda: borel.choose_theta(3.0, (1e16, 1e16 + 3.0)), DomainError,
+                                            "float resolution of an angle"),
+    "choose-theta-window-past-resolution-mirrored": (lambda: borel.choose_theta(3.0, (-1e16 - 3.0, -1e16)),
+                                                     DomainError, "float resolution of an angle"),
     # an unknown variable name is a ValueError that names the variables, not a bare KeyError
     "poly-var-unknown": (lambda: Poly.var("x"), ValueError, _UNKNOWN_VARIABLE),
     "poly-deriv-unknown": (lambda: Poly.var("s1").deriv("x"), ValueError, _UNKNOWN_VARIABLE),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from resurgentia import borel, families, largeradius
+from resurgentia import alien, borel, families, largeradius
 from resurgentia.alien import IDX, NVARS, ONE_POLY, Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
@@ -895,6 +895,44 @@ def test_lr_checks_refuse_a_negative_cap(check, caps):
 @pytest.mark.parametrize("caps", [Caps(3, 4, 4), Caps(3, 6, 4), Caps(5, 6, 4)])
 def test_lr_rightward_stokes_above_the_sigma_cap(caps):
     assert lr_stokes_check("geq0", caps)["residual"].is_zero()
+
+
+def _perturbed(caps: Caps) -> TransElement:
+    """The double-scaling large-radius element plus terms no identity holds for, of sigma_2
+    degree at least m (the leftward automorphism's admissible subalgebra)."""
+    s2, z = Poly.var("s2"), Poly.var("z", -1)
+    extra = {(0, 1, 1): s2 * Poly.var("p") * z, (1, 2, 2): s2 * s2 * Poly.var("u"), (0, 2, 1): s2 * s2 * s2 * z * z}
+    return largeradius._lr_double_scaling(caps) + TransElement(extra, caps)
+
+
+# every (sigma, grade) in [2, 6]^2 at z orders 4 and 8, the grade > sigma edges (3, 5, 4),
+# (3, 6, 4) and (5, 6, 4) among them, and (8, 8, 16)
+ORACLE_CAPS = {z: [Caps(s, g, z) for s in range(2, 7) for g in range(2, 7)] for z in (4, 8)} | {16: [Caps(8, 8, 16)]}
+
+
+@pytest.mark.parametrize("zorder", sorted(ORACLE_CAPS))
+def test_lr_checks_match_the_composed_algebra(zorder):
+    # the route the checks replaced: the element built in the frame goes through the shared
+    # checkers, whose Delta multiplies each image by the ray factor power(+-1); the perturbed
+    # element shows the same on residuals that do not vanish
+    ctx = make_context(zorder)
+    in_frame = lambda caps: alien._in_frame(_perturbed(caps), ctx)  # noqa: E731
+    for caps in ORACLE_CAPS[zorder]:
+        want = alien._bridge_check(lr_transseries, caps, alien._MINUS_I)
+        got = lr_bridge_check(caps)
+        off = alien._bridge_check(_perturbed, caps, alien._MINUS_I)
+        off_want = alien._bridge_check(in_frame, caps, alien._MINUS_I)
+        assert got["ok"] == want["ok"] and not off_want["ok"]
+        for key in ("residual_plus", "residual_minus"):
+            assert got[key].to_json() == want[key].to_json() and got[key].context is ctx, (caps, key)
+            assert alien._in_frame(off[key], ctx).to_json() == off_want[key].to_json(), (caps, key)
+        for d in ("geq0", "leq0"):
+            want = alien._stokes_residual(lr_transseries, d, caps, alien._MINUS_I)
+            got = lr_stokes_check(d, caps)
+            assert got["residual"].to_json() == want.to_json() and got["ok"] == want.is_zero(), (caps, d)
+            off = alien._in_frame(alien._stokes_residual(_perturbed, d, caps, alien._MINUS_I), ctx)
+            assert not off.is_zero(), (caps, d)
+            assert off.to_json() == alien._stokes_residual(in_frame, d, caps, alien._MINUS_I).to_json(), (caps, d)
 
 
 def test_lr_caps_consistency():
