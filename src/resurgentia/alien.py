@@ -732,8 +732,8 @@ def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
 
 @lru_cache(maxsize=None)
 def _certified(context: CompositionContext, k: int) -> Poly:
-    """power(k) under the factor certificate: power(k) = power(k -+ 1) power(+-1), z-capped, so by
-    induction it is the z-capped |k|-th power of power(+-1); checked once per context and k."""
+    """power(k) under the factor certificate, checked once per context and k: it equals power(k -+ 1)
+    power(+-1) under the z cap, so by induction the z-capped |k|-th power of power(+-1)."""
     step = 1 if k > 0 else -1
     if k != step and context.power(k) != _certified(context, k - step).mul(context.power(step), None, context.zcap):
         raise ArithmeticError("formal-integral route disagreement")

@@ -476,7 +476,7 @@ def make_context(zcap: int = 8) -> CompositionContext:
 
 @lru_cache(maxsize=None)
 def _rtilde_poly(zorder: int) -> Poly:
-    """R~ through z2^{-zorder} as a Poly, the elementary term lr_transseries adds."""
+    """R~ through z2^{-zorder} as a Poly, the elementary term _lr_double_scaling adds."""
     return _z_poly(_rtilde(gen_phi_u(zorder + 1)))
 
 

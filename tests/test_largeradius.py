@@ -916,7 +916,10 @@ def test_lr_checks_match_the_composed_algebra(zorder):
     # checkers, whose Delta multiplies each image by the ray factor power(+-1); the perturbed
     # element shows the same on residuals that do not vanish
     ctx = make_context(zorder)
-    in_frame = lambda caps: alien._in_frame(_perturbed(caps), ctx)  # noqa: E731
+
+    def in_frame(caps):
+        return alien._in_frame(_perturbed(caps), ctx)
+
     for caps in ORACLE_CAPS[zorder]:
         want = alien._bridge_check(lr_transseries, caps, alien._MINUS_I)
         got = lr_bridge_check(caps)
