@@ -720,6 +720,8 @@ def formal_integral(
 
 # (negate_sigma2, z order) -> its one build, at Caps(m, m, z order)
 _FORMAL_INTEGRALS: dict[tuple, TransElement] = {}
+# (context, +-1) -> the last power(+-j) _certified has checked
+_CERTIFIED: dict[tuple, int] = {}
 
 
 def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
@@ -730,13 +732,14 @@ def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
                          for (lin, m, n), p in x.terms.items()}, x.caps, context)
 
 
-@lru_cache(maxsize=None)
 def _certified(context: CompositionContext, k: int) -> Poly:
-    """power(k) under the factor certificate, checked once per context and k: it equals power(k -+ 1)
-    power(+-1) under the z cap, so by induction the z-capped |k|-th power of power(+-1)."""
+    """power(k) under the factor certificate, extended step by step once per context: every power(j)
+    from j = +-2 to k equals power(j -+ 1) power(+-1) under the z cap, so it is the z-capped |j|-th power."""
     step = 1 if k > 0 else -1
-    if k != step and context.power(k) != _certified(context, k - step).mul(context.power(step), None, context.zcap):
-        raise ArithmeticError("formal-integral route disagreement")
+    for j in range(_CERTIFIED.get((context, step), step) + step, k + step, step):
+        if context.power(j) != context.power(j - step).mul(context.power(step), None, context.zcap):
+            raise ArithmeticError("formal-integral route disagreement")
+        _CERTIFIED[context, step] = j
     return context.power(k)
 
 

@@ -30,7 +30,7 @@ def _no_cached_exact_builds():
     truncation of a build that another test checked, and a count of the
     builds a test makes does not depend on which tests ran before it."""
     alien._FORMAL_INTEGRALS.clear()
-    alien._certified.cache_clear()
+    alien._CERTIFIED.clear()
     alien._leftward_maps.cache_clear()
     largeradius.make_context.cache_clear()
     largeradius._rtilde_poly.cache_clear()

@@ -726,6 +726,14 @@ def test_capped_ray_factor_chains_are_the_closed_form_powers(zcap):
             assert chain == ctx.power(sign * n), (sign, n)
 
 
+def test_the_factor_certificate_extends_step_by_step():
+    # a k past the interpreter's recursion limit, then a smaller and a negative one, checked once each
+    ctx = make_context(1)
+    assert alien._certified(ctx, 1200) == ctx.power(1200) and alien._CERTIFIED[ctx, 1] == 1200
+    assert alien._certified(ctx, 7) is ctx.power(7) and alien._CERTIFIED[ctx, 1] == 1200
+    assert alien._certified(ctx, -3) == ctx.power(-3) and alien._CERTIFIED[ctx, -1] == -3
+
+
 def _z_poly_by_constructor(s: UCoeffSeries) -> Poly:
     """The validating Poly constructor path _z_poly replaces: one ExactScalar per term."""
     def mono(z: int, u: int, lu: int = 0) -> tuple:
