@@ -725,9 +725,9 @@ _CERTIFIED: dict[tuple, int] = {}
 
 
 def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
-    """x composed with id + phi_u: key (lin, m, n) times power(m) under the caps, m = 0 as is.
-    power(m) has no sigma_2, z <= 0 and a nonzero top z row, and Delta, the Stokes maps, d/dsigma and
-    sigma_2 substitutions commute with it, so a residual moves here key for key, zero iff it was."""
+    """x composed with id + phi_u: key (lin, m, n) times power(m) under the caps, m = 0 as is. power(m) has
+    no sigma_2, z <= 0 and a nonzero top z row; d/dsigma, sigma_2 substitutions and Delta (whose ray factor
+    turns power(m) into power(m +- 1)) commute with it, so a residual moves here key for key, zero iff it was."""
     return TransElement({(lin, m, n): p.mul(_certified(context, m), x.caps.sigma, x.caps.zorder) if m else p
                          for (lin, m, n), p in x.terms.items()}, x.caps, context)
 
