@@ -18,7 +18,7 @@ _EXPORTS = {
     "series": ("DEFAULT_ORDER", "PowerSeries"),
     "families": ("FamilySeries", "gen_Gn", "gen_c_coeffs", "gen_g_f", "gen_psi_phi", "ode_residual"),
     "alien": (
-        "Caps", "CompositionContext", "Poly", "TransElement", "apply_delta", "apply_stokes",
+        "Caps", "Poly", "TransElement", "apply_delta", "apply_stokes",
         "bridge_check", "deltaplus_table", "formal_integral", "stokes_action_check",
     ),
     "errors": ("BranchCutError", "DomainError", "QuadratureError", "SumValue"),
@@ -28,7 +28,7 @@ _EXPORTS = {
         "singularity_locate", "sum_family",
     ),
     "largeradius": (
-        "UCoeffSeries", "ULaurent", "gen_H0", "gen_Hn", "gen_phi_u", "gen_R",
+        "CompositionContext", "UCoeffSeries", "ULaurent", "gen_H0", "gen_Hn", "gen_phi_u", "gen_R",
         "lr_bridge_check", "lr_connection_check", "lr_stokes_check", "lr_sum", "lr_transseries",
         "make_context", "u_equation_residual",
     ),

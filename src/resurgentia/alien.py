@@ -28,10 +28,7 @@ e^{-+2z} D+-2, and Delta^+_{+-2j} = D+-2^j / j!. Alien action on generators:
     D2  p = -i E (q - p - 2)               D-2 q =  i E^{-1} (q - p - 2)
     D2  q = 0                              D-2 p = 0
 
-The p/q images follow from [d/dz, D_w] = w D_w. In a composed context (series
-precomposed with id + phi_u) every alien image picks up the expansion of
-e^{-w phi_u}, which is the chain rule for alien derivations under a change of
-variable that shifts by a lower-order series.
+The p/q images follow from [d/dz, D_w] = w D_w.
 """
 
 from __future__ import annotations
@@ -404,22 +401,6 @@ class Poly:
 ONE_POLY = Poly.const(1)
 
 
-class CompositionContext(NamedTuple):
-    """Composed mode: every series generator is precomposed with id + phi_u.
-
-    power(n) is the expansion of e^{-2n phi_u} through z^{-zcap}, its e^{2n/u}
-    prefactor tracked in the w slot, built once per n from its closed form; the
-    ray +-2 multiplies by power(+-1). A context compares and hashes by identity
-    (elements combine only under the same context), so a cache keyed on one
-    never hashes its powers.
-    """
-
-    power: Callable[[int], Poly]
-    zcap: int
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-
 class Caps(NamedTuple):
     """Truncation caps: sigma_2 degree, |exponential grade|, optional z order."""
 
@@ -431,16 +412,10 @@ class Caps(NamedTuple):
 class TransElement:
     """Finite sum of coefficient polynomials times basis monomials."""
 
-    __slots__ = ("terms", "caps", "context")
+    __slots__ = ("terms", "caps")
 
-    def __init__(
-        self,
-        terms: dict[tuple[int, int, int], Poly] | None = None,
-        caps: Caps = Caps(),
-        context: CompositionContext | None = None,
-    ):
+    def __init__(self, terms: dict[tuple[int, int, int], Poly] | None = None, caps: Caps = Caps()):
         self.caps = caps
-        self.context = context
         self.terms: dict[tuple[int, int, int], Poly] = {}
         if terms:
             for key, poly in terms.items():
@@ -469,7 +444,7 @@ class TransElement:
             del self.terms[key]
 
     def _like(self) -> "TransElement":
-        return TransElement(None, self.caps, self.context)
+        return TransElement(None, self.caps)
 
     def _map(self, f, dn: int = 0) -> "TransElement":
         """f(p) at (lin, m, n + dn) for each term p at (lin, m, n); f must keep
@@ -480,22 +455,22 @@ class TransElement:
         return out
 
     def _check_compatible(self, other: "TransElement") -> None:
-        if self.caps != other.caps or self.context is not other.context:
-            raise ValueError("cannot combine elements with different caps or contexts")
+        if self.caps != other.caps:
+            raise ValueError("cannot combine elements with different caps")
 
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def from_poly(poly: Poly, caps: Caps = Caps(), context=None) -> "TransElement":
-        return TransElement({(0, 0, 0): poly}, caps, context)
+    def from_poly(poly: Poly, caps: Caps = Caps()) -> "TransElement":
+        return TransElement({(0, 0, 0): poly}, caps)
 
     @staticmethod
-    def generator(which: str, caps: Caps = Caps(), context=None) -> "TransElement":
+    def generator(which: str, caps: Caps = Caps()) -> "TransElement":
         """which in {"g", "f", "E", "Einv"}."""
         key = {"g": (1, 0, 0), "f": (2, 0, 0), "E": (0, 1, 0), "Einv": (0, -1, 0)}.get(which)
         if key is None:
             raise ValueError("which must be one of g, f, E, Einv")
-        return TransElement({key: ONE_POLY}, caps, context)
+        return TransElement({key: ONE_POLY}, caps)
 
     # -- predicates ----------------------------------------------------------------
 
@@ -547,7 +522,7 @@ class TransElement:
 
     def truncated(self, caps: Caps) -> "TransElement":
         """Re-truncate to tighter caps (used to land on a check window)."""
-        return TransElement(self.terms, caps, self.context)
+        return TransElement(self.terms, caps)
 
     def min_sigma2_degree(self) -> Optional[int]:
         degs = [p.min_degree("s2") for p in self.terms.values()]
@@ -607,9 +582,8 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
                     nums[k] = (re - c * b, im + c * a)
         if nums:
             out._put((lin, m + step, n), _poly(p.den, nums))
-    # each image keeps the sigma_2 and z exponents of its term, so it lies inside the caps;
-    # in a composed context e^{-+2 phi_u}, the ray's composition factor, multiplies each key once
-    return out if x.context is None else out.scale_poly(x.context.power(step))
+    # each image keeps the sigma_2 and z exponents of its term, so it lies inside the caps
+    return out
 
 
 def apply_dotted(x: TransElement, direction: str) -> TransElement:
@@ -685,62 +659,32 @@ def _delta_plus_tower(x: TransElement, sign: int, m: int) -> list[TransElement]:
 # -- the formal integral and its identities -------------------------------------
 
 
-def formal_integral(
-    caps: Caps = Caps(),
-    context: CompositionContext | None = None,
-    negate_sigma2: bool = False,
-) -> TransElement:
+def formal_integral(caps: Caps = Caps(), *, negate_sigma2: bool = False) -> TransElement:
     """The two-parameter formal solution sigma_1 + g + higher exponential grades.
 
-    Grade n carries ((-1)^{n-1}/n) sigma_2^n e^{-2nz} E^n; in a composed
-    context it is additionally multiplied by context.power(n), the expansion of
-    e^{-2n phi_u} through z^{-zcap} (context.zcap, which must equal
-    caps.zorder), by _in_frame. Built along two routes, the explicit sum and
-    the exponential exp(i sigma_2 e^{-2z} Delta_2) applied to sigma_1 + g,
-    which must agree.
+    Grade n carries ((-1)^{n-1}/n) sigma_2^n e^{-2nz} E^n. Built along two
+    routes, the explicit sum and the exponential exp(i sigma_2 e^{-2z} Delta_2)
+    applied to sigma_1 + g, which must agree.
 
-    Each frame (sign, z order) keeps one route-checked build, and each
-    request gets its own copy of the grades it keeps, so no caller can change the build.
+    Each sign keeps one route-checked build, and each request gets its own
+    copy of the grades it keeps, so no caller can change the build.
     """
     _check_caps(caps)
-    if context is not None and context.zcap != caps.zorder:
-        raise ValueError("cap inconsistency: context and caps disagree on the z order")
-    # The m rule: grade n carries exactly sigma_2^n, so a build at Caps(m, m) serves every
-    # request with m' = min(sigma', grade') <= m, a sigma_2 cap above m included, as its
-    # grades up to m', term for term, and its route check implies the request's.
+    # The m rule: grade n carries exactly sigma_2^n and no z, so a build at Caps(m, m) serves
+    # every request with m' = min(sigma', grade') <= m, a sigma_2 cap above m and any z order
+    # included, as its grades up to m', term for term, and its route check implies the request's.
     # A request past the stored m is built at its own m, and that build replaces the stored one.
-    m, key = min(caps.sigma, caps.grade), (bool(negate_sigma2), caps.zorder)
-    stored = _FORMAL_INTEGRALS.get(key)
+    m, negate = min(caps.sigma, caps.grade), bool(negate_sigma2)
+    stored = _FORMAL_INTEGRALS.get(negate)
     if stored is None or stored.caps.sigma < m:
-        stored = _FORMAL_INTEGRALS[key] = _build_formal_integral(Caps(m, m, caps.zorder), key[0])
+        stored = _FORMAL_INTEGRALS[negate] = _build_formal_integral(Caps(m, m), negate)
     served = TransElement(None, caps)
     served.terms = {k: p for k, p in stored.terms.items() if k[2] <= m}
-    return served if context is None else _in_frame(served, context)
+    return served
 
 
-# (negate_sigma2, z order) -> its one build, at Caps(m, m, z order)
-_FORMAL_INTEGRALS: dict[tuple, TransElement] = {}
-# (context, +-1) -> the last power(+-j) _certified has checked
-_CERTIFIED: dict[tuple, int] = {}
-
-
-def _in_frame(x: TransElement, context: CompositionContext) -> TransElement:
-    """x composed with id + phi_u: key (lin, m, n) times power(m) under the caps, m = 0 as is. power(m) has
-    no sigma_2, z <= 0 and a nonzero top z row; d/dsigma, sigma_2 substitutions and Delta (whose ray factor
-    turns power(m) into power(m +- 1)) commute with it, so a residual moves here key for key, zero iff it was."""
-    return TransElement({(lin, m, n): p.mul(_certified(context, m), x.caps.sigma, x.caps.zorder) if m else p
-                         for (lin, m, n), p in x.terms.items()}, x.caps, context)
-
-
-def _certified(context: CompositionContext, k: int) -> Poly:
-    """power(k) under the factor certificate, extended step by step once per context: every power(j)
-    from j = +-2 to k equals power(j -+ 1) power(+-1) under the z cap, so it is the z-capped |j|-th power."""
-    step = 1 if k > 0 else -1
-    for j in range(_CERTIFIED.get((context, step), step) + step, k + step, step):
-        if context.power(j) != context.power(j - step).mul(context.power(step), None, context.zcap):
-            raise ArithmeticError("formal-integral route disagreement")
-        _CERTIFIED[context, step] = j
-    return context.power(k)
+# negate_sigma2 -> its one build, at Caps(m, m)
+_FORMAL_INTEGRALS: dict[bool, TransElement] = {}
 
 
 def _check_caps(caps: Caps) -> None:
@@ -793,7 +737,7 @@ def _stokes_residual(build: Callable[[Caps], TransElement], direction: str, caps
         rhs = x.subst("s2", Poly.var("s2") - Poly.const(unit))
     else:
         log_shift, mapped = _leftward_maps(caps.sigma, unit)
-        rhs = x.subst("s2", mapped) + TransElement.from_poly(log_shift, x.caps, x.context)
+        rhs = x.subst("s2", mapped) + TransElement.from_poly(log_shift, x.caps)
     return (lhs - rhs).truncated(caps)
 
 

@@ -12,9 +12,9 @@ as integers, and functions of phi_u from one integer power sum over s = 1/(u z2)
 _power_sum (the factors e^{-2n(phi_u + 1/u)} and g(z2 + phi_u)). On these sit
 H^(0) (route (a), g = log psi at z1, checked against route (b), g composed with
 id + phi_u in the z2 grading, then R added once), the components H^(n), the
-composition powers e^{-2n phi_u} of the symbolic layer (one context per z
-order), and the numeric sums and connection law (G_+- at z1 with sigma_2 ->
--sigma_2). phi_u (from 1 + X(s) = z1/z2 = (1-2s/3)^{3/2}) and R~ are each written once.
+symbolic frame (powers e^{-2n phi_u}, one context per z order, applied by
+_in_frame alone), and the numeric sums and connection law (G_+- at z1 with
+sigma_2 -> -sigma_2). phi_u (from 1 + X(s) = z1/z2 = (1-2s/3)^{3/2}) and R~ are each written once.
 Exact series are graded by powers of g_s^2 or of z2^{-1}; a UCoeffSeries stores
 one as integer numerators over one denominator; ULaurent is its coefficient view.
 """
@@ -26,20 +26,18 @@ import math
 from itertools import accumulate, chain
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import families
 from .alien import (
     _KEY_BIAS,
     ONE_POLY,
     Caps,
-    CompositionContext,
     Poly,
     TransElement,
     _MINUS_I,
     _bridge_check,
-    _certified,
-    _in_frame,
+    _check_caps,
     _poly,
     _slot,
     _stokes_residual,
@@ -462,6 +460,14 @@ def _z_poly(s: UCoeffSeries) -> Poly:
     return _poly(den, nums)
 
 
+class CompositionContext(NamedTuple):
+    """The large-radius frame, each series generator precomposed with id + phi_u: power(n) is e^{-2n phi_u}
+    through z^{-zcap}, its e^{2n/u} in the w slot, built once per n. Its hash takes power by identity, never a Poly."""
+
+    power: Callable[[int], Poly]
+    zcap: int
+
+
 @lru_cache(maxsize=None)
 def make_context(zcap: int = 8) -> CompositionContext:
     """One composition context per z order: power(n) is e^{-2n phi_u}, its e^{2n/u} part
@@ -489,12 +495,41 @@ def _rtilde_reference(zorder: int) -> Poly:
     return _z_poly(_ucs("z2", zorder, R.den * 3 ** zorder, rows, R.log_u))
 
 
+# (context, +-1) -> the last power(+-j) _certified has checked
+_CERTIFIED: dict[tuple, int] = {}
+
+
+def _certified(context: CompositionContext, k: int) -> Poly:
+    """power(k) under the factor certificate, extended step by step once per context: every power(j)
+    from j = +-2 to k equals power(j -+ 1) power(+-1) under the z cap, so it is the z-capped |j|-th power."""
+    step = 1 if k > 0 else -1
+    for j in range(_CERTIFIED.get((context, step), step) + step, k + step, step):
+        if context.power(j) != context.power(j - step).mul(context.power(step), None, context.zcap):
+            raise ArithmeticError("formal-integral route disagreement")
+        _CERTIFIED[context, step] = j
+    return context.power(k)
+
+
+def _in_frame(x: TransElement) -> TransElement:
+    """x composed with id + phi_u: key (lin, m, n) times power(m) of make_context(z order) under the caps, m = 0
+    as is. By the chain rule for alien derivations under a shift by a lower-order series, Delta_{+-2}'s image picks
+    up e^{-+2 phi_u}, power(m) -> power(m +- 1). power(m) has no sigma_2, z <= 0 and a nonzero top z row, so
+    d/dsigma, sigma_2 substitutions and Delta commute with it: a residual moves key for key, zero iff it was."""
+    context, (sigma, _, z) = make_context(x.caps.zorder), x.caps
+    return TransElement({(lin, m, n): p.mul(_certified(context, m), sigma, z) if m else p
+                         for (lin, m, n), p in x.terms.items()}, x.caps)
+
+
 def _lr_double_scaling(caps: Caps) -> TransElement:
     """The double-scaling formal integral at (sigma_1, -sigma_2) plus the elementary term R~,
-    which must be the R~ of gen_R; the frame's factors are certified through its grades."""
+    which must be the R~ of gen_R; the frame's factors are certified through its grades.
+    A z order that is None or below 1 is refused before anything is built."""
     if caps.zorder is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
-    core = formal_integral(caps, None, True)  # refuses a negative cap before R~ is built
+    _check_caps(caps)
+    if caps.zorder < 1:
+        raise ValueError("z order must be positive")
+    core = formal_integral(caps, negate_sigma2=True)
     H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps)
     elementary = H.terms.get((0, 0, 0), Poly()) - core.terms.get((0, 0, 0), Poly())
     if elementary != _rtilde_reference(caps.zorder).capped(caps.sigma, caps.zorder):
@@ -504,8 +539,9 @@ def _lr_double_scaling(caps: Caps) -> TransElement:
 
 
 def lr_transseries(caps: Caps) -> TransElement:
-    """The symbolic transseries: the formal integral at (sigma_1, -sigma_2) plus R~, composed with id + phi_u."""
-    return _in_frame(_lr_double_scaling(caps), make_context(caps.zorder))
+    """The symbolic transseries, the formal integral at (sigma_1, -sigma_2) plus R~ composed with id + phi_u, as
+    a read-out: its alien calculus is _in_frame of the double-scaling one, and apply_delta of it is not the frame's."""
+    return _in_frame(_lr_double_scaling(caps))
 
 
 def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
@@ -514,8 +550,8 @@ def lr_bridge_check(caps: Caps = Caps(4, 4, 8)) -> dict:
     r_plus  = Delta_2  H - i e^{+2 z2} dH/dsigma_2
     r_minus = Delta_-2 H - i e^{-2 z2} (sigma_2 dH/dsigma_1 - sigma_2^2 dH/dsigma_2)
     """
-    out, context = _bridge_check(_lr_double_scaling, caps, _MINUS_I), make_context(caps.zorder)
-    return dict(out, **{k: _in_frame(out[k], context) for k in ("residual_plus", "residual_minus")})
+    out = _bridge_check(_lr_double_scaling, caps, _MINUS_I)
+    return dict(out, **{k: _in_frame(out[k]) for k in ("residual_plus", "residual_minus")})
 
 
 def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
@@ -525,7 +561,7 @@ def lr_stokes_check(direction: str, caps: Caps = Caps(5, 5, 8)) -> dict:
     leq0: H(sigma_1, sigma_2) -> H(sigma_1 + log(1 + i sigma_2),
                                     sigma_2/(1 + i sigma_2)).
     """
-    residual = _in_frame(_stokes_residual(_lr_double_scaling, direction, caps, _MINUS_I), make_context(caps.zorder))
+    residual = _in_frame(_stokes_residual(_lr_double_scaling, direction, caps, _MINUS_I))
     return {"residual": residual, "ok": residual.is_zero()}
 
 

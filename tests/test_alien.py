@@ -63,8 +63,6 @@ _RIC_Q = (
 
 def _apply_ddz(x: TransElement) -> TransElement:
     """d/dz as a derivation; the Riccati equations keep the ring closed."""
-    if x.context is not None:
-        raise ValueError("d/dz is not available for composed elements")
     out = x._like()
     for (lin, m, n), p in x.terms.items():
         if lin == 1:
@@ -142,8 +140,6 @@ def _expand_to_series(
     values are order-`order` windows. Positive powers of z and any use of the
     u-family slots have no series meaning here and raise.
     """
-    if x.context is not None:
-        raise ValueError("composed elements expand in the large-radius module")
     pad = order + 2
     psi, phi = families.gen_psi_phi(pad)
     g = psi.series.log()
@@ -222,6 +218,11 @@ REFUSED_CHECKS = {
     # given both, the cap is reported first
     "lr-stokes-cap-and-direction": (lambda: lr_stokes_check("sideways", Caps(-1, 2, 4)), "nonnegative"),
     "lr-transseries-sigma": (lambda: lr_transseries(Caps(-1, 3, 4)), "nonnegative"),
+    # a z order of 0 leaves the frame without a context, refused before the double-scaling build
+    "lr-transseries-z0": (lambda: lr_transseries(Caps(3, 3, 0)), "z order must be positive"),
+    "lr-bridge-z0": (lambda: lr_bridge_check(Caps(3, 3, 0)), "z order must be positive"),
+    "lr-stokes-right-z0": (lambda: lr_stokes_check("geq0", Caps(3, 3, 0)), "z order must be positive"),
+    "lr-stokes-left-z0": (lambda: lr_stokes_check("leq0", Caps(3, 3, 0)), "z order must be positive"),
 }
 
 
@@ -264,7 +265,7 @@ def _oriented_residuals(case: str, caps: Caps, unit: ExactScalar) -> list:
         F = _companion_F(Caps(caps.sigma + 1, caps.grade + 1, caps.zorder))
         return list(_mirrored_residuals(F, caps, unit))
     frame, law = case.split("-")
-    build = lr_transseries if frame == "lr" else formal_integral
+    build = largeradius._lr_double_scaling if frame == "lr" else formal_integral  # the checkers' own route
     if law == "bridge":
         res = _bridge_check(build, caps, unit)
         return [res["residual_plus"], res["residual_minus"]]
@@ -428,7 +429,7 @@ def _spoil_the_exp_route(monkeypatch):
     real = alien.apply_stokes
 
     def spoiled(x, direction, power=1):
-        return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps, x.context)
+        return real(x, direction, power) + TransElement.from_poly(Poly.var("s1"), x.caps)
 
     monkeypatch.setattr(alien, "apply_stokes", spoiled)
 
@@ -438,12 +439,11 @@ def test_formal_integral_route_check_runs_on_every_cache_miss(monkeypatch):
     direct = {caps: alien._build_formal_integral(caps, False) for caps in (Caps(2, 3), Caps(6, 3))}
     _spoil_the_exp_route(monkeypatch)
     formal_integral(Caps(3, 3))  # served by the build checked before the spoil
-    for caps, kwargs in ((Caps(4, 4), {}), (Caps(3, 3), {"negate_sigma2": True}),
-                         (Caps(2, 2, 4), {"context": make_context(4)})):
+    for caps, kwargs in ((Caps(4, 4), {}), (Caps(3, 3), {"negate_sigma2": True})):
         with pytest.raises(ArithmeticError, match="route disagreement"):
             formal_integral(caps, **kwargs)
-    for caps, elem in direct.items():  # m = 2 and 3, served by the checked m = 3
-        assert formal_integral(caps).terms == elem.terms
+    for caps, elem in direct.items():  # m = 2 and 3, served by the checked m = 3 at any z order
+        assert formal_integral(caps).terms == formal_integral(caps._replace(zorder=4)).terms == elem.terms
     alien._FORMAL_INTEGRALS.clear()
     for caps in (Caps(3, 3), Caps(2, 3)):
         with pytest.raises(ArithmeticError, match="route disagreement"):
@@ -456,7 +456,7 @@ def test_cached_formal_integrals_stay_unchanged():
     shared = {
         "bridge": formal_integral(Caps(5, 5)),
         **{d: formal_integral(_stokes_window(caps, d)) for d in ("geq0", "leq0")},
-        **{"lr " + d: formal_integral(_stokes_window(lr_caps, d), make_context(6), True)
+        **{"lr " + d: formal_integral(_stokes_window(lr_caps, d), negate_sigma2=True)
            for d in ("geq0", "leq0")},
     }
     before = {name: G.to_json() for name, G in shared.items()}
@@ -473,15 +473,16 @@ def test_a_served_element_is_its_callers_own():
     assert formal_integral(Caps(4, 4)).to_json() == formal_integral(Caps(5, 4)).to_json() == before
 
 
-def test_formal_integral_cache_lookups_never_hash_a_factor(monkeypatch):
+def test_factor_certificate_lookups_never_hash_a_factor(monkeypatch):
     ctx = make_context(4)
 
     def no_hash(self):
         raise AssertionError("a context's factor Poly was hashed")
 
     monkeypatch.setattr(Poly, "__hash__", no_hash)
-    G = formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True)
-    assert formal_integral(Caps(3, 3, 4), context=ctx, negate_sigma2=True) == G
+    for k in (3, -2, 3, 1, -2):
+        assert largeradius._certified(ctx, k) is ctx.power(k)
+    assert sorted(largeradius._CERTIFIED.values()) == [-2, 3]
 
 
 def _count_builds(monkeypatch) -> list:
@@ -496,23 +497,16 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-FRAMES = [(None, False), (None, True), (4, False), (4, True)]  # (z order of the context, negate_sigma2)
-CAP_GRID = [Caps(s, g) for s in range(1, 7) for g in range(1, 7)]
+FRAMES = [False, True]  # negate_sigma2
+CAP_GRID = [Caps(s, g, z) for s in range(1, 7) for g in range(1, 7) for z in (None, 4)]
 
 
-def _frame(zorder):
-    """The context and the z order of a frame: uncomposed, or composed at that z order."""
-    return (None, None) if zorder is None else (make_context(zorder), zorder)
-
-
-@pytest.mark.parametrize("zorder, negate", FRAMES)
-def test_a_narrow_request_is_the_truncation_of_a_wide_build(monkeypatch, zorder, negate):
-    # grade n carries exactly sigma_2^n, so a build at m = min(sigma, grade) serves
-    # every request of its frame whose m is not larger, a sigma_2 cap above the build's
-    # included: the first request (4, 6) builds at (4, 4), which serves (6, 4)
-    context, z = _frame(zorder)
-    grid = [Caps(c.sigma, c.grade, z) for c in CAP_GRID]
-    direct = {caps: alien._build_formal_integral(caps, negate) for caps in grid}
+@pytest.mark.parametrize("negate", FRAMES)
+def test_a_narrow_request_is_the_truncation_of_a_wide_build(monkeypatch, negate):
+    # grade n carries exactly sigma_2^n and no z, so a build at m = min(sigma, grade) serves
+    # every request of its sign whose m is not larger, a sigma_2 cap above the build's and
+    # any z order included: the first request (4, 6) builds at (4, 4), which serves (6, 4, 4)
+    direct = {caps: alien._build_formal_integral(caps, negate) for caps in CAP_GRID}
     builds = []
 
     def stored_build(caps, neg):
@@ -520,43 +514,34 @@ def test_a_narrow_request_is_the_truncation_of_a_wide_build(monkeypatch, zorder,
         return direct[caps]
 
     monkeypatch.setattr(alien, "_build_formal_integral", stored_build)
-    for first in grid:
+    for first in CAP_GRID:
         alien._FORMAL_INTEGRALS.clear()
         m = min(first.sigma, first.grade)
-        formal_integral(first, context, negate)
-        assert builds == [Caps(m, m, z)], first
-        for caps in grid:
+        formal_integral(first, negate_sigma2=negate)
+        assert builds == [Caps(m, m)], first
+        for caps in CAP_GRID:
             if min(caps.sigma, caps.grade) <= m:
-                served = formal_integral(caps, context, negate)
-                assert served.caps == caps and served.context is context
-                want = direct[caps] if context is None else alien._in_frame(direct[caps], context)
-                assert served.terms == want.terms, (first, caps)
+                served = formal_integral(caps, negate_sigma2=negate)
+                assert served.caps == caps and served.terms == direct[caps].terms, (first, caps)
         assert len(builds) == 1, first
         builds.clear()
 
 
-@pytest.mark.parametrize("zorder, negate", FRAMES)
-def test_a_request_no_checked_build_covers_is_route_checked(monkeypatch, zorder, negate):
-    context, z = _frame(zorder)
-    checked = formal_integral(Caps(4, 3, z), context, negate)
-    other_sign = formal_integral(Caps(6, 6, z), context, not negate)
+@pytest.mark.parametrize("negate", FRAMES)
+def test_a_request_no_checked_build_covers_is_route_checked(monkeypatch, negate):
+    checked = formal_integral(Caps(4, 3, 4), negate_sigma2=negate)
+    other_sign = formal_integral(Caps(6, 6), negate_sigma2=not negate)
     _spoil_the_exp_route(monkeypatch)
-    for c in CAP_GRID:
-        caps = Caps(c.sigma, c.grade, z)
-        if min(c.sigma, c.grade) <= 3:
-            assert formal_integral(caps, context, negate) == checked.truncated(caps)
-        else:  # neither the other sign, nor another frame or z order, serves it
+    for caps in CAP_GRID:
+        if min(caps.sigma, caps.grade) <= 3:  # at either z order
+            assert formal_integral(caps, negate_sigma2=negate) == checked.truncated(caps)
+        else:  # the other sign does not serve it
             with pytest.raises(ArithmeticError, match="route disagreement"):
-                formal_integral(caps, context, negate)
-    # another z order, and the uncomposed frame at the context's z order
-    for caps in (Caps(2, 2, 5), Caps(2, 2, None if z else 4)):
-        with pytest.raises(ArithmeticError, match="route disagreement"):
-            formal_integral(caps, None, negate)
-    assert formal_integral(Caps(6, 6, z), context, not negate) == other_sign
+                formal_integral(caps, negate_sigma2=negate)
+    assert formal_integral(Caps(6, 6, 4), negate_sigma2=not negate) == other_sign
 
 
 def test_a_check_sequence_keeps_one_build_per_frame(monkeypatch):
-    make_context(4)
     builds = _count_builds(monkeypatch)
     grid = [Caps(s, g) for s in range(3, 7) for g in range(3, 7)]
     for caps in grid:
@@ -565,9 +550,9 @@ def test_a_check_sequence_keeps_one_build_per_frame(monkeypatch):
         caps = Caps(c.sigma, c.grade, 4)
         assert lr_bridge_check(caps)["ok"]
         assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
-    # each frame builds once per new m, at (m, m)
-    assert builds == [Caps(m, m, z) for z in (None, 4) for m in range(4, 8)]
-    assert sorted(alien._FORMAL_INTEGRALS, key=str) == [(False, None), (True, 4)]
+    # each sign builds once per new m, at (m, m) without a z order
+    assert builds == [Caps(m, m) for _ in range(2) for m in range(4, 8)]
+    assert sorted(alien._FORMAL_INTEGRALS) == [False, True]
 
 
 def test_a_large_radius_triple_makes_one_build(monkeypatch):
@@ -576,7 +561,14 @@ def test_a_large_radius_triple_makes_one_build(monkeypatch):
     caps = Caps(5, 5, 8)
     assert lr_bridge_check(caps)["ok"]
     assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
-    assert builds == [Caps(6, 6, 8)]
+    assert builds == [Caps(6, 6)]
+
+
+def test_one_build_serves_every_z_order(monkeypatch):
+    # the double-scaling build has no z in it, so a narrower z order reuses the route-checked build
+    builds = _count_builds(monkeypatch)
+    assert lr_stokes_check("geq0", Caps(5, 5, 8))["ok"] and lr_stokes_check("geq0", Caps(5, 5, 4))["ok"]
+    assert builds == [Caps(5, 5)]
 
 
 def test_expansion_matches_series_routes():
@@ -938,24 +930,19 @@ _QP_MINUS_2 = Poly.var("q") - Poly.var("p") - Poly.const(2)
 def _reference_delta(x: TransElement, omega: int) -> TransElement:
     """apply_delta built from Poly operations, one canonical Poly per step:
     D2 g = -i E, D2 E^m = i m E^{m+1}, D2 p = -i E (q - p - 2) and their
-    mirrors on the ray -2, each image times the ray's composition factor."""
+    mirrors on the ray -2."""
     out = x._like()
     if abs(omega) != 2:
         return out
     step, lin_hit, dvar, e_unit, d_unit = (1, 1, "p", I, -I) if omega == 2 else (-1, 2, "q", -I, I)
-    fac = None if x.context is None else x.context.power(step)
-
-    def put(key, image: Poly) -> None:
-        out._put(key, image if fac is None else image.mul(fac, x.caps.sigma, x.caps.zorder))
-
     for (lin, m, n), p in x.terms.items():
         if lin == lin_hit:
-            put((0, m + step, n), p.scale(-I))
+            out._put((0, m + step, n), p.scale(-I))
         if m != 0:
-            put((lin, m + step, n), p.scale(m).scale(e_unit))
+            out._put((lin, m + step, n), p.scale(m).scale(e_unit))
         d = p.deriv(dvar)
         if not d.is_zero():
-            put((lin, m + step, n), _reference_mul(d.scale(d_unit), _QP_MINUS_2))
+            out._put((lin, m + step, n), _reference_mul(d.scale(d_unit), _QP_MINUS_2))
     return out
 
 
@@ -967,18 +954,16 @@ delta_monos = st.builds(
 )
 delta_polys = st.dictionaries(delta_monos, st.builds(ExactScalar, fractions, fractions), min_size=1, max_size=5).map(Poly)
 delta_elements = st.builds(
-    lambda terms, sigma, grade, zorder, zcap: TransElement(
-        terms, Caps(sigma, grade, zorder), None if zcap is None else make_context(zcap)),
+    lambda terms, sigma, grade, zorder: TransElement(terms, Caps(sigma, grade, zorder)),
     st.dictionaries(st.tuples(st.sampled_from([0, 1, 2]), st.integers(-3, 3), st.integers(-3, 3)),
                     delta_polys, max_size=4),
     st.integers(0, 4), st.integers(0, 3), st.sampled_from([None, 0, 1, 2, 4]),
-    st.sampled_from([None, None, 2, 3, 4, 5, 6]),
 )
 
 
 @given(delta_elements)
 def test_one_pass_delta_matches_the_compositional_form(x):
-    # the rays +-4 give zero, composed or not
+    # the rays +-4 give zero
     for omega in (2, -2, 4, -4):
         # Poly == compares the canonical (den, nums)
         assert apply_delta(x, omega).terms == _reference_delta(x, omega).terms, omega
@@ -1087,7 +1072,7 @@ BUILD_COUNTS = {
 def test_checks_build_no_more_polys_than_recorded(monkeypatch, name):
     check, raw_cap, decode_cap = BUILD_COUNTS[name]
     for zorder in (8, 16):  # built once per process, each with the factors a check reads; not counted
-        alien._certified(make_context(zorder), 10)
+        largeradius._certified(make_context(zorder), 10)
     alien._FORMAL_INTEGRALS.clear()
     counts = {"raw": 0, "decode": 0}
 

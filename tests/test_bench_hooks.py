@@ -25,7 +25,7 @@ largeradius.gen_H0(4)
 assert largeradius.lr_bridge_check(Caps(2, 2, 2))["ok"]
 borel.eval_Bhat(0.5 + 0.5j)
 assert t.counts["alien.poly_mul_calls"] > 0 and t.counts["borel.eval_Bhat_calls"] == 1, dict(t.counts)
-# the frame: lr_bridge_check brings its residuals into a context
+# the frame: lr_bridge_check reads its context through _in_frame, which calls the rebound make_context
 assert t.counts["largeradius.make_context_calls"] >= 1, dict(t.counts)
 # the lr checks run in the double-scaling algebra, so the rebound lr_transseries is called here
 largeradius.lr_transseries(Caps(2, 2, 2))

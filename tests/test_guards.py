@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from resurgentia import acceptance, alien, borel, largeradius
-from resurgentia.alien import IDX, NVARS, Caps, CompositionContext, Poly, TransElement
+from resurgentia.alien import IDX, NVARS, Caps, Poly, TransElement
 from resurgentia.borel import (
     BranchCutError, DomainError, G_pm, QuadratureError, gevrey_check, singularity_locate, sum_family,
 )
-from resurgentia.largeradius import make_context
+from resurgentia.largeradius import CompositionContext, make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
 
@@ -46,6 +46,9 @@ GUARDS = {
     "formal-integral-sigma-cap": (lambda: alien.formal_integral(Caps(-1, 3)), ValueError, _NEGATIVE_CAP),
     "formal-integral-grade-cap": (lambda: alien.formal_integral(Caps(3, -2)), ValueError, _NEGATIVE_CAP),
     "lr-transseries-grade-cap": (lambda: largeradius.lr_transseries(Caps(3, -1, 4)), ValueError, _NEGATIVE_CAP),
+    # a z order of 0 has no context; it is refused before the double-scaling build
+    "lr-transseries-z-order-0": (lambda: largeradius.lr_transseries(Caps(3, 3, 0)), ValueError,
+                                 "z order must be positive"),
     # a non-finite sigma is refused before any quadrature, not summed into a NaN or inf
     "gpm-sigma1-inf": (lambda: G_pm("+", 3.0, sigma1=math.inf), DomainError, "sigma_1 and sigma_2 must be finite"),
     "gpm-sigma2-nan": (lambda: G_pm("+", 3.0, sigma2=math.nan), DomainError, "sigma_1 and sigma_2 must be finite"),
@@ -109,7 +112,7 @@ def _shifted_factors(ctx):
 
 def _spoil_ray_factors(factors):
     """make_context returns fresh contexts whose ray factors power(+-1), the values
-    apply_delta multiplies by, are factors(fresh context); every other power stays."""
+    the factor certificate chains, are factors(fresh context); every other power stays."""
     def spoil(monkeypatch):
         def spoiled_context(zcap=8):
             fresh = make_context.__wrapped__(zcap)
@@ -183,8 +186,8 @@ SPOILED_GUARDS = {
     "gpm-negative-log": (_negative_psi_ray, lambda: G_pm("-", 3.0), BranchCutError, "negative real sum"),
     # Re z = 3 lies inside the solution domain Re z > (1/2) log 2 of sigma_2 = 1
     "gpm-not-contractive": (_large_phi_ray, lambda: G_pm("+", 3.0, 0, 1), DomainError, "not contractive"),
-    # the explicit route reads e^{-2n phi_u} from its closed form, the exp route
-    # forms it from n ray factors, so a spoiled ray factor splits the two
+    # power(n) is read from its closed form, the factor certificate forms it from
+    # n ray factors, so a spoiled ray factor splits the two
     **{name: (spoil, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
               ArithmeticError, "formal-integral route disagreement")
        for name, spoil in FACTOR_SPOILS.items()},

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from resurgentia import alien, borel, families, largeradius
-from resurgentia.alien import IDX, NVARS, ONE_POLY, Caps, Poly, TransElement, apply_delta, apply_stokes, formal_integral
+from resurgentia.alien import IDX, NVARS, ONE_POLY, Caps, Poly, TransElement, apply_stokes, formal_integral
 from resurgentia.borel import BranchCutError, DomainError, connection_check
 from resurgentia.largeradius import (
     UCoeffSeries,
@@ -729,9 +729,10 @@ def test_capped_ray_factor_chains_are_the_closed_form_powers(zcap):
 def test_the_factor_certificate_extends_step_by_step():
     # a k past the interpreter's recursion limit, then a smaller and a negative one, checked once each
     ctx = make_context(1)
-    assert alien._certified(ctx, 1200) == ctx.power(1200) and alien._CERTIFIED[ctx, 1] == 1200
-    assert alien._certified(ctx, 7) is ctx.power(7) and alien._CERTIFIED[ctx, 1] == 1200
-    assert alien._certified(ctx, -3) == ctx.power(-3) and alien._CERTIFIED[ctx, -1] == -3
+    certified, done = largeradius._certified, largeradius._CERTIFIED
+    assert certified(ctx, 1200) == ctx.power(1200) and done[ctx, 1] == 1200
+    assert certified(ctx, 7) is ctx.power(7) and done[ctx, 1] == 1200
+    assert certified(ctx, -3) == ctx.power(-3) and done[ctx, -1] == -3
 
 
 def _z_poly_by_constructor(s: UCoeffSeries) -> Poly:
@@ -771,7 +772,10 @@ def test_the_rtilde_polys_are_built_once_per_z_order():
 def test_one_context_per_z_order():
     assert make_context(5) is make_context(5)
     assert make_context(5) is not make_context(6)
-    assert lr_transseries(Caps(2, 2, 5)).context is make_context(5)
+    hits = make_context.cache_info().hits
+    lr_transseries(Caps(2, 2, 5))  # the frame reads the cached context of its z order
+    info = make_context.cache_info()
+    assert info.currsize == 2 and info.hits > hits
 
 
 def _sha(text: str) -> str:
@@ -844,24 +848,48 @@ def test_frame_map_outputs_are_pinned(name):
     assert build() == digest
 
 
+def _composed(fn, *args):
+    """fn(*args) in the composed algebra, the oracle for the frame: alien.apply_delta multiplies each image
+    on the ray +-2 by the ray factor power(+-1) of the context of the element's z order (the chain rule
+    under id + phi_u). An element without a z order, such as a formal-integral build, is not composed."""
+    real = alien.apply_delta
+
+    def delta(x, omega):
+        out = real(x, omega)
+        if abs(omega) != 2 or x.caps.zorder is None:
+            return out
+        return out.scale_poly(make_context(x.caps.zorder).power(omega // 2))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(alien, "apply_delta", delta)
+        return fn(*args)
+
+
+def _lr_images(image, caps: Caps) -> tuple:
+    """image of the large-radius transseries two ways: in the composed algebra on lr_transseries(caps),
+    and as _in_frame of the double-scaling image, the route the checks take."""
+    return _composed(image, lr_transseries(caps)), largeradius._in_frame(image(largeradius._lr_double_scaling(caps)))
+
+
 # sha256 of the to_json() of elements whose every term goes through the capped
 # product kernel (composed apply_delta, scale_poly, subst and the formal
-# integral's factor powers), recorded with the full products cut to the caps
+# integral's factor powers), recorded with the full products cut to the caps;
+# each large-radius image is pinned along both routes of _lr_images
 KERNEL_IMAGE_SHA256 = {
     "apply_stokes(lr_transseries(5,6,8), geq0)": (
-        lambda: apply_stokes(lr_transseries(Caps(5, 6, 8)), "geq0"),
+        lambda: _lr_images(lambda x: apply_stokes(x, "geq0"), Caps(5, 6, 8)),
         "87da646ee4c6b02856a0afca95cc30e8eabd3e0d50da97323431f01a92b3e2cd"),
     "apply_stokes(lr_transseries(5,5,8), leq0)": (
-        lambda: apply_stokes(lr_transseries(Caps(5, 5, 8)), "leq0"),
+        lambda: _lr_images(lambda x: apply_stokes(x, "leq0"), Caps(5, 5, 8)),
         "706899449d29dd6389c38f70a500317db2f6bc6677d6e15f882c45b30c63594d"),
     "apply_delta(lr_transseries(5,6,8), 2)": (
-        lambda: apply_delta(lr_transseries(Caps(5, 6, 8)), 2),
+        lambda: _lr_images(lambda x: alien.apply_delta(x, 2), Caps(5, 6, 8)),
         "c0f3d1ec7f97b691f61e1e822215b584fa3e3a1110ff2d3d4e2e7a26d8bf7da4"),
     "apply_delta(lr_transseries(5,6,8), -2)": (
-        lambda: apply_delta(lr_transseries(Caps(5, 6, 8)), -2),
+        lambda: _lr_images(lambda x: alien.apply_delta(x, -2), Caps(5, 6, 8)),
         "fba8b3643e4682cc037eee5bd5409ec39fdd7dfd2c31cd95d73e2d72a2a0197b"),
     "apply_stokes(formal_integral(6,6), geq0)": (
-        lambda: apply_stokes(formal_integral(Caps(6, 6)), "geq0"),
+        lambda: (apply_stokes(formal_integral(Caps(6, 6)), "geq0"),),
         "d4871a0c2defb0f023180456ebd0c340a2a8e1b59924e4ef13890064b9b03c8d"),
 }
 
@@ -869,14 +897,14 @@ KERNEL_IMAGE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(KERNEL_IMAGE_SHA256))
 def test_capped_kernel_images_are_pinned(name):
     build, digest = KERNEL_IMAGE_SHA256[name]
-    assert _sha(build().to_json()) == digest
+    for elem in build():
+        assert _sha(elem.to_json()) == digest
 
 
 def test_composed_rightward_stokes_in_sigma_convention():
-    ctx = make_context(6)
     caps = Caps(3, 3, 6)
-    G = formal_integral(Caps(3, 4, 6), context=ctx)
-    lhs = apply_stokes(G, "geq0")
+    G = largeradius._in_frame(formal_integral(Caps(3, 4, 6)))
+    lhs = _composed(apply_stokes, G, "geq0")
     rhs = G.subst("s2", Poly.var("s2") - Poly.const(ExactScalar(0, 1)))
     assert (lhs - rhs).truncated(caps).is_zero()
 
@@ -920,40 +948,37 @@ ORACLE_CAPS = {z: [Caps(s, g, z) for s in range(2, 7) for g in range(2, 7)] for 
 
 @pytest.mark.parametrize("zorder", sorted(ORACLE_CAPS))
 def test_lr_checks_match_the_composed_algebra(zorder):
-    # the route the checks replaced: the element built in the frame goes through the shared
-    # checkers, whose Delta multiplies each image by the ray factor power(+-1); the perturbed
-    # element shows the same on residuals that do not vanish
-    ctx = make_context(zorder)
-
+    # the element built in the frame goes through the shared checkers in the composed algebra
+    # (_composed); the perturbed element shows the same on residuals that do not vanish
     def in_frame(caps):
-        return alien._in_frame(_perturbed(caps), ctx)
+        return largeradius._in_frame(_perturbed(caps))
 
     for caps in ORACLE_CAPS[zorder]:
-        want = alien._bridge_check(lr_transseries, caps, alien._MINUS_I)
+        want = _composed(alien._bridge_check, lr_transseries, caps, alien._MINUS_I)
         got = lr_bridge_check(caps)
         off = alien._bridge_check(_perturbed, caps, alien._MINUS_I)
-        off_want = alien._bridge_check(in_frame, caps, alien._MINUS_I)
+        off_want = _composed(alien._bridge_check, in_frame, caps, alien._MINUS_I)
         assert got["ok"] == want["ok"] and not off_want["ok"]
         for key in ("residual_plus", "residual_minus"):
-            assert got[key].to_json() == want[key].to_json() and got[key].context is ctx, (caps, key)
-            assert alien._in_frame(off[key], ctx).to_json() == off_want[key].to_json(), (caps, key)
+            assert got[key].to_json() == want[key].to_json(), (caps, key)
+            assert largeradius._in_frame(off[key]).to_json() == off_want[key].to_json(), (caps, key)
         for d in ("geq0", "leq0"):
-            want = alien._stokes_residual(lr_transseries, d, caps, alien._MINUS_I)
+            want = _composed(alien._stokes_residual, lr_transseries, d, caps, alien._MINUS_I)
             got = lr_stokes_check(d, caps)
             assert got["residual"].to_json() == want.to_json() and got["ok"] == want.is_zero(), (caps, d)
-            off = alien._in_frame(alien._stokes_residual(_perturbed, d, caps, alien._MINUS_I), ctx)
+            off = largeradius._in_frame(alien._stokes_residual(_perturbed, d, caps, alien._MINUS_I))
             assert not off.is_zero(), (caps, d)
-            assert off.to_json() == alien._stokes_residual(in_frame, d, caps, alien._MINUS_I).to_json(), (caps, d)
+            off_want = _composed(alien._stokes_residual, in_frame, d, caps, alien._MINUS_I)
+            assert off.to_json() == off_want.to_json(), (caps, d)
 
 
 def test_lr_caps_consistency():
     with pytest.raises(ValueError, match="cap inconsistency"):
         lr_transseries(Caps(3, 3))
-    # formal_integral takes its z floor from the context, so the two must agree
-    with pytest.raises(ValueError, match="cap inconsistency"):
-        formal_integral(Caps(3, 3, 8), context=make_context(6))
-    with pytest.raises(ValueError, match="cap inconsistency"):
-        formal_integral(Caps(3, 3), context=make_context(6))
+    # negate_sigma2 is keyword-only: a context passed where it once went is refused, not read as a sign
+    for args in ((make_context(6),), (make_context(6), True)):
+        with pytest.raises(TypeError):
+            formal_integral(Caps(3, 3, 6), *args)
 
 
 # -- numeric sums -------------------------------------------------------------
