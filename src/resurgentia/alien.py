@@ -111,16 +111,14 @@ def _decode(c) -> tuple[int, int, int]:
     return _gaussian_over(c)  # a float or a complex raises TypeError
 
 
-def _cut(sigma: Optional[int], zorder: Optional[int]) -> tuple[int, int, int]:
-    """(mask, top, floor) of _keep for a sigma_2 cap and a z order; a cap that is None is no cap."""
-    mask, top = (0, 0) if sigma is None else (_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0])
-    return mask, top, 0 if zorder is None else (_HALF - zorder) << _Z_SLOT[0]
+def _cut(sigma: Optional[int]) -> tuple[int, int]:
+    """(mask, top) of _keep for a sigma_2 cap; a cap that is None is no cap."""
+    return (0, 0) if sigma is None else (_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0])
 
 
-def _keep(nums: dict, mask: int, top: int, floor: int) -> dict:
-    """The terms whose slot under mask is at most top and whose z slot is at least floor."""
-    z_mask = _Z_SLOT[1]
-    return {k: c for k, c in nums.items() if k & mask <= top and k & z_mask >= floor}
+def _keep(nums: dict, mask: int, top: int) -> dict:
+    """The terms whose slot under mask is at most top."""
+    return {k: c for k, c in nums.items() if k & mask <= top}
 
 
 def _check_kernel_range(nums: dict) -> None:
@@ -130,25 +128,24 @@ def _check_kernel_range(nums: dict) -> None:
         raise OverflowError("monomial exponent too large for the product kernel")
 
 
-def _blocks(a: dict, b: dict, sigma: Optional[int], zorder: Optional[int]) -> list:
-    """[(terms of a, terms of b)] holding exactly the pairs inside the caps.
+def _blocks(a: dict, b: dict, sigma: Optional[int]) -> list:
+    """[(terms of a, terms of b)] holding exactly the pairs inside the sigma_2 cap.
 
-    Each operand is grouped by its (sigma_2, z) exponents, and each group of a
-    meets the groups of b that its exponents leave room for: the sum of two
-    monomials lies inside the caps iff its masked sigma_2 slots add to at most
-    top and its masked z slots to at least floor (no bound for a None cap)."""
+    Each operand is grouped by its sigma_2 exponent, and each group of a meets
+    the groups of b that its exponent leaves room for: the sum of two monomials
+    lies inside the cap iff its masked sigma_2 slots add to at most top (no
+    bound for a None cap)."""
     top = 2 * _S2_SLOT[1] if sigma is None else (sigma + 2 * _HALF) << _S2_SLOT[0]
-    floor = 0 if zorder is None else (2 * _HALF - zorder) << _Z_SLOT[0]
-    s_mask, z_mask = _S2_SLOT[1], _Z_SLOT[1]
-    ga: dict[tuple, list] = {}
-    gb: dict[tuple, list] = {}
+    s_mask = _S2_SLOT[1]
+    ga: dict[int, list] = {}
+    gb: dict[int, list] = {}
     for k, num in a.items():
-        ga.setdefault((k & s_mask, k & z_mask), []).append((k, num))
+        ga.setdefault(k & s_mask, []).append((k, num))
     for k, (u, v) in b.items():
-        gb.setdefault((k & s_mask, k & z_mask), []).append((k - _KEY_BIAS, u, v))
+        gb.setdefault(k & s_mask, []).append((k - _KEY_BIAS, u, v))
     blocks = []
-    for (sa, za), terms in ga.items():
-        row = [t for (sb, zb), ts in gb.items() if sa + sb <= top and za + zb >= floor for t in ts]
+    for sa, terms in ga.items():
+        row = [t for sb, ts in gb.items() if sa + sb <= top for t in ts]
         if row:
             blocks.append((terms, row))
     return blocks
@@ -252,11 +249,10 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def mul(self, other: "Poly", sigma: Optional[int] = None, zorder: Optional[int] = None) -> "Poly":
-        """The product with only its terms of sigma_2 degree <= sigma and z
-        exponent >= -zorder, (self * other).capped(sigma, zorder), formed
-        without the pairs the caps drop; a cap that is None is no cap, and
-        self * other is self.mul(other)."""
+    def mul(self, other: "Poly", sigma: Optional[int] = None) -> "Poly":
+        """The product with only its terms of sigma_2 degree <= sigma,
+        (self * other).capped(sigma), formed without the pairs the cap drops;
+        a cap that is None is no cap, and self * other is self.mul(other)."""
         a, b = self.nums, other.nums
         _check_kernel_range(a)
         _check_kernel_range(b)
@@ -267,10 +263,10 @@ class Poly:
             ((k2, (u, v)),) = b.items()
             k2 -= _KEY_BIAS
             nums = {k1 + k2: (x * u - y * v, x * v + y * u) for k1, (x, y) in a.items()}
-            return _poly(self.den * other.den, _keep(nums, *_cut(sigma, zorder)))
+            return _poly(self.den * other.den, _keep(nums, *_cut(sigma)))
         acc: dict[int, list] = {}  # packed mono -> [re, im]
         get = acc.get
-        for terms, row in _blocks(a, b, sigma, zorder):
+        for terms, row in _blocks(a, b, sigma):
             for k1, (x, y) in terms:
                 for k2, u, v in row:
                     key = k1 + k2
@@ -323,19 +319,17 @@ class Poly:
                 out[key - unit] = (x * e, y * e)
         return _poly(self.den, out)
 
-    def subst(
-        self, name: str, replacement: "Poly", sigma: Optional[int] = None, zorder: Optional[int] = None,
-    ) -> "Poly":
+    def subst(self, name: str, replacement: "Poly", sigma: Optional[int] = None) -> "Poly":
         """Substitute a polynomial for a variable (nonnegative powers only),
-        keeping the terms inside the caps as mul does.
+        keeping the terms inside the sigma_2 cap as mul does.
 
         The terms are grouped by their exponent e of the variable, so each
         distinct e costs one product with replacement**e. The powers are
-        capped in sigma_2 only: sigma_2 exponents are never negative, so a
-        power's terms past the sigma_2 cap only feed products past it."""
-        return self._subst(name, [ONE_POLY, replacement], sigma, zorder)
+        capped too: sigma_2 exponents are never negative, so a power's
+        terms past the sigma_2 cap only feed products past it."""
+        return self._subst(name, [ONE_POLY, replacement], sigma)
 
-    def _subst(self, name: str, powers: list, sigma: Optional[int], zorder: Optional[int]) -> "Poly":
+    def _subst(self, name: str, powers: list, sigma: Optional[int]) -> "Poly":
         """subst reading replacement**e from powers = [1, replacement, ...], the powers
         formed so far (capped in sigma_2); it appends the ones it lacks, so one list
         serves every call with the same replacement and caps."""
@@ -352,27 +346,27 @@ class Poly:
             powers.append(powers[-1].mul(powers[1], sigma))
         out = Poly()
         for e in sorted(groups):
-            out = out + _poly(self.den, groups[e]).mul(powers[e], sigma, zorder)
+            out = out + _poly(self.den, groups[e]).mul(powers[e], sigma)
         return out
 
     # -- truncation ------------------------------------------------------------
 
-    def _kept(self, mask: int, top: int, floor: int) -> "Poly":
-        nums = _keep(self.nums, mask, top, floor)
+    def _kept(self, nums: dict) -> "Poly":
         # a dropped term can take the last factor coprime to den with it
         return self if len(nums) == len(self.nums) else _poly(self.den, nums)
 
     def drop_high_degree(self, name: str, cap: int) -> "Poly":
         shift, mask = _slot(name)
-        return self._kept(mask, (cap + _HALF) << shift, 0)
+        return self._kept(_keep(self.nums, mask, (cap + _HALF) << shift))
 
     def drop_low_z(self, zcap: int) -> "Poly":
         """Drop z-exponents below -zcap (series truncation in z^{-1})."""
-        return self._kept(0, 0, (_HALF - zcap) << _Z_SLOT[0])
+        floor, z_mask = (_HALF - zcap) << _Z_SLOT[0], _Z_SLOT[1]
+        return self._kept({k: c for k, c in self.nums.items() if k & z_mask >= floor})
 
-    def capped(self, sigma: int, zorder: Optional[int]) -> "Poly":
-        """drop_high_degree("s2", sigma), then drop_low_z(zorder) unless it is None, in one pass."""
-        return self._kept(*_cut(sigma, zorder))
+    def capped(self, sigma: int) -> "Poly":
+        """drop_high_degree("s2", sigma)."""
+        return self._kept(_keep(self.nums, *_cut(sigma)))
 
     def min_degree(self, name: str) -> Optional[int]:
         shift, mask = _slot(name)
@@ -402,7 +396,9 @@ ONE_POLY = Poly.const(1)
 
 
 class Caps(NamedTuple):
-    """Truncation caps: sigma_2 degree, |exponential grade|, optional z order."""
+    """Truncation caps: sigma_2 degree, |exponential grade|, and the optional z
+    order of the large-radius frame, which largeradius alone applies; elements
+    and products here cut in sigma_2 and grade only."""
 
     sigma: int = 6
     grade: int = 6
@@ -429,11 +425,11 @@ class TransElement:
     def _accumulate(self, key: tuple[int, int, int], poly: Poly) -> None:
         """Add poly at key, cut to the caps."""
         if abs(key[2]) <= self.caps.grade:
-            self._put(key, poly.capped(self.caps.sigma, self.caps.zorder))
+            self._put(key, poly.capped(self.caps.sigma))
 
     def _put(self, key: tuple[int, int, int], poly: Poly) -> None:
-        """Add poly, already inside the sigma_2 and z caps, at key unless
-        its grade is past the grade cap."""
+        """Add poly, already inside the sigma_2 cap, at key unless its grade
+        is past the grade cap."""
         if not poly.nums or abs(key[2]) > self.caps.grade:
             return
         cur = self.terms.get(key)
@@ -448,7 +444,7 @@ class TransElement:
 
     def _map(self, f, dn: int = 0) -> "TransElement":
         """f(p) at (lin, m, n + dn) for each term p at (lin, m, n); f must keep
-        a coefficient inside the sigma_2 and z caps."""
+        a coefficient inside the sigma_2 cap."""
         out = self._like()
         for (lin, m, n), p in self.terms.items():
             out._put((lin, m, n + dn), f(p))
@@ -499,7 +495,7 @@ class TransElement:
         return self + (-other)
 
     def scale_poly(self, poly: Poly) -> "TransElement":
-        return self._map(lambda p: p.mul(poly, self.caps.sigma, self.caps.zorder))
+        return self._map(lambda p: p.mul(poly, self.caps.sigma))
 
     def scale(self, c) -> "TransElement":
         abq = _decode(c)  # once for all terms
@@ -518,7 +514,7 @@ class TransElement:
     def subst(self, name: str, replacement: Poly) -> "TransElement":
         _slot(name)  # an unknown name raises on an element without terms too
         powers = [ONE_POLY, replacement]  # formed once, shared by every term
-        return self._map(lambda p: p._subst(name, powers, self.caps.sigma, self.caps.zorder))
+        return self._map(lambda p: p._subst(name, powers, self.caps.sigma))
 
     def truncated(self, caps: Caps) -> "TransElement":
         """Re-truncate to tighter caps (used to land on a check window)."""
@@ -582,7 +578,7 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
                     nums[k] = (re - c * b, im + c * a)
         if nums:
             out._put((lin, m + step, n), _poly(p.den, nums))
-    # each image keeps the sigma_2 and z exponents of its term, so it lies inside the caps
+    # each image keeps the sigma_2 exponent of its term, so it lies inside the cap
     return out
 
 

@@ -462,7 +462,8 @@ def _z_poly(s: UCoeffSeries) -> Poly:
 
 class CompositionContext(NamedTuple):
     """The large-radius frame, each series generator precomposed with id + phi_u: power(n) is e^{-2n phi_u}
-    through z^{-zcap}, its e^{2n/u} in the w slot, built once per n. Its hash takes power by identity, never a Poly."""
+    through z^{-zcap}, its e^{2n/u} in the w slot, built and certified once per n. Its hash takes power by
+    identity, never a Poly."""
 
     power: Callable[[int], Poly]
     zcap: int
@@ -470,13 +471,30 @@ class CompositionContext(NamedTuple):
 
 @lru_cache(maxsize=None)
 def make_context(zcap: int = 8) -> CompositionContext:
-    """One composition context per z order: power(n) is e^{-2n phi_u}, its e^{2n/u} part
-    in the w slot, built once per n; the ray factors power(+-1) must invert each other."""
+    """One composition context per z order, the one place a z order is refused. The u-row series
+    e^{-2n(phi_u + 1/u)} are built once per n, and the ray factors (n = +-1) must invert each other.
+    power(n) certifies itself on its first build: series(j) = series(j -+ 1) series(+-1) for every j from
+    +-2 to n (the row product, exact through z^{-zcap}), checked step by step once per context, so
+    power(n) is the |n|-th power of a ray factor under the z cap; a failure is the formal-integral
+    route disagreement."""
+    if zcap is None:
+        raise ValueError("cap inconsistency: large-radius caps need a z order")
     if zcap < 1:
         raise ValueError("z order must be positive")
-    power = lru_cache(maxsize=None)(lambda n: _z_poly(_exp_phi(n, zcap)) * Poly.var("w", n))
-    if power(1).mul(power(-1), None, zcap) != ONE_POLY:
+    series = lru_cache(maxsize=None)(lambda n: _exp_phi(n, zcap))
+    if _z_poly(series(1) * series(-1)) != ONE_POLY:
         raise ArithmeticError("composition factors fail to invert each other")
+    checked = {1: 1, -1: -1}  # sign -> the last j certified
+
+    @lru_cache(maxsize=None)
+    def power(n: int) -> Poly:
+        step = 1 if n > 0 else -1
+        for j in range(checked[step] + step, n + step, step):
+            if series(j) != series(j - step) * series(step):
+                raise ArithmeticError("formal-integral route disagreement")
+            checked[step] = j
+        return _z_poly(series(n)) * Poly.var("w", n)
+
     return CompositionContext(power, zcap)
 
 
@@ -495,46 +513,29 @@ def _rtilde_reference(zorder: int) -> Poly:
     return _z_poly(_ucs("z2", zorder, R.den * 3 ** zorder, rows, R.log_u))
 
 
-# (context, +-1) -> the last power(+-j) _certified has checked
-_CERTIFIED: dict[tuple, int] = {}
-
-
-def _certified(context: CompositionContext, k: int) -> Poly:
-    """power(k) under the factor certificate, extended step by step once per context: every power(j)
-    from j = +-2 to k equals power(j -+ 1) power(+-1) under the z cap, so it is the z-capped |j|-th power."""
-    step = 1 if k > 0 else -1
-    for j in range(_CERTIFIED.get((context, step), step) + step, k + step, step):
-        if context.power(j) != context.power(j - step).mul(context.power(step), None, context.zcap):
-            raise ArithmeticError("formal-integral route disagreement")
-        _CERTIFIED[context, step] = j
-    return context.power(k)
-
-
 def _in_frame(x: TransElement) -> TransElement:
-    """x composed with id + phi_u: key (lin, m, n) times power(m) of make_context(z order) under the caps, m = 0
-    as is. By the chain rule for alien derivations under a shift by a lower-order series, Delta_{+-2}'s image picks
-    up e^{-+2 phi_u}, power(m) -> power(m +- 1). power(m) has no sigma_2, z <= 0 and a nonzero top z row, so
-    d/dsigma, sigma_2 substitutions and Delta commute with it: a residual moves key for key, zero iff it was."""
-    context, (sigma, _, z) = make_context(x.caps.zorder), x.caps
-    return TransElement({(lin, m, n): p.mul(_certified(context, m), sigma, z) if m else p
+    """x composed with id + phi_u: key (lin, m, n) times power(m) of make_context(z order), cut at the z order,
+    m = 0 as is; the one place the frame's z order cuts a product. By the chain rule for alien derivations under a
+    shift by a lower-order series, Delta_{+-2}'s image picks up e^{-+2 phi_u}, power(m) -> power(m +- 1). power(m)
+    has no sigma_2, z <= 0 and a nonzero top z row, so d/dsigma, sigma_2 substitutions and Delta commute with it:
+    a residual moves key for key, zero iff it was."""
+    context = make_context(x.caps.zorder)
+    return TransElement({(lin, m, n): p.mul(context.power(m)).drop_low_z(context.zcap) if m else p
                          for (lin, m, n), p in x.terms.items()}, x.caps)
 
 
 def _lr_double_scaling(caps: Caps) -> TransElement:
     """The double-scaling formal integral at (sigma_1, -sigma_2) plus the elementary term R~,
     which must be the R~ of gen_R; the frame's factors are certified through its grades.
-    A z order that is None or below 1 is refused before anything is built."""
-    if caps.zorder is None:
-        raise ValueError("cap inconsistency: large-radius caps need a z order")
+    A z order make_context refuses is refused before anything is built."""
     _check_caps(caps)
-    if caps.zorder < 1:
-        raise ValueError("z order must be positive")
+    context = make_context(caps.zorder)
     core = formal_integral(caps, negate_sigma2=True)
     H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps)
     elementary = H.terms.get((0, 0, 0), Poly()) - core.terms.get((0, 0, 0), Poly())
-    if elementary != _rtilde_reference(caps.zorder).capped(caps.sigma, caps.zorder):
+    if elementary != _rtilde_reference(caps.zorder):
         raise ArithmeticError("large-radius elementary term disagrees with gen_R")
-    _certified(make_context(caps.zorder), min(caps.sigma, caps.grade))
+    context.power(min(caps.sigma, caps.grade))
     return H
 
 

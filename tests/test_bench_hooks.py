@@ -28,8 +28,11 @@ assert t.counts["alien.poly_mul_calls"] > 0 and t.counts["borel.eval_Bhat_calls"
 # the frame: lr_bridge_check reads its context through _in_frame, which calls the rebound make_context
 assert t.counts["largeradius.make_context_calls"] >= 1, dict(t.counts)
 # the lr checks run in the double-scaling algebra, so the rebound lr_transseries is called here
+cut_before = t.counts["alien.cap_terms_in"]
 largeradius.lr_transseries(Caps(2, 2, 2))
 assert t.counts["largeradius.lr_transseries_calls"] >= 1, dict(t.counts)
+# _in_frame's z cut is Poly.drop_low_z, which the tracer rebinds, so alien.cap_keep_ratio sees the frame's cut
+assert t.counts["alien.cap_terms_in"] > cut_before, dict(t.counts)
 """
 
 

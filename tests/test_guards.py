@@ -10,7 +10,7 @@ from resurgentia.alien import IDX, NVARS, Caps, Poly, TransElement
 from resurgentia.borel import (
     BranchCutError, DomainError, G_pm, QuadratureError, gevrey_check, singularity_locate, sum_family,
 )
-from resurgentia.largeradius import CompositionContext, make_context
+from resurgentia.largeradius import UCoeffSeries, ULaurent, make_context
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries
 
@@ -104,24 +104,28 @@ def _spoil_exp_phi(monkeypatch):
     monkeypatch.setattr(largeradius, "_exp_phi", lambda n, N: real(n, N).scale(2))
 
 
-def _shifted_factors(ctx):
-    """F+ = 1 + u/z and F- = sum_k (-u/z)^k, its inverse through z^-zcap."""
-    minus = sum((Poly.var("u", k, (-1) ** k) * Poly.var("z", -k) for k in range(1, ctx.zcap + 1)), Poly.const(1))
-    return Poly.const(1) + Poly.var("u") * Poly.var("z", -1), minus
+def _shifted_factors(real, N):
+    """F+ = 1 + u/z and F- = sum_k (-u/z)^k, its inverse through z^-N, as u-row series."""
+    plus = [ULaurent.const(1), ULaurent.mono(1, 1)] + [ULaurent()] * (N - 1)
+    minus = [ULaurent.mono(k, (-1) ** k) for k in range(N + 1)]
+    return UCoeffSeries("z2", N, plus), UCoeffSeries("z2", N, minus)
 
 
 def _spoil_ray_factors(factors):
-    """make_context returns fresh contexts whose ray factors power(+-1), the values
-    the factor certificate chains, are factors(fresh context); every other power stays."""
+    """The u-row series the factor certificate chains, _exp_phi at n = +-1, are factors(_exp_phi, N);
+    every other series stays."""
     def spoil(monkeypatch):
-        def spoiled_context(zcap=8):
-            fresh = make_context.__wrapped__(zcap)
-            plus, minus = factors(fresh)
-            # still a pair that inverts under the z cap, so make_context's own check would pass
-            assert (plus * minus).drop_low_z(zcap) == Poly.const(1)
-            return CompositionContext(lambda n: {1: plus, -1: minus}[n] if n in (1, -1) else fresh.power(n), zcap)
+        real = largeradius._exp_phi
 
-        monkeypatch.setattr(largeradius, "make_context", spoiled_context)
+        def spoiled(n, N):
+            if n not in (1, -1):
+                return real(n, N)
+            plus, minus = factors(real, N)
+            # still a pair that inverts through z^-N, so make_context's own check passes
+            assert largeradius._z_poly(plus * minus) == Poly.const(1)
+            return plus if n == 1 else minus
+
+        monkeypatch.setattr(largeradius, "_exp_phi", spoiled)
 
     return spoil
 
@@ -129,7 +133,7 @@ def _spoil_ray_factors(factors):
 # F+- = 1 + u/z and its inverse, or e^{-+4 phi_u} in place of e^{-+2 phi_u}
 FACTOR_SPOILS = {
     "context-factor-shifted": _spoil_ray_factors(_shifted_factors),
-    "context-factor-doubled": _spoil_ray_factors(lambda ctx: (ctx.power(2), ctx.power(-2))),
+    "context-factor-doubled": _spoil_ray_factors(lambda real, N: (real(2, N), real(-2, N))),
 }
 
 

@@ -33,6 +33,7 @@ from resurgentia.largeradius import (
 )
 from resurgentia.scalars import ExactScalar
 from resurgentia.series import PowerSeries, _series
+from test_alien import _z_exponents
 
 F = Fraction
 
@@ -712,6 +713,8 @@ def test_Hn_matches_composition_oracle(n, gmax):
 def test_context_inversion_guard():
     with pytest.raises(ValueError, match="z order must be positive"):
         make_context(0)
+    with pytest.raises(ValueError, match="cap inconsistency"):
+        make_context(None)
     make_context(4)  # internal f+ f- = 1 assertion must pass
 
 
@@ -722,17 +725,37 @@ def test_capped_ray_factor_chains_are_the_closed_form_powers(zcap):
     for sign in (1, -1):
         chain = ONE_POLY
         for n in range(1, 13):
-            chain = chain.mul(ctx.power(sign), zorder=zcap)
+            chain = (chain * ctx.power(sign)).drop_low_z(zcap)
             assert chain == ctx.power(sign * n), (sign, n)
 
 
-def test_the_factor_certificate_extends_step_by_step():
-    # a k past the interpreter's recursion limit, then a smaller and a negative one, checked once each
-    ctx = make_context(1)
-    certified, done = largeradius._certified, largeradius._CERTIFIED
-    assert certified(ctx, 1200) == ctx.power(1200) and done[ctx, 1] == 1200
-    assert certified(ctx, 7) is ctx.power(7) and done[ctx, 1] == 1200
-    assert certified(ctx, -3) == ctx.power(-3) and done[ctx, -1] == -3
+@pytest.mark.parametrize("N", range(1, 17))
+def test_the_row_product_is_the_z_capped_product_it_replaces(N):
+    # the certificate multiplies u-row series; the frame Poly of the product is the capped Poly product
+    ctx = make_context(N)
+    signs = [k for k in range(-9, 10) if k]
+    rows = {n: largeradius._exp_phi(n, N) for n in signs}
+    for n in signs:
+        for m in signs[signs.index(n):]:  # both products commute; n = m takes the square path
+            got = largeradius._z_poly(rows[n] * rows[m]) * Poly.var("w", n + m)
+            assert got == (ctx.power(n) * ctx.power(m)).drop_low_z(N), (n, m)
+
+
+def test_the_factor_certificate_extends_step_by_step(monkeypatch):
+    # a k past the interpreter's recursion limit, then a smaller and a negative one, each step checked once
+    ctx, products = make_context(1), []
+    real = UCoeffSeries.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(UCoeffSeries, "__mul__", counted)
+    assert ctx.power(1200) == largeradius._z_poly(largeradius._exp_phi(1200, 1)) * Poly.var("w", 1200)
+    assert len(products) == 1199
+    assert ctx.power(7) == largeradius._z_poly(largeradius._exp_phi(7, 1)) * Poly.var("w", 7)
+    assert ctx.power(-3) == largeradius._z_poly(largeradius._exp_phi(-3, 1)) * Poly.var("w", -3)
+    assert len(products) == 1199 + 2
 
 
 def _z_poly_by_constructor(s: UCoeffSeries) -> Poly:
@@ -851,14 +874,16 @@ def test_frame_map_outputs_are_pinned(name):
 def _composed(fn, *args):
     """fn(*args) in the composed algebra, the oracle for the frame: alien.apply_delta multiplies each image
     on the ray +-2 by the ray factor power(+-1) of the context of the element's z order (the chain rule
-    under id + phi_u). An element without a z order, such as a formal-integral build, is not composed."""
+    under id + phi_u) and cuts the product at that z order. An element without a z order, such as a
+    formal-integral build, is not composed."""
     real = alien.apply_delta
 
     def delta(x, omega):
         out = real(x, omega)
         if abs(omega) != 2 or x.caps.zorder is None:
             return out
-        return out.scale_poly(make_context(x.caps.zorder).power(omega // 2))
+        factor, z = make_context(x.caps.zorder).power(omega // 2), x.caps.zorder
+        return out._map(lambda p: (p * factor).drop_low_z(z))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(alien, "apply_delta", delta)
@@ -970,6 +995,24 @@ def test_lr_checks_match_the_composed_algebra(zorder):
             assert not off.is_zero(), (caps, d)
             off_want = _composed(alien._stokes_residual, in_frame, d, caps, alien._MINUS_I)
             assert off.to_json() == off_want.to_json(), (caps, d)
+
+
+@pytest.mark.parametrize("zorder", [1, 4, 8])
+def test_the_frame_keeps_every_z_exponent_in_its_window(zorder):
+    # only _in_frame cuts in z; the double-scaling images the checkers form never leave [-zorder, 0]
+    window = set(range(-zorder, 1))
+    for s in range(7):
+        for g in range(7):
+            caps = Caps(s, g, zorder)
+            x = largeradius._lr_double_scaling(caps)
+            images = [lr_transseries(caps), x, alien.apply_delta(x, 2), alien.apply_delta(x, -2),
+                      apply_stokes(x, "geq0"), apply_stokes(x, "leq0"), x.partial("s1"), x.partial("s2"),
+                      x.subst("s2", Poly.var("s2") + Poly.const(ExactScalar(0, 1)))]
+            images += [r for r in lr_bridge_check(caps).values() if isinstance(r, TransElement)]
+            images += [lr_stokes_check(d, caps)["residual"] for d in ("geq0", "leq0")]
+            for image in images:
+                assert _z_exponents(image) <= window, caps
+            assert min(_z_exponents(images[0])) == -zorder, caps  # R~ reaches the z order
 
 
 def test_lr_caps_consistency():
