@@ -111,9 +111,9 @@ def _decode(c) -> tuple[int, int, int]:
     return _gaussian_over(c)  # a float or a complex raises TypeError
 
 
-def _cut(sigma: Optional[int]) -> tuple[int, int]:
-    """(mask, top) of _keep for a sigma_2 cap; a cap that is None is no cap."""
-    return (0, 0) if sigma is None else (_S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0])
+def _cut(sigma: int) -> tuple[int, int]:
+    """(mask, top) of _keep for a sigma_2 cap."""
+    return _S2_SLOT[1], (sigma + _HALF) << _S2_SLOT[0]
 
 
 def _keep(nums: dict, mask: int, top: int) -> dict:
@@ -126,29 +126,6 @@ def _check_kernel_range(nums: dict) -> None:
     # the sum of two such exponents still fits its slot
     if not all((k ^ k << 1) & _KEY_BIAS == _KEY_BIAS for k in nums):
         raise OverflowError("monomial exponent too large for the product kernel")
-
-
-def _blocks(a: dict, b: dict, sigma: Optional[int]) -> list:
-    """[(terms of a, terms of b)] holding exactly the pairs inside the sigma_2 cap.
-
-    Each operand is grouped by its sigma_2 exponent, and each group of a meets
-    the groups of b that its exponent leaves room for: the sum of two monomials
-    lies inside the cap iff its masked sigma_2 slots add to at most top (no
-    bound for a None cap)."""
-    top = 2 * _S2_SLOT[1] if sigma is None else (sigma + 2 * _HALF) << _S2_SLOT[0]
-    s_mask = _S2_SLOT[1]
-    ga: dict[int, list] = {}
-    gb: dict[int, list] = {}
-    for k, num in a.items():
-        ga.setdefault(k & s_mask, []).append((k, num))
-    for k, (u, v) in b.items():
-        gb.setdefault(k & s_mask, []).append((k - _KEY_BIAS, u, v))
-    blocks = []
-    for sa, terms in ga.items():
-        row = [t for sb, ts in gb.items() if sa + sb <= top for t in ts]
-        if row:
-            blocks.append((terms, row))
-    return blocks
 
 
 class Poly:
@@ -178,6 +155,8 @@ class Poly:
             if len(mono) != NVARS:
                 raise ValueError("monomial arity mismatch")
             for k, e in enumerate(mono):
+                if type(e) is not int:  # struct would refuse 1.5 namelessly and read True as 1
+                    raise TypeError(f"exponent of {VARS[k]} must be an int, not {type(e).__name__}")
                 if e < 0 and k not in _LAURENT:
                     raise ValueError(f"negative exponent for {VARS[k]}")
                 if not -_HALF <= e < _HALF:
@@ -250,39 +229,32 @@ class Poly:
         return self + (-other)
 
     def mul(self, other: "Poly", sigma: Optional[int] = None) -> "Poly":
-        """The product with only its terms of sigma_2 degree <= sigma,
-        (self * other).capped(sigma), formed without the pairs the cap drops;
-        a cap that is None is no cap, and self * other is self.mul(other)."""
+        """The product with only its terms of sigma_2 degree <= sigma: every pair
+        of terms is formed, and the sum is cut once before the one canonical
+        form; a cap that is None is no cap, and self * other is self.mul(other)."""
         a, b = self.nums, other.nums
         _check_kernel_range(a)
         _check_kernel_range(b)
-        if len(a) == 1 or len(b) == 1:
-            # one term: a key shift and a numerator scale, which never cancel
-            if len(b) != 1:
-                a, b = b, a
-            ((k2, (u, v)),) = b.items()
-            k2 -= _KEY_BIAS
-            nums = {k1 + k2: (x * u - y * v, x * v + y * u) for k1, (x, y) in a.items()}
-            return _poly(self.den * other.den, _keep(nums, *_cut(sigma)))
+        row = [(k - _KEY_BIAS, u, v) for k, (u, v) in b.items()]
         acc: dict[int, list] = {}  # packed mono -> [re, im]
         get = acc.get
-        for terms, row in _blocks(a, b, sigma):
-            for k1, (x, y) in terms:
-                for k2, u, v in row:
-                    key = k1 + k2
-                    if y:
-                        re = x * u - y * v
-                        im = x * v + y * u
-                    else:
-                        re = x * u
-                        im = x * v
-                    e = get(key)
-                    if e is None:
-                        acc[key] = [re, im]
-                    else:
-                        e[0] += re
-                        e[1] += im
-        return _poly(self.den * other.den, {k: (re, im) for k, (re, im) in acc.items() if re or im})
+        for k1, (x, y) in a.items():
+            for k2, u, v in row:
+                key = k1 + k2
+                if y:
+                    re = x * u - y * v
+                    im = x * v + y * u
+                else:
+                    re = x * u
+                    im = x * v
+                e = get(key)
+                if e is None:
+                    acc[key] = [re, im]
+                else:
+                    e[0] += re
+                    e[1] += im
+        nums = {k: (re, im) for k, (re, im) in acc.items() if re or im}
+        return _poly(self.den * other.den, nums if sigma is None else _keep(nums, *_cut(sigma)))
 
     __mul__ = mul
 
@@ -416,6 +388,9 @@ class TransElement:
         if terms:
             for key, poly in terms.items():
                 lin, m, n = key
+                for what, e in zip(("lin", "m", "n"), key):
+                    if type(e) is not int:
+                        raise TypeError(f"basis key {what} must be an int, not {type(e).__name__}")
                 if lin not in (0, 1, 2):
                     raise ValueError("linear flag must be 0, 1, or 2")
                 self._accumulate(key, poly)

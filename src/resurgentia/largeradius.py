@@ -104,6 +104,7 @@ class ULaurent:
 
     def shift(self, k: int) -> "ULaurent":
         """Multiply by u^k."""
+        k = _exponent(k, "shift")
         return _ulaurent({e + k: c for e, c in self.terms.items()})
 
     def eval(self, u: complex) -> complex:
@@ -520,7 +521,7 @@ def _in_frame(x: TransElement) -> TransElement:
     has no sigma_2, z <= 0 and a nonzero top z row, so d/dsigma, sigma_2 substitutions and Delta commute with it:
     a residual moves key for key, zero iff it was."""
     context = make_context(x.caps.zorder)
-    return TransElement({(lin, m, n): p.mul(context.power(m)).drop_low_z(context.zcap) if m else p
+    return TransElement({(lin, m, n): (p * context.power(m)).drop_low_z(context.zcap) if m else p
                          for (lin, m, n), p in x.terms.items()}, x.caps)
 
 

@@ -31,6 +31,11 @@ assert t.counts["largeradius.make_context_calls"] >= 1, dict(t.counts)
 cut_before = t.counts["alien.cap_terms_in"]
 largeradius.lr_transseries(Caps(2, 2, 2))
 assert t.counts["largeradius.lr_transseries_calls"] >= 1, dict(t.counts)
+# _in_frame multiplies by the frame's powers through Poly.__mul__, which the tracer rebinds;
+# the powers are built by now, so a second call's products are _in_frame's alone
+mul_before = t.counts["alien.poly_mul_calls"]
+largeradius.lr_transseries(Caps(2, 2, 2))
+assert t.counts["alien.poly_mul_calls"] > mul_before, dict(t.counts)
 # _in_frame's z cut is Poly.drop_low_z, which the tracer rebinds, so alien.cap_keep_ratio sees the frame's cut
 assert t.counts["alien.cap_terms_in"] > cut_before, dict(t.counts)
 """

@@ -24,6 +24,13 @@ GUARDS = {
     "poly-negative-exponent": (lambda: Poly({_S1_INVERSE: 1}), ValueError, "negative exponent for s1"),
     "poly-slot-init": (lambda: Poly({_Z_POWER_2_31: 1}), OverflowError, "32-bit slot"),
     "poly-slot-deriv": (lambda: Poly.var("z", -(1 << 31)).deriv("z"), OverflowError, "32-bit slot"),
+    # exponents and basis keys are ints: not packed namelessly by struct, nor a bool read as 1
+    "poly-float-exponent": (lambda: Poly.var("s2", 1.5), TypeError, "exponent of s2 must be an int, not float"),
+    "poly-bool-exponent": (lambda: Poly.var("s2", True), TypeError, "exponent of s2 must be an int, not bool"),
+    "element-float-e-power": (lambda: TransElement({(0, 0.5, 0): alien.ONE_POLY}), TypeError,
+                              "basis key m must be an int, not float"),
+    "ulaurent-float-shift": (lambda: ULaurent.mono(1, 1).shift(0.5), TypeError, "shift must be an int, not float"),
+    "ulaurent-bool-shift": (lambda: ULaurent.mono(1, 1).shift(True), TypeError, "shift must be an int, not bool"),
     "element-caps": (
         lambda: TransElement.generator("g", Caps(3, 3)) + TransElement.generator("g", Caps(4, 4)),
         ValueError, "different caps",

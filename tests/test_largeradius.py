@@ -916,6 +916,18 @@ KERNEL_IMAGE_SHA256 = {
     "apply_stokes(formal_integral(6,6), geq0)": (
         lambda: (apply_stokes(formal_integral(Caps(6, 6)), "geq0"),),
         "d4871a0c2defb0f023180456ebd0c340a2a8e1b59924e4ef13890064b9b03c8d"),
+    # the largest products the checks form, recorded at the sigma_2-grouped kernel
+    # with its one-term branch: many terms by many at (14, 14), and one term by the
+    # frame's powers of about 200 terms at (10, 10, 20)
+    "formal_integral(14,14).subst(s2, leftward map)": (
+        lambda: (formal_integral(Caps(14, 14)).subst("s2", alien._leftward_maps(14, alien._PLUS_I)[1]),),
+        "03127daad3a38f2858782c3f7c836616ee4d43adb689981ae725a99885338d0c"),
+    "formal_integral(14,14).subst(s2, s2 - i)": (
+        lambda: (formal_integral(Caps(14, 14)).subst("s2", Poly.var("s2") - Poly.const(alien._PLUS_I)),),
+        "983d8f3ff187ae1bbd33ea277b109b98e77d6ec4234db5b77d4a89d5d89b042a"),
+    "lr_transseries(10,10,20)": (
+        lambda: (lr_transseries(Caps(10, 10, 20)),),
+        "12b10e68d578b05c0b2ae8d9e0c730cc3456df4e69d294d9063746dc565cb7f7"),
 }
 
 
