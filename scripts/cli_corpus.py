@@ -116,6 +116,8 @@ CALLS = [
     "large-radius lrsum --gs 1e-200",
     "large-radius lrsum --gs 0.3 --u 1e-110",
     "large-radius lrsum --gs 0.3 --u 1e-200",
+    # the order-0 window: no pols, the prefactor alone
+    "large-radius pols --n 2 --gmax 0",
 ]
 
 _TIMING = re.compile(r"\b\d+\.\d\ds\b")

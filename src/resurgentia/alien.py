@@ -83,6 +83,12 @@ _Z_SLOT = _slot("z")
 _P_SLOT, _Q_SLOT = _slot("p"), _slot("q")
 
 
+def _exponent(e, what: str = "u-exponent") -> int:
+    if type(e) is not int:  # int() would turn 2.5 into 2 and "3" into 3, and a bool reads as 1
+        raise TypeError(f"{what} must be an int, not {type(e).__name__}")
+    return e
+
+
 def _raw(den: int, nums: dict) -> "Poly":
     """Wrap numerators already in canonical form over den."""
     out = Poly.__new__(Poly)
@@ -525,9 +531,7 @@ def apply_delta(x: TransElement, omega: int) -> TransElement:
     Only the rays +2 and -2 act nontrivially on this family; every other even
     ray gives zero, and odd rays are not singular rays of the algebra at all.
     """
-    if type(omega) is not int:  # a bool or a float is not a ray
-        raise TypeError(f"the ray must be an int, not {type(omega).__name__}")
-    if omega == 0 or omega % 2 != 0:
+    if _exponent(omega, "the ray") == 0 or omega % 2 != 0:
         raise ValueError("alien derivations live on nonzero even rays")
     out = x._like()
     if abs(omega) != 2:
@@ -659,8 +663,9 @@ _FORMAL_INTEGRALS: dict[bool, TransElement] = {}
 
 
 def _check_caps(caps: Caps) -> None:
-    """A negative cap leaves an empty window, whose zero residual would certify nothing."""
-    if min(caps.sigma, caps.grade, caps.zorder or 0) < 0:
+    """Int caps (the z order may be None); a negative cap leaves an empty window that certifies nothing."""
+    if min(_exponent(caps.sigma, "sigma_2 cap"), _exponent(caps.grade, "grade cap"),
+           0 if caps.zorder is None else _exponent(caps.zorder, "z order")) < 0:
         raise ValueError("the sigma_2, grade and z-order caps must be nonnegative")
 
 

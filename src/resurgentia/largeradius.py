@@ -9,7 +9,7 @@ under it, so each large-radius object is a double-scaling one at z1 plus the
 elementary term R. Exact series at z1 come from one evaluation map, _at_z1,
 which reads z1^{-k} = 3^k g_s^{2k} u^{3k} (1-2t)^{-3k/2} off the t-coefficients
 as integers, and functions of phi_u from one integer power sum over s = 1/(u z2),
-_power_sum (the factors e^{-2n(phi_u + 1/u)} and g(z2 + phi_u)). On these sit
+_power_sum (the factors e^{-2n(phi_u + 1/u)}, certified by _ray_factor, and g(z2 + phi_u)). On these sit
 H^(0) (route (a), g = log psi at z1, checked against route (b), g composed with
 id + phi_u in the z2 grading, then R added once), the components H^(n), the
 symbolic frame (powers e^{-2n phi_u}, one context per z order, applied by
@@ -31,13 +31,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import families
 from .alien import (
     _KEY_BIAS,
-    ONE_POLY,
     Caps,
     Poly,
     TransElement,
     _MINUS_I,
     _bridge_check,
     _check_caps,
+    _exponent,
     _poly,
     _slot,
     _stokes_residual,
@@ -53,12 +53,6 @@ def _ulaurent(terms: dict[int, Fraction]) -> "ULaurent":
     out = ULaurent.__new__(ULaurent)
     out.terms = terms
     return out
-
-
-def _exponent(e, what: str = "u-exponent") -> int:
-    if type(e) is not int:  # int() would turn 2.5 into 2 and "3" into 3
-        raise TypeError(f"{what} must be an int, not {type(e).__name__}")
-    return e
 
 
 class ULaurent:
@@ -207,7 +201,7 @@ class UCoeffSeries:
                  log_u: Fraction = _F0, exp_tag: int = 0):
         if grading not in ("gs2", "z2"):
             raise ValueError("grading must be 'gs2' or 'z2'")
-        if order < 0:
+        if _exponent(order, "order") < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the order")
@@ -373,6 +367,22 @@ def _exp_phi(n: int, N: int) -> UCoeffSeries:
     return _power_sum(Y, [fact // math.factorial(r) for r in range(N + 1)], fact, 0, N)
 
 
+def _z_dz(s: UCoeffSeries) -> UCoeffSeries:
+    """z2 d/dz2 of a z2-graded series on its own window: z2^{-k} -> -k z2^{-k}."""
+    return _ucs("z2", s.order, s.den, tuple({e: -k * c for e, c in row.items()} if k else {}
+                                            for k, row in enumerate(s.rows)))
+
+
+def _ray_factor(n: int, N: int) -> UCoeffSeries:
+    """_exp_phi(n, N), certified by its own equation. E = e^{-2n(phi_u + 1/u)} has row 0 equal to 1
+    (X_1 = -1) and z2 dE/dz2 = -2n (z2 dphi_u/dz2) E, phi_u from gen_phi_u; row k of the equation
+    gives k E_k from E_0..E_{k-1}, so the rows 0..N that pass are those of e^{-2n(phi_u + 1/u)}."""
+    E = _exp_phi(n, N)
+    if E.rows[0] != {0: E.den} or _z_dz(E) != _z_dz(gen_phi_u(N + 1)).scale(-2 * n) * E:
+        raise ArithmeticError("ray factor e^{-2n(phi_u + 1/u)} fails its equation in z2")
+    return E
+
+
 def _h0_z2_route(N: int, g: PowerSeries) -> UCoeffSeries:
     """g(z2 + phi_u) through z2^{-N}, regraded via z2^{-1} = 3 g_s^2 u^3. w = (z2 + phi_u)^{-1}
     = z2^{-1} W(s) with W = 1/(1 + X(s)) (see _one_plus_x), so g = sum_n b_n w^n."""
@@ -436,12 +446,12 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
     regraded to g_s^2: the g_s^{2g} coefficient is u^g Pol_n(u,2g) with Pol of
     degree exactly 2g, and the g_s^0 term is -1/n.
     """
-    if n < 1:
+    if _exponent(n, "component index") < 1:
         raise ValueError("component index must be positive")
-    if gmax < 0:
+    if _exponent(gmax, "gmax") < 0:
         raise ValueError("gmax must be nonnegative")
     Gn = families.gen_Gn(max(gmax + 1, 4), n)[n - 1].series
-    s = _at_z1(Gn.scale((-1) ** n), gmax) * _z2_to_gs2(_exp_phi(n, gmax))
+    s = _at_z1(Gn.scale((-1) ** n), gmax) * _z2_to_gs2(_ray_factor(n, gmax))
     series = _ucs("gs2", gmax, s.den, s.rows, exp_tag=n)
     return f"exp({2 * n}/u)", series, [series.coeff(g).shift(-g) for g in range(1, gmax + 1)]
 
@@ -449,54 +459,37 @@ def gen_Hn(n: int, gmax: int) -> tuple[str, UCoeffSeries, list]:
 # -- symbolic layer ----------------------------------------------------------------
 
 
-def _z_poly(s: UCoeffSeries) -> Poly:
-    """A z2-graded series as a Poly: row k, u^e -> z^{-k} u^e; log u -> lu. The packed
-    keys and integer numerators are formed directly (see alien._pack), canonicalised once."""
-    (z, _), (u, _), (lu, _) = map(_slot, ("z", "u", "lu"))
-    lam = s.log_u
+def _z_poly(s: UCoeffSeries, w: int = 0) -> Poly:
+    """A z2-graded series as a Poly, every term times the e^{2/u} slot to the power w: row k, u^e ->
+    z^{-k} u^e; log u -> lu. The packed keys and integer numerators are formed directly (see alien._pack)."""
+    (z, _), (u, _), (lu, _), (ws, _) = map(_slot, ("z", "u", "lu", "w"))
+    lam, base = s.log_u, _KEY_BIAS + (w << ws)
     den = math.lcm(s.den, lam.denominator)
-    nums = {_KEY_BIAS + (1 << lu): (lam.numerator * (den // lam.denominator), 0)} if lam else {}
+    nums = {base + (1 << lu): (lam.numerator * (den // lam.denominator), 0)} if lam else {}
     f = den // s.den
-    nums.update((_KEY_BIAS + (e << u) - (k << z), (c * f, 0)) for k, row in enumerate(s.rows) for e, c in row.items())
+    nums.update((base + (e << u) - (k << z), (c * f, 0)) for k, row in enumerate(s.rows) for e, c in row.items())
     return _poly(den, nums)
 
 
 class CompositionContext(NamedTuple):
     """The large-radius frame, each series generator precomposed with id + phi_u: power(n) is e^{-2n phi_u}
-    through z^{-zcap}, its e^{2n/u} in the w slot, built and certified once per n. Its hash takes power by
-    identity, never a Poly."""
+    through z^{-zcap}, its e^{2n/u} in the w slot, built from the certified _ray_factor on its first request.
+    Its hash takes power by identity, never a Poly."""
 
     power: Callable[[int], Poly]
     zcap: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a cached make_context(1) does not serve True
 def make_context(zcap: int = 8) -> CompositionContext:
-    """One composition context per z order, the one place a z order is refused. The u-row series
-    e^{-2n(phi_u + 1/u)} are built once per n, and the ray factors (n = +-1) must invert each other.
-    power(n) certifies itself on its first build: series(j) = series(j -+ 1) series(+-1) for every j from
-    +-2 to n (the row product, exact through z^{-zcap}), checked step by step once per context, so
-    power(n) is the |n|-th power of a ray factor under the z cap; a failure is the formal-integral
-    route disagreement."""
+    """One composition context per z order, the one place a z order is refused (None, not an int, or
+    below 1). It builds nothing: power(n) reads _ray_factor(n, zcap), which raises ArithmeticError on a
+    factor that fails its equation, and packs n into the w slot, once per n."""
     if zcap is None:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
-    if zcap < 1:
+    if _exponent(zcap, "z order") < 1:
         raise ValueError("z order must be positive")
-    series = lru_cache(maxsize=None)(lambda n: _exp_phi(n, zcap))
-    if _z_poly(series(1) * series(-1)) != ONE_POLY:
-        raise ArithmeticError("composition factors fail to invert each other")
-    checked = {1: 1, -1: -1}  # sign -> the last j certified
-
-    @lru_cache(maxsize=None)
-    def power(n: int) -> Poly:
-        step = 1 if n > 0 else -1
-        for j in range(checked[step] + step, n + step, step):
-            if series(j) != series(j - step) * series(step):
-                raise ArithmeticError("formal-integral route disagreement")
-            checked[step] = j
-        return _z_poly(series(n)) * Poly.var("w", n)
-
-    return CompositionContext(power, zcap)
+    return CompositionContext(lru_cache(maxsize=None)(lambda n: _z_poly(_ray_factor(n, zcap), n)), zcap)
 
 
 @lru_cache(maxsize=None)
@@ -527,16 +520,15 @@ def _in_frame(x: TransElement) -> TransElement:
 
 def _lr_double_scaling(caps: Caps) -> TransElement:
     """The double-scaling formal integral at (sigma_1, -sigma_2) plus the elementary term R~,
-    which must be the R~ of gen_R; the frame's factors are certified through its grades.
+    which must be the R~ of gen_R; the frame's factors are certified where power(n) reads them.
     A z order make_context refuses is refused before anything is built."""
     _check_caps(caps)
-    context = make_context(caps.zorder)
+    make_context(caps.zorder)
     core = formal_integral(caps, negate_sigma2=True)
     H = core + TransElement.from_poly(_rtilde_poly(caps.zorder), caps)
     elementary = H.terms.get((0, 0, 0), Poly()) - core.terms.get((0, 0, 0), Poly())
     if elementary != _rtilde_reference(caps.zorder):
         raise ArithmeticError("large-radius elementary term disagrees with gen_R")
-    context.power(min(caps.sigma, caps.grade))
     return H
 
 

@@ -25,14 +25,16 @@ largeradius.gen_H0(4)
 assert largeradius.lr_bridge_check(Caps(2, 2, 2))["ok"]
 borel.eval_Bhat(0.5 + 0.5j)
 assert t.counts["alien.poly_mul_calls"] > 0 and t.counts["borel.eval_Bhat_calls"] == 1, dict(t.counts)
-# the frame: lr_bridge_check reads its context through _in_frame, which calls the rebound make_context
+# the frame: lr_bridge_check refuses a z order and reads its context through the rebound make_context,
+# whose context builds nothing; the residuals are zero, so _in_frame reads no power
 assert t.counts["largeradius.make_context_calls"] >= 1, dict(t.counts)
 # the lr checks run in the double-scaling algebra, so the rebound lr_transseries is called here
 cut_before = t.counts["alien.cap_terms_in"]
 largeradius.lr_transseries(Caps(2, 2, 2))
 assert t.counts["largeradius.lr_transseries_calls"] >= 1, dict(t.counts)
-# _in_frame multiplies by the frame's powers through Poly.__mul__, which the tracer rebinds;
-# the powers are built by now, so a second call's products are _in_frame's alone
+# _in_frame multiplies by the frame's powers through Poly.__mul__, which the tracer rebinds; the
+# first lr_transseries built the powers (each certified by one rebound UCoeffSeries.__mul__ and
+# packed with no Poly product), so a second call's products are _in_frame's alone
 mul_before = t.counts["alien.poly_mul_calls"]
 largeradius.lr_transseries(Caps(2, 2, 2))
 assert t.counts["alien.poly_mul_calls"] > mul_before, dict(t.counts)

@@ -1,6 +1,7 @@
 """Input guards that no other in-process test reaches: each must raise its own error."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,18 @@ GUARDS = {
     "empty-element-partial-unknown": (lambda: TransElement().partial("x"), ValueError, _UNKNOWN_VARIABLE),
     "empty-element-subst-unknown": (lambda: TransElement().subst("x", Poly.var("s2")), ValueError,
                                     _UNKNOWN_VARIABLE),
+    # window sizes are ints: a float is not cut to an int deep inside a build, nor a bool read as 1
+    "formal-integral-float-caps": (lambda: alien.formal_integral(Caps(2.5, 2.5)), TypeError,
+                                   "sigma_2 cap must be an int, not float"),
+    "bridge-check-bool-cap": (lambda: alien.bridge_check(Caps(True, 2)), TypeError,
+                              "sigma_2 cap must be an int, not bool"),
+    "lr-bridge-float-z-order": (lambda: largeradius.lr_bridge_check(Caps(3, 3, 2.5)), TypeError,
+                                "z order must be an int, not float"),
+    "make-context-bool-z-order": (lambda: make_context(True), TypeError, "z order must be an int, not bool"),
+    "gen-hn-bool-index": (lambda: largeradius.gen_Hn(True, 2), TypeError,
+                          "component index must be an int, not bool"),
+    "ucoeff-float-order": (lambda: UCoeffSeries("z2", 1.0, (ULaurent.const(1), ULaurent())), TypeError,
+                           "order must be an int, not float"),
 }
 # a tolerance that is not finite and positive is refused before any quadrature
 for _name, _t in (("0", 0.0), ("minus-1", -1.0), ("nan", math.nan), ("inf", math.inf)):
@@ -128,13 +141,22 @@ def _spoil_ray_factors(factors):
             if n not in (1, -1):
                 return real(n, N)
             plus, minus = factors(real, N)
-            # still a pair that inverts through z^-N, so make_context's own check passes
+            # still a pair that inverts through z^-N: an inverse check alone would pass it
             assert largeradius._z_poly(plus * minus) == Poly.const(1)
             return plus if n == 1 else minus
 
         monkeypatch.setattr(largeradius, "_exp_phi", spoiled)
 
     return spoil
+
+
+_RAY_FACTOR = "ray factor e^{-2n(phi_u + 1/u)} fails its equation in z2"
+
+
+def _consistent_factors(monkeypatch):
+    """e^{-4n phi_u} in place of e^{-2n phi_u} for every n: every exponent law and inversion still holds."""
+    real = largeradius._exp_phi
+    monkeypatch.setattr(largeradius, "_exp_phi", lambda n, N: real(2 * n, N))
 
 
 # F+- = 1 + u/z and its inverse, or e^{-+4 phi_u} in place of e^{-+2 phi_u}
@@ -187,9 +209,9 @@ def _large_phi_ray(monkeypatch):
 
 
 SPOILED_GUARDS = {
-    # make_context's cache is bypassed, so no spoiled context is kept
-    "context-inverse": (_spoil_exp_phi, lambda: make_context.__wrapped__(4),
-                        ArithmeticError, "fail to invert each other"),
+    # make_context's cache is bypassed, so no spoiled context is kept; row 0 of the factor reads 2
+    "context-inverse": (_spoil_exp_phi, lambda: make_context.__wrapped__(4).power(1),
+                        ArithmeticError, re.escape(_RAY_FACTOR)),
     "stokes-termination": (_endless_dotted,
                            lambda: alien.apply_stokes(TransElement.generator("g", Caps(3, 3)), "geq0"),
                            ArithmeticError, "failed to terminate"),
@@ -197,10 +219,8 @@ SPOILED_GUARDS = {
     "gpm-negative-log": (_negative_psi_ray, lambda: G_pm("-", 3.0), BranchCutError, "negative real sum"),
     # Re z = 3 lies inside the solution domain Re z > (1/2) log 2 of sigma_2 = 1
     "gpm-not-contractive": (_large_phi_ray, lambda: G_pm("+", 3.0, 0, 1), DomainError, "not contractive"),
-    # power(n) is read from its closed form, the factor certificate forms it from
-    # n ray factors, so a spoiled ray factor splits the two
-    **{name: (spoil, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
-              ArithmeticError, "formal-integral route disagreement")
+    # power(n) reads the ray factor through its equation, which a spoiled factor fails
+    **{name: (spoil, lambda: largeradius.lr_transseries(Caps(3, 3, 4)), ArithmeticError, re.escape(_RAY_FACTOR))
        for name, spoil in FACTOR_SPOILS.items()},
     # the grade-0 elementary term is compared with the R~ of gen_R, which criterion 2 certifies
     "lr-transseries-doubled-rtilde": (_doubled_rtilde, lambda: largeradius.lr_transseries(Caps(3, 3, 4)),
@@ -216,12 +236,27 @@ def test_guard_raises_on_a_spoiled_input(monkeypatch, case):
         call()
 
 
+def _fails_criterion_4_by_the_ray_factor() -> None:
+    # criterion 3 reads no ray factor (its residuals are zero, so _in_frame builds no power);
+    # criterion 4 reads gen_Hn, which reads the factor through its equation
+    failed = [r for r in acceptance.run_all() if not r.passed]
+    assert [r.number for r in failed] == [4]
+    assert failed[0].detail == "ArithmeticError: " + _RAY_FACTOR
+
+
 @pytest.mark.parametrize("case", sorted(FACTOR_SPOILS))
-def test_a_spoiled_ray_factor_fails_criterion_3(monkeypatch, case):
+def test_a_spoiled_ray_factor_fails_verify_all(monkeypatch, case):
     FACTOR_SPOILS[case](monkeypatch)
-    result = acceptance.criterion_3()
-    assert not result.passed
-    assert result.detail == "ArithmeticError: formal-integral route disagreement"
+    _fails_criterion_4_by_the_ray_factor()
+
+
+def test_a_consistently_wrong_ray_factor_fails_its_equation(monkeypatch):
+    _consistent_factors(monkeypatch)
+    with pytest.raises(ArithmeticError, match=re.escape(_RAY_FACTOR)):
+        largeradius.gen_Hn(1, 2)
+    with pytest.raises(ArithmeticError, match=re.escape(_RAY_FACTOR)):
+        largeradius.lr_transseries(Caps(3, 3, 4))
+    _fails_criterion_4_by_the_ray_factor()
 
 
 def test_a_doubled_rtilde_fails_verify_all(monkeypatch):

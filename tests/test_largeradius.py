@@ -554,7 +554,7 @@ def test_exp_phi_is_the_truncated_exponential(n, N):
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
 @pytest.mark.parametrize("build", ["context", "H0"])
 def test_one_unit_spoil_inside_the_power_sum_raises(monkeypatch, build, k):
-    # one numerator of Y (make_context's factors) or of W (H0's route (b)) off by one
+    # one numerator of Y (the ray factors power(n) reads) or of W (H0's route (b)) off by one
     power_sum = largeradius._power_sum
 
     def spoiled(P, a, q, zeta, N):
@@ -563,8 +563,8 @@ def test_one_unit_spoil_inside_the_power_sum_raises(monkeypatch, build, k):
         return power_sum(_series(P.order, P.den, tuple(re), P.im), a, q, zeta, N)
 
     monkeypatch.setattr(largeradius, "_power_sum", spoiled)
-    with pytest.raises(ArithmeticError, match="fail to invert|disagreement"):
-        make_context.__wrapped__(8) if build == "context" else gen_H0(8)
+    with pytest.raises(ArithmeticError, match="ray factor|disagreement"):
+        make_context.__wrapped__(8).power(1) if build == "context" else gen_H0(8)
 
 
 def test_u_equation_residual_vanishes():
@@ -715,7 +715,7 @@ def test_context_inversion_guard():
         make_context(0)
     with pytest.raises(ValueError, match="cap inconsistency"):
         make_context(None)
-    make_context(4)  # internal f+ f- = 1 assertion must pass
+    assert make_context(4).power(1) == largeradius._z_poly(largeradius._exp_phi(1, 4), 1)  # passes its equation
 
 
 @pytest.mark.parametrize("zcap", [1, 4, 8, 16])
@@ -741,8 +741,8 @@ def test_the_row_product_is_the_z_capped_product_it_replaces(N):
             assert got == (ctx.power(n) * ctx.power(m)).drop_low_z(N), (n, m)
 
 
-def test_the_factor_certificate_extends_step_by_step(monkeypatch):
-    # a k past the interpreter's recursion limit, then a smaller and a negative one, each step checked once
+def test_each_new_power_forms_one_row_product(monkeypatch):
+    # power(n) certifies its ray factor by one product, its equation; a repeated power forms none
     ctx, products = make_context(1), []
     real = UCoeffSeries.__mul__
 
@@ -751,11 +751,30 @@ def test_the_factor_certificate_extends_step_by_step(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(UCoeffSeries, "__mul__", counted)
-    assert ctx.power(1200) == largeradius._z_poly(largeradius._exp_phi(1200, 1)) * Poly.var("w", 1200)
-    assert len(products) == 1199
-    assert ctx.power(7) == largeradius._z_poly(largeradius._exp_phi(7, 1)) * Poly.var("w", 7)
-    assert ctx.power(-3) == largeradius._z_poly(largeradius._exp_phi(-3, 1)) * Poly.var("w", -3)
-    assert len(products) == 1199 + 2
+    for n, count in ((1200, 1), (7, 2), (-3, 3), (7, 3), (1200, 3)):
+        assert ctx.power(n) == largeradius._z_poly(largeradius._exp_phi(n, 1)) * Poly.var("w", n)
+        assert len(products) == count, n
+
+
+@pytest.mark.parametrize("N", range(17))
+def test_every_ray_factor_passes_its_equation(N):
+    for n in (k for k in range(-9, 10) if k):
+        assert largeradius._ray_factor(n, N) == largeradius._exp_phi(n, N), (n, N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_order_0_window_has_its_prefactor_and_no_pols(n):
+    pref, series, pols = gen_Hn(n, 0)
+    assert (pref, pols, series.order, series.exp_tag) == (f"exp({2 * n}/u)", [], 0, n)
+    assert series.coeff(0) == ULaurent.const(F(-1, n))  # the g_s^0 term of every window
+
+
+def test_the_large_radius_checks_build_no_power():
+    # their residuals vanish, so _in_frame reads no power and no ray factor is built
+    caps = Caps(5, 5, 8)
+    assert lr_bridge_check(caps)["ok"]
+    assert lr_stokes_check("geq0", caps)["ok"] and lr_stokes_check("leq0", caps)["ok"]
+    assert make_context(8).power.cache_info().currsize == 0
 
 
 def _z_poly_by_constructor(s: UCoeffSeries) -> Poly:
