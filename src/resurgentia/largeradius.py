@@ -489,7 +489,11 @@ def make_context(zcap: int = 8) -> CompositionContext:
         raise ValueError("cap inconsistency: large-radius caps need a z order")
     if _exponent(zcap, "z order") < 1:
         raise ValueError("z order must be positive")
-    return CompositionContext(lru_cache(maxsize=None)(lambda n: _z_poly(_ray_factor(n, zcap), n)), zcap)
+    def power(n: int) -> Poly:  # typed cache: a cached power(1) does not serve True, and a refusal is not kept
+        if not -(1 << 31) <= _exponent(n, "power") < 1 << 31:
+            raise OverflowError("monomial exponent outside its 32-bit slot")
+        return _z_poly(_ray_factor(n, zcap), n)
+    return CompositionContext(lru_cache(maxsize=None, typed=True)(power), zcap)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -34,3 +36,18 @@ def _no_cached_exact_builds():
     largeradius.make_context.cache_clear()
     largeradius._rtilde_poly.cache_clear()
     largeradius._rtilde_reference.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_kept(request):
+    """A test that leaves mpmath's global precision changed fails, by name, and
+    the precision is put back. The oracles work under mpmath.workdps, so no test
+    should change it. mpmath is read only once some test has imported it; a test
+    that imports it first is held to the precision mpmath starts at."""
+    mpmath = sys.modules.get("mpmath")
+    before = mpmath.mp.prec if mpmath else 53  # 53: the precision mpmath starts at
+    yield
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and mpmath.mp.prec != before:
+        after, mpmath.mp.prec = mpmath.mp.prec, before
+        pytest.fail(f"{request.node.nodeid} left mpmath.mp.prec at {after}, not {before}", pytrace=False)

@@ -1,8 +1,8 @@
 """The split Laplace ray: numeric on [0, R], closed form past R.
 
-Every reference here is independent of the closed form: mpmath's expint for
-the generalized exponential integrals, mpmath quadrature of the 2F1 kernel
-past R, and 30-digit Airy values for the sums.
+Every reference here is independent of the closed form and comes from
+tests/oracles.py: mpmath's expint for the generalized exponential integrals,
+mpmath quadrature of the 2F1 kernel past R, and 30-digit Airy values for the sums.
 """
 
 import cmath
@@ -13,29 +13,7 @@ import pytest
 from resurgentia import borel
 from resurgentia.borel import G_pm, QuadratureError, eval_Bhat, laplace_ray, sum_family
 
-mpmath = pytest.importorskip("mpmath")
-
-
-def airy_sum(family: str, z: complex, theta: float) -> complex:
-    """S psi or S phi at z along theta from 30-digit Airy values.
-
-    S phi(x) = 2 sqrt(pi) (3x/2)^{1/6} e^x Ai((3x/2)^{2/3}) and S psi(z) = S phi(-z),
-    with the powers on the sheet of arg x that the ray reaches: the Laplace
-    integral along theta' converges for |arg x + theta'| < pi/2.
-    """
-    x = -complex(z) if family == "psi" else complex(z)
-    t = math.remainder(theta + (math.pi if family == "psi" else 0.0), 2.0 * math.pi)
-    p = cmath.phase(x)
-    a = next(a for a in (p, p - 2.0 * math.pi, p + 2.0 * math.pi) if abs(a + t) < math.pi / 2)
-    with mpmath.workdps(30):
-        r = mpmath.mpf(1.5) * abs(x)
-        third = mpmath.mpf(1) / 3
-
-        def power(e):
-            return r ** e * mpmath.expj(e * a)
-
-        val = 2 * mpmath.sqrt(mpmath.pi) * power(third / 2) * mpmath.exp(mpmath.mpc(x)) * mpmath.airyai(power(2 * third))
-        return complex(val)
+import oracles
 
 
 def _small_decay_grid():
@@ -65,10 +43,8 @@ def test_expint_run_matches_mpmath():
                 # s - 1 serves the moment kernel -zeta Bhat
                 for s in borel._FAR_S + tuple(s - 1.0 for s in borel._FAR_S):
                     got = borel._expint_run(s, X, 61)
-                    with mpmath.workdps(20):
-                        for k in range(61):
-                            want = complex(mpmath.expint(mpmath.mpf(s) + k, mpmath.mpc(X)))
-                            worst = max(worst, abs(got[k] - want) / abs(want))
+                    for g, want in zip(got, oracles.expint(s, X, 61)):
+                        worst = max(worst, abs(g - want) / abs(want))
     assert worst <= 1e-13, worst
 
 
@@ -89,19 +65,6 @@ def test_connection_series_matches_the_kernel_past_R():
             assert abs(got - want) < 1e-12, (branch, zeta)
 
 
-def _moment_far_reference(z: complex, theta: float, R: float) -> complex:
-    # int_R^oo -zeta 2F1(1/6, 5/6; 1; zeta/2) e^{-z zeta} dzeta on the ray of theta
-    with mpmath.workdps(25):
-        ph = mpmath.expj(theta)
-        zz = mpmath.mpc(z)
-
-        def f(t):
-            zeta = t * ph
-            return -zeta * mpmath.hyp2f1(mpmath.mpf(1) / 6, mpmath.mpf(5) / 6, 1, zeta / 2) * mpmath.exp(-zz * zeta) * ph
-
-        return complex(mpmath.quad(f, [R, 2 * R, 4 * R, mpmath.inf]))
-
-
 @pytest.mark.parametrize("z, theta", [
     (3.0 + 0.5j, 0.45),
     (2.0 - 1.0j, 0.45),
@@ -113,7 +76,7 @@ def _moment_far_reference(z: complex, theta: float, R: float) -> complex:
 ])
 def test_moment_far_part_matches_quadrature_past_R(z, theta):
     R = max(4.0, 1.2 / abs(z))
-    ref = _moment_far_reference(z, theta, R)
+    ref = oracles.moment_far(z, theta, R)
     got, bound = borel._far_laplace("B", 1, z, theta, R, 1e-14 * abs(ref))
     assert abs(got - ref) <= 1e-12 * abs(ref), (abs(got - ref) / abs(ref))
     # a loose tolerance truncates early; the returned bound covers what is dropped
@@ -121,17 +84,17 @@ def test_moment_far_part_matches_quadrature_past_R(z, theta):
     assert abs(short - ref) <= loose, (abs(short - ref), loose)
 
 
-@pytest.mark.parametrize("family", ["psi", "phi"])
+@pytest.mark.parametrize("family", ["psi", "phi", "g", "f"])
 def test_large_z_sums_err_bounds_the_airy_reference(family):
     # rays whose decay rate is above (log(1/tol) + 8)/R once stopped short of R
     changed = 0
     for r in (8.0, 10.0, 12.0, 15.0, 20.0, 30.0):
         for arg in (0.0, 0.7, -1.1):
-            z = cmath.rect(r, arg) * (1 if family == "phi" else -1)
+            z = cmath.rect(r, arg) * (1 if family in ("phi", "f") else -1)
             sv = sum_family(family, z, "Ipi")
             assert sv.meta["T"] == 4.0
             changed += sv.meta["rate"] > (math.log(1e10) + 8.0) / 4.0
-            ref = airy_sum(family, z, sv.meta["theta"])
+            ref = oracles.airy_sum(family, z, sv.meta["theta"])
             assert abs(sv.value - ref) <= sv.err, (z, abs(sv.value - ref), sv.err)
     assert changed >= 17
 
@@ -184,7 +147,7 @@ def test_split_ray_err_bounds_the_airy_reference():
         window = (theta - 0.4, theta + 0.4)
         sv = sum_family(family, z, window, theta=theta)
         assert sv.meta["T"] == max(4.0, 1.2 / abs(z))
-        ref = airy_sum(family, z, theta)
+        ref = oracles.airy_sum(family, z, theta)
         assert abs(sv.value - ref) <= sv.err, (family, z, theta, abs(sv.value - ref), sv.err)
         assert sv.meta["tail"] <= 1e-13
 
@@ -195,7 +158,7 @@ def test_small_decay_sums_answer_within_the_airy_tolerance():
         z = cmath.rect(r, math.pi / 2 - 0.45 - math.asin(rate / r))
         sv = sum_family("psi", z, "Iminus")
         assert sv.meta["rate"] == pytest.approx(rate)
-        ref = airy_sum("psi", z, sv.meta["theta"])
+        ref = oracles.airy_sum("psi", z, sv.meta["theta"])
         assert abs(sv.value - ref) <= min(sv.err, 1e-8 * max(1.0, abs(ref)))
 
 
@@ -206,7 +169,7 @@ def _ratio_case(target: float):
     """sigma_2 at z = -0.7 - 0.05i on the + window giving a real ratio near target."""
     z = -0.7 - 0.05j
     theta = borel.choose_theta(z, borel.INTERVALS["Iplus"], (0.0, math.pi))
-    base = cmath.exp(-2.0 * z) * airy_sum("phi", z, theta) / airy_sum("psi", z, theta)
+    base = cmath.exp(-2.0 * z) * oracles.airy_sum("phi", z, theta) / oracles.airy_sum("psi", z, theta)
     return z, target / base, theta
 
 
@@ -232,9 +195,4 @@ def test_gpm_err_parts_carry_the_log_derivative_weights(target):
         assert parts[key] == pytest.approx(want, rel=1e-12), key
     assert g.err == pytest.approx(sum(parts.values()), rel=1e-12)
     # the log's own branch: log S psi + log(1 + ratio), as G_pm builds it
-    with mpmath.workdps(30):
-        psi_ref = mpmath.mpc(airy_sum("psi", z, theta))
-        phi_ref = mpmath.mpc(airy_sum("phi", z, theta))
-        r_ref = mpmath.mpc(sigma2) * mpmath.exp(-2 * mpmath.mpc(z)) * phi_ref / psi_ref
-        ref = complex(mpmath.mpc(sigma1) + mpmath.log(psi_ref) + mpmath.log(1 + r_ref))
-    assert abs(g.value - ref) <= g.err
+    assert abs(g.value - oracles.g_pm(z, theta, sigma1, sigma2)) <= g.err

@@ -20,6 +20,14 @@ _Z_POWER_2_31 = tuple(1 << 31 if k == IDX["z"] else 0 for k in range(NVARS))
 _NEGATIVE_CAP = "the sigma_2, grade and z-order caps must be nonnegative"
 _UNKNOWN_VARIABLE = "unknown variable 'x': the variables are s1, s2, p, q, z, u, lu, w"
 
+
+def _context_power(n):
+    """power(n) of a context whose cache already holds power(1): n is refused ahead of the cache."""
+    context = make_context(4)
+    context.power(1)
+    return context.power(n)
+
+
 GUARDS = {
     "poly-arity": (lambda: Poly({(1, 2): 1}), ValueError, "arity mismatch"),
     "poly-negative-exponent": (lambda: Poly({_S1_INVERSE: 1}), ValueError, "negative exponent for s1"),
@@ -93,6 +101,10 @@ GUARDS = {
     "lr-bridge-float-z-order": (lambda: largeradius.lr_bridge_check(Caps(3, 3, 2.5)), TypeError,
                                 "z order must be an int, not float"),
     "make-context-bool-z-order": (lambda: make_context(True), TypeError, "z order must be an int, not bool"),
+    # power n is packed into the w slot: an int inside its 32 bits, never a bool served power(1)
+    "context-power-bool": (lambda: _context_power(True), TypeError, "power must be an int, not bool"),
+    "context-power-float": (lambda: _context_power(2.5), TypeError, "power must be an int, not float"),
+    "context-power-past-slot": (lambda: _context_power(1 << 31), OverflowError, "32-bit slot"),
     "gen-hn-bool-index": (lambda: largeradius.gen_Hn(True, 2), TypeError,
                           "component index must be an int, not bool"),
     "ucoeff-float-order": (lambda: UCoeffSeries("z2", 1.0, (ULaurent.const(1), ULaurent())), TypeError,
